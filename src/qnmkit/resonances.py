@@ -8,6 +8,12 @@ spectral parameter where the sigma-quadratic pencil becomes singular; they are
 located by a companion-form eigensolve plus a determinant scan, refined by a
 secant iteration on a resolvent probe, and validated against an independent
 two-sided shooting oracle.
+
+Each radial family has polynomial coefficients, whose only singular points are
+regular ones at the roots of the principal coefficient.  `_radial_polys` gives
+them in closed form, and the pencil (on the grid) and the oracle (by Horner's
+rule on scalars along the integration path) evaluate that one set of
+polynomials.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from scipy.integrate import solve_ivp, quad
 from scipy.linalg import eig, lu_factor, lu_solve
 
 from .collocation import cheb_grid, barycentric_eval
-from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain
+from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain, _mu_coeffs
 from .absorption import AbsorbingSpec
 
 
@@ -41,68 +47,66 @@ class StiffFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# radial coefficient families (closed forms; see the module docstrings)
+# radial coefficient polynomials, shared by the pencil and the oracle
 # ---------------------------------------------------------------------------
 
-def _ds_coeff_funcs(n: int, ell: int):
-    """Static-patch model on mu = 1 - r^2 with the s^ell ansatz factored out."""
-    def c2(mu):
-        return 4.0 * mu * (1.0 - mu)
-    def c1(mu, sigma):
-        return (4.0 - (2 * n + 2 + 4 * ell) * mu) - 4j * sigma * (1.0 - mu)
-    def c0(mu, sigma):
-        return (sigma ** 2 + (n - 1 + 2 * ell) * 1j * sigma
-                - ell * (ell + n - 1)) * np.ones_like(np.asarray(mu, dtype=complex))
+def _radial_polys(model: str, params: Optional[SpacetimeParams], ell: int,
+                  n: int, sigma: complex):
+    """Coefficients (c2, c1, c0) of c2 u'' + c1 u' + c0 u, highest power first.
+
+    deSitter: static-patch model on mu = 1 - r^2 with the s^ell ansatz factored
+    out.  minkowski: forward-problem family of the flat boundary model (adjoint
+    orientation).  dSSchwarzschild: two-horizon model on r, horizon-regular
+    classical gauge c = 0, which keeps the coefficients polynomial and so
+    preserves spectral convergence (a blended c is only finitely smooth).
+    """
+    if model == "deSitter":
+        c2 = np.array([-4.0, 4.0, 0.0])
+        c1 = np.array([-(2 * n + 2 + 4 * ell) + 4j * sigma, 4.0 - 4j * sigma])
+        c0 = np.array([sigma ** 2 + (n - 1 + 2 * ell) * 1j * sigma
+                       - ell * (ell + n - 1)])
+    elif model == "minkowski":
+        c = -1j * (n - 1) / 2.0 - sigma
+        c2 = np.array([-4.0, 4.0, 0.0])
+        c1 = np.array([-(4.0 + 4j * c + 4 * ell), (2.0 + 4j * c) - 2.0 * (n - 2)])
+        c0 = np.array([c * c + 0.25 - ell ** 2 - 2j * c * ell])
+    elif model == "dSSchwarzschild":
+        if params is None or params.alpha != 0:
+            raise UnsupportedModel("the radial family needs alpha = 0")
+        c2 = _mu_coeffs(params)                                 # mu~
+        c1 = np.polyder(c2) + np.array([0.0, 2j * sigma, 0.0, 0.0])   # + 2i sigma r^2
+        c0 = np.array([2j * sigma, -ell * (ell + 1.0)])
+    else:
+        raise UnsupportedModel(f"unknown model {model!r}")
     return c2, c1, c0
 
 
-def _mink_coeff_funcs(n: int, ell: int):
-    """Forward-problem family of the flat boundary model (adjoint orientation)."""
-    ca, cb = -1j * (n - 1) / 2.0, -1.0
-    def c2(mu):
-        return 4.0 * mu * (1.0 - mu)
-    def c1(mu, sigma):
-        c = ca + cb * sigma
-        return (2.0 + 4j * c) - 2.0 * (n - 2) - (4.0 + 4j * c + 4 * ell) * mu
-    def c0(mu, sigma):
-        c = ca + cb * sigma
-        return (c * c + 0.25 - ell ** 2 - 2j * c * ell) \
-            * np.ones_like(np.asarray(mu, dtype=complex))
-    return c2, c1, c0
-
-
-def _dss_coeff_funcs(params: SpacetimeParams, ell: int, cfun, dcfun):
-    """Two-horizon model on the r grid, horizon-regular gauge, upper-sign branch."""
-    def c2(r):
-        return mu_tilde(params, r)[0] + 0j
-    def c1(r, sigma):
-        mt, dmt, _ = mu_tilde(params, r)
-        return dmt + 2j * sigma * (mt * cfun(r) + r * r)
-    def c0(r, sigma):
-        mt, dmt, _ = mu_tilde(params, r)
-        c = cfun(r)
-        dc = dcfun(r)
-        w_prime = dmt * c + mt * dc + 2.0 * r
-        return (1j * sigma * w_prime
-                - sigma ** 2 * (mt * c * c + 2.0 * r * r * c)
-                - ell * (ell + 1.0)) * np.ones_like(np.asarray(r, dtype=complex))
-    return c2, c1, c0
-
-
-def _sigma_split(cfuncs, x):
-    """Evaluate the quadratic sigma-split of (c2, c1, c0) on the grid."""
-    c2f, c1f, c0f = cfuncs
-    x = np.asarray(x, dtype=float)
-    C2 = np.asarray(c2f(x), dtype=complex)
-    C1a = np.asarray(c1f(x, 0.0), dtype=complex)
-    C1b = np.asarray(c1f(x, 1.0), dtype=complex) - C1a
-    C0_0 = np.asarray(c0f(x, 0.0), dtype=complex)
-    C0_1 = np.asarray(c0f(x, 1.0), dtype=complex)
-    C0_m = np.asarray(c0f(x, -1.0), dtype=complex)
-    C0a = C0_0
+def _sigma_split(model, params, ell, n, x):
+    """Grid values of c2, c1 = C1a + s C1b and c0 = C0a + s C0b + s^2 C0c."""
+    (p2, p1a, p0a), (_, p1p, p0p), (_, _, p0m) = (
+        _radial_polys(model, params, ell, n, s) for s in (0.0, 1.0, -1.0))
+    C2 = np.polyval(p2, x).astype(complex)
+    C1a = np.polyval(p1a, x)
+    C1b = np.polyval(p1p, x) - C1a
+    C0a = np.polyval(p0a, x)
+    C0_1 = np.polyval(p0p, x)
+    C0_m = np.polyval(p0m, x)
     C0b = (C0_1 - C0_m) / 2.0
-    C0c = (C0_1 + C0_m) / 2.0 - C0_0
+    C0c = (C0_1 + C0_m) / 2.0 - C0a
     return C2, C1a, C1b, C0a, C0b, C0c
+
+
+def _scalars(polys):
+    """The coefficient arrays as lists of Python complex numbers."""
+    return [[complex(a) for a in p] for p in polys]
+
+
+def _horner(p, x):
+    """p(x) by Horner's rule on Python scalars, highest power first."""
+    v = 0j
+    for a in p:
+        v = v * x + a
+    return v
 
 
 @dataclass
@@ -131,23 +135,6 @@ class DiscretizedOperator:
         A0, A1, A2 = self.matrices if with_absorber else self.matrices_free
         return A0 + sigma * A1 + sigma * sigma * A2
 
-    def coeff_funcs(self):
-        if self.model_id == "deSitter":
-            return _ds_coeff_funcs(self.n, self.ell)
-        if self.model_id == "minkowski":
-            return _mink_coeff_funcs(self.n, self.ell)
-        return _dss_coeff_funcs(self.params, self.ell, lambda r: 0.0,
-                                lambda r: 0.0)
-
-
-def _make_dc(cfun, h: float = 1e-6):
-    """Richardson central difference of the shift function."""
-    def dc(r):
-        d1 = (cfun(r + h) - cfun(r - h)) / (2 * h)
-        d2 = (cfun(r + 2 * h) - cfun(r - 2 * h)) / (4 * h)
-        return (4.0 * d1 - d2) / 3.0
-    return dc
-
 
 def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
                    N: int, spec: Optional[AbsorbingSpec] = None,
@@ -164,32 +151,18 @@ def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
         raise ValueError("need N >= 16")
     if spec is None:
         spec = AbsorbingSpec()
-    if model == "minkowski":
-        n = params.n if params is not None else 4
-        cfuncs = _mink_coeff_funcs(n, ell)
-        x, D = cheb_grid(N, mu_min, 1.0)
-        chi_x = x
-    elif model == "deSitter":
-        n = params.n if params is not None else 4
-        cfuncs = _ds_coeff_funcs(n, ell)
-        x, D = cheb_grid(N, mu_min, 1.0)
-        chi_x = x
-    elif model == "dSSchwarzschild":
-        if params is None or params.alpha != 0:
-            raise UnsupportedModel("the eigensolver needs alpha = 0")
-        n = 4
-        # classical gauge c = 0: the shift function is irrelevant for the
-        # resonance problem and c = 0 keeps the coefficients polynomial, which
-        # preserves spectral convergence (a blended c is only finitely smooth)
-        cfuncs = _dss_coeff_funcs(params, ell, lambda r: 0.0, lambda r: 0.0)
+    n = 4 if params is None or model == "dSSchwarzschild" else params.n
+    if model == "dSSchwarzschild":
+        _radial_polys(model, params, ell, n, 0.0)       # rejects alpha != 0
         r_lo, r_hi = domain(params)
         x, D = cheb_grid(N, r_lo, r_hi)
         chi_x = None                     # per-collar windows in r, see below
     else:
-        raise UnsupportedModel(f"unknown model {model!r}")
+        x, D = cheb_grid(N, mu_min, 1.0)
+        chi_x = x
 
     D2 = D @ D
-    C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(cfuncs, x)
+    C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(model, params, ell, n, x)
     A0 = np.diag(C2) @ D2 + np.diag(C1a) @ D + np.diag(C0a)
     A1 = np.diag(C1b) @ D + np.diag(C0b)
     A2 = np.diag(C0c).astype(complex)
@@ -435,19 +408,16 @@ def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
 # two-sided shooting oracle
 # ---------------------------------------------------------------------------
 
-def _frobenius_start(cfuncs, x0: float, sigma: complex, eps: float):
+def _frobenius_start(polys, x0: float, eps: float):
     """Second-order Taylor data of the branch analytic at the degenerate endpoint x0."""
-    c2f, c1f, c0f = cfuncs
-    h = 1e-6
-    C1 = complex(c1f(x0, sigma))
-    C0 = complex(c0f(x0, sigma))
+    p2, p1, p0 = polys
+    C1 = complex(np.polyval(p1, x0))
+    C0 = complex(np.polyval(p0, x0))
     if abs(C1) < 1e-12:
         raise StiffFailure("indicial coincidence at the endpoint; perturb sigma")
     w0 = 1.0 + 0.0j
     w1 = -C0 * w0 / C1
-    dC2 = (complex(c2f(x0 + h)) - complex(c2f(x0 - h))) / (2 * h)
-    dC1 = (complex(c1f(x0 + h, sigma)) - complex(c1f(x0 - h, sigma))) / (2 * h)
-    dC0 = (complex(c0f(x0 + h, sigma)) - complex(c0f(x0 - h, sigma))) / (2 * h)
+    dC2, dC1, dC0 = (complex(np.polyval(np.polyder(p), x0)) for p in polys)
     denom = dC2 + C1
     num = dC1 * w1 + dC0 * w0 + C0 * w1
     # near an indicial coincidence the second-order recursion degenerates;
@@ -458,15 +428,16 @@ def _frobenius_start(cfuncs, x0: float, sigma: complex, eps: float):
     return [w_eps, dw_eps]
 
 
-def _integrate_branch(cfuncs, x0: float, x1: float, sigma: complex,
-                      tol: float, eps_frac: float = 1e-7):
-    c2f, c1f, c0f = cfuncs
+def _integrate_branch(polys, x0: float, x1: float, tol: float,
+                      eps_frac: float = 1e-7):
+    p2, p1, p0 = _scalars(polys)
+
     def rhs(x, y):
-        C2 = complex(c2f(x))
-        return [y[1], (-complex(c1f(x, sigma)) * y[1]
-                       - complex(c0f(x, sigma)) * y[0]) / C2]
+        x = float(x)
+        u, du = y.tolist()
+        return [du, (-_horner(p1, x) * du - _horner(p0, x) * u) / _horner(p2, x)]
     eps = eps_frac * (x1 - x0)
-    y0 = _frobenius_start(cfuncs, x0, sigma, eps)
+    y0 = _frobenius_start(polys, x0, eps)
     sol = solve_ivp(rhs, [x0 + eps, x1], y0, method="DOP853",
                     rtol=tol, atol=1e-14, dense_output=False)
     if not sol.success:
@@ -474,22 +445,22 @@ def _integrate_branch(cfuncs, x0: float, x1: float, sigma: complex,
     return sol.y[:, -1]
 
 
-def _integrate_complex_path(cfuncs, path, y0, sigma: complex, tol: float):
+def _integrate_complex_path(polys, path, y0, tol: float):
     """Integrate the radial ODE along a piecewise-linear complex path.
 
     `path` is a list of complex waypoints; the coefficients are polynomial in
     the radius so the solutions continue analytically off the real axis.
     """
-    c2f, c1f, c0f = cfuncs
+    p2, p1, p0 = _scalars(polys)
     y = np.asarray(y0, dtype=complex)
     for z0, z1 in zip(path[:-1], path[1:]):
-        dz = z1 - z0
+        z0, dz = complex(z0), complex(z1 - z0)
+
         def rhs(t, w):
-            x = z0 + t * dz
-            C2 = complex(c2f(x))
-            return [dz * w[1],
-                    dz * (-complex(c1f(x, sigma)) * w[1]
-                          - complex(c0f(x, sigma)) * w[0]) / C2]
+            x = z0 + float(t) * dz
+            u, du = w.tolist()
+            return [dz * du,
+                    dz * (-_horner(p1, x) * du - _horner(p0, x) * u) / _horner(p2, x)]
         sol = solve_ivp(rhs, [0.0, 1.0], y, method="DOP853", rtol=tol, atol=1e-14)
         if not sol.success:
             raise StiffFailure(sol.message)
@@ -497,23 +468,13 @@ def _integrate_complex_path(cfuncs, path, y0, sigma: complex, tol: float):
     return y
 
 
-def _model_oracle_data(model, params, ell, n):
-    if model in ("deSitter", "minkowski"):
-        cfuncs = (_ds_coeff_funcs if model == "deSitter" else _mink_coeff_funcs)(n, ell)
-        start, sing, end = 1.0, 0.0, -0.35
-        rad = 0.35
-    elif model == "dSSchwarzschild":
-        if params is None or params.alpha != 0:
-            raise UnsupportedModel("oracle needs a spherically symmetric model")
-        cfuncs = _dss_coeff_funcs(params, ell, lambda r: 0.0, lambda r: 0.0)
+def _oracle_geometry(model, params):
+    """(regular end, horizon, far end, detour radius) of the shooting path."""
+    if model == "dSSchwarzschild":
         hd = horizon_roots(params)
-        width = hd.r_plus - hd.r_minus
-        start, sing = hd.r_plus, hd.r_minus
-        rad = 0.3 * width
-        end = hd.r_minus - 0.6 * rad
-    else:
-        raise UnsupportedModel(model)
-    return cfuncs, start, sing, end, rad
+        rad = 0.3 * (hd.r_plus - hd.r_minus)
+        return hd.r_plus, hd.r_minus, hd.r_minus - 0.6 * rad, rad
+    return 1.0, 0.0, -0.35, 0.35
 
 
 def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
@@ -528,15 +489,16 @@ def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
     coincidences, where a midpoint Wronskian of two one-sided Frobenius
     branches can fail to vanish.
     """
-    cfuncs, start, sing, end, rad = _model_oracle_data(model, params, ell, n)
+    polys = _radial_polys(model, params, ell, n, sigma)
+    start, sing, end, rad = _oracle_geometry(model, params)
     # real leg from the regular end to the circle entry
     entry = sing + rad if start > sing else sing - rad
-    y_entry = _integrate_branch(cfuncs, start, entry, sigma, tol)
+    y_entry = _integrate_branch(polys, start, entry, tol)
     out = []
     for half in (+1.0, -1.0):
         mid = sing + 1j * half * rad * (1.0 if start > sing else -1.0)
         path = [entry, mid, 2.0 * sing - entry, end]
-        out.append(_integrate_complex_path(cfuncs, path, y_entry, sigma, tol))
+        out.append(_integrate_complex_path(polys, path, y_entry, tol))
     y_up, y_dn = out
     scale = max(np.linalg.norm(y_up), np.linalg.norm(y_dn), 1e-300)
     diff = (y_up - y_dn) / scale
@@ -552,10 +514,11 @@ def oracle_wronskian(model: str, params: Optional[SpacetimeParams], ell: int,
     Normalized by the frame norms; vanishes at resonances away from indicial
     coincidences (use oracle_shooting for the uniformly valid detector).
     """
-    cfuncs, start, sing, end, rad = _model_oracle_data(model, params, ell, n)
+    polys = _radial_polys(model, params, ell, n, sigma)
+    start, sing, _, _ = _oracle_geometry(model, params)
     mm = 0.5 * (start + sing) if match is None else match
-    y_lo = _integrate_branch(cfuncs, sing, mm, sigma, tol)
-    y_hi = _integrate_branch(cfuncs, start, mm, sigma, tol)
+    y_lo = _integrate_branch(polys, sing, mm, tol)
+    y_hi = _integrate_branch(polys, start, mm, tol)
     det = y_lo[0] * y_hi[1] - y_lo[1] * y_hi[0]
     return det / (np.linalg.norm(y_lo) * np.linalg.norm(y_hi))
 
@@ -635,10 +598,10 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     return worst
 
 
-def _h_shift(params: SpacetimeParams, cfun, r_ref: float):
-    """h(r) with h' = -mu~^(-1) r^2 - c(r), normalized to h(r_ref) = 0."""
+def _h_shift(params: SpacetimeParams, r_ref: float):
+    """h(r) with h' = -mu~^(-1) r^2 (gauge c = 0), normalized to h(r_ref) = 0."""
     def hp(r):
-        return -r * r / mu_tilde(params, r)[0] - float(cfun(r))
+        return -r * r / mu_tilde(params, r)[0]
     def h(r):
         val, _ = quad(hp, r_ref, r, limit=400, epsabs=1e-13, epsrel=1e-13)
         return val
@@ -662,8 +625,7 @@ def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
         raise UnsupportedModel("the correspondence check runs on the two-horizon model")
     params = op.params
     hd = horizon_roots(params)
-    cf = lambda r: 0.0                      # classical gauge of the build
-    cfuncs = _dss_coeff_funcs(params, ell=op.ell, cfun=cf, dcfun=lambda r: 0.0)
+    polys = _radial_polys(op.model_id, params, op.ell, op.n, sigma)
 
     # side 1: full-grid resolvent
     f_grid = np.array([f_fun(r) for r in op.grid], dtype=complex)
@@ -685,15 +647,15 @@ def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
 
     # conjugation weight e^{i sigma h(r)} on the subgrid
     r_ref = 0.5 * (ra + rb)
-    hfun = _h_shift(params, cf, r_ref)
+    hfun = _h_shift(params, r_ref)
     hvals = np.array([hfun(r) for r in xs])
     E = np.exp(1j * sigma * hvals)
 
     # shooting branches analytic at each horizon, conjugated into the t~ gauge
     def branch_frame(x0, xe):
-        y = _integrate_branch(cfuncs, x0, xe, sigma, tol)
+        y = _integrate_branch(polys, x0, xe, tol)
         hv = hfun(xe)
-        hp = -xe * xe / mu_tilde(params, xe)[0] - float(cf(xe))
+        hp = -xe * xe / mu_tilde(params, xe)[0]
         W = np.exp(-1j * sigma * hv) * y[0]
         dW = np.exp(-1j * sigma * hv) * (y[1] - 1j * sigma * hp * y[0])
         return W, dW
@@ -719,40 +681,3 @@ def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
     mask = (op.grid >= a) & (op.grid <= b)
     u2_on_main = barycentric_eval(xs, u2, op.grid[mask])
     return float(np.max(np.abs(u1[mask] - u2_on_main)))
-
-
-# ---------------------------------------------------------------------------
-# operator container IO
-# ---------------------------------------------------------------------------
-
-def save_operator(op: DiscretizedOperator, path) -> None:
-    """Binary matrix container with a JSON header (dimensions, grid, spec hash)."""
-    import hashlib
-    import json as _json
-    spec = op.absorption_spec
-    spec_payload = _json.dumps({
-        "mu0": spec.mu0, "mu1": spec.mu1, "mu0p": spec.mu0p, "mu1p": spec.mu1p,
-        "j": spec.j, "C": spec.C, "digamma_scale": spec.digamma_scale},
-        sort_keys=True)
-    header = _json.dumps({
-        "model": op.model_id, "ell": op.ell, "n": op.n, "N": op.N,
-        "dimensions": list(op.matrices[0].shape),
-        "grid_lo": float(op.grid[0]), "grid_hi": float(op.grid[-1]),
-        "spec_hash": hashlib.sha256(spec_payload.encode()).hexdigest(),
-        "spec": spec_payload}, sort_keys=True)
-    A0, A1, A2 = op.matrices
-    np.savez(path, header=np.frombuffer(header.encode(), dtype=np.uint8),
-             grid=op.grid, A0=A0, A1=A1, A2=A2, Q=op.Q, D=op.D,
-             chi_weight=op.chi_weight)
-
-
-def load_operator(path, params: Optional[SpacetimeParams] = None) -> DiscretizedOperator:
-    import json as _json
-    with np.load(path) as z:
-        header = _json.loads(bytes(z["header"]).decode())
-        spec_data = _json.loads(header["spec"])
-        spec = AbsorbingSpec(**spec_data)
-        return DiscretizedOperator(
-            header["model"], header["ell"], z["grid"],
-            (z["A0"], z["A1"], z["A2"]), spec, header["n"], header["N"],
-            params, z["D"], z["Q"], z["chi_weight"])

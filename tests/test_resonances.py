@@ -2,19 +2,70 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qnmkit.spacetime import SpacetimeParams
+import qnmkit.resonances as resonances
+import qnmkit.spacetime as spacetime
+from qnmkit.spacetime import SpacetimeParams, mu_tilde
 from qnmkit.absorption import AbsorbingSpec
 from qnmkit.resonances import (
     build_operator, solve_resonances, oracle_shooting, oracle_wronskian,
     oracle_refine, resolvent_apply, gluing_check, cutoff_correspondence_check,
-    UnsupportedModel, NearPole,
+    UnsupportedModel, NearPole, _radial_polys,
 )
 
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
 DSS = SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
 MK = SpacetimeParams(model="MinkowskiBoundary", lam=0.0, n=4)
 TINY = AbsorbingSpec(digamma_scale=1e-12)
+MODELS = [("deSitter", DS), ("minkowski", MK), ("dSSchwarzschild", DSS)]
+MODEL_IDS = [m for m, _ in MODELS]
+
+
+def reference_coeffs(model, params, ell, n, x, sigma):
+    """(c2, c1, c0) of c2 u'' + c1 u' + c0 u, written out from the model closed forms."""
+    if model == "deSitter":
+        return (4.0 * x * (1.0 - x),
+                4.0 - (2 * n + 2 + 4 * ell) * x - 4j * sigma * (1.0 - x),
+                sigma ** 2 + (n - 1 + 2 * ell) * 1j * sigma - ell * (ell + n - 1))
+    if model == "minkowski":
+        c = -1j * (n - 1) / 2.0 - sigma
+        return (4.0 * x * (1.0 - x),
+                2.0 + 4j * c - 2.0 * (n - 2) - (4.0 + 4j * c + 4 * ell) * x,
+                c * c + 0.25 - ell ** 2 - 2j * c * ell)
+    mt, dmt, _ = mu_tilde(params, x)
+    return mt, dmt + 2j * sigma * x * x, 2j * sigma * x - ell * (ell + 1.0)
+
+
+class TestRadialPolys:
+    @given(st.sampled_from(MODEL_IDS), st.integers(0, 3),
+           st.integers(3, 6), st.floats(0.5, 5.0), st.floats(0.0, 0.5),
+           st.complex_numbers(max_magnitude=2.0),
+           st.complex_numbers(max_magnitude=6.0), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_closed_forms(self, model, ell, n, lam, r_s, x, sigma, real_x):
+        params = SpacetimeParams(lam, r_s, 0.0, "dSSchwarzschild")
+        if real_x:
+            x = x.real
+        want = reference_coeffs(model, params, ell, n, x, sigma)
+        for p, w in zip(_radial_polys(model, params, ell, n, sigma), want):
+            # relative to the Horner error scale sum |a_k| |x|^k
+            scale = max(np.polyval(np.abs(p), abs(x)), 1e-300)
+            assert abs(np.polyval(p, x) - w) <= 1e-13 * scale
+
+    def test_dss_shooting_makes_no_mu_tilde_calls(self, monkeypatch):
+        # the horizon radii come from spacetime, which evaluates mu~ itself;
+        # fix them up front so the count covers the shooting alone
+        hd = spacetime.horizon_roots(DSS)
+        monkeypatch.setattr(resonances, "horizon_roots", lambda params: hd)
+        calls = []
+        for mod in (spacetime, resonances):
+            def counted(*args, _fn=mod.mu_tilde, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, "mu_tilde", counted)
+        oracle_shooting("dSSchwarzschild", DSS, 1, 1.3 - 0.4j)
+        assert len(calls) == 0
 
 
 class TestBuildOperator:
@@ -35,18 +86,19 @@ class TestBuildOperator:
             row = A0[i]
             assert np.count_nonzero(np.abs(row) > 1e-14) > 3
 
-    def test_rows_reproduce_operator_on_polynomials(self):
+    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    def test_rows_reproduce_operator_on_polynomials(self, model, params):
         # apply the pencil to a polynomial and compare with the analytic value
-        op = build_operator("deSitter", DS, 1, 48, TINY)
-        mu = op.grid
+        op = build_operator(model, params, 1, 48, TINY)
+        x = op.grid
         sigma = 0.7 - 0.3j
         coef = np.array([0.3, -1.2, 0.0, 2.0, -0.7])
-        u = np.polynomial.polynomial.polyval(mu, coef)
-        du = np.polynomial.polynomial.polyval(mu, np.polynomial.polynomial.polyder(coef))
+        u = np.polynomial.polynomial.polyval(x, coef)
+        du = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(coef))
         d2u = np.polynomial.polynomial.polyval(
-            mu, np.polynomial.polynomial.polyder(coef, 2))
-        c2f, c1f, c0f = op.coeff_funcs()
-        want = c2f(mu) * d2u + c1f(mu, sigma) * du + c0f(mu, sigma) * u
+            x, np.polynomial.polynomial.polyder(coef, 2))
+        c2, c1, c0 = reference_coeffs(model, params, 1, op.n, x, sigma)
+        want = c2 * d2u + c1 * du + c0 * u
         got = op.pencil(sigma, with_absorber=False) @ u
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-8)
 
@@ -134,11 +186,16 @@ class TestOracle:
         assert abs(z + 1j) < 1e-9
         assert abs(oracle_wronskian("deSitter", DS, 1, -1j + 1e-5)) > 1e-3
 
-    def test_brackets_solver_output(self):
-        op = build_operator("deSitter", DS, 2, 80)
+    @pytest.mark.parametrize("model, params, ell", [
+        ("deSitter", DS, 2), ("minkowski", MK, 0), ("minkowski", MK, 1)],
+        ids=["deSitter-l2", "minkowski-l0", "minkowski-l1"])
+    def test_brackets_solver_output(self, model, params, ell):
+        op = build_operator(model, params, ell, 80)
         rl = solve_resonances(op, region=(-4, 4, -2.5, 0.4))
-        for e in rl.converged(1e-6):
-            z = oracle_refine("deSitter", DS, 2, e.sigma)
+        conv = rl.converged(1e-6)
+        assert conv
+        for e in conv:
+            z = oracle_refine(model, params, ell, e.sigma, n=params.n)
             assert abs(z - e.sigma) < 1e-6
 
     def test_two_horizon_model(self):
