@@ -274,32 +274,3 @@ def choose_digamma(model: str, spec: AbsorbingSpec, z: complex,
             return F
         F *= 2.0
     raise RuntimeError("doubling search for the plateau height did not terminate")
-
-
-def load_absorbing_spec(path) -> AbsorbingSpec:
-    """Read an absorbing-spec file (flat key=value text)."""
-    kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed spec line: {line!r}")
-            k, v = (t.strip() for t in line.split("=", 1))
-            kv[k] = v
-    known = {"mu0", "mu1", "mu0p", "mu1p", "j", "C", "digamma_scale"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-    args = {k: (int(v) if k == "j" else float(v)) for k, v in kv.items()}
-    return AbsorbingSpec(**args)
-
-
-def report_to_json(rep: EllipticityReport) -> str:
-    import json
-    return json.dumps({"region_id": rep.region_id, "min_abs": rep.min_abs,
-                       "sign_violations": rep.sign_violations,
-                       "n_points": rep.n_points,
-                       "details": [list(d) for d in rep.details]},
-                      indent=2, sort_keys=True)

@@ -56,7 +56,6 @@ _SCHEMAS = {
         "re_max": (float, -100.0, 100.0, 6.0),
         "im_min": (float, -100.0, 100.0, -3.6),
         "im_max": (float, -100.0, 100.0, 0.4),
-        "scan_step": (float, 0.05, 1.0, 0.2),
         "oracle": (int, 0, 1, 1),
     },
     "expand": {
@@ -80,19 +79,16 @@ class RunConfig:
     params_file: str
     out_dir: str
     seed: int = 0
-    threads: int = 1
-    fmt: str = "csv"
     knobs: dict = field(default_factory=dict)
 
     @property
     def digest(self) -> str:
         payload = json.dumps({"command": self.command, "seed": self.seed,
-                              "threads": self.threads, "format": self.fmt,
                               "knobs": self.knobs}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def parse_config(path, command, out_dir, seed, threads, fmt) -> RunConfig:
+def parse_config(path, command, out_dir, seed) -> RunConfig:
     """key=value config; unknown keys and out-of-range knobs are rejected."""
     schema = _SCHEMAS[command]
     kv = {}
@@ -128,15 +124,13 @@ def parse_config(path, command, out_dir, seed, threads, fmt) -> RunConfig:
         knobs[k] = val
     for k, (typ, lo, hi, dft) in schema.items():
         knobs.setdefault(k, dft)
-    return RunConfig(command, params_file, out_dir, seed, threads, fmt, knobs)
+    return RunConfig(command, params_file, out_dir, seed, knobs)
 
 
 def _write_manifest(cfg: RunConfig, extra=None):
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = {"command": cfg.command, "config_hash": cfg.digest,
-                "seed": cfg.seed, "threads": cfg.threads,
-                "format": cfg.fmt, "version": __version__,
-                "knobs": cfg.knobs}
+                "seed": cfg.seed, "version": __version__, "knobs": cfg.knobs}
     if extra:
         manifest.update(extra)
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
@@ -247,7 +241,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
     for ell in range(k["ell_min"], k["ell_max"] + 1):
         try:
             op = build_operator(model, params, ell, k["N"])
-            rl = solve_resonances(op, region=region, scan_step=k["scan_step"])
+            rl = solve_resonances(op, region=region)
         except SolverFailure:
             return EXIT_SOLVER
         for e in rl.entries:
@@ -330,15 +324,12 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--format", choices=["csv", "json"], default="csv")
     try:
         ns = ap.parse_args(argv)
     except SystemExit:
         return EXIT_CONFIG
     try:
-        cfg = parse_config(ns.config, ns.command, ns.out, ns.seed, ns.threads,
-                           ns.format)
+        cfg = parse_config(ns.config, ns.command, ns.out, ns.seed)
     except (ConfigError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -330,18 +330,3 @@ def save_time_series(u: TemporalSamples, path) -> None:
             for j in range(vals.shape[1]):
                 row += [f"{vals[i, j].real:.17g}", f"{vals[i, j].imag:.17g}"]
             w.writerow(row)
-
-
-def load_time_series(path) -> TemporalSamples:
-    import csv
-    taus, rows = [], []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            taus.append(float(row[0]))
-            vals = [complex(float(row[k]), float(row[k + 1]))
-                    for k in range(1, len(row), 2)]
-            rows.append(vals)
-    arr = np.array(rows)
-    return TemporalSamples(np.array(taus), arr[:, 0] if arr.shape[1] == 1 else arr)

@@ -24,19 +24,23 @@ def dss_params(tmp_path):
 
 
 class TestConfigParsing:
-    def test_unknown_key_rejected(self, tmp_path, ds_params):
-        cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\nbogus = 1\n")
+    @pytest.mark.parametrize("command, line", [
+        ("admissible", "bogus = 1"),
+        ("resonances", "scan_step = 0.2"),
+    ], ids=["admissible-bogus", "resonances-scan_step"])
+    def test_unknown_key_rejected(self, tmp_path, ds_params, command, line):
+        cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n{line}\n")
         with pytest.raises(ConfigError):
-            parse_config(cfg, "admissible", str(tmp_path), 0, 1, "csv")
+            parse_config(cfg, command, str(tmp_path), 0)
 
     def test_out_of_range_rejected(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\nN = 4\n")
         with pytest.raises(ConfigError):
-            parse_config(cfg, "resonances", str(tmp_path), 0, 1, "csv")
+            parse_config(cfg, "resonances", str(tmp_path), 0)
 
     def test_defaults_filled(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n")
-        rc = parse_config(cfg, "resonances", str(tmp_path), 0, 1, "csv")
+        rc = parse_config(cfg, "resonances", str(tmp_path), 0)
         assert rc.knobs["N"] == 80 and rc.knobs["oracle"] == 1
 
 
@@ -66,6 +70,11 @@ class TestAdmissible:
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["admissible", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_threads_flag_exit_two(self, tmp_path, ds_params):
+        cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n")
+        assert main(["admissible", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--threads", "2"]) == 2
 
 
 class TestFlow:
@@ -109,7 +118,7 @@ class TestResonances:
         cfg = write(tmp_path / "c.cfg",
                     f"params = {ds_params}\nN = 40\nell_max = 0\n"
                     "re_min = 3\nre_max = 5\nim_min = 0.1\nim_max = 0.4\n"
-                    "scan_step = 0.3\noracle = 0\n")
+                    "oracle = 0\n")
         out = tmp_path / "out"
         assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "resonances.csv").read_text().strip().splitlines()

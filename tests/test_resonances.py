@@ -143,19 +143,27 @@ class TestSolveResonances:
 
     def test_empty_region(self):
         op = build_operator("deSitter", DS, 0, 48)
-        rl = solve_resonances(op, region=(3.0, 5.0, 0.1, 0.4), scan_step=0.3)
+        rl = solve_resonances(op, region=(3.0, 5.0, 0.1, 0.4))
         assert rl.entries == []
 
     def test_absorber_shifts_poles(self):
         # documents the measured behavior that motivated the absorber-free
         # default: with the multiplication absorber on, the constant mode moves
         op = build_operator("deSitter", DS, 0, 64, AbsorbingSpec(digamma_scale=4.0))
-        free = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3), scan_step=0.1)
+        free = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3))
         assert min(abs(free.sigmas() - 0.0)) < 1e-9
-        withq = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3), scan_step=0.1,
+        withq = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3),
                                  with_absorber=True)
         if withq.entries:
             assert min(abs(withq.sigmas() - 0.0)) > 1e-7
+
+    def test_no_near_duplicate_rows(self):
+        # one pole, one row: the box holds a single pole near -3.2063i, and a
+        # second row 9e-4 away from it would be a spurious near-duplicate
+        op = build_operator("dSSchwarzschild", DSS, 0, 80)
+        sig = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).sigmas()
+        gaps = np.abs(sig[:, None] - sig[None, :]) + np.eye(len(sig))
+        assert gaps.min() > 1e-2
 
 
 class TestOracle:
@@ -200,7 +208,7 @@ class TestOracle:
 
     def test_two_horizon_model(self):
         op = build_operator("dSSchwarzschild", DSS, 1, 72)
-        rl = solve_resonances(op, region=(-4, 4, -2.0, 0.3), scan_step=0.25)
+        rl = solve_resonances(op, region=(-4, 4, -2.0, 0.3))
         conv = rl.converged(1e-6)
         assert conv
         for e in conv:
