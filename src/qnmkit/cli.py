@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .spacetime import SpacetimeParams, NoHorizons, load_params, \
-    admissibility, domain
+    read_key_values, admissibility, domain
 from .symbols import PhasePoint, CompactPhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure
 from .absorption import AbsorbingSpec
@@ -91,18 +91,9 @@ class RunConfig:
 def parse_config(path, command, out_dir, seed) -> RunConfig:
     """key=value config; unknown keys and out-of-range knobs are rejected."""
     schema = _SCHEMAS[command]
-    kv = {}
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"malformed config line: {line!r}")
-                k, v = (t.strip() for t in line.split("=", 1))
-                kv[k] = v
-    except OSError as exc:
+        kv = read_key_values(path)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if "params" not in kv:
         raise ConfigError("config must name a params file (params = PATH)")
@@ -152,6 +143,18 @@ def cmd_admissible(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FLAGS
 
 
+def _flow_with_retries(kind, params, start, k, **kw):
+    """integrate_flow at the configured tol, loosened tenfold (to at most
+    1e-4) after each StepFailure; the failure of the last retry propagates."""
+    tol = k["tol"]
+    for _ in range(k["retry_budget"]):
+        try:
+            return integrate_flow(kind, params, start, k["T"], tol=tol, **kw)
+        except StepFailure:
+            tol = min(tol * 10, 1e-4)
+    return integrate_flow(kind, params, start, k["T"], tol=tol, **kw)
+
+
 def cmd_flow(cfg: RunConfig) -> int:
     params = load_params(cfg.params_file)
     rng = np.random.default_rng(cfg.seed)
@@ -163,16 +166,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         if params.model == "deSitter":
             start = (k["eps"] * rng.uniform(-1, 1), k["eps"] * rng.uniform(0.5, 1),
                      k["eps"] * rng.uniform(-1, 1), 1)
-            attempt_tol = k["tol"]
-            for attempt in range(k["retry_budget"] + 1):
-                try:
-                    bc = integrate_flow("ds_reduced", params, start, k["T"],
-                                        tol=attempt_tol)
-                    break
-                except StepFailure:
-                    attempt_tol = min(attempt_tol * 10, 1e-4)
-            else:
-                return EXIT_STEP
+            bc = _flow_with_retries("ds_reduced", params, start, k)
             for s, y in bc.samples:
                 rows.append([traj_id, "ds_reduced", _fmt(s)]
                             + [_fmt(v) for v in y]
@@ -183,17 +177,8 @@ def cmd_flow(cfg: RunConfig) -> int:
                             rng.uniform(0.5, math.pi - 0.5),
                             rng.uniform(0, 2 * math.pi),
                             rng.uniform(-1, 1), rng.uniform(-1, 1), zeta)
-            attempt_tol = k["tol"]
-            for attempt in range(k["retry_budget"] + 1):
-                try:
-                    bc = integrate_flow("kds_classical", params, pt, k["T"],
-                                        tol=attempt_tol,
-                                        horizon_sign=k["horizon_sign"])
-                    break
-                except StepFailure:
-                    attempt_tol = min(attempt_tol * 10, 1e-4)
-            else:
-                return EXIT_STEP
+            bc = _flow_with_retries("kds_classical", params, pt, k,
+                                    horizon_sign=k["horizon_sign"])
             led = bc.conserved_ledger
             for i, (s, p) in enumerate(bc.samples):
                 if isinstance(p, CompactPhasePoint):

@@ -5,10 +5,10 @@ crosses the event horizon(s); no boundary row is imposed at a horizon, so the
 polynomial basis itself selects the solutions that extend smoothly across --
 the defining feature of the continuation.  Resonances are the values of the
 spectral parameter where the sigma-quadratic pencil becomes singular, which
-are exactly the finite eigenvalues of its companion linearization; they are
-located by that eigensolve, refined by a secant iteration on a resolvent probe
-and a trace polish, and validated against an independent two-sided shooting
-oracle.
+are exactly the finite eigenvalues of its companion linearization, and the
+poles of the resolvent; they are located by that eigensolve, refined by a
+secant iteration on the zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>,
+and validated against an independent two-sided shooting oracle.
 
 Each radial family has polynomial coefficients, whose only singular points are
 regular ones at the roots of the principal coefficient.  `_radial_polys` gives
@@ -212,10 +212,6 @@ class ResonanceList:
     def sigmas(self) -> np.ndarray:
         return np.array([e.sigma for e in self.entries])
 
-    def to_csv_rows(self, model, ell, N):
-        return [(model, ell, N, e.sigma.real, e.sigma.imag, e.multiplicity,
-                 e.convergence_delta) for e in self.entries]
-
 
 def _linearized_eigs(A0, A1, A2):
     """Companion linearization [[0, I], [-A0, -A1]] vs diag(I, A2)."""
@@ -271,36 +267,14 @@ def _refine_root(g, s0, maxit: int = 80, step: float = 1e-4):
     return best[1]
 
 
-def _polish_trace(A0, A1, A2, s0, mult: int, iters: int = 6):
-    """Newton on log det: sigma <- sigma - m / tr(A^-1 A'), exact for m-fold zeros."""
-    s = s0
-    for _ in range(iters):
-        A = A0 + s * A1 + s * s * A2
-        try:
-            lu, piv = lu_factor(A, check_finite=False)
-            Ainv_Ap = lu_solve((lu, piv), A1 + 2.0 * s * A2, check_finite=False)
-        except Exception:
-            return s
-        tr = np.trace(Ainv_Ap)
-        if tr == 0 or not np.isfinite(tr):
-            return s
-        step = mult / tr
-        if not np.isfinite(step) or abs(step) > 0.5:
-            return s
-        s = s - step
-        if abs(step) < 1e-14 * max(1.0, abs(s)):
-            break
-    return s
-
-
-def _kernel_dim(A, rel_tol: float = 1e-8):
+def _kernel_dim(A):
     """Numerical kernel dimension against the median singular value.
 
     The collocation pencil's largest singular values scale like N^4, so the
     meaningful smallness scale is the bulk level, not sv[0].
     """
     sv = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(sv < rel_tol * np.median(sv)))
+    return int(np.sum(sv < 1e-8 * np.median(sv)))
 
 
 def _equilibrate(A0, A1, A2):
@@ -326,12 +300,6 @@ def _locate(A0, A1, A2, region):
         s = _refine_root(g, c)
         if not np.isfinite(s):
             continue
-        A = A0 + s * A1 + s * s * A2
-        # loose gate first, strict re-check after the trace polish
-        kdim = _kernel_dim(A, rel_tol=1e-3)
-        if kdim == 0:
-            continue
-        s = _polish_trace(A0, A1, A2, s, kdim)
         kdim = _kernel_dim(A0 + s * A1 + s * s * A2)
         if kdim == 0:
             continue
@@ -351,11 +319,12 @@ def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
     discrete absorber shifts pole locations at its coupling strength, far above
     the convergence tolerances, while the horizon-crossing smooth-basis
     quantization needs no absorber (see the Q-independence tests for where the
-    absorber does act).  `convergence_delta` is the distance to the nearest
-    root of the pencil rebuilt at N + dN (default N/4 more points), or the
-    spread of the secant and the trace polish there when that is larger: in a
-    band where the pencil is singular to rounding both stall near their start,
-    and their distance to the N root then certifies nothing.
+    absorber does act).  Each companion eigenvalue is refined once, by the
+    secant on the resolvent probe, and kept when the pencil there has a
+    numerical kernel, whose dimension is the reported multiplicity.
+    `convergence_delta` is |s_ref - s|, where s_ref is the secant on the
+    pencil rebuilt at N + dN (default N/4 more points) started from s, or inf
+    when the pencil has no numerical kernel at s_ref.
     """
     A0, A1, A2 = op.matrices if with_absorber else op.matrices_free
     roots = _locate(A0, A1, A2, region)
@@ -370,11 +339,9 @@ def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
     g2 = _probe_g(B0, B1, B2)
     entries = []
     for s, kdim in roots:
-        s_sec = _refine_root(g2, s)
-        s_ref = _polish_trace(B0, B1, B2, s_sec, kdim)
+        s_ref = _refine_root(g2, s)
         A = B0 + s_ref * B1 + s_ref ** 2 * B2
-        delta = (max(abs(s_ref - s), abs(s_ref - s_sec)) if _kernel_dim(A) > 0
-                 else np.inf)
+        delta = abs(s_ref - s) if _kernel_dim(A) > 0 else np.inf
         entries.append(Resonance(s, kdim, float(delta),
                                  suspect=bool(delta > 1e-4)))
     entries.sort(key=lambda e: (-e.sigma.imag, abs(e.sigma.real)))

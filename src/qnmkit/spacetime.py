@@ -372,18 +372,32 @@ def det_dual_metric_identity(params: SpacetimeParams, r: float, theta: float,
     return detg * np.linalg.det(G), detg, pred
 
 
+def read_key_values(path) -> dict:
+    """Entries of a flat `key = value` file; `#` starts a comment.
+
+    A later line overrides an earlier one with the same key.  An unreadable
+    file or a line without `=` raises ValueError.
+    """
+    kv = {}
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed line in {path}: {line!r}")
+        k, v = (t.strip() for t in line.split("=", 1))
+        kv[k] = v
+    return kv
+
+
 def load_params(path) -> SpacetimeParams:
     """Read a flat key=value parameter file (keys: lambda, r_s, alpha, model, n, delta, mu_tilde_1)."""
-    kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed parameter line: {line!r}")
-            k, v = (t.strip() for t in line.split("=", 1))
-            kv[k] = v
+    kv = read_key_values(path)
     known = {"lambda", "r_s", "alpha", "model", "n", "delta", "mu_tilde_1"}
     unknown = set(kv) - known
     if unknown:

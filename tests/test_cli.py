@@ -71,6 +71,12 @@ class TestAdmissible:
         assert main(["admissible", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_missing_params_file_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", f"params = {tmp_path / 'none.params'}\n")
+        assert main(["admissible", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_threads_flag_exit_two(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n")
         assert main(["admissible", "--config", cfg, "--out",

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +24,27 @@ MK = SpacetimeParams(model="MinkowskiBoundary", lam=0.0, n=4)
 TINY = AbsorbingSpec(digamma_scale=1e-12)
 MODELS = [("deSitter", DS), ("minkowski", MK), ("dSSchwarzschild", DSS)]
 MODEL_IDS = [m for m, _ in MODELS]
+
+# converged rows of Minkowski l=0 at N=160 in the CLI box, printed as JSON
+_MK160_CONVERGED = """
+import json
+from qnmkit.spacetime import SpacetimeParams
+from qnmkit.resonances import build_operator, solve_resonances
+op = build_operator("minkowski", SpacetimeParams(model="MinkowskiBoundary",
+                                                 lam=0.0, n=4), 0, 160)
+rl = solve_resonances(op, region=(-6, 6, -3.6, 0.4))
+print(json.dumps([[e.sigma.real, e.sigma.imag] for e in rl.converged(1e-6)]))
+"""
+
+
+def _converged_at_threads(threads: int) -> list:
+    src = os.path.dirname(os.path.dirname(resonances.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _MK160_CONVERGED], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return [complex(re, im) for re, im in json.loads(out)]
 
 
 def reference_coeffs(model, params, ell, n, x, sigma):
@@ -164,6 +189,26 @@ class TestSolveResonances:
         sig = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).sigmas()
         gaps = np.abs(sig[:, None] - sig[None, :]) + np.eye(len(sig))
         assert gaps.min() > 1e-2
+
+    def test_converged_set_independent_of_blas_threads(self):
+        # the rows a solve certifies must not depend on how BLAS splits its
+        # work, and each of them must sit on the lattice -i(1 + j)
+        one, two = _converged_at_threads(1), _converged_at_threads(2)
+        assert one and len(one) == len(two)
+        for z in one:
+            assert min(abs(z - w) for w in two) < 1e-7
+        for z in one + two:
+            assert min(abs(z + 1j * (1 + j)) for j in range(8)) < 1e-6
+
+    def test_simple_pole_converges_at_large_n(self):
+        # dS l=0 at N=160: the simple pole at -2i is certified and accurate
+        op = build_operator("deSitter", DS, 0, 160)
+        rl = solve_resonances(op, region=(-6, 6, -3.6, 0.4))
+        near = [e for e in rl.entries if abs(e.sigma + 2j) < 1e-4]
+        assert len(near) == 1
+        assert near[0].convergence_delta < 1e-6
+        assert near[0].multiplicity == 1
+        assert abs(near[0].sigma + 2j) < 1e-7
 
 
 class TestOracle:
