@@ -22,7 +22,7 @@ from .symbols import PhasePoint, CompactPhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure
 from .absorption import AbsorbingSpec
 from .resonances import build_operator, solve_resonances, oracle_refine, \
-    SolverFailure
+    SolverFailure, NearPole
 from .mellin import resonance_expand, evaluate_terms, fit_decay, \
     TemporalSamples, PoleOnContour, log_gaussian_pulse_hat, inverse_mellin
 from .resonances import resolvent_apply
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     except SolverFailure:
         return EXIT_SOLVER
     except PoleOnContour:
+        return EXIT_CONTOUR
+    except NearPole as exc:
+        print(f"pole on or near the expansion contour: {exc}", file=sys.stderr)
         return EXIT_CONTOUR
 
 

@@ -111,6 +111,9 @@ def mellin_transform(u: TemporalSamples, alpha: float,
     return out[:, 0] if u.values.ndim == 1 else out
 
 
+_TAU_BLOCK = 128
+
+
 def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
                    tau_grid: np.ndarray) -> TemporalSamples:
     """(2 pi)^-1 int tau^(i sigma) v dsigma along Im sigma = -alpha."""
@@ -118,11 +121,15 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     v = np.asarray(v)
     vv = v if v.ndim > 1 else v[:, None]
     x = np.log(np.asarray(tau_grid, dtype=float))
-    ph = np.exp(1j * np.outer(x, sig))
     ds = sigma_re[1] - sigma_re[0]
     wts = np.full(len(sig), ds)
     wts[0] = wts[-1] = ds / 2
-    out = ph @ (vv * wts[:, None]) / (2.0 * math.pi)
+    b = vv * wts[:, None]
+    # the phase matrix is built _TAU_BLOCK rows at a time to bound memory
+    out = np.empty((len(x), b.shape[1]), dtype=complex)
+    for i in range(0, len(x), _TAU_BLOCK):
+        out[i:i + _TAU_BLOCK] = np.exp(1j * np.outer(x[i:i + _TAU_BLOCK], sig)) @ b
+    out /= 2.0 * math.pi
     return TemporalSamples(tau_grid, out[:, 0] if v.ndim == 1 else out)
 
 

@@ -20,11 +20,12 @@ polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp, quad
-from scipy.linalg import eig, lu_factor, lu_solve
+from scipy.linalg import eig, get_lapack_funcs
 
 from .collocation import cheb_grid, barycentric_eval
 from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain, _mu_coeffs
@@ -126,9 +127,9 @@ class DiscretizedOperator:
     Q: np.ndarray                   # the absorbing matrix itself
     chi_weight: np.ndarray          # cutoff values on the grid
 
-    @property
+    @cached_property
     def matrices_free(self):
-        """The pencil without the absorbing term."""
+        """The pencil without the absorbing term, built once per operator."""
         A0, A1, A2 = self.matrices
         return A0 + 1j * self.Q, A1, A2
 
@@ -494,17 +495,43 @@ def oracle_refine(model: str, params, ell: int, sigma0: complex, n: int = 4,
 # resolvent, gluing, and the cutoff-resolvent correspondence
 # ---------------------------------------------------------------------------
 
+_RCOND_MIN = 1e-13
+
+
+def _gated_solver(A: np.ndarray, sigma: complex) -> Callable:
+    """b -> A^-1 b from one LAPACK LU of the pencil A, or NearPole.
+
+    The gate reads the LU itself: an exactly zero pivot, or the 1-norm
+    reciprocal condition number that `gecon` estimates on it (Hager-Higham)
+    below _RCOND_MIN.
+    """
+    A = np.asarray_chkfinite(A)
+    getrf, gecon, lange, getrs = get_lapack_funcs(
+        ("getrf", "gecon", "lange", "getrs"), (A,))
+    lu, piv, info = getrf(A)
+    if info == 0:
+        rcond, info = gecon(lu, lange("1", A), norm="1")
+    if info != 0 or rcond < _RCOND_MIN:
+        raise NearPole(f"pencil nearly singular at sigma = {sigma}")
+    return lambda b: getrs(lu, piv, b)[0]
+
+
 def resolvent_apply(op: DiscretizedOperator, sigma: complex, f: np.ndarray,
                     with_absorber: bool = True, refine: int = 2) -> np.ndarray:
-    """Solve (A0 + sigma A1 + sigma^2 A2) u = f with iterative refinement."""
+    """Solve (A0 + sigma A1 + sigma^2 A2) u = f with iterative refinement.
+
+    One LU serves the solve, the `refine` correction steps and the near-pole
+    gate: NearPole is raised when LAPACK's estimate of the 1-norm reciprocal
+    condition number falls below 1e-13, or when U is exactly singular.  The
+    estimate may be off the 2-norm value by up to a factor N + 1 either way,
+    so the gate can fire where the 2-norm value is just above 1e-13 (the
+    default absorber at sigma = 0, dS l=0, N=110: 4.2e-14 against 1.07e-13).
+    """
     A = op.pencil(sigma, with_absorber)
-    cond_inv = 1.0 / np.linalg.cond(A)
-    if cond_inv < 1e-13:
-        raise NearPole(f"pencil nearly singular at sigma = {sigma}")
-    lu, piv = lu_factor(A)
-    u = lu_solve((lu, piv), f)
+    solve = _gated_solver(A, sigma)
+    u = solve(f)
     for _ in range(refine):
-        u = u + lu_solve((lu, piv), f - A @ u)
+        u = u + solve(f - A @ u)
     return u
 
 
@@ -528,10 +555,7 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     Qp = np.diag(qp).astype(complex)
     CHI = np.diag(chi).astype(complex)
     A = op.pencil(sigma)
-    cond_inv = 1.0 / np.linalg.cond(A)
-    if cond_inv < 1e-13:
-        raise NearPole(f"sigma = {sigma} is too close to a pole")
-    R = np.linalg.inv(A)
+    R = _gated_solver(A, sigma)(np.eye(len(x), dtype=complex))
     Rp = np.linalg.inv(A - 1j * Qp)
     rhs = Rp - Rp @ (1j * Qp + Qp @ (CHI @ R @ CHI) @ Qp) @ Rp
     rng = np.random.default_rng(seed)

@@ -144,3 +144,16 @@ class TestExpand:
         assert any(abs(t["sigma_re"]) < 1e-7 and abs(t["sigma_im"]) < 1e-7
                    for t in rep["terms"])
         assert rep["remainder_rate"] >= 1.5 - 0.05
+
+    def test_near_pole_exit_five(self, tmp_path, ds_params, monkeypatch, capsys):
+        import qnmkit.mellin
+        from qnmkit.resonances import NearPole
+
+        def at_pole(op, sigma, f, **kw):
+            raise NearPole(f"pencil nearly singular at sigma = {sigma}")
+        monkeypatch.setattr(qnmkit.mellin, "resolvent_apply", at_pole)
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {ds_params}\nN = 16\nn_sigma = 128\n")
+        code = main(["expand", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 5
+        assert "sigma = " in capsys.readouterr().err

@@ -58,6 +58,23 @@ class TestTransformPair:
         back = inverse_mellin(v, alpha, sig, TAU)
         assert np.max(np.abs(back.values - u.values)) < 1e-6
 
+    def test_blocked_inverse_matches_dense(self):
+        # 300 tau points is not a multiple of the row block
+        rng = np.random.default_rng(5)
+        tau = default_tau_grid(300)
+        sig = np.linspace(-40, 40, 1000)
+        alpha = 1.5
+        for v in (rng.standard_normal(1000) + 1j * rng.standard_normal(1000),
+                  rng.standard_normal((1000, 3)) + 1j * rng.standard_normal((1000, 3))):
+            vv = v if v.ndim > 1 else v[:, None]
+            ds = sig[1] - sig[0]
+            wts = np.full(len(sig), ds)
+            wts[0] = wts[-1] = ds / 2
+            ph = np.exp(1j * np.outer(np.log(tau), sig - 1j * alpha))
+            dense = ph @ (vv * wts[:, None]) / (2.0 * math.pi)
+            back = inverse_mellin(v, alpha, sig, tau)
+            assert np.array_equal(back.values, dense[:, 0] if v.ndim == 1 else dense)
+
     def test_zero_maps_to_zero(self):
         v = np.zeros(64)
         back = inverse_mellin(v, 0.0, np.linspace(-5, 5, 64), TAU)

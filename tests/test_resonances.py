@@ -6,7 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 import qnmkit.resonances as resonances
 import qnmkit.spacetime as spacetime
@@ -284,6 +286,53 @@ class TestResolvent:
         op = build_operator("deSitter", DS, 0, 60, TINY)
         with pytest.raises(NearPole):
             resolvent_apply(op, 0.0 + 0.0j, np.ones(61, dtype=complex))
+
+    @pytest.mark.parametrize("N", [48, 160])
+    def test_near_pole_detected_free_pencil(self, N):
+        # sigma = 0 is the dS l=0 pole; the absorber-free pencil is singular there
+        op = build_operator("deSitter", DS, 0, N, TINY)
+        with pytest.raises(NearPole):
+            resolvent_apply(op, 0.0 + 0.0j, np.ones(N + 1, dtype=complex),
+                            with_absorber=False)
+
+    @pytest.mark.parametrize("model, params, ell, ell_target", [
+        ("deSitter", DS, 0, 1.5), ("deSitter", DS, 1, 2.5),
+        ("minkowski", MK, 0, 1.5)], ids=["ds-l0", "ds-l1", "minkowski-l0"])
+    def test_no_near_pole_on_expand_contours(self, model, params, ell,
+                                             ell_target):
+        # the remainder contour Im sigma = -ell_target and the reconstruction
+        # contour Im sigma = +0.3 of `qnmkit expand` at its defaults
+        op = build_operator(model, params, ell, 48, TINY)
+        f = np.ones(49, dtype=complex)
+        for im in (-ell_target, 0.3):
+            for s in np.linspace(-60.0, 60.0, 200):
+                resolvent_apply(op, s + 1j * im, f, with_absorber=False)
+
+    def test_bit_identical_to_lu_solve_with_refinement(self):
+        op = build_operator("deSitter", DS, 0, 48, TINY)
+        f = np.exp(-((op.grid - 0.5) / 0.15) ** 2).astype(complex)
+        for sigma in (-37.3 - 1.5j, 0.4 - 1.5j, 52.0 - 1.5j,
+                      -8.1 + 0.3j, 0.0 + 0.3j, 59.7 + 0.3j):
+            A = op.pencil(sigma, with_absorber=False)
+            lu = lu_factor(A)
+            ref = lu_solve(lu, f)
+            for _ in range(2):
+                ref = ref + lu_solve(lu, f - A @ ref)
+            u = resolvent_apply(op, sigma, f, with_absorber=False)
+            assert np.array_equal(u, ref)
+
+    def test_no_svd_in_resolvent_or_gluing(self, monkeypatch):
+        calls = []
+        for mod, name in ((np.linalg, "svd"), (np.linalg, "cond"),
+                          (scipy.linalg, "svd")):
+            def counted(*a, _f=getattr(mod, name), **k):
+                calls.append(name)
+                return _f(*a, **k)
+            monkeypatch.setattr(mod, name, counted)
+        op = build_operator("deSitter", DS, 0, 48)
+        resolvent_apply(op, 2.0 + 1.0j, np.ones(49, dtype=complex))
+        gluing_check(op, 2.0 + 1.0j)
+        assert calls == []
 
     def test_q_independence_restricted(self):
         # two distinct absorbing specs; forcing and restriction away from the
