@@ -89,7 +89,8 @@ class RunConfig:
 
 
 def parse_config(path, command, out_dir, seed) -> RunConfig:
-    """key=value config; unknown keys and out-of-range knobs are rejected."""
+    """key=value config; unknown keys, out-of-range knobs and an empty
+    resonance ell range or search box are rejected."""
     schema = _SCHEMAS[command]
     try:
         kv = read_key_values(path)
@@ -115,6 +116,14 @@ def parse_config(path, command, out_dir, seed) -> RunConfig:
         knobs[k] = val
     for k, (typ, lo, hi, dft) in schema.items():
         knobs.setdefault(k, dft)
+    if command == "resonances":
+        # an empty ell range or search box would write a header-only table
+        if knobs["ell_min"] > knobs["ell_max"]:
+            raise ConfigError(f"ell_min = {knobs['ell_min']} above "
+                              f"ell_max = {knobs['ell_max']}")
+        for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
+            if knobs[lo] >= knobs[hi]:
+                raise ConfigError(f"{lo} = {knobs[lo]} not below {hi} = {knobs[hi]}")
     return RunConfig(command, params_file, out_dir, seed, knobs)
 
 

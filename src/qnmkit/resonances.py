@@ -4,9 +4,10 @@ The radial operator is discretized by Chebyshev collocation on a grid that
 crosses the event horizon(s); no boundary row is imposed at a horizon, so the
 polynomial basis itself selects the solutions that extend smoothly across --
 the defining feature of the continuation.  Resonances are the values of the
-spectral parameter where the sigma-quadratic pencil becomes singular, which
-are exactly the finite eigenvalues of its companion linearization, and the
-poles of the resolvent; they are located by that eigensolve, refined by a
+spectral parameter where the sigma-quadratic pencil becomes singular, and the
+poles of the resolvent.  The pencil's sigma^2 coefficient is exactly I or
+exactly 0, so they are the eigenvalues of its monic companion matrix or of
+its linear (N+1) pencil; they are located by that eigensolve, refined by a
 secant iteration on the zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>,
 and validated against an independent two-sided shooting oracle.
 
@@ -215,16 +216,28 @@ class ResonanceList:
 
 
 def _linearized_eigs(A0, A1, A2):
-    """Companion linearization [[0, I], [-A0, -A1]] vs diag(I, A2)."""
+    """Finite eigenvalues of A0 + s A1 + s^2 A2, read from the structure of A2.
+
+    `build_operator` makes A2 exactly I (deSitter, minkowski: the sigma^2
+    coefficient of c0 is 1) or exactly 0 (dSSchwarzschild, gauge c = 0).
+    A2 = I: the eigenvalues of the monic companion [[0, I], [-A0, -A1]],
+    which LAPACK's geev balances itself.  A2 = 0: the (N+1) linear pencil
+    -A0 - s A1 by QZ, with each row scaled by the inverse of its largest
+    entries in A0 and A1, since ggev does not balance; unscaled, the N^4
+    spread of the collocation rows puts spurious eigenvalues in the box.
+    """
     Nn = A0.shape[0]
-    Z = np.zeros((Nn, Nn), dtype=complex)
-    I = np.eye(Nn, dtype=complex)
-    L = np.block([[Z, I], [-A0, -A1]])
-    M = np.block([[I, Z], [Z, A2]])
     try:
-        return eig(L, M, right=False)
+        if not A2.any():
+            S = 1.0 / np.maximum(np.max(np.abs(A0), axis=1)
+                                 + np.max(np.abs(A1), axis=1), 1e-300)
+            return eig(-S[:, None] * A0, S[:, None] * A1, right=False)
+        if np.array_equal(A2, np.eye(Nn)):
+            Z = np.zeros((Nn, Nn), dtype=complex)
+            return np.linalg.eigvals(np.block([[Z, np.eye(Nn)], [-A0, -A1]]))
     except np.linalg.LinAlgError as exc:   # pragma: no cover
         raise SolverFailure(str(exc)) from exc
+    raise UnsupportedModel("the eigensolve needs a pencil with A2 = I or A2 = 0")
 
 
 def _probe_g(A0, A1, A2):
@@ -278,18 +291,12 @@ def _kernel_dim(A):
     return int(np.sum(sv < 1e-8 * np.median(sv)))
 
 
-def _equilibrate(A0, A1, A2):
-    """Row scaling; leaves the pencil's singular set unchanged but flattens
-    the N^4 spread of the collocation rows, lowering the detection floor."""
-    w = np.max(np.abs(A0), axis=1) + np.max(np.abs(A1), axis=1) \
-        + np.max(np.abs(A2), axis=1)
-    S = 1.0 / np.maximum(w, 1e-300)
-    return S[:, None] * A0, S[:, None] * A1, S[:, None] * A2
-
-
 def _locate(A0, A1, A2, region):
-    """Roots in `region`: companion eigenvalues, refined and kernel-gated."""
-    A0, A1, A2 = _equilibrate(A0, A1, A2)
+    """Roots in `region`: pencil eigenvalues, refined and kernel-gated.
+
+    The eigensolve, the resolvent probe and the SVD gate all run on the
+    pencil as `build_operator` makes it.
+    """
     x0, x1, y0, y1 = region
     pad = 0.35
     cands = [complex(z) for z in _linearized_eigs(A0, A1, A2)
@@ -312,7 +319,6 @@ def _locate(A0, A1, A2, region):
 
 
 def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
-                     dN: Optional[int] = None,
                      with_absorber: bool = False) -> ResonanceList:
     """Locate pencil singularities in a rectangle and tag their convergence.
 
@@ -320,23 +326,21 @@ def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
     discrete absorber shifts pole locations at its coupling strength, far above
     the convergence tolerances, while the horizon-crossing smooth-basis
     quantization needs no absorber (see the Q-independence tests for where the
-    absorber does act).  Each companion eigenvalue is refined once, by the
+    absorber does act).  Each pencil eigenvalue is refined once, by the
     secant on the resolvent probe, and kept when the pencil there has a
     numerical kernel, whose dimension is the reported multiplicity.
     `convergence_delta` is |s_ref - s|, where s_ref is the secant on the
-    pencil rebuilt at N + dN (default N/4 more points) started from s, or inf
-    when the pencil has no numerical kernel at s_ref.
+    pencil rebuilt at N + dN points, dN = max(8, N // 4), started from s, or
+    inf when the pencil has no numerical kernel at s_ref.
     """
     A0, A1, A2 = op.matrices if with_absorber else op.matrices_free
     roots = _locate(A0, A1, A2, region)
 
-    if dN is None:
-        dN = max(8, op.N // 4)
+    dN = max(8, op.N // 4)
     op2 = build_operator(op.model_id, op.params, op.ell, op.N + dN,
                          op.absorption_spec, mu_min=float(op.grid[0])
                          if op.model_id != "dSSchwarzschild" else -0.6)
     B0, B1, B2 = op2.matrices if with_absorber else op2.matrices_free
-    B0, B1, B2 = _equilibrate(B0, B1, B2)
     g2 = _probe_g(B0, B1, B2)
     entries = []
     for s, kdim in roots:
@@ -449,23 +453,6 @@ def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
     diff = (y_up - y_dn) / scale
     # fixed functional keeps the detector holomorphic in sigma
     return complex(diff[0] + 0.37 * diff[1])
-
-
-def oracle_wronskian(model: str, params: Optional[SpacetimeParams], ell: int,
-                     sigma: complex, n: int = 4, match: Optional[float] = None,
-                     tol: float = 1e-12) -> complex:
-    """Midpoint Wronskian of the two endpoint-analytic Frobenius branches.
-
-    Normalized by the frame norms; vanishes at resonances away from indicial
-    coincidences (use oracle_shooting for the uniformly valid detector).
-    """
-    polys = _radial_polys(model, params, ell, n, sigma)
-    start, sing, _, _ = _oracle_geometry(model, params)
-    mm = 0.5 * (start + sing) if match is None else match
-    y_lo = _integrate_branch(polys, sing, mm, tol)
-    y_hi = _integrate_branch(polys, start, mm, tol)
-    det = y_lo[0] * y_hi[1] - y_lo[1] * y_hi[0]
-    return det / (np.linalg.norm(y_lo) * np.linalg.norm(y_hi))
 
 
 def oracle_refine(model: str, params, ell: int, sigma0: complex, n: int = 4,

@@ -34,9 +34,14 @@ class TestConfigParsing:
             parse_config(cfg, command, str(tmp_path), 0)
 
     def test_out_of_range_rejected(self, tmp_path, ds_params):
-        cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\nN = 4\n")
-        with pytest.raises(ConfigError):
-            parse_config(cfg, "resonances", str(tmp_path), 0)
+        # a knob outside its schema range, an empty ell range and an empty
+        # search box
+        for lines in ("N = 4", "ell_min = 2\nell_max = 0",
+                      "re_min = 1\nre_max = 1", "re_min = 2\nre_max = -2",
+                      "im_min = 0.4\nim_max = -3.6", "im_min = 0\nim_max = 0"):
+            cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n{lines}\n")
+            with pytest.raises(ConfigError):
+                parse_config(cfg, "resonances", str(tmp_path), 0)
 
     def test_defaults_filled(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n")
