@@ -5,7 +5,8 @@ import argparse
 import csv
 
 from qnmkit.spacetime import SpacetimeParams
-from qnmkit.resonances import build_operator, solve_resonances, oracle_refine
+from qnmkit.resonances import build_operator, solve_resonances, oracle_refine, \
+    StiffFailure
 
 
 def main():
@@ -34,7 +35,7 @@ def main():
                 try:
                     z = oracle_refine(ns.model, params, ell, e.sigma, n=ns.n_dim)
                     dist = f"{abs(z - e.sigma):.2e}"
-                except Exception:
+                except StiffFailure:
                     dist = ""
                 w.writerow([ns.model, ell, ns.N, f"{e.sigma.real:.12e}",
                             f"{e.sigma.imag:.12e}", e.multiplicity,

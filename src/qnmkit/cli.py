@@ -22,7 +22,7 @@ from .symbols import PhasePoint, CompactPhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure
 from .absorption import AbsorbingSpec
 from .resonances import build_operator, solve_resonances, oracle_refine, \
-    SolverFailure, NearPole
+    SolverFailure, NearPole, StiffFailure, UnsupportedModel
 from .mellin import resonance_expand, evaluate_terms, fit_decay, \
     TemporalSamples, PoleOnContour, log_gaussian_pulse_hat, inverse_mellin
 from .resonances import resolvent_apply
@@ -245,7 +245,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
                 try:
                     z = oracle_refine(model, params, ell, e.sigma, n=params.n)
                     row += [_fmt(z.real), _fmt(z.imag), _fmt(abs(z - e.sigma))]
-                except Exception:
+                except StiffFailure:
                     row += ["", "", ""]
             rows.append(row)
             appendix.append({"ell": ell, "sigma_re": e.sigma.real,
@@ -331,7 +331,7 @@ def main(argv=None) -> int:
         handler = {"admissible": cmd_admissible, "flow": cmd_flow,
                    "resonances": cmd_resonances, "expand": cmd_expand}[cfg.command]
         return handler(cfg)
-    except (ConfigError, ValueError, NoHorizons) as exc:
+    except (ConfigError, ValueError, NoHorizons, UnsupportedModel) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StepFailure:

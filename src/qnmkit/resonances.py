@@ -9,23 +9,28 @@ poles of the resolvent.  The pencil's sigma^2 coefficient is exactly I or
 exactly 0, so they are the eigenvalues of its monic companion matrix or of
 its linear (N+1) pencil; they are located by that eigensolve, refined by a
 secant iteration on the zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>,
-and validated against an independent two-sided shooting oracle.
+and validated against an independent monodromy oracle.
 
 Each radial family has polynomial coefficients, whose only singular points are
 regular ones at the roots of the principal coefficient.  `_radial_polys` gives
-them in closed form, and the pencil (on the grid) and the oracle (by Horner's
-rule on scalars along the integration path) evaluate that one set of
-polynomials.
+them in closed form, and the pencil evaluates them on the grid.  The oracle
+continues the branch analytic at the regular end, normalized there to u = 1,
+around the horizon by power series: a Frobenius recurrence at the regular
+end and Taylor recurrences at a chain of centres, each step at most half the
+distance to the nearest singular point (Leaver's route for quasinormal
+modes).  Its detector is the raw difference of the branch's end values along
+the two sides of the horizon, which is holomorphic in sigma.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp, quad
+from scipy.integrate import quad
 from scipy.linalg import eig, get_lapack_funcs
 
 from .collocation import cheb_grid, barycentric_eval
@@ -46,7 +51,7 @@ class NearPole(Exception):
 
 
 class StiffFailure(Exception):
-    """The shooting oracle's ODE integration failed."""
+    """The shooting oracle's series continuation failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +102,6 @@ def _sigma_split(model, params, ell, n, x):
     C0b = (C0_1 - C0_m) / 2.0
     C0c = (C0_1 + C0_m) / 2.0 - C0a
     return C2, C1a, C1b, C0a, C0b, C0c
-
-
-def _scalars(polys):
-    """The coefficient arrays as lists of Python complex numbers."""
-    return [[complex(a) for a in p] for p in polys]
-
-
-def _horner(p, x):
-    """p(x) by Horner's rule on Python scalars, highest power first."""
-    v = 0j
-    for a in p:
-        v = v * x + a
-    return v
 
 
 @dataclass
@@ -357,63 +349,107 @@ def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
 # two-sided shooting oracle
 # ---------------------------------------------------------------------------
 
-def _frobenius_start(polys, x0: float, eps: float):
-    """Second-order Taylor data of the branch analytic at the degenerate endpoint x0."""
-    p2, p1, p0 = polys
-    C1 = complex(np.polyval(p1, x0))
-    C0 = complex(np.polyval(p0, x0))
-    if abs(C1) < 1e-12:
-        raise StiffFailure("indicial coincidence at the endpoint; perturb sigma")
-    w0 = 1.0 + 0.0j
-    w1 = -C0 * w0 / C1
-    dC2, dC1, dC0 = (complex(np.polyval(np.polyder(p), x0)) for p in polys)
-    denom = dC2 + C1
-    num = dC1 * w1 + dC0 * w0 + C0 * w1
-    # near an indicial coincidence the second-order recursion degenerates;
-    # fall back to first-order data rather than inject the wrong branch
-    w2 = -num / denom if abs(denom) > 1e-6 * max(1.0, abs(num)) else 0.0
-    w_eps = w0 + eps * w1 + 0.5 * eps * eps * w2
-    dw_eps = w1 + eps * w2
-    return [w_eps, dw_eps]
+_STEP_RATIO = 0.5       # step / distance to the nearest root of c2
+_SERIES_EPS = 1e-17     # truncation: term below this fraction of the sum ...
+_SERIES_RUN = 3         # ... for this many consecutive terms
+_SERIES_MAX = 2000      # terms; a step within _STEP_RATIO converges far sooner
+_FROBENIUS_MIN = 1e-12  # smallest |k (K c2'(x0) + c1(x0))| at a horizon
 
 
-def _integrate_branch(polys, x0: float, x1: float, tol: float,
-                      eps_frac: float = 1e-7):
-    p2, p1, p0 = _scalars(polys)
+def _taylor_at(p, z):
+    """Taylor coefficients of the polynomial p about z, lowest order first.
 
-    def rhs(x, y):
-        x = float(x)
-        u, du = y.tolist()
-        return [du, (-_horner(p1, x) * du - _horner(p0, x) * u) / _horner(p2, x)]
-    eps = eps_frac * (x1 - x0)
-    y0 = _frobenius_start(polys, x0, eps)
-    sol = solve_ivp(rhs, [x0 + eps, x1], y0, method="DOP853",
-                    rtol=tol, atol=1e-14, dense_output=False)
-    if not sol.success:
-        raise StiffFailure(sol.message)
-    return sol.y[:, -1]
-
-
-def _integrate_complex_path(polys, path, y0, tol: float):
-    """Integrate the radial ODE along a piecewise-linear complex path.
-
-    `path` is a list of complex waypoints; the coefficients are polynomial in
-    the radius so the solutions continue analytically off the real axis.
+    Repeated synthetic division by (x - z) on Python scalars; p is given
+    highest power first.
     """
-    p2, p1, p0 = _scalars(polys)
-    y = np.asarray(y0, dtype=complex)
-    for z0, z1 in zip(path[:-1], path[1:]):
-        z0, dz = complex(z0), complex(z1 - z0)
+    a = [complex(c) for c in p]
+    out = []
+    for m in range(len(a), 0, -1):
+        for i in range(1, m):
+            a[i] += a[i - 1] * z
+        out.append(a[m - 1])
+    return out
 
-        def rhs(t, w):
-            x = z0 + float(t) * dz
-            u, du = w.tolist()
-            return [dz * du,
-                    dz * (-_horner(p1, x) * du - _horner(p0, x) * u) / _horner(p2, x)]
-        sol = solve_ivp(rhs, [0.0, 1.0], y, method="DOP853", rtol=tol, atol=1e-14)
-        if not sol.success:
-            raise StiffFailure(sol.message)
-        y = sol.y[:, -1]
+
+def _series_step(polys, z, y, h, frobenius: bool):
+    """(u, u') at z + h from the power series of the solution about z.
+
+    The coefficient of t^K (t = x - z) in c2 u'' + c1 u' + c0 u gives a
+    linear recurrence for the scaled coefficients v_k = u_k h^k.  At a
+    regular centre it is solved for v_{K+2}, from v_0 = u and v_1 = h u'
+    with y = (u, u').  At a root of c2 it is solved for v_{K+1}, on the
+    exponent-0 (analytic) branch with u_0 = 1, and y is not read; the
+    divisor k (K c2'(z) + c1(z)), k = K + 1, vanishes where the other
+    exponent is the integer k, and StiffFailure is raised there.  The sum
+    stops once _SERIES_RUN consecutive terms are below _SERIES_EPS of it.
+    """
+    a2, a1, a0 = (_taylor_at(p, z) for p in polys)
+    # L_j(n) = h^j (a2_j n(n-1) + a1_{j-1} n + a0_{j-2}) multiplies v_n in
+    # the equation for the coefficient of t^(n+j-2)
+    depth = max(len(a2), len(a1) + 1, len(a0) + 2)
+    q2, q1, q0 = [], [], []
+    hj = 1.0 + 0j
+    for j in range(depth):
+        q2.append(a2[j] * hj if j < len(a2) else 0j)
+        q1.append(a1[j - 1] * hj if 1 <= j <= len(a1) else 0j)
+        q0.append(a0[j - 2] * hj if 2 <= j < len(a0) + 2 else 0j)
+        hj *= h
+    if frobenius:
+        lead, v = 1, [1.0 + 0j]
+    else:
+        lead, v = 0, [complex(y[0]), complex(y[1]) * h]
+    s0, s1 = sum(v), sum(k * c for k, c in enumerate(v))
+    run = 0
+    for n in range(len(v), _SERIES_MAX):
+        acc = 0j
+        for j in range(lead + 1, depth):
+            m = n + lead - j
+            if m < 0:
+                break
+            acc += (q2[j] * m * (m - 1) + q1[j] * m + q0[j]) * v[m]
+        den = n * (n - 1) * q2[lead] + n * q1[lead]
+        if frobenius and abs(den / h) < _FROBENIUS_MIN:
+            raise StiffFailure("indicial coincidence at the horizon; perturb sigma")
+        vn = -acc / den
+        v.append(vn)
+        s0 += vn
+        s1 += n * vn
+        if not (cmath.isfinite(s0) and cmath.isfinite(s1)):
+            raise StiffFailure("the series continuation overflowed")
+        if n * abs(vn) <= _SERIES_EPS * max(abs(s0), abs(s1)):
+            run += 1
+            if run == _SERIES_RUN:
+                return s0, s1 / h
+        else:
+            run = 0
+    raise StiffFailure("the series continuation did not converge")
+
+
+def _continue(polys, path, y=None):
+    """(u, u') at the end of a piecewise-linear complex path.
+
+    The coefficients are polynomial in the radius, so the solutions continue
+    analytically off the real axis.  With y = None the path starts at a root
+    of c2, on the branch analytic there with u = 1; otherwise y = (u, u') at
+    path[0].  Each step is at most _STEP_RATIO of the distance from its
+    centre to the nearest (other) root of c2.
+    """
+    roots = np.roots(polys[0]).tolist()
+    z = complex(path[0])
+    frobenius = y is None
+    for z1 in path[1:]:
+        z1 = complex(z1)
+        while z != z1:
+            dist = sorted(abs(z - r) for r in roots)
+            radius = _STEP_RATIO * dist[1 if frobenius else 0]
+            h = z1 - z
+            if abs(h) > radius:
+                h *= radius / abs(h)
+                z_next = z + h
+            else:
+                z_next = z1
+            y = _series_step(polys, z, y, h, frobenius)
+            z, frobenius = z_next, False
     return y
 
 
@@ -427,38 +463,35 @@ def _oracle_geometry(model, params):
 
 
 def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
-                    sigma: complex, n: int = 4, tol: float = 1e-12) -> complex:
-    """Monodromy determinant of the regular branch continued around the horizon.
+                    sigma: complex, n: int = 4) -> complex:
+    """Monodromy detector of the regular branch continued around the horizon.
 
-    The branch fixed by the analytic Frobenius data at the regular end is
-    integrated to the far side of the horizon along the upper and the lower
-    complex semicircle; the normalized difference of the two frames vanishes
-    exactly when the branch extends analytically across the horizon, which is
-    the defining property of a resonance.  This remains valid at indicial
-    coincidences, where a midpoint Wronskian of two one-sided Frobenius
-    branches can fail to vanish.
+    The branch analytic at the regular end, normalized there to u = 1, is
+    continued by power series to the far side of the horizon along the
+    upper and the lower complex semicircle.  The detector is the raw
+    difference of the two end values (u, u'), read by the fixed functional
+    (1, 0.37).  It is holomorphic in sigma and vanishes exactly when the
+    branch extends analytically across the horizon, which is the defining
+    property of a resonance; this holds at indicial coincidences too.
     """
     polys = _radial_polys(model, params, ell, n, sigma)
     start, sing, end, rad = _oracle_geometry(model, params)
     # real leg from the regular end to the circle entry
     entry = sing + rad if start > sing else sing - rad
-    y_entry = _integrate_branch(polys, start, entry, tol)
+    y_entry = _continue(polys, [start, entry])
     out = []
     for half in (+1.0, -1.0):
         mid = sing + 1j * half * rad * (1.0 if start > sing else -1.0)
-        path = [entry, mid, 2.0 * sing - entry, end]
-        out.append(_integrate_complex_path(polys, path, y_entry, tol))
-    y_up, y_dn = out
-    scale = max(np.linalg.norm(y_up), np.linalg.norm(y_dn), 1e-300)
-    diff = (y_up - y_dn) / scale
-    # fixed functional keeps the detector holomorphic in sigma
-    return complex(diff[0] + 0.37 * diff[1])
+        out.append(_continue(polys, [entry, mid, 2.0 * sing - entry, end],
+                             y_entry))
+    (u_up, du_up), (u_dn, du_dn) = out
+    return complex((u_up - u_dn) + 0.37 * (du_up - du_dn))
 
 
 def oracle_refine(model: str, params, ell: int, sigma0: complex, n: int = 4,
-                  tol: float = 1e-12, maxit: int = 60) -> complex:
+                  maxit: int = 60) -> complex:
     """Secant refinement of a zero of the shooting determinant near sigma0."""
-    f = lambda s: oracle_shooting(model, params, ell, s, n=n, tol=tol)
+    f = lambda s: oracle_shooting(model, params, ell, s, n=n)
     s1 = sigma0 + 1e-4 + 1e-4j
     s2 = sigma0 + 2e-4
     f1, f2 = f(s1), f(s2)
@@ -565,8 +598,7 @@ def _h_shift(params: SpacetimeParams, r_ref: float):
 
 def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
                                 f_fun: Callable, window=(0.35, 0.75),
-                                n_sub: int = 80, tol: float = 1e-12,
-                                pad_frac: float = 0.2) -> float:
+                                n_sub: int = 80, pad_frac: float = 0.2) -> float:
     """Discrete analogue of the cutoff-resolvent correspondence.
 
     Side one applies the full-grid collocation resolvent to f (supported in the
@@ -608,7 +640,7 @@ def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
 
     # shooting branches analytic at each horizon, conjugated into the t~ gauge
     def branch_frame(x0, xe):
-        y = _integrate_branch(polys, x0, xe, tol)
+        y = _continue(polys, [x0, xe])
         hv = hfun(xe)
         hp = -xe * xe / mu_tilde(params, xe)[0]
         W = np.exp(-1j * sigma * hv) * y[0]

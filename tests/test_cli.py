@@ -17,6 +17,11 @@ def ds_params(tmp_path):
     return write(tmp_path / "ds.params", "lambda = 3.0\nmodel = deSitter\n")
 
 
+# the sample rotating model, which the radial resonance solver does not cover
+KDS_PARAMS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "scripts", "configs", "kds.params")
+
+
 @pytest.fixture
 def dss_params(tmp_path):
     return write(tmp_path / "dss.params",
@@ -135,8 +140,46 @@ class TestResonances:
         rows = (out / "resonances.csv").read_text().strip().splitlines()
         assert len(rows) == 1   # header only
 
+    def test_unsupported_model_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {KDS_PARAMS}\nN = 16\nell_max = 0\noracle = 0\n")
+        assert main(["resonances", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_oracle_failure_blanks_only_stiff_rows(self, tmp_path, ds_params,
+                                                    monkeypatch):
+        # a StiffFailure leaves the oracle columns blank; any other error is
+        # a fault of the program and must not be hidden as a blank row
+        import qnmkit.cli
+        from qnmkit.resonances import StiffFailure
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {ds_params}\nN = 16\nell_max = 0\n"
+                    "re_min = -0.5\nre_max = 0.5\nim_min = -0.5\nim_max = 0.4\n")
+
+        def stiff(*a, **k):
+            raise StiffFailure("indicial coincidence")
+        monkeypatch.setattr(qnmkit.cli, "oracle_refine", stiff)
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "resonances.csv").read_text().strip().splitlines()[1:]
+        assert rows and all(r.endswith(",,,") for r in rows)
+
+        def broken(*a, **k):
+            raise ZeroDivisionError("bug")
+        monkeypatch.setattr(qnmkit.cli, "oracle_refine", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["resonances", "--config", cfg, "--out", str(tmp_path / "o2")])
+
 
 class TestExpand:
+    def test_unsupported_model_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {KDS_PARAMS}\nN = 16\nn_sigma = 128\n")
+        assert main(["expand", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_de_sitter_pipeline(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg",
                     f"params = {ds_params}\nN = 48\nell_target = 1.5\n"

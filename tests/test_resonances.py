@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
@@ -292,6 +293,75 @@ class TestOracle:
         for e in conv:
             z = oracle_refine("dSSchwarzschild", DSS, 1, e.sigma)
             assert abs(z - e.sigma) < 1e-6
+
+
+class TestSeriesOracle:
+    def test_raw_detector_matches_referee(self):
+        # frozen from an mpmath referee at dps 30: odefun along the same path,
+        # started from an mp Frobenius series 0.1 and 0.2 from r+
+        d0 = oracle_shooting("dSSchwarzschild", DSS, 0, 1.3 - 0.4j)
+        assert d0 == pytest.approx(29.9986276607 - 34.9221803644j, rel=1e-9)
+        d2 = oracle_shooting("dSSchwarzschild", DSS, 2, -1.99934912j)
+        assert abs(d2 - (-5.79330034e-3j)) < 1e-9
+
+    @pytest.mark.parametrize("ell, near", [(0, -2.0839j), (2, -1.9993j)],
+                             ids=["l0", "l2"])
+    def test_agrees_with_solver_on_dss_rows(self, ell, near):
+        # DOP853 started 5e-8 from r+ missed these rows by 5.3e-3 and 1.2e-5
+        op = build_operator("dSSchwarzschild", DSS, ell, 80)
+        rows = [e for e in solve_resonances(op, region=(-6, 6, -3.6, 0.4)).entries
+                if abs(e.sigma - near) < 1e-3]
+        assert len(rows) == 1
+        z = oracle_refine("dSSchwarzschild", DSS, ell, rows[0].sigma)
+        assert abs(z - rows[0].sigma) < 1e-6
+
+    def test_secant_stops_early_on_holomorphic_detector(self, monkeypatch):
+        # the detector must be holomorphic in sigma: dividing it by a norm of
+        # the end values made the secant run to maxit here (62 shootings)
+        calls = []
+        real = resonances.oracle_shooting
+
+        def counted(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+        monkeypatch.setattr(resonances, "oracle_shooting", counted)
+        z = oracle_refine("dSSchwarzschild", DSS, 2, -1.9993491155321927j)
+        assert abs(z + 1.9993491155321927j) < 1e-6
+        assert len(calls) <= 10
+
+    def test_no_ode_integration(self, monkeypatch):
+        calls = []
+
+        def counted(*a, _f=scipy.integrate.solve_ivp, **k):
+            calls.append(1)
+            return _f(*a, **k)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        monkeypatch.setattr(resonances, "solve_ivp", counted, raising=False)
+        oracle_refine("dSSchwarzschild", DSS, 1, -0.9984168260900195j)
+        op = build_operator("dSSchwarzschild", DSS, 1, 48, TINY)
+        cutoff_correspondence_check(op, 1.5, lambda r: np.exp(-((r - 0.55) / 0.045) ** 2),
+                                    window=(0.40, 0.70), n_sub=60)
+        assert calls == []
+
+    def test_taylor_shift_and_series_step(self):
+        # synthetic division against numpy's derivatives, and one series step
+        # of u'' = -u (c2 = 1, c1 = 0, c0 = 1) against cos and sin
+        p = np.array([2.0, -1.0, 0.5, 3.0, -4.0])
+        z = 0.3 - 0.7j
+        want = [np.polyval(np.polyder(p, k), z) / math.factorial(k)
+                for k in range(len(p))]
+        np.testing.assert_allclose(resonances._taylor_at(p, z), want, rtol=1e-14)
+        polys = ([1.0], [0.0], [1.0])
+        h = 0.4 + 0.2j
+        u, du = resonances._series_step(polys, 0.1, (1.0, 0.0), h, False)
+        assert abs(u - np.cos(h)) < 1e-15 and abs(du + np.sin(h)) < 1e-15
+
+    def test_frobenius_coincidence_raises(self):
+        # x u'' + (1 - k) u' + u = 0 has exponents 0 and k at x = 0: for the
+        # integer k = 2 the divisor n (n - 1 + c1(0)) vanishes at n = 2
+        polys = ([1.0, 0.0], [-1.0], [1.0])
+        with pytest.raises(resonances.StiffFailure):
+            resonances._series_step(polys, 0.0, None, 0.1, True)
 
 
 class TestResolvent:
