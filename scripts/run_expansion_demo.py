@@ -7,7 +7,6 @@ import argparse
 import numpy as np
 
 from qnmkit.spacetime import SpacetimeParams
-from qnmkit.absorption import AbsorbingSpec
 from qnmkit.resonances import build_operator
 from qnmkit.mellin import (resonance_expand, fit_decay, TemporalSamples,
                            save_time_series)
@@ -21,8 +20,7 @@ def main():
     ns = ap.parse_args()
 
     params = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
-    op = build_operator("deSitter", params, 0, ns.N,
-                        AbsorbingSpec(digamma_scale=1e-12))
+    op = build_operator("deSitter", params, 0, ns.N)
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
     terms, rem = resonance_expand(f0, op, ns.ell_target, sigma_max=60,
                                   n_sigma=4000)

@@ -20,7 +20,6 @@ from .spacetime import SpacetimeParams, NoHorizons, load_params, \
     read_key_values, admissibility, domain
 from .symbols import PhasePoint, CompactPhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure
-from .absorption import AbsorbingSpec
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     SolverFailure, NearPole, StiffFailure, UnsupportedModel
 from .mellin import resonance_expand, evaluate_terms, fit_decay, \
@@ -177,9 +176,9 @@ def cmd_flow(cfg: RunConfig) -> int:
                      k["eps"] * rng.uniform(-1, 1), 1)
             bc = _flow_with_retries("ds_reduced", params, start, k)
             for s, y in bc.samples:
+                # c4-c6 and the ledger columns stay blank
                 rows.append([traj_id, "ds_reduced", _fmt(s)]
-                            + [_fmt(v) for v in y]
-                            + ["", "", ""])
+                            + [_fmt(v) for v in y] + [""] * 6)
         else:
             zeta = rng.uniform(0.2, 1.0) * float(rng.choice([-1.0, 1.0]))
             pt = PhasePoint(rng.uniform(r_lo * 1.05, r_hi * 0.95),
@@ -270,8 +269,7 @@ def cmd_expand(cfg: RunConfig) -> int:
     model = _model_id(params)
     k = cfg.knobs
     _write_manifest(cfg)
-    spec = AbsorbingSpec(digamma_scale=1e-12)
-    op = build_operator(model, params, k["ell"], k["N"], spec)
+    op = build_operator(model, params, k["ell"], k["N"])
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
     try:
         terms, rem = resonance_expand(f0, op, k["ell_target"],

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from .spacetime import SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, domain
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
-                      kds_angular_part, hamilton_field, ds_reduced_field,
+                      kds_angular_part, hamilton_field,
                       ds_reduced_compact_field, ds_symbol_polar)
 
 
@@ -126,21 +126,21 @@ def _events_kds(params, chart):
 def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
                    tol: float = 1e-10, horizon_sign: int = +1,
                    chart: str = "auto", direction: float = +1.0,
-                   n_samples: int = 200, z: float = 0.0,
-                   h_ang: float = 0.0) -> Bicharacteristic:
+                   n_samples: int = 200) -> Bicharacteristic:
     """Adaptive embedded Runge-Kutta integration of the (rescaled) Hamilton flow.
 
     For the Kerr family `start` is a PhasePoint or CompactPhasePoint; the
-    compact chart integrates the rescaled field nu^(k-1) H_p.  `direction=-1`
-    integrates the time-reversed field.  Leaving the r-domain terminates the
-    trajectory normally with exit_reason="domain".
+    compact chart integrates the rescaled field nu^(k-1) H_p.  For
+    "ds_reduced" it is (mu, nu, eta_hat, sign_xi) of the compactified reduced
+    static-patch flow.  `direction=-1` integrates the time-reversed field.
+    Leaving the r-domain terminates the trajectory normally with
+    exit_reason="domain".
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
 
     if symbol_id == "ds_reduced":
-        return _integrate_ds_reduced(params, start, T, tol, direction, n_samples,
-                                     z=z, h_ang=h_ang)
+        return _integrate_ds_reduced(params, start, T, tol, direction, n_samples)
 
     if symbol_id != "kds_classical":
         raise ValueError(f"unsupported symbol id {symbol_id!r}")
@@ -152,7 +152,7 @@ def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
             chart = "compact" if abs(start.xi) > 2.0 else "affine"
 
     samples, p_led, z_led, pt_led, pts_led = [], [], [], [], []
-    nsteps = nfev = 0
+    nsteps = nfev = ncalls = 0
     reason = "time"
     s_done = 0.0
     if chart == "compact":
@@ -209,6 +209,7 @@ def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
                                else float("nan"))
         nsteps += len(sol.t) - 1
         nfev += sol.nfev
+        ncalls += 1
         s_done += seg_len
         if sol.status == 0:
             reason = "time"
@@ -233,29 +234,32 @@ def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
             pt = c.affine()
             state = [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]
             chart = "affine"
-    rejected = max(0, round((nfev - 1) / 12) - nsteps)
     ledger = {"p": np.array(p_led), "zeta": np.array(z_led),
               "ptilde": np.array(pt_led), "ptilde_scaled": np.array(pts_led)}
-    return Bicharacteristic(samples, ledger, (nsteps, rejected, tol), reason)
+    return Bicharacteristic(samples, ledger,
+                            (nsteps, _rejected_steps(nfev, ncalls, nsteps), tol),
+                            reason)
 
 
-def _integrate_ds_reduced(params, start, T, tol, direction, n_samples, z, h_ang):
-    """Reduced static-patch flow; start = (mu, xi) affine or (mu, nu, eta_hat, sign_xi)."""
-    if len(start) == 2:
-        rhs0 = lambda s, y: ds_reduced_field(y[0], y[1], h_ang, z)
-        y0 = list(start)
-        compact = False
-    else:
-        mu0, nu0, ehat0, sxi = start
-        rhs0 = lambda s, y: ds_reduced_compact_field(y[0], y[1], y[2], sxi, z)
-        y0 = [mu0, nu0, ehat0]
-        compact = True
+def _rejected_steps(nfev: int, calls: int, steps: int) -> int:
+    """Rejected DOP853 steps, from the right-hand-side evaluation count.
+
+    Each solve_ivp call spends 2 evaluations to start, each step attempt 12,
+    and each accepted step 3 more for its dense output.
+    """
+    return (nfev - 2 * calls - 15 * steps) // 12
+
+
+def _integrate_ds_reduced(params, start, T, tol, direction, n_samples):
+    """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi)."""
+    mu0, nu0, ehat0, sxi = start
+    rhs0 = lambda s, y: ds_reduced_compact_field(y[0], y[1], y[2], sxi)
     f = rhs0 if direction > 0 else (lambda s, y: -np.asarray(rhs0(s, y)))
     def exit_ev(s, y):
         return 0.98 - abs(y[0] - 0.3)   # keep mu in (-0.68, 1.28)
     exit_ev.terminal = True
-    sol = solve_ivp(f, (0.0, T), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True, events=[exit_ev])
+    sol = solve_ivp(f, (0.0, T), [mu0, nu0, ehat0], method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, dense_output=True, events=[exit_ev])
     if sol.status < 0:
         raise StepFailure(sol.message)
     ss = np.linspace(0.0, sol.t[-1], n_samples)
@@ -264,15 +268,12 @@ def _integrate_ds_reduced(params, start, T, tol, direction, n_samples, z, h_ang)
     for k, s in enumerate(ss):
         y = Y[:, k]
         samples.append((float(s * direction), tuple(y)))
-        if compact:
-            p_led.append(-4.0 * (1 - y[0]) * y[0] - y[2] ** 2 / (1 - y[0]))
-        else:
-            p_led.append(ds_symbol_polar(4, y[0], y[1], h_ang ** 2, z).real)
+        p_led.append(-4.0 * (1 - y[0]) * y[0] - y[2] ** 2 / (1 - y[0]))
     nsteps = len(sol.t) - 1
     ledger = {"p": np.array(p_led), "zeta": np.zeros(len(ss)),
               "ptilde": np.array(p_led), "ptilde_scaled": np.array(p_led)}
     return Bicharacteristic(samples, ledger,
-                            (nsteps, max(0, round((sol.nfev - 1) / 12) - nsteps), tol),
+                            (nsteps, _rejected_steps(sol.nfev, 1, nsteps), tol),
                             "domain" if sol.status == 1 else "time")
 
 
@@ -309,8 +310,7 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
             start = (eps * rng.uniform(-1, 1), eps * rng.uniform(0.5, 1),
                      eps * rng.uniform(-1, 1), sxi)
             direction = +1.0 if not reversed_branch else -1.0
-            bc = _integrate_ds_reduced(params, start, T, tol, direction, 400,
-                                       z=0.0, h_ang=0.0)
+            bc = _integrate_ds_reduced(params, start, T, tol, direction, 400)
             s = np.array([t for t, _ in bc.samples])
             nu = np.array([abs(y[1]) for _, y in bc.samples])
             rho0 = np.array([y[2] ** 2 + (4 * (1 - y[0]) * y[0] + y[2] ** 2 /

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -137,48 +137,51 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
 # residues and expansion
 # ---------------------------------------------------------------------------
 
-def laurent_coefficients(solve: Callable, pole: complex, n_orders: int = 3,
-                         radius: float = 1e-2, nodes: int = 64) -> list:
-    """c_{-m}, m = 1..n_orders, of sigma -> solve(sigma) at an isolated pole.
+_RESIDUE_RADIUS = 1e-2      # circle about each pole for its Laurent data
+_RESIDUE_NODES = 64         # trapezoid nodes on that circle
+_LAURENT_ORDERS = 3         # c_-1 .. c_-3: Jordan chains up to length 3
+_JORDAN_TOL = 1e-8          # c_-m below this fraction of the largest is zero
+_POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
+
+
+def laurent_coefficients(solve: Callable, pole: complex) -> list:
+    """c_{-m}, m = 1.._LAURENT_ORDERS, of sigma -> solve(sigma) at an isolated pole.
 
     Trapezoid on a circle (spectrally accurate); solve returns a vector.
     """
-    th = 2.0 * math.pi * np.arange(nodes) / nodes
-    zs = pole + radius * np.exp(1j * th)
+    th = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
+    zs = pole + _RESIDUE_RADIUS * np.exp(1j * th)
     vals = np.array([np.atleast_1d(solve(z)) for z in zs])
     out = []
-    for m in range(1, n_orders + 1):
-        fac = (radius * np.exp(1j * th)) ** m
+    for m in range(1, _LAURENT_ORDERS + 1):
+        fac = (_RESIDUE_RADIUS * np.exp(1j * th)) ** m
         out.append((fac[:, None] * vals).mean(axis=0))
     return out
 
 
 def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
-                  tau_grid: Optional[np.ndarray] = None,
-                  sigma_max: float = 40.0, n_sigma: int = 4096,
-                  radius: float = 1e-2, nodes: int = 64,
-                  jordan_tol: float = 1e-8, pole_margin: float = 1e-6):
+                  sigma_max: float = 40.0, n_sigma: int = 4096):
     """Terms and remainder of the inverse transform shifted to Im sigma = -ell.
 
     `solve` maps sigma to the spatial vector of the transformed solution; poles
     with Im sigma > -ell_target contribute tau^(i sigma_j) log(tau)^kappa terms
     whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1});
-    the remainder is the inverse transform along the shifted contour.
+    the remainder is the inverse transform along the shifted contour, sampled
+    on `default_tau_grid()`.
     """
-    if tau_grid is None:
-        tau_grid = default_tau_grid()
+    tau_grid = default_tau_grid()
     terms = []
     for pj in poles:
-        if abs(pj.imag + ell_target) < pole_margin:
+        if abs(pj.imag + ell_target) < _POLE_MARGIN:
             raise PoleOnContour(f"pole {pj} sits on Im sigma = {-ell_target}")
         if pj.imag <= -ell_target:
             continue
-        cs = laurent_coefficients(solve, pj, 3, radius, nodes)
+        cs = laurent_coefficients(solve, pj)
         scale = max(np.max(np.abs(c)) for c in cs)
         if scale == 0:
             continue
-        order = max((m for m in range(1, 4)
-                     if np.max(np.abs(cs[m - 1])) > jordan_tol * scale), default=0)
+        order = max((m for m in range(1, _LAURENT_ORDERS + 1)
+                     if np.max(np.abs(cs[m - 1])) > _JORDAN_TOL * scale), default=0)
         for kappa in range(order):
             # contour shift picks up -i times the residue of tau^{i sigma} u^
             coef = -1j * cs[kappa] * (1j) ** kappa / math.factorial(kappa)
@@ -191,26 +194,37 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     return terms, remainder
 
 
-def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
-                     phi_hat: Optional[Callable] = None,
-                     region=(-8.0, 8.0, None, 0.5), **kwargs):
-    """Expansion of the driven solution of the discretized family.
+def _driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
+    """sigma -> R(sigma)(phi_hat(sigma) f0) on the absorber-free pencil.
 
-    f0 is the spatial forcing profile; phi_hat the Mellin transform of the
-    temporal pulse (default: a log-Gaussian pulse centered at tau = e^-3).
-    Pole locations come from the resonance solver; the transformed solution is
-    sigma -> R(sigma)(phi_hat(sigma) f0).
+    phi_hat is the Mellin transform of the default log-Gaussian pulse,
+    centred at tau = e^-3.
     """
-    if phi_hat is None:
-        phi_hat = log_gaussian_pulse_hat()
+    phi_hat = log_gaussian_pulse_hat()
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
         return resolvent_apply(op, sigma, phi_hat(sigma) * f0,
                                with_absorber=False)
-    y0 = region[2] if region[2] is not None else -ell_target - 0.8
-    rl = solve_resonances(op, region=(region[0], region[1], y0, region[3]))
-    poles = [e.sigma for e in rl.converged(1e-6)]
-    return expand_family(solve, poles, ell_target, **kwargs)
+    return solve
+
+
+def _converged_poles(op: DiscretizedOperator, im_min: float) -> list:
+    """Converged resonances in Re sigma in [-8, 8], Im sigma in [im_min, 0.5]."""
+    rl = solve_resonances(op, region=(-8.0, 8.0, im_min, 0.5))
+    return [e.sigma for e in rl.converged(1e-6)]
+
+
+def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
+                     **kwargs):
+    """Expansion of the driven solution of the discretized family.
+
+    f0 is the spatial forcing profile of the default log-Gaussian pulse.
+    Pole locations come from the resonance solver, down to 0.8 below the
+    contour; the transformed solution is sigma -> R(sigma)(phi_hat(sigma) f0).
+    `kwargs` go to `expand_family`.
+    """
+    poles = _converged_poles(op, -ell_target - 0.8)
+    return expand_family(_driven_solve(op, f0), poles, ell_target, **kwargs)
 
 
 def log_gaussian_pulse_hat(x0: float = -3.0, width: float = 0.5) -> Callable:
@@ -296,25 +310,20 @@ def threshold(s: float, k: float, beta_data, im_sigma: float,
 # ---------------------------------------------------------------------------
 
 def correction_pass(op: DiscretizedOperator, P1: np.ndarray, f0: np.ndarray,
-                    ell_target: float, phi_hat: Optional[Callable] = None,
-                    **kwargs):
+                    ell_target: float, **kwargs):
     """One iteration of the non-dilation-invariant expansion.
 
-    For a family N(P) + tau P1, the zeroth solution u0 solves the normal family;
-    multiplication by tau shifts the Mellin argument by i, so the correction
-    forcing transforms to -P1 u0_hat(sigma + i) and its expansion extends the
-    index set by the integer-shifted poles.  Only the first pass is performed.
+    For a family N(P) + tau P1, the zeroth solution u0 solves the normal family
+    driven by the default pulse; multiplication by tau shifts the Mellin
+    argument by i, so the correction forcing transforms to -P1 u0_hat(sigma + i)
+    and its expansion extends the index set by the integer-shifted poles.
+    Only the first pass is performed.
     """
-    if phi_hat is None:
-        phi_hat = log_gaussian_pulse_hat()
-    f0 = np.asarray(f0, dtype=complex)
-    def solve0(sigma):
-        return resolvent_apply(op, sigma, phi_hat(sigma) * f0, with_absorber=False)
+    solve0 = _driven_solve(op, f0)
     def solve1(sigma):
         shifted = solve0(sigma + 1j)
         return resolvent_apply(op, sigma, -(P1 @ shifted), with_absorber=False)
-    rl = solve_resonances(op, region=(-8.0, 8.0, -ell_target - 1.5, 0.5))
-    poles = [e.sigma for e in rl.converged(1e-6)]
+    poles = _converged_poles(op, -ell_target - 1.5)
     terms0, rem0 = expand_family(solve0, poles, ell_target, **kwargs)
     shifted_poles = poles + [p - 1j for p in poles]
     terms1, rem1 = expand_family(solve1, shifted_poles, ell_target, **kwargs)

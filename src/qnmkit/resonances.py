@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,37 +105,37 @@ def _sigma_split(model, params, ell, n, x):
 
 @dataclass
 class DiscretizedOperator:
-    """Quadratic pencil A0 + sigma A1 + sigma^2 A2 for P_sigma - iQ_sigma."""
+    """Quadratic pencil A0 + sigma A1 + sigma^2 A2 for P_sigma - iQ_sigma.
+
+    The pencil is stored absorber-free, with the absorbing matrix Q beside
+    it; `pencil` is the one place that forms L(sigma).
+    """
 
     model_id: str
     ell: int
     grid: np.ndarray
-    matrices: tuple                 # (A0, A1, A2) with the absorber included
+    matrices: tuple                 # (A0, A1, A2) without the absorber
     absorption_spec: AbsorbingSpec
     n: int
     N: int
     params: Optional[SpacetimeParams]
-    D: np.ndarray
     Q: np.ndarray                   # the absorbing matrix itself
-    chi_weight: np.ndarray          # cutoff values on the grid
 
-    @cached_property
-    def matrices_free(self):
-        """The pencil without the absorbing term, built once per operator."""
+    def coefficients(self, with_absorber: bool = True):
+        """(A0, A1, A2), with -iQ added to A0 when `with_absorber`."""
         A0, A1, A2 = self.matrices
-        return A0 + 1j * self.Q, A1, A2
+        return (A0 - 1j * self.Q, A1, A2) if with_absorber else (A0, A1, A2)
 
     def pencil(self, sigma, with_absorber: bool = True):
-        A0, A1, A2 = self.matrices if with_absorber else self.matrices_free
+        A0, A1, A2 = self.coefficients(with_absorber)
         return A0 + sigma * A1 + sigma * sigma * A2
 
 
 def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
-                   N: int, spec: Optional[AbsorbingSpec] = None,
-                   mu_min: float = -0.6) -> DiscretizedOperator:
+                   N: int, spec: Optional[AbsorbingSpec] = None) -> DiscretizedOperator:
     """Assemble the collocation pencil for one angular sector.
 
-    The grid spans the horizon: [mu_min, 1] in mu = 1 - r^2 for the one-horizon
+    The grid spans the horizon: [-0.6, 1] in mu = 1 - r^2 for the one-horizon
     models (the center r = 0 is the other endpoint), and [r_- - delta, r_+ +
     delta] for the two-horizon model.  Every row is a collocation row of the
     operator; the absorbing term -i q(mu) (1 + scaled second-derivative
@@ -153,7 +152,7 @@ def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
         x, D = cheb_grid(N, r_lo, r_hi)
         chi_x = None                     # per-collar windows in r, see below
     else:
-        x, D = cheb_grid(N, mu_min, 1.0)
+        x, D = cheb_grid(N, -0.6, 1.0)
         chi_x = x
 
     D2 = D @ D
@@ -180,9 +179,7 @@ def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
     active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
     lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
     Q = np.diag(w) @ (np.eye(N + 1) - lsc2 * D2)
-    A0c = A0 - 1j * Q
-    return DiscretizedOperator(model, ell, x, (A0c, A1, A2), spec, n, N,
-                               params, D, Q, w)
+    return DiscretizedOperator(model, ell, x, (A0, A1, A2), spec, n, N, params, Q)
 
 # ---------------------------------------------------------------------------
 # resonance extraction
@@ -232,15 +229,14 @@ def _linearized_eigs(A0, A1, A2):
     raise UnsupportedModel("the eigensolve needs a pencil with A2 = I or A2 = 0")
 
 
-def _probe_g(A0, A1, A2):
-    Nn = A0.shape[0]
+def _probe_g(op: DiscretizedOperator, with_absorber: bool):
+    Nn = op.N + 1
     rng = np.random.default_rng(7)
     u = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     v = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     def g(s):
-        A = A0 + s * A1 + s * s * A2
         try:
-            x = np.linalg.solve(A, v)
+            x = np.linalg.solve(op.pencil(s, with_absorber), v)
         except np.linalg.LinAlgError:
             return 0.0 + 0.0j
         denom = u.conj() @ x
@@ -250,24 +246,28 @@ def _probe_g(A0, A1, A2):
     return g
 
 
-def _refine_root(g, s0, maxit: int = 80, step: float = 1e-4):
-    """Secant iteration on the scalar resolvent probe; zeros sit at the poles."""
-    s1, s2 = s0, s0 + step
-    g1, g2 = g(s1), g(s2)
-    best = (abs(g1), s1)
-    for _ in range(maxit):
-        if g2 == g1 or not np.isfinite(g2):
+def _secant(f, s1, s2):
+    """Secant iteration for a zero of f from the iterates s1, s2.
+
+    Steps longer than 1 are clamped to length 1, to keep the iteration in
+    its basin.  It stops when |ds| < 1e-13 max(1, |s|), when f repeats or
+    is not finite, or after 80 steps, and returns the iterate with the
+    smallest |f|.
+    """
+    f1, f2 = f(s1), f(s2)
+    best = (abs(f1), s1)
+    for _ in range(80):
+        if f2 == f1 or not np.isfinite(f2):
             break
-        s3 = s2 - g2 * (s2 - s1) / (g2 - g1)
+        s3 = s2 - f2 * (s2 - s1) / (f2 - f1)
         if not np.isfinite(s3):
             break
-        # clamp wild steps to keep the iteration in the basin
         if abs(s3 - s2) > 1.0:
             s3 = s2 + (s3 - s2) / abs(s3 - s2)
-        s1, g1 = s2, g2
-        s2, g2 = s3, g(s3)
-        if abs(g2) < best[0]:
-            best = (abs(g2), s2)
+        s1, f1 = s2, f2
+        s2, f2 = s3, f(s3)
+        if abs(f2) < best[0]:
+            best = (abs(f2), s2)
         if abs(s2 - s1) < 1e-13 * max(1.0, abs(s2)):
             break
     return best[1]
@@ -283,24 +283,25 @@ def _kernel_dim(A):
     return int(np.sum(sv < 1e-8 * np.median(sv)))
 
 
-def _locate(A0, A1, A2, region):
+def _locate(op: DiscretizedOperator, region, with_absorber: bool):
     """Roots in `region`: pencil eigenvalues, refined and kernel-gated.
 
     The eigensolve, the resolvent probe and the SVD gate all run on the
-    pencil as `build_operator` makes it.
+    pencil as `build_operator` makes it.  Each eigenvalue s is refined by
+    the secant on the resolvent probe, started from (s, s + 1e-4).
     """
     x0, x1, y0, y1 = region
     pad = 0.35
-    cands = [complex(z) for z in _linearized_eigs(A0, A1, A2)
+    cands = [complex(z) for z in _linearized_eigs(*op.coefficients(with_absorber))
              if np.isfinite(z) and x0 - pad <= z.real <= x1 + pad
              and y0 - pad <= z.imag <= y1 + pad]
-    g = _probe_g(A0, A1, A2)
+    g = _probe_g(op, with_absorber)
     roots = []
     for c in sorted(cands, key=abs):
-        s = _refine_root(g, c)
+        s = _secant(g, c, c + 1e-4)
         if not np.isfinite(s):
             continue
-        kdim = _kernel_dim(A0 + s * A1 + s * s * A2)
+        kdim = _kernel_dim(op.pencil(s, with_absorber))
         if kdim == 0:
             continue
         if not (x0 - 1e-8 <= s.real <= x1 + 1e-8 and y0 - 1e-8 <= s.imag <= y1 + 1e-8):
@@ -325,19 +326,16 @@ def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
     pencil rebuilt at N + dN points, dN = max(8, N // 4), started from s, or
     inf when the pencil has no numerical kernel at s_ref.
     """
-    A0, A1, A2 = op.matrices if with_absorber else op.matrices_free
-    roots = _locate(A0, A1, A2, region)
+    roots = _locate(op, region, with_absorber)
 
     dN = max(8, op.N // 4)
     op2 = build_operator(op.model_id, op.params, op.ell, op.N + dN,
-                         op.absorption_spec, mu_min=float(op.grid[0])
-                         if op.model_id != "dSSchwarzschild" else -0.6)
-    B0, B1, B2 = op2.matrices if with_absorber else op2.matrices_free
-    g2 = _probe_g(B0, B1, B2)
+                         op.absorption_spec)
+    g2 = _probe_g(op2, with_absorber)
     entries = []
     for s, kdim in roots:
-        s_ref = _refine_root(g2, s)
-        A = B0 + s_ref * B1 + s_ref ** 2 * B2
+        s_ref = _secant(g2, s, s + 1e-4)
+        A = op2.pencil(s_ref, with_absorber)
         delta = abs(s_ref - s) if _kernel_dim(A) > 0 else np.inf
         entries.append(Resonance(s, kdim, float(delta),
                                  suspect=bool(delta > 1e-4)))
@@ -488,27 +486,11 @@ def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
     return complex((u_up - u_dn) + 0.37 * (du_up - du_dn))
 
 
-def oracle_refine(model: str, params, ell: int, sigma0: complex, n: int = 4,
-                  maxit: int = 60) -> complex:
+def oracle_refine(model: str, params, ell: int, sigma0: complex,
+                  n: int = 4) -> complex:
     """Secant refinement of a zero of the shooting determinant near sigma0."""
     f = lambda s: oracle_shooting(model, params, ell, s, n=n)
-    s1 = sigma0 + 1e-4 + 1e-4j
-    s2 = sigma0 + 2e-4
-    f1, f2 = f(s1), f(s2)
-    best = (abs(f1), s1)
-    for _ in range(maxit):
-        if f2 == f1:
-            break
-        s3 = s2 - f2 * (s2 - s1) / (f2 - f1)
-        if not np.isfinite(s3) or abs(s3 - sigma0) > 0.5:
-            break
-        s1, f1 = s2, f2
-        s2, f2 = s3, f(s3)
-        if abs(f2) < best[0]:
-            best = (abs(f2), s2)
-        if abs(s2 - s1) < 1e-13 * max(1.0, abs(s2)):
-            break
-    return best[1]
+    return _secant(f, sigma0 + 1e-4 + 1e-4j, sigma0 + 2e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +519,11 @@ def _gated_solver(A: np.ndarray, sigma: complex) -> Callable:
 
 
 def resolvent_apply(op: DiscretizedOperator, sigma: complex, f: np.ndarray,
-                    with_absorber: bool = True, refine: int = 2) -> np.ndarray:
+                    with_absorber: bool = True) -> np.ndarray:
     """Solve (A0 + sigma A1 + sigma^2 A2) u = f with iterative refinement.
 
-    One LU serves the solve, the `refine` correction steps and the near-pole
-    gate: NearPole is raised when LAPACK's estimate of the 1-norm reciprocal
+    One LU serves the solve, two correction steps and the near-pole gate:
+    NearPole is raised when LAPACK's estimate of the 1-norm reciprocal
     condition number falls below 1e-13, or when U is exactly singular.  The
     estimate may be off the 2-norm value by up to a factor N + 1 either way,
     so the gate can fire where the 2-norm value is just above 1e-13 (the
@@ -550,27 +532,34 @@ def resolvent_apply(op: DiscretizedOperator, sigma: complex, f: np.ndarray,
     A = op.pencil(sigma, with_absorber)
     solve = _gated_solver(A, sigma)
     u = solve(f)
-    for _ in range(refine):
+    for _ in range(2):
         u = u + solve(f - A @ u)
     return u
 
 
+# the gluing check's Q' is a bump of half-width _QPRIME_WIDTH about
+# _QPRIME_CENTER in the grid coordinate; _GLUING_PROBES vectors probe the norm
+_QPRIME_CENTER = 0.5
+_QPRIME_WIDTH = 0.1
+_GLUING_PROBES = 20
+
+
 def gluing_check(op: DiscretizedOperator, sigma: complex,
-                 qprime_center: float = 0.5, qprime_width: float = 0.1,
-                 qprime_strength: float = 3.0, n_probes: int = 20,
-                 seed: int = 0) -> float:
+                 qprime_strength: float = 3.0, seed: int = 0) -> float:
     """Probe-estimated operator norm of the resolvent gluing identity residual.
 
     Q' is a compactly supported multiplication absorber inside the physical
     region with a cutoff chi == 1 on its support, so the identity
-    R = R' - R'(iQ' + Q' chi R chi Q') R' is algebraically exact.
+    R = R' - R'(iQ' + Q' chi R chi Q') R' is algebraically exact.  The norm
+    is the largest ratio over _GLUING_PROBES random probe vectors.
     """
     from .absorption import smooth_step
     x = op.grid
-    t_up = smooth_step((x - (qprime_center - qprime_width)) / (0.4 * qprime_width))
-    t_dn = smooth_step(((qprime_center + qprime_width) - x) / (0.4 * qprime_width))
+    c, w = _QPRIME_CENTER, _QPRIME_WIDTH
+    t_up = smooth_step((x - (c - w)) / (0.4 * w))
+    t_dn = smooth_step(((c + w) - x) / (0.4 * w))
     qp = qprime_strength * t_up * t_dn
-    chi = np.where(np.abs(x - qprime_center) <= 1.6 * qprime_width, 1.0, 0.0)
+    chi = np.where(np.abs(x - c) <= 1.6 * w, 1.0, 0.0)
     chi = np.maximum(chi, (qp > 0).astype(float))   # chi == 1 on supp q'
     Qp = np.diag(qp).astype(complex)
     CHI = np.diag(chi).astype(complex)
@@ -580,7 +569,7 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     rhs = Rp - Rp @ (1j * Qp + Qp @ (CHI @ R @ CHI) @ Qp) @ Rp
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(_GLUING_PROBES):
         v = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
         worst = max(worst, np.linalg.norm((R - rhs) @ v) / np.linalg.norm(v))
     return worst

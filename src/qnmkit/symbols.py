@@ -137,7 +137,7 @@ def kds_classical_gradient(params: SpacetimeParams, pt: PhasePoint,
 
 
 def hamilton_field(symbol_id: str, params: SpacetimeParams, pt,
-                   horizon_sign: int = +1, z: float = 0.0):
+                   horizon_sign: int = +1):
     """Hamilton vector of the named symbol at an affine or compactified point.
 
     For a PhasePoint the components are d/ds of (r, theta, phi, xi, eta, zeta).
@@ -157,10 +157,6 @@ def hamilton_field(symbol_id: str, params: SpacetimeParams, pt,
                          pt.nu * sr,
                          -g[1] + pt.eta_hat * sr,
                          -g[2] + pt.zeta_hat * sr])
-    if symbol_id == "ds_semiclassical":
-        # reduced (mu, xi) flow of the static-patch model; pt = (mu, xi, h_ang)
-        mu, xi, h = pt
-        return ds_reduced_field(mu, xi, h, z)
     raise ValueError(f"unknown symbol id {symbol_id!r}")
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -105,6 +106,19 @@ class TestFlow:
                          "--seed", "7"]) == 0
             outs.append((out / "trajectories.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_de_sitter_rows_fill_the_header(self, tmp_path, ds_params):
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {ds_params}\nn_traj = 2\nT = 1.0\n"
+                    "include_classify = 0\n")
+        out = tmp_path / "out"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "trajectories.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows
+        assert all(len(r) == len(header) for r in rows)
+        # c4-c6 and the ledger columns are blank on the reduced flow
+        assert all(r[3:6] != ["", "", ""] and r[6:] == [""] * 6 for r in rows)
 
     def test_de_sitter_classify_report(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg",

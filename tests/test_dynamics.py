@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate._ivp.rk as rk
 
+import qnmkit.dynamics as dynamics
 from qnmkit.spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain
 from qnmkit.symbols import PhasePoint, CompactPhasePoint
 from qnmkit.dynamics import (
@@ -70,6 +72,30 @@ class TestIntegrateFlow:
         bc = integrate_flow("kds_classical", KDS, pt, 100.0, tol=1e-9,
                             chart="affine")
         assert bc.exit_reason == "domain"
+
+    @pytest.mark.parametrize("symbol_id, params, start, T, n_calls", [
+        ("kds_classical", KDS, PhasePoint(0.8, 1.1, 0.0, 0.9, 0.4, -0.6), 8.0, 2),
+        ("kds_classical", KDS, PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6), 4.0, 3),
+        ("ds_reduced", DS, (1e-4, 8e-4, -5e-4, 1), 4.0, 1),
+    ], ids=["kds-one-handoff", "kds-two-handoffs", "ds"])
+    def test_rejected_count_matches_attempts(self, monkeypatch, symbol_id,
+                                             params, start, T, n_calls):
+        # every step attempt of the Runge-Kutta solver is one rk_step call
+        attempts, calls = [], []
+
+        def counted_step(*a, _f=rk.rk_step, **k):
+            attempts.append(1)
+            return _f(*a, **k)
+
+        def counted_ivp(*a, _f=dynamics.solve_ivp, **k):
+            calls.append(1)
+            return _f(*a, **k)
+        monkeypatch.setattr(rk, "rk_step", counted_step)
+        monkeypatch.setattr(dynamics, "solve_ivp", counted_ivp)
+        bc = integrate_flow(symbol_id, params, start, T, tol=1e-10)
+        steps, rejected, _ = bc.integrator_stats
+        assert len(calls) == n_calls
+        assert steps + rejected == len(attempts)
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):

@@ -109,7 +109,7 @@ class TestBuildOperator:
         # the horizon mu = 0 is an interior grid region; every row is a
         # collocation row of the operator (no unit row anywhere)
         op = build_operator("minkowski", MK, 0, 40)
-        A0, _, _ = op.matrices_free
+        A0, _, _ = op.matrices
         for i in range(41):
             row = A0[i]
             assert np.count_nonzero(np.abs(row) > 1e-14) > 3
@@ -129,6 +129,19 @@ class TestBuildOperator:
         want = c2 * d2u + c1 * du + c0 * u
         got = op.pencil(sigma, with_absorber=False) @ u
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-8)
+
+    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    def test_pencil_is_formed_from_the_stored_coefficients(self, model, params):
+        op = build_operator(model, params, 1, 32)
+        A0, A1, A2 = op.matrices
+        s = 0.7 - 0.3j
+        assert np.array_equal(op.pencil(s, True),
+                              (A0 - 1j * op.Q) + s * A1 + s * s * A2)
+        assert np.array_equal(op.pencil(s, False), A0 + s * A1 + s * s * A2)
+        # the stored pencil is absorber-free: the spec only changes Q
+        other = build_operator(model, params, 1, 32, AbsorbingSpec(digamma_scale=4.0))
+        assert all(np.array_equal(a, b) for a, b in zip(other.matrices, op.matrices))
+        assert not np.array_equal(other.Q, op.Q)
 
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModel):
@@ -235,7 +248,7 @@ class TestSolveResonances:
     def test_linear_pencil_has_few_spurious_candidates(self):
         # the row scaling of the A2 = 0 branch: without it QZ puts 14
         # eigenvalues in the padded CLI box, where 3 are resonances
-        A0, A1, A2 = build_operator("dSSchwarzschild", DSS, 0, 80).matrices_free
+        A0, A1, A2 = build_operator("dSSchwarzschild", DSS, 0, 80).matrices
         pad = 0.35
         z = resonances._linearized_eigs(A0, A1, A2)
         z = z[np.isfinite(z)]
@@ -244,7 +257,7 @@ class TestSolveResonances:
         assert inside.sum() <= 5
 
     def test_other_sigma_squared_coefficient_rejected(self):
-        A0, A1, A2 = build_operator("deSitter", DS, 0, 16).matrices_free
+        A0, A1, A2 = build_operator("deSitter", DS, 0, 16).matrices
         with pytest.raises(UnsupportedModel):
             resonances._linearized_eigs(A0, A1, 2.0 * A2)
 
