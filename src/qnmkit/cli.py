@@ -232,11 +232,8 @@ def cmd_resonances(cfg: RunConfig) -> int:
     rows = []
     appendix = []
     for ell in range(k["ell_min"], k["ell_max"] + 1):
-        try:
-            op = build_operator(model, params, ell, k["N"])
-            rl = solve_resonances(op, region=region)
-        except SolverFailure:
-            return EXIT_SOLVER
+        op = build_operator(model, params, ell, k["N"])
+        rl = solve_resonances(op, region=region)
         for e in rl.entries:
             row = [model, ell, k["N"], _fmt(e.sigma.real), _fmt(e.sigma.imag),
                    e.multiplicity, _fmt(e.convergence_delta)]
@@ -271,19 +268,15 @@ def cmd_expand(cfg: RunConfig) -> int:
     _write_manifest(cfg)
     op = build_operator(model, params, k["ell"], k["N"])
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
-    try:
-        terms, rem = resonance_expand(f0, op, k["ell_target"],
-                                      sigma_max=k["sigma_max"],
-                                      n_sigma=k["n_sigma"])
-    except PoleOnContour:
-        return EXIT_CONTOUR
+    terms, rem = resonance_expand(f0, op, k["ell_target"],
+                                  sigma_max=k["sigma_max"], n_sigma=k["n_sigma"])
     # reconstruction residual against the inverse transform along a contour
     # above every pole (Im sigma = +0.3)
     phat = log_gaussian_pulse_hat()
     sig = np.linspace(-k["sigma_max"], k["sigma_max"], k["n_sigma"])
     vals = np.array([resolvent_apply(op, s + 0.3j,
-                                     phat(s + 0.3j) * f0.astype(complex),
-                                     with_absorber=False) for s in sig])
+                                     phat(s + 0.3j) * f0.astype(complex))
+                     for s in sig])
     tau = rem.tau_grid
     direct = inverse_mellin(vals, -0.3, sig, tau)
     synth = rem.values.copy()

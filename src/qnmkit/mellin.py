@@ -195,7 +195,7 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
 
 
 def _driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
-    """sigma -> R(sigma)(phi_hat(sigma) f0) on the absorber-free pencil.
+    """sigma -> R(sigma)(phi_hat(sigma) f0) on the pencil of `op`.
 
     phi_hat is the Mellin transform of the default log-Gaussian pulse,
     centred at tau = e^-3.
@@ -203,8 +203,7 @@ def _driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     phi_hat = log_gaussian_pulse_hat()
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
-        return resolvent_apply(op, sigma, phi_hat(sigma) * f0,
-                               with_absorber=False)
+        return resolvent_apply(op, sigma, phi_hat(sigma) * f0)
     return solve
 
 
@@ -322,7 +321,7 @@ def correction_pass(op: DiscretizedOperator, P1: np.ndarray, f0: np.ndarray,
     solve0 = _driven_solve(op, f0)
     def solve1(sigma):
         shifted = solve0(sigma + 1j)
-        return resolvent_apply(op, sigma, -(P1 @ shifted), with_absorber=False)
+        return resolvent_apply(op, sigma, -(P1 @ shifted))
     poles = _converged_poles(op, -ell_target - 1.5)
     terms0, rem0 = expand_family(solve0, poles, ell_target, **kwargs)
     shifted_poles = poles + [p - 1j for p in poles]

@@ -34,7 +34,7 @@ from scipy.linalg import eig, get_lapack_funcs
 
 from .collocation import cheb_grid, barycentric_eval
 from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain, _mu_coeffs
-from .absorption import AbsorbingSpec
+from .absorption import AbsorbingSpec, smooth_step
 
 
 class UnsupportedModel(Exception):
@@ -105,30 +105,42 @@ def _sigma_split(model, params, ell, n, x):
 
 @dataclass
 class DiscretizedOperator:
-    """Quadratic pencil A0 + sigma A1 + sigma^2 A2 for P_sigma - iQ_sigma.
+    """Quadratic pencil L(sigma) = A0 + sigma A1 + sigma^2 A2 of one sector.
 
-    The pencil is stored absorber-free, with the absorbing matrix Q beside
-    it; `pencil` is the one place that forms L(sigma).
+    `build_operator` fixes the pencil once: P_sigma itself without an
+    absorbing spec, P_sigma - iQ with one (A0 then holds -iQ).  `pencil` is
+    the one place that forms L(sigma); the eigensolve, the resolvent probe
+    and `resolvent_apply` all solve it.
     """
 
     model_id: str
     ell: int
     grid: np.ndarray
-    matrices: tuple                 # (A0, A1, A2) without the absorber
-    absorption_spec: AbsorbingSpec
+    matrices: tuple                 # (A0, A1, A2), with -iQ in A0 if absorbed
+    absorption_spec: Optional[AbsorbingSpec]
     n: int
     N: int
     params: Optional[SpacetimeParams]
-    Q: np.ndarray                   # the absorbing matrix itself
 
-    def coefficients(self, with_absorber: bool = True):
-        """(A0, A1, A2), with -iQ added to A0 when `with_absorber`."""
+    def pencil(self, sigma):
         A0, A1, A2 = self.matrices
-        return (A0 - 1j * self.Q, A1, A2) if with_absorber else (A0, A1, A2)
-
-    def pencil(self, sigma, with_absorber: bool = True):
-        A0, A1, A2 = self.coefficients(with_absorber)
         return A0 + sigma * A1 + sigma * sigma * A2
+
+
+def _absorbing_window(model, params, spec: AbsorbingSpec, x):
+    """Grid values q(x) of the absorbing window of `spec`, beyond the horizons."""
+    if model != "dSSchwarzschild":
+        return spec.chi(x)
+    # two-horizon model: one absorbing window in the lower half of each
+    # beyond-horizon collar (the attainable mu~ range there is too shallow
+    # for the mu-model breakpoints)
+    r_lo, r_hi = domain(params)
+    hd = horizon_roots(params)
+    t_in = (x - r_lo) / (hd.r_minus - r_lo)
+    t_out = (r_hi - x) / (r_hi - hd.r_plus)
+    bump = lambda t: smooth_step((0.5 - t) / 0.15) * smooth_step(t / 0.2 + 1.0)
+    return spec.digamma_scale * (np.where(t_in < 0.55, bump(np.clip(t_in, 0, 1)), 0.0)
+                                 + np.where(t_out < 0.55, bump(np.clip(t_out, 0, 1)), 0.0))
 
 
 def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
@@ -138,22 +150,18 @@ def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
     The grid spans the horizon: [-0.6, 1] in mu = 1 - r^2 for the one-horizon
     models (the center r = 0 is the other endpoint), and [r_- - delta, r_+ +
     delta] for the two-horizon model.  Every row is a collocation row of the
-    operator; the absorbing term -i q(mu) (1 + scaled second-derivative
-    stencil) is supported where the cutoff of `spec` lives (mu < mu0 < 0).
+    operator.  Without `spec` the pencil has no absorber: the horizon-crossing
+    basis needs none.  With it, A0 carries -iQ, Q = q (1 + scaled
+    second-derivative stencil), with q the window of `spec` (mu < mu0 < 0).
     """
     if N < 16:
         raise ValueError("need N >= 16")
-    if spec is None:
-        spec = AbsorbingSpec()
     n = 4 if params is None or model == "dSSchwarzschild" else params.n
     if model == "dSSchwarzschild":
         _radial_polys(model, params, ell, n, 0.0)       # rejects alpha != 0
-        r_lo, r_hi = domain(params)
-        x, D = cheb_grid(N, r_lo, r_hi)
-        chi_x = None                     # per-collar windows in r, see below
+        x, D = cheb_grid(N, *domain(params))
     else:
         x, D = cheb_grid(N, -0.6, 1.0)
-        chi_x = x
 
     D2 = D @ D
     C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(model, params, ell, n, x)
@@ -161,25 +169,14 @@ def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
     A1 = np.diag(C1b) @ D + np.diag(C0b)
     A2 = np.diag(C0c).astype(complex)
 
-    if chi_x is not None:
-        w = spec.chi(chi_x)
-    else:
-        # two-horizon model: one absorbing window in the lower half of each
-        # beyond-horizon collar (the attainable mu~ range there is too shallow
-        # for the mu-model breakpoints)
-        from .absorption import smooth_step
-        hd = horizon_roots(params)
-        t_in = (x - r_lo) / (hd.r_minus - r_lo)
-        t_out = (r_hi - x) / (r_hi - hd.r_plus)
-        bump = lambda t: smooth_step((0.5 - t) / 0.15) * smooth_step(t / 0.2 + 1.0)
-        w = spec.digamma_scale * (np.where(t_in < 0.55, bump(np.clip(t_in, 0, 1)), 0.0)
-                                  + np.where(t_out < 0.55, bump(np.clip(t_out, 0, 1)), 0.0))
-    # multiplication plus a second-derivative stencil whose scale matches the
-    # quadratic fiber growth of the principal coefficient in the collar
-    active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
-    lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
-    Q = np.diag(w) @ (np.eye(N + 1) - lsc2 * D2)
-    return DiscretizedOperator(model, ell, x, (A0, A1, A2), spec, n, N, params, Q)
+    if spec is not None:
+        # multiplication plus a second-derivative stencil whose scale matches
+        # the quadratic fiber growth of the principal coefficient in the collar
+        w = _absorbing_window(model, params, spec, x)
+        active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
+        lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
+        A0 = A0 - 1j * (np.diag(w) @ (np.eye(N + 1) - lsc2 * D2))
+    return DiscretizedOperator(model, ell, x, (A0, A1, A2), spec, n, N, params)
 
 # ---------------------------------------------------------------------------
 # resonance extraction
@@ -229,14 +226,14 @@ def _linearized_eigs(A0, A1, A2):
     raise UnsupportedModel("the eigensolve needs a pencil with A2 = I or A2 = 0")
 
 
-def _probe_g(op: DiscretizedOperator, with_absorber: bool):
+def _probe_g(op: DiscretizedOperator):
     Nn = op.N + 1
     rng = np.random.default_rng(7)
     u = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     v = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     def g(s):
         try:
-            x = np.linalg.solve(op.pencil(s, with_absorber), v)
+            x = np.linalg.solve(op.pencil(s), v)
         except np.linalg.LinAlgError:
             return 0.0 + 0.0j
         denom = u.conj() @ x
@@ -283,7 +280,7 @@ def _kernel_dim(A):
     return int(np.sum(sv < 1e-8 * np.median(sv)))
 
 
-def _locate(op: DiscretizedOperator, region, with_absorber: bool):
+def _locate(op: DiscretizedOperator, region):
     """Roots in `region`: pencil eigenvalues, refined and kernel-gated.
 
     The eigensolve, the resolvent probe and the SVD gate all run on the
@@ -292,16 +289,16 @@ def _locate(op: DiscretizedOperator, region, with_absorber: bool):
     """
     x0, x1, y0, y1 = region
     pad = 0.35
-    cands = [complex(z) for z in _linearized_eigs(*op.coefficients(with_absorber))
+    cands = [complex(z) for z in _linearized_eigs(*op.matrices)
              if np.isfinite(z) and x0 - pad <= z.real <= x1 + pad
              and y0 - pad <= z.imag <= y1 + pad]
-    g = _probe_g(op, with_absorber)
+    g = _probe_g(op)
     roots = []
     for c in sorted(cands, key=abs):
         s = _secant(g, c, c + 1e-4)
         if not np.isfinite(s):
             continue
-        kdim = _kernel_dim(op.pencil(s, with_absorber))
+        kdim = _kernel_dim(op.pencil(s))
         if kdim == 0:
             continue
         if not (x0 - 1e-8 <= s.real <= x1 + 1e-8 and y0 - 1e-8 <= s.imag <= y1 + 1e-8):
@@ -311,31 +308,31 @@ def _locate(op: DiscretizedOperator, region, with_absorber: bool):
     return roots
 
 
-def solve_resonances(op: DiscretizedOperator, region=(-6.0, 6.0, -4.0, 0.5),
-                     with_absorber: bool = False) -> ResonanceList:
+def solve_resonances(op: DiscretizedOperator,
+                     region=(-6.0, 6.0, -4.0, 0.5)) -> ResonanceList:
     """Locate pencil singularities in a rectangle and tag their convergence.
 
-    Works on the absorber-free pencil by default: the multiplication-type
-    discrete absorber shifts pole locations at its coupling strength, far above
-    the convergence tolerances, while the horizon-crossing smooth-basis
-    quantization needs no absorber (see the Q-independence tests for where the
-    absorber does act).  Each pencil eigenvalue is refined once, by the
-    secant on the resolvent probe, and kept when the pencil there has a
-    numerical kernel, whose dimension is the reported multiplicity.
+    Works on the pencil as `build_operator` made it.  Build it without an
+    absorbing spec to find resonances: the horizon-crossing smooth basis
+    needs none, and the multiplication-type discrete absorber shifts pole
+    locations at its coupling strength, far above the convergence
+    tolerances.  Each pencil eigenvalue is refined once, by the secant on
+    the resolvent probe, and kept when the pencil there has a numerical
+    kernel, whose dimension is the reported multiplicity.
     `convergence_delta` is |s_ref - s|, where s_ref is the secant on the
     pencil rebuilt at N + dN points, dN = max(8, N // 4), started from s, or
     inf when the pencil has no numerical kernel at s_ref.
     """
-    roots = _locate(op, region, with_absorber)
+    roots = _locate(op, region)
 
     dN = max(8, op.N // 4)
     op2 = build_operator(op.model_id, op.params, op.ell, op.N + dN,
                          op.absorption_spec)
-    g2 = _probe_g(op2, with_absorber)
+    g2 = _probe_g(op2)
     entries = []
     for s, kdim in roots:
         s_ref = _secant(g2, s, s + 1e-4)
-        A = op2.pencil(s_ref, with_absorber)
+        A = op2.pencil(s_ref)
         delta = abs(s_ref - s) if _kernel_dim(A) > 0 else np.inf
         entries.append(Resonance(s, kdim, float(delta),
                                  suspect=bool(delta > 1e-4)))
@@ -518,18 +515,19 @@ def _gated_solver(A: np.ndarray, sigma: complex) -> Callable:
     return lambda b: getrs(lu, piv, b)[0]
 
 
-def resolvent_apply(op: DiscretizedOperator, sigma: complex, f: np.ndarray,
-                    with_absorber: bool = True) -> np.ndarray:
-    """Solve (A0 + sigma A1 + sigma^2 A2) u = f with iterative refinement.
+def resolvent_apply(op: DiscretizedOperator, sigma: complex,
+                    f: np.ndarray) -> np.ndarray:
+    """Solve op.pencil(sigma) u = f with iterative refinement.
 
     One LU serves the solve, two correction steps and the near-pole gate:
     NearPole is raised when LAPACK's estimate of the 1-norm reciprocal
     condition number falls below 1e-13, or when U is exactly singular.  The
     estimate may be off the 2-norm value by up to a factor N + 1 either way,
     so the gate can fire where the 2-norm value is just above 1e-13 (the
-    default absorber at sigma = 0, dS l=0, N=110: 4.2e-14 against 1.07e-13).
+    pencil of AbsorbingSpec() at sigma = 0, dS l=0, N=110: 4.2e-14 against
+    1.07e-13).
     """
-    A = op.pencil(sigma, with_absorber)
+    A = op.pencil(sigma)
     solve = _gated_solver(A, sigma)
     u = solve(f)
     for _ in range(2):
@@ -553,7 +551,6 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     R = R' - R'(iQ' + Q' chi R chi Q') R' is algebraically exact.  The norm
     is the largest ratio over _GLUING_PROBES random probe vectors.
     """
-    from .absorption import smooth_step
     x = op.grid
     c, w = _QPRIME_CENTER, _QPRIME_WIDTH
     t_up = smooth_step((x - (c - w)) / (0.4 * w))

@@ -178,7 +178,7 @@ class TestAcceptance:
                f"> (Im z)^2 = 0.25, {rep.sign_violations} sign violations)")
 
     def test_09_gluing_identity(self):
-        op = build_operator("deSitter", DS, 0, 60)
+        op = build_operator("deSitter", DS, 0, 60, AbsorbingSpec())
         residuals = [gluing_check(op, s) for s in (2.0 + 1.0j, -1.3 + 0.7j)]
         ok = all(r < 1e-8 for r in residuals)
         report(9, "resolvent gluing identity", ok,

@@ -185,6 +185,18 @@ class TestResonances:
         with pytest.raises(ZeroDivisionError):
             main(["resonances", "--config", cfg, "--out", str(tmp_path / "o2")])
 
+    def test_solver_failure_exit_four(self, tmp_path, ds_params, monkeypatch):
+        import qnmkit.cli
+        from qnmkit.resonances import SolverFailure
+
+        def failing(op, **kw):
+            raise SolverFailure("eigenvalue routine did not converge")
+        monkeypatch.setattr(qnmkit.cli, "solve_resonances", failing)
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {ds_params}\nN = 16\nell_max = 0\noracle = 0\n")
+        assert main(["resonances", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 4
+
 
 class TestExpand:
     def test_unsupported_model_exit_two(self, tmp_path, capsys):
@@ -211,7 +223,7 @@ class TestExpand:
         import qnmkit.mellin
         from qnmkit.resonances import NearPole
 
-        def at_pole(op, sigma, f, **kw):
+        def at_pole(op, sigma, f):
             raise NearPole(f"pencil nearly singular at sigma = {sigma}")
         monkeypatch.setattr(qnmkit.mellin, "resolvent_apply", at_pole)
         cfg = write(tmp_path / "c.cfg",
@@ -219,3 +231,15 @@ class TestExpand:
         code = main(["expand", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 5
         assert "sigma = " in capsys.readouterr().err
+
+    def test_pole_on_contour_exit_five(self, tmp_path, ds_params, monkeypatch):
+        import qnmkit.cli
+        from qnmkit.mellin import PoleOnContour
+
+        def on_contour(f0, op, ell_target, **kw):
+            raise PoleOnContour("a resonance sits on the shifted contour")
+        monkeypatch.setattr(qnmkit.cli, "resonance_expand", on_contour)
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {ds_params}\nN = 16\nn_sigma = 128\n")
+        assert main(["expand", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 5

@@ -12,7 +12,6 @@ from qnmkit.mellin import (
 )
 from qnmkit.spacetime import SpacetimeParams, horizon_roots
 from qnmkit.resonances import build_operator
-from qnmkit.absorption import AbsorbingSpec
 
 TAU = default_tau_grid(1024)
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
@@ -185,12 +184,11 @@ class TestExpandFamily:
 
 class TestPipeline:
     def test_static_patch_expansion(self):
-        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec(digamma_scale=1e-12))
+        op = build_operator("deSitter", DS, 0, 48)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         terms, rem = expand_family(
             lambda s: __import__("qnmkit.resonances", fromlist=["resolvent_apply"])
-            .resolvent_apply(op, s, log_gaussian_pulse_hat()(s) * f0,
-                             with_absorber=False),
+            .resolvent_apply(op, s, log_gaussian_pulse_hat()(s) * f0),
             [0.0 + 0.0j], ell_target=1.5, sigma_max=60, n_sigma=4000)
         # the leading term is the constant mode: spatially flat coefficient
         lead = terms[0]
@@ -201,7 +199,7 @@ class TestPipeline:
         assert rate >= 1.5 - 0.03
 
     def test_resonance_expand_wrapper(self):
-        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec(digamma_scale=1e-12))
+        op = build_operator("deSitter", DS, 0, 48)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         terms, rem = resonance_expand(f0, op, ell_target=1.5,
                                       sigma_max=60, n_sigma=4000)
@@ -258,7 +256,7 @@ class TestThreshold:
 
 class TestCorrectionPass:
     def test_shifted_pole_appears(self):
-        op = build_operator("deSitter", DS, 0, 40, AbsorbingSpec(digamma_scale=1e-12))
+        op = build_operator("deSitter", DS, 0, 40)
         rng = np.random.default_rng(0)
         P1 = np.diag(0.05 * rng.standard_normal(41))
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)

@@ -117,7 +117,7 @@ class TestBuildOperator:
     @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
     def test_rows_reproduce_operator_on_polynomials(self, model, params):
         # apply the pencil to a polynomial and compare with the analytic value
-        op = build_operator(model, params, 1, 48, TINY)
+        op = build_operator(model, params, 1, 48)
         x = op.grid
         sigma = 0.7 - 0.3j
         coef = np.array([0.3, -1.2, 0.0, 2.0, -0.7])
@@ -127,21 +127,25 @@ class TestBuildOperator:
             x, np.polynomial.polynomial.polyder(coef, 2))
         c2, c1, c0 = reference_coeffs(model, params, 1, op.n, x, sigma)
         want = c2 * d2u + c1 * du + c0 * u
-        got = op.pencil(sigma, with_absorber=False) @ u
+        got = op.pencil(sigma) @ u
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-8)
 
     @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
-    def test_pencil_is_formed_from_the_stored_coefficients(self, model, params):
-        op = build_operator(model, params, 1, 32)
-        A0, A1, A2 = op.matrices
+    def test_absorber_enters_a0_only_where_its_window_lives(self, model, params):
+        # a spec adds -iQ to A0 and nothing else: A1 and A2 are the spec-free
+        # ones byte for byte, and A0 moves by a purely imaginary matrix whose
+        # rows vanish wherever the absorbing window does
+        spec = AbsorbingSpec(digamma_scale=4.0)
+        free = build_operator(model, params, 1, 32)
+        op = build_operator(model, params, 1, 32, spec)
+        (F0, F1, F2), (A0, A1, A2) = free.matrices, op.matrices
+        assert np.array_equal(A1, F1) and np.array_equal(A2, F2)
+        diff = A0 - F0
+        assert not diff.real.any() and diff.imag.any()
+        window = resonances._absorbing_window(model, params, spec, op.grid)
+        assert not diff[window == 0].any()
         s = 0.7 - 0.3j
-        assert np.array_equal(op.pencil(s, True),
-                              (A0 - 1j * op.Q) + s * A1 + s * s * A2)
-        assert np.array_equal(op.pencil(s, False), A0 + s * A1 + s * s * A2)
-        # the stored pencil is absorber-free: the spec only changes Q
-        other = build_operator(model, params, 1, 32, AbsorbingSpec(digamma_scale=4.0))
-        assert all(np.array_equal(a, b) for a, b in zip(other.matrices, op.matrices))
-        assert not np.array_equal(other.Q, op.Q)
+        assert np.array_equal(op.pencil(s), A0 + s * A1 + s * s * A2)
 
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModel):
@@ -190,11 +194,11 @@ class TestSolveResonances:
     def test_absorber_shifts_poles(self):
         # documents the measured behavior that motivated the absorber-free
         # default: with the multiplication absorber on, the constant mode moves
-        op = build_operator("deSitter", DS, 0, 64, AbsorbingSpec(digamma_scale=4.0))
+        op = build_operator("deSitter", DS, 0, 64)
         free = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3))
         assert min(abs(free.sigmas() - 0.0)) < 1e-9
-        withq = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3),
-                                 with_absorber=True)
+        op = build_operator("deSitter", DS, 0, 64, AbsorbingSpec(digamma_scale=4.0))
+        withq = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3))
         if withq.entries:
             assert min(abs(withq.sigmas() - 0.0)) > 1e-7
 
@@ -396,6 +400,19 @@ class TestResolvent:
         res = np.linalg.norm(op.pencil(sigma) @ u - f) / np.linalg.norm(f)
         assert res < 1e-10
 
+    @pytest.mark.parametrize("model, params, ell, N", [
+        ("deSitter", DS, 0, 48), ("deSitter", DS, 1, 80),
+        ("minkowski", MK, 0, 80)], ids=["ds-l0", "ds-l1", "minkowski-l0"])
+    def test_resolvent_gated_at_every_converged_root(self, model, params, ell, N):
+        # the resolvent and the solver share one pencil: each pole the solver
+        # certifies is a near-pole of resolvent_apply on the same operator
+        op = build_operator(model, params, ell, N)
+        roots = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).converged(1e-6)
+        assert roots
+        for e in roots:
+            with pytest.raises(NearPole):
+                resolvent_apply(op, e.sigma, np.ones(N + 1, dtype=complex))
+
     def test_near_pole_detected(self):
         op = build_operator("deSitter", DS, 0, 60, TINY)
         with pytest.raises(NearPole):
@@ -404,10 +421,9 @@ class TestResolvent:
     @pytest.mark.parametrize("N", [48, 160])
     def test_near_pole_detected_free_pencil(self, N):
         # sigma = 0 is the dS l=0 pole; the absorber-free pencil is singular there
-        op = build_operator("deSitter", DS, 0, N, TINY)
+        op = build_operator("deSitter", DS, 0, N)
         with pytest.raises(NearPole):
-            resolvent_apply(op, 0.0 + 0.0j, np.ones(N + 1, dtype=complex),
-                            with_absorber=False)
+            resolvent_apply(op, 0.0 + 0.0j, np.ones(N + 1, dtype=complex))
 
     @pytest.mark.parametrize("model, params, ell, ell_target", [
         ("deSitter", DS, 0, 1.5), ("deSitter", DS, 1, 2.5),
@@ -416,23 +432,23 @@ class TestResolvent:
                                              ell_target):
         # the remainder contour Im sigma = -ell_target and the reconstruction
         # contour Im sigma = +0.3 of `qnmkit expand` at its defaults
-        op = build_operator(model, params, ell, 48, TINY)
+        op = build_operator(model, params, ell, 48)
         f = np.ones(49, dtype=complex)
         for im in (-ell_target, 0.3):
             for s in np.linspace(-60.0, 60.0, 200):
-                resolvent_apply(op, s + 1j * im, f, with_absorber=False)
+                resolvent_apply(op, s + 1j * im, f)
 
     def test_bit_identical_to_lu_solve_with_refinement(self):
-        op = build_operator("deSitter", DS, 0, 48, TINY)
+        op = build_operator("deSitter", DS, 0, 48)
         f = np.exp(-((op.grid - 0.5) / 0.15) ** 2).astype(complex)
         for sigma in (-37.3 - 1.5j, 0.4 - 1.5j, 52.0 - 1.5j,
                       -8.1 + 0.3j, 0.0 + 0.3j, 59.7 + 0.3j):
-            A = op.pencil(sigma, with_absorber=False)
+            A = op.pencil(sigma)
             lu = lu_factor(A)
             ref = lu_solve(lu, f)
             for _ in range(2):
                 ref = ref + lu_solve(lu, f - A @ ref)
-            u = resolvent_apply(op, sigma, f, with_absorber=False)
+            u = resolvent_apply(op, sigma, f)
             assert np.array_equal(u, ref)
 
     def test_no_svd_in_resolvent_or_gluing(self, monkeypatch):
@@ -443,7 +459,7 @@ class TestResolvent:
                 calls.append(name)
                 return _f(*a, **k)
             monkeypatch.setattr(mod, name, counted)
-        op = build_operator("deSitter", DS, 0, 48)
+        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec())
         resolvent_apply(op, 2.0 + 1.0j, np.ones(49, dtype=complex))
         gluing_check(op, 2.0 + 1.0j)
         assert calls == []
@@ -493,17 +509,17 @@ class TestResolvent:
 
 class TestGluing:
     def test_residual_tiny_at_two_sigmas(self):
-        op = build_operator("deSitter", DS, 0, 60)
+        op = build_operator("deSitter", DS, 0, 60, AbsorbingSpec())
         for sigma in (2.0 + 1.0j, -1.3 + 0.7j):
             assert gluing_check(op, sigma) < 1e-8
 
     def test_qprime_zero_reduces_to_identity(self):
-        op = build_operator("deSitter", DS, 0, 48)
+        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec())
         res = gluing_check(op, 2.0 + 1.0j, qprime_strength=0.0)
         assert res < 1e-12
 
     def test_probe_reseeding_stable(self):
-        op = build_operator("deSitter", DS, 0, 48)
+        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec())
         vals = [gluing_check(op, 2.0 + 1.0j, seed=s) for s in (0, 1, 2)]
         assert np.var(vals) < 1e-10
 

@@ -9,9 +9,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 @pytest.mark.parametrize("script, args, first_column", [
-    ("run_resonance_table.py", ["--N", "16", "--ell-max", "0"], "model"),
     ("run_expansion_demo.py", ["--N", "16"], "tau"),
-], ids=["resonance-table", "expansion-demo"])
+], ids=["expansion-demo"])
 def test_script_writes_csv(tmp_path, script, args, first_column):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
