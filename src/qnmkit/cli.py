@@ -223,7 +223,16 @@ def _model_id(params: SpacetimeParams) -> str:
             "dSSchwarzschild": "dSSchwarzschild"}.get(params.model, params.model)
 
 
+# convergence_delta below which a row is converged, and oracle distance
+# below which the oracle agrees with it
+_TRUST_TOL = 1e-6
+
+
 def cmd_resonances(cfg: RunConfig) -> int:
+    """Resonance table, one row per solver root, with the oracle's verdict.
+
+    Exits 1 when the oracle disagrees with a converged row.
+    """
     params = load_params(cfg.params_file)
     model = _model_id(params)
     k = cfg.knobs
@@ -231,6 +240,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
     region = (k["re_min"], k["re_max"], k["im_min"], k["im_max"])
     rows = []
     appendix = []
+    refuted = []
     for ell in range(k["ell_min"], k["ell_max"] + 1):
         op = build_operator(model, params, ell, k["N"])
         rl = solve_resonances(op, region=region)
@@ -240,9 +250,14 @@ def cmd_resonances(cfg: RunConfig) -> int:
             if k["oracle"]:
                 try:
                     z = oracle_refine(model, params, ell, e.sigma, n=params.n)
-                    row += [_fmt(z.real), _fmt(z.imag), _fmt(abs(z - e.sigma))]
+                    dist = abs(z - e.sigma)
+                    verdict = "agree" if dist < _TRUST_TOL else "disagree"
+                    row += [_fmt(z.real), _fmt(z.imag), _fmt(dist), verdict]
                 except StiffFailure:
-                    row += ["", "", ""]
+                    verdict = "failed"
+                    row += ["", "", "", verdict]
+                if verdict == "disagree" and e.convergence_delta < _TRUST_TOL:
+                    refuted.append(f"ell = {ell}, sigma = {e.sigma:.9g}")
             rows.append(row)
             appendix.append({"ell": ell, "sigma_re": e.sigma.real,
                              "sigma_im": e.sigma.imag,
@@ -251,14 +266,16 @@ def cmd_resonances(cfg: RunConfig) -> int:
     header = ["model", "ell", "N", "re_sigma", "im_sigma", "multiplicity",
               "convergence_delta"]
     if k["oracle"]:
-        header += ["oracle_re", "oracle_im", "oracle_dist"]
+        header += ["oracle_re", "oracle_im", "oracle_dist", "oracle_verdict"]
     with open(os.path.join(cfg.out_dir, "resonances.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
     with open(os.path.join(cfg.out_dir, "convergence.json"), "w") as fh:
         json.dump(appendix, fh, indent=2, sort_keys=True)
-    return EXIT_OK
+    for r in refuted:
+        print(f"oracle disagrees with the converged row {r}", file=sys.stderr)
+    return EXIT_FLAGS if refuted else EXIT_OK
 
 
 def cmd_expand(cfg: RunConfig) -> int:

@@ -247,27 +247,37 @@ def _secant(f, s1, s2):
     """Secant iteration for a zero of f from the iterates s1, s2.
 
     Steps longer than 1 are clamped to length 1, to keep the iteration in
-    its basin.  It stops when |ds| < 1e-13 max(1, |s|), when f repeats or
-    is not finite, or after 80 steps, and returns the iterate with the
-    smallest |f|.
+    its basin.  On an ill-conditioned f the steps shrink until the iterates
+    reach the rounding band of f, where they stop shrinking and wander.  So
+    below 1e-6 max(1, |s|) only shrinking steps are taken: the iteration
+    stops at the first proposed step there that is no shorter than the one
+    before it, and returns the iterate it stands on, the last one a
+    shrinking step reached.  It also stops after a step below
+    1e-13 max(1, |s|), when f repeats, or after 80 steps.  A point where f
+    is not finite (a zero of the resolvent probe's denominator) is never
+    returned: the iteration stops at the iterate before it.
     """
     f1, f2 = f(s1), f(s2)
-    best = (abs(f1), s1)
+    if not np.isfinite(f2):
+        return s1
+    step = abs(s2 - s1)
     for _ in range(80):
-        if f2 == f1 or not np.isfinite(f2):
+        if f2 == f1:
             break
         s3 = s2 - f2 * (s2 - s1) / (f2 - f1)
         if not np.isfinite(s3):
             break
         if abs(s3 - s2) > 1.0:
             s3 = s2 + (s3 - s2) / abs(s3 - s2)
-        s1, f1 = s2, f2
-        s2, f2 = s3, f(s3)
-        if abs(f2) < best[0]:
-            best = (abs(f2), s2)
-        if abs(s2 - s1) < 1e-13 * max(1.0, abs(s2)):
+        if step <= abs(s3 - s2) < 1e-6 * max(1.0, abs(s2)):
             break
-    return best[1]
+        f3 = f(s3)
+        if not np.isfinite(f3):
+            break
+        s1, f1, s2, f2, step = s2, f2, s3, f3, abs(s3 - s2)
+        if step < 1e-13 * max(1.0, abs(s2)):
+            break
+    return s2
 
 
 def _kernel_dim(A):
@@ -320,8 +330,11 @@ def solve_resonances(op: DiscretizedOperator,
     the resolvent probe, and kept when the pencil there has a numerical
     kernel, whose dimension is the reported multiplicity.
     `convergence_delta` is |s_ref - s|, where s_ref is the secant on the
-    pencil rebuilt at N + dN points, dN = max(8, N // 4), started from s, or
-    inf when the pencil has no numerical kernel at s_ref.
+    pencil rebuilt at N + dN points, dN = max(8, N // 4), started from
+    (s, s + 1e-4), or inf when the pencil has no numerical kernel at s_ref.
+    Both secants stop once their steps stop shrinking inside the rounding
+    band of the probe and return the last iterate a shrinking step reached,
+    so s_ref is never the start point s picked for its small probe value.
     """
     roots = _locate(op, region)
 

@@ -163,8 +163,9 @@ class TestResonances:
 
     def test_oracle_failure_blanks_only_stiff_rows(self, tmp_path, ds_params,
                                                     monkeypatch):
-        # a StiffFailure leaves the oracle columns blank; any other error is
-        # a fault of the program and must not be hidden as a blank row
+        # a StiffFailure leaves the oracle columns blank, with the verdict
+        # `failed`; any other error is a fault of the program and must not
+        # be hidden as a blank row
         import qnmkit.cli
         from qnmkit.resonances import StiffFailure
         cfg = write(tmp_path / "c.cfg",
@@ -177,13 +178,32 @@ class TestResonances:
         out = tmp_path / "out"
         assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "resonances.csv").read_text().strip().splitlines()[1:]
-        assert rows and all(r.endswith(",,,") for r in rows)
+        assert rows and all(r.endswith(",,,failed") for r in rows)
 
         def broken(*a, **k):
             raise ZeroDivisionError("bug")
         monkeypatch.setattr(qnmkit.cli, "oracle_refine", broken)
         with pytest.raises(ZeroDivisionError):
             main(["resonances", "--config", cfg, "--out", str(tmp_path / "o2")])
+
+    @pytest.mark.parametrize("verdict, code", [("agree", 0), ("disagree", 1)])
+    def test_oracle_verdict(self, tmp_path, ds_params, monkeypatch, verdict,
+                            code):
+        # the box holds the converged constant mode: an oracle 1e-3 away
+        # refutes it and the run exits 1 (a failed oracle: the test above)
+        import qnmkit.cli
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {ds_params}\nN = 16\nell_max = 0\n"
+                    "re_min = -0.5\nre_max = 0.5\nim_min = -0.5\nim_max = 0.4\n")
+        shift = 1e-9 if verdict == "agree" else 1e-3
+        monkeypatch.setattr(qnmkit.cli, "oracle_refine",
+                            lambda model, params, ell, sigma, n: sigma + shift)
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == code
+        with open(out / "resonances.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert any(float(r["convergence_delta"]) < 1e-6 for r in rows)
+        assert all(r["oracle_verdict"] == verdict for r in rows)
 
     def test_solver_failure_exit_four(self, tmp_path, ds_params, monkeypatch):
         import qnmkit.cli

@@ -39,6 +39,14 @@ rl = solve_resonances(op, region=(-6, 6, -3.6, 0.4))
 print(json.dumps([[e.sigma.real, e.sigma.imag] for e in rl.converged(1e-6)]))
 """
 
+# converged rows (delta < 1e-6) in the CLI box for ell = 0, 1, 2 of each
+# (model, N) of the static resonance tables
+_TABLE_CONVERGED = {
+    ("minkowski", 80): (2, 1, 1), ("minkowski", 110): (2, 1, 0),
+    ("minkowski", 160): (1, 1, 0), ("deSitter", 80): (2, 2, 1),
+    ("deSitter", 110): (2, 1, 1), ("deSitter", 160): (2, 1, 1),
+}
+
 
 def _converged_at_threads(threads: int) -> list:
     src = os.path.dirname(os.path.dirname(resonances.__file__))
@@ -265,6 +273,37 @@ class TestSolveResonances:
         with pytest.raises(UnsupportedModel):
             resonances._linearized_eigs(A0, A1, 2.0 * A2)
 
+    def test_refinement_makes_few_probe_solves(self, monkeypatch):
+        # each secant stops once its steps stop shrinking: 33 probe solves
+        calls = []
+        real = np.linalg.solve
+
+        def counted(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        rl = solve_resonances(build_operator("minkowski", MK, 0, 80),
+                              region=(-6, 6, -3.6, 0.4))
+        assert len(rl.converged(1e-6)) == 2
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("model, N, ell", [
+        (m, N, ell) for m, N in _TABLE_CONVERGED for ell in range(3)],
+        ids=str)
+    def test_table_converged_rows_pinned(self, model, N, ell):
+        # the converged rows of each (model, N, ell) of the static tables,
+        # counted in the CLI box, and each one on the closed-form lattice
+        op = build_operator(model, dict(MODELS)[model], ell, N)
+        conv = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).converged(1e-6)
+        assert len(conv) == _TABLE_CONVERGED[model, N][ell]
+        if model == "deSitter":
+            rates = [ell + 2 * k for k in range(4)] + [ell + 3 + 2 * k
+                                                      for k in range(4)]
+        else:
+            rates = [1 + ell + j for j in range(8)]
+        for e in conv:
+            assert min(abs(e.sigma + 1j * r) for r in rates) < 1e-6
+
 
 class TestOracle:
     def test_nonzero_at_generic_sigma(self):
@@ -379,6 +418,54 @@ class TestSeriesOracle:
         polys = ([1.0, 0.0], [-1.0], [1.0])
         with pytest.raises(resonances.StiffFailure):
             resonances._series_step(polys, 0.0, None, 0.1, True)
+
+
+class TestSecant:
+    Z0 = 0.3 - 2.0j
+
+    def test_stops_in_the_rounding_band(self):
+        # a simple zero under 1e-12 of deterministic noise: the steps shrink
+        # to the noise band of about 3e-10, then wander; the secant must
+        # stop there
+        for draw in range(40):
+            calls = []
+
+            def f(s):
+                calls.append(s)
+                rng = np.random.default_rng([draw, abs(hash(complex(s)))])
+                noise = complex(*rng.standard_normal(2))
+                return 3e-3 * (s - self.Z0) * (1.0 + 0.2 * s) + 1e-12 * noise
+            s = resonances._secant(f, self.Z0 + 1e-3, self.Z0 + 1.1e-3)
+            assert len(calls) <= 15
+            assert abs(s - self.Z0) < 1e-9
+
+    def test_never_returns_a_non_finite_point(self):
+        # the resolvent probe is infinite where <u, x> = 0, a zero of its
+        # denominator and not a root: the secant stops at the iterate before
+        for bad in (2, 4):
+            calls = []
+
+            def f(s):
+                calls.append(s)
+                return np.inf if len(calls) == bad else (s - self.Z0) * (2.0 + s)
+            s = resonances._secant(f, self.Z0 + 0.5, self.Z0 + 0.4)
+            assert len(calls) == bad
+            assert s == calls[bad - 2]
+
+    def test_returns_last_iterate_not_least_residual(self):
+        # the N+dN pass starts 1e-9 from the root, where the probe happens to
+        # be smaller than anywhere the iteration goes: the start point must
+        # not win, or the convergence delta would read exactly 0
+        start = self.Z0 + 1e-9
+
+        def f(s):
+            if s == start:
+                return 1e-15
+            rng = np.random.default_rng(abs(hash(complex(s))))
+            return (s - self.Z0) + 1e-12 * complex(*rng.standard_normal(2))
+        s = resonances._secant(f, start, start + 1e-4)
+        assert s != start
+        assert abs(s - self.Z0) < 1e-10
 
 
 class TestResolvent:
