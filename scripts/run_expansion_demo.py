@@ -20,7 +20,7 @@ def main():
     ns = ap.parse_args()
 
     params = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
-    op = build_operator("deSitter", params, 0, ns.N)
+    op = build_operator(params, 0, ns.N)
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
     terms, rem = resonance_expand(f0, op, ns.ell_target, sigma_max=60,
                                   n_sigma=4000)

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .spacetime import SpacetimeParams, mu_tilde
+from .symbols import ds_symbol_polar
 
 
 class BranchCut(Exception):
@@ -151,35 +152,35 @@ def timelike_norm_ds():
 
 # --- absorbing symbol and extension -----------------------------------------
 
-def q_semiclassical(model: str, params: Optional[SpacetimeParams], mu, xi, z,
-                    spec: AbsorbingSpec, eta_sq=0.0, kds_point=None, c=0.0):
+def q_semiclassical(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
+                    eta_sq=0.0, kds_point=None, c=0.0):
     """q_{h,z} = -chi f_z <varpi + z dtau/tau, dtau/tau>_G.
 
-    For the static-patch model mu, xi are the horizon-chart coordinates and
-    |varpi| uses the flat fiber norm sqrt(xi^2 + eta_sq).  For the rotating
-    family pass kds_point = (r, theta, xi, eta, zeta) and the shift function c;
-    chi is then evaluated in mu~.
+    For the static-patch models (deSitter, MinkowskiBoundary) mu, xi are the
+    horizon-chart coordinates and |varpi| uses the flat fiber norm
+    sqrt(xi^2 + eta_sq).  For the rotating family pass kds_point = (r, theta,
+    xi, eta, zeta) and the shift function c; chi is then evaluated in mu~.
     """
-    if model in ("deSitter", "minkowski"):
+    if params.model in ("deSitter", "MinkowskiBoundary"):
         norm = np.sqrt(np.asarray(xi, dtype=float) ** 2 + np.asarray(eta_sq))
         f = f_z(norm, z, spec.j, spec.C)
         return -spec.chi(mu) * f * pairing_ds(mu, xi, z)
-    if model in ("KerrDeSitter", "dSSchwarzschild"):
-        r, theta, xi_, eta, zeta = kds_point
-        mt = mu_tilde(params, r)[0]
-        norm = math.sqrt(xi_ ** 2 + eta ** 2 + zeta ** 2)
-        f = f_z(norm, z, spec.j, spec.C)
-        return -spec.chi(mt) * f * pairing_kds(params, r, theta, xi_, zeta, z, c)
-    raise ValueError(f"unknown model {model!r}")
+    r, theta, xi_, eta, zeta = kds_point
+    mt = mu_tilde(params, r)[0]
+    norm = math.sqrt(xi_ ** 2 + eta ** 2 + zeta ** 2)
+    f = f_z(norm, z, spec.j, spec.C)
+    return -spec.chi(mt) * f * pairing_kds(params, r, theta, xi_, zeta, z, c)
 
 
-def extend_p(model: str, params: Optional[SpacetimeParams], mu, xi, z,
-             spec: AbsorbingSpec, eta_sq=0.0, n: int = 4):
-    """chi1 p - chi2 p_hat: the symbol continued ellipticly below the physical region."""
-    from .symbols import ds_symbol_polar
-    if model not in ("deSitter", "minkowski"):
+def extend_p(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
+             eta_sq=0.0):
+    """chi1 p - chi2 p_hat: the symbol continued ellipticly below the physical region.
+
+    p is the static-patch symbol in dimension params.n.
+    """
+    if params.model not in ("deSitter", "MinkowskiBoundary"):
         raise ValueError("extension is implemented for the radial models")
-    p = ds_symbol_polar(n, float(mu), float(xi), float(eta_sq), z)
+    p = ds_symbol_polar(params.n, float(mu), float(xi), float(eta_sq), z)
     norm = math.sqrt(float(xi) ** 2 + float(eta_sq))
     return spec.chi1(mu) * p - spec.chi2(mu) * p_hat(norm, z, spec.j)
 
@@ -197,8 +198,8 @@ class EllipticityReport:
         return self.min_abs > 0 and self.sign_violations == 0
 
 
-def ellipticity_scan(model: str, params: Optional[SpacetimeParams],
-                     spec: AbsorbingSpec, z_set: Iterable[complex],
+def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
+                     z_set: Iterable[complex],
                      mu_range=(-0.6, 1.0), n_mu: int = 64, n_xi: int = 64,
                      xi_max: float = 6.0, n_eta: int = 8) -> EllipticityReport:
     """Scan |p~ - i q| over the collar/extension region and the q sign contract.
@@ -221,8 +222,8 @@ def ellipticity_scan(model: str, params: Optional[SpacetimeParams],
             for xi in xis:
                 for e2 in etas:
                     npts += 1
-                    q = q_semiclassical(model, params, mu, xi, z, spec, e2)
-                    pt = extend_p(model, params, mu, xi, z, spec, e2)
+                    q = q_semiclassical(params, mu, xi, z, spec, e2)
+                    pt = extend_p(params, mu, xi, z, spec, e2)
                     if in_collar:
                         min_abs_collar = min(min_abs_collar, abs(pt - 1j * q))
                     if z.imag == 0 and z.real != 0:
@@ -231,15 +232,15 @@ def ellipticity_scan(model: str, params: Optional[SpacetimeParams],
                         if q.real * pair > 1e-12:
                             viol += 1
                     if z.imag >= 0.5 and mu > spec.mu0 / 2:
-                        from .symbols import ds_symbol_polar
-                        pval = ds_symbol_polar(4, float(mu), float(xi), float(e2), z)
+                        pval = ds_symbol_polar(params.n, float(mu), float(xi),
+                                               float(e2), z)
                         min_int = min(min_int, abs(pval))
     det = [("interior_min_abs", float(min_int))]
     return EllipticityReport("collar+interior", float(min_abs_collar), viol,
                              npts, det)
 
 
-def choose_digamma(model: str, spec: AbsorbingSpec, z: complex,
+def choose_digamma(spec: AbsorbingSpec, z: complex,
                    mu_grid=None, xi_max: float = 6.0, margin: float = 2.0,
                    max_doublings: int = 40) -> float:
     """Doubling search for the plateau height making the seam term dominated.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .spacetime import SpacetimeParams, NoHorizons, load_params, \
+from .spacetime import NoHorizons, load_params, \
     read_key_values, admissibility, domain
 from .symbols import PhasePoint, CompactPhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure
@@ -218,11 +218,6 @@ def cmd_flow(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _model_id(params: SpacetimeParams) -> str:
-    return {"deSitter": "deSitter", "MinkowskiBoundary": "minkowski",
-            "dSSchwarzschild": "dSSchwarzschild"}.get(params.model, params.model)
-
-
 # convergence_delta below which a row is converged, and oracle distance
 # below which the oracle agrees with it
 _TRUST_TOL = 1e-6
@@ -234,7 +229,6 @@ def cmd_resonances(cfg: RunConfig) -> int:
     Exits 1 when the oracle disagrees with a converged row.
     """
     params = load_params(cfg.params_file)
-    model = _model_id(params)
     k = cfg.knobs
     _write_manifest(cfg)
     region = (k["re_min"], k["re_max"], k["im_min"], k["im_max"])
@@ -242,14 +236,14 @@ def cmd_resonances(cfg: RunConfig) -> int:
     appendix = []
     refuted = []
     for ell in range(k["ell_min"], k["ell_max"] + 1):
-        op = build_operator(model, params, ell, k["N"])
+        op = build_operator(params, ell, k["N"])
         rl = solve_resonances(op, region=region)
         for e in rl.entries:
-            row = [model, ell, k["N"], _fmt(e.sigma.real), _fmt(e.sigma.imag),
-                   e.multiplicity, _fmt(e.convergence_delta)]
+            row = [params.model, ell, k["N"], _fmt(e.sigma.real),
+                   _fmt(e.sigma.imag), e.multiplicity, _fmt(e.convergence_delta)]
             if k["oracle"]:
                 try:
-                    z = oracle_refine(model, params, ell, e.sigma, n=params.n)
+                    z = oracle_refine(params, ell, e.sigma)
                     dist = abs(z - e.sigma)
                     verdict = "agree" if dist < _TRUST_TOL else "disagree"
                     row += [_fmt(z.real), _fmt(z.imag), _fmt(dist), verdict]
@@ -280,10 +274,9 @@ def cmd_resonances(cfg: RunConfig) -> int:
 
 def cmd_expand(cfg: RunConfig) -> int:
     params = load_params(cfg.params_file)
-    model = _model_id(params)
     k = cfg.knobs
     _write_manifest(cfg)
-    op = build_operator(model, params, k["ell"], k["N"])
+    op = build_operator(params, k["ell"], k["N"])
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
     terms, rem = resonance_expand(f0, op, k["ell_target"],
                                   sigma_max=k["sigma_max"], n_sigma=k["n_sigma"])

@@ -57,41 +57,41 @@ class StiffFailure(Exception):
 # radial coefficient polynomials, shared by the pencil and the oracle
 # ---------------------------------------------------------------------------
 
-def _radial_polys(model: str, params: Optional[SpacetimeParams], ell: int,
-                  n: int, sigma: complex):
+def _radial_polys(params: SpacetimeParams, ell: int, sigma: complex):
     """Coefficients (c2, c1, c0) of c2 u'' + c1 u' + c0 u, highest power first.
 
-    deSitter: static-patch model on mu = 1 - r^2 with the s^ell ansatz factored
-    out.  minkowski: forward-problem family of the flat boundary model (adjoint
-    orientation).  dSSchwarzschild: two-horizon model on r, horizon-regular
-    classical gauge c = 0, which keeps the coefficients polynomial and so
-    preserves spectral convergence (a blended c is only finitely smooth).
+    The family is params.model, in dimension params.n.  deSitter: static-patch
+    model on mu = 1 - r^2 with the s^ell ansatz factored out.
+    MinkowskiBoundary: forward-problem family of the flat boundary model
+    (adjoint orientation).  dSSchwarzschild: two-horizon model on r,
+    horizon-regular classical gauge c = 0, which keeps the coefficients
+    polynomial and so preserves spectral convergence (a blended c is only
+    finitely smooth).
     """
+    model, n = params.model, params.n
     if model == "deSitter":
         c2 = np.array([-4.0, 4.0, 0.0])
         c1 = np.array([-(2 * n + 2 + 4 * ell) + 4j * sigma, 4.0 - 4j * sigma])
         c0 = np.array([sigma ** 2 + (n - 1 + 2 * ell) * 1j * sigma
                        - ell * (ell + n - 1)])
-    elif model == "minkowski":
+    elif model == "MinkowskiBoundary":
         c = -1j * (n - 1) / 2.0 - sigma
         c2 = np.array([-4.0, 4.0, 0.0])
         c1 = np.array([-(4.0 + 4j * c + 4 * ell), (2.0 + 4j * c) - 2.0 * (n - 2)])
         c0 = np.array([c * c + 0.25 - ell ** 2 - 2j * c * ell])
     elif model == "dSSchwarzschild":
-        if params is None or params.alpha != 0:
-            raise UnsupportedModel("the radial family needs alpha = 0")
         c2 = _mu_coeffs(params)                                 # mu~
         c1 = np.polyder(c2) + np.array([0.0, 2j * sigma, 0.0, 0.0])   # + 2i sigma r^2
         c0 = np.array([2j * sigma, -ell * (ell + 1.0)])
     else:
-        raise UnsupportedModel(f"unknown model {model!r}")
+        raise UnsupportedModel(f"no radial family for {model!r}")
     return c2, c1, c0
 
 
-def _sigma_split(model, params, ell, n, x):
+def _sigma_split(params, ell, x):
     """Grid values of c2, c1 = C1a + s C1b and c0 = C0a + s C0b + s^2 C0c."""
     (p2, p1a, p0a), (_, p1p, p0p), (_, _, p0m) = (
-        _radial_polys(model, params, ell, n, s) for s in (0.0, 1.0, -1.0))
+        _radial_polys(params, ell, s) for s in (0.0, 1.0, -1.0))
     C2 = np.polyval(p2, x).astype(complex)
     C1a = np.polyval(p1a, x)
     C1b = np.polyval(p1p, x) - C1a
@@ -113,23 +113,21 @@ class DiscretizedOperator:
     and `resolvent_apply` all solve it.
     """
 
-    model_id: str
+    params: SpacetimeParams
     ell: int
     grid: np.ndarray
     matrices: tuple                 # (A0, A1, A2), with -iQ in A0 if absorbed
     absorption_spec: Optional[AbsorbingSpec]
-    n: int
     N: int
-    params: Optional[SpacetimeParams]
 
     def pencil(self, sigma):
         A0, A1, A2 = self.matrices
         return A0 + sigma * A1 + sigma * sigma * A2
 
 
-def _absorbing_window(model, params, spec: AbsorbingSpec, x):
+def _absorbing_window(params, spec: AbsorbingSpec, x):
     """Grid values q(x) of the absorbing window of `spec`, beyond the horizons."""
-    if model != "dSSchwarzschild":
+    if params.model != "dSSchwarzschild":
         return spec.chi(x)
     # two-horizon model: one absorbing window in the lower half of each
     # beyond-horizon collar (the attainable mu~ range there is too shallow
@@ -143,9 +141,9 @@ def _absorbing_window(model, params, spec: AbsorbingSpec, x):
                                  + np.where(t_out < 0.55, bump(np.clip(t_out, 0, 1)), 0.0))
 
 
-def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
-                   N: int, spec: Optional[AbsorbingSpec] = None) -> DiscretizedOperator:
-    """Assemble the collocation pencil for one angular sector.
+def build_operator(params: SpacetimeParams, ell: int, N: int,
+                   spec: Optional[AbsorbingSpec] = None) -> DiscretizedOperator:
+    """Assemble the collocation pencil of params.model for one angular sector.
 
     The grid spans the horizon: [-0.6, 1] in mu = 1 - r^2 for the one-horizon
     models (the center r = 0 is the other endpoint), and [r_- - delta, r_+ +
@@ -156,15 +154,13 @@ def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
     """
     if N < 16:
         raise ValueError("need N >= 16")
-    n = 4 if params is None or model == "dSSchwarzschild" else params.n
-    if model == "dSSchwarzschild":
-        _radial_polys(model, params, ell, n, 0.0)       # rejects alpha != 0
+    if params.model == "dSSchwarzschild":
         x, D = cheb_grid(N, *domain(params))
     else:
         x, D = cheb_grid(N, -0.6, 1.0)
 
+    C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(params, ell, x)
     D2 = D @ D
-    C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(model, params, ell, n, x)
     A0 = np.diag(C2) @ D2 + np.diag(C1a) @ D + np.diag(C0a)
     A1 = np.diag(C1b) @ D + np.diag(C0b)
     A2 = np.diag(C0c).astype(complex)
@@ -172,11 +168,11 @@ def build_operator(model: str, params: Optional[SpacetimeParams], ell: int,
     if spec is not None:
         # multiplication plus a second-derivative stencil whose scale matches
         # the quadratic fiber growth of the principal coefficient in the collar
-        w = _absorbing_window(model, params, spec, x)
+        w = _absorbing_window(params, spec, x)
         active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
         lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
         A0 = A0 - 1j * (np.diag(w) @ (np.eye(N + 1) - lsc2 * D2))
-    return DiscretizedOperator(model, ell, x, (A0, A1, A2), spec, n, N, params)
+    return DiscretizedOperator(params, ell, x, (A0, A1, A2), spec, N)
 
 # ---------------------------------------------------------------------------
 # resonance extraction
@@ -204,7 +200,7 @@ class ResonanceList:
 def _linearized_eigs(A0, A1, A2):
     """Finite eigenvalues of A0 + s A1 + s^2 A2, read from the structure of A2.
 
-    `build_operator` makes A2 exactly I (deSitter, minkowski: the sigma^2
+    `build_operator` makes A2 exactly I (deSitter, MinkowskiBoundary: the sigma^2
     coefficient of c0 is 1) or exactly 0 (dSSchwarzschild, gauge c = 0).
     A2 = I: the eigenvalues of the monic companion [[0, I], [-A0, -A1]],
     which LAPACK's geev balances itself.  A2 = 0: the (N+1) linear pencil
@@ -339,8 +335,7 @@ def solve_resonances(op: DiscretizedOperator,
     roots = _locate(op, region)
 
     dN = max(8, op.N // 4)
-    op2 = build_operator(op.model_id, op.params, op.ell, op.N + dN,
-                         op.absorption_spec)
+    op2 = build_operator(op.params, op.ell, op.N + dN, op.absorption_spec)
     g2 = _probe_g(op2)
     entries = []
     for s, kdim in roots:
@@ -461,17 +456,16 @@ def _continue(polys, path, y=None):
     return y
 
 
-def _oracle_geometry(model, params):
+def _oracle_geometry(params):
     """(regular end, horizon, far end, detour radius) of the shooting path."""
-    if model == "dSSchwarzschild":
+    if params.model == "dSSchwarzschild":
         hd = horizon_roots(params)
         rad = 0.3 * (hd.r_plus - hd.r_minus)
         return hd.r_plus, hd.r_minus, hd.r_minus - 0.6 * rad, rad
     return 1.0, 0.0, -0.35, 0.35
 
 
-def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
-                    sigma: complex, n: int = 4) -> complex:
+def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> complex:
     """Monodromy detector of the regular branch continued around the horizon.
 
     The branch analytic at the regular end, normalized there to u = 1, is
@@ -482,8 +476,8 @@ def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
     branch extends analytically across the horizon, which is the defining
     property of a resonance; this holds at indicial coincidences too.
     """
-    polys = _radial_polys(model, params, ell, n, sigma)
-    start, sing, end, rad = _oracle_geometry(model, params)
+    polys = _radial_polys(params, ell, sigma)
+    start, sing, end, rad = _oracle_geometry(params)
     # real leg from the regular end to the circle entry
     entry = sing + rad if start > sing else sing - rad
     y_entry = _continue(polys, [start, entry])
@@ -496,10 +490,9 @@ def oracle_shooting(model: str, params: Optional[SpacetimeParams], ell: int,
     return complex((u_up - u_dn) + 0.37 * (du_up - du_dn))
 
 
-def oracle_refine(model: str, params, ell: int, sigma0: complex,
-                  n: int = 4) -> complex:
+def oracle_refine(params: SpacetimeParams, ell: int, sigma0: complex) -> complex:
     """Secant refinement of a zero of the shooting determinant near sigma0."""
-    f = lambda s: oracle_shooting(model, params, ell, s, n=n)
+    f = lambda s: oracle_shooting(params, ell, s)
     return _secant(f, sigma0 + 1e-4 + 1e-4j, sigma0 + 2e-4)
 
 
@@ -607,11 +600,11 @@ def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
     with the sign convention of the correspondence.  Returns the max pointwise
     discrepancy over the window.
     """
-    if op.model_id != "dSSchwarzschild":
-        raise UnsupportedModel("the correspondence check runs on the two-horizon model")
     params = op.params
+    if params.model != "dSSchwarzschild":
+        raise UnsupportedModel("the correspondence check runs on the two-horizon model")
     hd = horizon_roots(params)
-    polys = _radial_polys(op.model_id, params, op.ell, op.n, sigma)
+    polys = _radial_polys(params, op.ell, sigma)
 
     # side 1: full-grid resolvent
     f_grid = np.array([f_fun(r) for r in op.grid], dtype=complex)

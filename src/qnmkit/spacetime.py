@@ -43,7 +43,7 @@ class SpacetimeParams:
     r_s: float = 0.0
     alpha: float = 0.0
     model: str = "deSitter"
-    n: int = 4                      # spacetime dimension, used by MinkowskiBoundary only
+    n: int = 4                      # spacetime dimension; 4 unless deSitter or MinkowskiBoundary
     delta: Optional[float] = None   # domain margin beyond the horizons; None = 0.1*(r_+ - r_-)
     mu_tilde_1: Optional[float] = None  # exact-c region threshold; None = 0.5*max(mu_tilde)
 
@@ -58,6 +58,8 @@ class SpacetimeParams:
             raise ValueError("dSSchwarzschild requires alpha = 0")
         if self.model == "MinkowskiBoundary" and self.n < 3:
             raise ValueError("MinkowskiBoundary needs spacetime dimension n >= 3")
+        if self.model in ("dSSchwarzschild", "KerrDeSitter") and self.n != 4:
+            raise ValueError(f"{self.model} is four-dimensional; got n = {self.n}")
 
     @property
     def gamma(self) -> float:

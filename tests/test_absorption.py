@@ -77,19 +77,19 @@ class TestQ:
         for _ in range(100):
             mu = rng.uniform(-0.6, 0.9)
             xi = rng.uniform(-3, 3)
-            q = q_semiclassical("deSitter", None, mu, xi, 1.3, SPEC, 0.4)
+            q = q_semiclassical(SpacetimeParams(), mu, xi, 1.3, SPEC, 0.4)
             assert abs(complex(q).imag) < 1e-14
 
     def test_ds_display_form(self):
         # q = -(2 r^2 xi + z) f_z chi(mu)
         mu, xi, z = -0.3, 0.8, 1.1
-        got = q_semiclassical("deSitter", None, mu, xi, z, SPEC, 0.0)
+        got = q_semiclassical(SpacetimeParams(), mu, xi, z, SPEC, 0.0)
         want = -(2 * (1 - mu) * xi + z) * f_z(abs(xi), z, SPEC.j, SPEC.C) \
             * SPEC.chi(mu)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_vanishes_off_support(self):
-        assert q_semiclassical("deSitter", None, 0.5, 1.0, 1.0, SPEC, 0.0) == 0.0
+        assert q_semiclassical(SpacetimeParams(), 0.5, 1.0, 1.0, SPEC, 0.0) == 0.0
 
     def test_kds_pairing_is_half_z_derivative(self):
         # pairing against dtau/tau equals (d/dsigma p_full)/2
@@ -115,10 +115,10 @@ class TestQ:
         for mu in (-0.4, -0.3, -0.25):
             for xi in (-1.5, 0.3, 2.0):
                 z0 = 1.2 + 0.3j
-                dre = (q_semiclassical("deSitter", None, mu, xi, z0 + h, SPEC, 0.1)
-                       - q_semiclassical("deSitter", None, mu, xi, z0 - h, SPEC, 0.1)) / (2 * h)
-                dim = (q_semiclassical("deSitter", None, mu, xi, z0 + 1j * h, SPEC, 0.1)
-                       - q_semiclassical("deSitter", None, mu, xi, z0 - 1j * h, SPEC, 0.1)) / (2j * h)
+                dre = (q_semiclassical(SpacetimeParams(), mu, xi, z0 + h, SPEC, 0.1)
+                       - q_semiclassical(SpacetimeParams(), mu, xi, z0 - h, SPEC, 0.1)) / (2 * h)
+                dim = (q_semiclassical(SpacetimeParams(), mu, xi, z0 + 1j * h, SPEC, 0.1)
+                       - q_semiclassical(SpacetimeParams(), mu, xi, z0 - 1j * h, SPEC, 0.1)) / (2j * h)
                 assert abs(dre - dim) < 1e-6 * max(1.0, abs(dre))
 
 
@@ -126,11 +126,11 @@ class TestExtension:
     def test_physical_region_unchanged(self):
         from qnmkit.symbols import ds_symbol_polar
         mu, xi, z = 0.4, 1.2, 1.0 + 0.2j
-        got = extend_p("deSitter", None, mu, xi, z, SPEC, 0.3)
+        got = extend_p(SpacetimeParams(), mu, xi, z, SPEC, 0.3)
         assert got == pytest.approx(ds_symbol_polar(4, mu, xi, 0.3, z), rel=1e-13)
 
     def test_deep_collar_negative(self):
-        v = extend_p("deSitter", None, -0.55, 1.5, 2.0, SPEC, 0.2)
+        v = extend_p(SpacetimeParams(), -0.55, 1.5, 2.0, SPEC, 0.2)
         assert complex(v).imag == pytest.approx(0.0, abs=1e-13)
         assert complex(v).real < 0
 
@@ -142,16 +142,26 @@ class TestExtension:
             xi = rng.uniform(-3, 3)
             e2 = rng.uniform(0, 2)
             z = complex(rng.uniform(0.5, 2), rng.uniform(0, 0.5))
-            got = extend_p("deSitter", None, mu, xi, z, SPEC, e2)
+            got = extend_p(SpacetimeParams(), mu, xi, z, SPEC, e2)
             c1 = SPEC.chi1(mu)
             want = c1 * ds_symbol_polar(4, mu, xi, e2, z) \
                 - (1 - c1) * (complex(xi ** 2 + e2 + z ** 2))  # j=1 oracle
             assert got == pytest.approx(want, rel=1e-10)
 
+    def test_reads_dimension_from_params(self):
+        from qnmkit.symbols import ds_symbol_polar
+        mu, xi, e2, z = -0.3, 0.7, 0.4, 1.2 + 0.3j
+        got = extend_p(SpacetimeParams(n=5), mu, xi, z, SPEC, e2)
+        want = SPEC.chi1(mu) * ds_symbol_polar(5, mu, xi, e2, z) \
+            - SPEC.chi2(mu) * p_hat(math.sqrt(xi ** 2 + e2), z, SPEC.j)
+        assert got == want
+        with pytest.raises(ValueError):     # the symbol needs n >= 3
+            extend_p(SpacetimeParams(n=2), mu, xi, z, SPEC, e2)
+
 
 class TestEllipticityScan:
     def test_collar_elliptic_and_signs(self):
-        rep = ellipticity_scan("deSitter", None, SPEC,
+        rep = ellipticity_scan(SpacetimeParams(), SPEC,
                                [2.0 + 0.0j, 1.0 + 0.5j, -1.5 + 0.0j],
                                n_mu=48, n_xi=32, n_eta=4)
         assert rep.min_abs > 0
@@ -159,17 +169,17 @@ class TestEllipticityScan:
 
     def test_interior_bound_for_large_im_z(self):
         z = 1.0 + 0.5j
-        rep = ellipticity_scan("deSitter", None, SPEC, [z],
+        rep = ellipticity_scan(SpacetimeParams(), SPEC, [z],
                                n_mu=40, n_xi=32, n_eta=4)
         interior = dict(rep.details)["interior_min_abs"]
         assert interior > z.imag ** 2
 
     def test_digamma_search_terminates(self):
-        F = choose_digamma("deSitter", SPEC, 1.0 + 0.6j)
+        F = choose_digamma(SPEC, 1.0 + 0.6j)
         assert F >= SPEC.digamma_scale
         # margin shrinks when the plateau is made too small with j >= 2
         spec2 = AbsorbingSpec(j=2, digamma_scale=1e-4)
-        F2 = choose_digamma("deSitter", spec2, 1.0 + 0.6j)
+        F2 = choose_digamma(spec2, 1.0 + 0.6j)
         assert F2 > spec2.digamma_scale
 
 

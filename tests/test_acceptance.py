@@ -41,7 +41,7 @@ class TestAcceptance:
         worst_time = 0.0
         for ell in (0, 1, 2):
             t0 = time.time()
-            op = build_operator("minkowski", MK, ell, 80)
+            op = build_operator(MK, ell, 80)
             rl = solve_resonances(op, region=(-6, 6, -3.6, 0.4))
             worst_time = max(worst_time, time.time() - t0)
             union += [e.sigma for e in rl.converged(1e-6)]
@@ -57,11 +57,11 @@ class TestAcceptance:
         n_conv = 0
         worst = 0.0
         for ell in (0, 1, 2):
-            op = build_operator("deSitter", DS, ell, 110)
+            op = build_operator(DS, ell, 110)
             rl = solve_resonances(op, region=(-6, 6, -3.95, 0.5))
             for e in rl.converged(1e-6):
                 n_conv += 1
-                z = oracle_refine("deSitter", DS, ell, e.sigma)
+                z = oracle_refine(DS, ell, e.sigma)
                 d = abs(z - e.sigma)
                 worst = max(worst, d)
                 if d >= 1e-6:
@@ -168,7 +168,7 @@ class TestAcceptance:
 
     def test_08_absorption_ellipticity(self):
         spec = AbsorbingSpec()
-        rep = ellipticity_scan("deSitter", None, spec,
+        rep = ellipticity_scan(SpacetimeParams(), spec,
                                [2.0 + 0.0j, -1.5 + 0.0j, 1.0 + 0.5j],
                                n_mu=48, n_xi=48, n_eta=6)
         interior = dict(rep.details)["interior_min_abs"]
@@ -178,7 +178,7 @@ class TestAcceptance:
                f"> (Im z)^2 = 0.25, {rep.sign_violations} sign violations)")
 
     def test_09_gluing_identity(self):
-        op = build_operator("deSitter", DS, 0, 60, AbsorbingSpec())
+        op = build_operator(DS, 0, 60, AbsorbingSpec())
         residuals = [gluing_check(op, s) for s in (2.0 + 1.0j, -1.3 + 0.7j)]
         ok = all(r < 1e-8 for r in residuals)
         report(9, "resolvent gluing identity", ok,
@@ -191,7 +191,7 @@ class TestAcceptance:
                               digamma_scale=1.25)
         us = []
         for spec in (specA, specB):
-            op = build_operator("deSitter", DS, 0, 120, spec)
+            op = build_operator(DS, 0, 120, spec)
             f = (np.exp(-((op.grid - 0.5) / 0.12) ** 2)
                  * (op.grid > 0.05)).astype(complex)
             us.append((op.grid, resolvent_apply(op, sigma, f)))
@@ -234,7 +234,7 @@ class TestAcceptance:
             return np.where(np.abs(m) > 1e-8,
                             (1 - 1 / np.sqrt(1 - m)) /
                             np.where(np.abs(m) > 1e-8, 2 * m, 1.0), -0.25)
-        op = build_operator("deSitter", DS, 0, 220,
+        op = build_operator(DS, 0, 220,
                             AbsorbingSpec(digamma_scale=0.5))
         mu = op.grid
         idx = np.argsort(mu)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qnmkit.cli import main, parse_config, ConfigError
+from qnmkit.spacetime import SpacetimeParams
 
 
 def write(path, text):
@@ -144,6 +145,30 @@ class TestResonances:
             assert min(abs(z + 1j * (1 + j)) for z in sig) < 1e-6
         assert (out / "convergence.json").exists()
 
+    def test_minkowski_odd_dimension_certified(self, tmp_path):
+        # the oracle reads the dimension from the params file, as the solver
+        # does, and the model column is the params file's model
+        p = write(tmp_path / "mk.params", "lambda = 0\nmodel = MinkowskiBoundary\nn = 3\n")
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {p}\nN = 80\nell_min = 0\nell_max = 2\n")
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "resonances.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        conv = [r for r in rows if float(r["convergence_delta"]) < 1e-6]
+        assert conv and all(r["oracle_verdict"] == "agree" for r in conv)
+        assert all(r["model"] == "MinkowskiBoundary" for r in rows)
+
+    def test_dimension_of_four_dimensional_model_exit_two(self, tmp_path, capsys):
+        p = write(tmp_path / "dss.params",
+                  "lambda = 3.0\nr_s = 0.2\nmodel = dSSchwarzschild\nn = 7\n")
+        cfg = write(tmp_path / "c.cfg", f"params = {p}\nN = 16\nell_max = 0\n")
+        assert main(["resonances", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter", n=5)
+
     def test_empty_region_exit_zero(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg",
                     f"params = {ds_params}\nN = 40\nell_max = 0\n"
@@ -197,7 +222,7 @@ class TestResonances:
                     "re_min = -0.5\nre_max = 0.5\nim_min = -0.5\nim_max = 0.4\n")
         shift = 1e-9 if verdict == "agree" else 1e-3
         monkeypatch.setattr(qnmkit.cli, "oracle_refine",
-                            lambda model, params, ell, sigma, n: sigma + shift)
+                            lambda params, ell, sigma: sigma + shift)
         out = tmp_path / "out"
         assert main(["resonances", "--config", cfg, "--out", str(out)]) == code
         with open(out / "resonances.csv", newline="") as fh:

@@ -184,7 +184,7 @@ class TestExpandFamily:
 
 class TestPipeline:
     def test_static_patch_expansion(self):
-        op = build_operator("deSitter", DS, 0, 48)
+        op = build_operator(DS, 0, 48)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         terms, rem = expand_family(
             lambda s: __import__("qnmkit.resonances", fromlist=["resolvent_apply"])
@@ -199,7 +199,7 @@ class TestPipeline:
         assert rate >= 1.5 - 0.03
 
     def test_resonance_expand_wrapper(self):
-        op = build_operator("deSitter", DS, 0, 48)
+        op = build_operator(DS, 0, 48)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         terms, rem = resonance_expand(f0, op, ell_target=1.5,
                                       sigma_max=60, n_sigma=4000)
@@ -256,7 +256,7 @@ class TestThreshold:
 
 class TestCorrectionPass:
     def test_shifted_pole_appears(self):
-        op = build_operator("deSitter", DS, 0, 40)
+        op = build_operator(DS, 0, 40)
         rng = np.random.default_rng(0)
         P1 = np.diag(0.05 * rng.standard_normal(41))
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)

@@ -33,8 +33,8 @@ _MK160_CONVERGED = """
 import json
 from qnmkit.spacetime import SpacetimeParams
 from qnmkit.resonances import build_operator, solve_resonances
-op = build_operator("minkowski", SpacetimeParams(model="MinkowskiBoundary",
-                                                 lam=0.0, n=4), 0, 160)
+op = build_operator(SpacetimeParams(model="MinkowskiBoundary", lam=0.0, n=4),
+                    0, 160)
 rl = solve_resonances(op, region=(-6, 6, -3.6, 0.4))
 print(json.dumps([[e.sigma.real, e.sigma.imag] for e in rl.converged(1e-6)]))
 """
@@ -80,11 +80,14 @@ class TestRadialPolys:
            st.complex_numbers(max_magnitude=6.0), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_matches_closed_forms(self, model, ell, n, lam, r_s, x, sigma, real_x):
-        params = SpacetimeParams(lam, r_s, 0.0, "dSSchwarzschild")
+        params = {"deSitter": SpacetimeParams(lam, model="deSitter", n=n),
+                  "minkowski": SpacetimeParams(0.0, model="MinkowskiBoundary", n=n),
+                  "dSSchwarzschild": SpacetimeParams(lam, r_s, 0.0, "dSSchwarzschild"),
+                  }[model]
         if real_x:
             x = x.real
-        want = reference_coeffs(model, params, ell, n, x, sigma)
-        for p, w in zip(_radial_polys(model, params, ell, n, sigma), want):
+        want = reference_coeffs(model, params, ell, params.n, x, sigma)
+        for p, w in zip(_radial_polys(params, ell, sigma), want):
             # relative to the Horner error scale sum |a_k| |x|^k
             scale = max(np.polyval(np.abs(p), abs(x)), 1e-300)
             assert abs(np.polyval(p, x) - w) <= 1e-13 * scale
@@ -100,13 +103,13 @@ class TestRadialPolys:
                 calls.append(1)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(mod, "mu_tilde", counted)
-        oracle_shooting("dSSchwarzschild", DSS, 1, 1.3 - 0.4j)
+        oracle_shooting(DSS, 1, 1.3 - 0.4j)
         assert len(calls) == 0
 
 
 class TestBuildOperator:
     def test_shapes_and_quadratic_structure(self):
-        op = build_operator("deSitter", DS, 0, 40)
+        op = build_operator(DS, 0, 40)
         A0, A1, A2 = op.matrices
         assert A0.shape == (41, 41)
         # sigma^2 block is the identity coefficient for the static-patch model
@@ -116,7 +119,7 @@ class TestBuildOperator:
     def test_no_boundary_row_at_horizon(self):
         # the horizon mu = 0 is an interior grid region; every row is a
         # collocation row of the operator (no unit row anywhere)
-        op = build_operator("minkowski", MK, 0, 40)
+        op = build_operator(MK, 0, 40)
         A0, _, _ = op.matrices
         for i in range(41):
             row = A0[i]
@@ -125,7 +128,7 @@ class TestBuildOperator:
     @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
     def test_rows_reproduce_operator_on_polynomials(self, model, params):
         # apply the pencil to a polynomial and compare with the analytic value
-        op = build_operator(model, params, 1, 48)
+        op = build_operator(params, 1, 48)
         x = op.grid
         sigma = 0.7 - 0.3j
         coef = np.array([0.3, -1.2, 0.0, 2.0, -0.7])
@@ -133,7 +136,7 @@ class TestBuildOperator:
         du = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(coef))
         d2u = np.polynomial.polynomial.polyval(
             x, np.polynomial.polynomial.polyder(coef, 2))
-        c2, c1, c0 = reference_coeffs(model, params, 1, op.n, x, sigma)
+        c2, c1, c0 = reference_coeffs(model, params, 1, params.n, x, sigma)
         want = c2 * d2u + c1 * du + c0 * u
         got = op.pencil(sigma) @ u
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-8)
@@ -144,35 +147,31 @@ class TestBuildOperator:
         # ones byte for byte, and A0 moves by a purely imaginary matrix whose
         # rows vanish wherever the absorbing window does
         spec = AbsorbingSpec(digamma_scale=4.0)
-        free = build_operator(model, params, 1, 32)
-        op = build_operator(model, params, 1, 32, spec)
+        free = build_operator(params, 1, 32)
+        op = build_operator(params, 1, 32, spec)
         (F0, F1, F2), (A0, A1, A2) = free.matrices, op.matrices
         assert np.array_equal(A1, F1) and np.array_equal(A2, F2)
         diff = A0 - F0
         assert not diff.real.any() and diff.imag.any()
-        window = resonances._absorbing_window(model, params, spec, op.grid)
+        window = resonances._absorbing_window(params, spec, op.grid)
         assert not diff[window == 0].any()
         s = 0.7 - 0.3j
         assert np.array_equal(op.pencil(s), A0 + s * A1 + s * s * A2)
 
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModel):
-            build_operator("KerrDeSitter",
-                           SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter"), 0, 32)
-        with pytest.raises(UnsupportedModel):
-            build_operator("dSSchwarzschild",
-                           SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter"), 0, 32)
+            build_operator(SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter"), 0, 32)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            build_operator("deSitter", DS, 0, 8)
+            build_operator(DS, 0, 8)
 
 
 class TestSolveResonances:
     def test_minkowski_lattice_union(self):
         union = []
         for ell in (0, 1, 2):
-            op = build_operator("minkowski", MK, ell, 80)
+            op = build_operator(MK, ell, 80)
             rl = solve_resonances(op, region=(-6, 6, -3.6, 0.4))
             union += [e.sigma for e in rl.converged(1e-6)]
         for j in range(3):
@@ -180,14 +179,14 @@ class TestSolveResonances:
             assert min(abs(z - tgt) for z in union) < 1e-6
 
     def test_static_patch_spectrum(self):
-        op = build_operator("deSitter", DS, 0, 80)
+        op = build_operator(DS, 0, 80)
         rl = solve_resonances(op, region=(-6, 6, -2.5, 0.5))
         sig = rl.sigmas()
         assert min(abs(sig - 0.0)) < 1e-9           # the constant mode
         assert min(abs(sig + 2j)) < 1e-7
 
     def test_sorted_and_delta_recorded(self):
-        op = build_operator("deSitter", DS, 1, 64)
+        op = build_operator(DS, 1, 64)
         rl = solve_resonances(op, region=(-4, 4, -2.5, 0.5))
         ims = [e.sigma.imag for e in rl.entries]
         assert ims == sorted(ims, reverse=True)
@@ -195,17 +194,17 @@ class TestSolveResonances:
                    for e in rl.entries)
 
     def test_empty_region(self):
-        op = build_operator("deSitter", DS, 0, 48)
+        op = build_operator(DS, 0, 48)
         rl = solve_resonances(op, region=(3.0, 5.0, 0.1, 0.4))
         assert rl.entries == []
 
     def test_absorber_shifts_poles(self):
         # documents the measured behavior that motivated the absorber-free
         # default: with the multiplication absorber on, the constant mode moves
-        op = build_operator("deSitter", DS, 0, 64)
+        op = build_operator(DS, 0, 64)
         free = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3))
         assert min(abs(free.sigmas() - 0.0)) < 1e-9
-        op = build_operator("deSitter", DS, 0, 64, AbsorbingSpec(digamma_scale=4.0))
+        op = build_operator(DS, 0, 64, AbsorbingSpec(digamma_scale=4.0))
         withq = solve_resonances(op, region=(-0.5, 0.5, -0.4, 0.3))
         if withq.entries:
             assert min(abs(withq.sigmas() - 0.0)) > 1e-7
@@ -213,7 +212,7 @@ class TestSolveResonances:
     def test_no_near_duplicate_rows(self):
         # one pole, one row: the box holds a single pole near -3.2063i, and a
         # second row 9e-4 away from it would be a spurious near-duplicate
-        op = build_operator("dSSchwarzschild", DSS, 0, 80)
+        op = build_operator(DSS, 0, 80)
         sig = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).sigmas()
         gaps = np.abs(sig[:, None] - sig[None, :]) + np.eye(len(sig))
         assert gaps.min() > 1e-2
@@ -230,7 +229,7 @@ class TestSolveResonances:
 
     def test_simple_pole_converges_at_large_n(self):
         # dS l=0 at N=160: the simple pole at -2i is certified and accurate
-        op = build_operator("deSitter", DS, 0, 160)
+        op = build_operator(DS, 0, 160)
         rl = solve_resonances(op, region=(-6, 6, -3.6, 0.4))
         near = [e for e in rl.entries if abs(e.sigma + 2j) < 1e-4]
         assert len(near) == 1
@@ -249,10 +248,10 @@ class TestSolveResonances:
             return real_eig(a, b, **kw)
         monkeypatch.setattr(resonances, "eig", recording_eig)
         N = 48
-        solve_resonances(build_operator("deSitter", DS, 0, N),
+        solve_resonances(build_operator(DS, 0, N),
                          region=(-6, 6, -3.6, 0.4))
         assert shapes == []
-        solve_resonances(build_operator("dSSchwarzschild", DSS, 0, N),
+        solve_resonances(build_operator(DSS, 0, N),
                          region=(-6, 6, -3.6, 0.4))
         assert shapes
         assert all(a == b == (N + 1, N + 1) for a, b in shapes)
@@ -260,7 +259,7 @@ class TestSolveResonances:
     def test_linear_pencil_has_few_spurious_candidates(self):
         # the row scaling of the A2 = 0 branch: without it QZ puts 14
         # eigenvalues in the padded CLI box, where 3 are resonances
-        A0, A1, A2 = build_operator("dSSchwarzschild", DSS, 0, 80).matrices
+        A0, A1, A2 = build_operator(DSS, 0, 80).matrices
         pad = 0.35
         z = resonances._linearized_eigs(A0, A1, A2)
         z = z[np.isfinite(z)]
@@ -269,7 +268,7 @@ class TestSolveResonances:
         assert inside.sum() <= 5
 
     def test_other_sigma_squared_coefficient_rejected(self):
-        A0, A1, A2 = build_operator("deSitter", DS, 0, 16).matrices
+        A0, A1, A2 = build_operator(DS, 0, 16).matrices
         with pytest.raises(UnsupportedModel):
             resonances._linearized_eigs(A0, A1, 2.0 * A2)
 
@@ -282,7 +281,7 @@ class TestSolveResonances:
             calls.append(1)
             return real(*a, **k)
         monkeypatch.setattr(np.linalg, "solve", counted)
-        rl = solve_resonances(build_operator("minkowski", MK, 0, 80),
+        rl = solve_resonances(build_operator(MK, 0, 80),
                               region=(-6, 6, -3.6, 0.4))
         assert len(rl.converged(1e-6)) == 2
         assert len(calls) <= 60
@@ -293,7 +292,7 @@ class TestSolveResonances:
     def test_table_converged_rows_pinned(self, model, N, ell):
         # the converged rows of each (model, N, ell) of the static tables,
         # counted in the CLI box, and each one on the closed-form lattice
-        op = build_operator(model, dict(MODELS)[model], ell, N)
+        op = build_operator(dict(MODELS)[model], ell, N)
         conv = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).converged(1e-6)
         assert len(conv) == _TABLE_CONVERGED[model, N][ell]
         if model == "deSitter":
@@ -307,10 +306,10 @@ class TestSolveResonances:
 
 class TestOracle:
     def test_nonzero_at_generic_sigma(self):
-        assert abs(oracle_shooting("deSitter", DS, 0, 1.0 + 0.5j)) > 1e-6
+        assert abs(oracle_shooting(DS, 0, 1.0 + 0.5j)) > 1e-6
 
     def test_zero_at_constant_mode(self):
-        assert abs(oracle_shooting("deSitter", DS, 0, 1e-8 + 0j)) < 1e-6
+        assert abs(oracle_shooting(DS, 0, 1e-8 + 0j)) < 1e-6
 
     def test_schwarz_reflection(self):
         # the underlying time-gauge family is real, so conjugation reflects the
@@ -318,36 +317,47 @@ class TestOracle:
         # detector picks up a sign because conjugation swaps the two
         # semicircles: det(-conj(s)) = -conj(det(s))
         s = 1.3 - 0.4j
-        am = oracle_shooting("dSSchwarzschild", DSS, 1, s)
-        bm = oracle_shooting("dSSchwarzschild", DSS, 1, -np.conj(s))
+        am = oracle_shooting(DSS, 1, s)
+        bm = oracle_shooting(DSS, 1, -np.conj(s))
         assert bm == pytest.approx(-np.conj(am), rel=1e-6)
 
     def test_detects_coincidence_resonance(self):
         # at sigma = -i the l=1 static-patch family has the constant kernel and
         # every solution is horizon-analytic: the monodromy detector must see
         # it even though a midpoint Wronskian of Frobenius branches does not
-        z = oracle_refine("deSitter", DS, 1, -1j)
+        z = oracle_refine(DS, 1, -1j)
         assert abs(z + 1j) < 1e-9
 
     @pytest.mark.parametrize("model, params, ell", [
         ("deSitter", DS, 2), ("minkowski", MK, 0), ("minkowski", MK, 1)],
         ids=["deSitter-l2", "minkowski-l0", "minkowski-l1"])
     def test_brackets_solver_output(self, model, params, ell):
-        op = build_operator(model, params, ell, 80)
+        op = build_operator(params, ell, 80)
         rl = solve_resonances(op, region=(-4, 4, -2.5, 0.4))
         conv = rl.converged(1e-6)
         assert conv
         for e in conv:
-            z = oracle_refine(model, params, ell, e.sigma, n=params.n)
+            z = oracle_refine(params, ell, e.sigma)
             assert abs(z - e.sigma) < 1e-6
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_reads_dimension_from_params(self, n):
+        # the oracle's family is the one in params: a dimension it took
+        # from anywhere else would land 0.5 off every Minkowski row
+        params = SpacetimeParams(0.0, model="MinkowskiBoundary", n=n)
+        conv = solve_resonances(build_operator(params, 0, 80),
+                                region=(-6, 6, -3.6, 0.4)).converged(1e-6)
+        assert conv
+        for e in conv:
+            assert abs(oracle_refine(params, 0, e.sigma) - e.sigma) < 1e-6
+
     def test_two_horizon_model(self):
-        op = build_operator("dSSchwarzschild", DSS, 1, 72)
+        op = build_operator(DSS, 1, 72)
         rl = solve_resonances(op, region=(-4, 4, -2.0, 0.3))
         conv = rl.converged(1e-6)
         assert conv
         for e in conv:
-            z = oracle_refine("dSSchwarzschild", DSS, 1, e.sigma)
+            z = oracle_refine(DSS, 1, e.sigma)
             assert abs(z - e.sigma) < 1e-6
 
 
@@ -355,20 +365,20 @@ class TestSeriesOracle:
     def test_raw_detector_matches_referee(self):
         # frozen from an mpmath referee at dps 30: odefun along the same path,
         # started from an mp Frobenius series 0.1 and 0.2 from r+
-        d0 = oracle_shooting("dSSchwarzschild", DSS, 0, 1.3 - 0.4j)
+        d0 = oracle_shooting(DSS, 0, 1.3 - 0.4j)
         assert d0 == pytest.approx(29.9986276607 - 34.9221803644j, rel=1e-9)
-        d2 = oracle_shooting("dSSchwarzschild", DSS, 2, -1.99934912j)
+        d2 = oracle_shooting(DSS, 2, -1.99934912j)
         assert abs(d2 - (-5.79330034e-3j)) < 1e-9
 
     @pytest.mark.parametrize("ell, near", [(0, -2.0839j), (2, -1.9993j)],
                              ids=["l0", "l2"])
     def test_agrees_with_solver_on_dss_rows(self, ell, near):
         # DOP853 started 5e-8 from r+ missed these rows by 5.3e-3 and 1.2e-5
-        op = build_operator("dSSchwarzschild", DSS, ell, 80)
+        op = build_operator(DSS, ell, 80)
         rows = [e for e in solve_resonances(op, region=(-6, 6, -3.6, 0.4)).entries
                 if abs(e.sigma - near) < 1e-3]
         assert len(rows) == 1
-        z = oracle_refine("dSSchwarzschild", DSS, ell, rows[0].sigma)
+        z = oracle_refine(DSS, ell, rows[0].sigma)
         assert abs(z - rows[0].sigma) < 1e-6
 
     def test_secant_stops_early_on_holomorphic_detector(self, monkeypatch):
@@ -381,7 +391,7 @@ class TestSeriesOracle:
             calls.append(1)
             return real(*a, **k)
         monkeypatch.setattr(resonances, "oracle_shooting", counted)
-        z = oracle_refine("dSSchwarzschild", DSS, 2, -1.9993491155321927j)
+        z = oracle_refine(DSS, 2, -1.9993491155321927j)
         assert abs(z + 1.9993491155321927j) < 1e-6
         assert len(calls) <= 10
 
@@ -393,8 +403,8 @@ class TestSeriesOracle:
             return _f(*a, **k)
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
         monkeypatch.setattr(resonances, "solve_ivp", counted, raising=False)
-        oracle_refine("dSSchwarzschild", DSS, 1, -0.9984168260900195j)
-        op = build_operator("dSSchwarzschild", DSS, 1, 48, TINY)
+        oracle_refine(DSS, 1, -0.9984168260900195j)
+        op = build_operator(DSS, 1, 48, TINY)
         cutoff_correspondence_check(op, 1.5, lambda r: np.exp(-((r - 0.55) / 0.045) ** 2),
                                     window=(0.40, 0.70), n_sub=60)
         assert calls == []
@@ -470,7 +480,7 @@ class TestSecant:
 
 class TestResolvent:
     def test_round_trip(self):
-        op = build_operator("deSitter", DS, 0, 60, TINY)
+        op = build_operator(DS, 0, 60, TINY)
         rng = np.random.default_rng(3)
         u0 = rng.standard_normal(61) + 1j * rng.standard_normal(61)
         sigma = 2.0 + 1.0j
@@ -479,7 +489,7 @@ class TestResolvent:
         assert np.linalg.norm(u - u0) / np.linalg.norm(u0) < 1e-8
 
     def test_residual_contract(self):
-        op = build_operator("deSitter", DS, 0, 60, TINY)
+        op = build_operator(DS, 0, 60, TINY)
         rng = np.random.default_rng(4)
         f = rng.standard_normal(61) + 1j * rng.standard_normal(61)
         sigma = 1.5 + 0.8j
@@ -493,7 +503,7 @@ class TestResolvent:
     def test_resolvent_gated_at_every_converged_root(self, model, params, ell, N):
         # the resolvent and the solver share one pencil: each pole the solver
         # certifies is a near-pole of resolvent_apply on the same operator
-        op = build_operator(model, params, ell, N)
+        op = build_operator(params, ell, N)
         roots = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).converged(1e-6)
         assert roots
         for e in roots:
@@ -501,14 +511,14 @@ class TestResolvent:
                 resolvent_apply(op, e.sigma, np.ones(N + 1, dtype=complex))
 
     def test_near_pole_detected(self):
-        op = build_operator("deSitter", DS, 0, 60, TINY)
+        op = build_operator(DS, 0, 60, TINY)
         with pytest.raises(NearPole):
             resolvent_apply(op, 0.0 + 0.0j, np.ones(61, dtype=complex))
 
     @pytest.mark.parametrize("N", [48, 160])
     def test_near_pole_detected_free_pencil(self, N):
         # sigma = 0 is the dS l=0 pole; the absorber-free pencil is singular there
-        op = build_operator("deSitter", DS, 0, N)
+        op = build_operator(DS, 0, N)
         with pytest.raises(NearPole):
             resolvent_apply(op, 0.0 + 0.0j, np.ones(N + 1, dtype=complex))
 
@@ -519,14 +529,14 @@ class TestResolvent:
                                              ell_target):
         # the remainder contour Im sigma = -ell_target and the reconstruction
         # contour Im sigma = +0.3 of `qnmkit expand` at its defaults
-        op = build_operator(model, params, ell, 48)
+        op = build_operator(params, ell, 48)
         f = np.ones(49, dtype=complex)
         for im in (-ell_target, 0.3):
             for s in np.linspace(-60.0, 60.0, 200):
                 resolvent_apply(op, s + 1j * im, f)
 
     def test_bit_identical_to_lu_solve_with_refinement(self):
-        op = build_operator("deSitter", DS, 0, 48)
+        op = build_operator(DS, 0, 48)
         f = np.exp(-((op.grid - 0.5) / 0.15) ** 2).astype(complex)
         for sigma in (-37.3 - 1.5j, 0.4 - 1.5j, 52.0 - 1.5j,
                       -8.1 + 0.3j, 0.0 + 0.3j, 59.7 + 0.3j):
@@ -546,7 +556,7 @@ class TestResolvent:
                 calls.append(name)
                 return _f(*a, **k)
             monkeypatch.setattr(mod, name, counted)
-        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec())
+        op = build_operator(DS, 0, 48, AbsorbingSpec())
         resolvent_apply(op, 2.0 + 1.0j, np.ones(49, dtype=complex))
         gluing_check(op, 2.0 + 1.0j)
         assert calls == []
@@ -561,7 +571,7 @@ class TestResolvent:
                               digamma_scale=1.25)
         us = []
         for spec in (specA, specB):
-            op = build_operator("deSitter", DS, 0, 120, spec)
+            op = build_operator(DS, 0, 120, spec)
             f = f_fun(op.grid).astype(complex)
             us.append((op.grid, resolvent_apply(op, sigma, f)))
         (g1, u1), (g2, u2) = us
@@ -578,7 +588,7 @@ class TestResolvent:
             return np.where(np.abs(m) > 1e-8,
                             (1 - 1 / np.sqrt(1 - m)) / np.where(np.abs(m) > 1e-8,
                                                                 2 * m, 1.0), -0.25)
-        op = build_operator("deSitter", DS, 0, 220, AbsorbingSpec(digamma_scale=0.5))
+        op = build_operator(DS, 0, 220, AbsorbingSpec(digamma_scale=0.5))
         mu = op.grid
         idx = np.argsort(mu)
         ph = np.concatenate([[0], np.cumsum(
@@ -596,17 +606,17 @@ class TestResolvent:
 
 class TestGluing:
     def test_residual_tiny_at_two_sigmas(self):
-        op = build_operator("deSitter", DS, 0, 60, AbsorbingSpec())
+        op = build_operator(DS, 0, 60, AbsorbingSpec())
         for sigma in (2.0 + 1.0j, -1.3 + 0.7j):
             assert gluing_check(op, sigma) < 1e-8
 
     def test_qprime_zero_reduces_to_identity(self):
-        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec())
+        op = build_operator(DS, 0, 48, AbsorbingSpec())
         res = gluing_check(op, 2.0 + 1.0j, qprime_strength=0.0)
         assert res < 1e-12
 
     def test_probe_reseeding_stable(self):
-        op = build_operator("deSitter", DS, 0, 48, AbsorbingSpec())
+        op = build_operator(DS, 0, 48, AbsorbingSpec())
         vals = [gluing_check(op, 2.0 + 1.0j, seed=s) for s in (0, 1, 2)]
         assert np.var(vals) < 1e-10
 
@@ -616,24 +626,24 @@ class TestCutoffCorrespondence:
         # frozen from the artifact's own two-sided computation: 1.3e-8 at
         # N = 60 and the e-folding brings it to 8e-11 by N = 72
         f_fun = lambda r: np.exp(-((r - 0.55) / 0.045) ** 2)
-        op = build_operator("dSSchwarzschild", DSS, 1, 60, TINY)
+        op = build_operator(DSS, 1, 60, TINY)
         d60 = cutoff_correspondence_check(op, 1.5, f_fun, window=(0.40, 0.70),
                                           n_sub=140, pad_frac=0.25)
         assert d60 < 5e-8
-        op = build_operator("dSSchwarzschild", DSS, 1, 72, TINY)
+        op = build_operator(DSS, 1, 72, TINY)
         d72 = cutoff_correspondence_check(op, 1.5, f_fun, window=(0.40, 0.70),
                                           n_sub=140, pad_frac=0.25)
         assert d72 < 1e-8
 
     def test_zero_forcing(self):
-        op = build_operator("dSSchwarzschild", DSS, 0, 48, TINY)
+        op = build_operator(DSS, 0, 48, TINY)
         d = cutoff_correspondence_check(op, 1.5, lambda r: 0.0, n_sub=60)
         assert d < 1e-13
 
     def test_leaking_forcing_degrades(self):
         # negative control: forcing mass beyond the horizon breaks the
         # correspondence premise and the discrepancy grows by orders
-        op = build_operator("dSSchwarzschild", DSS, 1, 60, TINY)
+        op = build_operator(DSS, 1, 60, TINY)
         good = cutoff_correspondence_check(
             op, 1.5, lambda r: np.exp(-((r - 0.55) / 0.045) ** 2),
             window=(0.40, 0.70), n_sub=140, pad_frac=0.25)
@@ -649,20 +659,20 @@ class TestSpectralInvariants:
         # the converged count in a fixed rectangle is stable under N -> N + N/4
         counts = []
         for N in (64, 80):
-            op = build_operator("deSitter", DS, 1, N)
+            op = build_operator(DS, 1, N)
             rl = solve_resonances(op, region=(-4, 4, -2.5, 0.4))
             counts.append(len(rl.converged(1e-6)))
         assert counts[0] == counts[1] > 0
 
     def test_no_upper_half_plane_resonances(self):
-        op = build_operator("deSitter", DS, 0, 72)
+        op = build_operator(DS, 0, 72)
         rl = solve_resonances(op, region=(-5, 5, -1.5, 0.6))
         for e in rl.converged(1e-6):
             assert e.sigma.imag <= 1e-8   # only the boundary mode at 0
 
     def test_resolvent_holomorphy_proxy(self):
         # discrete Cauchy-Riemann residual of sigma -> R(sigma) f away from poles
-        op = build_operator("deSitter", DS, 0, 56, TINY)
+        op = build_operator(DS, 0, 56, TINY)
         rng = np.random.default_rng(5)
         f = rng.standard_normal(57) + 1j * rng.standard_normal(57)
         s0, h = 1.3 + 0.9j, 1e-5
