@@ -56,8 +56,9 @@ class SpacetimeParams:
             raise ValueError("deSitter requires r_s = 0 and alpha = 0")
         if self.model == "dSSchwarzschild" and self.alpha != 0:
             raise ValueError("dSSchwarzschild requires alpha = 0")
-        if self.model == "MinkowskiBoundary" and self.n < 3:
-            raise ValueError("MinkowskiBoundary needs spacetime dimension n >= 3")
+        if self.model in ("deSitter", "MinkowskiBoundary") and self.n < 3:
+            raise ValueError(f"{self.model} needs spacetime dimension n >= 3; "
+                             f"got n = {self.n}")
         if self.model in ("dSSchwarzschild", "KerrDeSitter") and self.n != 4:
             raise ValueError(f"{self.model} is four-dimensional; got n = {self.n}")
 

@@ -169,6 +169,13 @@ class TestResonances:
         with pytest.raises(ValueError):
             SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter", n=5)
 
+    def test_de_sitter_dimension_two_exit_two(self, tmp_path, capsys):
+        p = write(tmp_path / "ds2.params", "lambda = 3.0\nmodel = deSitter\nn = 2\n")
+        cfg = write(tmp_path / "c.cfg", f"params = {p}\nN = 40\nell_max = 1\n")
+        assert main(["resonances", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_empty_region_exit_zero(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg",
                     f"params = {ds_params}\nN = 40\nell_max = 0\n"

@@ -535,6 +535,19 @@ class TestResolvent:
             for s in np.linspace(-60.0, 60.0, 200):
                 resolvent_apply(op, s + 1j * im, f)
 
+    def test_gate_fires_with_distance_to_pole(self):
+        # the first correction grows as about 5e-10 / distance from the dS
+        # l=0 pole at -2i: below the gate at 1e-2, above it from 1e-4 on
+        op = build_operator(DS, 0, 48)
+        roots = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).converged(1e-6)
+        pole = min((e.sigma for e in roots), key=lambda s: abs(s + 2j))
+        assert abs(pole + 2j) < 1e-6
+        f = np.exp(-((op.grid - 0.5) / 0.15) ** 2).astype(complex)
+        resolvent_apply(op, pole + 1e-2, f)
+        for d in (1e-4, 1e-6, 1e-8, 1e-10):
+            with pytest.raises(NearPole):
+                resolvent_apply(op, pole + d, f)
+
     def test_bit_identical_to_lu_solve_with_refinement(self):
         op = build_operator(DS, 0, 48)
         f = np.exp(-((op.grid - 0.5) / 0.15) ** 2).astype(complex)
@@ -556,10 +569,16 @@ class TestResolvent:
                 calls.append(name)
                 return _f(*a, **k)
             monkeypatch.setattr(mod, name, counted)
+        lapack = []
+        def asked(names, *a, _f=resonances.get_lapack_funcs, **k):
+            lapack.extend([names] if isinstance(names, str) else names)
+            return _f(names, *a, **k)
+        monkeypatch.setattr(resonances, "get_lapack_funcs", asked)
         op = build_operator(DS, 0, 48, AbsorbingSpec())
         resolvent_apply(op, 2.0 + 1.0j, np.ones(49, dtype=complex))
         gluing_check(op, 2.0 + 1.0j)
         assert calls == []
+        assert lapack and not {"gecon", "lange"} & set(lapack)
 
     def test_q_independence_restricted(self):
         # two distinct absorbing specs; forcing and restriction away from the
@@ -619,6 +638,14 @@ class TestGluing:
         op = build_operator(DS, 0, 48, AbsorbingSpec())
         vals = [gluing_check(op, 2.0 + 1.0j, seed=s) for s in (0, 1, 2)]
         assert np.var(vals) < 1e-10
+
+    def test_gated_at_every_converged_root(self):
+        op = build_operator(DS, 0, 48)
+        roots = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).converged(1e-6)
+        assert roots
+        for e in roots:
+            with pytest.raises(NearPole):
+                gluing_check(op, e.sigma)
 
 
 class TestCutoffCorrespondence:

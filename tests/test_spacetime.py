@@ -248,3 +248,10 @@ class TestParamFile:
         f.write_text("lambda 3.0\n")
         with pytest.raises(ValueError):
             load_params(f)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("n", [2, 0, -3])
+    def test_de_sitter_dimension_below_three_rejected(self, n):
+        with pytest.raises(ValueError):
+            SpacetimeParams(model="deSitter", n=n)
