@@ -304,6 +304,7 @@ def cmd_expand(cfg: RunConfig) -> int:
                   for t in terms],
         "remainder_rate": rate,
         "remainder_log_power": logpow,
+        "remainder_fit_residual": fitres,
         "reconstruction_residual": resid,
         "bound": k["recon_bound"],
     }

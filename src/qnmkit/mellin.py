@@ -31,6 +31,24 @@ class DegenerateFit(Exception):
     """Too few samples in the fitting window."""
 
 
+def _require_uniform(grid: np.ndarray, message: str) -> None:
+    """ValueError(message) unless the steps of `grid` agree to 1e-12 relative."""
+    d = np.diff(grid)
+    if len(d) and (d.max() - d.min()) > 1e-12 * max(1.0, abs(d.mean())):
+        raise ValueError(message)
+
+
+def _log_tau(tau_grid: np.ndarray) -> np.ndarray:
+    """log tau of a positive, log-uniform tau grid decreasing toward 0."""
+    if np.any(tau_grid <= 0):
+        raise ValueError("tau grid must be positive")
+    x = np.log(tau_grid)
+    _require_uniform(x, "tau grid must be log-uniform")
+    if len(x) > 1 and x[1] >= x[0]:
+        raise ValueError("tau grid must be strictly decreasing toward 0")
+    return x
+
+
 @dataclass
 class TemporalSamples:
     tau_grid: np.ndarray
@@ -39,14 +57,7 @@ class TemporalSamples:
     def __post_init__(self):
         self.tau_grid = np.asarray(self.tau_grid, dtype=float)
         self.values = np.asarray(self.values)
-        if np.any(self.tau_grid <= 0):
-            raise ValueError("tau grid must be positive")
-        x = np.log(self.tau_grid)
-        dx = np.diff(x)
-        if len(dx) and (dx.max() - dx.min()) > 1e-12 * max(1.0, abs(dx.mean())):
-            raise ValueError("tau grid must be log-uniform")
-        if dx.size and dx[0] >= 0:
-            raise ValueError("tau grid must be strictly decreasing toward 0")
+        _log_tau(self.tau_grid)
 
     @property
     def logtau(self):
@@ -111,25 +122,44 @@ def mellin_transform(u: TemporalSamples, alpha: float,
     return out[:, 0] if u.values.ndim == 1 else out
 
 
-_TAU_BLOCK = 128
-
-
 def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
                    tau_grid: np.ndarray) -> TemporalSamples:
-    """(2 pi)^-1 int tau^(i sigma) v dsigma along Im sigma = -alpha."""
-    sig = np.asarray(sigma_re, dtype=float) - 1j * alpha
+    """(2 pi)^-1 int tau^(i sigma) v dsigma along Im sigma = -alpha.
+
+    Trapezoid on the uniform sigma grid, summed as a chirp-z transform: with
+    sigma_m = sigma_0 + m ds and x_t = x_0 + t dx on the log-uniform tau grid,
+    Bluestein's t m = (t^2 + m^2 - (t - m)^2) / 2 splits tau_t^(i sigma_m) into
+    two chirps and one convolution, done by FFT for all columns at once.
+    Both grids must therefore be uniform: a sigma grid with fewer than 2
+    points or uneven steps, or a tau grid that TemporalSamples refuses,
+    raises ValueError before any work.
+    """
+    sig = np.asarray(sigma_re, dtype=float)
+    if sig.size < 2:
+        raise ValueError("sigma grid needs at least 2 points")
+    _require_uniform(sig, "sigma grid must be uniform")
+    x = _log_tau(np.asarray(tau_grid, dtype=float))
     v = np.asarray(v)
     vv = v if v.ndim > 1 else v[:, None]
-    x = np.log(np.asarray(tau_grid, dtype=float))
-    ds = sigma_re[1] - sigma_re[0]
-    wts = np.full(len(sig), ds)
+    M, T = len(sig), len(x)
+    ds = (sig[-1] - sig[0]) / (M - 1)
+    dx = (x[-1] - x[0]) / (T - 1) if T > 1 else 0.0
+    a = dx * ds
+    m, t = np.arange(M), np.arange(T)
+    wts = np.full(M, ds)
     wts[0] = wts[-1] = ds / 2
-    b = vv * wts[:, None]
-    # the phase matrix is built _TAU_BLOCK rows at a time to bound memory
-    out = np.empty((len(x), b.shape[1]), dtype=complex)
-    for i in range(0, len(x), _TAU_BLOCK):
-        out[i:i + _TAU_BLOCK] = np.exp(1j * np.outer(x[i:i + _TAU_BLOCK], sig)) @ b
-    out /= 2.0 * math.pi
+    n_fft = 1 << (M + T - 2).bit_length()      # a power of two >= M + T - 1
+    k = np.arange(1 - M, T)
+    kernel = np.zeros(n_fft, dtype=complex)
+    kernel[k] = np.exp(-0.5j * a * k * k)      # k < 0 wraps to the tail
+    pre = wts * np.exp(1j * (x[0] * ds * m + 0.5 * a * m * m))
+    b = np.zeros((vv.shape[1], n_fft), dtype=complex)
+    b[:, :M] = (vv * pre[:, None]).T
+    np.fft.fft(b, out=b)
+    b *= np.fft.fft(kernel)
+    np.fft.ifft(b, out=b)
+    post = np.exp(1j * x * (sig[0] - 1j * alpha) + 0.5j * a * t * t) / (2.0 * math.pi)
+    out = b[:, :T].T * post[:, None]
     return TemporalSamples(tau_grid, out[:, 0] if v.ndim == 1 else out)
 
 

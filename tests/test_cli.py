@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -270,6 +271,8 @@ class TestExpand:
         assert any(abs(t["sigma_re"]) < 1e-7 and abs(t["sigma_im"]) < 1e-7
                    for t in rep["terms"])
         assert rep["remainder_rate"] >= 1.5 - 0.05
+        assert math.isfinite(rep["remainder_fit_residual"])
+        assert rep["remainder_fit_residual"] >= 0
 
     def test_near_pole_exit_five(self, tmp_path, ds_params, monkeypatch, capsys):
         import qnmkit.mellin

@@ -57,22 +57,51 @@ class TestTransformPair:
         back = inverse_mellin(v, alpha, sig, TAU)
         assert np.max(np.abs(back.values - u.values)) < 1e-6
 
-    def test_blocked_inverse_matches_dense(self):
-        # 300 tau points is not a multiple of the row block
+    @pytest.mark.parametrize("n_tau, n_sigma, sigma_max, n_col, alpha", [
+        (300, 1000, 40, 0, 1.5),        # 1-d v
+        (300, 1000, 40, 3, 1.5),
+        (1024, 4000, 60, 49, 1.5),      # the expand shape
+        (1024, 4000, 60, 49, -0.3),     # the CLI's direct line
+        (301, 725, 40, 5, 1.5),         # odd, M + T - 1 one past a power of 2
+    ], ids=["vector", "columns", "expand-shape", "direct-line", "odd-lengths"])
+    def test_chirp_inverse_matches_dense(self, n_tau, n_sigma, sigma_max, n_col,
+                                         alpha):
         rng = np.random.default_rng(5)
-        tau = default_tau_grid(300)
-        sig = np.linspace(-40, 40, 1000)
-        alpha = 1.5
-        for v in (rng.standard_normal(1000) + 1j * rng.standard_normal(1000),
-                  rng.standard_normal((1000, 3)) + 1j * rng.standard_normal((1000, 3))):
-            vv = v if v.ndim > 1 else v[:, None]
-            ds = sig[1] - sig[0]
-            wts = np.full(len(sig), ds)
-            wts[0] = wts[-1] = ds / 2
-            ph = np.exp(1j * np.outer(np.log(tau), sig - 1j * alpha))
-            dense = ph @ (vv * wts[:, None]) / (2.0 * math.pi)
-            back = inverse_mellin(v, alpha, sig, tau)
-            assert np.array_equal(back.values, dense[:, 0] if v.ndim == 1 else dense)
+        tau = default_tau_grid(n_tau)
+        sig = np.linspace(-sigma_max, sigma_max, n_sigma)
+        shape = (n_sigma, n_col) if n_col else (n_sigma,)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vv = v if v.ndim > 1 else v[:, None]
+        ds = sig[1] - sig[0]
+        wts = np.full(len(sig), ds)
+        wts[0] = wts[-1] = ds / 2
+        x = np.log(tau)
+        dense = np.empty((n_tau, vv.shape[1]), dtype=complex)
+        for i in range(0, n_tau, 128):      # the dense trapezoid sum, in row blocks
+            ph = np.exp(1j * np.outer(x[i:i + 128], sig - 1j * alpha))
+            dense[i:i + 128] = ph @ (vv * wts[:, None]) / (2.0 * math.pi)
+        # each of the pre-chirp, the kernel chirp, the post-chirp and the
+        # dense phases is rounded to eps of the largest chirp phase a k^2 / 2
+        a = abs((x[-1] - x[0]) / (n_tau - 1) * ds)
+        tol = 4 * np.finfo(float).eps * a * max(n_sigma - 1, n_tau - 1) ** 2 / 2
+        assert tol <= 1e-11
+        back = inverse_mellin(v, alpha, sig, tau)
+        got = back.values if v.ndim > 1 else back.values[:, None]
+        assert back.values.shape == (n_tau,) + shape[1:]
+        assert np.max(np.abs(got - dense)) <= tol * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("sig", [
+        np.linspace(-5, 5, 64) + np.where(np.arange(64) == 30, 1e-6, 0.0),
+        np.array([0.0]),
+    ], ids=["perturbed", "single-point"])
+    def test_inverse_refuses_bad_sigma_grid(self, sig):
+        with pytest.raises(ValueError, match="sigma grid"):
+            inverse_mellin(np.ones(len(sig)), 0.0, sig, TAU)
+
+    def test_inverse_refuses_tau_grid_not_log_uniform(self):
+        with pytest.raises(ValueError, match="log-uniform"):
+            inverse_mellin(np.ones(64), 0.0, np.linspace(-5, 5, 64),
+                           np.linspace(1.0, 1e-3, 64))
 
     def test_zero_maps_to_zero(self):
         v = np.zeros(64)
