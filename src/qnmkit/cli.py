@@ -284,9 +284,7 @@ def cmd_expand(cfg: RunConfig) -> int:
     # above every pole (Im sigma = +0.3)
     phat = log_gaussian_pulse_hat()
     sig = np.linspace(-k["sigma_max"], k["sigma_max"], k["n_sigma"])
-    vals = np.array([resolvent_apply(op, s + 0.3j,
-                                     phat(s + 0.3j) * f0.astype(complex))
-                     for s in sig])
+    vals = resolvent_apply(op, sig + 0.3j, phat(sig + 0.3j)[:, None] * f0)
     tau = rem.tau_grid
     direct = inverse_mellin(vals, -0.3, sig, tau)
     synth = rem.values.copy()

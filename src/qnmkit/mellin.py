@@ -177,11 +177,13 @@ _POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
 def laurent_coefficients(solve: Callable, pole: complex) -> list:
     """c_{-m}, m = 1.._LAURENT_ORDERS, of sigma -> solve(sigma) at an isolated pole.
 
-    Trapezoid on a circle (spectrally accurate); solve returns a vector.
+    Trapezoid on a circle of _RESIDUE_NODES nodes (spectrally accurate).
+    `solve` takes all the nodes at once, an array of shape (M,), and returns
+    the family's vectors there, of shape (M, n).
     """
     th = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
     zs = pole + _RESIDUE_RADIUS * np.exp(1j * th)
-    vals = np.array([np.atleast_1d(solve(z)) for z in zs])
+    vals = solve(zs)
     out = []
     for m in range(1, _LAURENT_ORDERS + 1):
         fac = (_RESIDUE_RADIUS * np.exp(1j * th)) ** m
@@ -193,8 +195,10 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
                   sigma_max: float = 40.0, n_sigma: int = 4096):
     """Terms and remainder of the inverse transform shifted to Im sigma = -ell.
 
-    `solve` maps sigma to the spatial vector of the transformed solution; poles
-    with Im sigma > -ell_target contribute tau^(i sigma_j) log(tau)^kappa terms
+    `solve` maps an array of sigma, shape (M,), to the spatial vectors of the
+    transformed solution there, shape (M, n); it is called once per residue
+    circle and once for the whole shifted contour.  Poles with
+    Im sigma > -ell_target contribute tau^(i sigma_j) log(tau)^kappa terms
     whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1});
     the remainder is the inverse transform along the shifted contour, sampled
     on `default_tau_grid()`.
@@ -218,14 +222,14 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
             a = coef[0] if coef.size == 1 else coef
             terms.append(ExpansionTerm(pj, kappa, np.asarray(a)))
     sig_re = np.linspace(-sigma_max, sigma_max, n_sigma)
-    vals = np.array([np.atleast_1d(solve(s - 1j * ell_target)) for s in sig_re])
+    vals = solve(sig_re - 1j * ell_target)
     remainder = inverse_mellin(vals if vals.shape[1] > 1 else vals[:, 0],
                                ell_target, sig_re, tau_grid)
     return terms, remainder
 
 
 def _driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
-    """sigma -> R(sigma)(phi_hat(sigma) f0) on the pencil of `op`.
+    """sigma -> R(sigma)(phi_hat(sigma) f0) on the pencil of `op`, (M,) -> (M, n).
 
     phi_hat is the Mellin transform of the default log-Gaussian pulse,
     centred at tau = e^-3.
@@ -233,7 +237,7 @@ def _driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     phi_hat = log_gaussian_pulse_hat()
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
-        return resolvent_apply(op, sigma, phi_hat(sigma) * f0)
+        return resolvent_apply(op, sigma, phi_hat(sigma)[:, None] * f0)
     return solve
 
 
@@ -351,7 +355,7 @@ def correction_pass(op: DiscretizedOperator, P1: np.ndarray, f0: np.ndarray,
     solve0 = _driven_solve(op, f0)
     def solve1(sigma):
         shifted = solve0(sigma + 1j)
-        return resolvent_apply(op, sigma, -(P1 @ shifted))
+        return resolvent_apply(op, sigma, -(shifted @ P1.T))
     poles = _converged_poles(op, -ell_target - 1.5)
     terms0, rem0 = expand_family(solve0, poles, ell_target, **kwargs)
     shifted_poles = poles + [p - 1j for p in poles]

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eig, get_lapack_funcs
+from scipy.linalg import eig, matrix_balance, qz, schur
 
 from .collocation import cheb_grid, barycentric_eval
 from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain, _mu_coeffs
@@ -109,8 +110,9 @@ class DiscretizedOperator:
 
     `build_operator` fixes the pencil once: P_sigma itself without an
     absorbing spec, P_sigma - iQ with one (A0 then holds -iQ).  `pencil` is
-    the one place that forms L(sigma); the eigensolve, the resolvent probe
-    and `resolvent_apply` all solve it.
+    the one place that forms L(sigma); the eigensolve and the resolvent
+    probe solve it.  `resolvent_apply` solves the same matrices through
+    `triangular_form`, computed on first use and kept.
     """
 
     params: SpacetimeParams
@@ -123,6 +125,10 @@ class DiscretizedOperator:
     def pencil(self, sigma):
         A0, A1, A2 = self.matrices
         return A0 + sigma * A1 + sigma * sigma * A2
+
+    @cached_property
+    def triangular_form(self) -> "_TriangularForm":
+        return _TriangularForm.of(*self.matrices)
 
 
 def _absorbing_window(params, spec: AbsorbingSpec, x):
@@ -197,6 +203,12 @@ class ResonanceList:
         return np.array([e.sigma for e in self.entries])
 
 
+def _row_scale(A0, A1):
+    """Inverse of each row's largest entries in A0 and A1 (the A2 = 0 pencils)."""
+    return 1.0 / np.maximum(np.max(np.abs(A0), axis=1)
+                            + np.max(np.abs(A1), axis=1), 1e-300)
+
+
 def _linearized_eigs(A0, A1, A2):
     """Finite eigenvalues of A0 + s A1 + s^2 A2, read from the structure of A2.
 
@@ -211,8 +223,7 @@ def _linearized_eigs(A0, A1, A2):
     Nn = A0.shape[0]
     try:
         if not A2.any():
-            S = 1.0 / np.maximum(np.max(np.abs(A0), axis=1)
-                                 + np.max(np.abs(A1), axis=1), 1e-300)
+            S = _row_scale(A0, A1)
             return eig(-S[:, None] * A0, S[:, None] * A1, right=False)
         if np.array_equal(A2, np.eye(Nn)):
             Z = np.zeros((Nn, Nn), dtype=complex)
@@ -500,49 +511,128 @@ def oracle_refine(params: SpacetimeParams, ell: int, sigma0: complex) -> complex
 # resolvent, gluing, and the cutoff-resolvent correspondence
 # ---------------------------------------------------------------------------
 
-# the near-pole gate: a solve whose first refinement correction exceeds this
+# the near-pole gate: a solve whose forward-error estimate exceeds this
 # fraction of the solution is refused (resolvent_apply gives the measured gap)
-_CORRECTION_MAX = 1e-6
+_FORWARD_ERROR_MAX = 1e-6
+_SIGMA_BLOCK = 512      # sigma per back-substitution; bounds its K x block arrays
 
 
-def _lu_solver(A: np.ndarray, sigma: complex) -> Callable:
-    """b -> A^-1 b from one LAPACK LU of the pencil A; NearPole on a zero pivot."""
-    A = np.asarray_chkfinite(A)
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (A,))
-    lu, piv, info = getrf(A)
-    if info != 0:
-        raise NearPole(f"pencil singular at sigma = {sigma}")
-    return lambda b: getrs(lu, piv, b)[0]
+@dataclass(frozen=True)
+class _TriangularForm:
+    """L(sigma)^-1 = right (T - sigma B)^-1 left for every sigma at once.
 
-
-def _gate_correction(d: np.ndarray, u: np.ndarray, sigma: complex) -> None:
-    """NearPole unless the refinement correction d is small against u (or NaN)."""
-    if not np.linalg.norm(d) <= _CORRECTION_MAX * np.linalg.norm(u):
-        raise NearPole(f"pencil nearly singular at sigma = {sigma}")
-
-
-def resolvent_apply(op: DiscretizedOperator, sigma: complex,
-                    f: np.ndarray) -> np.ndarray:
-    """Solve op.pencil(sigma) u = f with two steps of iterative refinement.
-
-    One LU serves the solve and both corrections.  The first correction
-    d = A^-1 (f - A u) estimates the forward error of u (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 12), so it is also the near-pole
-    gate: NearPole is raised when ||d|| > _CORRECTION_MAX ||u||, or when U
-    has an exactly zero pivot.  The gate only reads d; u is the refined
-    solution either way, and u = d = 0 (a zero f) passes.  Measured
-    ||d|| / ||u|| at N=48: at most 2.2e-8 on the contours of `qnmkit expand`
-    and 2.2e-9 on its residue circles, at least 0.26 at the solver's
-    converged roots; near the dS l=0 pole -2i it grows as about
-    5e-10 / distance, so the gate passes at distance 1e-2 and fires from 1e-4.
+    A2 = I: (C - sigma) [u; sigma u] = [0; -f] for the monic companion
+    C = [[0, I], [-A0, -A1]], which is balanced by a diagonal D (no
+    permutation) and reduced to complex Schur form, D^-1 C D = Z T Z^H, so
+    B = I.  A2 = 0: the row-scaled pair of `_linearized_eigs` in complex QZ
+    form, -S A0 = Q T Z^H and S A1 = Q B Z^H.  One reduction per pencil
+    makes each shifted solve a triangular back-substitution, O(K^2) per
+    sigma (Laub, IEEE TAC 26 (1981) 407).  A2 = a2 I, a2 = 1 or 0.
     """
-    A = op.pencil(sigma)
-    solve = _lu_solver(A, sigma)
-    u = solve(f)
-    d = solve(f - A @ u)
-    _gate_correction(d, u, sigma)
-    u = u + d
-    return u + solve(f - A @ u)
+
+    left: np.ndarray                # K x n
+    T: np.ndarray                   # K x K, upper triangular
+    B: Optional[np.ndarray]         # K x K, upper triangular; None for I
+    right: np.ndarray               # n x K
+    a2: float
+
+    @classmethod
+    def of(cls, A0, A1, A2) -> "_TriangularForm":
+        n = A0.shape[0]
+        try:
+            if not A2.any():
+                S = _row_scale(A0, A1)
+                T, B, Q, Z = qz(-S[:, None] * A0, S[:, None] * A1,
+                                output="complex")
+                return cls(-Q.conj().T * S, T, B, Z, 0.0)
+            if np.array_equal(A2, np.eye(n)):
+                Z0 = np.zeros((n, n), dtype=complex)
+                C = np.block([[Z0, np.eye(n)], [-A0, -A1]])
+                Cb, (d, _) = matrix_balance(C, permute=False, separate=True)
+                T, Z = schur(Cb, output="complex")
+                return cls(-Z.conj().T[:, n:] / d[n:], T, None,
+                           d[:n, None] * Z[:n], 1.0)
+        except np.linalg.LinAlgError as exc:   # pragma: no cover
+            raise SolverFailure(str(exc)) from exc
+        raise UnsupportedModel("the resolvent needs a pencil with A2 = I or A2 = 0")
+
+    def solve(self, sig: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Columns L(sig[m])^-1 X[:, m], by one back-substitution for all m."""
+        T, B = self.T, self.B
+        Y = self.left @ X
+        shift = sig if B is None else sig * np.diag(B)[:, None]
+        D = np.diag(T)[:, None] - shift
+        W = np.empty_like(Y)
+        for i in range(len(Y) - 1, -1, -1):
+            y = Y[i] - T[i, i + 1:] @ W[i + 1:]
+            if B is not None:
+                y += sig * (B[i, i + 1:] @ W[i + 1:])
+            W[i] = y / D[i]
+        return self.right @ W
+
+
+def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
+    """(U, err): rows U[m] = L(sig[m])^-1 F[m] and forward-error estimates.
+
+    Each block of _SIGMA_BLOCK sigma values is solved through
+    `op.triangular_form` and refined twice on the residual F - L(sig) U of
+    the pencil itself.  err[m] estimates ||u_m - L^-1 f_m|| by one more
+    solve, of g = eps (|A0||u| + |s||A1||u| + |s|^2 |A2||u| + |f|) times
+    fixed unit-modulus signs: the componentwise bound || |L^-1| g || behind
+    LAPACK's xGERFS FERR (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 12).  It is nan where the solve is not finite.
+    """
+    sig = np.asarray_chkfinite(sig)
+    F = np.asarray_chkfinite(F)
+    tf = op.triangular_form
+    A0, A1, _ = op.matrices
+    abs0, abs1 = np.abs(A0), np.abs(A1)
+    signs = np.exp(2j * np.pi * np.random.default_rng(0).random(F.shape[1]))
+    eps = np.finfo(float).eps
+    U = np.empty(F.shape, dtype=complex)
+    err = np.empty(len(sig))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(0, len(sig), _SIGMA_BLOCK):
+            s, X = sig[j:j + _SIGMA_BLOCK], F[j:j + _SIGMA_BLOCK].T
+            V = tf.solve(s, X)
+            for _ in range(2):
+                V = V + tf.solve(s, X - (A0 @ V + s * (A1 @ V) + tf.a2 * s * s * V))
+            aV, a_s = np.abs(V), np.abs(s)
+            g = eps * (abs0 @ aV + a_s * (abs1 @ aV) + tf.a2 * a_s * a_s * aV
+                       + np.abs(X))
+            e = np.linalg.norm(tf.solve(s, signs[:, None] * g), axis=0)
+            err[j:j + _SIGMA_BLOCK] = np.where(np.isfinite(V).all(axis=0), e, np.nan)
+            U[j:j + _SIGMA_BLOCK] = V.T
+    return U, err
+
+
+def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray:
+    """Solve op.pencil(sigma) u = f for one sigma or a whole array of them.
+
+    sigma of shape (M,) with f of shape (M, n) (or any shape that
+    broadcasts to it) gives u of shape (M, n); a scalar sigma with f of
+    shape (n,) gives u of shape (n,).  A non-finite sigma or f raises
+    ValueError.  The pencil is reduced once per operator
+    (`op.triangular_form`), and each block of sigma values is solved by one
+    triangular back-substitution and refined twice on the pencil's own
+    residual.  The near-pole gate reads the forward-error estimate of
+    `_solve`: NearPole is raised when it exceeds _FORWARD_ERROR_MAX ||u|| at
+    any sigma, or when the solve there is not finite (sigma on an
+    eigenvalue).  u = f = 0 passes.  Measured estimate / ||u|| at N=48:
+    at most 1.5e-8 on the lines and 1.7e-9 on the residue circles of
+    `qnmkit expand`, at least 0.5 at the solver's converged roots (N=48
+    and 80); near the dS l=0 pole -2i it grows as about 1.25e-9 / distance,
+    so the gate passes at distance 1e-2 and fires from 1e-4.
+    """
+    sig = np.asarray(sigma, dtype=complex)
+    n = op.N + 1
+    F = np.broadcast_to(np.asarray(f, dtype=complex), sig.shape + (n,))
+    sig = sig.reshape(-1)
+    U, err = _solve(op, sig, F.reshape(-1, n))
+    bad = ~(err <= _FORWARD_ERROR_MAX * np.linalg.norm(U, axis=1))
+    if bad.any():
+        raise NearPole(f"pencil nearly singular at sigma = {sig[np.argmax(bad)]}")
+    return U.reshape(F.shape)
 
 
 # the gluing check's Q' is a bump of half-width _QPRIME_WIDTH about
@@ -560,8 +650,9 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     region with a cutoff chi == 1 on its support, so the identity
     R = R' - R'(iQ' + Q' chi R chi Q') R' is algebraically exact.  The norm
     is the largest ratio over _GLUING_PROBES random probe vectors.  R = A^-1
-    takes resolvent_apply's gate in the Frobenius norm: NearPole when the
-    correction A^-1 (I - A R) exceeds _CORRECTION_MAX ||R||.
+    is one `_solve` of the n unit vectors at sigma, and takes
+    resolvent_apply's gate in the Frobenius norm: NearPole when the
+    forward-error estimates exceed _FORWARD_ERROR_MAX ||R||_F.
     """
     x = op.grid
     c, w = _QPRIME_CENTER, _QPRIME_WIDTH
@@ -572,12 +663,12 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     chi = np.maximum(chi, (qp > 0).astype(float))   # chi == 1 on supp q'
     Qp = np.diag(qp).astype(complex)
     CHI = np.diag(chi).astype(complex)
-    A = op.pencil(sigma)
-    solve = _lu_solver(A, sigma)
-    eye = np.eye(len(x), dtype=complex)
-    R = solve(eye)
-    _gate_correction(solve(eye - A @ R), R, sigma)
-    Rp = np.linalg.inv(A - 1j * Qp)
+    n = len(x)
+    U, err = _solve(op, np.full(n, sigma, dtype=complex), np.eye(n, dtype=complex))
+    if not np.linalg.norm(err) <= _FORWARD_ERROR_MAX * np.linalg.norm(U):
+        raise NearPole(f"pencil nearly singular at sigma = {sigma}")
+    R = U.T
+    Rp = np.linalg.inv(op.pencil(sigma) - 1j * Qp)
     rhs = Rp - Rp @ (1j * Qp + Qp @ (CHI @ R @ CHI) @ Qp) @ Rp
     rng = np.random.default_rng(seed)
     worst = 0.0

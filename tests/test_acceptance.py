@@ -215,7 +215,8 @@ class TestAcceptance:
         fv = np.array([0.3, 0.9])
         def solve(s):
             d = s - pole
-            return fhat(s) * np.array([fv[0] / d - fv[1] / d ** 2, fv[1] / d])
+            return fhat(s)[:, None] * np.stack([fv[0] / d - fv[1] / d ** 2,
+                                                fv[1] / d], axis=-1)
         terms, rem = expand_family(solve, [pole], 2.5, sigma_max=60,
                                    n_sigma=6000)
         t1 = [t for t in terms if t.kappa == 1][0]

@@ -21,8 +21,9 @@ def ds_params(tmp_path):
 
 
 # the sample rotating model, which the radial resonance solver does not cover
-KDS_PARAMS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                          "scripts", "configs", "kds.params")
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "scripts", "configs")
+KDS_PARAMS = os.path.join(CONFIGS, "kds.params")
 
 
 @pytest.fixture
@@ -273,6 +274,25 @@ class TestExpand:
         assert rep["remainder_rate"] >= 1.5 - 0.05
         assert math.isfinite(rep["remainder_fit_residual"])
         assert rep["remainder_fit_residual"] >= 0
+
+    @pytest.mark.parametrize("params, ell, ell_target, lu_residual", [
+        ("ds", 0, 1.5, 1.40e-9), ("ds", 1, 2.5, 1.48e-5),
+        ("minkowski", 0, 1.5, 6.55e-9)], ids=["ds-l0", "ds-l1", "minkowski-l0"])
+    def test_benchmark_cases(self, tmp_path, params, ell, ell_target,
+                             lu_residual):
+        # the three expand operations of perfbench: each reconstruction
+        # residual is below the one the per-sigma LU solve gave, and the exit
+        # code says whether it meets the bound
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, params + '.params')}\n"
+                    f"N = 48\nn_sigma = 4000\nell = {ell}\n"
+                    f"ell_target = {ell_target}\n")
+        out = tmp_path / "out"
+        code = main(["expand", "--config", cfg, "--out", str(out)])
+        rep = json.loads((out / "expansion.json").read_text())
+        resid = rep["reconstruction_residual"]
+        assert resid < lu_residual
+        assert code == (0 if resid < rep["bound"] else 1)
 
     def test_near_pole_exit_five(self, tmp_path, ds_params, monkeypatch, capsys):
         import qnmkit.mellin

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -56,6 +57,18 @@ def _converged_at_threads(threads: int) -> list:
     out = subprocess.run([sys.executable, "-c", _MK160_CONVERGED], env=env,
                          capture_output=True, text=True, check=True).stdout
     return [complex(re, im) for re, im in json.loads(out)]
+
+
+def _referee_solve(op, sigma, f):
+    """L(sigma)^-1 f from one LU, corrected 6 times on a clongdouble residual."""
+    A0, A1, A2 = (A.astype(np.clongdouble) for A in op.matrices)
+    s = np.clongdouble(sigma)
+    A = A0 + s * A1 + s * s * A2
+    lu = lu_factor(op.pencil(sigma))
+    u = lu_solve(lu, f).astype(np.clongdouble)
+    for _ in range(6):
+        u = u + lu_solve(lu, (f - A @ u).astype(complex))
+    return u
 
 
 def reference_coeffs(model, params, ell, n, x, sigma):
@@ -268,9 +281,13 @@ class TestSolveResonances:
         assert inside.sum() <= 5
 
     def test_other_sigma_squared_coefficient_rejected(self):
-        A0, A1, A2 = build_operator(DS, 0, 16).matrices
+        op = build_operator(DS, 0, 16)
+        A0, A1, A2 = op.matrices
         with pytest.raises(UnsupportedModel):
             resonances._linearized_eigs(A0, A1, 2.0 * A2)
+        with pytest.raises(UnsupportedModel):
+            resolvent_apply(dataclasses.replace(op, matrices=(A0, A1, 2.0 * A2)),
+                            1.0 + 0.5j, np.ones(17, dtype=complex))
 
     def test_refinement_makes_few_probe_solves(self, monkeypatch):
         # each secant stops once its steps stop shrinking: 33 probe solves
@@ -548,37 +565,115 @@ class TestResolvent:
             with pytest.raises(NearPole):
                 resolvent_apply(op, pole + d, f)
 
-    def test_bit_identical_to_lu_solve_with_refinement(self):
-        op = build_operator(DS, 0, 48)
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="the referee needs an extended-precision long double")
+    @pytest.mark.parametrize("params, ell, ell_target, bound", [
+        (DS, 0, 1.5, 1e-10), (DS, 1, 2.5, 2e-8), (MK, 0, 1.5, 1e-9)],
+        ids=["ds-l0", "ds-l1", "minkowski-l0"])
+    def test_matches_extended_precision_referee(self, params, ell, ell_target,
+                                                bound):
+        # six sigma on the remainder (Im -1.5) and direct (Im +0.3) lines of
+        # the dS l=0 case and 40 on this case's remainder line, all in one
+        # batch, against LU solves refined on a clongdouble residual
+        op = build_operator(params, ell, 48)
         f = np.exp(-((op.grid - 0.5) / 0.15) ** 2).astype(complex)
-        for sigma in (-37.3 - 1.5j, 0.4 - 1.5j, 52.0 - 1.5j,
-                      -8.1 + 0.3j, 0.0 + 0.3j, 59.7 + 0.3j):
-            A = op.pencil(sigma)
-            lu = lu_factor(A)
-            ref = lu_solve(lu, f)
-            for _ in range(2):
-                ref = ref + lu_solve(lu, f - A @ ref)
-            u = resolvent_apply(op, sigma, f)
-            assert np.array_equal(u, ref)
+        sig = np.concatenate([
+            [-37.3 - 1.5j, 0.4 - 1.5j, 52.0 - 1.5j, -8.1 + 0.3j, 0.0 + 0.3j,
+             59.7 + 0.3j],
+            np.linspace(-60.0, 60.0, 40) - 1j * ell_target])
+        U = resolvent_apply(op, sig, f)
+        assert U.shape == (len(sig), 49)
+        for s, u in zip(sig, U):
+            ref = _referee_solve(op, s, f)
+            err = np.linalg.norm(u - ref) / np.linalg.norm(ref)
+            assert float(err) < bound
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="the referee needs an extended-precision long double")
+    def test_laurent_coefficient_matches_referee(self):
+        # the residue of the Minkowski l=0 expand pole -i, read from the 64
+        # circle solves of `laurent_coefficients`, against the same trapezoid
+        # sum over referee solves
+        from qnmkit.mellin import _RESIDUE_NODES, _RESIDUE_RADIUS, \
+            _driven_solve, laurent_coefficients, log_gaussian_pulse_hat
+        op = build_operator(MK, 0, 48)
+        roots = solve_resonances(op, region=(-8, 8, -2.3, 0.5)).converged(1e-6)
+        pole = min((e.sigma for e in roots), key=lambda s: abs(s + 1j))
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+        c1 = laurent_coefficients(_driven_solve(op, f0), pole)[0]
+        phat = log_gaussian_pulse_hat()
+        r = _RESIDUE_RADIUS * np.exp(2j * np.pi * np.arange(_RESIDUE_NODES)
+                                     / _RESIDUE_NODES)
+        ref = sum(rk * _referee_solve(op, pole + rk, phat(pole + rk) * f0)
+                  for rk in r) / _RESIDUE_NODES
+        assert float(np.linalg.norm(c1 - ref) / np.linalg.norm(ref)) < 1e-8
+
+    def test_batch_and_scalar_calls_agree(self):
+        # (M,) sigma with (M, n) forcing gives (M, n), over several blocks of
+        # the back-substitution; a scalar sigma gives (n,); both meet the
+        # residual contract, and a forcing of shape (n,) is broadcast
+        op = build_operator(DS, 0, 48)
+        rng = np.random.default_rng(6)
+        sig = rng.uniform(-3, 3, 700) + 1j * rng.uniform(0.3, 1.0, 700)
+        F = rng.standard_normal((700, 49)) + 1j * rng.standard_normal((700, 49))
+        U = resolvent_apply(op, sig, F)
+        assert U.shape == (700, 49)
+        for k in (0, 511, 512, 699):
+            u = resolvent_apply(op, sig[k], F[k])
+            assert u.shape == (49,)
+            for v in (u, U[k]):
+                res = np.linalg.norm(op.pencil(sig[k]) @ v - F[k])
+                assert res < 1e-10 * np.linalg.norm(F[k])
+        assert np.array_equal(resolvent_apply(op, sig, F[0]),
+                              resolvent_apply(op, sig, np.tile(F[0], (700, 1))))
+
+    def test_gate_fires_on_an_exact_eigenvalue(self):
+        # sigma on a diagonal entry of the Schur form: the back-substitution
+        # divides by exactly zero, and the gate refuses the non-finite solve
+        op = build_operator(DS, 0, 48)
+        eigs = np.diag(op.triangular_form.T)
+        sigma = complex(eigs[np.argmin(np.abs(eigs + 2j))])
+        with pytest.raises(NearPole):
+            resolvent_apply(op, sigma, np.ones(49, dtype=complex))
+        with pytest.raises(NearPole):
+            resolvent_apply(op, np.array([1.0 + 0.5j, sigma]),
+                            np.ones(49, dtype=complex))
+
+    @pytest.mark.parametrize("bad", ["sigma", "f"])
+    def test_non_finite_input_rejected(self, bad):
+        op = build_operator(DS, 0, 48)
+        sig = np.array([1.0 + 0.5j, 2.0 + 0.5j])
+        F = np.ones((2, 49), dtype=complex)
+        if bad == "sigma":
+            sig[1] = complex(np.nan, 0.0)
+            with pytest.raises(ValueError):
+                gluing_check(op, np.inf)
+        else:
+            F[1, 3] = np.inf
+        with pytest.raises(ValueError):
+            resolvent_apply(op, sig, F)
 
     def test_no_svd_in_resolvent_or_gluing(self, monkeypatch):
+        # one Schur (A2 = I) or QZ (A2 = 0) reduction per operator serves a
+        # 4000-sigma line, a 64-node circle and a gluing check; no SVD or
+        # condition number is taken anywhere
         calls = []
         for mod, name in ((np.linalg, "svd"), (np.linalg, "cond"),
-                          (scipy.linalg, "svd")):
-            def counted(*a, _f=getattr(mod, name), **k):
-                calls.append(name)
+                          (scipy.linalg, "svd"), (resonances, "schur"),
+                          (resonances, "qz")):
+            def counted(*a, _f=getattr(mod, name), _name=name, **k):
+                calls.append(_name)
                 return _f(*a, **k)
             monkeypatch.setattr(mod, name, counted)
-        lapack = []
-        def asked(names, *a, _f=resonances.get_lapack_funcs, **k):
-            lapack.extend([names] if isinstance(names, str) else names)
-            return _f(names, *a, **k)
-        monkeypatch.setattr(resonances, "get_lapack_funcs", asked)
-        op = build_operator(DS, 0, 48, AbsorbingSpec())
-        resolvent_apply(op, 2.0 + 1.0j, np.ones(49, dtype=complex))
-        gluing_check(op, 2.0 + 1.0j)
-        assert calls == []
-        assert lapack and not {"gecon", "lange"} & set(lapack)
+        circle = 2.0 + 1.0j + 1e-2 * np.exp(2j * np.pi * np.arange(64) / 64)
+        for params, reduction in ((DS, "schur"), (DSS, "qz")):
+            op = build_operator(params, 0, 48, AbsorbingSpec())
+            f = np.ones(49, dtype=complex)
+            resolvent_apply(op, np.linspace(-60.0, 60.0, 4000) + 1.0j, f)
+            resolvent_apply(op, circle, f)
+            gluing_check(op, 2.0 + 1.0j)
+            assert calls == [reduction]
+            calls.clear()
 
     def test_q_independence_restricted(self):
         # two distinct absorbing specs; forcing and restriction away from the
