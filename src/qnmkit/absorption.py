@@ -153,23 +153,19 @@ def timelike_norm_ds():
 # --- absorbing symbol and extension -----------------------------------------
 
 def q_semiclassical(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
-                    eta_sq=0.0, kds_point=None, c=0.0):
+                    eta_sq=0.0):
     """q_{h,z} = -chi f_z <varpi + z dtau/tau, dtau/tau>_G.
 
-    For the static-patch models (deSitter, MinkowskiBoundary) mu, xi are the
-    horizon-chart coordinates and |varpi| uses the flat fiber norm
-    sqrt(xi^2 + eta_sq).  For the rotating family pass kds_point = (r, theta,
-    xi, eta, zeta) and the shift function c; chi is then evaluated in mu~.
+    Defined for the static-patch models (deSitter, MinkowskiBoundary) only;
+    mu, xi are the horizon-chart coordinates and |varpi| uses the flat fiber
+    norm sqrt(xi^2 + eta_sq).
     """
-    if params.model in ("deSitter", "MinkowskiBoundary"):
-        norm = np.sqrt(np.asarray(xi, dtype=float) ** 2 + np.asarray(eta_sq))
-        f = f_z(norm, z, spec.j, spec.C)
-        return -spec.chi(mu) * f * pairing_ds(mu, xi, z)
-    r, theta, xi_, eta, zeta = kds_point
-    mt = mu_tilde(params, r)[0]
-    norm = math.sqrt(xi_ ** 2 + eta ** 2 + zeta ** 2)
+    if params.model not in ("deSitter", "MinkowskiBoundary"):
+        raise ValueError("absorbing symbol is implemented for the radial "
+                         f"models, not {params.model}")
+    norm = np.sqrt(np.asarray(xi, dtype=float) ** 2 + np.asarray(eta_sq))
     f = f_z(norm, z, spec.j, spec.C)
-    return -spec.chi(mt) * f * pairing_kds(params, r, theta, xi_, zeta, z, c)
+    return -spec.chi(mu) * f * pairing_ds(mu, xi, z)
 
 
 def extend_p(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,

@@ -115,6 +115,8 @@ def parse_config(path, command, out_dir, seed) -> RunConfig:
         knobs[k] = val
     for k, (typ, lo, hi, dft) in schema.items():
         knobs.setdefault(k, dft)
+    if command == "flow" and knobs["horizon_sign"] == 0:
+        raise ConfigError("horizon_sign must be +1 or -1")
     if command == "resonances":
         # an empty ell range or search box would write a header-only table
         if knobs["ell_min"] > knobs["ell_max"]:
@@ -151,16 +153,16 @@ def cmd_admissible(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FLAGS
 
 
-def _flow_with_retries(kind, params, start, k, **kw):
+def _flow_with_retries(params, start, k, **kw):
     """integrate_flow at the configured tol, loosened tenfold (to at most
     1e-4) after each StepFailure; the failure of the last retry propagates."""
     tol = k["tol"]
     for _ in range(k["retry_budget"]):
         try:
-            return integrate_flow(kind, params, start, k["T"], tol=tol, **kw)
+            return integrate_flow(params, start, k["T"], tol=tol, **kw)
         except StepFailure:
             tol = min(tol * 10, 1e-4)
-    return integrate_flow(kind, params, start, k["T"], tol=tol, **kw)
+    return integrate_flow(params, start, k["T"], tol=tol, **kw)
 
 
 def cmd_flow(cfg: RunConfig) -> int:
@@ -174,7 +176,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         if params.model == "deSitter":
             start = (k["eps"] * rng.uniform(-1, 1), k["eps"] * rng.uniform(0.5, 1),
                      k["eps"] * rng.uniform(-1, 1), 1)
-            bc = _flow_with_retries("ds_reduced", params, start, k)
+            bc = _flow_with_retries(params, start, k)
             for s, y in bc.samples:
                 # c4-c6 and the ledger columns stay blank
                 rows.append([traj_id, "ds_reduced", _fmt(s)]
@@ -185,8 +187,7 @@ def cmd_flow(cfg: RunConfig) -> int:
                             rng.uniform(0.5, math.pi - 0.5),
                             rng.uniform(0, 2 * math.pi),
                             rng.uniform(-1, 1), rng.uniform(-1, 1), zeta)
-            bc = _flow_with_retries("kds_classical", params, pt, k,
-                                    horizon_sign=k["horizon_sign"])
+            bc = _flow_with_retries(params, pt, k, horizon_sign=k["horizon_sign"])
             led = bc.conserved_ledger
             for i, (s, p) in enumerate(bc.samples):
                 if isinstance(p, CompactPhasePoint):

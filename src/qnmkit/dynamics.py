@@ -36,7 +36,7 @@ class DegenerateLinearization(Exception):
 @dataclass
 class Bicharacteristic:
     samples: list                    # (flow parameter, CompactPhasePoint or PhasePoint)
-    conserved_ledger: dict           # arrays: p, zeta, ptilde_scaled
+    conserved_ledger: dict           # arrays: p, zeta, ptilde, p_scaled, ptilde_scaled
     integrator_stats: tuple          # (steps, rejected steps, tolerance)
     exit_reason: str = "time"        # "time" | "domain" | "axis"
 
@@ -88,13 +88,13 @@ _AXIS_MARGIN = 1e-3
 def _kds_affine_rhs(params, horizon_sign):
     def rhs(s, y):
         pt = PhasePoint(*y)
-        return hamilton_field("kds_classical", params, pt, horizon_sign)
+        return hamilton_field(params, pt, horizon_sign)
     return rhs
 
 def _kds_compact_rhs(params, horizon_sign, sign_xi):
     def rhs(s, y):
         cpt = CompactPhasePoint((y[0], y[1], y[2]), max(y[3], 0.0), y[4], y[5], sign_xi)
-        return hamilton_field("kds_classical", params, cpt, horizon_sign)
+        return hamilton_field(params, cpt, horizon_sign)
     return rhs
 
 
@@ -123,27 +123,28 @@ def _events_kds(params, chart):
     return [exit_lo, exit_hi, axis, handoff]
 
 
-def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
+def integrate_flow(params: SpacetimeParams, start, T: float,
                    tol: float = 1e-10, horizon_sign: int = +1,
                    chart: str = "auto", direction: float = +1.0,
                    n_samples: int = 200) -> Bicharacteristic:
     """Adaptive embedded Runge-Kutta integration of the (rescaled) Hamilton flow.
 
-    For the Kerr family `start` is a PhasePoint or CompactPhasePoint; the
-    compact chart integrates the rescaled field nu^(k-1) H_p.  For
-    "ds_reduced" it is (mu, nu, eta_hat, sign_xi) of the compactified reduced
-    static-patch flow.  `direction=-1` integrates the time-reversed field.
-    Leaving the r-domain terminates the trajectory normally with
-    exit_reason="domain".
+    deSitter runs the compactified reduced static-patch flow from start =
+    (mu, nu, eta_hat, sign_xi).  dSSchwarzschild and KerrDeSitter run the
+    classical flow from a PhasePoint or CompactPhasePoint; the compact chart
+    integrates the rescaled field nu^(k-1) H_p.  MinkowskiBoundary has no
+    flow here and raises ValueError.  `direction=-1` integrates the
+    time-reversed field.  Leaving the r-domain terminates the trajectory
+    normally with exit_reason="domain".  Besides p, zeta and ptilde the
+    ledger keeps the symbol and the angular part at the scaled point
+    (|xi| = 1), p_scaled and ptilde_scaled.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
-
-    if symbol_id == "ds_reduced":
-        return _integrate_ds_reduced(params, start, T, tol, direction, n_samples)
-
-    if symbol_id != "kds_classical":
-        raise ValueError(f"unsupported symbol id {symbol_id!r}")
+    if params.model == "MinkowskiBoundary":
+        raise ValueError("MinkowskiBoundary has no Hamilton flow")
+    if params.model == "deSitter":
+        return _integrate_ds_reduced(start, T, tol, direction, n_samples)
 
     if chart == "auto":
         if isinstance(start, CompactPhasePoint):
@@ -151,7 +152,7 @@ def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
         else:
             chart = "compact" if abs(start.xi) > 2.0 else "affine"
 
-    samples, p_led, z_led, pt_led, pts_led = [], [], [], [], []
+    samples, p_led, z_led, pt_led, ps_led, pts_led = [], [], [], [], [], []
     nsteps = nfev = ncalls = 0
     reason = "time"
     s_done = 0.0
@@ -186,7 +187,7 @@ def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
                 cpt = CompactPhasePoint((y[0], y[1], y[2]), nu, y[4], y[5], sign_xi)
                 samples.append((float(sg), cpt))
                 scaled = PhasePoint(y[0], y[1], y[2], float(sign_xi), y[4], y[5])
-                p_hat = kds_classical_symbol(params, 0.0, scaled, horizon_sign)
+                p_hat = kds_classical_symbol(params, scaled, horizon_sign)
                 ptil_hat = kds_angular_part(params, scaled)
                 # actual conserved quantities where the affine chart is usable;
                 # nu^2 ptilde always stays finite, up to fiber infinity.  The
@@ -196,17 +197,20 @@ def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
                 p_led.append(p_hat / nu ** 2 if ok else float("nan"))
                 z_led.append(y[5] / nu if ok else float("nan"))
                 pt_led.append(ptil_hat / nu ** 2 if ok else float("nan"))
+                ps_led.append(p_hat)
                 pts_led.append(ptil_hat)
             else:
                 pt = PhasePoint(*y)
                 samples.append((float(sg),
                                 pt.compactify() if abs(pt.xi) > 1e-8 else pt))
+                p = kds_classical_symbol(params, pt, horizon_sign)
                 ptil = kds_angular_part(params, pt)
-                p_led.append(kds_classical_symbol(params, 0.0, pt, horizon_sign))
+                p_led.append(p)
                 z_led.append(pt.zeta)
                 pt_led.append(ptil)
-                pts_led.append(ptil / pt.xi ** 2 if abs(pt.xi) > 1e-8
-                               else float("nan"))
+                xi2 = pt.xi ** 2 if abs(pt.xi) > 1e-8 else float("nan")
+                ps_led.append(p / xi2)
+                pts_led.append(ptil / xi2)
         nsteps += len(sol.t) - 1
         nfev += sol.nfev
         ncalls += 1
@@ -235,7 +239,8 @@ def integrate_flow(symbol_id: str, params: SpacetimeParams, start, T: float,
             state = [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]
             chart = "affine"
     ledger = {"p": np.array(p_led), "zeta": np.array(z_led),
-              "ptilde": np.array(pt_led), "ptilde_scaled": np.array(pts_led)}
+              "ptilde": np.array(pt_led), "p_scaled": np.array(ps_led),
+              "ptilde_scaled": np.array(pts_led)}
     return Bicharacteristic(samples, ledger,
                             (nsteps, _rejected_steps(nfev, ncalls, nsteps), tol),
                             reason)
@@ -250,7 +255,7 @@ def _rejected_steps(nfev: int, calls: int, steps: int) -> int:
     return (nfev - 2 * calls - 15 * steps) // 12
 
 
-def _integrate_ds_reduced(params, start, T, tol, direction, n_samples):
+def _integrate_ds_reduced(start, T, tol, direction, n_samples):
     """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi)."""
     mu0, nu0, ehat0, sxi = start
     rhs0 = lambda s, y: ds_reduced_compact_field(y[0], y[1], y[2], sxi)
@@ -264,14 +269,12 @@ def _integrate_ds_reduced(params, start, T, tol, direction, n_samples):
         raise StepFailure(sol.message)
     ss = np.linspace(0.0, sol.t[-1], n_samples)
     Y = sol.sol(ss)
-    samples, p_led = [], []
-    for k, s in enumerate(ss):
-        y = Y[:, k]
-        samples.append((float(s * direction), tuple(y)))
-        p_led.append(-4.0 * (1 - y[0]) * y[0] - y[2] ** 2 / (1 - y[0]))
+    samples = [(float(s * direction), tuple(y)) for s, y in zip(ss, Y.T)]
+    mu, ehat2 = Y[0], Y[2] ** 2
+    p = -4.0 * (1 - mu) * mu - ehat2 / (1 - mu)
     nsteps = len(sol.t) - 1
-    ledger = {"p": np.array(p_led), "zeta": np.zeros(len(ss)),
-              "ptilde": np.array(p_led), "ptilde_scaled": np.array(p_led)}
+    ledger = {"p": p, "zeta": np.zeros(len(ss)), "ptilde": p, "p_scaled": p,
+              "ptilde_scaled": ehat2}
     return Bicharacteristic(samples, ledger,
                             (nsteps, _rejected_steps(sol.nfev, 1, nsteps), tol),
                             "domain" if sol.status == 1 else "time")
@@ -302,60 +305,44 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
     constant (or 4 in the static-patch normalization).
     """
     rng = np.random.default_rng(seed)
-    if params.model == "deSitter":
-        sxi = +1 if not reversed_branch else -1
+    ds = params.model == "deSitter"
+    if ds:
         expected = 4.0
-        rates, rho0_rates = [], []
-        for _ in range(max(n_traj, 20)):
+        sxi = +1 if not reversed_branch else -1
+        kw = {"direction": +1.0 if not reversed_branch else -1.0,
+              "n_samples": 400}
+    else:
+        hd = horizon_roots(params)
+        r_h = hd.r_plus if horizon_sign > 0 else hd.r_minus
+        if r_h is None:
+            raise NoHorizons("requested horizon does not exist")
+        expected = hd.gamma_plus if horizon_sign > 0 else hd.gamma_minus
+        sxi = -horizon_sign if not reversed_branch else horizon_sign
+        kw = {"horizon_sign": horizon_sign, "chart": "compact"}
+    rates, rho0_rates = [], []
+    for _ in range(max(n_traj, 20)):
+        if ds:
             start = (eps * rng.uniform(-1, 1), eps * rng.uniform(0.5, 1),
                      eps * rng.uniform(-1, 1), sxi)
-            direction = +1.0 if not reversed_branch else -1.0
-            bc = _integrate_ds_reduced(params, start, T, tol, direction, 400)
-            s = np.array([t for t, _ in bc.samples])
-            nu = np.array([abs(y[1]) for _, y in bc.samples])
-            rho0 = np.array([y[2] ** 2 + (4 * (1 - y[0]) * y[0] + y[2] ** 2 /
-                                          (1 - y[0])) ** 2 for _, y in bc.samples])
-            rates.append(-_fit_log_rate(np.abs(s), nu))
-            rho0_rates.append(-_fit_log_rate(np.abs(s), rho0))
-        kind = "sink" if not reversed_branch else "source"
-        return RadialSetReport(horizon_sign, kind, float(np.mean(rates)),
-                               float(np.mean(rho0_rates)), expected, n_traj)
-
-    hd = horizon_roots(params)
-    r_h = hd.r_plus if horizon_sign > 0 else hd.r_minus
-    if r_h is None:
-        raise NoHorizons("requested horizon does not exist")
-    gam = hd.gamma_plus if horizon_sign > 0 else hd.gamma_minus
-    sxi = -horizon_sign if not reversed_branch else horizon_sign
-    rates, rho0_rates = [], []
-    gamma = params.gamma
-    for _ in range(max(n_traj, 20)):
-        theta = rng.uniform(0.6, math.pi - 0.6)
-        cpt = CompactPhasePoint(
-            (r_h + eps * rng.uniform(-1, 1), theta, 0.0),
-            eps * rng.uniform(0.5, 1.0),
-            eps * rng.uniform(-1, 1), eps * rng.uniform(-1, 1), sxi)
-        bc = integrate_flow("kds_classical", params, cpt, T, tol=tol,
-                            horizon_sign=horizon_sign, chart="compact")
+        else:
+            theta = rng.uniform(0.6, math.pi - 0.6)
+            start = CompactPhasePoint(
+                (r_h + eps * rng.uniform(-1, 1), theta, 0.0),
+                eps * rng.uniform(0.5, 1.0),
+                eps * rng.uniform(-1, 1), eps * rng.uniform(-1, 1), sxi)
+        bc = integrate_flow(params, start, T, tol=tol, **kw)
         s = np.array([abs(t) for t, _ in bc.samples])
-        nu = np.array([p.nu for _, p in bc.samples])
-        rho0 = []
-        for _, p in bc.samples:
-            kap = 1.0 + gamma * math.cos(p.base[1]) ** 2
-            st2 = math.sin(p.base[1]) ** 2
-            ptil_hat = kap * p.eta_hat ** 2 + (1 + gamma) ** 2 * p.zeta_hat ** 2 / (kap * st2)
-            scaled = PhasePoint(p.base[0], p.base[1], p.base[2], float(p.sign_xi),
-                                p.eta_hat, p.zeta_hat)
-            p_hat = kds_classical_symbol(params, 0.0, scaled, horizon_sign)
-            rho0.append(ptil_hat + p_hat ** 2)
+        nu = np.array([abs(p[1]) if ds else p.nu for _, p in bc.samples])
+        led = bc.conserved_ledger
         rates.append(-_fit_log_rate(s, nu))
-        rho0_rates.append(-_fit_log_rate(s, np.array(rho0)))
+        rho0_rates.append(-_fit_log_rate(s, led["ptilde_scaled"]
+                                         + led["p_scaled"] ** 2))
     kind = "sink" if not reversed_branch else "source"
     meas = float(np.mean(rates))
-    if reversed_branch:
+    if reversed_branch and not ds:
         meas = -meas  # growth along the forward flow at the source
     return RadialSetReport(horizon_sign, kind, meas,
-                           float(np.mean(rho0_rates)), gam, n_traj)
+                           float(np.mean(rho0_rates)), expected, n_traj)
 
 
 # ---------------------------------------------------------------------------

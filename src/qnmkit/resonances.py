@@ -203,34 +203,38 @@ class ResonanceList:
         return np.array([e.sigma for e in self.entries])
 
 
-def _row_scale(A0, A1):
-    """Inverse of each row's largest entries in A0 and A1 (the A2 = 0 pencils)."""
-    return 1.0 / np.maximum(np.max(np.abs(A0), axis=1)
-                            + np.max(np.abs(A1), axis=1), 1e-300)
-
-
-def _linearized_eigs(A0, A1, A2):
-    """Finite eigenvalues of A0 + s A1 + s^2 A2, read from the structure of A2.
+def _linearization(A0, A1, A2):
+    """(P, Q, S): a linear pencil P - s Q with the finite eigenvalues of
+    A0 + s A1 + s^2 A2, read from the structure of A2.
 
     `build_operator` makes A2 exactly I (deSitter, MinkowskiBoundary: the sigma^2
     coefficient of c0 is 1) or exactly 0 (dSSchwarzschild, gauge c = 0).
-    A2 = I: the eigenvalues of the monic companion [[0, I], [-A0, -A1]],
-    which LAPACK's geev balances itself.  A2 = 0: the (N+1) linear pencil
-    -A0 - s A1 by QZ, with each row scaled by the inverse of its largest
-    entries in A0 and A1, since ggev does not balance; unscaled, the N^4
-    spread of the collocation rows puts spurious eigenvalues in the box.
+    A2 = I: P is the monic companion [[0, I], [-A0, -A1]], Q and S are None.
+    A2 = 0: the (N+1) pencil P = -S A0, Q = S A1, each row scaled by S, the
+    inverse of its largest entries in A0 and A1, since ggev does not
+    balance; unscaled, the N^4 spread of the collocation rows puts spurious
+    eigenvalues in the box.
     """
     Nn = A0.shape[0]
+    if not A2.any():
+        S = 1.0 / np.maximum(np.max(np.abs(A0), axis=1)
+                             + np.max(np.abs(A1), axis=1), 1e-300)
+        return -S[:, None] * A0, S[:, None] * A1, S
+    if np.array_equal(A2, np.eye(Nn)):
+        Z = np.zeros((Nn, Nn), dtype=complex)
+        return np.block([[Z, np.eye(Nn)], [-A0, -A1]]), None, None
+    raise UnsupportedModel("the eigensolve and the resolvent need a pencil "
+                           "with A2 = I or A2 = 0")
+
+
+def _linearized_eigs(A0, A1, A2):
+    """Finite eigenvalues of A0 + s A1 + s^2 A2: geev on the companion of
+    `_linearization`, which balances it itself, or QZ on its scaled pair."""
+    P, Q, _ = _linearization(A0, A1, A2)
     try:
-        if not A2.any():
-            S = _row_scale(A0, A1)
-            return eig(-S[:, None] * A0, S[:, None] * A1, right=False)
-        if np.array_equal(A2, np.eye(Nn)):
-            Z = np.zeros((Nn, Nn), dtype=complex)
-            return np.linalg.eigvals(np.block([[Z, np.eye(Nn)], [-A0, -A1]]))
+        return np.linalg.eigvals(P) if Q is None else eig(P, Q, right=False)
     except np.linalg.LinAlgError as exc:   # pragma: no cover
         raise SolverFailure(str(exc)) from exc
-    raise UnsupportedModel("the eigensolve needs a pencil with A2 = I or A2 = 0")
 
 
 def _probe_g(op: DiscretizedOperator):
@@ -524,7 +528,7 @@ class _TriangularForm:
     A2 = I: (C - sigma) [u; sigma u] = [0; -f] for the monic companion
     C = [[0, I], [-A0, -A1]], which is balanced by a diagonal D (no
     permutation) and reduced to complex Schur form, D^-1 C D = Z T Z^H, so
-    B = I.  A2 = 0: the row-scaled pair of `_linearized_eigs` in complex QZ
+    B = I.  A2 = 0: the row-scaled pair of `_linearization` in complex QZ
     form, -S A0 = Q T Z^H and S A1 = Q B Z^H.  One reduction per pencil
     makes each shifted solve a triangular back-substitution, O(K^2) per
     sigma (Laub, IEEE TAC 26 (1981) 407).  A2 = a2 I, a2 = 1 or 0.
@@ -539,22 +543,17 @@ class _TriangularForm:
     @classmethod
     def of(cls, A0, A1, A2) -> "_TriangularForm":
         n = A0.shape[0]
+        P, Q, S = _linearization(A0, A1, A2)
         try:
-            if not A2.any():
-                S = _row_scale(A0, A1)
-                T, B, Q, Z = qz(-S[:, None] * A0, S[:, None] * A1,
-                                output="complex")
-                return cls(-Q.conj().T * S, T, B, Z, 0.0)
-            if np.array_equal(A2, np.eye(n)):
-                Z0 = np.zeros((n, n), dtype=complex)
-                C = np.block([[Z0, np.eye(n)], [-A0, -A1]])
-                Cb, (d, _) = matrix_balance(C, permute=False, separate=True)
-                T, Z = schur(Cb, output="complex")
-                return cls(-Z.conj().T[:, n:] / d[n:], T, None,
-                           d[:n, None] * Z[:n], 1.0)
+            if Q is not None:
+                T, B, QL, Z = qz(P, Q, output="complex")
+                return cls(-QL.conj().T * S, T, B, Z, 0.0)
+            Cb, (d, _) = matrix_balance(P, permute=False, separate=True)
+            T, Z = schur(Cb, output="complex")
+            return cls(-Z.conj().T[:, n:] / d[n:], T, None,
+                       d[:n, None] * Z[:n], 1.0)
         except np.linalg.LinAlgError as exc:   # pragma: no cover
             raise SolverFailure(str(exc)) from exc
-        raise UnsupportedModel("the resolvent needs a pencil with A2 = I or A2 = 0")
 
     def solve(self, sig: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Columns L(sig[m])^-1 X[:, m], by one back-substitution for all m."""

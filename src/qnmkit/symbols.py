@@ -79,9 +79,9 @@ def _kds_pieces(params: SpacetimeParams, r, theta):
     return gamma, mt, dmt, kappa, dkappa, st2
 
 
-def kds_classical_symbol(params: SpacetimeParams, c, pt: PhasePoint,
+def kds_classical_symbol(params: SpacetimeParams, pt: PhasePoint,
                          horizon_sign: int = +1) -> float:
-    """p = -mu~ xi^2 +- 2(1+gamma) alpha xi zeta - p~ ; c does not enter classically."""
+    """p = -mu~ xi^2 +- 2(1+gamma) alpha xi zeta - p~."""
     s = 1.0 if horizon_sign > 0 else -1.0
     gamma, mt, _, kappa, _, st2 = _kds_pieces(params, pt.r, pt.theta)
     gp1 = 1.0 + gamma
@@ -136,28 +136,28 @@ def kds_classical_gradient(params: SpacetimeParams, pt: PhasePoint,
     return np.array([p_r, p_th, p_phi, p_xi, p_eta, p_zeta])
 
 
-def hamilton_field(symbol_id: str, params: SpacetimeParams, pt,
-                   horizon_sign: int = +1):
-    """Hamilton vector of the named symbol at an affine or compactified point.
+def hamilton_field(params: SpacetimeParams, pt, horizon_sign: int = +1):
+    """Hamilton vector of the classical symbol at an affine or compactified point.
 
     For a PhasePoint the components are d/ds of (r, theta, phi, xi, eta, zeta).
     For a CompactPhasePoint the *rescaled* field nu^(k-1) H_p (k = 2) is
     returned as d/ds of (r, theta, phi, nu, eta_hat, zeta_hat); it is smooth up
-    to nu = 0 and at the radial sets its nu-component is -+ sign_xi Gamma_+- nu.
+    to nu = 0 and at the radial sets its nu-component is -+ sign_xi Gamma_+-
+    nu.  MinkowskiBoundary has no such symbol and raises ValueError.
     """
-    if symbol_id == "kds_classical":
-        if isinstance(pt, PhasePoint):
-            g = kds_classical_gradient(params, pt, horizon_sign)
-            return np.array([g[3], g[4], g[5], -g[0], -g[1], -g[2]])
-        r, theta, phi = pt.base
-        scaled = PhasePoint(r, theta, phi, float(pt.sign_xi), pt.eta_hat, pt.zeta_hat)
-        g = kds_classical_gradient(params, scaled, horizon_sign)
-        sr = pt.sign_xi * g[0]
-        return np.array([g[3], g[4], g[5],
-                         pt.nu * sr,
-                         -g[1] + pt.eta_hat * sr,
-                         -g[2] + pt.zeta_hat * sr])
-    raise ValueError(f"unknown symbol id {symbol_id!r}")
+    if params.model == "MinkowskiBoundary":
+        raise ValueError("MinkowskiBoundary has no Hamilton flow")
+    if isinstance(pt, PhasePoint):
+        g = kds_classical_gradient(params, pt, horizon_sign)
+        return np.array([g[3], g[4], g[5], -g[0], -g[1], -g[2]])
+    r, theta, phi = pt.base
+    scaled = PhasePoint(r, theta, phi, float(pt.sign_xi), pt.eta_hat, pt.zeta_hat)
+    g = kds_classical_gradient(params, scaled, horizon_sign)
+    sr = pt.sign_xi * g[0]
+    return np.array([g[3], g[4], g[5],
+                     pt.nu * sr,
+                     -g[1] + pt.eta_hat * sr,
+                     -g[2] + pt.zeta_hat * sr])
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +319,8 @@ def evaluate_csv(params: SpacetimeParams, path_in, path_out,
                 continue
             vals = [float(t) for t in row[:6]]
             pt = PhasePoint(*vals)
-            p = kds_classical_symbol(params, 0.0, pt, horizon_sign)
-            H = hamilton_field("kds_classical", params, pt, horizon_sign)
+            p = kds_classical_symbol(params, pt, horizon_sign)
+            H = hamilton_field(params, pt, horizon_sign)
             writer.writerow([f"{v:.17g}" for v in vals + [p] + list(H)])
             count += 1
     return count

@@ -91,6 +91,13 @@ class TestQ:
     def test_vanishes_off_support(self):
         assert q_semiclassical(SpacetimeParams(), 0.5, 1.0, 1.0, SPEC, 0.0) == 0.0
 
+    @pytest.mark.parametrize("params", [
+        KDS, SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")],
+        ids=["kds", "dss"])
+    def test_rotating_family_rejected(self, params):
+        with pytest.raises(ValueError, match=params.model):
+            q_semiclassical(params, 0.5, 1.0, 1.0, SPEC, 0.0)
+
     def test_kds_pairing_is_half_z_derivative(self):
         # pairing against dtau/tau equals (d/dsigma p_full)/2
         from qnmkit.absorption import pairing_kds

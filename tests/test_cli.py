@@ -52,6 +52,19 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 parse_config(cfg, "resonances", str(tmp_path), 0)
 
+    @pytest.mark.parametrize("classify", [0, 1])
+    def test_zero_horizon_sign_rejected(self, tmp_path, capsys, classify):
+        # every consumer would read horizon_sign = 0 as -1
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {KDS_PARAMS}\nhorizon_sign = 0\n"
+                    f"include_classify = {classify}\n")
+        with pytest.raises(ConfigError):
+            parse_config(cfg, "flow", str(tmp_path), 0)
+        out = tmp_path / "out"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+        assert "horizon_sign" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_defaults_filled(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n")
         rc = parse_config(cfg, "resonances", str(tmp_path), 0)
@@ -131,6 +144,15 @@ class TestFlow:
         rep = json.loads((out / "radial_report.json").read_text())
         assert rep["beta0_expected"] == 4.0
         assert abs(rep["beta0_measured"] - 4.0) / 4.0 < 0.05
+
+    def test_minkowski_exit_two(self, tmp_path, capsys):
+        # the flat boundary model has no Hamilton flow and no radial set
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'minkowski.params')}\n")
+        out = tmp_path / "out"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "radial_report.json").exists()
 
 
 class TestResonances:

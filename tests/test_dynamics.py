@@ -35,7 +35,7 @@ class TestIntegrateFlow:
         # the flow preserves every level set of p, not only p = 0
         pt = PhasePoint(0.8, 1.1, 0.0, 0.9, 0.4, -0.6)
         tol = 1e-10
-        bc = integrate_flow("kds_classical", KDS, pt, 8.0, tol=tol, chart="affine")
+        bc = integrate_flow(KDS, pt, 8.0, tol=tol, chart="affine")
         assert abs(bc.conserved_ledger["p"][0]) > 1e-3
         assert bc.drift("p") <= 10 * tol
         assert bc.drift("zeta") <= 10 * tol
@@ -46,8 +46,7 @@ class TestIntegrateFlow:
         # seed with |mu~| ~ 1e-4, nu = eta^ = zeta^ = 1e-3 just outside L_+
         r0 = hd.r_plus - 1e-4 / hd.gamma_plus
         cpt = CompactPhasePoint((r0, 1.3, 0.0), 1e-3, 1e-3, 1e-3, -1)
-        bc = integrate_flow("kds_classical", DSS, cpt, 12.0, tol=1e-11,
-                            chart="compact")
+        bc = integrate_flow(DSS, cpt, 12.0, tol=1e-11, chart="compact")
         _, last = bc.samples[-1]
         assert last.nu < 1e-8
         assert abs(last.eta_hat) < 1e-8
@@ -56,11 +55,11 @@ class TestIntegrateFlow:
     def test_time_reversal(self):
         pt = PhasePoint(0.7, 1.4, 0.2, 0.6, -0.3, 0.5)
         tol = 1e-11
-        bc = integrate_flow("kds_classical", KDS, pt, 1.5, tol=tol, chart="affine")
+        bc = integrate_flow(KDS, pt, 1.5, tol=tol, chart="affine")
         s_end, end = bc.samples[-1]
         endpt = end.affine() if isinstance(end, CompactPhasePoint) else end
-        back = integrate_flow("kds_classical", KDS, endpt, abs(s_end), tol=tol,
-                              chart="affine", direction=-1.0)
+        back = integrate_flow(KDS, endpt, abs(s_end), tol=tol, chart="affine",
+                              direction=-1.0)
         _, back_end = back.samples[-1]
         bp = back_end.affine() if isinstance(back_end, CompactPhasePoint) else back_end
         got = np.array([bp.r, bp.theta, bp.phi, bp.xi, bp.eta, bp.zeta])
@@ -69,17 +68,16 @@ class TestIntegrateFlow:
 
     def test_domain_exit_recorded(self):
         pt = PhasePoint(0.9, 1.2, 0.0, 1.5, 0.0, 0.0)
-        bc = integrate_flow("kds_classical", KDS, pt, 100.0, tol=1e-9,
-                            chart="affine")
+        bc = integrate_flow(KDS, pt, 100.0, tol=1e-9, chart="affine")
         assert bc.exit_reason == "domain"
 
-    @pytest.mark.parametrize("symbol_id, params, start, T, n_calls", [
-        ("kds_classical", KDS, PhasePoint(0.8, 1.1, 0.0, 0.9, 0.4, -0.6), 8.0, 2),
-        ("kds_classical", KDS, PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6), 4.0, 3),
-        ("ds_reduced", DS, (1e-4, 8e-4, -5e-4, 1), 4.0, 1),
+    @pytest.mark.parametrize("params, start, T, n_calls", [
+        (KDS, PhasePoint(0.8, 1.1, 0.0, 0.9, 0.4, -0.6), 8.0, 2),
+        (KDS, PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6), 4.0, 3),
+        (DS, (1e-4, 8e-4, -5e-4, 1), 4.0, 1),
     ], ids=["kds-one-handoff", "kds-two-handoffs", "ds"])
-    def test_rejected_count_matches_attempts(self, monkeypatch, symbol_id,
-                                             params, start, T, n_calls):
+    def test_rejected_count_matches_attempts(self, monkeypatch, params, start,
+                                             T, n_calls):
         # every step attempt of the Runge-Kutta solver is one rk_step call
         attempts, calls = [], []
 
@@ -92,18 +90,76 @@ class TestIntegrateFlow:
             return _f(*a, **k)
         monkeypatch.setattr(rk, "rk_step", counted_step)
         monkeypatch.setattr(dynamics, "solve_ivp", counted_ivp)
-        bc = integrate_flow(symbol_id, params, start, T, tol=1e-10)
+        bc = integrate_flow(params, start, T, tol=1e-10)
         steps, rejected, _ = bc.integrator_stats
         assert len(calls) == n_calls
         assert steps + rejected == len(attempts)
 
+    def test_minkowski_boundary_rejected(self):
+        mink = SpacetimeParams(0.0, model="MinkowskiBoundary", n=4)
+        for start in (PhasePoint(0.5, 1.0, 0.0, 1.0, 0.2, 0.3),
+                      (1e-4, 8e-4, -5e-4, 1)):
+            with pytest.raises(ValueError, match="MinkowskiBoundary"):
+                integrate_flow(mink, start, 1.0)
+
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
-            integrate_flow("kds_classical", KDS,
-                           PhasePoint(0.8, 1.0, 0, 1, 0, 0), 1.0, tol=1e-2)
+            integrate_flow(KDS, PhasePoint(0.8, 1.0, 0, 1, 0, 0), 1.0, tol=1e-2)
+
+
+def rho0_closed_form(params, point, horizon_sign):
+    """The quadratic defining function rho_0 at a sample, in closed form.
+
+    deSitter: eta_hat^2 + p_hat^2 with p_hat = -4 (1 - mu) mu - eta_hat^2 / (1 - mu).
+    Kerr family: ptilde_hat + p_hat^2 at the scaled point xi = sign_xi.
+    """
+    if params.model == "deSitter":
+        mu, _, ehat = point
+        return ehat ** 2 + (4 * (1 - mu) * mu + ehat ** 2 / (1 - mu)) ** 2
+    r, theta, _ = point.base
+    gamma, a = params.gamma, params.alpha
+    kap = 1.0 + gamma * math.cos(theta) ** 2
+    st2 = math.sin(theta) ** 2
+    ptil_hat = kap * point.eta_hat ** 2 \
+        + (1 + gamma) ** 2 * point.zeta_hat ** 2 / (kap * st2)
+    p_hat = (-mu_tilde(params, r)[0]
+             + 2.0 * horizon_sign * (1 + gamma) * a * point.sign_xi * point.zeta_hat
+             - ptil_hat)
+    return ptil_hat + p_hat ** 2
 
 
 class TestClassifyRadial:
+    @pytest.mark.parametrize("params, horizon_sign, start, kw", [
+        (DS, +1, (4e-4, 8e-4, -5e-4, 1), {"n_samples": 400}),
+        (DSS, +1, CompactPhasePoint((horizon_roots(DSS).r_plus + 5e-4, 1.1, 0.0),
+                                    8e-4, -6e-4, 3e-4, -1), {"chart": "compact"}),
+        (KDS, -1, CompactPhasePoint((horizon_roots(KDS).r_minus - 5e-4, 1.9, 0.0),
+                                    8e-4, 6e-4, -3e-4, +1), {"chart": "compact"}),
+    ], ids=["ds", "dss", "kds-inner"])
+    def test_ledger_rho0_matches_closed_form(self, params, horizon_sign, start, kw):
+        # classify_radial reads rho_0 from the ledger; the formulas it used to
+        # compute inline stay here as the reference
+        bc = integrate_flow(params, start, 4.0, tol=1e-11,
+                            horizon_sign=horizon_sign, **kw)
+        led = bc.conserved_ledger
+        got = led["ptilde_scaled"] + led["p_scaled"] ** 2
+        want = np.array([rho0_closed_form(params, p, horizon_sign)
+                         for _, p in bc.samples])
+        assert len(got) == len(bc.samples) >= 200
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_traj, calls", [(3, 20), (23, 23)])
+    def test_de_sitter_runs_through_integrate_flow(self, monkeypatch, n_traj,
+                                                   calls):
+        seen = []
+
+        def counted(*a, _f=dynamics.integrate_flow, **k):
+            seen.append(k.get("n_samples"))
+            return _f(*a, **k)
+        monkeypatch.setattr(dynamics, "integrate_flow", counted)
+        classify_radial(DS, +1, n_traj=n_traj, T=1.0)
+        assert seen == [400] * calls
+
     def test_de_sitter_rate_is_four(self):
         rep = classify_radial(DS, +1, n_traj=20, tol=1e-11)
         assert rep.beta0_expected == 4.0
@@ -284,8 +340,7 @@ class TestConservationSuite:
                             rng.uniform(0.5, math.pi - 0.5),
                             rng.uniform(0, 2 * math.pi),
                             rng.uniform(-1, 1), rng.uniform(-1, 1), zeta)
-            bc = integrate_flow("kds_classical", KDS, pt, 50.0, tol=1e-10,
-                                chart="auto")
+            bc = integrate_flow(KDS, pt, 50.0, tol=1e-10, chart="auto")
             count += 1
             worst = max(worst, bc.drift("p"), bc.drift("zeta"),
                         bc.drift("ptilde"))
@@ -297,8 +352,7 @@ class TestHorizonGrowthRates:
         # |xi|^-2 ptilde decays at 2 Gamma_+ along the flow into the sink
         hd = horizon_roots(KDS)
         cpt = CompactPhasePoint((hd.r_plus - 1e-4, 1.2, 0.0), 1e-3, 1e-3, 1e-3, -1)
-        bc = integrate_flow("kds_classical", KDS, cpt, 3.0, tol=1e-11,
-                            chart="compact")
+        bc = integrate_flow(KDS, cpt, 3.0, tol=1e-11, chart="compact")
         s = np.array([t for t, _ in bc.samples])
         vals = np.array([kv for kv in bc.conserved_ledger["ptilde_scaled"]])
         keep = vals > 1e-280
@@ -310,8 +364,7 @@ class TestHorizonGrowthRates:
     def test_monotone_approach_to_sink(self):
         hd = horizon_roots(DSS)
         cpt = CompactPhasePoint((hd.r_plus - 5e-4, 1.0, 0.0), 2e-3, 2e-3, 2e-3, -1)
-        bc = integrate_flow("kds_classical", DSS, cpt, 8.0, tol=1e-11,
-                            chart="compact")
+        bc = integrate_flow(DSS, cpt, 8.0, tol=1e-11, chart="compact")
         q = []
         for _, p in bc.samples:
             rho_t2 = p.nu ** 2

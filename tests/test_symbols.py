@@ -52,20 +52,19 @@ def full_symbol_oracle(params, c, pt, sigma, sign):
 class TestClassicalSymbol:
     def test_alpha_zero_radial_point(self):
         pt = PhasePoint(1.2, math.pi / 2, 0.0, 1.0, 0.0, 0.0)
-        p = kds_classical_symbol(DSS, 0.0, pt)
+        p = kds_classical_symbol(DSS, pt)
         assert p == pytest.approx(-mu_tilde(DSS, 1.2)[0], rel=1e-15)
 
     def test_zero_section(self):
         pt = PhasePoint(0.8, 1.0, 0.3, 0.0, 0.0, 0.0)
-        assert kds_classical_symbol(KDS, 0.0, pt) == 0.0
+        assert kds_classical_symbol(KDS, pt) == 0.0
 
     @given(st.floats(0.3, 1.0), st.floats(0.3, 2.8), st.floats(-2, 2),
            st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=100, deadline=None)
     def test_reflection_symmetry(self, r, theta, xi, eta, zeta):
-        a = kds_classical_symbol(KDS, 0.0, PhasePoint(r, theta, 0, xi, eta, zeta))
-        b = kds_classical_symbol(KDS, 0.0,
-                                 PhasePoint(r, math.pi - theta, 0, xi, -eta, zeta))
+        a = kds_classical_symbol(KDS, PhasePoint(r, theta, 0, xi, eta, zeta))
+        b = kds_classical_symbol(KDS, PhasePoint(r, math.pi - theta, 0, xi, -eta, zeta))
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -75,7 +74,7 @@ class TestFullSymbol:
         cf = choose_c(KDS)
         for pt in rand_points(KDS, rng, 10):
             full = kds_full_symbol(KDS, cf, pt, 0.0)
-            cls = kds_classical_symbol(KDS, cf, pt)
+            cls = kds_classical_symbol(KDS, pt)
             assert full == pytest.approx(cls, rel=1e-13, abs=1e-13)
 
     def test_real_inputs_real_value(self):
@@ -140,9 +139,9 @@ class TestHamiltonField:
     def test_annihilates_symbol(self):
         rng = np.random.default_rng(4)
         for pt in rand_points(KDS, rng, 100):
-            H = hamilton_field("kds_classical", KDS, pt)
+            H = hamilton_field(KDS, pt)
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
-            f = lambda y: kds_classical_symbol(KDS, 0.0, PhasePoint(*y))
+            f = lambda y: kds_classical_symbol(KDS, PhasePoint(*y))
             dp = fd_gradient(f, x)
             drift = abs(dp @ H)
             scale = max(1.0, np.linalg.norm(dp) * np.linalg.norm(H))
@@ -152,7 +151,7 @@ class TestHamiltonField:
         rng = np.random.default_rng(5)
         for pt in rand_points(KDS, rng, 25):
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
-            f = lambda y: kds_classical_symbol(KDS, 0.0, PhasePoint(*y))
+            f = lambda y: kds_classical_symbol(KDS, PhasePoint(*y))
             dp = fd_gradient(f, x)
             g = kds_classical_gradient(KDS, pt)
             np.testing.assert_allclose(g, dp, rtol=1e-6, atol=1e-6)
@@ -161,7 +160,7 @@ class TestHamiltonField:
         # H_p zeta = 0 holds structurally (no phi dependence); H_p ptil = 0
         rng = np.random.default_rng(6)
         for pt in rand_points(KDS, rng, 20):
-            H = hamilton_field("kds_classical", KDS, pt)
+            H = hamilton_field(KDS, pt)
             assert H[5] + kds_classical_gradient(KDS, pt)[2] == 0.0
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
             f = lambda y: kds_angular_part(KDS, PhasePoint(*y))
@@ -175,23 +174,31 @@ class TestHamiltonField:
                               (-1, hd.r_minus, hd.gamma_minus)):
             for sxi in (+1, -1):
                 cpt = CompactPhasePoint((rh, math.pi / 2, 0.0), 0.0, 0.0, 0.0, sxi)
-                H = hamilton_field("kds_classical", KDS, cpt, horizon_sign=sign)
+                H = hamilton_field(KDS, cpt, horizon_sign=sign)
                 # nu-component of the rescaled field vanishes linearly in nu with
                 # coefficient -sgn(xi) mu~'(r_h) = +-(sgn xi) Gamma_+-
                 eps = 1e-7
                 cpt2 = CompactPhasePoint((rh, math.pi / 2, 0.0), eps, 0.0, 0.0, sxi)
-                H2 = hamilton_field("kds_classical", KDS, cpt2, horizon_sign=sign)
+                H2 = hamilton_field(KDS, cpt2, horizon_sign=sign)
                 rate = (H2[3] - H[3]) / eps
                 expect = -sxi * mu_tilde(KDS, rh)[1]
                 assert rate == pytest.approx(expect, rel=1e-6)
                 assert abs(expect) == pytest.approx(gam, rel=1e-12)
 
+    def test_minkowski_boundary_rejected(self):
+        mink = SpacetimeParams(0.0, model="MinkowskiBoundary", n=4)
+        pt = PhasePoint(0.5, 1.0, 0.0, 1.0, 0.2, 0.3)
+        with pytest.raises(ValueError, match="MinkowskiBoundary"):
+            hamilton_field(mink, pt)
+        with pytest.raises(ValueError, match="MinkowskiBoundary"):
+            hamilton_field(mink, pt.compactify())
+
     def test_compact_chart_matches_pushforward(self):
         rng = np.random.default_rng(7)
         for pt in rand_points(KDS, rng, 20, xi_min=0.5):
             cpt = pt.compactify()
-            Hc = hamilton_field("kds_classical", KDS, cpt)
-            Ha = hamilton_field("kds_classical", KDS, pt)
+            Hc = hamilton_field(KDS, cpt)
+            Ha = hamilton_field(KDS, pt)
             nu = cpt.nu
             s = cpt.sign_xi
             # pushforward: nu' = -s xi'/xi^2, etahat' = eta'/|xi| - eta s xi'/xi^2
@@ -362,4 +369,4 @@ class TestBatchCsv:
         rows = out.read_text().strip().splitlines()
         vals = [float(t) for t in rows[1].split(",")]
         pt = PhasePoint(*vals[:6])
-        assert vals[6] == pytest.approx(kds_classical_symbol(KDS, 0.0, pt), rel=1e-15)
+        assert vals[6] == pytest.approx(kds_classical_symbol(KDS, pt), rel=1e-15)
