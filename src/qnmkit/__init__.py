@@ -8,11 +8,8 @@ from .spacetime import (SpacetimeParams, HorizonData, AdmissibilityReport,
                         NoHorizons, PolarSingularity, InfeasibleC,
                         mu_tilde, horizon_roots, admissibility, dual_metric,
                         choose_c, load_params)
-from .symbols import (PhasePoint, CompactPhasePoint, SemiclassicalPoint,
-                      kds_classical_symbol, kds_full_symbol,
-                      kds_semiclassical_symbol, hamilton_field,
-                      ds_symbol_polar, ds_symbol_flat, minkowski_mode_coeffs,
-                      subprincipal_beta)
+from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
+                      kds_full_symbol, hamilton_field, ds_symbol_polar)
 from .dynamics import (Bicharacteristic, RadialSetReport, TrappedSetPoint,
                        LinearizationSpectrum, integrate_flow, classify_radial,
                        find_trapped_set, trapping_linearization, escape_scan,

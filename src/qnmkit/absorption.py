@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .spacetime import SpacetimeParams, mu_tilde
+from .spacetime import SpacetimeParams
 from .symbols import ds_symbol_polar
 
 
@@ -94,10 +94,6 @@ class AbsorbingSpec:
     def chi2(self, mu):
         return 1.0 - self.chi1(mu)
 
-    def sqrt_chi_pair(self, mu):
-        """sqrt(-chi chi') where chi decays; the bump is built so this is smooth."""
-        val = -self.chi(mu) * self.dchi(mu)
-        return np.sqrt(np.maximum(val, 0.0))
 
 
 def f_z(varpi_norm, z, j: int = 1, C: float = 0.0):
@@ -126,28 +122,6 @@ def p_hat(varpi_norm, z, j: int = 1):
 def pairing_ds(mu, xi, z):
     """<varpi + z dtau/tau, dtau/tau>_G for the static-patch model: 2 r^2 xi + z."""
     return 2.0 * (1.0 - np.asarray(mu)) * np.asarray(xi) + z
-
-
-def pairing_kds(params: SpacetimeParams, r, theta, xi, zeta, z, c,
-                horizon_sign: int = +1):
-    """Half the z-derivative of the full symbol, i.e. the metric pairing with dtau/tau."""
-    s = 1.0 if horizon_sign > 0 else -1.0
-    gamma = params.gamma
-    gp1 = 1.0 + gamma
-    a = params.alpha
-    mt = mu_tilde(params, r)[0]
-    kappa = 1.0 + gamma * math.cos(theta) ** 2
-    st2 = math.sin(theta) ** 2
-    cv = float(c(r)) if callable(c) else float(c)
-    X = xi + s * cv * z
-    R2 = r * r + a * a
-    return (-mt * X * s * cv - s * gp1 * R2 * (X + z * s * cv)
-            + s * gp1 * a * s * cv * zeta + gp1 ** 2 * a * (zeta - a * st2 * z) / kappa)
-
-
-def timelike_norm_ds():
-    """<dtau/tau, dtau/tau>_G = 1 for the static-patch model."""
-    return 1.0
 
 
 # --- absorbing symbol and extension -----------------------------------------
@@ -234,40 +208,3 @@ def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
     det = [("interior_min_abs", float(min_int))]
     return EllipticityReport("collar+interior", float(min_abs_collar), viol,
                              npts, det)
-
-
-def choose_digamma(spec: AbsorbingSpec, z: complex,
-                   mu_grid=None, xi_max: float = 6.0, margin: float = 2.0,
-                   max_doublings: int = 40) -> float:
-    """Doubling search for the plateau height making the seam term dominated.
-
-    Ensures 2 |chi2| |Im f_z| |<beta, dtau/tau>| < (F/2) (Im z)^2 <dtau/tau, dtau/tau>^2
-    with the requested margin on the scan grid (static-patch pairing).
-    """
-    if z.imag <= 0:
-        raise ValueError("the seam condition is about Im z > 0")
-    if mu_grid is None:
-        mu_grid = np.linspace(spec.mu1, spec.mu0, 256)
-    xis = np.linspace(-xi_max, xi_max, 129)
-    F = max(spec.digamma_scale, 1e-6)
-    tt = timelike_norm_ds()
-    for _ in range(max_doublings):
-        ok = True
-        for mu in mu_grid:
-            c2 = spec.chi2(mu)
-            if c2 < 1e-14:
-                continue
-            for xi in xis:
-                f = f_z(abs(xi), z, spec.j, spec.C)
-                beta_pair = pairing_ds(mu, xi, z.real)
-                lhs = 2.0 * c2 * abs(f.imag) * abs(beta_pair)
-                rhs = 0.5 * F * (z.imag ** 2) * tt ** 2
-                if margin * lhs >= rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return F
-        F *= 2.0
-    raise RuntimeError("doubling search for the plateau height did not terminate")

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from .spacetime import SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, domain
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
                       kds_angular_part, hamilton_field,
-                      ds_reduced_compact_field, ds_symbol_polar)
+                      ds_reduced_compact_field)
 
 
 class StepFailure(Exception):
@@ -427,20 +427,6 @@ def kds_reduced_semiclassical_field(params: SpacetimeParams, r, xi,
     return np.array([dr, dxi])
 
 
-def trapping_linearization_fd(params: SpacetimeParams, tsp: TrappedSetPoint,
-                              h: float = 1e-6):
-    """Eigenvalues of the finite-difference Jacobian of the integrated reduced flow."""
-    x0 = np.array([tsp.r_c, tsp.xi_c])
-    J = np.zeros((2, 2))
-    for j in range(2):
-        dx = np.zeros(2)
-        dx[j] = h * max(1.0, abs(x0[j]))
-        fp = kds_reduced_semiclassical_field(params, *(x0 + dx), tsp.zeta, tsp.z)
-        fm = kds_reduced_semiclassical_field(params, *(x0 - dx), tsp.zeta, tsp.z)
-        J[:, j] = (fp - fm) / (2 * dx[j])
-    return np.linalg.eigvals(J)
-
-
 # ---------------------------------------------------------------------------
 # escape-function scans
 # ---------------------------------------------------------------------------
@@ -535,26 +521,6 @@ def escape_scan(params: SpacetimeParams, zeta_over_z, z: float = 1.0,
                     worst = ("interior", r, H2r, r - r_c)
                     details.append(worst)
     return EscapeScanReport(n_checked, n_viol, worst, float(min_Hr), details)
-
-
-def ah_convexity_scan(n_mu: int = 60, n_xi: int = 20, z: float = 1.0,
-                      n: int = 4) -> EscapeScanReport:
-    """Static-patch convexity: H mu = 0 and p = 0 and 0 < mu < 1 imply H^2 mu < 0."""
-    n_checked = n_viol = 0
-    worst = None
-    for mu in np.linspace(0.02, 0.98, n_mu):
-        r2 = 1.0 - mu
-        xi = z / (2.0 * mu)           # H mu = 4 r^2 (-2 mu xi + z) = 0
-        eta_sq = r2 * (r2 * z * z / mu + z * z)
-        p = ds_symbol_polar(n, mu, xi, eta_sq, z)
-        assert abs(p) < 1e-9 * max(1.0, xi * xi)
-        dp_dmu = -4.0 * (1 - 2 * mu) * xi ** 2 - 4.0 * z * xi - eta_sq / r2 ** 2
-        H2mu = 8.0 * r2 * mu * dp_dmu
-        n_checked += 1
-        if not H2mu < 0:
-            n_viol += 1
-            worst = ("ah", mu, H2mu)
-    return EscapeScanReport(n_checked, n_viol, worst, np.inf)
 
 
 def mild_trap_function_check(F: Callable, params: SpacetimeParams,

@@ -338,32 +338,6 @@ def threshold(s: float, k: float, beta_data, im_sigma: float,
     return ThresholdReport(regime, bool(member), beta, s_star)
 
 
-# ---------------------------------------------------------------------------
-# single correction pass for dilation-breaking perturbations
-# ---------------------------------------------------------------------------
-
-def correction_pass(op: DiscretizedOperator, P1: np.ndarray, f0: np.ndarray,
-                    ell_target: float, **kwargs):
-    """One iteration of the non-dilation-invariant expansion.
-
-    For a family N(P) + tau P1, the zeroth solution u0 solves the normal family
-    driven by the default pulse; multiplication by tau shifts the Mellin
-    argument by i, so the correction forcing transforms to -P1 u0_hat(sigma + i)
-    and its expansion extends the index set by the integer-shifted poles.
-    Only the first pass is performed.
-    """
-    solve0 = _driven_solve(op, f0)
-    def solve1(sigma):
-        shifted = solve0(sigma + 1j)
-        return resolvent_apply(op, sigma, -(shifted @ P1.T))
-    poles = _converged_poles(op, -ell_target - 1.5)
-    terms0, rem0 = expand_family(solve0, poles, ell_target, **kwargs)
-    shifted_poles = poles + [p - 1j for p in poles]
-    terms1, rem1 = expand_family(solve1, shifted_poles, ell_target, **kwargs)
-    rem = TemporalSamples(rem0.tau_grid, rem0.values + rem1.values)
-    return terms0 + terms1, rem
-
-
 def save_time_series(u: TemporalSamples, path) -> None:
     """CSV dump: tau, Re u, Im u (one block of columns per spatial index)."""
     import csv

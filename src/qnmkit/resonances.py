@@ -199,9 +199,6 @@ class ResonanceList:
     def converged(self, tol: float = 1e-6) -> list:
         return [e for e in self.entries if e.convergence_delta < tol]
 
-    def sigmas(self) -> np.ndarray:
-        return np.array([e.sigma for e in self.entries])
-
 
 def _linearization(A0, A1, A2):
     """(P, Q, S): a linear pencil P - s Q with the finite eigenvalues of

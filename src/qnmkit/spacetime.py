@@ -82,13 +82,6 @@ class HorizonData:
     beta_minus: Optional[float]
     beta_plus: float
 
-    def beta(self, horizon_sign: int) -> float:
-        if horizon_sign > 0:
-            return self.beta_plus
-        if self.beta_minus is None:
-            raise NoHorizons("no inner horizon for this model")
-        return self.beta_minus
-
 
 @dataclass
 class AdmissibilityReport:
@@ -360,19 +353,6 @@ def dual_metric(params: SpacetimeParams, r: float, theta: float, c: float,
     G[2, 2] = -kappa
     G[3, 3] = -gp1 ** 2 / (kappa * st2)
     return G / rho2
-
-
-def det_dual_metric_identity(params: SpacetimeParams, r: float, theta: float,
-                             c: float, horizon_sign: int = +1):
-    """Return (det g * det G, det g, predicted det g) for the closed-form check."""
-    G = dual_metric(params, r, theta, c, horizon_sign)
-    g = np.linalg.inv(G)
-    rho2 = r * r + params.alpha ** 2 * math.cos(theta) ** 2
-    # det g = -rho^4 sin^2(theta) / (1+gamma)^4; the rank-one block structure
-    # of the (t,phi) sector gives det G = -(1+gamma)^4 / (rho^4 sin^2 theta)
-    pred = -rho2 ** 2 * math.sin(theta) ** 2 / (1.0 + params.gamma) ** 4
-    detg = np.linalg.det(g)
-    return detg * np.linalg.det(G), detg, pred
 
 
 def read_key_values(path) -> dict:

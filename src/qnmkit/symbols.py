@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .spacetime import (SpacetimeParams, PolarSingularity,
-                        THETA_AXIS_TOL, mu_tilde, horizon_roots)
+from .spacetime import SpacetimeParams, PolarSingularity, THETA_AXIS_TOL, mu_tilde
 
 
 @dataclass(frozen=True)
@@ -59,17 +58,6 @@ class CompactPhasePoint:
                           self.eta_hat / self.nu, self.zeta_hat / self.nu)
 
 
-@dataclass(frozen=True)
-class SemiclassicalPoint:
-    point: PhasePoint
-    z: complex
-    h: float
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-
-
 def _kds_pieces(params: SpacetimeParams, r, theta):
     gamma = params.gamma
     mt, dmt, _ = mu_tilde(params, r)
@@ -109,12 +97,6 @@ def kds_full_symbol(params: SpacetimeParams, c, pt: PhasePoint, sigma: complex,
     return (-mt * xs * xs
             - 2.0 * s * gp1 * (pt.r ** 2 + a * a) * xs * sigma
             + 2.0 * s * gp1 * a * xs * pt.zeta - ptil)
-
-
-def kds_semiclassical_symbol(params: SpacetimeParams, c, spt: SemiclassicalPoint,
-                             horizon_sign: int = +1) -> complex:
-    """Same shape as the full symbol with sigma replaced by the order-one z."""
-    return kds_full_symbol(params, c, spt.point, spt.z, horizon_sign)
 
 
 def kds_classical_gradient(params: SpacetimeParams, pt: PhasePoint,
@@ -176,48 +158,6 @@ def ds_symbol_polar(n: int, mu: float, xi: float, eta_sq: float,
         - eta_sq / r2
 
 
-def ds_symbol_flat(Y, zeta, sigma: complex = 0.0) -> complex:
-    """(Y.zeta - sigma)^2 - |zeta|^2 in the chart covering the origin."""
-    Y = np.asarray(Y, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    yz = float(Y @ zeta)
-    return (yz - sigma) ** 2 - float(zeta @ zeta)
-
-
-def ds_flat_to_polar(Y, zeta):
-    """Map a flat-chart covector to (mu, xi, |eta|^2)."""
-    Y = np.asarray(Y, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    r2 = float(Y @ Y)
-    if r2 == 0.0:
-        raise ValueError("origin is only valid in the Y chart")
-    yz = float(Y @ zeta)
-    xi = -yz / (2.0 * r2)
-    zperp_sq = float(zeta @ zeta) - yz * yz / r2
-    return 1.0 - r2, xi, r2 * zperp_sq
-
-
-def ds_hamilton_flat(Y, zeta, sigma: float = 0.0):
-    """(dY/ds, dzeta/ds) = (2(Y.zeta - sigma) Y - 2 zeta, -2(Y.zeta - sigma) zeta)."""
-    Y = np.asarray(Y, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    yz = float(Y @ zeta) - sigma
-    return 2.0 * yz * Y - 2.0 * zeta, -2.0 * yz * zeta
-
-
-def ds_reduced_field(mu: float, xi: float, h_ang: float, z: float = 0.0):
-    """Reduced (mu, xi) Hamilton flow of the static-patch symbol.
-
-    The sphere factor only enters through the conserved |eta|^2 = h_ang^2, so
-    (mu, xi) close into an autonomous system.
-    """
-    r2 = 1.0 - mu
-    dmu = 4.0 * r2 * (-2.0 * mu * xi + z)
-    dxi = -(4.0 * (1.0 - 2.0 * r2) * xi ** 2 - 4.0 * z * xi
-            - h_ang ** 2 / r2 ** 2)
-    return np.array([dmu, dxi])
-
-
 def ds_reduced_compact_field(mu: float, nu: float, eta_hat: float, sign_xi: int,
                              z: float = 0.0):
     """Rescaled nu H_p of the reduced static-patch flow in (mu, nu, eta_hat).
@@ -233,94 +173,3 @@ def ds_reduced_compact_field(mu: float, nu: float, eta_hat: float, sign_xi: int,
     dnu = nu * s * G
     deta = eta_hat * s * G
     return np.array([dmu, dnu, deta])
-
-
-# ---------------------------------------------------------------------------
-# flat boundary model (radial mode coefficients)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RadialCoefficients:
-    """sigma-split coefficient arrays of a second-order radial operator.
-
-    Each block is a tuple (c2, c1, c0) of polynomial coefficient arrays in the
-    radius (lowest power first), so the operator is
-    (A0 + sigma A1 + sigma^2 A2) with Ak = c2_k d^2 + c1_k d + c0_k.
-    """
-
-    A0: tuple
-    A1: tuple
-    A2: tuple
-
-    def apply(self, sigma, s, u, du, d2u):
-        c2, c1, c0 = (np.polynomial.polynomial.polyval(s, np.asarray(b, dtype=complex))
-                      for b in self.A0)
-        out = c2 * d2u + c1 * du + c0 * u
-        c2, c1, c0 = (np.polynomial.polynomial.polyval(s, np.asarray(b, dtype=complex))
-                      for b in self.A1)
-        out += sigma * (c2 * d2u + c1 * du + c0 * u)
-        c2, c1, c0 = (np.polynomial.polynomial.polyval(s, np.asarray(b, dtype=complex))
-                      for b in self.A2)
-        out += sigma ** 2 * (c2 * d2u + c1 * du + c0 * u)
-        return out
-
-
-def minkowski_mode_coeffs(n: int, ell: int) -> RadialCoefficients:
-    """Coefficient list of the boundary-model radial operator in s = |Z|.
-
-    The operator (sD_s + sigma - i(n-1)/2)^2 + 1/4 - Delta_Z, restricted to the
-    spherical-harmonic sector ell (eigenvalue ell(ell+n-3)) and multiplied by
-    s^2 to clear the angular pole; the sigma^2 block is s^2 times the identity
-    coefficient.
-    """
-    if n < 3 or ell < 0:
-        raise ValueError("need n >= 3 and ell >= 0")
-    c0 = -1j * (n - 1) / 2.0
-    # s^2 P = s^2(1-s^2) d^2 + [(n-2)s - (1+2ic)s^3] d + (c^2+1/4)s^2 - l(l+n-3)
-    # with c = sigma + c0
-    A0 = (np.array([0, 0, 1, 0, -1], dtype=complex),
-          np.array([0, n - 2.0, 0, -(1.0 + 2j * c0)], dtype=complex),
-          np.array([-ell * (ell + n - 3.0), 0, c0 * c0 + 0.25], dtype=complex))
-    A1 = (np.zeros(1, dtype=complex),
-          np.array([0, 0, 0, -2j], dtype=complex),
-          np.array([0, 0, 2.0 * c0], dtype=complex))
-    A2 = (np.zeros(1, dtype=complex),
-          np.zeros(1, dtype=complex),
-          np.array([0, 0, 1.0], dtype=complex))
-    return RadialCoefficients(A0, A1, A2)
-
-
-def subprincipal_beta(params: SpacetimeParams, horizon_sign: int = +1) -> float:
-    """beta_+- = 2 Gamma_+-^(-1) (1+gamma)(r_+-^2 + alpha^2); matches HorizonData."""
-    hd = horizon_roots(params)
-    return hd.beta(horizon_sign)
-
-
-# ---------------------------------------------------------------------------
-# batch evaluation (CSV in -> CSV out)
-# ---------------------------------------------------------------------------
-
-def evaluate_csv(params: SpacetimeParams, path_in, path_out,
-                 horizon_sign: int = +1) -> int:
-    """Evaluate the classical symbol and Hamilton field for one phase point per row.
-
-    Input columns: r,theta,phi,xi,eta,zeta.  Output appends p and the six field
-    components.  Returns the number of rows written.
-    """
-    import csv
-    count = 0
-    with open(path_in, newline="") as fi, open(path_out, "w", newline="") as fo:
-        reader = csv.reader(fi)
-        writer = csv.writer(fo)
-        writer.writerow(["r", "theta", "phi", "xi", "eta", "zeta", "p",
-                         "dr", "dtheta", "dphi", "dxi", "deta", "dzeta"])
-        for row in reader:
-            if not row or row[0].strip().startswith(("#", "r")):
-                continue
-            vals = [float(t) for t in row[:6]]
-            pt = PhasePoint(*vals)
-            p = kds_classical_symbol(params, pt, horizon_sign)
-            H = hamilton_field(params, pt, horizon_sign)
-            writer.writerow([f"{v:.17g}" for v in vals + [p] + list(H)])
-            count += 1
-    return count

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnmkit.absorption import (
     AbsorbingSpec, BranchCut, chi0, dchi0, smooth_step, f_z, p_hat,
-    pairing_ds, q_semiclassical, extend_p, ellipticity_scan, choose_digamma,
+    pairing_ds, q_semiclassical, extend_p, ellipticity_scan,
 )
 from qnmkit.spacetime import SpacetimeParams
 
@@ -37,10 +37,6 @@ class TestChi:
         fd = (SPEC.chi(mu + h) - SPEC.chi(mu - h)) / (2 * h)
         np.testing.assert_allclose(SPEC.dchi(mu), fd, atol=1e-5)
 
-    def test_sqrt_pair_smooth_and_finite(self):
-        mu = np.linspace(-0.7, 0.0, 300)
-        v = SPEC.sqrt_chi_pair(mu)
-        assert np.all(np.isfinite(v)) and np.all(v >= 0)
 
 
 class TestFz:
@@ -97,24 +93,6 @@ class TestQ:
     def test_rotating_family_rejected(self, params):
         with pytest.raises(ValueError, match=params.model):
             q_semiclassical(params, 0.5, 1.0, 1.0, SPEC, 0.0)
-
-    def test_kds_pairing_is_half_z_derivative(self):
-        # pairing against dtau/tau equals (d/dsigma p_full)/2
-        from qnmkit.absorption import pairing_kds
-        from qnmkit.symbols import PhasePoint, kds_full_symbol
-        from qnmkit.spacetime import choose_c
-        cf = choose_c(KDS)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            pt = PhasePoint(rng.uniform(0.3, 1.0), rng.uniform(0.5, 2.6), 0.0,
-                            rng.uniform(-2, 2), rng.uniform(-2, 2),
-                            rng.uniform(-2, 2))
-            z = rng.uniform(-2, 2)
-            h = 1e-6
-            dp = (kds_full_symbol(KDS, cf, pt, z + h)
-                  - kds_full_symbol(KDS, cf, pt, z - h)) / (2 * h)
-            got = pairing_kds(KDS, pt.r, pt.theta, pt.xi, pt.zeta, z, cf)
-            assert got == pytest.approx(dp.real / 2, rel=1e-6, abs=1e-8)
 
     def test_holomorphy_proxy(self):
         # discrete Cauchy-Riemann residual in z on the slit domain interior
@@ -180,14 +158,6 @@ class TestEllipticityScan:
                                n_mu=40, n_xi=32, n_eta=4)
         interior = dict(rep.details)["interior_min_abs"]
         assert interior > z.imag ** 2
-
-    def test_digamma_search_terminates(self):
-        F = choose_digamma(SPEC, 1.0 + 0.6j)
-        assert F >= SPEC.digamma_scale
-        # margin shrinks when the plateau is made too small with j >= 2
-        spec2 = AbsorbingSpec(j=2, digamma_scale=1e-4)
-        F2 = choose_digamma(spec2, 1.0 + 0.6j)
-        assert F2 > spec2.digamma_scale
 
 
 class TestFzProperties:

@@ -6,12 +6,11 @@ import scipy.integrate._ivp.rk as rk
 
 import qnmkit.dynamics as dynamics
 from qnmkit.spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain
-from qnmkit.symbols import PhasePoint, CompactPhasePoint
+from qnmkit.symbols import PhasePoint, CompactPhasePoint, ds_symbol_polar
 from qnmkit.dynamics import (
     integrate_flow, classify_radial, find_trapped_set, trapping_function,
-    trapping_linearization, trapping_linearization_fd, escape_scan,
-    ah_convexity_scan, mild_trap_function_check, kds_reduced_semiclassical_field,
-    NoRoot, MultipleRoots, Bicharacteristic,
+    trapping_linearization, escape_scan, mild_trap_function_check,
+    kds_reduced_semiclassical_field, NoRoot, MultipleRoots, Bicharacteristic,
 )
 
 KDS = SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter")
@@ -214,6 +213,19 @@ class TestTrappedSet:
             assert _Fpp(KDS, tsp) > 0
 
 
+def trapping_linearization_fd(params, tsp, h=1e-6):
+    """Eigenvalues of the finite-difference Jacobian of the reduced flow."""
+    x0 = np.array([tsp.r_c, tsp.xi_c])
+    J = np.zeros((2, 2))
+    for j in range(2):
+        dx = np.zeros(2)
+        dx[j] = h * max(1.0, abs(x0[j]))
+        fp = kds_reduced_semiclassical_field(params, *(x0 + dx), tsp.zeta, tsp.z)
+        fm = kds_reduced_semiclassical_field(params, *(x0 - dx), tsp.zeta, tsp.z)
+        J[:, j] = (fp - fm) / (2 * dx[j])
+    return np.linalg.eigvals(J)
+
+
 class TestTrappingLinearization:
     def test_alpha_zero_closed_form(self):
         # eigenvalues +-3 sqrt(3) r_s z (1 - 9/4 lam r_s^2)^(-1/2)
@@ -291,8 +303,16 @@ class TestEscapeScan:
                     assert abs(Hr) >= bound
 
     def test_ah_convexity(self):
-        rep = ah_convexity_scan(n_mu=60)
-        assert rep.ok and rep.n_checked >= 50
+        # static patch: H mu = 0, p = 0 and 0 < mu < 1 imply H^2 mu < 0
+        z, n = 1.0, 4
+        for mu in np.linspace(0.02, 0.98, 60):
+            r2 = 1.0 - mu
+            xi = z / (2.0 * mu)           # H mu = 4 r^2 (-2 mu xi + z) = 0
+            eta_sq = r2 * (r2 * z * z / mu + z * z)
+            p = ds_symbol_polar(n, mu, xi, eta_sq, z)
+            assert abs(p) < 1e-9 * max(1.0, xi * xi)
+            dp_dmu = -4.0 * (1 - 2 * mu) * xi ** 2 - 4.0 * z * xi - eta_sq / r2 ** 2
+            assert 8.0 * r2 * mu * dp_dmu < 0
 
 
 class TestMildTrapFunction:

@@ -7,7 +7,7 @@ from qnmkit.mellin import (
     TemporalSamples, ExpansionTerm, default_tau_grid, mellin_transform,
     inverse_mellin, laurent_coefficients, expand_family, resonance_expand,
     log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
-    fit_decay, threshold, correction_pass,
+    fit_decay, threshold,
     ContourDivergence, PoleOnContour, DegenerateFit,
 )
 from qnmkit.spacetime import SpacetimeParams, horizon_roots
@@ -282,15 +282,3 @@ class TestThreshold:
         assert hi == max(hd.beta_plus, hd.beta_minus)
         assert lo == min(hd.beta_plus, hd.beta_minus)
 
-
-class TestCorrectionPass:
-    def test_shifted_pole_appears(self):
-        op = build_operator(DS, 0, 40)
-        rng = np.random.default_rng(0)
-        P1 = np.diag(0.05 * rng.standard_normal(41))
-        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
-        terms, rem = correction_pass(op, P1, f0, ell_target=1.5,
-                                     sigma_max=50, n_sigma=3000)
-        # the constant mode at 0 and its integer shift at -i both appear
-        assert any(abs(t.sigma_j - 0.0) < 1e-8 for t in terms)
-        assert any(abs(t.sigma_j + 1j) < 1e-8 for t in terms)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qnmkit.spacetime import (
     SpacetimeParams, NoHorizons, PolarSingularity, InfeasibleC,
-    mu_tilde, horizon_roots, admissibility, dual_metric,
-    det_dual_metric_identity, choose_c, domain, load_params,
+    mu_tilde, horizon_roots, admissibility, dual_metric, choose_c, domain,
+    load_params,
 )
 
 
@@ -161,6 +161,18 @@ class TestAdmissibility:
         rep = admissibility(DSS)
         back = json.loads(rep.to_json())
         assert back["horizons_exist"] is True
+
+
+def det_dual_metric_identity(params, r, theta, c, horizon_sign=+1):
+    """Return (det g * det G, det g, predicted det g) for the closed-form check."""
+    G = dual_metric(params, r, theta, c, horizon_sign)
+    g = np.linalg.inv(G)
+    rho2 = r * r + params.alpha ** 2 * math.cos(theta) ** 2
+    # det g = -rho^4 sin^2(theta) / (1+gamma)^4; the rank-one block structure
+    # of the (t,phi) sector gives det G = -(1+gamma)^4 / (rho^4 sin^2 theta)
+    pred = -rho2 ** 2 * math.sin(theta) ** 2 / (1.0 + params.gamma) ** 4
+    detg = np.linalg.det(g)
+    return detg * np.linalg.det(G), detg, pred
 
 
 class TestDualMetric:

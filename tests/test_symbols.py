@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qnmkit.spacetime import SpacetimeParams, mu_tilde, horizon_roots, choose_c, domain
 from qnmkit.symbols import (
-    PhasePoint, CompactPhasePoint, SemiclassicalPoint,
-    kds_classical_symbol, kds_full_symbol, kds_semiclassical_symbol,
+    PhasePoint, CompactPhasePoint,
+    kds_classical_symbol, kds_full_symbol,
     kds_angular_part, kds_classical_gradient, hamilton_field,
-    ds_symbol_polar, ds_symbol_flat, ds_flat_to_polar, ds_hamilton_flat,
-    ds_reduced_field, ds_reduced_compact_field,
-    minkowski_mode_coeffs, subprincipal_beta, evaluate_csv,
+    ds_symbol_polar, ds_reduced_compact_field,
 )
 
 KDS = SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter")
@@ -95,14 +93,16 @@ class TestFullSymbol:
 
 
 class TestSemiclassicalSymbol:
+    # the semiclassical symbol h^2 p(x, xi/h, z/h) is kds_full_symbol at
+    # sigma = z, since the full symbol is homogeneous of degree 2
     def test_real_real(self):
-        spt = SemiclassicalPoint(PhasePoint(0.9, 1.0, 0, 0.4, 0.1, -0.2), 1.0, 0.1)
-        assert abs(complex(kds_semiclassical_symbol(DSS, 0.0, spt)).imag) < 1e-14
+        pt = PhasePoint(0.9, 1.0, 0, 0.4, 0.1, -0.2)
+        assert abs(complex(kds_full_symbol(DSS, 0.0, pt, 1.0)).imag) < 1e-14
 
     def test_alpha_zero_displayed_form(self):
         pt = PhasePoint(0.8, 1.3, 0.0, 0.7, -0.4, 0.9)
         z = 1.5
-        got = kds_semiclassical_symbol(DSS, 0.0, SemiclassicalPoint(pt, z, 0.01))
+        got = kds_full_symbol(DSS, 0.0, pt, z)
         mt = mu_tilde(DSS, pt.r)[0]
         want = -mt * pt.xi ** 2 - 2.0 * pt.r ** 2 * pt.xi * z \
             - pt.eta ** 2 - pt.zeta ** 2 / math.sin(pt.theta) ** 2
@@ -114,7 +114,7 @@ class TestSemiclassicalSymbol:
         h = 1e-3
         for pt in rand_points(KDS, rng, 10):
             z = complex(rng.uniform(0.5, 2), rng.uniform(-0.2, 0.2))
-            semi = kds_semiclassical_symbol(KDS, cf, SemiclassicalPoint(pt, z, h))
+            semi = kds_full_symbol(KDS, cf, pt, z)
             full = kds_full_symbol(KDS, cf, PhasePoint(
                 pt.r, pt.theta, pt.phi, pt.xi / h, pt.eta / h, pt.zeta / h), z / h)
             assert semi == pytest.approx(h ** 2 * full, rel=1e-8)
@@ -237,6 +237,29 @@ class TestCharacteristicSetBound:
         assert worst <= KDS.alpha ** 2 + 1e-10
 
 
+# Reference form of the static-patch symbol in the flat chart Y, which covers
+# the origin; the polar chart of ds_symbol_polar must agree with it off r = 0.
+def ds_symbol_flat(Y, zeta, sigma: complex = 0.0) -> complex:
+    """(Y.zeta - sigma)^2 - |zeta|^2 in the chart covering the origin."""
+    Y = np.asarray(Y, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    yz = float(Y @ zeta)
+    return (yz - sigma) ** 2 - float(zeta @ zeta)
+
+
+def ds_flat_to_polar(Y, zeta):
+    """Map a flat-chart covector to (mu, xi, |eta|^2)."""
+    Y = np.asarray(Y, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    r2 = float(Y @ Y)
+    if r2 == 0.0:
+        raise ValueError("origin is only valid in the Y chart")
+    yz = float(Y @ zeta)
+    xi = -yz / (2.0 * r2)
+    zperp_sq = float(zeta @ zeta) - yz * yz / r2
+    return 1.0 - r2, xi, r2 * zperp_sq
+
+
 class TestDeSitterCharts:
     def test_flat_at_origin(self):
         z = np.array([0.3, -0.7, 0.2])
@@ -261,29 +284,20 @@ class TestDeSitterCharts:
         assert ds_symbol_flat(Y, z, 0.0) == pytest.approx(
             float(Y @ z) ** 2 - float(z @ z))
 
-    def test_flat_hamilton_conserves_symbol(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            Y = rng.uniform(-0.5, 0.5, size=3)
-            zeta = rng.uniform(-2, 2, size=3)
-            sigma = rng.uniform(-1, 1)
-            dY, dz = ds_hamilton_flat(Y, zeta, sigma)
-            eps = 1e-7
-            a = ds_symbol_flat(Y + eps * dY, zeta + eps * dz, sigma)
-            b = ds_symbol_flat(Y - eps * dY, zeta - eps * dz, sigma)
-            assert abs(a - b) / (2 * eps) < 1e-5 * max(1.0, np.linalg.norm(dY) ** 2)
-
     def test_reduced_field_matches_polar_symbol(self):
-        # H_p p = 0 for the reduced (mu, xi) system at fixed |eta|
+        # nu H_p p = 0 for the compactified reduced (mu, nu, eta_hat) system:
+        # p at xi = sign_xi / nu, |eta| = eta_hat / nu is conserved
         rng = np.random.default_rng(11)
         for _ in range(30):
             mu = rng.uniform(-0.3, 0.9)
-            xi, h, z = rng.uniform(-2, 2), rng.uniform(0, 1.5), rng.uniform(-1, 1)
-            d = ds_reduced_field(mu, xi, h, z)
+            nu, eh, z = rng.uniform(0.3, 2), rng.uniform(0, 1.5), rng.uniform(-1, 1)
+            sxi = int(rng.choice([-1, 1]))
+            d = ds_reduced_compact_field(mu, nu, eh, sxi, z)
+            p = lambda y: ds_symbol_polar(4, y[0], sxi / y[1], (y[2] / y[1]) ** 2, z)
             eps = 1e-7
-            a = ds_symbol_polar(4, mu + eps * d[0], xi + eps * d[1], h * h, z)
-            b = ds_symbol_polar(4, mu - eps * d[0], xi - eps * d[1], h * h, z)
-            assert abs(a - b) / (2 * eps) < 1e-5 * max(1.0, np.sum(d ** 2))
+            y = np.array([mu, nu, eh])
+            assert abs(p(y + eps * d) - p(y - eps * d)) / (2 * eps) \
+                < 1e-5 * max(1.0, np.sum(d ** 2))
 
     def test_compact_reduced_rate(self):
         d = ds_reduced_compact_field(0.0, 1e-9, 0.0, +1)
@@ -292,51 +306,9 @@ class TestDeSitterCharts:
         assert d[1] / 1e-9 == pytest.approx(4.0, rel=1e-8)
 
 
-class TestMinkowskiCoeffs:
-    def poly_apply_oracle(self, n, ell, sigma, coeffs_of_s, u_pow):
-        """Apply s^2 * [(sD_s+c)^2 + 1/4 - Delta_l] to s^k by exact algebra."""
-        c = sigma - 1j * (n - 1) / 2
-        k = u_pow
-        # s^2 * [ (1-s^2) u'' + ((n-2)/s -(1+2ic)s) u' + (c^2+1/4)u - l(l+n-3)/s^2 u ]
-        out = {}  # power -> coeff
-        out[k] = k * (k - 1) + (n - 2) * k + 0  # from s^2*(u''*1) and (n-2)/s u' -> s^k
-        out[k] = k * (k - 1) + (n - 2) * k
-        out[k + 2] = -k * (k - 1) - (1 + 2j * c) * k + (c * c + 0.25)
-        out[k] = out[k] - ell * (ell + n - 3)
-        return out
-
-    def test_against_expansion_oracle(self):
-        rng = np.random.default_rng(12)
-        for n, ell in ((4, 0), (4, 2), (5, 1)):
-            rc = minkowski_mode_coeffs(n, ell)
-            sigma = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            for k in (0, 1, 3):
-                s = rng.uniform(0.3, 1.4, size=5)
-                u = s ** k
-                du = k * s ** (k - 1) if k else np.zeros_like(s)
-                d2u = k * (k - 1) * s ** (k - 2) if k > 1 else np.zeros_like(s)
-                got = rc.apply(sigma, s, u, du, d2u)
-                pol = self.poly_apply_oracle(n, ell, sigma, None, k)
-                want = sum(cc * s ** p for p, cc in pol.items())
-                np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_sigma_quadratic_and_identity_block(self):
-        rc = minkowski_mode_coeffs(4, 0)
-        # sigma^2 block is s^2 times the identity coefficient, no derivatives
-        assert np.allclose(rc.A2[0], 0) and np.allclose(rc.A2[1], 0)
-        np.testing.assert_allclose(rc.A2[2], [0, 0, 1.0])
-
-    def test_radial_vector_field_sector_independent(self):
-        a = minkowski_mode_coeffs(4, 0)
-        b = minkowski_mode_coeffs(4, 3)
-        for blk_a, blk_b in ((a.A1, b.A1), (a.A2, b.A2)):
-            for ca, cb in zip(blk_a, blk_b):
-                np.testing.assert_allclose(ca, cb)
-
-
 class TestSubprincipalBeta:
     def test_de_sitter_value(self):
-        assert subprincipal_beta(DS) == pytest.approx(1.0, abs=1e-13)
+        assert horizon_roots(DS).beta_plus == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_oracle_roots(self):
         def f(r):
@@ -350,23 +322,12 @@ class TestSubprincipalBeta:
                 lo = m
         rm = 0.5 * (lo + hi)
         dmt = mu_tilde(DSS, rm)[1]
-        assert subprincipal_beta(DSS, -1) == pytest.approx(2 * rm * rm / dmt, rel=1e-9)
+        assert horizon_roots(DSS).beta_minus == pytest.approx(2 * rm * rm / dmt,
+                                                              rel=1e-9)
 
     def test_rescaling(self):
         p = SpacetimeParams(2.0, 0.25, 0.04, "KerrDeSitter")
-        b1 = subprincipal_beta(p)
-        b2 = subprincipal_beta(p.rescaled())
+        b1 = horizon_roots(p).beta_plus
+        b2 = horizon_roots(p.rescaled()).beta_plus
         assert b2 == pytest.approx(b1 * math.sqrt(2.0), rel=1e-10)
 
-
-class TestBatchCsv:
-    def test_roundtrip(self, tmp_path):
-        src = tmp_path / "in.csv"
-        src.write_text("r,theta,phi,xi,eta,zeta\n0.9,1.2,0.0,1.0,0.2,-0.3\n")
-        out = tmp_path / "out.csv"
-        n = evaluate_csv(KDS, src, out, +1)
-        assert n == 1
-        rows = out.read_text().strip().splitlines()
-        vals = [float(t) for t in rows[1].split(",")]
-        pt = PhasePoint(*vals[:6])
-        assert vals[6] == pytest.approx(kds_classical_symbol(KDS, pt), rel=1e-15)
