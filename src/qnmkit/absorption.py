@@ -27,28 +27,10 @@ def chi0(s):
     return out if out.ndim else float(out)
 
 
-def dchi0(s):
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0))
-                       / np.where(s > 0, s, 1.0) ** 2, 0.0)
-    return out if out.ndim else float(out)
-
-
 def smooth_step(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     a, b = chi0(t), chi0(1.0 - np.asarray(t, dtype=float))
     return a / (a + b)
-
-
-def smooth_step_d(t):
-    t = np.asarray(t, dtype=float)
-    a, b = chi0(t), chi0(1.0 - t)
-    da, db = dchi0(t), -dchi0(1.0 - t)
-    den = (a + b) ** 2
-    with np.errstate(invalid="ignore"):
-        out = np.where(den > 0, (da * b - a * db) / np.where(den > 0, den, 1.0), 0.0)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -78,15 +60,6 @@ class AbsorbingSpec:
         up = smooth_step((np.asarray(mu) - self.mu1) / (self.mu1p - self.mu1))
         dn = smooth_step((self.mu0 - np.asarray(mu)) / (self.mu0 - self.mu0p))
         return self.digamma_scale * up * dn
-
-    def dchi(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        w1, w2 = self.mu1p - self.mu1, self.mu0 - self.mu0p
-        up = smooth_step((mu - self.mu1) / w1)
-        dn = smooth_step((self.mu0 - mu) / w2)
-        dup = smooth_step_d((mu - self.mu1) / w1) / w1
-        ddn = -smooth_step_d((self.mu0 - mu) / w2) / w2
-        return self.digamma_scale * (dup * dn + up * ddn)
 
     def chi1(self, mu):
         return smooth_step((np.asarray(mu) - self.mu1p) / (self.mu0p - self.mu1p))

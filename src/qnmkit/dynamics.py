@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from .spacetime import SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, domain
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
-                      kds_angular_part, hamilton_field,
+                      kds_angular_part, hamilton_kernel,
                       ds_reduced_compact_field)
 
 
@@ -85,16 +85,12 @@ class LinearizationSpectrum:
 _AXIS_MARGIN = 1e-3
 
 
-def _kds_affine_rhs(params, horizon_sign):
+def _kds_rhs(params, horizon_sign, sign_xi=None):
+    """solve_ivp right-hand side: the state as Python floats through one kernel
+    (affine chart for sign_xi None, else the compact chart)."""
+    field = hamilton_kernel(params, horizon_sign, sign_xi)
     def rhs(s, y):
-        pt = PhasePoint(*y)
-        return hamilton_field(params, pt, horizon_sign)
-    return rhs
-
-def _kds_compact_rhs(params, horizon_sign, sign_xi):
-    def rhs(s, y):
-        cpt = CompactPhasePoint((y[0], y[1], y[2]), max(y[3], 0.0), y[4], y[5], sign_xi)
-        return hamilton_field(params, cpt, horizon_sign)
+        return field(y.tolist())
     return rhs
 
 
@@ -167,20 +163,18 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
         sign_xi = 1 if pt.xi >= 0 else -1
 
     for _segment in range(64):
-        rhs = (_kds_compact_rhs(params, horizon_sign, sign_xi)
-               if chart == "compact" else _kds_affine_rhs(params, horizon_sign))
+        rhs = _kds_rhs(params, horizon_sign,
+                       sign_xi if chart == "compact" else None)
         f = rhs if direction > 0 else (lambda s, y: -np.asarray(rhs(s, y)))
         sol = solve_ivp(f, (0.0, T - s_done), state, method="DOP853", rtol=tol,
                         atol=tol * 1e-2, dense_output=True,
                         events=_events_kds(params, chart))
         if sol.status < 0:
             raise StepFailure(sol.message)
-        seg_len = sol.t[-1]
+        seg_len = float(sol.t[-1])
         k_samp = max(4, int(n_samples * seg_len / max(T, 1e-30)))
         ss = np.linspace(0.0, seg_len, k_samp)
-        Y = sol.sol(ss)
-        for k, s in enumerate(ss):
-            y = Y[:, k]
+        for s, y in zip(ss.tolist(), sol.sol(ss).T.tolist()):
             sg = direction * (s_done + s)
             if chart == "compact":
                 nu = max(y[3], 0.0)
@@ -226,7 +220,7 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
             reason = "axis"
             break
         # chart handoff in the overlap band
-        y = sol.y[:, -1]
+        y = sol.y[:, -1].tolist()
         if chart == "affine":
             pt = PhasePoint(*y)
             c = pt.compactify()
@@ -258,7 +252,7 @@ def _rejected_steps(nfev: int, calls: int, steps: int) -> int:
 def _integrate_ds_reduced(start, T, tol, direction, n_samples):
     """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi)."""
     mu0, nu0, ehat0, sxi = start
-    rhs0 = lambda s, y: ds_reduced_compact_field(y[0], y[1], y[2], sxi)
+    rhs0 = lambda s, y: ds_reduced_compact_field(*y.tolist(), sxi)
     f = rhs0 if direction > 0 else (lambda s, y: -np.asarray(rhs0(s, y)))
     def exit_ev(s, y):
         return 0.98 - abs(y[0] - 0.3)   # keep mu in (-0.68, 1.28)
@@ -269,7 +263,8 @@ def _integrate_ds_reduced(start, T, tol, direction, n_samples):
         raise StepFailure(sol.message)
     ss = np.linspace(0.0, sol.t[-1], n_samples)
     Y = sol.sol(ss)
-    samples = [(float(s * direction), tuple(y)) for s, y in zip(ss, Y.T)]
+    samples = [(float(s * direction), tuple(y))
+               for s, y in zip(ss.tolist(), Y.T.tolist())]
     mu, ehat2 = Y[0], Y[2] ** 2
     p = -4.0 * (1 - mu) * mu - ehat2 / (1 - mu)
     nsteps = len(sol.t) - 1

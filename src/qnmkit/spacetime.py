@@ -4,7 +4,7 @@ Covers the rotating de Sitter family (cosmological constant ``lam``,
 Schwarzschild radius ``r_s``, angular momentum ``alpha``) together with its
 static specializations and the flat boundary model used by the resonance
 solver.  All quantities are dimensionless after the usual rescaling
-r' = sqrt(lam) r, which is also exposed for covariance tests.
+r' = sqrt(lam) r, whose covariance the tests check.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ class SpacetimeParams:
     def gamma(self) -> float:
         return self.lam * self.alpha ** 2 / 3.0
 
-    def rescaled(self) -> "SpacetimeParams":
-        """Parameters after r' = sqrt(lam) r, which normalizes lam to 1."""
-        s = math.sqrt(self.lam)
-        return SpacetimeParams(1.0, s * self.r_s, s * self.alpha, self.model, self.n)
-
 
 @dataclass(frozen=True)
 class HorizonData:
@@ -99,15 +94,22 @@ def mu_tilde(params: SpacetimeParams, r):
     """The horizon quartic (r^2+a^2)(1-lam r^2/3) - r_s r and its first two r-derivatives.
 
     Accepts complex radii (the polynomial continues analytically); used by the
-    around-the-horizon monodromy integration.
+    around-the-horizon monodromy integration.  A real scalar (numpy's
+    included) is evaluated in Python floats, which round exactly as the 0-d
+    array path does, and the values come back as Python floats.  A complex
+    scalar takes the 0-d array path: numpy may fuse the multiply-add of a
+    complex product and Python does not, so the two can differ in the last bit.
     """
     lam, r_s, a2 = params.lam, params.r_s, params.alpha ** 2
     c4 = -lam / 3.0
     c2 = 1.0 - params.gamma
-    r = np.asarray(r)
+    real_scalar = isinstance(r, float)
+    r = float(r) if real_scalar else np.asarray(r)
     val = ((c4 * r * r + c2) * r - r_s) * r + a2
     d1 = (4.0 * c4 * r * r + 2.0 * c2) * r - r_s
     d2 = 12.0 * c4 * r * r + 2.0 * c2
+    if real_scalar:
+        return val, d1, d2
     if val.ndim == 0:
         if np.iscomplexobj(val):
             return complex(val), complex(d1), complex(d2)

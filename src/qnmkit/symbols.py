@@ -58,20 +58,19 @@ class CompactPhasePoint:
                           self.eta_hat / self.nu, self.zeta_hat / self.nu)
 
 
-def _kds_pieces(params: SpacetimeParams, r, theta):
+def _kds_angular(params: SpacetimeParams, theta):
     gamma = params.gamma
-    mt, dmt, _ = mu_tilde(params, r)
     kappa = 1.0 + gamma * math.cos(theta) ** 2
-    dkappa = -2.0 * gamma * math.sin(theta) * math.cos(theta)
     st2 = math.sin(theta) ** 2
-    return gamma, mt, dmt, kappa, dkappa, st2
+    return gamma, kappa, st2
 
 
 def kds_classical_symbol(params: SpacetimeParams, pt: PhasePoint,
                          horizon_sign: int = +1) -> float:
     """p = -mu~ xi^2 +- 2(1+gamma) alpha xi zeta - p~."""
     s = 1.0 if horizon_sign > 0 else -1.0
-    gamma, mt, _, kappa, _, st2 = _kds_pieces(params, pt.r, pt.theta)
+    gamma, kappa, st2 = _kds_angular(params, pt.theta)
+    mt = mu_tilde(params, pt.r)[0]
     gp1 = 1.0 + gamma
     ptil = kappa * pt.eta ** 2 + gp1 ** 2 * pt.zeta ** 2 / (kappa * st2)
     return -mt * pt.xi ** 2 + 2.0 * s * gp1 * params.alpha * pt.xi * pt.zeta - ptil
@@ -79,7 +78,7 @@ def kds_classical_symbol(params: SpacetimeParams, pt: PhasePoint,
 
 def kds_angular_part(params: SpacetimeParams, pt: PhasePoint) -> float:
     """The conserved angular quantity p~ of the classical symbol."""
-    gamma, _, _, kappa, _, st2 = _kds_pieces(params, pt.r, pt.theta)
+    gamma, kappa, st2 = _kds_angular(params, pt.theta)
     return kappa * pt.eta ** 2 + (1.0 + gamma) ** 2 * pt.zeta ** 2 / (kappa * st2)
 
 
@@ -87,7 +86,8 @@ def kds_full_symbol(params: SpacetimeParams, c, pt: PhasePoint, sigma: complex,
                     horizon_sign: int = +1) -> complex:
     """High-energy symbol with the spectral parameter and shift function c(r)."""
     s = 1.0 if horizon_sign > 0 else -1.0
-    gamma, mt, _, kappa, _, st2 = _kds_pieces(params, pt.r, pt.theta)
+    gamma, kappa, st2 = _kds_angular(params, pt.theta)
+    mt = mu_tilde(params, pt.r)[0]
     gp1 = 1.0 + gamma
     a = params.alpha
     cv = float(c(pt.r)) if callable(c) else float(c)
@@ -99,23 +99,72 @@ def kds_full_symbol(params: SpacetimeParams, c, pt: PhasePoint, sigma: complex,
             + 2.0 * s * gp1 * a * xs * pt.zeta - ptil)
 
 
+def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
+                    sign_xi=None):
+    """The Hamilton field of the classical symbol as a map on plain float states.
+
+    With sign_xi None the map sends an affine state (r, theta, phi, xi, eta,
+    zeta) to its d/ds; with sign_xi = +-1 it sends a compact state (r, theta,
+    phi, nu, eta_hat, zeta_hat) to the rescaled field nu^(k-1) H_p (k = 2),
+    reading a nu below 0 (an integrator stage past fiber infinity) as 0.
+    States are sequences of Python floats and the result is a list.  The
+    model constants are read once, here; a theta within THETA_AXIS_TOL of the
+    axis raises PolarSingularity.  Squares stay x ** 2 (pow), which can round
+    differently from x * x, so the trajectories keep their last bits.
+    """
+    s = 1.0 if horizon_sign > 0 else -1.0
+    gamma = params.gamma
+    gp1 = 1.0 + gamma
+    gp1_sq = gp1 ** 2
+    two_gp1_sq = 2.0 * gp1 ** 2
+    cross = 2.0 * s * gp1 * params.alpha      # p has the term cross xi zeta
+    pi, sin, cos = math.pi, math.sin, math.cos
+
+    def gradient(r, theta, xi, eta, zeta):
+        """Partials of p in (r, theta, xi, eta, zeta); p does not depend on phi."""
+        if min(theta, pi - theta) < THETA_AXIS_TOL:
+            raise PolarSingularity("phase point on the axis")
+        mt, dmt, _ = mu_tilde(params, r)
+        sth, cth = sin(theta), cos(theta)
+        kappa = 1.0 + gamma * cth ** 2
+        dkappa = -2.0 * gamma * sth * cth
+        st2 = sth ** 2
+        w = kappa * st2
+        dw = dkappa * st2 + 2.0 * kappa * sth * cth
+        return (-dmt * xi ** 2,
+                -(dkappa * eta ** 2 - gp1_sq * zeta ** 2 * dw / w ** 2),
+                -2.0 * mt * xi + cross * zeta,
+                -2.0 * kappa * eta,
+                cross * xi - two_gp1_sq * zeta / w)
+
+    if sign_xi is None:
+        def affine_field(y):
+            r, theta, _, xi, eta, zeta = y
+            p_r, p_th, p_xi, p_eta, p_zeta = gradient(r, theta, xi, eta, zeta)
+            return [p_xi, p_eta, p_zeta, -p_r, -p_th, -0.0]   # -dp/dphi = -0.0
+        return affine_field
+    if sign_xi not in (-1, 1):
+        raise ValueError("sign_xi must be +-1")
+    scaled_xi = float(sign_xi)
+
+    def compact_field(y):
+        # the gradient at the scaled point xi = sign_xi, eta = eta_hat,
+        # zeta = zeta_hat, pushed to the compact chart and multiplied by nu
+        r, theta, _, nu, eta_hat, zeta_hat = y
+        p_r, p_th, p_xi, p_eta, p_zeta = gradient(r, theta, scaled_xi,
+                                                  eta_hat, zeta_hat)
+        sr = sign_xi * p_r
+        return [p_xi, p_eta, p_zeta, max(nu, 0.0) * sr,
+                -p_th + eta_hat * sr, zeta_hat * sr]
+    return compact_field
+
+
 def kds_classical_gradient(params: SpacetimeParams, pt: PhasePoint,
                            horizon_sign: int = +1):
     """All six partials of the classical symbol, order (r, theta, phi, xi, eta, zeta)."""
-    s = 1.0 if horizon_sign > 0 else -1.0
-    gamma, mt, dmt, kappa, dkappa, st2 = _kds_pieces(params, pt.r, pt.theta)
-    gp1 = 1.0 + gamma
-    a = params.alpha
-    sth, cth = math.sin(pt.theta), math.cos(pt.theta)
-    w = kappa * st2
-    dw = dkappa * st2 + 2.0 * kappa * sth * cth
-    p_r = -dmt * pt.xi ** 2
-    p_th = -(dkappa * pt.eta ** 2 - gp1 ** 2 * pt.zeta ** 2 * dw / w ** 2)
-    p_phi = 0.0
-    p_xi = -2.0 * mt * pt.xi + 2.0 * s * gp1 * a * pt.zeta
-    p_eta = -2.0 * kappa * pt.eta
-    p_zeta = 2.0 * s * gp1 * a * pt.xi - 2.0 * gp1 ** 2 * pt.zeta / w
-    return np.array([p_r, p_th, p_phi, p_xi, p_eta, p_zeta])
+    h = hamilton_kernel(params, horizon_sign)(
+        [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
+    return np.array([-h[3], -h[4], -h[5], h[0], h[1], h[2]])
 
 
 def hamilton_field(params: SpacetimeParams, pt, horizon_sign: int = +1):
@@ -130,16 +179,10 @@ def hamilton_field(params: SpacetimeParams, pt, horizon_sign: int = +1):
     if params.model == "MinkowskiBoundary":
         raise ValueError("MinkowskiBoundary has no Hamilton flow")
     if isinstance(pt, PhasePoint):
-        g = kds_classical_gradient(params, pt, horizon_sign)
-        return np.array([g[3], g[4], g[5], -g[0], -g[1], -g[2]])
-    r, theta, phi = pt.base
-    scaled = PhasePoint(r, theta, phi, float(pt.sign_xi), pt.eta_hat, pt.zeta_hat)
-    g = kds_classical_gradient(params, scaled, horizon_sign)
-    sr = pt.sign_xi * g[0]
-    return np.array([g[3], g[4], g[5],
-                     pt.nu * sr,
-                     -g[1] + pt.eta_hat * sr,
-                     -g[2] + pt.zeta_hat * sr])
+        return np.array(hamilton_kernel(params, horizon_sign)(
+            [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]))
+    return np.array(hamilton_kernel(params, horizon_sign, pt.sign_xi)(
+        [*pt.base, pt.nu, pt.eta_hat, pt.zeta_hat]))
 
 
 # ---------------------------------------------------------------------------

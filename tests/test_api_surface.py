@@ -15,32 +15,43 @@ PAPER_CONSTRUCTIONS = (
     "choose_c", "CFunction", "dual_metric", "kds_full_symbol", "threshold",
 )
 
+# The point-object forms of `symbols.hamilton_kernel`, which the flow runs on
+# plain floats.  tests/test_symbols.py checks the kernel through them: against
+# the symbol's closed form and its finite differences, the radial-set rate and
+# the pushforward between the two charts.
+KERNEL_FORMS = ("hamilton_field", "kds_classical_gradient")
 
-def _public_definitions():
-    """(module path, top-level node) of each public function and class."""
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                yield path, node
+
+def _public_definitions(tree):
+    """(name, node) of each public top-level function and class of a module,
+    and of each public method and property of its public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
 
 
 def _references(tree, skip=None):
     """Names, attributes and string constants used in `tree`, outside imports
-    and outside the top-level node `skip`."""
+    and outside the definition node `skip`."""
     out = set()
-    for top in tree.body:
-        if top is skip or isinstance(top, (ast.Import, ast.ImportFrom)):
+    todo = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
+    while todo:
+        node = todo.pop()
+        if node is skip:
             continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)   # perfbench/tracing.py binds by name
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)   # perfbench/tracing.py binds by name
+        todo.extend(ast.iter_child_nodes(node))
     return out
 
 
@@ -52,12 +63,15 @@ def test_every_public_name_has_a_caller():
     trees = {p: ast.parse(p.read_text()) for p in callers}
     refs = {p: _references(tree) for p, tree in trees.items()}
     defined, uncalled = set(), []
-    for path, node in _public_definitions():
-        defined.add(node.name)
-        if node.name in PAPER_CONSTRUCTIONS:
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
             continue
-        if not (any(node.name in r for p, r in refs.items() if p != path)
-                or node.name in _references(trees[path], node)):
-            uncalled.append(f"{path.name}:{node.name}")
+        for qualname, node in _public_definitions(trees[path]):
+            defined.add(qualname)
+            if qualname in PAPER_CONSTRUCTIONS + KERNEL_FORMS:
+                continue
+            if not (any(node.name in r for p, r in refs.items() if p != path)
+                    or node.name in _references(trees[path], node)):
+                uncalled.append(f"{path.name}:{qualname}")
     assert not uncalled, f"public names with no caller: {uncalled}"
-    assert set(PAPER_CONSTRUCTIONS) <= defined
+    assert set(PAPER_CONSTRUCTIONS + KERNEL_FORMS) <= defined

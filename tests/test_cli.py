@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +146,27 @@ class TestFlow:
         rep = json.loads((out / "radial_report.json").read_text())
         assert rep["beta0_expected"] == 4.0
         assert abs(rep["beta0_measured"] - 4.0) / 4.0 < 0.05
+
+    @pytest.mark.parametrize("model", ["kds", "ds"])
+    def test_outputs_independent_of_blas_threads(self, tmp_path, model):
+        # the flow runs no linear algebra of its own, so its files must not
+        # depend on the BLAS thread count
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, model + '.params')}\n"
+                    "n_traj = 3\ninclude_classify = 1\n")
+        src = os.path.join(os.path.dirname(CONFIGS), os.pardir, "src")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "qnmkit.cli", "flow",
+                            "--config", cfg, "--out", str(out)],
+                           env=env, check=True)
+            outs.append([(out / name).read_bytes() for name in
+                         ("trajectories.csv", "radial_report.json")])
+        assert outs[0] == outs[1]
 
     def test_minkowski_exit_two(self, tmp_path, capsys):
         # the flat boundary model has no Hamilton flow and no radial set

@@ -94,6 +94,37 @@ class TestIntegrateFlow:
         assert len(calls) == n_calls
         assert steps + rejected == len(attempts)
 
+    def test_point_objects_scale_with_samples(self, monkeypatch):
+        # the right-hand side runs on plain floats: point objects are built
+        # per sample (the stored point and the scaled point that the ledger's
+        # kds_classical_symbol reads) and per chart handoff, never per
+        # right-hand-side evaluation
+        built, nfev = [], []
+        for cls in (PhasePoint, CompactPhasePoint):
+            def counted(self, _f=cls.__post_init__):
+                built.append(1)
+                _f(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def counted_ivp(*a, _f=dynamics.solve_ivp, **k):
+            sol = _f(*a, **k)
+            nfev.append(sol.nfev)
+            return sol
+        monkeypatch.setattr(dynamics, "solve_ivp", counted_ivp)
+        start = PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6)
+        runs = []
+        for tol in (1e-8, 1e-12):
+            built.clear()
+            nfev.clear()
+            bc = integrate_flow(KDS, start, 4.0, tol=tol)
+            handoffs = len(nfev) - 1
+            assert handoffs == 2
+            assert len(built) <= 2 * len(bc.samples) + 2 * handoffs + 4
+            runs.append((len(built), sum(nfev)))
+        (built_loose, nfev_loose), (built_tight, nfev_tight) = runs
+        assert nfev_tight > 2 * nfev_loose
+        assert abs(built_tight - built_loose) <= 4
+
     def test_minkowski_boundary_rejected(self):
         mink = SpacetimeParams(0.0, model="MinkowskiBoundary", n=4)
         for start in (PhasePoint(0.5, 1.0, 0.0, 1.0, 0.2, 0.3),

@@ -41,6 +41,12 @@ DSS = SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
 
 
+def rescaled(p):
+    """Parameters after r' = sqrt(lam) r, which normalizes lam to 1."""
+    s = math.sqrt(p.lam)
+    return SpacetimeParams(1.0, s * p.r_s, s * p.alpha, p.model, p.n)
+
+
 class TestMuTilde:
     def test_pure_de_sitter_point(self):
         # mu = r^2(1 - r^2) at lam=3
@@ -128,7 +134,7 @@ class TestHorizonRoots:
             hd = horizon_roots(p)
         except NoHorizons:
             return
-        hd2 = horizon_roots(p.rescaled())
+        hd2 = horizon_roots(rescaled(p))
         s = math.sqrt(lam)
         assert hd2.r_plus == pytest.approx(s * hd.r_plus, rel=1e-12)
         assert hd2.r_minus == pytest.approx(s * hd.r_minus, rel=1e-10)

@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnmkit.spacetime import SpacetimeParams, mu_tilde, horizon_roots, choose_c, domain
+from qnmkit.spacetime import (SpacetimeParams, PolarSingularity, THETA_AXIS_TOL,
+                              mu_tilde, horizon_roots, choose_c, domain)
 from qnmkit.symbols import (
     PhasePoint, CompactPhasePoint,
     kds_classical_symbol, kds_full_symbol,
-    kds_angular_part, kds_classical_gradient, hamilton_field,
+    kds_angular_part, kds_classical_gradient, hamilton_field, hamilton_kernel,
     ds_symbol_polar, ds_reduced_compact_field,
 )
 
 KDS = SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter")
 DSS = SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
+
+
+def rescaled(p):
+    """Parameters after r' = sqrt(lam) r, which normalizes lam to 1."""
+    s = math.sqrt(p.lam)
+    return SpacetimeParams(1.0, s * p.r_s, s * p.alpha, p.model, p.n)
 
 
 def rand_points(params, rng, k, xi_min=0.0):
@@ -209,6 +216,104 @@ class TestHamiltonField:
             np.testing.assert_allclose(Hc, push, rtol=1e-8, atol=1e-10)
 
 
+def closed_form_field(params, s, r, theta, xi, eta, zeta):
+    """Terms of each component of H_p, from the displayed symbol
+
+    p = -mu~ xi^2 + 2 s (1+gamma) alpha xi zeta - kappa eta^2
+        - (1+gamma)^2 zeta^2 / (kappa sin^2 theta)
+
+    with mu~ = (r^2+alpha^2)(1 - lam r^2/3) - r_s r expanded in monomials and
+    kappa = 1 + gamma cos^2 theta.  No term cancels inside itself, so the sum
+    of their absolute values is the scale that rounding is measured against.
+    """
+    lam, r_s, a = params.lam, params.r_s, params.alpha
+    g = lam * a * a / 3.0
+    mu = [r * r, a * a, -lam * r ** 4 / 3.0, -lam * a * a * r * r / 3.0, -r_s * r]
+    dmu = [2.0 * r, -4.0 * lam * r ** 3 / 3.0, -2.0 * lam * a * a * r / 3.0, -r_s]
+    kappa = 1.0 + g * math.cos(theta) ** 2
+    dkappa = -g * math.sin(2.0 * theta)
+    w = kappa * math.sin(theta) ** 2
+    dw = math.sin(2.0 * theta) * (1.0 + g * math.cos(2.0 * theta))
+    c = (1.0 + g) ** 2
+    return [[-2.0 * m * xi for m in mu] + [2.0 * s * (1.0 + g) * a * zeta],
+            [-2.0 * kappa * eta],
+            [2.0 * s * (1.0 + g) * a * xi, -2.0 * c * zeta / w],
+            [d * xi * xi for d in dmu],
+            [dkappa * eta * eta, -c * zeta * zeta * dw / (w * w)],
+            [0.0]]
+
+
+def closed_form_compact_field(params, s, r, theta, nu, eta_hat, zeta_hat, sxi):
+    """Terms of nu H_p in (r, theta, phi, nu, eta_hat, zeta_hat).
+
+    p is homogeneous of degree 2 in the fiber, so this is H_p at the scaled
+    point (xi, eta, zeta) = (sxi, eta_hat, zeta_hat), with nu' = -sxi xi'/xi^2
+    and q_hat' = q'/|xi| - q sxi xi'/xi^2, all times nu.
+    """
+    h = closed_form_field(params, s, r, theta, sxi, eta_hat, zeta_hat)
+    return [h[0], h[1], h[2],
+            [-nu * sxi * t for t in h[3]],
+            h[4] + [-eta_hat * sxi * t for t in h[3]],
+            [-zeta_hat * sxi * t for t in h[3]]]
+
+
+def assert_within_ulps(got, terms, ulps):
+    # the kernel stays within 3.7 ulp of the term scale over 1e5 random points
+    for g, ts in zip(got, terms):
+        assert abs(g - math.fsum(ts)) <= ulps * np.finfo(float).eps \
+            * math.fsum(abs(t) for t in ts)
+
+
+# Fiber coordinates below 1e-100 in size are drawn as 0: their squares would
+# leave the normal range, where rounding is absolute rather than relative.
+FIBER = st.floats(-3, 3).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+
+class TestHamiltonClosedForm:
+    @given(st.sampled_from([KDS, DSS]), st.sampled_from([+1, -1]),
+           st.floats(0.05, 1.5), st.floats(1e-3, math.pi - 1e-3),
+           FIBER, FIBER, FIBER)
+    @settings(max_examples=300, deadline=None)
+    def test_affine_chart(self, params, s, r, theta, xi, eta, zeta):
+        H = hamilton_field(params, PhasePoint(r, theta, 0.3, xi, eta, zeta), s)
+        assert_within_ulps(H, closed_form_field(params, s, r, theta, xi, eta,
+                                                zeta), 8)
+
+    @given(st.sampled_from([KDS, DSS]), st.sampled_from([+1, -1]),
+           st.sampled_from([+1, -1]), st.floats(0.05, 1.5),
+           st.floats(1e-3, math.pi - 1e-3), FIBER.map(abs), FIBER, FIBER)
+    @settings(max_examples=300, deadline=None)
+    def test_compact_chart(self, params, s, sxi, r, theta, nu, eta_hat, zeta_hat):
+        cpt = CompactPhasePoint((r, theta, 0.3), nu, eta_hat, zeta_hat, sxi)
+        assert_within_ulps(hamilton_field(params, cpt, s),
+                           closed_form_compact_field(params, s, r, theta, nu,
+                                                     eta_hat, zeta_hat, sxi), 8)
+
+    @pytest.mark.parametrize("theta", [0.5 * THETA_AXIS_TOL,
+                                       math.pi - 0.5 * THETA_AXIS_TOL])
+    def test_axis_raises(self, theta):
+        # a compact point carries no axis check of its own; the field has one
+        with pytest.raises(PolarSingularity):
+            hamilton_field(KDS, CompactPhasePoint((0.8, theta, 0.0), 0.3, 0.1,
+                                                  0.2, 1))
+        for sign_xi in (None, -1):
+            with pytest.raises(PolarSingularity):
+                hamilton_kernel(KDS, -1, sign_xi)([0.8, theta, 0.0, 0.3, 0.1, 0.2])
+
+    @given(st.floats(-3, 3), st.floats(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_mu_tilde_scalars_match_the_array_path(self, x, y):
+        z = complex(x, y)
+        for params in (KDS, DSS):
+            for r, kind in ((x, float), (np.float64(x), float),
+                            (z, complex), (np.complex128(z), complex)):
+                got, want = mu_tilde(params, r), mu_tilde(params, np.array(r))
+                assert all(type(v) is kind for v in got)
+                bits = [(complex(v).real.hex(), complex(v).imag.hex())
+                        for v in got + want]
+                assert bits[:3] == bits[3:]
+
+
 class TestCharacteristicSetBound:
     def test_ergoregion_bound(self):
         # 1e4 on-shell samples must satisfy mu~ <= alpha^2 + 1e-10
@@ -328,6 +433,6 @@ class TestSubprincipalBeta:
     def test_rescaling(self):
         p = SpacetimeParams(2.0, 0.25, 0.04, "KerrDeSitter")
         b1 = horizon_roots(p).beta_plus
-        b2 = horizon_roots(p.rescaled()).beta_plus
+        b2 = horizon_roots(rescaled(p)).beta_plus
         assert b2 == pytest.approx(b1 * math.sqrt(2.0), rel=1e-10)
 
