@@ -294,10 +294,10 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
                     reversed_branch: bool = False) -> RadialSetReport:
     """Measure the attraction rate at the radial set from a bundle of trajectories.
 
-    Launches n_traj trajectories from an eps-shell around the sink L_+ over the
-    requested horizon, fits the exponential decay of rho~ = nu and of the
-    quadratic defining function rho_0, and compares with the surface-gravity
-    constant (or 4 in the static-patch normalization).
+    Launches max(n_traj, 20) trajectories, the count it reports, from an
+    eps-shell around the sink L_+ of the requested horizon, fits the decay of
+    rho~ = nu and of the quadratic defining function rho_0, and compares with
+    the surface-gravity constant (or 4 in the static-patch normalization).
     """
     rng = np.random.default_rng(seed)
     ds = params.model == "deSitter"
@@ -337,7 +337,7 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
     if reversed_branch and not ds:
         meas = -meas  # growth along the forward flow at the source
     return RadialSetReport(horizon_sign, kind, meas,
-                           float(np.mean(rho0_rates)), expected, n_traj)
+                           float(np.mean(rho0_rates)), expected, len(rates))
 
 
 # ---------------------------------------------------------------------------

@@ -469,7 +469,9 @@ def _continue(polys, path, y=None):
 
 
 def _oracle_geometry(params):
-    """(regular end, horizon, far end, detour radius) of the shooting path."""
+    """(regular end, horizon, far end, detour radius) of the shooting path
+    [entry, horizon +- i radius, far end]; the far end lies inside the detour
+    circle, so the two halves loop once around the horizon and no other root."""
     if params.model == "dSSchwarzschild":
         hd = horizon_roots(params)
         rad = 0.3 * (hd.r_plus - hd.r_minus)
@@ -480,24 +482,21 @@ def _oracle_geometry(params):
 def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> complex:
     """Monodromy detector of the regular branch continued around the horizon.
 
-    The branch analytic at the regular end, normalized there to u = 1, is
-    continued by power series to the far side of the horizon along the
-    upper and the lower complex semicircle.  The detector is the raw
-    difference of the two end values (u, u'), read by the fixed functional
-    (1, 0.37).  It is holomorphic in sigma and vanishes exactly when the
-    branch extends analytically across the horizon, which is the defining
-    property of a resonance; this holds at indicial coincidences too.
+    The branch analytic at the regular end, normalized there to u = 1, runs
+    by power series to entry = horizon + radius and on along [entry,
+    horizon +- i radius, far end], above and below; the two halves close a
+    loop around the horizon and no other root of c2.  The detector is the
+    raw difference of the two end values (u, u'), read by the fixed
+    functional (1, 0.37).  It is holomorphic in sigma and vanishes exactly
+    when the branch extends analytically across the horizon, which is the
+    defining property of a resonance; this holds at indicial coincidences too.
     """
     polys = _radial_polys(params, ell, sigma)
     start, sing, end, rad = _oracle_geometry(params)
-    # real leg from the regular end to the circle entry
-    entry = sing + rad if start > sing else sing - rad
+    entry = sing + rad
     y_entry = _continue(polys, [start, entry])
-    out = []
-    for half in (+1.0, -1.0):
-        mid = sing + 1j * half * rad * (1.0 if start > sing else -1.0)
-        out.append(_continue(polys, [entry, mid, 2.0 * sing - entry, end],
-                             y_entry))
+    out = [_continue(polys, [entry, sing + 1j * half * rad, end], y_entry)
+           for half in (+1.0, -1.0)]
     (u_up, du_up), (u_dn, du_dn) = out
     return complex((u_up - u_dn) + 0.37 * (du_up - du_dn))
 

@@ -187,8 +187,9 @@ class TestClassifyRadial:
             seen.append(k.get("n_samples"))
             return _f(*a, **k)
         monkeypatch.setattr(dynamics, "integrate_flow", counted)
-        classify_radial(DS, +1, n_traj=n_traj, T=1.0)
+        rep = classify_radial(DS, +1, n_traj=n_traj, T=1.0)
         assert seen == [400] * calls
+        assert rep.n_trajectories == calls
 
     def test_de_sitter_rate_is_four(self):
         rep = classify_radial(DS, +1, n_traj=20, tol=1e-11)

@@ -427,6 +427,42 @@ class TestSeriesOracle:
                                     window=(0.40, 0.70), n_sub=60)
         assert calls == []
 
+    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    def test_loop_winds_once_around_the_horizon_only(self, monkeypatch, model,
+                                                     params):
+        # the upper half followed by the lower half reversed must enclose the
+        # horizon and no other root of c2, or the two end values would not
+        # differ by the monodromy about the horizon alone
+        paths = []
+
+        def recorded(polys, path, y=None, _f=resonances._continue):
+            paths.append([complex(z) for z in path])
+            return _f(polys, path, y)
+        monkeypatch.setattr(resonances, "_continue", recorded)
+        sigma = 1.3 - 0.4j
+        oracle_shooting(params, 0, sigma)
+        _, up, down = paths
+        assert up[0] == down[0] and up[-1] == down[-1]
+        loop = np.array(up + down[::-1])
+        _, horizon, _, _ = resonances._oracle_geometry(params)
+        for r in np.roots(_radial_polys(params, 0, sigma)[0]):
+            turn = np.angle((loop[1:] - r) / (loop[:-1] - r)).sum() / (2 * np.pi)
+            assert turn == pytest.approx(1.0 if abs(r - horizon) < 1e-12 else 0.0,
+                                         abs=1e-12)
+
+    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    def test_shooting_makes_eighteen_series_steps(self, monkeypatch, model,
+                                                  params):
+        # on dSS a waypoint 0.0082 from the root r = 0 of c2 made it 36
+        calls = []
+
+        def counted(*a, _f=resonances._series_step):
+            calls.append(1)
+            return _f(*a)
+        monkeypatch.setattr(resonances, "_series_step", counted)
+        oracle_shooting(params, 1, 0.7 - 1.1j)
+        assert len(calls) == 18
+
     def test_taylor_shift_and_series_step(self):
         # synthetic division against numpy's derivatives, and one series step
         # of u'' = -u (c2 = 1, c1 = 0, c0 = 1) against cos and sin
