@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .spacetime import NoHorizons, load_params, \
     read_key_values, admissibility, domain
-from .symbols import PhasePoint, CompactPhasePoint
+from .symbols import PhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     SolverFailure, NearPole, StiffFailure, UnsupportedModel
@@ -165,22 +165,26 @@ def _flow_with_retries(params, start, k, **kw):
     return integrate_flow(params, start, k["T"], tol=tol, **kw)
 
 
+# one trajectories.csv row (csv.writer's excel dialect: comma, CRLF)
+_FLOW_ROW = "%d,%s," + ",".join(["%.17g"] * 10) + "\r\n"
+_DS_FLOW_ROW = "%d,ds_reduced," + ",".join(["%.17g"] * 4) + ",,,,,,\r\n"
+
+
 def cmd_flow(cfg: RunConfig) -> int:
     params = load_params(cfg.params_file)
     rng = np.random.default_rng(cfg.seed)
     _write_manifest(cfg)
     k = cfg.knobs
-    rows = []
+    lines = ["trajectory,chart,parameter,c1,c2,c3,c4,c5,c6,p,zeta,ptilde\r\n"]
     r_lo, r_hi = domain(params)
     for traj_id in range(k["n_traj"]):
         if params.model == "deSitter":
             start = (k["eps"] * rng.uniform(-1, 1), k["eps"] * rng.uniform(0.5, 1),
                      k["eps"] * rng.uniform(-1, 1), 1)
             bc = _flow_with_retries(params, start, k)
-            for s, y in bc.samples:
-                # c4-c6 and the ledger columns stay blank
-                rows.append([traj_id, "ds_reduced", _fmt(s)]
-                            + [_fmt(v) for v in y] + [""] * 6)
+            # c4-c6 and the ledger columns stay blank
+            cols = np.column_stack([bc.samples.s, bc.samples.y])
+            lines += [_DS_FLOW_ROW % (traj_id, *row) for row in cols.tolist()]
         else:
             zeta = rng.uniform(0.2, 1.0) * float(rng.choice([-1.0, 1.0]))
             pt = PhasePoint(rng.uniform(r_lo * 1.05, r_hi * 0.95),
@@ -189,25 +193,17 @@ def cmd_flow(cfg: RunConfig) -> int:
                             rng.uniform(-1, 1), rng.uniform(-1, 1), zeta)
             bc = _flow_with_retries(params, pt, k, horizon_sign=k["horizon_sign"])
             led = bc.conserved_ledger
-            for i, (s, p) in enumerate(bc.samples):
-                if isinstance(p, CompactPhasePoint):
-                    chart = "compact"
-                    coords = [p.base[0], p.base[1], p.base[2], p.nu,
-                              p.eta_hat, p.zeta_hat]
-                else:
-                    chart = "affine"
-                    coords = [p.r, p.theta, p.phi, p.xi, p.eta, p.zeta]
-                rows.append([traj_id, chart, _fmt(s)] + [_fmt(v) for v in coords]
-                            + [_fmt(led["p"][i]), _fmt(led["zeta"][i]),
-                               _fmt(led["ptilde"][i])])
+            cols = np.column_stack([bc.samples.s, bc.samples.y, led["p"],
+                                    led["zeta"], led["ptilde"]])
+            charts = np.where(bc.samples.compact, "compact", "affine").tolist()
+            lines += [_FLOW_ROW % (traj_id, chart, *row)
+                      for chart, row in zip(charts, cols.tolist())]
     with open(os.path.join(cfg.out_dir, "trajectories.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trajectory", "chart", "parameter", "c1", "c2", "c3",
-                    "c4", "c5", "c6", "p", "zeta", "ptilde"])
-        w.writerows(rows)
+        fh.write("".join(lines))
     if k["include_classify"]:
         rep = classify_radial(params, k["horizon_sign"], n_traj=k["n_traj"],
-                              tol=min(k["tol"], 1e-10), seed=cfg.seed)
+                              eps=k["eps"], tol=min(k["tol"], 1e-10),
+                              seed=cfg.seed)
         with open(os.path.join(cfg.out_dir, "radial_report.json"), "w") as fh:
             json.dump({"horizon_sign": rep.horizon_sign,
                        "kind": rep.is_sink_or_source,

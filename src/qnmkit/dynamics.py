@@ -11,7 +11,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .spacetime import SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, domain
+from .spacetime import (SpacetimeParams, NoHorizons, PolarSingularity,
+                        THETA_AXIS_TOL, mu_tilde, horizon_roots, domain)
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
                       kds_angular_part, hamilton_kernel,
                       ds_reduced_compact_field)
@@ -33,9 +34,24 @@ class DegenerateLinearization(Exception):
     """Second derivative of the trapping function is not positive."""
 
 
+@dataclass(frozen=True)
+class FlowSamples:
+    """A trajectory's samples as arrays, one row per sample.
+
+    `y` holds the state in the chart `trajectories.csv` writes: where
+    `compact`, (r, theta, phi, nu, eta_hat, zeta_hat) with the sign of xi in
+    `sign_xi`, else affine (r, theta, phi, xi, eta, zeta).  The reduced de
+    Sitter flow has (mu, nu, eta_hat) rows, all compact.
+    """
+    s: np.ndarray                    # (k,) flow parameter
+    y: np.ndarray                    # (k, 6), or (k, 3) on deSitter
+    compact: np.ndarray              # (k,) bool
+    sign_xi: np.ndarray              # (k,) int
+
+
 @dataclass
 class Bicharacteristic:
-    samples: list                    # (flow parameter, CompactPhasePoint or PhasePoint)
+    samples: FlowSamples
     conserved_ledger: dict           # arrays: p, zeta, ptilde, p_scaled, ptilde_scaled
     integrator_stats: tuple          # (steps, rejected steps, tolerance)
     exit_reason: str = "time"        # "time" | "domain" | "axis"
@@ -98,8 +114,7 @@ _NU_TO_COMPACT = 0.40    # |xi| = 2.5: leave the affine chart
 _NU_TO_AFFINE = 0.55     # overlap band for the reverse handoff
 
 
-def _events_kds(params, chart):
-    r_lo, r_hi = domain(params)
+def _events_kds(r_lo, r_hi, chart):
     def exit_lo(s, y):
         return y[0] - r_lo
     def exit_hi(s, y):
@@ -131,9 +146,11 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     integrates the rescaled field nu^(k-1) H_p.  MinkowskiBoundary has no
     flow here and raises ValueError.  `direction=-1` integrates the
     time-reversed field.  Leaving the r-domain terminates the trajectory
-    normally with exit_reason="domain".  Besides p, zeta and ptilde the
-    ledger keeps the symbol and the angular part at the scaled point
-    (|xi| = 1), p_scaled and ptilde_scaled.
+    normally with exit_reason="domain".  The samples are arrays
+    (`FlowSamples`), n_samples over [0, T] split between the chart segments.
+    Besides p, zeta and ptilde the ledger keeps the symbol and the angular
+    part at the scaled point (|xi| = 1), p_scaled and ptilde_scaled; it is
+    evaluated once per segment.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
@@ -148,7 +165,8 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
         else:
             chart = "compact" if abs(start.xi) > 2.0 else "affine"
 
-    samples, p_led, z_led, pt_led, ps_led, pts_led = [], [], [], [], [], []
+    segments = []                    # (samples, ledger columns) per segment
+    r_lo, r_hi = domain(params)
     nsteps = nfev = ncalls = 0
     reason = "time"
     s_done = 0.0
@@ -168,43 +186,18 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
         f = rhs if direction > 0 else (lambda s, y: -np.asarray(rhs(s, y)))
         sol = solve_ivp(f, (0.0, T - s_done), state, method="DOP853", rtol=tol,
                         atol=tol * 1e-2, dense_output=True,
-                        events=_events_kds(params, chart))
+                        events=_events_kds(r_lo, r_hi, chart))
         if sol.status < 0:
             raise StepFailure(sol.message)
         seg_len = float(sol.t[-1])
         k_samp = max(4, int(n_samples * seg_len / max(T, 1e-30)))
         ss = np.linspace(0.0, seg_len, k_samp)
-        for s, y in zip(ss.tolist(), sol.sol(ss).T.tolist()):
-            sg = direction * (s_done + s)
-            if chart == "compact":
-                nu = max(y[3], 0.0)
-                cpt = CompactPhasePoint((y[0], y[1], y[2]), nu, y[4], y[5], sign_xi)
-                samples.append((float(sg), cpt))
-                scaled = PhasePoint(y[0], y[1], y[2], float(sign_xi), y[4], y[5])
-                p_hat = kds_classical_symbol(params, scaled, horizon_sign)
-                ptil_hat = kds_angular_part(params, scaled)
-                # actual conserved quantities where the affine chart is usable;
-                # nu^2 ptilde always stays finite, up to fiber infinity.  The
-                # 1/nu^2 reconstruction amplifies absolute integrator noise, so
-                # it is only trusted on the outer half of the compact chart.
-                ok = nu > 1e-1
-                p_led.append(p_hat / nu ** 2 if ok else float("nan"))
-                z_led.append(y[5] / nu if ok else float("nan"))
-                pt_led.append(ptil_hat / nu ** 2 if ok else float("nan"))
-                ps_led.append(p_hat)
-                pts_led.append(ptil_hat)
-            else:
-                pt = PhasePoint(*y)
-                samples.append((float(sg),
-                                pt.compactify() if abs(pt.xi) > 1e-8 else pt))
-                p = kds_classical_symbol(params, pt, horizon_sign)
-                ptil = kds_angular_part(params, pt)
-                p_led.append(p)
-                z_led.append(pt.zeta)
-                pt_led.append(ptil)
-                xi2 = pt.xi ** 2 if abs(pt.xi) > 1e-8 else float("nan")
-                ps_led.append(p / xi2)
-                pts_led.append(ptil / xi2)
+        Y = sol.sol(ss).T
+        theta = Y[:, 1]
+        if np.any(np.minimum(theta, math.pi - theta) < THETA_AXIS_TOL):
+            raise PolarSingularity("phase point on the axis")
+        segments.append(_segment_samples(params, horizon_sign, chart, sign_xi,
+                                         direction * (s_done + ss), Y))
         nsteps += len(sol.t) - 1
         nfev += sol.nfev
         ncalls += 1
@@ -232,12 +225,52 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
             pt = c.affine()
             state = [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]
             chart = "affine"
-    ledger = {"p": np.array(p_led), "zeta": np.array(z_led),
-              "ptilde": np.array(pt_led), "p_scaled": np.array(ps_led),
-              "ptilde_scaled": np.array(pts_led)}
+    parts = [np.concatenate(cols) for cols in zip(*segments)]
+    samples = FlowSamples(*parts[:4])
+    ledger = dict(zip(("p", "zeta", "ptilde", "p_scaled", "ptilde_scaled"),
+                      parts[4:]))
     return Bicharacteristic(samples, ledger,
                             (nsteps, _rejected_steps(nfev, ncalls, nsteps), tol),
                             reason)
+
+
+def _segment_samples(params, horizon_sign, chart, sign_xi, s, Y):
+    """Sample columns (s, y, compact, sign_xi) and ledger columns (p, zeta,
+    ptilde, p_scaled, ptilde_scaled) of one segment's dense states Y (k, 6).
+
+    The ledger evaluates the symbol once on the whole segment.  In the
+    compact chart it reads the scaled point xi = sign_xi; the actual
+    conserved quantities are only reconstructed (by 1/nu^2, which amplifies
+    absolute integrator noise) on the outer part nu > 0.1 of the chart, and
+    read NaN below it.  Affine samples are stored compactified where
+    |xi| > 1e-8.
+    """
+    k = len(s)
+    if chart == "compact":
+        nu = np.maximum(Y[:, 3], 0.0)
+        scaled = Y.copy()
+        scaled[:, 3] = float(sign_xi)
+        p_hat = kds_classical_symbol(params, scaled, horizon_sign)
+        ptil_hat = kds_angular_part(params, scaled)
+        ok = nu > 1e-1
+        nu2 = np.float_power(nu, 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(ok, p_hat / nu2, np.nan)
+            zeta = np.where(ok, Y[:, 5] / nu, np.nan)
+            ptil = np.where(ok, ptil_hat / nu2, np.nan)
+        Y[:, 3] = nu
+        return (s, Y, np.ones(k, bool), np.full(k, sign_xi),
+                p, zeta, ptil, p_hat, ptil_hat)
+    p = kds_classical_symbol(params, Y, horizon_sign)
+    ptil = kds_angular_part(params, Y)
+    xi, zeta = Y[:, 3].copy(), Y[:, 5].copy()
+    ax = np.abs(xi)
+    big = ax > 1e-8
+    xi2 = np.where(big, np.float_power(xi, 2.0), np.nan)
+    Y[big, 3] = 1.0 / ax[big]
+    Y[big, 4:] /= ax[big, None]
+    return (s, Y, big, np.where(xi > 0, 1, -1),
+            p, zeta, ptil, p / xi2, ptil / xi2)
 
 
 def _rejected_steps(nfev: int, calls: int, steps: int) -> int:
@@ -263,8 +296,8 @@ def _integrate_ds_reduced(start, T, tol, direction, n_samples):
         raise StepFailure(sol.message)
     ss = np.linspace(0.0, sol.t[-1], n_samples)
     Y = sol.sol(ss)
-    samples = [(float(s * direction), tuple(y))
-               for s, y in zip(ss.tolist(), Y.T.tolist())]
+    samples = FlowSamples(ss * direction, Y.T, np.ones(n_samples, bool),
+                          np.full(n_samples, sxi))
     mu, ehat2 = Y[0], Y[2] ** 2
     p = -4.0 * (1 - mu) * mu - ehat2 / (1 - mu)
     nsteps = len(sol.t) - 1
@@ -326,8 +359,8 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
                 eps * rng.uniform(0.5, 1.0),
                 eps * rng.uniform(-1, 1), eps * rng.uniform(-1, 1), sxi)
         bc = integrate_flow(params, start, T, tol=tol, **kw)
-        s = np.array([abs(t) for t, _ in bc.samples])
-        nu = np.array([abs(p[1]) if ds else p.nu for _, p in bc.samples])
+        s = np.abs(bc.samples.s)
+        nu = np.abs(bc.samples.y[:, 1]) if ds else bc.samples.y[:, 3]
         led = bc.conserved_ledger
         rates.append(-_fit_log_rate(s, nu))
         rho0_rates.append(-_fit_log_rate(s, led["ptilde_scaled"]

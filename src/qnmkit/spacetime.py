@@ -100,14 +100,9 @@ def mu_tilde(params: SpacetimeParams, r):
     scalar takes the 0-d array path: numpy may fuse the multiply-add of a
     complex product and Python does not, so the two can differ in the last bit.
     """
-    lam, r_s, a2 = params.lam, params.r_s, params.alpha ** 2
-    c4 = -lam / 3.0
-    c2 = 1.0 - params.gamma
     real_scalar = isinstance(r, float)
     r = float(r) if real_scalar else np.asarray(r)
-    val = ((c4 * r * r + c2) * r - r_s) * r + a2
-    d1 = (4.0 * c4 * r * r + 2.0 * c2) * r - r_s
-    d2 = 12.0 * c4 * r * r + 2.0 * c2
+    val, d1, d2 = mu_tilde_kernel(params)(r)
     if real_scalar:
         return val, d1, d2
     if val.ndim == 0:
@@ -115,6 +110,24 @@ def mu_tilde(params: SpacetimeParams, r):
             return complex(val), complex(d1), complex(d2)
         return float(val), float(d1), float(d2)
     return val, d1, d2
+
+
+def mu_tilde_kernel(params: SpacetimeParams):
+    """The quartic of `mu_tilde` as a map r -> (value, first, second
+    r-derivative), with the model constants read once, here.
+
+    r may be a Python float or an array; the hot loops (the Hamilton field)
+    bind the map once and call it on plain floats.
+    """
+    c4 = -params.lam / 3.0
+    c2 = 1.0 - params.gamma
+    r_s, a2 = params.r_s, params.alpha ** 2
+
+    def quartic(r):
+        return (((c4 * r * r + c2) * r - r_s) * r + a2,
+                (4.0 * c4 * r * r + 2.0 * c2) * r - r_s,
+                12.0 * c4 * r * r + 2.0 * c2)
+    return quartic
 
 
 def _mu_coeffs(params: SpacetimeParams):

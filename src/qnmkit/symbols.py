@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .spacetime import SpacetimeParams, PolarSingularity, THETA_AXIS_TOL, mu_tilde
+from .spacetime import (SpacetimeParams, PolarSingularity, THETA_AXIS_TOL,
+                        mu_tilde, mu_tilde_kernel)
 
 
 @dataclass(frozen=True)
@@ -58,28 +59,49 @@ class CompactPhasePoint:
                           self.eta_hat / self.nu, self.zeta_hat / self.nu)
 
 
+def _sq(x):
+    """x^2 through libm pow, as Python's x ** 2 rounds it, for a float or an
+    array alike (numpy's x ** 2 squares by multiplying and can differ)."""
+    return np.float_power(x, 2.0)
+
+
 def _kds_angular(params: SpacetimeParams, theta):
     gamma = params.gamma
-    kappa = 1.0 + gamma * math.cos(theta) ** 2
-    st2 = math.sin(theta) ** 2
+    kappa = 1.0 + gamma * _sq(np.cos(theta))
+    st2 = _sq(np.sin(theta))
     return gamma, kappa, st2
 
 
-def kds_classical_symbol(params: SpacetimeParams, pt: PhasePoint,
+def _affine_columns(pt):
+    """(r, theta, xi, eta, zeta) of a PhasePoint, or columns of affine states
+    of shape (..., 6)."""
+    if isinstance(pt, PhasePoint):
+        return pt.r, pt.theta, pt.xi, pt.eta, pt.zeta
+    y = np.asarray(pt)
+    return y[..., 0], y[..., 1], y[..., 3], y[..., 4], y[..., 5]
+
+
+def kds_angular_part(params: SpacetimeParams, pt) -> float:
+    """The conserved angular quantity p~ of the classical symbol.
+
+    pt is a PhasePoint or an array of affine states (..., 6); an array gives
+    an array that matches the PhasePoint values bit for bit.
+    """
+    _, theta, _, eta, zeta = _affine_columns(pt)
+    gamma, kappa, st2 = _kds_angular(params, theta)
+    return kappa * _sq(eta) + (1.0 + gamma) ** 2 * _sq(zeta) / (kappa * st2)
+
+
+def kds_classical_symbol(params: SpacetimeParams, pt,
                          horizon_sign: int = +1) -> float:
-    """p = -mu~ xi^2 +- 2(1+gamma) alpha xi zeta - p~."""
+    """p = -mu~ xi^2 +- 2(1+gamma) alpha xi zeta - p~, at a PhasePoint or on
+    an array of affine states (..., 6), as `kds_angular_part`."""
     s = 1.0 if horizon_sign > 0 else -1.0
-    gamma, kappa, st2 = _kds_angular(params, pt.theta)
-    mt = mu_tilde(params, pt.r)[0]
-    gp1 = 1.0 + gamma
-    ptil = kappa * pt.eta ** 2 + gp1 ** 2 * pt.zeta ** 2 / (kappa * st2)
-    return -mt * pt.xi ** 2 + 2.0 * s * gp1 * params.alpha * pt.xi * pt.zeta - ptil
-
-
-def kds_angular_part(params: SpacetimeParams, pt: PhasePoint) -> float:
-    """The conserved angular quantity p~ of the classical symbol."""
-    gamma, kappa, st2 = _kds_angular(params, pt.theta)
-    return kappa * pt.eta ** 2 + (1.0 + gamma) ** 2 * pt.zeta ** 2 / (kappa * st2)
+    r, _, xi, _, zeta = _affine_columns(pt)
+    mt = mu_tilde(params, r)[0]
+    gp1 = 1.0 + params.gamma
+    return -mt * _sq(xi) + 2.0 * s * gp1 * params.alpha * xi * zeta \
+        - kds_angular_part(params, pt)
 
 
 def kds_full_symbol(params: SpacetimeParams, c, pt: PhasePoint, sigma: complex,
@@ -108,11 +130,13 @@ def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
     phi, nu, eta_hat, zeta_hat) to the rescaled field nu^(k-1) H_p (k = 2),
     reading a nu below 0 (an integrator stage past fiber infinity) as 0.
     States are sequences of Python floats and the result is a list.  The
-    model constants are read once, here; a theta within THETA_AXIS_TOL of the
-    axis raises PolarSingularity.  Squares stay x ** 2 (pow), which can round
-    differently from x * x, so the trajectories keep their last bits.
+    model constants, mu~'s included, are read once, here; a theta within
+    THETA_AXIS_TOL of the axis raises PolarSingularity.  Squares stay x ** 2
+    (pow), which can round differently from x * x, so the trajectories keep
+    their last bits.
     """
     s = 1.0 if horizon_sign > 0 else -1.0
+    quartic = mu_tilde_kernel(params)
     gamma = params.gamma
     gp1 = 1.0 + gamma
     gp1_sq = gp1 ** 2
@@ -124,7 +148,7 @@ def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
         """Partials of p in (r, theta, xi, eta, zeta); p does not depend on phi."""
         if min(theta, pi - theta) < THETA_AXIS_TOL:
             raise PolarSingularity("phase point on the axis")
-        mt, dmt, _ = mu_tilde(params, r)
+        mt, dmt, _ = quartic(r)
         sth, cth = sin(theta), cos(theta)
         kappa = 1.0 + gamma * cth ** 2
         dkappa = -2.0 * gamma * sth * cth

@@ -147,7 +147,7 @@ class TestFlow:
         assert rep["beta0_expected"] == 4.0
         assert abs(rep["beta0_measured"] - 4.0) / 4.0 < 0.05
 
-    @pytest.mark.parametrize("model", ["kds", "ds"])
+    @pytest.mark.parametrize("model", ["kds", "dss", "ds"])
     def test_outputs_independent_of_blas_threads(self, tmp_path, model):
         # the flow runs no linear algebra of its own, so its files must not
         # depend on the BLAS thread count
@@ -167,6 +167,20 @@ class TestFlow:
             outs.append([(out / name).read_bytes() for name in
                          ("trajectories.csv", "radial_report.json")])
         assert outs[0] == outs[1]
+
+    def test_eps_sets_the_classify_shell(self, tmp_path):
+        # eps is the radius of the shell classify_radial starts from on the
+        # Kerr family too: rel_err 1.0e-6 at the default 1e-3, 1.5e-5 at 0.02
+        errs = []
+        for eps in ("0.001", "0.02"):
+            cfg = write(tmp_path / f"{eps}.cfg",
+                        f"params = {os.path.join(CONFIGS, 'kds.params')}\n"
+                        f"n_traj = 1\nT = 0.5\neps = {eps}\n")
+            out = tmp_path / eps
+            assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+            errs.append(json.loads((out / "radial_report.json").read_text())
+                        ["rel_err"])
+        assert errs[0] < 5e-6 < errs[1] < 1e-4
 
     def test_minkowski_exit_two(self, tmp_path, capsys):
         # the flat boundary model has no Hamilton flow and no radial set
