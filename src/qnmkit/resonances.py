@@ -18,20 +18,25 @@ continues the branch analytic at the regular end, normalized there to u = 1,
 around the horizon by power series: a Frobenius recurrence at the regular
 end and Taylor recurrences at a chain of centres, each step at most half the
 distance to the nearest singular point (Leaver's route for quasinormal
-modes).  Its detector is the raw difference of the branch's end values along
-the two sides of the horizon, which is holomorphic in sigma.
+modes).  The steps and their Taylor coefficients, split by powers of sigma
+as the pencil's are, form a plan built once per (params, ell); for each
+sigma one lower-banded triangular solve runs every step's recurrence, and
+the steps' 2 x 2 transfers are chained along the path.  Its detector is the
+raw difference of the branch's end values along the two sides of the
+horizon, which is holomorphic in sigma.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eig, matrix_balance, qz, schur
+from scipy.linalg.lapack import ztbtrs
 
 from .collocation import cheb_grid, barycentric_eval
 from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain, _mu_coeffs
@@ -89,16 +94,20 @@ def _radial_polys(params: SpacetimeParams, ell: int, sigma: complex):
     return c2, c1, c0
 
 
-def _sigma_split(params, ell, x):
-    """Grid values of c2, c1 = C1a + s C1b and c0 = C0a + s C0b + s^2 C0c."""
+def _sigma_split(params, ell, at=np.asarray):
+    """c2, c1 = C1a + s C1b and c0 = C0a + s C0b + s^2 C0c.
+
+    Each part is read by at(p) from the polynomials p of c2, c1 and c0 at
+    s = 0, 1 and -1: their coefficients by default, grid values for the pencil.
+    """
     (p2, p1a, p0a), (_, p1p, p0p), (_, _, p0m) = (
         _radial_polys(params, ell, s) for s in (0.0, 1.0, -1.0))
-    C2 = np.polyval(p2, x).astype(complex)
-    C1a = np.polyval(p1a, x)
-    C1b = np.polyval(p1p, x) - C1a
-    C0a = np.polyval(p0a, x)
-    C0_1 = np.polyval(p0p, x)
-    C0_m = np.polyval(p0m, x)
+    C2 = at(p2).astype(complex)
+    C1a = at(p1a)
+    C1b = at(p1p) - C1a
+    C0a = at(p0a)
+    C0_1 = at(p0p)
+    C0_m = at(p0m)
     C0b = (C0_1 - C0_m) / 2.0
     C0c = (C0_1 + C0_m) / 2.0 - C0a
     return C2, C1a, C1b, C0a, C0b, C0c
@@ -165,7 +174,8 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
     else:
         x, D = cheb_grid(N, -0.6, 1.0)
 
-    C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(params, ell, x)
+    C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(params, ell,
+                                               lambda p: np.polyval(p, x))
     D2 = D @ D
     A0 = np.diag(C2) @ D2 + np.diag(C1a) @ D + np.diag(C0a)
     A1 = np.diag(C1b) @ D + np.diag(C0b)
@@ -369,6 +379,8 @@ _SERIES_EPS = 1e-17     # truncation: term below this fraction of the sum ...
 _SERIES_RUN = 3         # ... for this many consecutive terms
 _SERIES_MAX = 2000      # terms; a step within _STEP_RATIO converges far sooner
 _FROBENIUS_MIN = 1e-12  # smallest |k (K c2'(x0) + c1(x0))| at a horizon
+_SERIES_TERMS = 80      # terms a step in the first solve, doubled while the
+                        # stop rule fails (the CLI box needs at most 76)
 
 
 def _taylor_at(p, z):
@@ -386,72 +398,15 @@ def _taylor_at(p, z):
     return out
 
 
-def _series_step(polys, z, y, h, frobenius: bool):
-    """(u, u') at z + h from the power series of the solution about z.
+def _walk(roots, path, frobenius: bool) -> list:
+    """Series steps (centre, step, frobenius) along a piecewise-linear path.
 
-    The coefficient of t^K (t = x - z) in c2 u'' + c1 u' + c0 u gives a
-    linear recurrence for the scaled coefficients v_k = u_k h^k.  At a
-    regular centre it is solved for v_{K+2}, from v_0 = u and v_1 = h u'
-    with y = (u, u').  At a root of c2 it is solved for v_{K+1}, on the
-    exponent-0 (analytic) branch with u_0 = 1, and y is not read; the
-    divisor k (K c2'(z) + c1(z)), k = K + 1, vanishes where the other
-    exponent is the integer k, and StiffFailure is raised there.  The sum
-    stops once _SERIES_RUN consecutive terms are below _SERIES_EPS of it.
+    Each step is at most _STEP_RATIO of the distance from its centre to the
+    nearest root of c2 in `roots`; a path that starts at a root (frobenius)
+    measures its first step to the nearest other one.
     """
-    a2, a1, a0 = (_taylor_at(p, z) for p in polys)
-    # L_j(n) = h^j (a2_j n(n-1) + a1_{j-1} n + a0_{j-2}) multiplies v_n in
-    # the equation for the coefficient of t^(n+j-2)
-    depth = max(len(a2), len(a1) + 1, len(a0) + 2)
-    q2, q1, q0 = [], [], []
-    hj = 1.0 + 0j
-    for j in range(depth):
-        q2.append(a2[j] * hj if j < len(a2) else 0j)
-        q1.append(a1[j - 1] * hj if 1 <= j <= len(a1) else 0j)
-        q0.append(a0[j - 2] * hj if 2 <= j < len(a0) + 2 else 0j)
-        hj *= h
-    if frobenius:
-        lead, v = 1, [1.0 + 0j]
-    else:
-        lead, v = 0, [complex(y[0]), complex(y[1]) * h]
-    s0, s1 = sum(v), sum(k * c for k, c in enumerate(v))
-    run = 0
-    for n in range(len(v), _SERIES_MAX):
-        acc = 0j
-        for j in range(lead + 1, depth):
-            m = n + lead - j
-            if m < 0:
-                break
-            acc += (q2[j] * m * (m - 1) + q1[j] * m + q0[j]) * v[m]
-        den = n * (n - 1) * q2[lead] + n * q1[lead]
-        if frobenius and abs(den / h) < _FROBENIUS_MIN:
-            raise StiffFailure("indicial coincidence at the horizon; perturb sigma")
-        vn = -acc / den
-        v.append(vn)
-        s0 += vn
-        s1 += n * vn
-        if not (cmath.isfinite(s0) and cmath.isfinite(s1)):
-            raise StiffFailure("the series continuation overflowed")
-        if n * abs(vn) <= _SERIES_EPS * max(abs(s0), abs(s1)):
-            run += 1
-            if run == _SERIES_RUN:
-                return s0, s1 / h
-        else:
-            run = 0
-    raise StiffFailure("the series continuation did not converge")
-
-
-def _continue(polys, path, y=None):
-    """(u, u') at the end of a piecewise-linear complex path.
-
-    The coefficients are polynomial in the radius, so the solutions continue
-    analytically off the real axis.  With y = None the path starts at a root
-    of c2, on the branch analytic there with u = 1; otherwise y = (u, u') at
-    path[0].  Each step is at most _STEP_RATIO of the distance from its
-    centre to the nearest (other) root of c2.
-    """
-    roots = np.roots(polys[0]).tolist()
+    steps = []
     z = complex(path[0])
-    frobenius = y is None
     for z1 in path[1:]:
         z1 = complex(z1)
         while z != z1:
@@ -463,9 +418,164 @@ def _continue(polys, path, y=None):
                 z_next = z + h
             else:
                 z_next = z1
-            y = _series_step(polys, z, y, h, frobenius)
+            steps.append((z, h, frobenius))
             z, frobenius = z_next, False
-    return y
+    return steps
+
+
+@dataclass(frozen=True, eq=False)
+class _SeriesPlan:
+    """The sigma-independent half of a series continuation along some legs.
+
+    `legs[k]` lists the steps (centre z, step h, frobenius) of leg k.  About
+    each centre, the coefficient of t^(n+j-2) (t = x - z) in c2 u'' + c1 u'
+    + c0 u gives a linear recurrence for the scaled coefficients v_n = u_n
+    h^n, in which v_n enters with L_j(n) = q2_j n(n-1) + q1_j n + q0_j, q
+    the h^j-scaled Taylor coefficients of c2, c1 and c0 (the last two
+    shifted by one and two orders).  With c1 = c1a + s c1b and c0 = c0a +
+    s c0b + s^2 c0c, `coeffs[i, r, k]` holds part r of q at order j = k +
+    lead of step i.  The equation for t^(n+lead-2) is solved for v_n: lead
+    = 1 at a Frobenius centre (a root of c2, where q2_0 = 0) and 0 elsewhere.
+    """
+
+    legs: tuple
+    h: np.ndarray               # (S,) h of every step, legs in order
+    frobenius: np.ndarray       # (S,) bool
+    coeffs: np.ndarray          # (S, 6, depth): parts of q_{k + lead}
+    _bands: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, split, legs) -> "_SeriesPlan":
+        """Plan of the legs for the polynomials split = (c2, c1a, c1b, c0a,
+        c0b, c0c), each highest power first."""
+        legs = tuple(tuple(leg) for leg in legs)
+        steps = [s for leg in legs for s in leg]
+        shifts = (0, 1, 1, 2, 2, 2)
+        depth = max(len(p) + j for p, j in zip(split, shifts))
+        Q = np.zeros((len(steps), 6, depth + 1), complex)
+        for i, (z, h, _) in enumerate(steps):
+            for r, (p, j) in enumerate(zip(split, shifts)):
+                Q[i, r, j:j + len(p)] = _taylor_at(p, z)
+            Q[i] *= np.cumprod([1.0] + [h] * depth)
+        frob = np.array([s[2] for s in steps], bool)
+        coeffs = np.where(frob[:, None, None], Q[:, :, 1:], Q[:, :, :-1])
+        return cls(legs, np.array([s[1] for s in steps], complex), frob, coeffs)
+
+    def band(self, K: int):
+        """(A, B, C, rhs) for K terms a step.
+
+        A + s B + s^2 C is the block-diagonal lower-banded matrix of every
+        step's recurrence, indexed [step, column m, band offset k] for the
+        entry at row m + k of the step's block (LAPACK lower band storage,
+        transposed): the equation for v_{m+k} takes v_m with L_{k+lead}(m).
+        The first rows of a block are identity rows, one at a Frobenius
+        centre and two elsewhere, and `rhs` sets the basis sequences there:
+        u_0 = 1 at a Frobenius centre, (v_0, v_1) = (1, 0) and (0, 1)
+        elsewhere.
+        """
+        if K not in self._bands:
+            S, depth = len(self.h), self.coeffs.shape[2]
+            m = np.arange(K, dtype=float)[:, None]
+            q = self.coeffs[:, :, None, :]                  # (S, 6, 1, depth)
+            A = q[:, 0] * (m * (m - 1)) + q[:, 1] * m + q[:, 3]
+            B = q[:, 2] * m + q[:, 4]
+            C = np.broadcast_to(q[:, 5], A.shape).copy()
+            outside = m + np.arange(depth) >= K             # row past the block
+            for X in (A, B, C):
+                X[:, outside] = 0.0
+            # the identity rows' other entries in A, B and C are already 0
+            A[:, 0, 0] = 1.0
+            A[~self.frobenius, 1, 0] = 1.0
+            rhs = np.zeros((S, K, 2), complex)
+            rhs[:, 0, 0] = 1.0
+            rhs[~self.frobenius, 1, 1] = 1.0
+            self._bands[K] = (A, B, C, np.asfortranarray(rhs.reshape(S * K, 2)))
+        return self._bands[K]
+
+
+def _chain(plan: _SeriesPlan, y, transfer, base) -> tuple:
+    """Starts (v_0, v_1) = (u, h u') of every step and ends (u, u') of every leg.
+
+    Step i maps the start w_i = base[i][:2] to (c_0, c_1 / h), c = base[i][2:],
+    and any other start v to that plus transfer[i] = (S_0, S_1, N_0, N_1)
+    applied to v - w: (S_0, S_1) and (N_0, N_1) are the sums of v_n and of
+    n v_n over its two basis sequences.
+    """
+    starts, ends = [], []
+    steps = zip(transfer, base)
+    for leg in plan.legs:
+        u, du = ends[0] if ends else y
+        for (_, h, frobenius), ((s0, s1, n0, n1), (w0, w1, c0, c1)) in zip(leg, steps):
+            v0, v1 = (1.0, 0.0) if frobenius else (u, h * du)
+            d0, d1 = v0 - w0, v1 - w1
+            u, du = c0 + s0 * d0 + s1 * d1, (c1 + n0 * d0 + n1 * d1) / h
+            starts.append((v0, v1))
+        ends.append((u, du))
+    return starts, ends
+
+
+def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
+    """(u, u') at the end of each leg of `plan`, for the spectral parameter sigma.
+
+    The coefficients are polynomial in the radius, so the solutions continue
+    analytically off the real axis.  Leg 0 starts from y = (u, u'), or, if
+    it starts at a root of c2, on the branch analytic there with u = 1;
+    every later leg starts from the end of leg 0.  One banded triangular
+    solve gives every step's two basis sequences, and so its 2 x 2 transfer
+    of (u, h u'); chained along the legs, they give every step's start.  A
+    second solve from those starts gives each step's own terms, and a
+    second chain carries through the transfers only the (rounding-sized)
+    differences from those starts: a start that is a small combination of
+    the basis sequences would otherwise lose digits to the cancellation.
+
+    Every step must meet the stop rule on its own terms: each of the last
+    _SERIES_RUN n |v_n| is below _SERIES_EPS of the larger of the sums of
+    v_n and n v_n.  The term count doubles until it does, up to
+    _SERIES_MAX.  StiffFailure is raised there, on non-finite sums, and
+    where the indicial divisor n ((n - 1) c2'(z) + c1(z)) of a Frobenius
+    centre falls below _FROBENIUS_MIN for some term n: the other exponent
+    is the integer n there.
+    """
+    S, K = len(plan.h), _SERIES_TERMS
+    while True:
+        A, B, C, basis = plan.band(K)
+        band = A + sigma * (B + sigma * C)
+        divisor = band[plan.frobenius, 1:, 0] / plan.h[plan.frobenius, None]
+        if (np.abs(divisor) < _FROBENIUS_MIN).any():
+            raise StiffFailure("indicial coincidence at the horizon; perturb sigma")
+        band = band.reshape(S * K, -1).T
+        n = np.arange(K, dtype=float)
+
+        def solve(rhs):
+            x, info = ztbtrs(band, rhs, uplo="L")
+            if info != 0:
+                raise StiffFailure("a series recurrence is singular")
+            x = x.T.reshape(-1, S, K)                   # sequence, step, term
+            return x, np.stack([x.sum(axis=2), (x * n).sum(axis=2)])
+
+        _, sums = solve(basis)                          # sum, basis, step
+        transfer = sums.transpose(2, 0, 1).reshape(S, 4).tolist()
+        starts, _ = _chain(plan, y, transfer, repeat((0.0, 0.0, 0.0, 0.0)))
+        rhs = np.zeros((S, K), complex)
+        rhs[:, :2] = starts
+        terms, own = solve(rhs.reshape(S * K, 1))
+        terms, own = terms[0], own[:, 0]
+        if not np.isfinite(own).all():
+            raise StiffFailure("the series continuation overflowed")
+        tail = n[-_SERIES_RUN:] * np.abs(terms[:, -_SERIES_RUN:])
+        if (tail <= _SERIES_EPS * np.abs(own).max(axis=0)[:, None]).all():
+            base = np.column_stack([starts, own.T]).tolist()
+            return _chain(plan, y, transfer, base)[1]
+        if K == _SERIES_MAX:
+            raise StiffFailure("the series continuation did not converge")
+        K = min(2 * K, _SERIES_MAX)
+
+
+def _series_plan(params: SpacetimeParams, ell: int, paths) -> _SeriesPlan:
+    """Plan of the family (params, ell) along `paths`; path 0 starts at a root of c2."""
+    roots = np.roots(_radial_polys(params, ell, 0.0)[0]).tolist()
+    legs = [_walk(roots, path, k == 0) for k, path in enumerate(paths)]
+    return _SeriesPlan.of(_sigma_split(params, ell), legs)
 
 
 def _oracle_geometry(params):
@@ -477,6 +587,16 @@ def _oracle_geometry(params):
         rad = 0.3 * (hd.r_plus - hd.r_minus)
         return hd.r_plus, hd.r_minus, hd.r_minus - 0.6 * rad, rad
     return 1.0, 0.0, -0.35, 0.35
+
+
+@lru_cache(maxsize=32)
+def _oracle_plan(params: SpacetimeParams, ell: int) -> _SeriesPlan:
+    """The shooting's plan, legs [start, entry] and [entry, horizon +- i
+    radius, far end] (above, then below), with entry = horizon + radius."""
+    start, sing, end, rad = _oracle_geometry(params)
+    entry = sing + rad
+    return _series_plan(params, ell, [(start, entry)] + [
+        (entry, sing + 1j * half * rad, end) for half in (+1.0, -1.0)])
 
 
 def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> complex:
@@ -491,13 +611,8 @@ def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> comple
     when the branch extends analytically across the horizon, which is the
     defining property of a resonance; this holds at indicial coincidences too.
     """
-    polys = _radial_polys(params, ell, sigma)
-    start, sing, end, rad = _oracle_geometry(params)
-    entry = sing + rad
-    y_entry = _continue(polys, [start, entry])
-    out = [_continue(polys, [entry, sing + 1j * half * rad, end], y_entry)
-           for half in (+1.0, -1.0)]
-    (u_up, du_up), (u_dn, du_dn) = out
+    _, (u_up, du_up), (u_dn, du_dn) = _continue(_oracle_plan(params, ell),
+                                                complex(sigma))
     return complex((u_up - u_dn) + 0.37 * (du_up - du_dn))
 
 
@@ -699,7 +814,6 @@ def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
     if params.model != "dSSchwarzschild":
         raise UnsupportedModel("the correspondence check runs on the two-horizon model")
     hd = horizon_roots(params)
-    polys = _radial_polys(params, op.ell, sigma)
 
     # side 1: full-grid resolvent
     f_grid = np.array([f_fun(r) for r in op.grid], dtype=complex)
@@ -727,7 +841,7 @@ def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
 
     # shooting branches analytic at each horizon, conjugated into the t~ gauge
     def branch_frame(x0, xe):
-        y = _continue(polys, [x0, xe])
+        y, = _continue(_series_plan(params, ell, [(x0, xe)]), sigma)
         hv = hfun(xe)
         hp = -xe * xe / mu_tilde(params, xe)[0]
         W = np.exp(-1j * sigma * hv) * y[0]

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import qnmkit.resonances as resonances
@@ -71,19 +72,173 @@ def _referee_solve(op, sigma, f):
     return u
 
 
+# oracle roots near rows of deSitter and dSS, printed as hex floats
+_ORACLE_ROOTS = """
+import json
+from qnmkit.spacetime import SpacetimeParams
+from qnmkit.resonances import oracle_refine
+ds = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
+dss = SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
+roots = [oracle_refine(p, ell, s) for p, ell, s in (
+    (ds, 0, -2.0j), (ds, 1, -1.0j), (dss, 1, -0.99842j), (dss, 2, -1.99935j))]
+print(json.dumps([[z.real.hex(), z.imag.hex()] for z in roots]))
+"""
+
+
+def _oracle_roots_at_threads(threads: int) -> list:
+    src = os.path.dirname(os.path.dirname(resonances.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", _ORACLE_ROOTS], env=env, capture_output=True,
+        text=True, check=True).stdout)
+
+
+def _split(c2, c1, c0):
+    """The (c2, c1a, c1b, c0a, c0b, c0c) split of sigma-free polynomials."""
+    return c2, c1, [0.0], c0, [0.0], [0.0]
+
+
+def _referee_step(polys, z, y, h, frobenius):
+    """(u, u') at z + h from one scalar recurrence about z, summed term by term.
+
+    The oracle's series step written out one Python term at a time: the
+    stop rule ends the sum, and every StiffFailure is raised where it is met.
+    """
+    a2, a1, a0 = (resonances._taylor_at(p, z) for p in polys)
+    depth = max(len(a2), len(a1) + 1, len(a0) + 2)
+    q2, q1, q0 = [], [], []
+    hj = 1.0 + 0j
+    for j in range(depth):
+        q2.append(a2[j] * hj if j < len(a2) else 0j)
+        q1.append(a1[j - 1] * hj if 1 <= j <= len(a1) else 0j)
+        q0.append(a0[j - 2] * hj if 2 <= j < len(a0) + 2 else 0j)
+        hj *= h
+    if frobenius:
+        lead, v = 1, [1.0 + 0j]
+    else:
+        lead, v = 0, [complex(y[0]), complex(y[1]) * h]
+    s0, s1 = sum(v), sum(k * c for k, c in enumerate(v))
+    run = 0
+    for n in range(len(v), resonances._SERIES_MAX):
+        acc = 0j
+        for j in range(lead + 1, depth):
+            m = n + lead - j
+            if m < 0:
+                break
+            acc += (q2[j] * m * (m - 1) + q1[j] * m + q0[j]) * v[m]
+        den = n * (n - 1) * q2[lead] + n * q1[lead]
+        if frobenius and abs(den / h) < resonances._FROBENIUS_MIN:
+            raise resonances.StiffFailure("indicial coincidence")
+        vn = -acc / den
+        v.append(vn)
+        s0 += vn
+        s1 += n * vn
+        if not (np.isfinite(s0) and np.isfinite(s1)):
+            raise resonances.StiffFailure("overflowed")
+        if n * abs(vn) <= resonances._SERIES_EPS * max(abs(s0), abs(s1)):
+            run += 1
+            if run == resonances._SERIES_RUN:
+                return s0, s1 / h
+        else:
+            run = 0
+    raise resonances.StiffFailure("did not converge")
+
+
+def _referee_ends(params, ell, sigma):
+    """End values (u, u') of the shooting's upper and lower halves, one
+    referee step at a time along the oracle's own plan."""
+    polys = _radial_polys(params, ell, sigma)
+    ends = []
+    for leg in resonances._oracle_plan(params, ell).legs:
+        y = ends[0] if ends else None
+        for z, h, frobenius in leg:
+            y = _referee_step(polys, z, y, h, frobenius)
+        ends.append(y)
+    return ends[1:]
+
+
+class _Exact:
+    """A complex rational re + i im, exact under +, - and *."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(z):
+        if isinstance(z, _Exact):
+            return z
+        if isinstance(z, (int, Fraction)):
+            return _Exact(z)
+        z = complex(z)
+        return _Exact(z.real, z.imag)
+
+    def __add__(self, o):
+        o = _Exact.of(o)
+        return _Exact(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, o):
+        o = _Exact.of(o)
+        return _Exact(self.re * o.re - self.im * o.im,
+                      self.re * o.im + self.im * o.re)
+
+    def __neg__(self):
+        return _Exact(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + -_Exact.of(o)
+
+    def __rsub__(self, o):
+        return _Exact.of(o) - self
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
 def reference_coeffs(model, params, ell, n, x, sigma):
     """(c2, c1, c0) of c2 u'' + c1 u' + c0 u, written out from the model closed forms."""
+    if model == "dSSchwarzschild":
+        mt, dmt, _ = mu_tilde(params, x)
+        return mt, dmt + 2j * sigma * x * x, 2j * sigma * x - ell * (ell + 1.0)
+    if np.ndim(x):
+        return tuple(np.array(c) for c in zip(
+            *(reference_coeffs(model, params, ell, n, xi, sigma) for xi in x)))
+    # the one-horizon closed forms are evaluated exactly (the float inputs
+    # are rationals) and rounded once, so the tolerance measures only the
+    # Horner evaluation under test
+    i, X, s = _Exact(0, 1), _Exact.of(x), _Exact.of(sigma)
     if model == "deSitter":
-        return (4.0 * x * (1.0 - x),
-                4.0 - (2 * n + 2 + 4 * ell) * x - 4j * sigma * (1.0 - x),
-                sigma ** 2 + (n - 1 + 2 * ell) * 1j * sigma - ell * (ell + n - 1))
+        want = (4 * X * (1 - X),
+                4 - (2 * n + 2 + 4 * ell) * X - 4 * i * s * (1 - X),
+                s * s + (n - 1 + 2 * ell) * i * s - ell * (ell + n - 1))
+    else:
+        c = -(i * Fraction(n - 1, 2)) - s
+        want = (4 * X * (1 - X),
+                2 + 4 * i * c - 2 * (n - 2) - (4 + 4 * i * c + 4 * ell) * X,
+                c * c + Fraction(1, 4) - ell ** 2 - 2 * i * c * ell)
+    return tuple(complex(w) for w in want)
+
+
+def formation_sizes(model, n, ell, sigma):
+    """Per coefficient of (c2, c1, c0), highest power first, the summed
+    magnitudes of the closed-form terms `_radial_polys` adds to form it.
+
+    Forming a coefficient rounds by a few ulp of these, however far the sum
+    cancels.  dSSchwarzschild adds 2i sigma to one coefficient of mu~' and
+    its reference is a float evaluation, so only the Horner scale applies.
+    """
+    if model == "deSitter":
+        s = abs(sigma)
+        return ([0.0], [2 * n + 2 + 4 * ell + 4 * s, 4 + 4 * s],
+                [s * s + (n - 1 + 2 * ell) * s + ell * (ell + n - 1)])
     if model == "minkowski":
-        c = -1j * (n - 1) / 2.0 - sigma
-        return (4.0 * x * (1.0 - x),
-                2.0 + 4j * c - 2.0 * (n - 2) - (4.0 + 4j * c + 4 * ell) * x,
-                c * c + 0.25 - ell ** 2 - 2j * c * ell)
-    mt, dmt, _ = mu_tilde(params, x)
-    return mt, dmt + 2j * sigma * x * x, 2j * sigma * x - ell * (ell + 1.0)
+        c = (n - 1) / 2 + abs(sigma)            # |c| at most, c = -i(n-1)/2 - sigma
+        return ([0.0], [4 + 4 * c + 4 * ell, 2 + 4 * c + 2 * (n - 2)],
+                [c * c + 0.25 + ell ** 2 + 2 * c * ell])
+    return [0.0], [0.0], [0.0]
 
 
 class TestRadialPolys:
@@ -91,6 +246,8 @@ class TestRadialPolys:
            st.integers(3, 6), st.floats(0.5, 5.0), st.floats(0.0, 0.5),
            st.complex_numbers(max_magnitude=2.0),
            st.complex_numbers(max_magnitude=6.0), st.booleans())
+    @example("deSitter", 0, 3, 1.0, 0.0, 1e-6 + 0j, -1j, False)
+    @example("deSitter", 1, 3, 1.0, 0.0, 0j, 1e-5 - 1j, False)
     @settings(max_examples=300, deadline=None)
     def test_matches_closed_forms(self, model, ell, n, lam, r_s, x, sigma, real_x):
         params = {"deSitter": SpacetimeParams(lam, model="deSitter", n=n),
@@ -100,10 +257,15 @@ class TestRadialPolys:
         if real_x:
             x = x.real
         want = reference_coeffs(model, params, ell, params.n, x, sigma)
-        for p, w in zip(_radial_polys(params, ell, sigma), want):
-            # relative to the Horner error scale sum |a_k| |x|^k
+        formed = formation_sizes(model, params.n, ell, sigma)
+        for p, f, w in zip(_radial_polys(params, ell, sigma), formed, want):
+            # relative to the Horner error scale sum |a_k| |x|^k, plus a few
+            # ulp of the terms each a_k is summed from (c0 = (sigma + i)
+            # (sigma + 3i) of deSitter l=1 is formed from sigma^2, 4i sigma
+            # and -3, which cancel near sigma = -i)
             scale = max(np.polyval(np.abs(p), abs(x)), 1e-300)
-            assert abs(np.polyval(p, x) - w) <= 1e-13 * scale
+            form = 8 * np.finfo(float).eps * np.polyval(f, abs(x))
+            assert abs(np.polyval(p, x) - w) <= 1e-13 * scale + form
 
     def test_dss_shooting_makes_no_mu_tilde_calls(self, monkeypatch):
         # the horizon radii come from spacetime, which evaluates mu~ itself;
@@ -428,40 +590,66 @@ class TestSeriesOracle:
         assert calls == []
 
     @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
-    def test_loop_winds_once_around_the_horizon_only(self, monkeypatch, model,
-                                                     params):
+    def test_loop_winds_once_around_the_horizon_only(self, model, params):
         # the upper half followed by the lower half reversed must enclose the
         # horizon and no other root of c2, or the two end values would not
         # differ by the monodromy about the horizon alone
-        paths = []
-
-        def recorded(polys, path, y=None, _f=resonances._continue):
-            paths.append([complex(z) for z in path])
-            return _f(polys, path, y)
-        monkeypatch.setattr(resonances, "_continue", recorded)
-        sigma = 1.3 - 0.4j
-        oracle_shooting(params, 0, sigma)
-        _, up, down = paths
+        _, horizon, end, rad = resonances._oracle_geometry(params)
+        paths = [(horizon + rad, horizon + 1j * half * rad, end)
+                 for half in (+1.0, -1.0)]
+        roots = np.roots(_radial_polys(params, 0, 1.3 - 0.4j)[0])
+        # the plan's halves are the steps of these two paths, and _walk
+        # lands each path exactly on its far end
+        legs = tuple(tuple(resonances._walk(roots.tolist(), path, False))
+                     for path in paths)
+        assert legs == resonances._oracle_plan(params, 0).legs[1:]
+        up, down = ([z for z, _, _ in leg] + [path[-1]]
+                    for leg, path in zip(legs, paths))
         assert up[0] == down[0] and up[-1] == down[-1]
         loop = np.array(up + down[::-1])
-        _, horizon, _, _ = resonances._oracle_geometry(params)
-        for r in np.roots(_radial_polys(params, 0, sigma)[0]):
+        for r in roots:
             turn = np.angle((loop[1:] - r) / (loop[:-1] - r)).sum() / (2 * np.pi)
             assert turn == pytest.approx(1.0 if abs(r - horizon) < 1e-12 else 0.0,
                                          abs=1e-12)
 
     @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
-    def test_shooting_makes_eighteen_series_steps(self, monkeypatch, model,
-                                                  params):
+    def test_shooting_makes_eighteen_series_steps(self, model, params):
         # on dSS a waypoint 0.0082 from the root r = 0 of c2 made it 36
-        calls = []
+        plan = resonances._oracle_plan(params, 1)
+        assert sum(len(leg) for leg in plan.legs) == len(plan.h) == 18
 
-        def counted(*a, _f=resonances._series_step):
-            calls.append(1)
-            return _f(*a)
-        monkeypatch.setattr(resonances, "_series_step", counted)
-        oracle_shooting(params, 1, 0.7 - 1.1j)
-        assert len(calls) == 18
+    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_detector_matches_scalar_referee(self, model, params, ell):
+        # the banded solve against one Python recurrence a step, summed term
+        # by term, at 20 seeded sigma in the CLI box.  On dSS near the box's
+        # corners the recurrence itself is only good to 1.2e-11 of the end
+        # values (and the banded solve to 3.2e-12), against the same series
+        # summed with 40 digits: both round the same float coefficients,
+        # and the solution there is that sensitive to them
+        tol = 2e-11 if model == "dSSchwarzschild" else 1e-12
+        rng = np.random.default_rng(20 + ell)
+        for sigma in rng.uniform(-6, 6, 20) + 1j * rng.uniform(-3.6, 0.4, 20):
+            (u_up, du_up), (u_dn, du_dn) = _referee_ends(params, ell, sigma)
+            want = (u_up - u_dn) + 0.37 * (du_up - du_dn)
+            scale = max(abs(u_up), abs(du_up), abs(u_dn), abs(du_dn))
+            assert abs(oracle_shooting(params, ell, sigma) - want) <= tol * scale
+
+    @pytest.mark.parametrize("ell, sigma, want, scale", [
+        (0, -5.940340650486985 - 2.899054817097599j,
+         -147.60016891678686 + 11.675077701799943j, 357.4),
+        (0, 5.835460367600962 - 2.411491438624295j,
+         137.8188496975625 + 15.154703909076314j, 336.0),
+        (1, -4.930825524933493 - 3.5989419840781927j,
+         -1111.7688576131927 + 749.2379969202506j, 3554.1)],
+        ids=["l0-west", "l0-east", "l1-south"])
+    def test_dss_detector_matches_40_digit_sum(self, ell, sigma, want, scale):
+        # frozen from the same series (same plan, same float coefficients)
+        # summed with mpmath at 40 digits; scale is the largest end value.
+        # The banded solve reads 3.2e-12, 1.4e-12 and 7.0e-13 of it here, the
+        # scalar referee 1.2e-11, 3.3e-12 and 2.2e-12, so the referee test's
+        # 2e-11 bound would miss a loss this one catches
+        assert abs(oracle_shooting(DSS, ell, sigma) - want) <= 5e-12 * scale
 
     def test_taylor_shift_and_series_step(self):
         # synthetic division against numpy's derivatives, and one series step
@@ -471,17 +659,46 @@ class TestSeriesOracle:
         want = [np.polyval(np.polyder(p, k), z) / math.factorial(k)
                 for k in range(len(p))]
         np.testing.assert_allclose(resonances._taylor_at(p, z), want, rtol=1e-14)
-        polys = ([1.0], [0.0], [1.0])
         h = 0.4 + 0.2j
-        u, du = resonances._series_step(polys, 0.1, (1.0, 0.0), h, False)
+        plan = resonances._SeriesPlan.of(_split([1.0], [0.0], [1.0]),
+                                         [[(0.1, h, False)]])
+        (u, du), = resonances._continue(plan, 0.0, (1.0, 0.0))
         assert abs(u - np.cos(h)) < 1e-15 and abs(du + np.sin(h)) < 1e-15
+
+    def test_term_count_doubles_until_the_stop_rule_holds(self):
+        # u'' = -u over h = 20: the terms 20^n / n! are still 1.7e-15 at
+        # n = 80, so the first solve fails the stop rule and 160 terms pass
+        plan = resonances._SeriesPlan.of(_split([1.0], [0.0], [1.0]),
+                                         [[(0.0, 20.0, False)]])
+        (u, du), = resonances._continue(plan, 0.0, (1.0, 0.0))
+        K = resonances._SERIES_TERMS
+        assert sorted(plan._bands) == [K, 2 * K]
+        # the terms peak at 4.3e7, so the sums keep about 8 digits
+        assert abs(u - np.cos(20.0)) < 1e-7 and abs(du + np.sin(20.0)) < 1e-7
 
     def test_frobenius_coincidence_raises(self):
         # x u'' + (1 - k) u' + u = 0 has exponents 0 and k at x = 0: for the
         # integer k = 2 the divisor n (n - 1 + c1(0)) vanishes at n = 2
-        polys = ([1.0, 0.0], [-1.0], [1.0])
-        with pytest.raises(resonances.StiffFailure):
-            resonances._series_step(polys, 0.0, None, 0.1, True)
+        plan = resonances._SeriesPlan.of(_split([1.0, 0.0], [-1.0], [1.0]),
+                                         [[(0.0, 0.1, True)]])
+        with pytest.raises(resonances.StiffFailure, match="coincidence"):
+            resonances._continue(plan, 0.0)
+
+    @pytest.mark.parametrize("h, why", [(0.12, "did not converge"),
+                                        (0.5, "overflowed")])
+    def test_step_past_the_radius_raises(self, h, why):
+        # x u'' + u = 0 about 0.1 has radius 0.1: its terms grow like
+        # (h / 0.1)^n, by 1.2^2000 = 1e158 at most, or overflow
+        plan = resonances._SeriesPlan.of(_split([1.0, 0.0], [0.0], [1.0]),
+                                         [[(0.1, h, False)]])
+        with pytest.raises(resonances.StiffFailure, match=why):
+            resonances._continue(plan, 0.0, (1.0, 1.0))
+
+    def test_refined_roots_independent_of_blas_threads(self):
+        # the oracle's banded solve calls BLAS: its roots must not depend on
+        # how many threads BLAS may use
+        one, two = _oracle_roots_at_threads(1), _oracle_roots_at_threads(2)
+        assert one == two
 
 
 class TestSecant:
