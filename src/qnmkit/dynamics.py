@@ -8,14 +8,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .spacetime import (SpacetimeParams, NoHorizons, PolarSingularity,
                         THETA_AXIS_TOL, mu_tilde, horizon_roots, domain)
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
                       kds_angular_part, hamilton_kernel,
                       ds_reduced_compact_field)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp, imported on first use: only the flow loads scipy.integrate."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
 
 
 class StepFailure(Exception):
@@ -407,6 +411,7 @@ def find_trapped_set(params: SpacetimeParams, zeta: float = 0.0,
         raise NoRoot("no sign change of the trapping function in (r_-, r_+)")
     if len(flips) > 1:
         raise MultipleRoots(f"{len(flips)} sign changes found")
+    from scipy.optimize import brentq
     i = flips[0]
     r_c = brentq(lambda r: trapping_function(params, r, zeta, z),
                  rr[i], rr[i + 1], xtol=1e-15, rtol=8.9e-16)

@@ -34,7 +34,6 @@ from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eig, matrix_balance, qz, schur
 from scipy.linalg.lapack import ztbtrs
 
@@ -790,6 +789,7 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
 
 def _h_shift(params: SpacetimeParams, r_ref: float):
     """h(r) with h' = -mu~^(-1) r^2 (gauge c = 0), normalized to h(r_ref) = 0."""
+    from scipy.integrate import quad
     def hp(r):
         return -r * r / mu_tilde(params, r)[0]
     def h(r):

@@ -28,6 +28,13 @@ CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 KDS_PARAMS = os.path.join(CONFIGS, "kds.params")
 
 
+def src_env(**extra):
+    """os.environ for a subprocess that imports qnmkit from this checkout."""
+    src = os.path.join(os.path.dirname(CONFIGS), os.pardir, "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture
 def dss_params(tmp_path):
     return write(tmp_path / "dss.params",
@@ -154,16 +161,12 @@ class TestFlow:
         cfg = write(tmp_path / "c.cfg",
                     f"params = {os.path.join(CONFIGS, model + '.params')}\n"
                     "n_traj = 3\ninclude_classify = 1\n")
-        src = os.path.join(os.path.dirname(CONFIGS), os.pardir, "src")
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
             subprocess.run([sys.executable, "-m", "qnmkit.cli", "flow",
                             "--config", cfg, "--out", str(out)],
-                           env=env, check=True)
+                           env=src_env(OPENBLAS_NUM_THREADS=threads), check=True)
             outs.append([(out / name).read_bytes() for name in
                          ("trajectories.csv", "radial_report.json")])
         assert outs[0] == outs[1]
@@ -181,6 +184,19 @@ class TestFlow:
             errs.append(json.loads((out / "radial_report.json").read_text())
                         ["rel_err"])
         assert errs[0] < 5e-6 < errs[1] < 1e-4
+
+    def test_classify_ignores_t(self, tmp_path):
+        # T sets trajectories.csv only; the report names the T classify ran to
+        reports = []
+        for T in ("0.5", "8.0"):
+            cfg = write(tmp_path / f"{T}.cfg",
+                        f"params = {os.path.join(CONFIGS, 'dss.params')}\n"
+                        f"n_traj = 1\nT = {T}\n")
+            out = tmp_path / T
+            assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+            reports.append((out / "radial_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["classify_T"] == 4.0
 
     def test_minkowski_exit_two(self, tmp_path, capsys):
         # the flat boundary model has no Hamilton flow and no radial set
@@ -377,3 +393,33 @@ class TestExpand:
                     f"params = {ds_params}\nN = 16\nn_sigma = 128\n")
         assert main(["expand", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 5
+
+
+# run in a fresh interpreter: argv[1] is a scratch directory, argv[2] the
+# sample configs
+_STARTUP_SCRIPT = r"""
+import os, sys
+import qnmkit.cli as cli
+work, configs = sys.argv[1:3]
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+def loaded():
+    return [m for m in heavy if m in sys.modules]
+def run(command, params, knobs):
+    cfg = os.path.join(work, command + ".cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"params = {os.path.join(configs, params)}\n{knobs}")
+    return cli.main([command, "--config", cfg, "--out", os.path.join(work, command)])
+assert not loaded(), loaded()
+assert run("resonances", "dss.params", "N = 16\nell_min = 0\nell_max = 0\noracle = 1\n") == 0
+assert run("expand", "ds.params", "N = 16\n") == 0
+assert not loaded(), loaded()
+assert run("flow", "dss.params", "n_traj = 1\nT = 0.1\ninclude_classify = 0\n") == 0
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_resonances_and_expand_load_no_ode_stack(tmp_path):
+    # resonances and expand need scipy.linalg only; scipy.integrate (and the
+    # scipy.optimize and scipy.special it pulls in) load at the first flow
+    subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path),
+                    CONFIGS], env=src_env(), check=True)
