@@ -5,20 +5,17 @@ spacetimes."""
 __version__ = "0.1.0"
 
 from .spacetime import (SpacetimeParams, HorizonData, AdmissibilityReport,
-                        NoHorizons, PolarSingularity, InfeasibleC,
-                        mu_tilde, horizon_roots, admissibility, dual_metric,
-                        choose_c, load_params)
+                        NoHorizons, PolarSingularity, mu_tilde, horizon_roots,
+                        admissibility, load_params)
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
-                      kds_full_symbol, hamilton_field, ds_symbol_polar)
+                      hamilton_field, ds_symbol_polar)
 from .dynamics import (Bicharacteristic, RadialSetReport, TrappedSetPoint,
                        LinearizationSpectrum, integrate_flow, classify_radial,
-                       find_trapped_set, trapping_linearization, escape_scan,
-                       mild_trap_function_check)
+                       find_trapped_set, trapping_linearization)
 from .absorption import (AbsorbingSpec, EllipticityReport, BranchCut, f_z,
                          q_semiclassical, extend_p, ellipticity_scan)
 from .resonances import (DiscretizedOperator, Resonance, ResonanceList,
                          build_operator, solve_resonances, oracle_shooting,
-                         resolvent_apply, gluing_check,
-                         cutoff_correspondence_check)
+                         resolvent_apply, gluing_check)
 from .mellin import (TemporalSamples, ExpansionTerm, mellin_transform,
-                     inverse_mellin, resonance_expand, fit_decay, threshold)
+                     inverse_mellin, resonance_expand, fit_decay)

@@ -1,4 +1,4 @@
-"""Chebyshev collocation grids, differentiation matrices and barycentric interpolation."""
+"""Chebyshev collocation grids and differentiation matrices."""
 
 import numpy as np
 
@@ -24,34 +24,3 @@ def cheb_grid(N, a, b):
     D = D[::-1, ::-1]
     nodes = a + (b - a) * (x + 1.0) / 2.0
     return nodes, D * (2.0 / (b - a))
-
-
-def barycentric_weights(nodes):
-    """Barycentric weights for an arbitrary (small) node set."""
-    nodes = np.asarray(nodes)
-    w = np.ones(len(nodes))
-    for j in range(len(nodes)):
-        d = nodes[j] - np.delete(nodes, j)
-        w[j] = 1.0 / np.prod(d)
-    return w
-
-
-def barycentric_eval(nodes, values, x):
-    """Evaluate the interpolating polynomial through (nodes, values) at points x.
-
-    Stable second-form barycentric formula; exact at the nodes.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values)
-    w = barycentric_weights(nodes)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(x.shape, dtype=values.dtype)
-    for i, xi in enumerate(x):
-        diff = xi - nodes
-        hit = np.nonzero(diff == 0.0)[0]
-        if hit.size:
-            out[i] = values[hit[0]]
-            continue
-        t = w / diff
-        out[i] = (t @ values) / t.sum()
-    return out if out.shape != (1,) else out[0]

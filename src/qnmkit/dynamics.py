@@ -4,8 +4,7 @@ hyperbolicity checks on the fiber-compactified phase space."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -447,170 +446,3 @@ def trapping_linearization(params: SpacetimeParams,
     M = np.array([[0.0, -mt * gp1 ** 2 * Fpp], [-2.0, 0.0]])
     lam = math.sqrt(2.0 * mt * gp1 ** 2 * Fpp)
     return LinearizationSpectrum((lam, -lam), M)
-
-
-def kds_reduced_semiclassical_field(params: SpacetimeParams, r, xi,
-                                    zeta: float, z: float):
-    """Autonomous (r, xi) subsystem of the semiclassical flow at fixed (zeta, z)."""
-    mt, dmt, _ = mu_tilde(params, r)
-    gp1 = 1.0 + params.gamma
-    W = (r * r + params.alpha ** 2) * z - params.alpha * zeta
-    dr = -2.0 * (mt * xi + gp1 * W)
-    dxi = dmt * xi ** 2 + 4.0 * r * gp1 * z * xi
-    return np.array([dr, dxi])
-
-
-# ---------------------------------------------------------------------------
-# escape-function scans
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EscapeScanReport:
-    n_checked: int
-    n_violations: int
-    worst: Optional[tuple]
-    min_abs_Hr_beyond: float        # min |H r| on the char set in mu~ <= 0
-    details: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.n_violations == 0
-
-
-def escape_scan(params: SpacetimeParams, zeta_over_z, z: float = 1.0,
-                n_r: int = 50, n_theta: int = 20,
-                excl_frac: float = 1e-2) -> EscapeScanReport:
-    """Verify the convexity structure of r along the semiclassical flow.
-
-    (a) on the characteristic set over mu~ <= 0 the r-derivative along the flow
-    has no zeros; (b) in mu~ > 0 each zero away from the trapped radius has
-    d^2r/ds^2 with the sign of r - r_c.  zeta_over_z is an iterable of zeta/z
-    ratios to scan.
-    """
-    hd = horizon_roots(params)
-    gp1 = 1.0 + params.gamma
-    r_lo, r_hi = domain(params)
-    n_checked = n_viol = 0
-    worst = None
-    min_Hr = np.inf
-    details = []
-    excl = excl_frac * (hd.r_plus - hd.r_minus)
-    for ratio in np.atleast_1d(zeta_over_z):
-        zeta = ratio * z
-        try:
-            r_c = find_trapped_set(params, zeta, z).r_c
-        except (NoRoot, MultipleRoots, ValueError):
-            r_c = None
-        for r in np.linspace(r_lo * 1.001, r_hi * 0.999, n_r):
-            mt, dmt, _ = mu_tilde(params, r)
-            W = (r * r + params.alpha ** 2) * z - params.alpha * zeta
-            if mt <= 0:
-                # (a): on-shell |H r| must be bounded away from zero
-                for theta in np.linspace(0.3, math.pi - 0.3, n_theta):
-                    kap = 1.0 + params.gamma * math.cos(theta) ** 2
-                    st2 = math.sin(theta) ** 2
-                    ang = gp1 ** 2 * (zeta - params.alpha * st2 * z) ** 2 / (kap * st2)
-                    # solve p = 0 for xi with eta = 0 (eta only deepens p):
-                    # -mt xi^2 - 2 gp1 W xi - ang = 0
-                    if abs(mt) < 1e-14:
-                        if W == 0:
-                            continue
-                        xis = [-ang / (2.0 * gp1 * W)]
-                    else:
-                        aa, bb, cc = -mt, -2.0 * gp1 * W, -ang
-                        disc = bb * bb - 4 * aa * cc
-                        if disc < 0:
-                            continue
-                        xis = [(-bb + sgn * math.sqrt(disc)) / (2 * aa)
-                               for sgn in (+1, -1)]
-                    for xi in xis:
-                        Hr = -2.0 * (mt * xi + gp1 * W)
-                        n_checked += 1
-                        min_Hr = min(min_Hr, abs(Hr))
-                        if abs(Hr) < 1e-12:
-                            n_viol += 1
-                            worst = ("beyond", r, theta, xi)
-            else:
-                # (b): the on-shell zero of H r sits at xi* = -gp1 W / mt
-                xi_star = -gp1 * W / mt
-                ptil_req = mt * xi_star ** 2
-                found = False
-                for theta in np.linspace(0.3, math.pi - 0.3, n_theta):
-                    kap = 1.0 + params.gamma * math.cos(theta) ** 2
-                    st2 = math.sin(theta) ** 2
-                    ang = gp1 ** 2 * (zeta - params.alpha * st2 * z) ** 2 / (kap * st2)
-                    if ptil_req >= ang:
-                        found = True
-                        break
-                if not found:
-                    continue
-                if r_c is None or abs(r - r_c) <= excl:
-                    continue
-                mtt, dmtt, _ = mu_tilde(params, r)
-                H2r = -2.0 * mt * (dmtt * xi_star ** 2 + 4.0 * r * gp1 * z * xi_star)
-                n_checked += 1
-                if H2r * (r - r_c) <= 0:
-                    n_viol += 1
-                    worst = ("interior", r, H2r, r - r_c)
-                    details.append(worst)
-    return EscapeScanReport(n_checked, n_viol, worst, float(min_Hr), details)
-
-
-def mild_trap_function_check(F: Callable, params: SpacetimeParams,
-                             zeta: float = 0.0, z: float = 1.0,
-                             n_r: int = 120, n_xi: int = 120,
-                             band: tuple = (1.05, 1.95),
-                             zero_tol: float = 5e-3):
-    """Grid check of the trapping-order condition H F = 0 => H^2 F < 0.
-
-    F is a callable of (r, xi) on the reduced phase plane; the check runs over
-    on-shell grid points whose F-value lies in the open band (1, 2).  Returns
-    (flag, worst_point) where flag is False when a near-zero of H F has
-    H^2 F >= 0.
-    """
-    hd = horizon_roots(params)
-    gp1 = 1.0 + params.gamma
-    rs = np.linspace(hd.r_minus * 1.02, hd.r_plus * 0.98, n_r)
-    def HF(r, xi):
-        v = kds_reduced_semiclassical_field(params, r, xi, zeta, z)
-        h = 1e-6 * max(1.0, abs(r), abs(xi))
-        Fr = (F(r + h, xi) - F(r - h, xi)) / (2 * h)
-        Fx = (F(r, xi + h) - F(r, xi - h)) / (2 * h)
-        return Fr * v[0] + Fx * v[1]
-    worst = None
-    ok = True
-    scale = 0.0
-    pts = []
-    for r in rs:
-        mt = mu_tilde(params, r)[0]
-        if mt <= 0:
-            continue
-        W = (r * r + params.alpha ** 2) * z - params.alpha * zeta
-        xi_c = -gp1 * W / mt
-        for xi in np.linspace(xi_c - 3.0, xi_c + 3.0, n_xi):
-            # on the characteristic set the angular part absorbs
-            # -mt xi^2 - 2 gp1 W xi when nonnegative
-            if -mt * xi ** 2 - 2 * gp1 * W * xi < 0:
-                continue
-            val = F(r, xi)
-            if not band[0] <= val <= band[1]:
-                continue
-            hf = HF(r, xi)
-            pts.append((r, xi, hf))
-            scale = max(scale, abs(hf))
-    for r, xi, hf in pts:
-        if abs(hf) < zero_tol * max(scale, 1e-30):
-            h = 1e-5 * max(1.0, abs(r), abs(xi))
-            v = kds_reduced_semiclassical_field(params, r, xi, zeta, z)
-            nv = np.linalg.norm(v)
-            if nv == 0:
-                continue
-            u = v / nv
-            hf_p = HF(r + h * u[0], xi + h * u[1])
-            hf_m = HF(r - h * u[0], xi - h * u[1])
-            h2f = (hf_p - hf_m) / (2 * h) * nv
-            if h2f >= 0:
-                ok = False
-                if worst is None or h2f > worst[2]:
-                    worst = (r, xi, h2f)
-    return ok, worst

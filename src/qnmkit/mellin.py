@@ -1,5 +1,5 @@
-"""Numerical Mellin transform pair, resonance-expansion synthesis, and the
-Fredholm-threshold arithmetic.
+"""Numerical Mellin transform pair, resonance-expansion synthesis, and
+decay-rate fitting.
 
 The transform is the Fourier transform in x = log(tau), so all quadrature runs
 on a log-uniform grid where the trapezoid rule is spectrally accurate for
@@ -303,39 +303,6 @@ def fit_decay(u: TemporalSamples, window=(1e-5, 1e-1)):
     if r2 < 0.5 * r1 and abs(c2[1]) > 0.5:
         return float(c2[0]), int(round(c2[1])), r2
     return float(c1[0]), 0, r1
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    regime: str                 # propagate-away | propagate-toward | boundary
-    Cs_member: bool
-    beta_used: float
-    threshold_s: float
-
-
-def threshold(s: float, k: float, beta_data, im_sigma: float,
-              tol: float = 1e-12) -> ThresholdReport:
-    """Radial-point propagation regime and Fredholm half-plane membership.
-
-    beta_data may be a HorizonData (the max/min selection between the two
-    horizon constants applies, keyed on s >= 1/2) or a plain number.
-    """
-    if hasattr(beta_data, "beta_plus"):
-        betas = [beta_data.beta_plus]
-        if beta_data.beta_minus is not None:
-            betas.append(beta_data.beta_minus)
-        beta = max(betas) if s >= 0.5 else min(betas)
-    else:
-        beta = float(beta_data)
-    s_star = (k - 1.0 - beta * im_sigma) / 2.0
-    if abs(s - s_star) <= tol:
-        regime = "boundary"
-    elif s > s_star:
-        regime = "propagate-away"
-    else:
-        regime = "propagate-toward"
-    member = im_sigma > (k - 1.0 - 2.0 * s) / beta
-    return ThresholdReport(regime, bool(member), beta, s_star)
 
 
 def save_time_series(u: TemporalSamples, path) -> None:

@@ -31,13 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eig, matrix_balance, qz, schur
 from scipy.linalg.lapack import ztbtrs
 
-from .collocation import cheb_grid, barycentric_eval
+from .collocation import cheb_grid
+# mu_tilde is not called here; perfbench/tracing.py wraps it by this attribute
 from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain, _mu_coeffs
 from .absorption import AbsorbingSpec, smooth_step
 
@@ -570,13 +571,6 @@ def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
         K = min(2 * K, _SERIES_MAX)
 
 
-def _series_plan(params: SpacetimeParams, ell: int, paths) -> _SeriesPlan:
-    """Plan of the family (params, ell) along `paths`; path 0 starts at a root of c2."""
-    roots = np.roots(_radial_polys(params, ell, 0.0)[0]).tolist()
-    legs = [_walk(roots, path, k == 0) for k, path in enumerate(paths)]
-    return _SeriesPlan.of(_sigma_split(params, ell), legs)
-
-
 def _oracle_geometry(params):
     """(regular end, horizon, far end, detour radius) of the shooting path
     [entry, horizon +- i radius, far end]; the far end lies inside the detour
@@ -591,11 +585,15 @@ def _oracle_geometry(params):
 @lru_cache(maxsize=32)
 def _oracle_plan(params: SpacetimeParams, ell: int) -> _SeriesPlan:
     """The shooting's plan, legs [start, entry] and [entry, horizon +- i
-    radius, far end] (above, then below), with entry = horizon + radius."""
+    radius, far end] (above, then below), with entry = horizon + radius;
+    start, the regular end, is a root of c2."""
     start, sing, end, rad = _oracle_geometry(params)
     entry = sing + rad
-    return _series_plan(params, ell, [(start, entry)] + [
-        (entry, sing + 1j * half * rad, end) for half in (+1.0, -1.0)])
+    paths = [(start, entry)] + [(entry, sing + 1j * half * rad, end)
+                                for half in (+1.0, -1.0)]
+    roots = np.roots(_radial_polys(params, ell, 0.0)[0]).tolist()
+    legs = [_walk(roots, path, k == 0) for k, path in enumerate(paths)]
+    return _SeriesPlan.of(_sigma_split(params, ell), legs)
 
 
 def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> complex:
@@ -785,87 +783,3 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
         v = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
         worst = max(worst, np.linalg.norm((R - rhs) @ v) / np.linalg.norm(v))
     return worst
-
-
-def _h_shift(params: SpacetimeParams, r_ref: float):
-    """h(r) with h' = -mu~^(-1) r^2 (gauge c = 0), normalized to h(r_ref) = 0."""
-    from scipy.integrate import quad
-    def hp(r):
-        return -r * r / mu_tilde(params, r)[0]
-    def h(r):
-        val, _ = quad(hp, r_ref, r, limit=400, epsabs=1e-13, epsrel=1e-13)
-        return val
-    return h
-
-
-def cutoff_correspondence_check(op: DiscretizedOperator, sigma: complex,
-                                f_fun: Callable, window=(0.35, 0.75),
-                                n_sub: int = 80, pad_frac: float = 0.2) -> float:
-    """Discrete analogue of the cutoff-resolvent correspondence.
-
-    Side one applies the full-grid collocation resolvent to f (supported in the
-    window).  Side two solves, on an interior subgrid in the original
-    time-gauge (conjugated by e^{i sigma h}), the boundary-value problem whose
-    Robin data comes from the two shooting branches, and undoes the conjugation
-    with the sign convention of the correspondence.  Returns the max pointwise
-    discrepancy over the window.
-    """
-    params = op.params
-    if params.model != "dSSchwarzschild":
-        raise UnsupportedModel("the correspondence check runs on the two-horizon model")
-    hd = horizon_roots(params)
-
-    # side 1: full-grid resolvent
-    f_grid = np.array([f_fun(r) for r in op.grid], dtype=complex)
-    u1 = resolvent_apply(op, sigma, f_grid)
-
-    # interior window in r
-    a = hd.r_minus + window[0] * (hd.r_plus - hd.r_minus)
-    b = hd.r_minus + window[1] * (hd.r_plus - hd.r_minus)
-    pad = pad_frac * (hd.r_plus - hd.r_minus)
-    ra, rb = a - pad, b + pad
-    xs, Ds = cheb_grid(n_sub, ra, rb)
-    D2s = Ds @ Ds
-
-    # the original-gauge (t~) operator: P_g = -[(mu~ v')' + s^2 r^4/mu~ v - l(l+1) v]
-    mt, dmt, _ = mu_tilde(params, xs)
-    ell = op.ell
-    Pg = -(np.diag(mt) @ D2s + np.diag(dmt) @ Ds
-           + np.diag(sigma ** 2 * xs ** 4 / mt - ell * (ell + 1.0)).astype(complex))
-
-    # conjugation weight e^{i sigma h(r)} on the subgrid
-    r_ref = 0.5 * (ra + rb)
-    hfun = _h_shift(params, r_ref)
-    hvals = np.array([hfun(r) for r in xs])
-    E = np.exp(1j * sigma * hvals)
-
-    # shooting branches analytic at each horizon, conjugated into the t~ gauge
-    def branch_frame(x0, xe):
-        y, = _continue(_series_plan(params, ell, [(x0, xe)]), sigma)
-        hv = hfun(xe)
-        hp = -xe * xe / mu_tilde(params, xe)[0]
-        W = np.exp(-1j * sigma * hv) * y[0]
-        dW = np.exp(-1j * sigma * hv) * (y[1] - 1j * sigma * hp * y[0])
-        return W, dW
-
-    W_lo, dW_lo = branch_frame(hd.r_minus, ra)
-    W_hi, dW_hi = branch_frame(hd.r_plus, rb)
-
-    fsub = np.array([f_fun(r) for r in xs], dtype=complex)
-    M = Pg.copy()
-    rhs = -np.exp(-1j * sigma * hvals) * fsub   # P_g u_g = -e^{-i s h} f
-    # Robin rows: proportionality to the outgoing branch at each end
-    M[0, :] = -W_lo * Ds[0, :]
-    M[0, 0] += dW_lo
-    rhs[0] = 0.0
-    M[-1, :] = -W_hi * Ds[-1, :]
-    M[-1, -1] += dW_hi
-    rhs[-1] = 0.0
-    ug = np.linalg.solve(M, rhs)
-    ug = ug + np.linalg.solve(M, rhs - M @ ug)
-    u2 = E * ug    # u = -e^{i s h} R_g e^{-i s h} f with R_g = P_g^{-1}
-
-    # compare on the window
-    mask = (op.grid >= a) & (op.grid <= b)
-    u2_on_main = barycentric_eval(xs, u2, op.grid[mask])
-    return float(np.max(np.abs(u1[mask] - u2_on_main)))

@@ -1,4 +1,4 @@
-"""Parameters, horizon geometry, admissibility checks and pointwise metric evaluation.
+"""Parameters, horizon geometry, admissibility checks and the horizon quartic.
 
 Covers the rotating de Sitter family (cosmological constant ``lam``,
 Schwarzschild radius ``r_s``, angular momentum ``alpha``) together with its
@@ -27,10 +27,6 @@ class PolarSingularity(Exception):
     """theta hit the axis; callers must switch to the regular chart there."""
 
 
-class InfeasibleC(Exception):
-    """No smooth c(r) satisfying the time-like inequality could be constructed."""
-
-
 THETA_AXIS_TOL = 1e-6
 ROOT_TOL = 1e-12
 
@@ -45,7 +41,6 @@ class SpacetimeParams:
     model: str = "deSitter"
     n: int = 4                      # spacetime dimension; 4 unless deSitter or MinkowskiBoundary
     delta: Optional[float] = None   # domain margin beyond the horizons; None = 0.1*(r_+ - r_-)
-    mu_tilde_1: Optional[float] = None  # exact-c region threshold; None = 0.5*max(mu_tilde)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -74,8 +69,6 @@ class HorizonData:
     gamma_minus: Optional[float]
     gamma_plus: float
     gamma: float
-    beta_minus: Optional[float]
-    beta_plus: float
 
 
 @dataclass
@@ -137,23 +130,20 @@ def _mu_coeffs(params: SpacetimeParams):
 
 
 def horizon_roots(params: SpacetimeParams) -> HorizonData:
-    """Horizon radii and the surface-gravity/subprincipal constants at them.
+    """Horizon radii and the surface-gravity constants at them.
 
     Roots come from companion-matrix eigenvalues of the quartic followed by one
     Newton polish; for the pure de Sitter model only the cosmological horizon
     exists and the inner fields are None.
     """
-    gamma = params.gamma
     if params.model == "MinkowskiBoundary":
         # light cone at |Z| = 1 plays the role of r_plus; mu = 1 - |Z|^2
-        return HorizonData(None, 1.0, None, 2.0, 0.0, None, 1.0)
+        return HorizonData(None, 1.0, None, 2.0, 0.0)
     if params.r_s == 0.0 and params.alpha == 0.0:
         if params.lam <= 0:
             raise NoHorizons("need lam > 0 for a cosmological horizon")
         rp = math.sqrt(3.0 / params.lam)
-        gp = -mu_tilde(params, rp)[1]
-        bp = 2.0 * rp * rp / gp
-        return HorizonData(None, rp, None, gp, 0.0, None, bp)
+        return HorizonData(None, rp, None, -mu_tilde(params, rp)[1], 0.0)
 
     roots = np.roots(_mu_coeffs(params))
     real = roots[np.abs(roots.imag) < 1e-9 * np.maximum(1.0, np.abs(roots.real))].real
@@ -173,11 +163,7 @@ def horizon_roots(params: SpacetimeParams) -> HorizonData:
     dp = mu_tilde(params, rp)[1]
     if not (dm > 0 and dp < 0 and rm < rp):
         raise NoHorizons("sign conditions on the quartic slopes fail")
-    gm, gp = dm, -dp
-    a2 = params.alpha ** 2
-    bm = 2.0 * (1.0 + gamma) * (rm * rm + a2) / gm
-    bp = 2.0 * (1.0 + gamma) * (rp * rp + a2) / gp
-    return HorizonData(rm, rp, gm, gp, gamma, bm, bp)
+    return HorizonData(rm, rp, dm, -dp, params.gamma)
 
 
 def domain(params: SpacetimeParams):
@@ -244,132 +230,6 @@ def admissibility(params: SpacetimeParams, grid_size: int = 2048,
                                bool(disjoint), diags)
 
 
-@dataclass(frozen=True)
-class CFunction:
-    """Sampled smooth c(r) with an exact-formula region and a boundary-layer constant.
-
-    In mu_tilde > mu1 the exact choice c = -(1+gamma)(r^2+alpha^2)/mu_tilde is
-    used (it undoes the coordinate shift there); below mu1/2 a feasible
-    constant c_neg takes over; between them a quintic blend in the value of
-    mu_tilde keeps everything smooth.  Feasible values form an interval at
-    each r, so the blend stays feasible.
-    """
-
-    params: SpacetimeParams
-    mu1: float
-    c_neg: float
-
-    def _blend(self, mt):
-        t = np.clip((mt - 0.5 * self.mu1) / (0.5 * self.mu1), 0.0, 1.0)
-        return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        mt = mu_tilde(self.params, r)[0]
-        gp1 = 1.0 + self.params.gamma
-        w = self._blend(mt)
-        safe = np.where(np.abs(mt) > 1e-300, mt, 1.0)
-        exact = -gp1 * (r * r + self.params.alpha ** 2) / safe
-        out = np.where(w >= 1.0, exact, w * exact + (1.0 - w) * self.c_neg)
-        return float(out) if out.ndim == 0 else out
-
-    def timelike_margin(self, r):
-        """LHS of the time-like inequality; must be < 0 everywhere."""
-        r = np.asarray(r, dtype=float)
-        mt = mu_tilde(self.params, r)[0]
-        gp1 = 1.0 + self.params.gamma
-        c = self.__call__(r)
-        return mt * c * c + 2.0 * c * gp1 * (r * r + self.params.alpha ** 2) \
-            + self.params.alpha ** 2 * gp1 ** 2
-
-
-def choose_c(params: SpacetimeParams, mu_tilde_1: Optional[float] = None,
-             grid_size: int = 2048) -> CFunction:
-    """Construct a smooth c(r) making d(tau)/tau time-like over the whole domain.
-
-    Raises InfeasibleC if the verification grid finds a violation, which for
-    admissible parameters signals a bug or a bad mu_tilde_1.
-    """
-    r_lo, r_hi = domain(params)
-    rr = np.linspace(r_lo, r_hi, grid_size)
-    mt = mu_tilde(params, rr)[0]
-    mu_max = float(mt.max())
-    if mu_max <= 0:
-        raise InfeasibleC("mu_tilde has no positive part on the domain")
-    mu1 = mu_tilde_1 if mu_tilde_1 is not None else \
-        (params.mu_tilde_1 if params.mu_tilde_1 is not None else 0.5 * mu_max)
-    if not 0 < mu1 < mu_max:
-        raise InfeasibleC(f"mu_tilde_1={mu1} outside (0, {mu_max})")
-
-    gp1 = 1.0 + params.gamma
-    # The boundary-layer constant must be feasible wherever the blend weight is
-    # below one, i.e. on {mu_tilde <= mu1}.  The feasible set of the quadratic
-    # inequality in c is the interval between its roots when mu_tilde > 0 and a
-    # half line below the lower root when mu_tilde <= 0; intersect over the grid.
-    a2 = params.alpha ** 2
-    lo, hi = -np.inf, np.inf
-    for r, m in zip(rr, mt):
-        if m > mu1:
-            continue
-        R2 = r * r + a2
-        disc = R2 * R2 - m * a2
-        if disc <= 0:
-            raise InfeasibleC("discriminant vanished; parameters out of range")
-        root_a = gp1 * (-R2 + math.sqrt(disc)) / m if m != 0 else None
-        root_b = gp1 * (-R2 - math.sqrt(disc)) / m if m != 0 else None
-        if m > 0:
-            lo = max(lo, root_b)
-            hi = min(hi, root_a)
-        elif m == 0:
-            hi = min(hi, -a2 * gp1 / (2.0 * R2))
-        else:
-            # parabola opens down; feasible below the smaller root
-            hi = min(hi, min(root_a, root_b))
-    if not lo < hi:
-        raise InfeasibleC(f"empty feasible interval ({lo}, {hi}) for the constant")
-    c_neg = 0.5 * (max(lo, 4.0 * hi if hi < 0 else lo) + hi) if np.isfinite(lo) \
-        else 4.0 * hi
-    cf = CFunction(params, mu1, c_neg)
-    if float(cf.timelike_margin(rr).max()) >= -1e-8:
-        raise InfeasibleC("grid verification of the time-like inequality failed")
-    return cf
-
-
-def dual_metric(params: SpacetimeParams, r: float, theta: float, c: float,
-                horizon_sign: int = +1) -> np.ndarray:
-    """Symmetric 4x4 coefficient array of the dual metric in the b-frame
-    (dr, dtau/tau, dtheta, dphi) after the horizon-regular coordinate change.
-
-    `c` is the value of the shift function at r; `horizon_sign=+1` selects the
-    upper-sign branch (adapted to the outer horizon).
-    """
-    if min(theta, math.pi - theta) < THETA_AXIS_TOL:
-        raise PolarSingularity("use the (y,z) chart at the poles")
-    s = 1.0 if horizon_sign > 0 else -1.0
-    gamma = params.gamma
-    gp1 = 1.0 + gamma
-    a = params.alpha
-    mt = mu_tilde(params, r)[0]
-    rho2 = r * r + a * a * math.cos(theta) ** 2
-    kappa = 1.0 + gamma * math.cos(theta) ** 2
-    st2 = math.sin(theta) ** 2
-
-    G = np.zeros((4, 4))
-    # quadratic form rho^2 G on covectors (xi, sigma, eta, zeta):
-    #   -mt (xi + s c sigma)^2 - 2 s (1+g)(r^2+a^2)(xi + s c sigma) sigma
-    #   + 2 s (1+g) a (xi + s c sigma) zeta - kappa eta^2
-    #   - (1+g)^2 (zeta - a st2 sigma)^2 / (kappa st2)
-    r2a2 = r * r + a * a
-    G[0, 0] = -mt
-    G[0, 1] = G[1, 0] = 0.5 * (-2.0 * mt * s * c - 2.0 * s * gp1 * r2a2)
-    G[0, 3] = G[3, 0] = 0.5 * (2.0 * s * gp1 * a)
-    G[1, 1] = -mt * c * c - 2.0 * gp1 * r2a2 * c - gp1 ** 2 * a * a * st2 / kappa
-    G[1, 3] = G[3, 1] = 0.5 * (2.0 * gp1 * a * c * s * s + 2.0 * gp1 ** 2 * a / kappa)
-    G[2, 2] = -kappa
-    G[3, 3] = -gp1 ** 2 / (kappa * st2)
-    return G / rho2
-
-
 def read_key_values(path) -> dict:
     """Entries of a flat `key = value` file; `#` starts a comment.
 
@@ -394,9 +254,9 @@ def read_key_values(path) -> dict:
 
 
 def load_params(path) -> SpacetimeParams:
-    """Read a flat key=value parameter file (keys: lambda, r_s, alpha, model, n, delta, mu_tilde_1)."""
+    """Read a flat key=value parameter file (keys: lambda, r_s, alpha, model, n, delta)."""
     kv = read_key_values(path)
-    known = {"lambda", "r_s", "alpha", "model", "n", "delta", "mu_tilde_1"}
+    known = {"lambda", "r_s", "alpha", "model", "n", "delta"}
     unknown = set(kv) - known
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
@@ -407,5 +267,4 @@ def load_params(path) -> SpacetimeParams:
         model=kv.get("model", "deSitter"),
         n=int(kv.get("n", 4)),
         delta=float(kv["delta"]) if "delta" in kv else None,
-        mu_tilde_1=float(kv["mu_tilde_1"]) if "mu_tilde_1" in kv else None,
     )

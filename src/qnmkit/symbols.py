@@ -104,23 +104,6 @@ def kds_classical_symbol(params: SpacetimeParams, pt,
         - kds_angular_part(params, pt)
 
 
-def kds_full_symbol(params: SpacetimeParams, c, pt: PhasePoint, sigma: complex,
-                    horizon_sign: int = +1) -> complex:
-    """High-energy symbol with the spectral parameter and shift function c(r)."""
-    s = 1.0 if horizon_sign > 0 else -1.0
-    gamma, kappa, st2 = _kds_angular(params, pt.theta)
-    mt = mu_tilde(params, pt.r)[0]
-    gp1 = 1.0 + gamma
-    a = params.alpha
-    cv = float(c(pt.r)) if callable(c) else float(c)
-    xs = pt.xi + s * cv * sigma
-    ptil = kappa * pt.eta ** 2 \
-        + gp1 ** 2 * (pt.zeta - a * st2 * sigma) ** 2 / (kappa * st2)
-    return (-mt * xs * xs
-            - 2.0 * s * gp1 * (pt.r ** 2 + a * a) * xs * sigma
-            + 2.0 * s * gp1 * a * xs * pt.zeta - ptil)
-
-
 def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
                     sign_xi=None):
     """The Hamilton field of the classical symbol as a map on plain float states.

@@ -202,17 +202,3 @@ class TestFzProperties:
         except BranchCut:
             return
         assert complex(v).real > 0
-
-
-class TestThresholdProperty:
-    @given(st.floats(0.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.2, 3.0))
-    @settings(max_examples=150, deadline=None)
-    def test_regime_matches_membership(self, s, im_sigma, beta):
-        # being above the radial threshold is the same inequality as membership
-        # in the Fredholm half-plane
-        from qnmkit.mellin import threshold
-        rep = threshold(s, 2.0, beta, im_sigma)
-        if rep.regime == "propagate-away":
-            assert rep.Cs_member
-        elif rep.regime == "propagate-toward":
-            assert not rep.Cs_member

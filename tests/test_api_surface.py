@@ -1,19 +1,11 @@
-"""Every public name in qnmkit has a caller outside its own unit tests."""
+"""Every public name in qnmkit has a caller outside its own unit tests, and
+every module-level import of a qnmkit module is read."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qnmkit"
-
-# The paper's constructions that no pipeline stage calls yet: escape
-# functions, normally hyperbolic trapping, the cutoff correspondence, the
-# time-like shift c and the radial-point threshold.  Each waits for an
-# acceptance criterion of its own.
-PAPER_CONSTRUCTIONS = (
-    "escape_scan", "mild_trap_function_check", "cutoff_correspondence_check",
-    "choose_c", "CFunction", "dual_metric", "kds_full_symbol", "threshold",
-)
 
 # The point-object forms of `symbols.hamilton_kernel`, which the flow runs on
 # plain floats.  tests/test_symbols.py checks the kernel through them: against
@@ -68,10 +60,36 @@ def test_every_public_name_has_a_caller():
             continue
         for qualname, node in _public_definitions(trees[path]):
             defined.add(qualname)
-            if qualname in PAPER_CONSTRUCTIONS + KERNEL_FORMS:
+            if qualname in KERNEL_FORMS:
                 continue
             if not (any(node.name in r for p, r in refs.items() if p != path)
                     or node.name in _references(trees[path], node)):
                 uncalled.append(f"{path.name}:{qualname}")
     assert not uncalled, f"public names with no caller: {uncalled}"
-    assert set(PAPER_CONSTRUCTIONS + KERNEL_FORMS) <= defined
+    assert set(KERNEL_FORMS) <= defined
+
+
+def _imported_names(tree):
+    """Names bound by the module-level imports of `tree`, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+
+
+def test_every_module_import_is_read():
+    # perfbench/tracing.py binds names by module attribute, so an import that
+    # perfbench names together with its module counts as read
+    bench = set().union(*(_references(ast.parse(p.read_text()))
+                          for p in (ROOT / "perfbench").glob("*.py")))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        own = _references(tree)
+        traced = f"qnmkit.{path.stem}" in bench
+        unread += [f"{path.name}:{name}" for name in _imported_names(tree)
+                   if name not in own and not (traced and name in bench)]
+    assert not unread, f"imports never read: {unread}"

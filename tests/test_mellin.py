@@ -7,10 +7,10 @@ from qnmkit.mellin import (
     TemporalSamples, ExpansionTerm, default_tau_grid, mellin_transform,
     inverse_mellin, laurent_coefficients, expand_family, resonance_expand,
     log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
-    fit_decay, threshold,
+    fit_decay,
     ContourDivergence, PoleOnContour, DegenerateFit,
 )
-from qnmkit.spacetime import SpacetimeParams, horizon_roots
+from qnmkit.spacetime import SpacetimeParams
 from qnmkit.resonances import build_operator
 
 TAU = default_tau_grid(1024)
@@ -252,33 +252,3 @@ class TestFitDecay:
         u = TemporalSamples(TAU, TAU)
         with pytest.raises(DegenerateFit):
             fit_decay(u, window=(1e-5, 1.08e-5))
-
-
-class TestThreshold:
-    def test_basic_arithmetic(self):
-        rep = threshold(1.0, 2.0, 1.0, 0.0)
-        assert rep.regime == "propagate-away"
-        assert rep.threshold_s == 0.5
-        assert rep.Cs_member        # Im sigma = 0 > -1
-
-    def test_boundary(self):
-        rep = threshold(0.5, 2.0, 1.0, 0.0)
-        assert rep.regime == "boundary"
-
-    def test_toward(self):
-        rep = threshold(0.1, 2.0, 1.0, 0.0)
-        assert rep.regime == "propagate-toward"
-        assert not rep.Cs_member    # needs Im sigma > 0.8
-
-    def test_de_sitter_strip(self):
-        hd = horizon_roots(DS)
-        rep = threshold(1.0, 2.0, hd, -0.5)
-        assert rep.beta_used == pytest.approx(1.0, abs=1e-12)
-
-    def test_max_min_selection(self):
-        hd = horizon_roots(SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild"))
-        hi = threshold(1.0, 2.0, hd, 0.0).beta_used
-        lo = threshold(0.25, 2.0, hd, 0.0).beta_used
-        assert hi == max(hd.beta_plus, hd.beta_minus)
-        assert lo == min(hd.beta_plus, hd.beta_minus)
-

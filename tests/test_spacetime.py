@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnmkit.spacetime import (
-    SpacetimeParams, NoHorizons, PolarSingularity, InfeasibleC,
-    mu_tilde, horizon_roots, admissibility, dual_metric, choose_c, domain,
+    SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, admissibility,
     load_params,
 )
 
@@ -88,7 +87,6 @@ class TestHorizonRoots:
         assert hd.r_minus is None
         assert hd.r_plus == pytest.approx(1.0, abs=1e-14)
         assert hd.gamma_plus == pytest.approx(2.0, abs=1e-13)
-        assert hd.beta_plus == pytest.approx(1.0, abs=1e-13)
 
     def test_ds_schwarzschild_vs_bisection_oracle(self):
         # positive roots of r(1 - r^2) = 0.2
@@ -107,13 +105,9 @@ class TestHorizonRoots:
         with pytest.raises(NoHorizons):
             horizon_roots(SpacetimeParams(3.0, 1.0, 0.0, "dSSchwarzschild"))
 
-    def test_beta_positive_and_gamma_range(self):
+    def test_gamma_range(self):
         for p in (KDS, DSS, DS):
-            hd = horizon_roots(p)
-            assert 0.0 <= hd.gamma < 1.0
-            assert hd.beta_plus > 0
-            if hd.beta_minus is not None:
-                assert hd.beta_minus > 0
+            assert 0.0 <= horizon_roots(p).gamma < 1.0
 
     def test_monotone_dependence_on_r_s(self):
         rs = np.linspace(0.05, 0.35, 12)
@@ -138,8 +132,6 @@ class TestHorizonRoots:
         s = math.sqrt(lam)
         assert hd2.r_plus == pytest.approx(s * hd.r_plus, rel=1e-12)
         assert hd2.r_minus == pytest.approx(s * hd.r_minus, rel=1e-10)
-        # beta scales like a length
-        assert hd2.beta_plus == pytest.approx(hd.beta_plus * s, rel=1e-10)
 
 
 class TestAdmissibility:
@@ -169,85 +161,6 @@ class TestAdmissibility:
         assert back["horizons_exist"] is True
 
 
-def det_dual_metric_identity(params, r, theta, c, horizon_sign=+1):
-    """Return (det g * det G, det g, predicted det g) for the closed-form check."""
-    G = dual_metric(params, r, theta, c, horizon_sign)
-    g = np.linalg.inv(G)
-    rho2 = r * r + params.alpha ** 2 * math.cos(theta) ** 2
-    # det g = -rho^4 sin^2(theta) / (1+gamma)^4; the rank-one block structure
-    # of the (t,phi) sector gives det G = -(1+gamma)^4 / (rho^4 sin^2 theta)
-    pred = -rho2 ** 2 * math.sin(theta) ** 2 / (1.0 + params.gamma) ** 4
-    detg = np.linalg.det(g)
-    return detg * np.linalg.det(G), detg, pred
-
-
-class TestDualMetric:
-    def test_static_form_with_undoing_c(self):
-        # c undoing the coordinate shift reproduces the static diagonal form
-        r, theta = 0.5, math.pi / 2
-        mt = mu_tilde(DS, r)[0]
-        c = -(r * r) / mt
-        G = dual_metric(DS, r, theta, c)
-        mu = 1 - r * r
-        expect = np.diag([-mu, 1.0 / mu, -1.0 / r ** 2, -1.0 / (r ** 2)])
-        np.testing.assert_allclose(G, expect, atol=1e-13)
-
-    def test_kerr_star_form_vs_static_via_jacobian(self):
-        # with c=0 the form differs from static by the covector map xi -> xi - sigma h'
-        r, theta = 0.5, math.pi / 2
-        mt = mu_tilde(DS, r)[0]
-        G_ks = dual_metric(DS, r, theta, 0.0)
-        G_st = dual_metric(DS, r, theta, -(r * r) / mt)
-        hp = -(r * r) / mt  # h'(r), upper sign, c = 0
-        T = np.eye(4)
-        T[0, 1] = -hp
-        np.testing.assert_allclose(G_ks, T.T @ G_st @ T, atol=1e-12)
-
-    def test_det_identities_random_points(self):
-        rng = np.random.default_rng(42)
-        hd = horizon_roots(KDS)
-        cf = choose_c(KDS)
-        for _ in range(100):
-            r = rng.uniform(hd.r_minus * 0.95, hd.r_plus * 1.05)
-            theta = rng.uniform(0.1, math.pi - 0.1)
-            prod, detg, pred = det_dual_metric_identity(KDS, r, theta, float(cf(r)))
-            assert prod == pytest.approx(1.0, rel=1e-10)
-            assert detg == pytest.approx(pred, rel=1e-10)
-
-    def test_polar_singularity(self):
-        with pytest.raises(PolarSingularity):
-            dual_metric(KDS, 0.9, 0.0, 0.0)
-
-
-class TestChooseC:
-    def test_exact_region_alpha_zero(self):
-        cf = choose_c(DSS)
-        hd = horizon_roots(DSS)
-        r = 0.5 * (hd.r_minus + hd.r_plus)
-        mt = mu_tilde(DSS, r)[0]
-        if mt > cf.mu1:
-            assert cf(r) == pytest.approx(-(r * r) / mt, rel=1e-12)
-            assert cf.timelike_margin(r) == pytest.approx(-(r ** 4) / mt, rel=1e-10)
-
-    def test_horizon_linear_inequality(self):
-        cf = choose_c(KDS)
-        hd = horizon_roots(KDS)
-        gp1 = 1.0 + KDS.gamma
-        for rh in (hd.r_minus, hd.r_plus):
-            bound = -KDS.alpha ** 2 * gp1 / (2.0 * (rh ** 2 + KDS.alpha ** 2))
-            assert cf(rh) < bound
-
-    def test_full_interval_scan(self):
-        cf = choose_c(KDS)
-        r_lo, r_hi = domain(KDS)
-        rr = np.linspace(r_lo, r_hi, 10_000)
-        assert float(cf.timelike_margin(rr).max()) < 0
-
-    def test_bad_mu1_rejected(self):
-        with pytest.raises(InfeasibleC):
-            choose_c(DSS, mu_tilde_1=10.0)
-
-
 class TestParamFile:
     def test_roundtrip(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -257,9 +170,10 @@ class TestParamFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "p.txt"
-        f.write_text("lambda = 3.0\nbogus = 1\n")
-        with pytest.raises(ValueError):
-            load_params(f)
+        for line in ("bogus = 1", "mu_tilde_1 = 0.3"):
+            f.write_text(f"lambda = 3.0\n{line}\n")
+            with pytest.raises(ValueError):
+                load_params(f)
 
     def test_malformed_rejected(self, tmp_path):
         f = tmp_path / "p.txt"

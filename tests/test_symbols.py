@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnmkit.spacetime import (SpacetimeParams, PolarSingularity, THETA_AXIS_TOL,
-                              mu_tilde, horizon_roots, choose_c, domain)
+                              mu_tilde, horizon_roots, domain)
 from qnmkit.symbols import (
     PhasePoint, CompactPhasePoint,
-    kds_classical_symbol, kds_full_symbol,
+    kds_classical_symbol,
     kds_angular_part, kds_classical_gradient, hamilton_field, hamilton_kernel,
     ds_symbol_polar, ds_reduced_compact_field,
 )
@@ -16,12 +16,6 @@ from qnmkit.symbols import (
 KDS = SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter")
 DSS = SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
-
-
-def rescaled(p):
-    """Parameters after r' = sqrt(lam) r, which normalizes lam to 1."""
-    s = math.sqrt(p.lam)
-    return SpacetimeParams(1.0, s * p.r_s, s * p.alpha, p.model, p.n)
 
 
 def rand_points(params, rng, k, xi_min=0.0):
@@ -35,23 +29,6 @@ def rand_points(params, rng, k, xi_min=0.0):
             continue
         pts.append(PhasePoint(r, theta, rng.uniform(0, 2 * math.pi), xi, eta, zeta))
     return pts
-
-
-def full_symbol_oracle(params, c, pt, sigma, sign):
-    """Term-by-term re-evaluation of the displayed high-energy symbol."""
-    gamma = params.alpha ** 2 * params.lam / 3.0
-    mt = mu_tilde(params, pt.r)[0]
-    kappa = 1.0 + gamma * math.cos(pt.theta) ** 2
-    st2 = math.sin(pt.theta) ** 2
-    s = sign
-    cv = c(pt.r) if callable(c) else c
-    xs = pt.xi + s * cv * sigma
-    t1 = -mt * xs ** 2
-    t2 = -s * 2.0 * (1.0 + gamma) * (pt.r ** 2 + params.alpha ** 2) * xs * sigma
-    t3 = s * 2.0 * (1.0 + gamma) * params.alpha * xs * pt.zeta
-    t4 = -kappa * pt.eta ** 2
-    t5 = -(1.0 + gamma) ** 2 / (kappa * st2) * (-params.alpha * st2 * sigma + pt.zeta) ** 2
-    return t1 + t2 + t3 + t4 + t5
 
 
 class TestClassicalSymbol:
@@ -71,60 +48,6 @@ class TestClassicalSymbol:
         a = kds_classical_symbol(KDS, PhasePoint(r, theta, 0, xi, eta, zeta))
         b = kds_classical_symbol(KDS, PhasePoint(r, math.pi - theta, 0, xi, -eta, zeta))
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-
-class TestFullSymbol:
-    def test_sigma_zero_reduces(self):
-        rng = np.random.default_rng(1)
-        cf = choose_c(KDS)
-        for pt in rand_points(KDS, rng, 10):
-            full = kds_full_symbol(KDS, cf, pt, 0.0)
-            cls = kds_classical_symbol(KDS, pt)
-            assert full == pytest.approx(cls, rel=1e-13, abs=1e-13)
-
-    def test_real_inputs_real_value(self):
-        cf = choose_c(KDS)
-        pt = PhasePoint(0.9, 1.1, 0.0, 0.5, -0.3, 0.7)
-        v = kds_full_symbol(KDS, cf, pt, 1.7)
-        assert abs(complex(v).imag) < 1e-14
-
-    def test_against_term_oracle(self):
-        rng = np.random.default_rng(2)
-        cf = choose_c(KDS)
-        for pt in rand_points(KDS, rng, 10):
-            sigma = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-            for sign in (+1, -1):
-                got = kds_full_symbol(KDS, cf, pt, sigma, sign)
-                want = full_symbol_oracle(KDS, cf, pt, sigma, sign)
-                assert got == pytest.approx(want, rel=1e-13)
-
-
-class TestSemiclassicalSymbol:
-    # the semiclassical symbol h^2 p(x, xi/h, z/h) is kds_full_symbol at
-    # sigma = z, since the full symbol is homogeneous of degree 2
-    def test_real_real(self):
-        pt = PhasePoint(0.9, 1.0, 0, 0.4, 0.1, -0.2)
-        assert abs(complex(kds_full_symbol(DSS, 0.0, pt, 1.0)).imag) < 1e-14
-
-    def test_alpha_zero_displayed_form(self):
-        pt = PhasePoint(0.8, 1.3, 0.0, 0.7, -0.4, 0.9)
-        z = 1.5
-        got = kds_full_symbol(DSS, 0.0, pt, z)
-        mt = mu_tilde(DSS, pt.r)[0]
-        want = -mt * pt.xi ** 2 - 2.0 * pt.r ** 2 * pt.xi * z \
-            - pt.eta ** 2 - pt.zeta ** 2 / math.sin(pt.theta) ** 2
-        assert got == pytest.approx(want, rel=1e-13)
-
-    def test_scaling_identity(self):
-        rng = np.random.default_rng(3)
-        cf = choose_c(KDS)
-        h = 1e-3
-        for pt in rand_points(KDS, rng, 10):
-            z = complex(rng.uniform(0.5, 2), rng.uniform(-0.2, 0.2))
-            semi = kds_full_symbol(KDS, cf, pt, z)
-            full = kds_full_symbol(KDS, cf, PhasePoint(
-                pt.r, pt.theta, pt.phi, pt.xi / h, pt.eta / h, pt.zeta / h), z / h)
-            assert semi == pytest.approx(h ** 2 * full, rel=1e-8)
 
 
 def fd_gradient(f, x, scale=1e-6):
@@ -409,30 +332,3 @@ class TestDeSitterCharts:
         assert d[1] / 1e-9 == pytest.approx(-4.0, rel=1e-8)
         d = ds_reduced_compact_field(0.0, 1e-9, 0.0, -1)
         assert d[1] / 1e-9 == pytest.approx(4.0, rel=1e-8)
-
-
-class TestSubprincipalBeta:
-    def test_de_sitter_value(self):
-        assert horizon_roots(DS).beta_plus == pytest.approx(1.0, abs=1e-13)
-
-    def test_matches_oracle_roots(self):
-        def f(r):
-            return r * (1 - r * r) - 0.2
-        lo, hi = 0.05, 0.5
-        for _ in range(100):
-            m = 0.5 * (lo + hi)
-            if f(lo) * f(m) <= 0:
-                hi = m
-            else:
-                lo = m
-        rm = 0.5 * (lo + hi)
-        dmt = mu_tilde(DSS, rm)[1]
-        assert horizon_roots(DSS).beta_minus == pytest.approx(2 * rm * rm / dmt,
-                                                              rel=1e-9)
-
-    def test_rescaling(self):
-        p = SpacetimeParams(2.0, 0.25, 0.04, "KerrDeSitter")
-        b1 = horizon_roots(p).beta_plus
-        b2 = horizon_roots(rescaled(p)).beta_plus
-        assert b2 == pytest.approx(b1 * math.sqrt(2.0), rel=1e-10)
-
