@@ -3,6 +3,7 @@ hyperbolicity checks on the fiber-compactified phase space."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -13,12 +14,6 @@ from .spacetime import (SpacetimeParams, NoHorizons, PolarSingularity,
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
                       kds_angular_part, hamilton_kernel,
                       ds_reduced_compact_field)
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy's solve_ivp, imported on first use: only the flow loads scipy.integrate."""
-    from scipy.integrate import solve_ivp as _solve_ivp
-    return _solve_ivp(*args, **kwargs)
 
 
 class StepFailure(Exception):
@@ -98,19 +93,208 @@ class LinearizationSpectrum:
 
 
 # ---------------------------------------------------------------------------
+# Dormand-Prince 8(5,3)
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _tableau():
+    """(A, B, E3, E5, D, A_EXTRA, n_stages) of scipy.integrate.DOP853,
+    imported on first use: only the flow loads scipy.integrate.  The kernels
+    are autonomous, so the stage nodes C are not needed."""
+    from scipy.integrate import DOP853 as M
+    return M.A, M.B, M.E3, M.E5, M.D, M.A_EXTRA, M.n_stages
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One `_dop853` run: how it ended, and per accepted step what the step's
+    7th-order interpolant needs."""
+    event: int               # index of the event that ended it, -1: reached T
+    t: float                 # end parameter
+    y: list                  # end state
+    rejected: int
+    t_old: np.ndarray        # (steps,) step starts
+    h: np.ndarray            # (steps,) step lengths
+    y_old: np.ndarray        # (steps, n)
+    F: np.ndarray            # (steps, 7, n)
+
+    @property
+    def steps(self) -> int:
+        return len(self.h)
+
+    def sample(self, s):
+        """The dense output at the ascending parameters s, (k, n), in one
+        Horner pass.  A step end belongs to the step it closes, as in scipy's
+        OdeSolution."""
+        ts = np.append(self.t_old, self.t)
+        seg = np.clip(np.searchsorted(ts, s, side="left") - 1, 0, self.steps - 1)
+        x = ((s - self.t_old[seg]) / self.h[seg])[:, None]
+        F = self.F[seg]
+        y = np.zeros((len(s), F.shape[2]))
+        for j in range(F.shape[1] - 1, -1, -1):
+            y += F[:, j]
+            y *= x if j % 2 == 0 else 1 - x
+        y += self.y_old[seg]
+        return y
+
+
+def _dop853(fun, T, y0, rtol, atol, events=()):
+    """Integrate y' = fun(y) over [0, T] by Dormand-Prince 8(5,3) (Hairer,
+    Norsett and Wanner, Sec. II.10).
+
+    Step for step this is scipy's solve_ivp(method="DOP853",
+    dense_output=True, events=...), numpy expression for numpy expression, so
+    the run is bit-identical to it: the same first step, step-size controller,
+    error norm, 7th-order interpolant and event roots (brentq on the step's
+    interpolant with xtol = rtol = 4 eps).  `fun` maps a list of floats to a
+    sequence of floats.  `events` are (g, direction) pairs of terminal events
+    g(y) on lists; the earliest root among those that fire ends the run.
+    Returns a `_Run`; raises StepFailure when the step falls below ten float
+    spacings.
+    """
+    A, B, E3, E5, D, A_EXTRA, n_st = _tableau()
+    y = np.array(y0, dtype=float)
+    n = len(y)
+    f = np.array(fun(y.tolist()), dtype=float)
+    # scipy's select_initial_step (error estimator order 7)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, T)
+    f1 = np.array(fun((y + h0 * f).tolist()), dtype=float)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, T)
+
+    K = np.empty((n_st + 1 + len(A_EXTRA), n))
+    Kt = [K[:s].T for s in range(len(K))]
+    a_rows = [A[s, :s] for s in range(n_st)]
+    t = 0.0
+    ylist = y.tolist()
+    g = [ev(ylist) for ev, _ in events]
+    t_olds, hs, y_olds, Fs = [], [], [], []
+    rejected = 0
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        yl = y.tolist()
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepFailure("required step size is less than the "
+                                  "spacing between numbers")
+            t_new = t + h_abs
+            if t_new - T > 0:
+                t_new = T
+            h = t_new - t
+            h_abs = abs(h)
+            # scipy's rk_step; y + np.dot(K[:s].T, a) * h as floats, which
+            # rounds alike
+            K[0] = f
+            for s in range(1, n_st):
+                dy = Kt[s].dot(a_rows[s]).tolist()
+                K[s] = fun([v + d * h for v, d in zip(yl, dy)])
+            y_new = y + h * Kt[n_st].dot(B)
+            ylist = y_new.tolist()
+            K[n_st] = fun(ylist)
+            # DOP853._estimate_error_norm, with norm(e) ** 2 as sqrt(e.e) ** 2
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = Kt[n_st + 1].dot(E5) / scale
+            err3 = Kt[n_st + 1].dot(E3) / scale
+            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * n)
+            # scipy's controller: safety 0.9, factor in [0.2, 10], exponent -1/8
+            if error_norm < 1:
+                factor = (10 if error_norm == 0
+                          else min(10, 0.9 * error_norm ** (-1 / 8)))
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** (-1 / 8))
+            step_rejected = True
+            rejected += 1
+
+        # the step's interpolant: three more stages, then F (scipy's
+        # DOP853._dense_output_impl)
+        for s, a in enumerate(A_EXTRA, start=n_st + 1):
+            dy = Kt[s].dot(a[:s]).tolist()
+            K[s] = fun([v + d * h for v, d in zip(yl, dy)])
+        f_new = K[n_st].copy()
+        F = np.empty((3 + len(D), n))
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (f_new + K[0])
+        F[3:] = h * np.dot(D, K)
+        t_olds.append(t)
+        hs.append(h)
+        y_olds.append(y)
+        Fs.append(F)
+        done = t_new - T >= 0
+        event = -1
+        if events:
+            g_new = [ev(ylist) for ev, _ in events]
+            # scipy's find_active_events; the earliest root wins
+            fired = [i for i, ((_, d), g0, g1) in enumerate(zip(events, g, g_new))
+                     if (g0 <= 0 <= g1 and d >= 0) or (g0 >= 0 >= g1 and d <= 0)]
+            if fired:
+                from scipy.optimize import brentq
+                point = _interpolant(F, t, h, yl)
+                eps4 = 4 * np.finfo(float).eps
+                t_new, event = min(
+                    (brentq(lambda u, g=events[i][0]: g(point(u)), t, t_new,
+                            xtol=eps4, rtol=eps4), i) for i in fired)
+                ylist = point(t_new)
+            g = g_new
+        t, y, f = t_new, y_new, f_new
+        if done or event >= 0:
+            return _Run(event, t, ylist, rejected, np.array(t_olds),
+                        np.array(hs), np.array(y_olds), np.array(Fs))
+
+
+def _interpolant(F, t_old, h, y_old):
+    """The step's interpolant at one parameter, on Python floats (scipy's
+    Dop853DenseOutput for a scalar)."""
+    rows = F[::-1].tolist()
+
+    def point(t):
+        x = (t - t_old) / h
+        y = [0.0] * len(y_old)
+        for j, row in zip(range(len(rows) - 1, -1, -1), rows):
+            m = x if j % 2 == 0 else 1 - x
+            y = [(v + c) * m for v, c in zip(y, row)]
+        return [v + c for v, c in zip(y, y_old)]
+    return point
+
+
+# ---------------------------------------------------------------------------
 # flow integration
 # ---------------------------------------------------------------------------
 
 _AXIS_MARGIN = 1e-3
 
 
-def _kds_rhs(params, horizon_sign, sign_xi=None):
-    """solve_ivp right-hand side: the state as Python floats through one kernel
-    (affine chart for sign_xi None, else the compact chart)."""
+def _kds_rhs(params, horizon_sign, sign_xi, direction):
+    """The `_dop853` right-hand side: one Hamilton kernel on float lists
+    (affine chart for sign_xi None, else the compact chart), negated for
+    direction < 0."""
     field = hamilton_kernel(params, horizon_sign, sign_xi)
-    def rhs(s, y):
-        return field(y.tolist())
-    return rhs
+    if direction > 0:
+        return field
+    return lambda y: [-v for v in field(y)]
 
 
 _NU_TO_COMPACT = 0.40    # |xi| = 2.5: leave the affine chart
@@ -118,23 +302,23 @@ _NU_TO_AFFINE = 0.55     # overlap band for the reverse handoff
 
 
 def _events_kds(r_lo, r_hi, chart):
-    def exit_lo(s, y):
+    """Terminal events of a segment: leaving the r-domain below or above,
+    nearing the axis, and the chart handoff."""
+    def exit_lo(y):
         return y[0] - r_lo
-    def exit_hi(s, y):
+    def exit_hi(y):
         return r_hi - y[0]
-    def axis(s, y):
+    def axis(y):
         return min(y[1], math.pi - y[1]) - _AXIS_MARGIN
     if chart == "affine":
-        def handoff(s, y):
+        def handoff(y):
             return 1.0 / max(abs(y[3]), 1e-300) - _NU_TO_COMPACT
-        handoff.direction = -1.0
+        direction = -1.0
     else:
-        def handoff(s, y):
+        def handoff(y):
             return y[3] - _NU_TO_AFFINE
-        handoff.direction = +1.0
-    for ev in (exit_lo, exit_hi, axis, handoff):
-        ev.terminal = True
-    return [exit_lo, exit_hi, axis, handoff]
+        direction = +1.0
+    return [(exit_lo, 0.0), (exit_hi, 0.0), (axis, 0.0), (handoff, direction)]
 
 
 def integrate_flow(params: SpacetimeParams, start, T: float,
@@ -170,7 +354,7 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
 
     segments = []                    # (samples, ledger columns) per segment
     r_lo, r_hi = domain(params)
-    nsteps = nfev = ncalls = 0
+    nsteps = rejected = 0
     reason = "time"
     s_done = 0.0
     if chart == "compact":
@@ -185,38 +369,32 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
 
     for _segment in range(64):
         rhs = _kds_rhs(params, horizon_sign,
-                       sign_xi if chart == "compact" else None)
-        f = rhs if direction > 0 else (lambda s, y: -np.asarray(rhs(s, y)))
-        sol = solve_ivp(f, (0.0, T - s_done), state, method="DOP853", rtol=tol,
-                        atol=tol * 1e-2, dense_output=True,
-                        events=_events_kds(r_lo, r_hi, chart))
-        if sol.status < 0:
-            raise StepFailure(sol.message)
-        seg_len = float(sol.t[-1])
+                       sign_xi if chart == "compact" else None, direction)
+        run = _dop853(rhs, T - s_done, state, tol, tol * 1e-2,
+                      _events_kds(r_lo, r_hi, chart))
+        seg_len = run.t
         k_samp = max(4, int(n_samples * seg_len / max(T, 1e-30)))
         ss = np.linspace(0.0, seg_len, k_samp)
-        Y = sol.sol(ss).T
+        Y = run.sample(ss)
         theta = Y[:, 1]
         if np.any(np.minimum(theta, math.pi - theta) < THETA_AXIS_TOL):
             raise PolarSingularity("phase point on the axis")
         segments.append(_segment_samples(params, horizon_sign, chart, sign_xi,
                                          direction * (s_done + ss), Y))
-        nsteps += len(sol.t) - 1
-        nfev += sol.nfev
-        ncalls += 1
+        nsteps += run.steps
+        rejected += run.rejected
         s_done += seg_len
-        if sol.status == 0:
+        if run.event < 0:
             reason = "time"
             break
-        t_ev = sol.t_events
-        if len(t_ev[0]) or len(t_ev[1]):
+        if run.event < 2:            # events: r_lo, r_hi, axis, handoff
             reason = "domain"
             break
-        if len(t_ev[2]):
+        if run.event == 2:
             reason = "axis"
             break
         # chart handoff in the overlap band
-        y = sol.y[:, -1].tolist()
+        y = run.y
         if chart == "affine":
             pt = PhasePoint(*y)
             c = pt.compactify()
@@ -233,8 +411,7 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     ledger = dict(zip(("p", "zeta", "ptilde", "p_scaled", "ptilde_scaled"),
                       parts[4:]))
     return Bicharacteristic(samples, ledger,
-                            (nsteps, _rejected_steps(nfev, ncalls, nsteps), tol),
-                            reason)
+                            (nsteps, rejected, tol), reason)
 
 
 def _segment_samples(params, horizon_sign, chart, sign_xi, s, Y):
@@ -276,39 +453,26 @@ def _segment_samples(params, horizon_sign, chart, sign_xi, s, Y):
             p, zeta, ptil, p / xi2, ptil / xi2)
 
 
-def _rejected_steps(nfev: int, calls: int, steps: int) -> int:
-    """Rejected DOP853 steps, from the right-hand-side evaluation count.
-
-    Each solve_ivp call spends 2 evaluations to start, each step attempt 12,
-    and each accepted step 3 more for its dense output.
-    """
-    return (nfev - 2 * calls - 15 * steps) // 12
-
-
 def _integrate_ds_reduced(start, T, tol, direction, n_samples):
     """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi)."""
     mu0, nu0, ehat0, sxi = start
-    rhs0 = lambda s, y: ds_reduced_compact_field(*y.tolist(), sxi)
-    f = rhs0 if direction > 0 else (lambda s, y: -np.asarray(rhs0(s, y)))
-    def exit_ev(s, y):
+    if direction > 0:
+        rhs = lambda y: ds_reduced_compact_field(*y, sxi)
+    else:
+        rhs = lambda y: -ds_reduced_compact_field(*y, sxi)
+    def exit_ev(y):
         return 0.98 - abs(y[0] - 0.3)   # keep mu in (-0.68, 1.28)
-    exit_ev.terminal = True
-    sol = solve_ivp(f, (0.0, T), [mu0, nu0, ehat0], method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, dense_output=True, events=[exit_ev])
-    if sol.status < 0:
-        raise StepFailure(sol.message)
-    ss = np.linspace(0.0, sol.t[-1], n_samples)
-    Y = sol.sol(ss)
-    samples = FlowSamples(ss * direction, Y.T, np.ones(n_samples, bool),
+    run = _dop853(rhs, T, [mu0, nu0, ehat0], tol, tol * 1e-2, [(exit_ev, 0.0)])
+    ss = np.linspace(0.0, run.t, n_samples)
+    Y = run.sample(ss)
+    samples = FlowSamples(ss * direction, Y, np.ones(n_samples, bool),
                           np.full(n_samples, sxi))
-    mu, ehat2 = Y[0], Y[2] ** 2
+    mu, ehat2 = Y[:, 0], Y[:, 2] ** 2
     p = -4.0 * (1 - mu) * mu - ehat2 / (1 - mu)
-    nsteps = len(sol.t) - 1
     ledger = {"p": p, "zeta": np.zeros(len(ss)), "ptilde": p, "p_scaled": p,
               "ptilde_scaled": ehat2}
-    return Bicharacteristic(samples, ledger,
-                            (nsteps, _rejected_steps(sol.nfev, 1, nsteps), tol),
-                            "domain" if sol.status == 1 else "time")
+    return Bicharacteristic(samples, ledger, (run.steps, run.rejected, tol),
+                            "domain" if run.event == 0 else "time")
 
 
 def _fit_log_rate(s, vals, tail: float = 0.5):

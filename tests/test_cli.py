@@ -154,6 +154,32 @@ class TestFlow:
         assert rep["beta0_expected"] == 4.0
         assert abs(rep["beta0_measured"] - 4.0) / 4.0 < 0.05
 
+    def test_step_failure_exits_3(self, tmp_path, monkeypatch, dss_params):
+        # a field that turns NaN after each run's two start evaluations:
+        # every step is rejected until it falls below the float spacing, the
+        # two retries at looser tolerance fail alike, and flow exits 3
+        import qnmkit.cli as cli
+        import qnmkit.dynamics as dynamics
+
+        def nan_after_start(*a, _f=dynamics.hamilton_kernel):
+            field, calls = _f(*a), []
+
+            def wrapped(y):
+                calls.append(1)
+                return field(y) if len(calls) <= 2 else [math.nan] * 6
+            return wrapped
+        monkeypatch.setattr(dynamics, "hamilton_kernel", nan_after_start)
+        tols = []
+
+        def counted(*a, _f=cli.integrate_flow, **k):
+            tols.append(k["tol"])
+            return _f(*a, **k)
+        monkeypatch.setattr(cli, "integrate_flow", counted)
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {dss_params}\nn_traj = 1\ninclude_classify = 0\n")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert tols == pytest.approx([1e-10, 1e-9, 1e-8], rel=1e-12)
+
     @pytest.mark.parametrize("model", ["kds", "dss", "ds"])
     def test_outputs_independent_of_blas_threads(self, tmp_path, model):
         # the flow runs no linear algebra of its own, so its files must not

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate._ivp.rk as rk
+from scipy.integrate import solve_ivp
 
 import qnmkit.dynamics as dynamics
 from qnmkit.spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain
@@ -10,6 +11,7 @@ from qnmkit.symbols import PhasePoint, CompactPhasePoint, ds_symbol_polar
 from qnmkit.dynamics import (
     integrate_flow, classify_radial, find_trapped_set, trapping_function,
     trapping_linearization, NoRoot, MultipleRoots, Bicharacteristic,
+    StepFailure,
 )
 
 KDS = SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter")
@@ -90,22 +92,31 @@ class TestIntegrateFlow:
     ], ids=["kds-one-handoff", "kds-two-handoffs", "ds"])
     def test_rejected_count_matches_attempts(self, monkeypatch, params, start,
                                              T, n_calls):
-        # every step attempt of the Runge-Kutta solver is one rk_step call
-        attempts, calls = [], []
+        # a run evaluates the field twice to start, 12 times per step attempt
+        # and 3 more times per accepted step for the step's interpolant
+        evals, calls = [], []
 
-        def counted_step(*a, _f=rk.rk_step, **k):
-            attempts.append(1)
-            return _f(*a, **k)
+        def counted(field):
+            def wrapped(*a):
+                evals.append(1)
+                return field(*a)
+            return wrapped
+        monkeypatch.setattr(dynamics, "hamilton_kernel",
+                            lambda *a, _f=dynamics.hamilton_kernel:
+                            counted(_f(*a)))
+        monkeypatch.setattr(dynamics, "ds_reduced_compact_field",
+                            counted(dynamics.ds_reduced_compact_field))
 
-        def counted_ivp(*a, _f=dynamics.solve_ivp, **k):
+        def counted_run(*a, _f=dynamics._dop853, **k):
             calls.append(1)
             return _f(*a, **k)
-        monkeypatch.setattr(rk, "rk_step", counted_step)
-        monkeypatch.setattr(dynamics, "solve_ivp", counted_ivp)
+        monkeypatch.setattr(dynamics, "_dop853", counted_run)
         bc = integrate_flow(params, start, T, tol=1e-10)
         steps, rejected, _ = bc.integrator_stats
         assert len(calls) == n_calls
-        assert steps + rejected == len(attempts)
+        attempts, rest = divmod(len(evals) - 2 * len(calls) - 3 * steps, 12)
+        assert rest == 0
+        assert steps + rejected == attempts
 
     @pytest.mark.parametrize("n_samples", [200, 2000])
     def test_point_objects_do_not_scale_with_samples(self, monkeypatch,
@@ -119,10 +130,10 @@ class TestIntegrateFlow:
                 _f(self)
             monkeypatch.setattr(cls, "__post_init__", counted)
 
-        def counted_ivp(*a, _f=dynamics.solve_ivp, **k):
+        def counted_run(*a, _f=dynamics._dop853, **k):
             calls.append(1)
             return _f(*a, **k)
-        monkeypatch.setattr(dynamics, "solve_ivp", counted_ivp)
+        monkeypatch.setattr(dynamics, "_dop853", counted_run)
         start = PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6)
         built.clear()   # the start itself is built by the caller
         bc = integrate_flow(KDS, start, 4.0, tol=1e-10, n_samples=n_samples)
@@ -130,6 +141,20 @@ class TestIntegrateFlow:
         assert handoffs == 2
         assert len(bc.samples.s) >= n_samples - 4
         assert len(built) <= 2 * handoffs + 4
+
+    def test_step_failure_below_float_spacing(self):
+        # the field is NaN from y = 1/2 on: steps reaching it are rejected
+        # and shrink until the step is below ten float spacings at y ~ 1/2
+        finite = []
+
+        def field(y):
+            if y[0] < 0.5:
+                finite.append(y[0])
+                return [1.0]
+            return [math.nan]
+        with pytest.raises(StepFailure):
+            dynamics._dop853(field, 1.0, [0.0], 1e-10, 1e-12)
+        assert 0.5 - max(finite) < 10 * math.ulp(0.5)
 
     def test_minkowski_boundary_rejected(self):
         mink = SpacetimeParams(0.0, model="MinkowskiBoundary", n=4)
@@ -141,6 +166,89 @@ class TestIntegrateFlow:
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             integrate_flow(KDS, PhasePoint(0.8, 1.0, 0, 1, 0, 0), 1.0, tol=1e-2)
+
+
+def solve_ivp_referee(fun, T, y0, rtol, atol, events):
+    """scipy's solve_ivp on a `_dop853` problem, with its steps counted."""
+    evs = []
+    for g, direction in events:
+        def ev(t, y, g=g):
+            return g(np.asarray(y).tolist())
+        ev.terminal, ev.direction = True, direction
+        evs.append(ev)
+    sol = solve_ivp(lambda t, y: fun(y.tolist()), (0.0, T), y0,
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+                    events=evs)
+    # 2 evaluations to start, 12 per attempt, 3 per accepted step
+    steps = len(sol.t) - 1
+    rejected, rest = divmod(sol.nfev - 2 - 15 * steps, 12)
+    assert rest == 0
+    return sol, steps, rejected
+
+
+def assert_run_matches_referee(args, run):
+    """A `_dop853` run is bit for bit solve_ivp's: steps, rejections, the
+    event and its parameter, the end state and the dense output, also at the
+    step ends, where the step that closes wins."""
+    sol, steps, rejected = solve_ivp_referee(*args)
+    assert (run.steps, run.rejected) == (steps, rejected)
+    assert sol.status == (1 if run.event >= 0 else 0)
+    fired = [i for i, te in enumerate(sol.t_events) if len(te)]
+    assert fired == ([run.event] if run.event >= 0 else [])
+    assert run.t == sol.t[-1]
+    assert run.y == sol.y[:, -1].tolist()
+    assert np.array_equal(run.t_old, sol.t[:-1])
+    s = np.union1d(np.linspace(0.0, run.t, 301), sol.t)
+    assert np.array_equal(run.sample(s), sol.sol(s).T)
+
+
+class TestDop853Referee:
+    @pytest.mark.parametrize("params, start, T, kw, n_runs, reason", [
+        (KDS, PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6), 4.0, {}, 3, "time"),
+        (DSS, PhasePoint(0.9, 1.2, 0.0, 1.5, 0.0, 0.0), 100.0, {}, 1,
+         "domain"),
+        (DS, (1e-4, 8e-4, -5e-4, 1), 4.0, {}, 1, "time"),
+        (DS, (-0.05, 0.3, 0.2, -1), 10.0, {}, 1, "domain"),
+        (KDS, PhasePoint(0.7, 1.4, 0.2, 0.6, -0.3, 0.5), 6.0,
+         {"direction": -1.0}, 2, "time"),
+    ], ids=["kds-two-handoffs", "dss-domain-exit", "ds", "ds-domain-exit",
+            "kds-reversed"])
+    def test_runs_match_solve_ivp(self, monkeypatch, params, start, T, kw,
+                                  n_runs, reason):
+        # every run of a flow is bit for bit solve_ivp's
+        runs = []
+
+        def recorded(*a, _f=dynamics._dop853):
+            runs.append((a, _f(*a)))
+            return runs[-1][1]
+        monkeypatch.setattr(dynamics, "_dop853", recorded)
+        bc = integrate_flow(params, start, T, tol=1e-10, **kw)
+        assert bc.exit_reason == reason
+        assert len(runs) == n_runs
+        for args, run in runs:
+            assert_run_matches_referee(args, run)
+
+    def test_interpolants_match_scipy(self):
+        # with every F[0] scaled, a step's interpolant at x = 1 no longer
+        # meets the next step's start, so the step ends tell the step that
+        # closes (OdeSolution's pick) from the one that opens; the scalar
+        # interpolant of the event search must be Dop853DenseOutput's too
+        from scipy.integrate import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+        run = dynamics._dop853(lambda y: [y[1], -y[0]], 5.0, [1.0, 0.0],
+                               1e-10, 1e-12)
+        F = run.F.copy()
+        F[:, 0] *= 1 + 1e-6
+        run = dataclasses.replace(run, F=F)
+        ends = np.append(run.t_old, run.t)
+        dense = [Dop853DenseOutput(a, b, y, Fk)
+                 for a, b, y, Fk in zip(ends[:-1], ends[1:], run.y_old, F)]
+        s = np.union1d(np.linspace(0.0, run.t, 101), ends)
+        assert np.array_equal(run.sample(s), OdeSolution(ends, dense)(s).T)
+        for k, (a, h, y, Fk) in enumerate(zip(run.t_old, run.h, run.y_old, F)):
+            point = dynamics._interpolant(Fk, a, h, y.tolist())
+            for u in np.linspace(a, a + h, 7).tolist():
+                assert point(u) == dense[k](u).tolist()
 
 
 class TestSegmentLedger:
