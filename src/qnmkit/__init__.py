@@ -8,7 +8,7 @@ from .spacetime import (SpacetimeParams, HorizonData, AdmissibilityReport,
                         NoHorizons, PolarSingularity, mu_tilde, horizon_roots,
                         admissibility, load_params)
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
-                      hamilton_field, ds_symbol_polar)
+                      ds_symbol_polar)
 from .dynamics import (Bicharacteristic, RadialSetReport, TrappedSetPoint,
                        LinearizationSpectrum, integrate_flow, classify_radial,
                        find_trapped_set, trapping_linearization)

@@ -143,17 +143,19 @@ class EllipticityReport:
 
 def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
                      z_set: Iterable[complex],
-                     mu_range=(-0.6, 1.0), n_mu: int = 64, n_xi: int = 64,
-                     xi_max: float = 6.0, n_eta: int = 8) -> EllipticityReport:
+                     n_mu: int = 64, n_xi: int = 64,
+                     n_eta: int = 8) -> EllipticityReport:
     """Scan |p~ - i q| over the collar/extension region and the q sign contract.
+
+    The grid spans mu in [-0.6, 1), xi in [-6, 6] and |eta| in [0, 6].
 
     For each real z the sign of q must be constant on each half of the
     characteristic set (determined by the pairing sign); for Im z > 0 the
     interior symbol must obey min |p_{h,z}| > (Im z)^2.
     """
-    mus = np.linspace(mu_range[0], mu_range[1] - 1e-9, n_mu)
-    xis = np.linspace(-xi_max, xi_max, n_xi)
-    etas = np.linspace(0.0, xi_max, n_eta) ** 2
+    mus = np.linspace(-0.6, 1.0 - 1e-9, n_mu)
+    xis = np.linspace(-6.0, 6.0, n_xi)
+    etas = np.linspace(0.0, 6.0, n_eta) ** 2
     min_abs_collar = np.inf
     min_int = np.inf
     viol = 0

@@ -127,12 +127,10 @@ def parse_config(path, command, out_dir, seed) -> RunConfig:
     return RunConfig(command, params_file, out_dir, seed, knobs)
 
 
-def _write_manifest(cfg: RunConfig, extra=None):
+def _write_manifest(cfg: RunConfig):
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = {"command": cfg.command, "config_hash": cfg.digest,
                 "seed": cfg.seed, "version": __version__, "knobs": cfg.knobs}
-    if extra:
-        manifest.update(extra)
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 

@@ -454,15 +454,20 @@ def _segment_samples(params, horizon_sign, chart, sign_xi, s, Y):
 
 
 def _integrate_ds_reduced(start, T, tol, direction, n_samples):
-    """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi)."""
+    """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi); it
+    leaves the domain below mu = -0.68, above mu = 0.99 or above nu = 10."""
     mu0, nu0, ehat0, sxi = start
     if direction > 0:
         rhs = lambda y: ds_reduced_compact_field(*y, sxi)
     else:
         rhs = lambda y: -ds_reduced_compact_field(*y, sxi)
-    def exit_ev(y):
-        return 0.98 - abs(y[0] - 0.3)   # keep mu in (-0.68, 1.28)
-    run = _dop853(rhs, T, [mu0, nu0, ehat0], tol, tol * 1e-2, [(exit_ev, 0.0)])
+    # the chart ends at the centre mu = 1, where the field has 1/(1 - mu)^2,
+    # and at xi = 0 (nu = infinity), where a ray with eta != 0 turns; with
+    # these bounds no run failed a step over 151 starts, tol 1e-12 to 1e-4,
+    # both directions and T = 10 (a mu bound alone fails from 0.9 on)
+    events = [(lambda y: y[0] + 0.68, 0.0), (lambda y: 0.99 - y[0], 0.0),
+              (lambda y: 10.0 - y[1], 0.0)]
+    run = _dop853(rhs, T, [mu0, nu0, ehat0], tol, tol * 1e-2, events)
     ss = np.linspace(0.0, run.t, n_samples)
     Y = run.sample(ss)
     samples = FlowSamples(ss * direction, Y, np.ones(n_samples, bool),
@@ -472,16 +477,16 @@ def _integrate_ds_reduced(start, T, tol, direction, n_samples):
     ledger = {"p": p, "zeta": np.zeros(len(ss)), "ptilde": p, "p_scaled": p,
               "ptilde_scaled": ehat2}
     return Bicharacteristic(samples, ledger, (run.steps, run.rejected, tol),
-                            "domain" if run.event == 0 else "time")
+                            "domain" if run.event >= 0 else "time")
 
 
-def _fit_log_rate(s, vals, tail: float = 0.5):
-    """Slope of log(vals) vs s over the final `tail` fraction of the samples."""
+def _fit_log_rate(s, vals):
+    """Slope of log(vals) vs s over the final half of the samples."""
     s = np.asarray(s)
     vals = np.asarray(vals)
     keep = (vals > 0) & np.isfinite(vals)
     s, vals = s[keep], vals[keep]
-    k = max(4, int(len(s) * tail))
+    k = max(4, len(s) // 2)
     s, vals = s[-k:], np.log(vals[-k:])
     A = np.vstack([s, np.ones_like(s)]).T
     slope, _ = np.linalg.lstsq(A, vals, rcond=None)[0]
@@ -552,7 +557,7 @@ def trapping_function(params: SpacetimeParams, r, zeta: float, z: float):
 
 
 def find_trapped_set(params: SpacetimeParams, zeta: float = 0.0,
-                     z: float = 1.0, grid_size: int = 2048) -> TrappedSetPoint:
+                     z: float = 1.0) -> TrappedSetPoint:
     """Solve f(r) = 0 on (r_-, r_+) by bracketed root-finding.
 
     Uniqueness is asserted by counting sign changes on a fine grid; a missing
@@ -564,7 +569,7 @@ def find_trapped_set(params: SpacetimeParams, zeta: float = 0.0,
     if hd.r_minus is None:
         raise NoRoot("no inner horizon; the static patch has no trapping")
     a, b = hd.r_minus * (1 + 1e-9), hd.r_plus * (1 - 1e-9)
-    rr = np.linspace(a, b, grid_size)
+    rr = np.linspace(a, b, 2048)
     W = (rr ** 2 + params.alpha ** 2) * z - params.alpha * zeta
     if np.any(W == 0) or (W[0] < 0) != (W[-1] < 0):
         raise ValueError("(r^2+alpha^2) z - alpha zeta changes sign on the bracket")

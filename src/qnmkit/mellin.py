@@ -64,9 +64,9 @@ class TemporalSamples:
         return np.log(self.tau_grid)
 
 
-def default_tau_grid(n: int = 1024, tau_min: float = 1e-6,
-                     tau_max: float = 1.0) -> np.ndarray:
-    return np.geomspace(tau_max, tau_min, n)
+def default_tau_grid(n: int = 1024) -> np.ndarray:
+    """n points from tau = 1 down to 1e-6, equally spaced in log tau."""
+    return np.geomspace(1.0, 1e-6, n)
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,11 @@ def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
     return expand_family(_driven_solve(op, f0), poles, ell_target, **kwargs)
 
 
-def log_gaussian_pulse_hat(x0: float = -3.0, width: float = 0.5) -> Callable:
-    """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2))."""
+def log_gaussian_pulse_hat(x0: float = -3.0) -> Callable:
+    """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2)),
+    `log_gaussian_pulse` at its default width w = 0.5."""
+    width = 0.5
+
     def hat(sigma):
         return width * math.sqrt(2.0 * math.pi) \
             * np.exp(-1j * sigma * x0) * np.exp(-sigma * sigma * width * width / 2.0)

@@ -86,23 +86,11 @@ class AdmissibilityReport:
 def mu_tilde(params: SpacetimeParams, r):
     """The horizon quartic (r^2+a^2)(1-lam r^2/3) - r_s r and its first two r-derivatives.
 
-    Accepts complex radii (the polynomial continues analytically); used by the
-    around-the-horizon monodromy integration.  A real scalar (numpy's
-    included) is evaluated in Python floats, which round exactly as the 0-d
-    array path does, and the values come back as Python floats.  A complex
-    scalar takes the 0-d array path: numpy may fuse the multiply-add of a
-    complex product and Python does not, so the two can differ in the last bit.
+    A Python float (numpy's float64 included) is evaluated in floats, which
+    round exactly as the array path does; anything else, complex radii
+    included, is evaluated as an array.
     """
-    real_scalar = isinstance(r, float)
-    r = float(r) if real_scalar else np.asarray(r)
-    val, d1, d2 = mu_tilde_kernel(params)(r)
-    if real_scalar:
-        return val, d1, d2
-    if val.ndim == 0:
-        if np.iscomplexobj(val):
-            return complex(val), complex(d1), complex(d2)
-        return float(val), float(d1), float(d2)
-    return val, d1, d2
+    return mu_tilde_kernel(params)(r if isinstance(r, float) else np.asarray(r))
 
 
 def mu_tilde_kernel(params: SpacetimeParams):
@@ -183,8 +171,8 @@ def _critical_points(params: SpacetimeParams, r_lo, r_hi):
     return np.sort(crit[(crit > r_lo) & (crit < r_hi)])
 
 
-def admissibility(params: SpacetimeParams, grid_size: int = 2048,
-                  margin: float = 1e-8) -> AdmissibilityReport:
+def admissibility(params: SpacetimeParams,
+                  grid_size: int = 2048) -> AdmissibilityReport:
     """Evaluate horizon existence, the no-classical-trapping bound, the
     rotation bound for hyperbolic trapping, and ergoregion disjointness.
 
@@ -210,6 +198,7 @@ def admissibility(params: SpacetimeParams, grid_size: int = 2048,
         crit = _critical_points(params, hd.r_minus, hd.r_plus)
         margins = [mu_tilde(params, r0)[0] - a2 for r0 in crit]
         worst = min(margins) if margins else float("inf")
+        margin = 1e-8
         nontrap = worst > margin
         diags.append(("nontrapping_margin", worst, margin))
 

@@ -166,32 +166,6 @@ def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
     return compact_field
 
 
-def kds_classical_gradient(params: SpacetimeParams, pt: PhasePoint,
-                           horizon_sign: int = +1):
-    """All six partials of the classical symbol, order (r, theta, phi, xi, eta, zeta)."""
-    h = hamilton_kernel(params, horizon_sign)(
-        [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
-    return np.array([-h[3], -h[4], -h[5], h[0], h[1], h[2]])
-
-
-def hamilton_field(params: SpacetimeParams, pt, horizon_sign: int = +1):
-    """Hamilton vector of the classical symbol at an affine or compactified point.
-
-    For a PhasePoint the components are d/ds of (r, theta, phi, xi, eta, zeta).
-    For a CompactPhasePoint the *rescaled* field nu^(k-1) H_p (k = 2) is
-    returned as d/ds of (r, theta, phi, nu, eta_hat, zeta_hat); it is smooth up
-    to nu = 0 and at the radial sets its nu-component is -+ sign_xi Gamma_+-
-    nu.  MinkowskiBoundary has no such symbol and raises ValueError.
-    """
-    if params.model == "MinkowskiBoundary":
-        raise ValueError("MinkowskiBoundary has no Hamilton flow")
-    if isinstance(pt, PhasePoint):
-        return np.array(hamilton_kernel(params, horizon_sign)(
-            [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]))
-    return np.array(hamilton_kernel(params, horizon_sign, pt.sign_xi)(
-        [*pt.base, pt.nu, pt.eta_hat, pt.zeta_hat]))
-
-
 # ---------------------------------------------------------------------------
 # static-patch (de Sitter) model in the horizon chart mu = 1 - r^2
 # ---------------------------------------------------------------------------

@@ -1,17 +1,12 @@
-"""Every public name in qnmkit has a caller outside its own unit tests, and
-every module-level import of a qnmkit module is read."""
+"""Every public name in qnmkit has a caller outside its own unit tests, every
+module-level import of a qnmkit module is read, and every defaulted parameter
+of a qnmkit function is set by some call."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qnmkit"
-
-# The point-object forms of `symbols.hamilton_kernel`, which the flow runs on
-# plain floats.  tests/test_symbols.py checks the kernel through them: against
-# the symbol's closed form and its finite differences, the radial-set rate and
-# the pushforward between the two charts.
-KERNEL_FORMS = ("hamilton_field", "kds_classical_gradient")
 
 
 def _public_definitions(tree):
@@ -54,19 +49,15 @@ def test_every_public_name_has_a_caller():
     callers.append(ROOT / "tests" / "test_acceptance.py")
     trees = {p: ast.parse(p.read_text()) for p in callers}
     refs = {p: _references(tree) for p, tree in trees.items()}
-    defined, uncalled = set(), []
+    uncalled = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for qualname, node in _public_definitions(trees[path]):
-            defined.add(qualname)
-            if qualname in KERNEL_FORMS:
-                continue
             if not (any(node.name in r for p, r in refs.items() if p != path)
                     or node.name in _references(trees[path], node)):
                 uncalled.append(f"{path.name}:{qualname}")
     assert not uncalled, f"public names with no caller: {uncalled}"
-    assert set(KERNEL_FORMS) <= defined
 
 
 def _imported_names(tree):
@@ -93,3 +84,56 @@ def test_every_module_import_is_read():
         unread += [f"{path.name}:{name}" for name in _imported_names(tree)
                    if name not in own and not (traced and name in bench)]
     assert not unread, f"imports never read: {unread}"
+
+
+def _defaulted(func):
+    """(name, position) of each defaulted parameter of a function definition;
+    position is None for a keyword-only one, and a method's counts from the
+    first parameter after self or cls."""
+    a = func.args
+    positional = a.posonlyargs + a.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(a.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - skip
+    for arg, dft in zip(a.kwonlyargs, a.kw_defaults):
+        if dft is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position):
+    """Whether `call` sets the parameter `name` at `position`: by keyword, by
+    position, or through *args or **kwargs."""
+    for kw in call.keywords:
+        if kw.arg is None or kw.arg == name:
+            return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == position:
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_set():
+    # a default that no call overrides is a constant with a parameter's name
+    trees = [ast.parse(p.read_text())
+             for tree in ("src", "scripts", "perfbench", "tests")
+             for p in sorted((ROOT / tree).rglob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for name, position in _defaulted(node):
+                if not any(_passes(c, name, position)
+                           for c in calls.get(node.name, ())):
+                    unset.append(f"{path.name}:{node.name}({name})")
+    assert not unset, f"defaulted parameters that no call sets: {unset}"

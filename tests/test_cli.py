@@ -113,6 +113,18 @@ class TestAdmissible:
                      str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_require_sets_the_exit_code(self, tmp_path):
+        # de Sitter has no black hole, so its semiclassical margin
+        # sqrt(3)/4 r_s - |alpha| is 0: the default flags hold, that one fails
+        params = os.path.join(CONFIGS, "ds.params")
+        for line, code in (("", 0), ("require = semiclassical_regime\n", 1)):
+            cfg = write(tmp_path / "c.cfg", f"params = {params}\n{line}")
+            out = tmp_path / f"out{code}"
+            assert main(["admissible", "--config", cfg, "--out", str(out)]) == code
+        rep = json.loads((out / "admissibility.json").read_text())
+        assert rep["semiclassical_regime"] is False
+        assert ["semiclassical_margin", 0.0, 0.0] in rep["diagnostics"]
+
     def test_threads_flag_exit_two(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n")
         assert main(["admissible", "--config", cfg, "--out",
@@ -154,10 +166,11 @@ class TestFlow:
         assert rep["beta0_expected"] == 4.0
         assert abs(rep["beta0_measured"] - 4.0) / 4.0 < 0.05
 
-    def test_step_failure_exits_3(self, tmp_path, monkeypatch, dss_params):
-        # a field that turns NaN after each run's two start evaluations:
-        # every step is rejected until it falls below the float spacing, the
-        # two retries at looser tolerance fail alike, and flow exits 3
+    @staticmethod
+    def _fail_every_step(tmp_path, monkeypatch, dss_params, lines=""):
+        """Run one flow on a field that turns NaN after each run's two start
+        evaluations, so every step is rejected until it falls below the
+        float spacing; the exit code and the tol of each attempt."""
         import qnmkit.cli as cli
         import qnmkit.dynamics as dynamics
 
@@ -175,10 +188,23 @@ class TestFlow:
             tols.append(k["tol"])
             return _f(*a, **k)
         monkeypatch.setattr(cli, "integrate_flow", counted)
-        cfg = write(tmp_path / "c.cfg",
-                    f"params = {dss_params}\nn_traj = 1\ninclude_classify = 0\n")
-        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        cfg = write(tmp_path / "c.cfg", f"params = {dss_params}\nn_traj = 1\n"
+                                        f"include_classify = 0\n{lines}")
+        code = main(["flow", "--config", cfg, "--out", str(tmp_path / "o")])
+        return code, tols
+
+    def test_step_failure_exits_3(self, tmp_path, monkeypatch, dss_params):
+        # the two retries at looser tolerance fail alike, and flow exits 3
+        code, tols = self._fail_every_step(tmp_path, monkeypatch, dss_params)
+        assert code == 3
         assert tols == pytest.approx([1e-10, 1e-9, 1e-8], rel=1e-12)
+
+    def test_zero_retry_budget_exits_3_at_once(self, tmp_path, monkeypatch,
+                                               dss_params):
+        code, tols = self._fail_every_step(tmp_path, monkeypatch, dss_params,
+                                           "retry_budget = 0\n")
+        assert code == 3
+        assert tols == [1e-10]
 
     @pytest.mark.parametrize("model", ["kds", "dss", "ds"])
     def test_outputs_independent_of_blas_threads(self, tmp_path, model):
@@ -394,6 +420,18 @@ class TestExpand:
         resid = rep["reconstruction_residual"]
         assert resid < lu_residual
         assert code == (0 if resid < rep["bound"] else 1)
+
+    def test_recon_bound_sets_the_exit_code(self, tmp_path):
+        # a small dS expand reconstructs to about 1.7e-11: within the default
+        # bound 1e-6, past a bound of 1e-12
+        params = os.path.join(CONFIGS, "ds.params")
+        for line, code in (("", 0), ("recon_bound = 1e-12\n", 1)):
+            cfg = write(tmp_path / "c.cfg",
+                        f"params = {params}\nN = 24\nn_sigma = 2000\n{line}")
+            out = tmp_path / f"out{code}"
+            assert main(["expand", "--config", cfg, "--out", str(out)]) == code
+            rep = json.loads((out / "expansion.json").read_text())
+            assert 1e-12 < rep["reconstruction_residual"] < 1e-6
 
     def test_near_pole_exit_five(self, tmp_path, ds_params, monkeypatch, capsys):
         import qnmkit.mellin

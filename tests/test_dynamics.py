@@ -209,10 +209,12 @@ class TestDop853Referee:
          "domain"),
         (DS, (1e-4, 8e-4, -5e-4, 1), 4.0, {}, 1, "time"),
         (DS, (-0.05, 0.3, 0.2, -1), 10.0, {}, 1, "domain"),
+        # toward the centre mu = 1 the ray turns at xi = 0 (nu -> infinity)
+        (DS, (0.05, 0.3, 0.2, -1), 10.0, {}, 1, "domain"),
         (KDS, PhasePoint(0.7, 1.4, 0.2, 0.6, -0.3, 0.5), 6.0,
          {"direction": -1.0}, 2, "time"),
     ], ids=["kds-two-handoffs", "dss-domain-exit", "ds", "ds-domain-exit",
-            "kds-reversed"])
+            "ds-chart-exit", "kds-reversed"])
     def test_runs_match_solve_ivp(self, monkeypatch, params, start, T, kw,
                                   n_runs, reason):
         # every run of a flow is bit for bit solve_ivp's

@@ -9,7 +9,7 @@ from qnmkit.spacetime import (SpacetimeParams, PolarSingularity, THETA_AXIS_TOL,
 from qnmkit.symbols import (
     PhasePoint, CompactPhasePoint,
     kds_classical_symbol,
-    kds_angular_part, kds_classical_gradient, hamilton_field, hamilton_kernel,
+    kds_angular_part, hamilton_kernel,
     ds_symbol_polar, ds_reduced_compact_field,
 )
 
@@ -29,6 +29,19 @@ def rand_points(params, rng, k, xi_min=0.0):
             continue
         pts.append(PhasePoint(r, theta, rng.uniform(0, 2 * math.pi), xi, eta, zeta))
     return pts
+
+
+def affine_field(params, pt, horizon_sign=+1):
+    """d/ds of (r, theta, phi, xi, eta, zeta) at a PhasePoint."""
+    return np.array(hamilton_kernel(params, horizon_sign)(
+        [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]))
+
+
+def compact_field(params, cpt, horizon_sign=+1):
+    """The rescaled field nu H_p, d/ds of (r, theta, phi, nu, eta_hat,
+    zeta_hat), at a CompactPhasePoint."""
+    return np.array(hamilton_kernel(params, horizon_sign, cpt.sign_xi)(
+        [*cpt.base, cpt.nu, cpt.eta_hat, cpt.zeta_hat]))
 
 
 class TestClassicalSymbol:
@@ -69,7 +82,7 @@ class TestHamiltonField:
     def test_annihilates_symbol(self):
         rng = np.random.default_rng(4)
         for pt in rand_points(KDS, rng, 100):
-            H = hamilton_field(KDS, pt)
+            H = affine_field(KDS, pt)
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
             f = lambda y: kds_classical_symbol(KDS, PhasePoint(*y))
             dp = fd_gradient(f, x)
@@ -83,15 +96,16 @@ class TestHamiltonField:
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
             f = lambda y: kds_classical_symbol(KDS, PhasePoint(*y))
             dp = fd_gradient(f, x)
-            g = kds_classical_gradient(KDS, pt)
+            h = affine_field(KDS, pt)
+            g = np.array([-h[3], -h[4], -h[5], h[0], h[1], h[2]])
             np.testing.assert_allclose(g, dp, rtol=1e-6, atol=1e-6)
 
     def test_conserved_quantities_exact(self):
         # H_p zeta = 0 holds structurally (no phi dependence); H_p ptil = 0
         rng = np.random.default_rng(6)
         for pt in rand_points(KDS, rng, 20):
-            H = hamilton_field(KDS, pt)
-            assert H[5] + kds_classical_gradient(KDS, pt)[2] == 0.0
+            H = affine_field(KDS, pt)
+            assert H[5] == 0.0
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
             f = lambda y: kds_angular_part(KDS, PhasePoint(*y))
             dptil = fd_gradient(f, x)
@@ -104,31 +118,23 @@ class TestHamiltonField:
                               (-1, hd.r_minus, hd.gamma_minus)):
             for sxi in (+1, -1):
                 cpt = CompactPhasePoint((rh, math.pi / 2, 0.0), 0.0, 0.0, 0.0, sxi)
-                H = hamilton_field(KDS, cpt, horizon_sign=sign)
+                H = compact_field(KDS, cpt, sign)
                 # nu-component of the rescaled field vanishes linearly in nu with
                 # coefficient -sgn(xi) mu~'(r_h) = +-(sgn xi) Gamma_+-
                 eps = 1e-7
                 cpt2 = CompactPhasePoint((rh, math.pi / 2, 0.0), eps, 0.0, 0.0, sxi)
-                H2 = hamilton_field(KDS, cpt2, horizon_sign=sign)
+                H2 = compact_field(KDS, cpt2, sign)
                 rate = (H2[3] - H[3]) / eps
                 expect = -sxi * mu_tilde(KDS, rh)[1]
                 assert rate == pytest.approx(expect, rel=1e-6)
                 assert abs(expect) == pytest.approx(gam, rel=1e-12)
 
-    def test_minkowski_boundary_rejected(self):
-        mink = SpacetimeParams(0.0, model="MinkowskiBoundary", n=4)
-        pt = PhasePoint(0.5, 1.0, 0.0, 1.0, 0.2, 0.3)
-        with pytest.raises(ValueError, match="MinkowskiBoundary"):
-            hamilton_field(mink, pt)
-        with pytest.raises(ValueError, match="MinkowskiBoundary"):
-            hamilton_field(mink, pt.compactify())
-
     def test_compact_chart_matches_pushforward(self):
         rng = np.random.default_rng(7)
         for pt in rand_points(KDS, rng, 20, xi_min=0.5):
             cpt = pt.compactify()
-            Hc = hamilton_field(KDS, cpt)
-            Ha = hamilton_field(KDS, pt)
+            Hc = compact_field(KDS, cpt)
+            Ha = affine_field(KDS, pt)
             nu = cpt.nu
             s = cpt.sign_xi
             # pushforward: nu' = -s xi'/xi^2, etahat' = eta'/|xi| - eta s xi'/xi^2
@@ -198,7 +204,7 @@ class TestHamiltonClosedForm:
            FIBER, FIBER, FIBER)
     @settings(max_examples=300, deadline=None)
     def test_affine_chart(self, params, s, r, theta, xi, eta, zeta):
-        H = hamilton_field(params, PhasePoint(r, theta, 0.3, xi, eta, zeta), s)
+        H = hamilton_kernel(params, s)([r, theta, 0.3, xi, eta, zeta])
         assert_within_ulps(H, closed_form_field(params, s, r, theta, xi, eta,
                                                 zeta), 8)
 
@@ -207,33 +213,27 @@ class TestHamiltonClosedForm:
            st.floats(1e-3, math.pi - 1e-3), FIBER.map(abs), FIBER, FIBER)
     @settings(max_examples=300, deadline=None)
     def test_compact_chart(self, params, s, sxi, r, theta, nu, eta_hat, zeta_hat):
-        cpt = CompactPhasePoint((r, theta, 0.3), nu, eta_hat, zeta_hat, sxi)
-        assert_within_ulps(hamilton_field(params, cpt, s),
+        H = hamilton_kernel(params, s, sxi)([r, theta, 0.3, nu, eta_hat,
+                                             zeta_hat])
+        assert_within_ulps(H,
                            closed_form_compact_field(params, s, r, theta, nu,
                                                      eta_hat, zeta_hat, sxi), 8)
 
     @pytest.mark.parametrize("theta", [0.5 * THETA_AXIS_TOL,
                                        math.pi - 0.5 * THETA_AXIS_TOL])
     def test_axis_raises(self, theta):
-        # a compact point carries no axis check of its own; the field has one
-        with pytest.raises(PolarSingularity):
-            hamilton_field(KDS, CompactPhasePoint((0.8, theta, 0.0), 0.3, 0.1,
-                                                  0.2, 1))
-        for sign_xi in (None, -1):
+        # the states are plain floats, so the kernel checks the axis itself
+        for s, sign_xi in ((+1, 1), (-1, None), (-1, -1)):
             with pytest.raises(PolarSingularity):
-                hamilton_kernel(KDS, -1, sign_xi)([0.8, theta, 0.0, 0.3, 0.1, 0.2])
+                hamilton_kernel(KDS, s, sign_xi)([0.8, theta, 0.0, 0.3, 0.1, 0.2])
 
-    @given(st.floats(-3, 3), st.floats(-3, 3))
+    @given(st.floats(-3, 3))
     @settings(max_examples=200, deadline=None)
-    def test_mu_tilde_scalars_match_the_array_path(self, x, y):
-        z = complex(x, y)
+    def test_mu_tilde_scalars_match_the_array_path(self, x):
         for params in (KDS, DSS):
-            for r, kind in ((x, float), (np.float64(x), float),
-                            (z, complex), (np.complex128(z), complex)):
+            for r in (x, np.float64(x)):
                 got, want = mu_tilde(params, r), mu_tilde(params, np.array(r))
-                assert all(type(v) is kind for v in got)
-                bits = [(complex(v).real.hex(), complex(v).imag.hex())
-                        for v in got + want]
+                bits = [float(v).hex() for v in got + want]
                 assert bits[:3] == bits[3:]
 
 
