@@ -4,7 +4,9 @@ hyperbolicity checks on the fiber-compactified phase space."""
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +100,96 @@ class LinearizationSpectrum:
 
 @functools.cache
 def _tableau():
-    """(A, B, E3, E5, D, A_EXTRA, n_stages) of scipy.integrate.DOP853,
-    imported on first use: only the flow loads scipy.integrate.  The kernels
-    are autonomous, so the stage nodes C are not needed."""
-    from scipy.integrate import DOP853 as M
-    return M.A, M.B, M.E3, M.E5, M.D, M.A_EXTRA, M.n_stages
+    """(A, B, E3, E5, D, A_EXTRA, n_stages) of scipy.integrate.DOP853, sliced
+    as that class slices them from scipy's coefficient module
+    integrate/_ivp/dop853_coefficients.py.  The module imports only numpy and
+    is loaded by its path, so scipy stays the one source of the coefficients
+    while the scipy.integrate package (and the scipy.optimize and
+    scipy.special it imports) is never loaded.  The kernels are autonomous,
+    so the stage nodes C are not needed."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location(
+        "dop853_coefficients",
+        os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    c = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(c)
+    n = c.N_STAGES
+    return c.A[:n, :n], c.B, c.E3, c.E5, c.D, c.A[n + 1:], n
+
+
+# the least rtol scipy's brentq accepts, 4 eps
+_BRENT_RTOL = 4 * math.ulp(1.0)
+
+
+def _brentq(f, a, b, xtol, rtol):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4).
+
+    Line for line the C loop behind scipy.optimize.brentq, with the checks
+    of its Python wrapper, so the root is bit for bit scipy's: xtol > 0 and
+    rtol >= 4 eps, else ValueError; a NaN value of f raises ValueError, a
+    bracket without a sign change ValueError, and no convergence after 100
+    iterations RuntimeError.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def _rms(x):
@@ -144,18 +231,31 @@ class _Run:
 
 def _dop853(fun, T, y0, rtol, atol, events=()):
     """Integrate y' = fun(y) over [0, T] by Dormand-Prince 8(5,3) (Hairer,
-    Norsett and Wanner, Sec. II.10).
+    Norsett and Wanner, Sec. II.10), with the tableau of `_tableau`.
 
     Step for step this is scipy's solve_ivp(method="DOP853",
     dense_output=True, events=...), numpy expression for numpy expression, so
     the run is bit-identical to it: the same first step, step-size controller,
-    error norm, 7th-order interpolant and event roots (brentq on the step's
-    interpolant with xtol = rtol = 4 eps).  `fun` maps a list of floats to a
-    sequence of floats.  `events` are (g, direction) pairs of terminal events
-    g(y) on lists; the earliest root among those that fire ends the run.
-    Returns a `_Run`; raises StepFailure when the step falls below ten float
-    spacings.
+    error norm, 7th-order interpolant and event roots (`_brentq`, scipy's
+    brentq, on the step's interpolant with xtol = rtol = 4 eps).  `fun` maps
+    a list of floats to a sequence of floats.  `events` are (g, direction)
+    pairs of terminal events g(y) on lists; the earliest root among those
+    that fire ends the run.  Returns a `_Run`; raises StepFailure when the
+    step falls below ten float spacings.
+
+    The kernels square with Python's `**`, which raises OverflowError where
+    numpy gives inf.  An overflow in a trial step rejects the step as scipy's
+    controller rejects an infinite error norm, by the factor 0.2; an
+    overflow anywhere else raises StepFailure.
     """
+    try:
+        return _dop853_steps(fun, T, y0, rtol, atol, events)
+    except OverflowError as exc:
+        raise StepFailure(f"the field overflowed: {exc}") from exc
+
+
+def _dop853_steps(fun, T, y0, rtol, atol, events):
+    """`_dop853`, which lets an OverflowError outside a trial step escape."""
     A, B, E3, E5, D, A_EXTRA, n_st = _tableau()
     y = np.array(y0, dtype=float)
     n = len(y)
@@ -198,12 +298,19 @@ def _dop853(fun, T, y0, rtol, atol, events=()):
             # scipy's rk_step; y + np.dot(K[:s].T, a) * h as floats, which
             # rounds alike
             K[0] = f
-            for s in range(1, n_st):
-                dy = Kt[s].dot(a_rows[s]).tolist()
-                K[s] = fun([v + d * h for v, d in zip(yl, dy)])
-            y_new = y + h * Kt[n_st].dot(B)
-            ylist = y_new.tolist()
-            K[n_st] = fun(ylist)
+            try:
+                for s in range(1, n_st):
+                    dy = Kt[s].dot(a_rows[s]).tolist()
+                    K[s] = fun([v + d * h for v, d in zip(yl, dy)])
+                y_new = y + h * Kt[n_st].dot(B)
+                ylist = y_new.tolist()
+                K[n_st] = fun(ylist)
+            except OverflowError:
+                # scipy's controller on an infinite error norm
+                h_abs *= 0.2
+                step_rejected = True
+                rejected += 1
+                continue
             # DOP853._estimate_error_norm, with norm(e) ** 2 as sqrt(e.e) ** 2
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = Kt[n_st + 1].dot(E5) / scale
@@ -251,12 +358,10 @@ def _dop853(fun, T, y0, rtol, atol, events=()):
             fired = [i for i, ((_, d), g0, g1) in enumerate(zip(events, g, g_new))
                      if (g0 <= 0 <= g1 and d >= 0) or (g0 >= 0 >= g1 and d <= 0)]
             if fired:
-                from scipy.optimize import brentq
                 point = _interpolant(F, t, h, yl)
-                eps4 = 4 * np.finfo(float).eps
                 t_new, event = min(
-                    (brentq(lambda u, g=events[i][0]: g(point(u)), t, t_new,
-                            xtol=eps4, rtol=eps4), i) for i in fired)
+                    (_brentq(lambda u, g=events[i][0]: g(point(u)), t, t_new,
+                             _BRENT_RTOL, _BRENT_RTOL), i) for i in fired)
                 ylist = point(t_new)
             g = g_new
         t, y, f = t_new, y_new, f_new
@@ -297,6 +402,22 @@ def _kds_rhs(params, horizon_sign, sign_xi, direction):
     return lambda y: [-v for v in field(y)]
 
 
+# how far beyond a domain bound a start may lie: a run's domain-exit end
+# point, whose flow parameter `_brentq` places to 4 eps, must stay a valid
+# start, and the state there can overshoot the bound (by up to 1.3e-11 in nu
+# at nu = 10 on the reduced de Sitter flow, where nu is steep; by an ulp in r)
+_START_SLACK = 1e-9
+
+
+def _check_start(name, value, lo, hi):
+    """ValueError unless lo <= value <= hi, within `_START_SLACK`: an exit
+    event fires only on a sign change, so a start beyond a bound would run on
+    as if inside."""
+    if not lo - _START_SLACK <= value <= hi + _START_SLACK:
+        raise ValueError(f"start {name} = {value} lies outside the flow "
+                         f"domain [{lo}, {hi}]")
+
+
 _NU_TO_COMPACT = 0.40    # |xi| = 2.5: leave the affine chart
 _NU_TO_AFFINE = 0.55     # overlap band for the reverse handoff
 
@@ -333,7 +454,8 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     integrates the rescaled field nu^(k-1) H_p.  MinkowskiBoundary has no
     flow here and raises ValueError.  `direction=-1` integrates the
     time-reversed field.  Leaving the r-domain terminates the trajectory
-    normally with exit_reason="domain".  The samples are arrays
+    normally with exit_reason="domain"; a start outside it raises
+    ValueError (see `_check_start`).  The samples are arrays
     (`FlowSamples`), n_samples over [0, T] split between the chart segments.
     Besides p, zeta and ptilde the ledger keeps the symbol and the angular
     part at the scaled point (|xi| = 1), p_scaled and ptilde_scaled; it is
@@ -366,6 +488,7 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
         pt = start.affine() if isinstance(start, CompactPhasePoint) else start
         state = [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]
         sign_xi = 1 if pt.xi >= 0 else -1
+    _check_start("r", state[0], r_lo, r_hi)
 
     for _segment in range(64):
         rhs = _kds_rhs(params, horizon_sign,
@@ -457,16 +580,19 @@ def _integrate_ds_reduced(start, T, tol, direction, n_samples):
     """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi); it
     leaves the domain below mu = -0.68, above mu = 0.99 or above nu = 10."""
     mu0, nu0, ehat0, sxi = start
-    if direction > 0:
-        rhs = lambda y: ds_reduced_compact_field(*y, sxi)
-    else:
-        rhs = lambda y: -ds_reduced_compact_field(*y, sxi)
     # the chart ends at the centre mu = 1, where the field has 1/(1 - mu)^2,
     # and at xi = 0 (nu = infinity), where a ray with eta != 0 turns; with
     # these bounds no run failed a step over 151 starts, tol 1e-12 to 1e-4,
     # both directions and T = 10 (a mu bound alone fails from 0.9 on)
-    events = [(lambda y: y[0] + 0.68, 0.0), (lambda y: 0.99 - y[0], 0.0),
-              (lambda y: 10.0 - y[1], 0.0)]
+    mu_lo, mu_hi, nu_hi = -0.68, 0.99, 10.0
+    _check_start("mu", mu0, mu_lo, mu_hi)
+    _check_start("nu", nu0, -math.inf, nu_hi)
+    if direction > 0:
+        rhs = lambda y: ds_reduced_compact_field(*y, sxi)
+    else:
+        rhs = lambda y: -ds_reduced_compact_field(*y, sxi)
+    events = [(lambda y: y[0] - mu_lo, 0.0), (lambda y: mu_hi - y[0], 0.0),
+              (lambda y: nu_hi - y[1], 0.0)]
     run = _dop853(rhs, T, [mu0, nu0, ehat0], tol, tol * 1e-2, events)
     ss = np.linspace(0.0, run.t, n_samples)
     Y = run.sample(ss)
@@ -579,10 +705,9 @@ def find_trapped_set(params: SpacetimeParams, zeta: float = 0.0,
         raise NoRoot("no sign change of the trapping function in (r_-, r_+)")
     if len(flips) > 1:
         raise MultipleRoots(f"{len(flips)} sign changes found")
-    from scipy.optimize import brentq
     i = flips[0]
-    r_c = brentq(lambda r: trapping_function(params, r, zeta, z),
-                 rr[i], rr[i + 1], xtol=1e-15, rtol=8.9e-16)
+    r_c = _brentq(lambda r: trapping_function(params, r, zeta, z),
+                  rr[i], rr[i + 1], 1e-15, 8.9e-16)
     mt = mu_tilde(params, r_c)[0]
     Wc = (r_c ** 2 + params.alpha ** 2) * z - params.alpha * zeta
     xi_c = -(1.0 + params.gamma) * Wc / mt

@@ -167,21 +167,25 @@ class TestFlow:
         assert abs(rep["beta0_measured"] - 4.0) / 4.0 < 0.05
 
     @staticmethod
-    def _fail_every_step(tmp_path, monkeypatch, dss_params, lines=""):
-        """Run one flow on a field that turns NaN after each run's two start
-        evaluations, so every step is rejected until it falls below the
-        float spacing; the exit code and the tol of each attempt."""
+    def _fail_every_step(tmp_path, monkeypatch, dss_params, lines="",
+                         failure=lambda v: math.nan):
+        """Run one flow on a field that turns to failure(v) of each value v
+        after each run's two start evaluations (NaN, or an OverflowError), so
+        every step is rejected until it falls below the float spacing; the
+        exit code and the tol of each attempt."""
         import qnmkit.cli as cli
         import qnmkit.dynamics as dynamics
 
-        def nan_after_start(*a, _f=dynamics.hamilton_kernel):
+        def fail_after_start(*a, _f=dynamics.hamilton_kernel):
             field, calls = _f(*a), []
 
             def wrapped(y):
                 calls.append(1)
-                return field(y) if len(calls) <= 2 else [math.nan] * 6
+                if len(calls) <= 2:
+                    return field(y)
+                return [failure(v) for v in field(y)]
             return wrapped
-        monkeypatch.setattr(dynamics, "hamilton_kernel", nan_after_start)
+        monkeypatch.setattr(dynamics, "hamilton_kernel", fail_after_start)
         tols = []
 
         def counted(*a, _f=cli.integrate_flow, **k):
@@ -196,6 +200,17 @@ class TestFlow:
     def test_step_failure_exits_3(self, tmp_path, monkeypatch, dss_params):
         # the two retries at looser tolerance fail alike, and flow exits 3
         code, tols = self._fail_every_step(tmp_path, monkeypatch, dss_params)
+        assert code == 3
+        assert tols == pytest.approx([1e-10, 1e-9, 1e-8], rel=1e-12)
+
+    def test_overflowing_field_exits_3(self, tmp_path, monkeypatch,
+                                       dss_params):
+        # the kernels square with Python's **, which raises OverflowError on
+        # overflow: a trial step that overflows is rejected like one that
+        # reads NaN, and flow exits 3, not with a traceback
+        code, tols = self._fail_every_step(
+            tmp_path, monkeypatch, dss_params,
+            failure=lambda v: (1e200 + abs(float(v))) ** 2)
         assert code == 3
         assert tols == pytest.approx([1e-10, 1e-9, 1e-8], rel=1e-12)
 
@@ -477,13 +492,19 @@ assert not loaded(), loaded()
 assert run("resonances", "dss.params", "N = 16\nell_min = 0\nell_max = 0\noracle = 1\n") == 0
 assert run("expand", "ds.params", "N = 16\n") == 0
 assert not loaded(), loaded()
-assert run("flow", "dss.params", "n_traj = 1\nT = 0.1\ninclude_classify = 0\n") == 0
-assert "scipy.integrate" in sys.modules
+for params in ("dss.params", "kds.params", "ds.params"):
+    assert run("flow", params, "n_traj = 1\nT = 0.1\n") == 0
+from qnmkit.dynamics import find_trapped_set
+from qnmkit.spacetime import SpacetimeParams
+find_trapped_set(SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter"), zeta=0.4)
+assert not loaded(), loaded()
 """
 
 
-def test_resonances_and_expand_load_no_ode_stack(tmp_path):
-    # resonances and expand need scipy.linalg only; scipy.integrate (and the
-    # scipy.optimize and scipy.special it pulls in) load at the first flow
+def test_no_command_loads_the_ode_stack(tmp_path):
+    # resonances and expand need scipy.linalg only; the flow reads the DOP853
+    # tableau from scipy's coefficient module by path and finds its roots
+    # with its own Brent loop, so scipy.integrate (and the scipy.optimize and
+    # scipy.special it would pull in) never load
     subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path),
                     CONFIGS], env=src_env(), check=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,52 @@ class TestIntegrateFlow:
             dynamics._dop853(field, 1.0, [0.0], 1e-10, 1e-12)
         assert 0.5 - max(finite) < 10 * math.ulp(0.5)
 
+    def test_overflow_rejects_the_trial_step(self):
+        # Python's ** raises OverflowError where numpy gives inf: in a trial
+        # stage it rejects the step (0.2 times, as scipy does for an infinite
+        # error norm) until the step falls below the float spacing; outside
+        # a trial step it raises StepFailure at once
+        with pytest.raises(StepFailure, match="spacing"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            dynamics._dop853(
+                lambda y: [1.0 + (max(y[0] - 1.0, 0.0) * 1e160) ** 2],
+                2.0, [0.0], 1e-10, 1e-12)
+        with pytest.raises(StepFailure, match="overflow"):
+            dynamics._dop853(lambda y: [(y[0] * 1e160) ** 2], 1.0, [1.0],
+                             1e-10, 1e-12)
+
+    @pytest.mark.parametrize("params, start", [
+        (DS, (0.995, 0.5, 0.1, 1)),
+        (DS, (-0.9, 0.5, 0.1, 1)),
+        (DS, (0.1, 10.5, 0.1, 1)),
+        (DSS, PhasePoint(5.0, 1.2, 0.3, 0.5, 0.2, 0.1)),
+        (KDS, CompactPhasePoint((0.01, 1.2, 0.3), 0.2, 0.1, 0.1, 1)),
+    ], ids=["ds-mu-high", "ds-mu-low", "ds-nu-high", "dss-r-high",
+            "kds-r-low"])
+    def test_start_outside_domain_refused(self, params, start):
+        # an exit event fires only on a sign change, so a start beyond a
+        # bound would run on as if inside (the first two to mu = 0.99 and
+        # -0.68 in 34 steps, the dss start into a StepFailure)
+        with pytest.raises(ValueError, match="outside the flow domain"):
+            integrate_flow(params, start, 10.0)
+
+    @pytest.mark.parametrize("params, start, T", [
+        (DSS, PhasePoint(0.9, 1.2, 0.0, 1.5, 0.0, 0.0), 100.0),
+        (DS, (-0.05, 0.3, 0.2, -1), 10.0),
+        (DS, (0.05, 0.3, 0.2, -1), 10.0),
+    ], ids=["dss-domain-exit", "ds-domain-exit", "ds-chart-exit"])
+    def test_domain_exit_end_point_is_a_valid_start(self, params, start, T):
+        # the exit root lies to 4 eps in the flow parameter, so the end point
+        # can overshoot its bound (nu = 10 + 4.2e-13 on ds-chart-exit); the
+        # reversed run still starts there
+        bc = integrate_flow(params, start, T, tol=1e-10)
+        assert bc.exit_reason == "domain"
+        end = points(bc.samples)[-1]
+        if params.model == "deSitter":
+            end = (*end, start[3])
+        back = integrate_flow(params, end, T, tol=1e-10, direction=-1.0)
+        assert np.array_equal(back.samples.y[0], bc.samples.y[-1])
+
     def test_minkowski_boundary_rejected(self):
         mink = SpacetimeParams(0.0, model="MinkowskiBoundary", n=4)
         for start in (PhasePoint(0.5, 1.0, 0.0, 1.0, 0.2, 0.3),
@@ -251,6 +298,63 @@ class TestDop853Referee:
             point = dynamics._interpolant(Fk, a, h, y.tolist())
             for u in np.linspace(a, a + h, 7).tolist():
                 assert point(u) == dense[k](u).tolist()
+
+
+# a polynomial, a step interpolant, roots at either bracket end and the
+# trapping function at find_trapped_set's tolerances: (f, a, b, xtol, rtol)
+def _brentq_cases():
+    eps4 = 4 * np.finfo(float).eps
+    run = dynamics._dop853(lambda y: [y[1], -y[0]], 5.0, [1.0, 0.0],
+                           1e-10, 1e-12)
+    k = int(np.searchsorted(run.t_old, math.pi / 2)) - 1
+    point = dynamics._interpolant(run.F[k], run.t_old[k], run.h[k],
+                                  run.y_old[k].tolist())
+    hd = horizon_roots(KDS)
+    return {
+        "polynomial": (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, 2e-12, eps4),
+        "interpolant": (lambda u: point(u)[0], run.t_old[k],
+                        run.t_old[k] + run.h[k], eps4, eps4),
+        "root-at-a": (lambda x: x - 1.0, 1.0, 2.0, eps4, eps4),
+        "root-at-b": (lambda x: x - 1.0, 0.0, 1.0, eps4, eps4),
+        "trapping": (lambda r: trapping_function(KDS, r, 0.4, 1.0),
+                     hd.r_minus * (1 + 1e-9), hd.r_plus * (1 - 1e-9),
+                     1e-15, 8.9e-16),
+    }
+
+
+class TestScipyReferees:
+    def test_tableau_is_scipys(self):
+        # read from scipy's coefficient module by path: it must equal what
+        # scipy.integrate.DOP853 holds, or the module has moved
+        from scipy.integrate import DOP853 as M
+        want = (M.A, M.B, M.E3, M.E5, M.D, M.A_EXTRA, M.n_stages)
+        got = dynamics._tableau()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("case", ["polynomial", "interpolant",
+                                      "root-at-a", "root-at-b", "trapping"])
+    def test_brentq_matches_scipy(self, case):
+        from scipy.optimize import brentq
+        f, a, b, xtol, rtol = _brentq_cases()[case]
+        root = dynamics._brentq(f, a, b, xtol, rtol)
+        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize("f, a, b, xtol, rtol", [
+        (lambda x: math.nan if 0.5 < x < 0.9 else x - 0.7, 0.0, 1.0, 1e-12,
+         1e-15),
+        (lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15),
+        (lambda x: 1.0 if x > 0 else -1.0, -1.0, 2.0, 1e-300, 1e-15),
+        (lambda x: x, -1.0, 2.0, 0.0, 1e-15),
+        (lambda x: x, -1.0, 2.0, 1e-12, 1e-16),
+    ], ids=["nan", "same-sign", "no-convergence", "xtol", "rtol"])
+    def test_brentq_raises_as_scipy(self, f, a, b, xtol, rtol):
+        from scipy.optimize import brentq
+        with pytest.raises((ValueError, RuntimeError)) as want:
+            brentq(f, a, b, xtol=xtol, rtol=rtol)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            dynamics._brentq(f, a, b, xtol, rtol)
 
 
 class TestSegmentLedger:
