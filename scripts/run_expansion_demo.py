@@ -22,8 +22,7 @@ def main():
     params = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
     op = build_operator(params, 0, ns.N)
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
-    terms, rem = resonance_expand(f0, op, ns.ell_target, sigma_max=60,
-                                  n_sigma=4000)
+    terms, rem = resonance_expand(f0, op, ns.ell_target, n_sigma=4000)
     for t in terms:
         print(f"term: sigma = {t.sigma_j:.6f}, kappa = {t.kappa}, "
               f"|a| = {np.linalg.norm(np.atleast_1d(t.a)):.4e}")

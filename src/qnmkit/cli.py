@@ -23,7 +23,8 @@ from .dynamics import integrate_flow, classify_radial, StepFailure
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel
 from .mellin import resonance_expand, evaluate_terms, fit_decay, \
-    TemporalSamples, PoleOnContour, log_gaussian_pulse_hat, inverse_mellin
+    TemporalSamples, PoleOnContour, log_gaussian_pulse_hat, inverse_mellin, \
+    SIGMA_MAX
 
 EXIT_OK = 0
 EXIT_FLAGS = 1
@@ -60,7 +61,6 @@ _SCHEMAS = {
         "N": (int, 16, 400, 48),
         "ell": (int, 0, 16, 0),
         "ell_target": (float, 0.1, 10.0, 1.5),
-        "sigma_max": (float, 5.0, 200.0, 60.0),
         "n_sigma": (int, 128, 100_000, 4000),
         "recon_bound": (float, 1e-12, 1.0, 1e-6),
     },
@@ -280,12 +280,11 @@ def cmd_expand(cfg: RunConfig) -> int:
     _write_manifest(cfg)
     op = build_operator(params, k["ell"], k["N"])
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
-    terms, rem = resonance_expand(f0, op, k["ell_target"],
-                                  sigma_max=k["sigma_max"], n_sigma=k["n_sigma"])
+    terms, rem = resonance_expand(f0, op, k["ell_target"], n_sigma=k["n_sigma"])
     # reconstruction residual against the inverse transform along a contour
     # above every pole (Im sigma = +0.3)
     phat = log_gaussian_pulse_hat()
-    sig = np.linspace(-k["sigma_max"], k["sigma_max"], k["n_sigma"])
+    sig = np.linspace(-SIGMA_MAX, SIGMA_MAX, k["n_sigma"])
     vals = resolvent_apply(op, sig + 0.3j, phat(sig + 0.3j)[:, None] * f0)
     tau = rem.tau_grid
     direct = inverse_mellin(vals, -0.3, sig, tau)

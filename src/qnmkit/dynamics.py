@@ -293,7 +293,9 @@ def _dop853_steps(fun, T, y0, rtol, atol, events):
             t_new = t + h_abs
             if t_new - T > 0:
                 t_new = T
-            h = t_new - t
+            # a Python float keeps the stage states floats, on which the
+            # kernels' ** raises OverflowError where numpy would give inf
+            h = float(t_new - t)
             h_abs = abs(h)
             # scipy's rk_step; y + np.dot(K[:s].T, a) * h as floats, which
             # rounds alike

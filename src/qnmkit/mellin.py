@@ -172,6 +172,7 @@ _RESIDUE_NODES = 64         # trapezoid nodes on that circle
 _LAURENT_ORDERS = 3         # c_-1 .. c_-3: Jordan chains up to length 3
 _JORDAN_TOL = 1e-8          # c_-m below this fraction of the largest is zero
 _POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
+SIGMA_MAX = 60.0            # |Re sigma| to which the expansion contours reach
 
 
 def laurent_coefficients(solve: Callable, pole: complex) -> list:
@@ -192,7 +193,7 @@ def laurent_coefficients(solve: Callable, pole: complex) -> list:
 
 
 def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
-                  sigma_max: float = 40.0, n_sigma: int = 4096):
+                  n_sigma: int):
     """Terms and remainder of the inverse transform shifted to Im sigma = -ell.
 
     `solve` maps an array of sigma, shape (M,), to the spatial vectors of the
@@ -200,8 +201,8 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     circle and once for the whole shifted contour.  Poles with
     Im sigma > -ell_target contribute tau^(i sigma_j) log(tau)^kappa terms
     whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1});
-    the remainder is the inverse transform along the shifted contour, sampled
-    on `default_tau_grid()`.
+    the remainder is the inverse transform along the shifted contour, n_sigma
+    points with |Re sigma| <= SIGMA_MAX, sampled on `default_tau_grid()`.
     """
     tau_grid = default_tau_grid()
     terms = []
@@ -221,7 +222,7 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
             coef = -1j * cs[kappa] * (1j) ** kappa / math.factorial(kappa)
             a = coef[0] if coef.size == 1 else coef
             terms.append(ExpansionTerm(pj, kappa, np.asarray(a)))
-    sig_re = np.linspace(-sigma_max, sigma_max, n_sigma)
+    sig_re = np.linspace(-SIGMA_MAX, SIGMA_MAX, n_sigma)
     vals = solve(sig_re - 1j * ell_target)
     remainder = inverse_mellin(vals if vals.shape[1] > 1 else vals[:, 0],
                                ell_target, sig_re, tau_grid)
@@ -248,16 +249,16 @@ def _converged_poles(op: DiscretizedOperator, im_min: float) -> list:
 
 
 def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
-                     **kwargs):
+                     n_sigma: int):
     """Expansion of the driven solution of the discretized family.
 
     f0 is the spatial forcing profile of the default log-Gaussian pulse.
     Pole locations come from the resonance solver, down to 0.8 below the
     contour; the transformed solution is sigma -> R(sigma)(phi_hat(sigma) f0).
-    `kwargs` go to `expand_family`.
+    `n_sigma` goes to `expand_family`.
     """
     poles = _converged_poles(op, -ell_target - 0.8)
-    return expand_family(_driven_solve(op, f0), poles, ell_target, **kwargs)
+    return expand_family(_driven_solve(op, f0), poles, ell_target, n_sigma)
 
 
 def log_gaussian_pulse_hat(x0: float = -3.0) -> Callable:

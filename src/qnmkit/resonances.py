@@ -12,18 +12,20 @@ secant iteration on the zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>,
 and validated against an independent monodromy oracle.
 
 Each radial family has polynomial coefficients, whose only singular points are
-regular ones at the roots of the principal coefficient.  `_radial_polys` gives
-them in closed form, and the pencil evaluates them on the grid.  The oracle
-continues the branch analytic at the regular end, normalized there to u = 1,
-around the horizon by power series: a Frobenius recurrence at the regular
-end and Taylor recurrences at a chain of centres, each step at most half the
-distance to the nearest singular point (Leaver's route for quasinormal
-modes).  The steps and their Taylor coefficients, split by powers of sigma
-as the pencil's are, form a plan built once per (params, ell); for each
-sigma one lower-banded triangular solve runs every step's recurrence, and
-the steps' 2 x 2 transfers are chained along the path.  Its detector is the
-raw difference of the branch's end values along the two sides of the
-horizon, which is holomorphic in sigma.
+regular ones at the roots of the principal coefficient c2.  `_radial_polys`
+states them once, in closed form and split by powers of sigma: c2, c1 = c1a
++ sigma c1b and c0 = c0a + sigma c0b + sigma^2 c0c, six sigma-free
+polynomials.  The pencil assembles its three matrices from their grid values.
+The oracle continues the branch analytic at the regular end, normalized there
+to u = 1, around the horizon by power series: a Frobenius recurrence at the
+regular end and Taylor recurrences at a chain of centres, each step at most
+half the distance to the nearest singular point (Leaver's route for
+quasinormal modes).  The steps and the Taylor coefficients of the six
+polynomials form a plan built once per (params, ell); for each sigma one
+lower-banded triangular solve runs every step's recurrence, and the steps'
+2 x 2 transfers are chained along the path.  Its detector is the raw
+difference of the branch's end values along the two sides of the horizon,
+which is holomorphic in sigma.
 """
 
 from __future__ import annotations
@@ -63,54 +65,34 @@ class StiffFailure(Exception):
 # radial coefficient polynomials, shared by the pencil and the oracle
 # ---------------------------------------------------------------------------
 
-def _radial_polys(params: SpacetimeParams, ell: int, sigma: complex):
-    """Coefficients (c2, c1, c0) of c2 u'' + c1 u' + c0 u, highest power first.
+def _radial_polys(params: SpacetimeParams, ell: int):
+    """The sigma-split coefficients of c2 u'' + c1 u' + c0 u, highest power first.
 
-    The family is params.model, in dimension params.n.  deSitter: static-patch
-    model on mu = 1 - r^2 with the s^ell ansatz factored out.
-    MinkowskiBoundary: forward-problem family of the flat boundary model
-    (adjoint orientation).  dSSchwarzschild: two-horizon model on r,
-    horizon-regular classical gauge c = 0, which keeps the coefficients
-    polynomial and so preserves spectral convergence (a blended c is only
-    finitely smooth).
+    Returns (c2, c1a, c1b, c0a, c0b, c0c), with c1 = c1a + sigma c1b and
+    c0 = c0a + sigma c0b + sigma^2 c0c.  The family is params.model, in
+    dimension params.n.  deSitter: static-patch model on mu = 1 - r^2 with
+    the s^ell ansatz factored out.  MinkowskiBoundary: forward-problem
+    family of the flat boundary model (adjoint orientation), deSitter's but
+    for 1/4 - ((n - 1)/2)^2 added to c0a.  dSSchwarzschild: two-horizon
+    model on r, horizon-regular classical gauge c = 0, which keeps the
+    coefficients polynomial and so preserves spectral convergence (a blended
+    c is only finitely smooth).
     """
     model, n = params.model, params.n
-    if model == "deSitter":
-        c2 = np.array([-4.0, 4.0, 0.0])
-        c1 = np.array([-(2 * n + 2 + 4 * ell) + 4j * sigma, 4.0 - 4j * sigma])
-        c0 = np.array([sigma ** 2 + (n - 1 + 2 * ell) * 1j * sigma
-                       - ell * (ell + n - 1)])
-    elif model == "MinkowskiBoundary":
-        c = -1j * (n - 1) / 2.0 - sigma
-        c2 = np.array([-4.0, 4.0, 0.0])
-        c1 = np.array([-(4.0 + 4j * c + 4 * ell), (2.0 + 4j * c) - 2.0 * (n - 2)])
-        c0 = np.array([c * c + 0.25 - ell ** 2 - 2j * c * ell])
-    elif model == "dSSchwarzschild":
+    if model in ("deSitter", "MinkowskiBoundary"):
+        c0a = -ell * (ell + n - 1.0)
+        if model == "MinkowskiBoundary":
+            c0a += 0.25 - ((n - 1) / 2.0) ** 2
+        return (np.array([-4.0, 4.0, 0.0]),
+                np.array([-(2.0 * n + 2 + 4 * ell), 4.0]), np.array([4j, -4j]),
+                np.array([c0a]), np.array([(n - 1.0 + 2 * ell) * 1j]),
+                np.array([1.0]))
+    if model == "dSSchwarzschild":
         c2 = _mu_coeffs(params)                                 # mu~
-        c1 = np.polyder(c2) + np.array([0.0, 2j * sigma, 0.0, 0.0])   # + 2i sigma r^2
-        c0 = np.array([2j * sigma, -ell * (ell + 1.0)])
-    else:
-        raise UnsupportedModel(f"no radial family for {model!r}")
-    return c2, c1, c0
-
-
-def _sigma_split(params, ell, at=np.asarray):
-    """c2, c1 = C1a + s C1b and c0 = C0a + s C0b + s^2 C0c.
-
-    Each part is read by at(p) from the polynomials p of c2, c1 and c0 at
-    s = 0, 1 and -1: their coefficients by default, grid values for the pencil.
-    """
-    (p2, p1a, p0a), (_, p1p, p0p), (_, _, p0m) = (
-        _radial_polys(params, ell, s) for s in (0.0, 1.0, -1.0))
-    C2 = at(p2).astype(complex)
-    C1a = at(p1a)
-    C1b = at(p1p) - C1a
-    C0a = at(p0a)
-    C0_1 = at(p0p)
-    C0_m = at(p0m)
-    C0b = (C0_1 - C0_m) / 2.0
-    C0c = (C0_1 + C0_m) / 2.0 - C0a
-    return C2, C1a, C1b, C0a, C0b, C0c
+        return (c2, np.polyder(c2), np.array([2j, 0.0, 0.0]),   # 2i r^2
+                np.array([-ell * (ell + 1.0)]), np.array([2j, 0.0]),
+                np.array([0.0]))
+    raise UnsupportedModel(f"no radial family for {model!r}")
 
 
 @dataclass
@@ -140,22 +122,6 @@ class DiscretizedOperator:
         return _TriangularForm.of(*self.matrices)
 
 
-def _absorbing_window(params, spec: AbsorbingSpec, x):
-    """Grid values q(x) of the absorbing window of `spec`, beyond the horizons."""
-    if params.model != "dSSchwarzschild":
-        return spec.chi(x)
-    # two-horizon model: one absorbing window in the lower half of each
-    # beyond-horizon collar (the attainable mu~ range there is too shallow
-    # for the mu-model breakpoints)
-    r_lo, r_hi = domain(params)
-    hd = horizon_roots(params)
-    t_in = (x - r_lo) / (hd.r_minus - r_lo)
-    t_out = (r_hi - x) / (r_hi - hd.r_plus)
-    bump = lambda t: smooth_step((0.5 - t) / 0.15) * smooth_step(t / 0.2 + 1.0)
-    return spec.digamma_scale * (np.where(t_in < 0.55, bump(np.clip(t_in, 0, 1)), 0.0)
-                                 + np.where(t_out < 0.55, bump(np.clip(t_out, 0, 1)), 0.0))
-
-
 def build_operator(params: SpacetimeParams, ell: int, N: int,
                    spec: Optional[AbsorbingSpec] = None) -> DiscretizedOperator:
     """Assemble the collocation pencil of params.model for one angular sector.
@@ -165,26 +131,29 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
     delta] for the two-horizon model.  Every row is a collocation row of the
     operator.  Without `spec` the pencil has no absorber: the horizon-crossing
     basis needs none.  With it, A0 carries -iQ, Q = q (1 + scaled
-    second-derivative stencil), with q the window of `spec` (mu < mu0 < 0).
+    second-derivative stencil), with q = spec.chi(mu) (mu < mu0 < 0); the
+    one-horizon models only, ValueError on the two-horizon one.
     """
     if N < 16:
         raise ValueError("need N >= 16")
     if params.model == "dSSchwarzschild":
+        if spec is not None:
+            raise ValueError("no absorbing window on the two-horizon model")
         x, D = cheb_grid(N, *domain(params))
     else:
         x, D = cheb_grid(N, -0.6, 1.0)
 
-    C2, C1a, C1b, C0a, C0b, C0c = _sigma_split(params, ell,
-                                               lambda p: np.polyval(p, x))
+    C2, C1a, C1b, C0a, C0b, C0c = (np.polyval(p, x).astype(complex)
+                                   for p in _radial_polys(params, ell))
     D2 = D @ D
     A0 = np.diag(C2) @ D2 + np.diag(C1a) @ D + np.diag(C0a)
     A1 = np.diag(C1b) @ D + np.diag(C0b)
-    A2 = np.diag(C0c).astype(complex)
+    A2 = np.diag(C0c)
 
     if spec is not None:
         # multiplication plus a second-derivative stencil whose scale matches
         # the quadratic fiber growth of the principal coefficient in the collar
-        w = _absorbing_window(params, spec, x)
+        w = spec.chi(x)
         active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
         lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
         A0 = A0 - 1j * (np.diag(w) @ (np.eye(N + 1) - lsc2 * D2))
@@ -591,9 +560,10 @@ def _oracle_plan(params: SpacetimeParams, ell: int) -> _SeriesPlan:
     entry = sing + rad
     paths = [(start, entry)] + [(entry, sing + 1j * half * rad, end)
                                 for half in (+1.0, -1.0)]
-    roots = np.roots(_radial_polys(params, ell, 0.0)[0]).tolist()
+    split = _radial_polys(params, ell)
+    roots = np.roots(split[0]).tolist()
     legs = [_walk(roots, path, k == 0) for k, path in enumerate(paths)]
-    return _SeriesPlan.of(_sigma_split(params, ell), legs)
+    return _SeriesPlan.of(split, legs)
 
 
 def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> complex:

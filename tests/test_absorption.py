@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnmkit.absorption import (
     AbsorbingSpec, BranchCut, chi0, smooth_step, f_z, p_hat,
-    pairing_ds, q_semiclassical, extend_p, ellipticity_scan,
+    q_semiclassical, extend_p,
 )
 from qnmkit.spacetime import SpacetimeParams
 
@@ -173,22 +173,6 @@ class TestExtension:
         assert got == want
         with pytest.raises(ValueError):     # the symbol needs n >= 3
             extend_p(SpacetimeParams(n=2), mu, xi, z, SPEC, e2)
-
-
-class TestEllipticityScan:
-    def test_collar_elliptic_and_signs(self):
-        rep = ellipticity_scan(SpacetimeParams(), SPEC,
-                               [2.0 + 0.0j, 1.0 + 0.5j, -1.5 + 0.0j],
-                               n_mu=48, n_xi=32, n_eta=4)
-        assert rep.min_abs > 0
-        assert rep.sign_violations == 0
-
-    def test_interior_bound_for_large_im_z(self):
-        z = 1.0 + 0.5j
-        rep = ellipticity_scan(SpacetimeParams(), SPEC, [z],
-                               n_mu=40, n_xi=32, n_eta=4)
-        interior = dict(rep.details)["interior_min_abs"]
-        assert interior > z.imag ** 2
 
 
 class TestFzProperties:

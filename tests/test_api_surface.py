@@ -1,4 +1,5 @@
 """Every public name in qnmkit has a caller outside its own unit tests, every
+private top-level function and class has a caller in qnmkit itself, every
 module-level import of a qnmkit module is read, and every defaulted parameter
 of a qnmkit function is set by some call."""
 
@@ -58,6 +59,18 @@ def test_every_public_name_has_a_caller():
                     or node.name in _references(trees[path], node)):
                 uncalled.append(f"{path.name}:{qualname}")
     assert not uncalled, f"public names with no caller: {uncalled}"
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # a helper that only tests call is code the tests keep alive
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    uncalled = [f"{path.name}:{node.name}"
+                for path, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not any(node.name in _references(t, node)
+                            for t in trees.values())]
+    assert not uncalled, f"private names with no caller in qnmkit: {uncalled}"
 
 
 def _imported_names(tree):

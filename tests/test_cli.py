@@ -45,7 +45,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("command, line", [
         ("admissible", "bogus = 1"),
         ("resonances", "scan_step = 0.2"),
-    ], ids=["admissible-bogus", "resonances-scan_step"])
+        ("expand", "sigma_max = 60"),
+    ], ids=["admissible-bogus", "resonances-scan_step", "expand-sigma_max"])
     def test_unknown_key_rejected(self, tmp_path, ds_params, command, line):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n{line}\n")
         with pytest.raises(ConfigError):
@@ -405,7 +406,7 @@ class TestExpand:
     def test_de_sitter_pipeline(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg",
                     f"params = {ds_params}\nN = 48\nell_target = 1.5\n"
-                    "sigma_max = 60\nn_sigma = 4000\n")
+                    "n_sigma = 4000\n")
         out = tmp_path / "out"
         code = main(["expand", "--config", cfg, "--out", str(out)])
         assert code == 0

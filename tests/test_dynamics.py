@@ -119,6 +119,29 @@ class TestIntegrateFlow:
         assert rest == 0
         assert steps + rejected == attempts
 
+    @pytest.mark.parametrize("params, start", [
+        (KDS, PhasePoint(0.5, 1.2, 0.3, 0.4, 0.2, 0.1)),
+        (DS, (1e-4, 8e-4, -5e-4, 1)),
+    ], ids=["kds", "ds"])
+    def test_kernels_get_python_floats(self, monkeypatch, params, start):
+        # on numpy float64 states a kernel's x ** 2 gives inf with a warning
+        # instead of the OverflowError that _dop853 turns into a rejected step
+        kinds = set()
+
+        def spied(field):
+            def wrapped(*a):
+                y = a[0] if len(a) == 1 else a[:3]
+                kinds.update(type(v) for v in y)
+                return field(*a)
+            return wrapped
+        monkeypatch.setattr(dynamics, "hamilton_kernel",
+                            lambda *a, _f=dynamics.hamilton_kernel:
+                            spied(_f(*a)))
+        monkeypatch.setattr(dynamics, "ds_reduced_compact_field",
+                            spied(dynamics.ds_reduced_compact_field))
+        integrate_flow(params, start, 4.0, tol=1e-10)
+        assert kinds == {float}
+
     @pytest.mark.parametrize("n_samples", [200, 2000])
     def test_point_objects_do_not_scale_with_samples(self, monkeypatch,
                                                      n_samples):

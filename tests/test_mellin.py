@@ -155,8 +155,7 @@ class TestExpandFamily:
         pole = -0.8j
         fhat = log_gaussian_pulse_hat()
         solve = lambda s: (fhat(s) / (s - pole))[:, None]
-        terms, rem = expand_family(solve, [pole], ell_target=2.0,
-                                   sigma_max=60, n_sigma=6000)
+        terms, rem = expand_family(solve, [pole], ell_target=2.0, n_sigma=6000)
         assert len(terms) == 1 and terms[0].kappa == 0
         # -i times the residue of the scalar family
         want = -1j * fhat(pole)
@@ -175,7 +174,7 @@ class TestExpandFamily:
             d = s - pole
             return fhat(s)[:, None] * np.stack([f[0] / d - f[1] / d ** 2,
                                                 f[1] / d], axis=-1)
-        terms, rem = expand_family(solve, [pole], 2.5, sigma_max=60, n_sigma=6000)
+        terms, rem = expand_family(solve, [pole], 2.5, n_sigma=6000)
         kappas = sorted(t.kappa for t in terms)
         assert kappas == [0, 1]
         t1 = [t for t in terms if t.kappa == 1][0]
@@ -188,7 +187,7 @@ class TestExpandFamily:
         fhat = log_gaussian_pulse_hat()
         solve = lambda s: (fhat(s) / (s - pole))[:, None]
         ell = 2.0
-        terms, rem = expand_family(solve, [pole], ell, sigma_max=80, n_sigma=9000)
+        terms, rem = expand_family(solve, [pole], ell, n_sigma=6750)
         rate, power, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values),
                                    window=(1e-4, 3e-2))
         assert rate >= ell - 0.02 * ell
@@ -197,15 +196,15 @@ class TestExpandFamily:
         pole = -2.0j
         solve = lambda s: (1.0 / (s - pole))[:, None]
         with pytest.raises(PoleOnContour):
-            expand_family(solve, [pole], 2.0)
+            expand_family(solve, [pole], 2.0, n_sigma=4000)
 
     def test_contour_shift_consistency(self):
         poles = [-0.5j, -1.5j]
         fhat = log_gaussian_pulse_hat()
         solve = lambda s: (fhat(s) * (1.0 / (s - poles[0])
                                       + 1.0 / (s - poles[1])))[:, None]
-        t1, _ = expand_family(solve, poles, 1.0, sigma_max=60, n_sigma=5000)
-        t2, _ = expand_family(solve, poles, 2.0, sigma_max=60, n_sigma=5000)
+        t1, _ = expand_family(solve, poles, 1.0, n_sigma=5000)
+        t2, _ = expand_family(solve, poles, 2.0, n_sigma=5000)
         assert len(t1) == 1 and len(t2) == 2
         lead1 = [t for t in t2 if abs(t.sigma_j - t1[0].sigma_j) < 1e-12]
         assert complex(lead1[0].a) == pytest.approx(complex(t1[0].a), rel=1e-8)
@@ -218,7 +217,7 @@ class TestPipeline:
         terms, rem = expand_family(
             lambda s: __import__("qnmkit.resonances", fromlist=["resolvent_apply"])
             .resolvent_apply(op, s, log_gaussian_pulse_hat()(s)[:, None] * f0),
-            [0.0 + 0.0j], ell_target=1.5, sigma_max=60, n_sigma=4000)
+            [0.0 + 0.0j], ell_target=1.5, n_sigma=4000)
         # the leading term is the constant mode: spatially flat coefficient
         lead = terms[0]
         spread = np.max(np.abs(lead.a - lead.a[len(lead.a) // 2]))
@@ -230,8 +229,7 @@ class TestPipeline:
     def test_resonance_expand_wrapper(self):
         op = build_operator(DS, 0, 48)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
-        terms, rem = resonance_expand(f0, op, ell_target=1.5,
-                                      sigma_max=60, n_sigma=4000)
+        terms, rem = resonance_expand(f0, op, ell_target=1.5, n_sigma=4000)
         assert any(abs(t.sigma_j) < 1e-8 for t in terms)
 
 

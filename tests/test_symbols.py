@@ -237,34 +237,6 @@ class TestHamiltonClosedForm:
                 assert bits[:3] == bits[3:]
 
 
-class TestCharacteristicSetBound:
-    def test_ergoregion_bound(self):
-        # 1e4 on-shell samples must satisfy mu~ <= alpha^2 + 1e-10
-        rng = np.random.default_rng(8)
-        gamma = KDS.gamma
-        gp1 = 1.0 + gamma
-        count = 0
-        worst = -np.inf
-        r_lo, r_hi = domain(KDS)
-        while count < 10_000:
-            r = rng.uniform(r_lo, r_hi)
-            theta = rng.uniform(0.2, math.pi - 0.2)
-            xi = rng.uniform(-3, 3)
-            zeta = rng.uniform(-3, 3)
-            if abs(xi) < 1e-3:
-                continue
-            mt = mu_tilde(KDS, r)[0]
-            kappa = 1.0 + gamma * math.cos(theta) ** 2
-            st2 = math.sin(theta) ** 2
-            for sign in (+1, -1):
-                eta2 = (-mt * xi ** 2 + 2 * sign * gp1 * KDS.alpha * xi * zeta
-                        - gp1 ** 2 * zeta ** 2 / (kappa * st2)) / kappa
-                if eta2 >= 0:
-                    count += 1
-                    worst = max(worst, mt)
-        assert worst <= KDS.alpha ** 2 + 1e-10
-
-
 # Reference form of the static-patch symbol in the flat chart Y, which covers
 # the origin; the polar chart of ds_symbol_polar must agree with it off r = 0.
 def ds_symbol_flat(Y, zeta, sigma: complex = 0.0) -> complex:
