@@ -22,9 +22,8 @@ from .symbols import PhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel
-from .mellin import resonance_expand, evaluate_terms, fit_decay, \
-    TemporalSamples, PoleOnContour, log_gaussian_pulse_hat, inverse_mellin, \
-    SIGMA_MAX
+from .mellin import resonance_expand, driven_solve, evaluate_terms, \
+    fit_decay, TemporalSamples, PoleOnContour, inverse_mellin, SIGMA_MAX
 
 EXIT_OK = 0
 EXIT_FLAGS = 1
@@ -283,9 +282,8 @@ def cmd_expand(cfg: RunConfig) -> int:
     terms, rem = resonance_expand(f0, op, k["ell_target"], n_sigma=k["n_sigma"])
     # reconstruction residual against the inverse transform along a contour
     # above every pole (Im sigma = +0.3)
-    phat = log_gaussian_pulse_hat()
     sig = np.linspace(-SIGMA_MAX, SIGMA_MAX, k["n_sigma"])
-    vals = resolvent_apply(op, sig + 0.3j, phat(sig + 0.3j)[:, None] * f0)
+    vals = driven_solve(op, f0)(sig + 0.3j)
     tau = rem.tau_grid
     direct = inverse_mellin(vals, -0.3, sig, tau)
     synth = rem.values.copy()

@@ -172,7 +172,12 @@ _RESIDUE_NODES = 64         # trapezoid nodes on that circle
 _LAURENT_ORDERS = 3         # c_-1 .. c_-3: Jordan chains up to length 3
 _JORDAN_TOL = 1e-8          # c_-m below this fraction of the largest is zero
 _POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
-SIGMA_MAX = 60.0            # |Re sigma| to which the expansion contours reach
+# the expansion lines span |Re sigma| <= SIGMA_MAX, but `driven_solve` solves
+# them only where the pulse factor e^(-w^2 (Re sigma)^2 / 2) is above
+# _PULSE_FLOOR: |Re sigma| <= 18.2 at w = _PULSE_WIDTH
+SIGMA_MAX = 60.0
+_PULSE_WIDTH = 0.5          # width w in log tau of the default log-Gaussian pulse
+_PULSE_FLOOR = 1e-18
 
 
 def laurent_coefficients(solve: Callable, pole: complex) -> list:
@@ -203,6 +208,10 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1});
     the remainder is the inverse transform along the shifted contour, n_sigma
     points with |Re sigma| <= SIGMA_MAX, sampled on `default_tau_grid()`.
+    The line spans +-SIGMA_MAX on the uniform grid the chirp-z sum needs,
+    but `driven_solve` solves it only where the pulse is above 1e-18 of its
+    peak (|Re sigma| <= 18.2) and returns exact zeros beyond, which assumes
+    the resolvent grows more slowly than e^(w^2 (Re sigma)^2 / 2) there.
     """
     tau_grid = default_tau_grid()
     terms = []
@@ -229,16 +238,28 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     return terms, remainder
 
 
-def _driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
+def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     """sigma -> R(sigma)(phi_hat(sigma) f0) on the pencil of `op`, (M,) -> (M, n).
 
     phi_hat is the Mellin transform of the default log-Gaussian pulse,
-    centred at tau = e^-3.
+    centred at tau = e^-3; along a line |phi_hat| falls like
+    e^(-w^2 (Re sigma)^2 / 2).  Only the sigma where that factor exceeds
+    _PULSE_FLOOR = 1e-18 (|Re sigma| <= 18.2 at w = 0.5) are solved, in one
+    `resolvent_apply` call; the others get exact zeros.  This assumes the
+    resolvent grows more slowly than e^(w^2 (Re sigma)^2 / 2) along the line,
+    as measured on dS and Minkowski (|sigma| ||R(sigma) f|| / ||f|| between
+    0.02 and 5 up to Re sigma = 60), so the dropped vectors lie below the
+    rounding of the kept ones.  The residue circles (|Re sigma| <= 8) are
+    never cut.
     """
     phi_hat = log_gaussian_pulse_hat()
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
-        return resolvent_apply(op, sigma, phi_hat(sigma)[:, None] * f0)
+        keep = np.exp(-0.5 * (_PULSE_WIDTH * sigma.real) ** 2) > _PULSE_FLOOR
+        s = sigma[keep]
+        out = np.zeros(sigma.shape + f0.shape, dtype=complex)
+        out[keep] = resolvent_apply(op, s, phi_hat(s)[:, None] * f0)
+        return out
     return solve
 
 
@@ -258,13 +279,13 @@ def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
     `n_sigma` goes to `expand_family`.
     """
     poles = _converged_poles(op, -ell_target - 0.8)
-    return expand_family(_driven_solve(op, f0), poles, ell_target, n_sigma)
+    return expand_family(driven_solve(op, f0), poles, ell_target, n_sigma)
 
 
 def log_gaussian_pulse_hat(x0: float = -3.0) -> Callable:
     """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2)),
-    `log_gaussian_pulse` at its default width w = 0.5."""
-    width = 0.5
+    `log_gaussian_pulse` at its default width w = _PULSE_WIDTH."""
+    width = _PULSE_WIDTH
 
     def hat(sigma):
         return width * math.sqrt(2.0 * math.pi) \
@@ -272,7 +293,7 @@ def log_gaussian_pulse_hat(x0: float = -3.0) -> Callable:
     return hat
 
 
-def log_gaussian_pulse(tau, x0: float = -3.0, width: float = 0.5):
+def log_gaussian_pulse(tau, x0: float = -3.0, width: float = _PULSE_WIDTH):
     x = np.log(np.asarray(tau, dtype=float))
     return np.exp(-(x - x0) ** 2 / (2.0 * width * width))
 

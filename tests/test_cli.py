@@ -462,6 +462,27 @@ class TestExpand:
         assert code == 5
         assert "sigma = " in capsys.readouterr().err
 
+    def test_lines_solved_only_in_the_pulse_window(self, tmp_path, monkeypatch):
+        # the remainder line (Im -1.5) and the direct line (Im +0.3) each
+        # reach the resolvent with the 1,214 of their 4,000 sigma where the
+        # pulse is above 1e-18 of its peak (|Re sigma| <= 18.2)
+        import qnmkit.mellin
+        from qnmkit.resonances import resolvent_apply
+        lines = {}
+
+        def spy(op, sigma, f):
+            sigma = np.asarray(sigma)
+            if sigma.size and np.all(sigma.imag == sigma.imag[0]):
+                lines.setdefault(float(sigma.imag[0]), []).append(sigma.size)
+            return resolvent_apply(op, sigma, f)
+        monkeypatch.setattr(qnmkit.mellin, "resolvent_apply", spy)
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'ds.params')}\n"
+                    "n_sigma = 4000\n")
+        assert main(["expand", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert lines == {-1.5: [1214], 0.3: [1214]}
+
     def test_pole_on_contour_exit_five(self, tmp_path, ds_params, monkeypatch):
         import qnmkit.cli
         from qnmkit.mellin import PoleOnContour

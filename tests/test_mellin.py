@@ -6,12 +6,12 @@ import pytest
 from qnmkit.mellin import (
     TemporalSamples, ExpansionTerm, default_tau_grid, mellin_transform,
     inverse_mellin, laurent_coefficients, expand_family, resonance_expand,
-    log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
+    driven_solve, log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
     fit_decay,
     ContourDivergence, PoleOnContour, DegenerateFit,
 )
 from qnmkit.spacetime import SpacetimeParams
-from qnmkit.resonances import build_operator
+from qnmkit.resonances import build_operator, resolvent_apply
 
 TAU = default_tau_grid(1024)
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
@@ -231,6 +231,21 @@ class TestPipeline:
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         terms, rem = resonance_expand(f0, op, ell_target=1.5, n_sigma=4000)
         assert any(abs(t.sigma_j) < 1e-8 for t in terms)
+
+
+class TestDrivenSolve:
+    @pytest.mark.parametrize("im", [-1.5, 0.3], ids=["remainder", "direct"])
+    def test_window_matches_the_full_line(self, im):
+        # the windowed solve, zero where the pulse is below 1e-18 of its
+        # peak, against R(sigma)(phi_hat(sigma) f0) solved at every sigma of
+        # the CLI's 4000-point line
+        op = build_operator(DS, 0, 24)
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+        sig = np.linspace(-60.0, 60.0, 4000) + 1j * im
+        got = driven_solve(op, f0)(sig)
+        full = resolvent_apply(op, sig, log_gaussian_pulse_hat()(sig)[:, None] * f0)
+        assert np.count_nonzero(np.any(got != 0, axis=1)) == 1214
+        assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 class TestFitDecay:

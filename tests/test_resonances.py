@@ -801,7 +801,9 @@ class TestResolvent:
                                              ell_target):
         # the remainder contour Im sigma = -ell_target and the reconstruction
         # contour Im sigma = +0.3 of `qnmkit expand` at its defaults, each
-        # solved as one array on the CLI's sigma grid
+        # solved as one array over the whole 4000-point line to |Re sigma| =
+        # 60 with f = 1: the CLI solves only the pulse window |Re sigma| <=
+        # 18.2 of these lines, so this checks the gate well beyond it
         op = build_operator(params, ell, 48)
         f = np.ones(49, dtype=complex)
         sig = np.linspace(-60.0, 60.0, 4000)
@@ -852,12 +854,12 @@ class TestResolvent:
         # circle solves of `laurent_coefficients`, against the same trapezoid
         # sum over referee solves
         from qnmkit.mellin import _RESIDUE_NODES, _RESIDUE_RADIUS, \
-            _driven_solve, laurent_coefficients, log_gaussian_pulse_hat
+            driven_solve, laurent_coefficients, log_gaussian_pulse_hat
         op = build_operator(MK, 0, 48)
         roots = solve_resonances(op, region=(-8, 8, -2.3, 0.5)).converged(1e-6)
         pole = min((e.sigma for e in roots), key=lambda s: abs(s + 1j))
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
-        c1 = laurent_coefficients(_driven_solve(op, f0), pole)[0]
+        c1 = laurent_coefficients(driven_solve(op, f0), pole)[0]
         phat = log_gaussian_pulse_hat()
         r = _RESIDUE_RADIUS * np.exp(2j * np.pi * np.arange(_RESIDUE_NODES)
                                      / _RESIDUE_NODES)
