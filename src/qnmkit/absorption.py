@@ -35,7 +35,7 @@ def smooth_step(t):
 
 @dataclass(frozen=True)
 class AbsorbingSpec:
-    """Cutoff and branch data for the absorbing symbol.
+    """Cutoff data for the absorbing symbol.
 
     The absorption window chi is supported in (mu1, mu0) with plateau value
     digamma_scale on [mu1p, mu0p]; the partition chi1 + chi2 = 1 blends across
@@ -46,15 +46,11 @@ class AbsorbingSpec:
     mu1: float = -0.55          # lower edge
     mu0p: float = -0.20         # plateau upper edge / chi1 saturation
     mu1p: float = -0.45         # plateau lower edge / chi2 saturation
-    j: int = 1
-    C: float = 5.0
     digamma_scale: float = 1.0
 
     def __post_init__(self):
         if not (self.mu1 < self.mu1p < self.mu0p < self.mu0):
             raise ValueError("breakpoints must satisfy mu1 < mu1p < mu0p < mu0")
-        if self.j < 1 or self.C < 0:
-            raise ValueError("need j >= 1 and C >= 0")
 
     def chi(self, mu):
         up = smooth_step((np.asarray(mu) - self.mu1) / (self.mu1p - self.mu1))
@@ -67,6 +63,11 @@ class AbsorbingSpec:
     def chi2(self, mu):
         return 1.0 - self.chi1(mu)
 
+
+# the absorbing symbol's root f_z is the 2j-th root of
+# |varpi|^2j + z^2j + C^2j with j = _ROOT_J and C = _ROOT_C
+_ROOT_J = 1
+_ROOT_C = 5.0
 
 
 def f_z(varpi_norm, z, j: int = 1, C: float = 0.0):
@@ -111,7 +112,7 @@ def q_semiclassical(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
         raise ValueError("absorbing symbol is implemented for the radial "
                          f"models, not {params.model}")
     norm = np.sqrt(np.asarray(xi, dtype=float) ** 2 + np.asarray(eta_sq))
-    f = f_z(norm, z, spec.j, spec.C)
+    f = f_z(norm, z, _ROOT_J, _ROOT_C)
     return -spec.chi(mu) * f * pairing_ds(mu, xi, z)
 
 
@@ -125,20 +126,14 @@ def extend_p(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
         raise ValueError("extension is implemented for the radial models")
     p = ds_symbol_polar(params.n, float(mu), float(xi), float(eta_sq), z)
     norm = math.sqrt(float(xi) ** 2 + float(eta_sq))
-    return spec.chi1(mu) * p - spec.chi2(mu) * p_hat(norm, z, spec.j)
+    return spec.chi1(mu) * p - spec.chi2(mu) * p_hat(norm, z, _ROOT_J)
 
 
 @dataclass
 class EllipticityReport:
-    region_id: str
     min_abs: float
     sign_violations: int
-    n_points: int
     details: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.min_abs > 0 and self.sign_violations == 0
 
 
 def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
@@ -159,14 +154,12 @@ def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
     min_abs_collar = np.inf
     min_int = np.inf
     viol = 0
-    npts = 0
     for z in np.atleast_1d(z_set):
         for mu in mus:
             ch, c2 = spec.chi(mu), spec.chi2(mu)
             in_collar = (ch > 1e-12) or (c2 > 1e-12)
             for xi in xis:
                 for e2 in etas:
-                    npts += 1
                     q = q_semiclassical(params, mu, xi, z, spec, e2)
                     pt = extend_p(params, mu, xi, z, spec, e2)
                     if in_collar:
@@ -181,5 +174,4 @@ def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
                                                float(e2), z)
                         min_int = min(min_int, abs(pval))
     det = [("interior_min_abs", float(min_int))]
-    return EllipticityReport("collar+interior", float(min_abs_collar), viol,
-                             npts, det)
+    return EllipticityReport(float(min_abs_collar), viol, det)

@@ -446,14 +446,16 @@ def _events_kds(r_lo, r_hi, chart):
 
 def integrate_flow(params: SpacetimeParams, start, T: float,
                    tol: float = 1e-10, horizon_sign: int = +1,
-                   chart: str = "auto", direction: float = +1.0,
+                   direction: float = +1.0,
                    n_samples: int = 200) -> Bicharacteristic:
     """Adaptive embedded Runge-Kutta integration of the (rescaled) Hamilton flow.
 
     deSitter runs the compactified reduced static-patch flow from start =
     (mu, nu, eta_hat, sign_xi).  dSSchwarzschild and KerrDeSitter run the
-    classical flow from a PhasePoint or CompactPhasePoint; the compact chart
-    integrates the rescaled field nu^(k-1) H_p.  MinkowskiBoundary has no
+    classical flow from a PhasePoint or CompactPhasePoint.  The run starts in
+    the compact chart, which integrates the rescaled field nu^(k-1) H_p, for
+    a PhasePoint with |xi| > 2 or a CompactPhasePoint with nu < 0.5, and in
+    the affine chart otherwise.  MinkowskiBoundary has no
     flow here and raises ValueError.  `direction=-1` integrates the
     time-reversed field.  Leaving the r-domain terminates the trajectory
     normally with exit_reason="domain"; a start outside it raises
@@ -470,11 +472,10 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     if params.model == "deSitter":
         return _integrate_ds_reduced(start, T, tol, direction, n_samples)
 
-    if chart == "auto":
-        if isinstance(start, CompactPhasePoint):
-            chart = "compact" if start.nu < 0.5 else "affine"
-        else:
-            chart = "compact" if abs(start.xi) > 2.0 else "affine"
+    if isinstance(start, CompactPhasePoint):
+        chart = "compact" if start.nu < 0.5 else "affine"
+    else:
+        chart = "compact" if abs(start.xi) > 2.0 else "affine"
 
     segments = []                    # (samples, ledger columns) per segment
     r_lo, r_hi = domain(params)
@@ -623,8 +624,7 @@ def _fit_log_rate(s, vals):
 
 def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
                     n_traj: int = 20, eps: float = 1e-3, T: float = 4.0,
-                    tol: float = 1e-11, seed: int = 0,
-                    reversed_branch: bool = False) -> RadialSetReport:
+                    tol: float = 1e-11, seed: int = 0) -> RadialSetReport:
     """Measure the attraction rate at the radial set from a bundle of trajectories.
 
     Launches max(n_traj, 20) trajectories, the count it reports, from an
@@ -636,17 +636,16 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
     ds = params.model == "deSitter"
     if ds:
         expected = 4.0
-        sxi = +1 if not reversed_branch else -1
-        kw = {"direction": +1.0 if not reversed_branch else -1.0,
-              "n_samples": 400}
+        sxi = +1
+        kw = {"n_samples": 400}
     else:
         hd = horizon_roots(params)
         r_h = hd.r_plus if horizon_sign > 0 else hd.r_minus
         if r_h is None:
             raise NoHorizons("requested horizon does not exist")
         expected = hd.gamma_plus if horizon_sign > 0 else hd.gamma_minus
-        sxi = -horizon_sign if not reversed_branch else horizon_sign
-        kw = {"horizon_sign": horizon_sign, "chart": "compact"}
+        sxi = -horizon_sign
+        kw = {"horizon_sign": horizon_sign}
     rates, rho0_rates = [], []
     for _ in range(max(n_traj, 20)):
         if ds:
@@ -665,11 +664,7 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
         rates.append(-_fit_log_rate(s, nu))
         rho0_rates.append(-_fit_log_rate(s, led["ptilde_scaled"]
                                          + led["p_scaled"] ** 2))
-    kind = "sink" if not reversed_branch else "source"
-    meas = float(np.mean(rates))
-    if reversed_branch and not ds:
-        meas = -meas  # growth along the forward flow at the source
-    return RadialSetReport(horizon_sign, kind, meas,
+    return RadialSetReport(horizon_sign, "sink", float(np.mean(rates)),
                            float(np.mean(rho0_rates)), expected, len(rates))
 
 

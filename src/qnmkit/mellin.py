@@ -93,12 +93,17 @@ def evaluate_terms(terms: Iterable[ExpansionTerm], tau) -> np.ndarray:
     return out
 
 
+# the weighted samples at the grid ends may reach this fraction of their
+# largest value (and this absolute value) before a transform is refused
+_TAIL_TOL = 1e-6
+
+
 def mellin_transform(u: TemporalSamples, alpha: float,
-                     sigma_re: np.ndarray, tail_tol: float = 1e-6) -> np.ndarray:
+                     sigma_re: np.ndarray) -> np.ndarray:
     """Quadrature of int tau^(-i sigma) u dtau/tau on the contour Im sigma = -alpha.
 
     Trapezoid in x = log tau; raises ContourDivergence when the weighted
-    integrand has not decayed at the grid ends.
+    integrand has not decayed at the grid ends (to _TAIL_TOL).
     """
     x = u.logtau
     w = np.exp(-alpha * x)      # |tau^(-i sigma)| on the contour, tail test only
@@ -107,7 +112,7 @@ def mellin_transform(u: TemporalSamples, alpha: float,
     scale = np.max(np.abs(weighted))
     if scale > 0:
         ends = max(np.max(np.abs(weighted[0])), np.max(np.abs(weighted[-1])))
-        if ends > tail_tol * scale and ends > tail_tol:
+        if ends > _TAIL_TOL * scale and ends > _TAIL_TOL:
             raise ContourDivergence("weighted samples do not decay at the grid ends")
     sig = np.asarray(sigma_re, dtype=float) - 1j * alpha
     # integrate along increasing x; the complex sigma carries the weight
@@ -176,6 +181,7 @@ _POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
 # them only where the pulse factor e^(-w^2 (Re sigma)^2 / 2) is above
 # _PULSE_FLOOR: |Re sigma| <= 18.2 at w = _PULSE_WIDTH
 SIGMA_MAX = 60.0
+_PULSE_CENTER = -3.0        # centre x0 in log tau of the default log-Gaussian pulse
 _PULSE_WIDTH = 0.5          # width w in log tau of the default log-Gaussian pulse
 _PULSE_FLOOR = 1e-18
 
@@ -282,10 +288,10 @@ def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
     return expand_family(driven_solve(op, f0), poles, ell_target, n_sigma)
 
 
-def log_gaussian_pulse_hat(x0: float = -3.0) -> Callable:
-    """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2)),
-    `log_gaussian_pulse` at its default width w = _PULSE_WIDTH."""
-    width = _PULSE_WIDTH
+def log_gaussian_pulse_hat() -> Callable:
+    """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2)), the
+    default `log_gaussian_pulse`: x0 = _PULSE_CENTER, w = _PULSE_WIDTH."""
+    x0, width = _PULSE_CENTER, _PULSE_WIDTH
 
     def hat(sigma):
         return width * math.sqrt(2.0 * math.pi) \
@@ -293,7 +299,7 @@ def log_gaussian_pulse_hat(x0: float = -3.0) -> Callable:
     return hat
 
 
-def log_gaussian_pulse(tau, x0: float = -3.0, width: float = _PULSE_WIDTH):
+def log_gaussian_pulse(tau, x0: float = _PULSE_CENTER, width: float = _PULSE_WIDTH):
     x = np.log(np.asarray(tau, dtype=float))
     return np.exp(-(x - x0) ** 2 / (2.0 * width * width))
 

@@ -293,8 +293,6 @@ def _locate(op: DiscretizedOperator, region):
     roots = []
     for c in sorted(cands, key=abs):
         s = _secant(g, c, c + 1e-4)
-        if not np.isfinite(s):
-            continue
         kdim = _kernel_dim(op.pencil(s))
         if kdim == 0:
             continue
@@ -712,15 +710,16 @@ def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray
     return U.reshape(F.shape)
 
 
-# the gluing check's Q' is a bump of half-width _QPRIME_WIDTH about
-# _QPRIME_CENTER in the grid coordinate; _GLUING_PROBES vectors probe the norm
+# the gluing check's Q' is a bump of height _QPRIME_STRENGTH and half-width
+# _QPRIME_WIDTH about _QPRIME_CENTER in the grid coordinate; _GLUING_PROBES
+# vectors, drawn from a generator seeded with 0, probe the norm
+_QPRIME_STRENGTH = 3.0
 _QPRIME_CENTER = 0.5
 _QPRIME_WIDTH = 0.1
 _GLUING_PROBES = 20
 
 
-def gluing_check(op: DiscretizedOperator, sigma: complex,
-                 qprime_strength: float = 3.0, seed: int = 0) -> float:
+def gluing_check(op: DiscretizedOperator, sigma: complex) -> float:
     """Probe-estimated operator norm of the resolvent gluing identity residual.
 
     Q' is a compactly supported multiplication absorber inside the physical
@@ -735,7 +734,7 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     c, w = _QPRIME_CENTER, _QPRIME_WIDTH
     t_up = smooth_step((x - (c - w)) / (0.4 * w))
     t_dn = smooth_step(((c + w) - x) / (0.4 * w))
-    qp = qprime_strength * t_up * t_dn
+    qp = _QPRIME_STRENGTH * t_up * t_dn
     chi = np.where(np.abs(x - c) <= 1.6 * w, 1.0, 0.0)
     chi = np.maximum(chi, (qp > 0).astype(float))   # chi == 1 on supp q'
     Qp = np.diag(qp).astype(complex)
@@ -747,7 +746,7 @@ def gluing_check(op: DiscretizedOperator, sigma: complex,
     R = U.T
     Rp = np.linalg.inv(op.pencil(sigma) - 1j * Qp)
     rhs = Rp - Rp @ (1j * Qp + Qp @ (CHI @ R @ CHI) @ Qp) @ Rp
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(_GLUING_PROBES):
         v = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))

@@ -72,36 +72,31 @@ def _kds_angular(params: SpacetimeParams, theta):
     return gamma, kappa, st2
 
 
-def _affine_columns(pt):
-    """(r, theta, xi, eta, zeta) of a PhasePoint, or columns of affine states
-    of shape (..., 6)."""
-    if isinstance(pt, PhasePoint):
-        return pt.r, pt.theta, pt.xi, pt.eta, pt.zeta
-    y = np.asarray(pt)
+def _affine_columns(y):
+    """(r, theta, xi, eta, zeta), the columns of affine states of shape
+    (..., 6)."""
+    y = np.asarray(y)
     return y[..., 0], y[..., 1], y[..., 3], y[..., 4], y[..., 5]
 
 
-def kds_angular_part(params: SpacetimeParams, pt) -> float:
-    """The conserved angular quantity p~ of the classical symbol.
-
-    pt is a PhasePoint or an array of affine states (..., 6); an array gives
-    an array that matches the PhasePoint values bit for bit.
-    """
-    _, theta, _, eta, zeta = _affine_columns(pt)
+def kds_angular_part(params: SpacetimeParams, y) -> np.ndarray:
+    """The conserved angular quantity p~ of the classical symbol on an array
+    of affine states y (..., 6)."""
+    _, theta, _, eta, zeta = _affine_columns(y)
     gamma, kappa, st2 = _kds_angular(params, theta)
     return kappa * _sq(eta) + (1.0 + gamma) ** 2 * _sq(zeta) / (kappa * st2)
 
 
-def kds_classical_symbol(params: SpacetimeParams, pt,
-                         horizon_sign: int = +1) -> float:
-    """p = -mu~ xi^2 +- 2(1+gamma) alpha xi zeta - p~, at a PhasePoint or on
-    an array of affine states (..., 6), as `kds_angular_part`."""
+def kds_classical_symbol(params: SpacetimeParams, y,
+                         horizon_sign: int = +1) -> np.ndarray:
+    """p = -mu~ xi^2 +- 2(1+gamma) alpha xi zeta - p~ on an array of affine
+    states y (..., 6), as `kds_angular_part`."""
     s = 1.0 if horizon_sign > 0 else -1.0
-    r, _, xi, _, zeta = _affine_columns(pt)
+    r, _, xi, _, zeta = _affine_columns(y)
     mt = mu_tilde(params, r)[0]
     gp1 = 1.0 + params.gamma
     return -mt * _sq(xi) + 2.0 * s * gp1 * params.alpha * xi * zeta \
-        - kds_angular_part(params, pt)
+        - kds_angular_part(params, y)
 
 
 def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
@@ -182,9 +177,9 @@ def ds_symbol_polar(n: int, mu: float, xi: float, eta_sq: float,
         - eta_sq / r2
 
 
-def ds_reduced_compact_field(mu: float, nu: float, eta_hat: float, sign_xi: int,
-                             z: float = 0.0):
-    """Rescaled nu H_p of the reduced static-patch flow in (mu, nu, eta_hat).
+def ds_reduced_compact_field(mu: float, nu: float, eta_hat: float, sign_xi: int):
+    """Rescaled nu H_p of the reduced static-patch flow in (mu, nu, eta_hat),
+    for the classical symbol (sigma = 0).
 
     At the radial set (mu = nu = eta_hat = 0) the nu-rate is -4 sign_xi, the
     normalization in which the horizon decay rate equals 4.
@@ -192,8 +187,8 @@ def ds_reduced_compact_field(mu: float, nu: float, eta_hat: float, sign_xi: int,
     r2 = 1.0 - mu
     s = float(sign_xi)
     # G = nu^2 d(p)/d(mu) at the scaled point (xi = s/nu, |eta| = eta_hat/nu)
-    G = -4.0 * (1.0 - 2.0 * mu) - 4.0 * z * s * nu - eta_hat ** 2 / r2 ** 2
-    dmu = 4.0 * r2 * (-2.0 * mu * s + z * nu)
+    G = -4.0 * (1.0 - 2.0 * mu) - eta_hat ** 2 / r2 ** 2
+    dmu = 4.0 * r2 * (-2.0 * mu * s)
     dnu = nu * s * G
     deta = eta_hat * s * G
     return np.array([dmu, dnu, deta])

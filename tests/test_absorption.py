@@ -108,10 +108,10 @@ class TestQ:
             assert abs(complex(q).imag) < 1e-14
 
     def test_ds_display_form(self):
-        # q = -(2 r^2 xi + z) f_z chi(mu)
+        # q = -(2 r^2 xi + z) f_z chi(mu), with the root f_z at j = 1, C = 5
         mu, xi, z = -0.3, 0.8, 1.1
         got = q_semiclassical(SpacetimeParams(), mu, xi, z, SPEC, 0.0)
-        want = -(2 * (1 - mu) * xi + z) * f_z(abs(xi), z, SPEC.j, SPEC.C) \
+        want = -(2 * (1 - mu) * xi + z) * f_z(abs(xi), z, 1, 5.0) \
             * SPEC.chi(mu)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -169,7 +169,7 @@ class TestExtension:
         mu, xi, e2, z = -0.3, 0.7, 0.4, 1.2 + 0.3j
         got = extend_p(SpacetimeParams(n=5), mu, xi, z, SPEC, e2)
         want = SPEC.chi1(mu) * ds_symbol_polar(5, mu, xi, e2, z) \
-            - SPEC.chi2(mu) * p_hat(math.sqrt(xi ** 2 + e2), z, SPEC.j)
+            - SPEC.chi2(mu) * p_hat(math.sqrt(xi ** 2 + e2), z, 1)
         assert got == want
         with pytest.raises(ValueError):     # the symbol needs n >= 3
             extend_p(SpacetimeParams(n=2), mu, xi, z, SPEC, e2)

@@ -130,7 +130,7 @@ class TestAcceptance:
                             rng.uniform(0.5, math.pi - 0.5),
                             rng.uniform(0, 2 * math.pi),
                             rng.uniform(-1, 1), rng.uniform(-1, 1), zeta)
-            bc = integrate_flow(KDS, pt, 50.0, tol=1e-10, chart="auto")
+            bc = integrate_flow(KDS, pt, 50.0, tol=1e-10)
             worst = max(worst, bc.drift("p"), bc.drift("zeta"),
                         bc.drift("ptilde"))
         ok = worst <= 1e-8

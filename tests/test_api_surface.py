@@ -1,7 +1,9 @@
 """Every public name in qnmkit has a caller outside its own unit tests, every
 private top-level function and class has a caller in qnmkit itself, every
 module-level import of a qnmkit module is read, and every defaulted parameter
-of a qnmkit function is set by some call."""
+of a qnmkit function, and every defaulted field of a public dataclass, is set
+by some call: for a public function or dataclass, a call outside the unit
+tests."""
 
 import ast
 from pathlib import Path
@@ -24,9 +26,10 @@ def _public_definitions(tree):
                         yield f"{node.name}.{item.name}", item
 
 
-def _references(tree, skip=None):
+def _references(tree, skip=None, names=True):
     """Names, attributes and string constants used in `tree`, outside imports
-    and outside the definition node `skip`."""
+    and outside the definition node `skip`; without `names`, attributes and
+    strings only."""
     out = set()
     todo = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
     while todo:
@@ -34,7 +37,8 @@ def _references(tree, skip=None):
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            if names:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -43,20 +47,31 @@ def _references(tree, skip=None):
     return out
 
 
+def _pipeline_files():
+    """The files whose calls count for a public name: qnmkit's modules, the
+    scripts, the benchmark harness and the acceptance suite."""
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    return files
+
+
 def test_every_public_name_has_a_caller():
-    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    callers += sorted((ROOT / "scripts").glob("*.py"))
-    callers += sorted((ROOT / "perfbench").glob("*.py"))
-    callers.append(ROOT / "tests" / "test_acceptance.py")
-    trees = {p: ast.parse(p.read_text()) for p in callers}
-    refs = {p: _references(tree) for p, tree in trees.items()}
+    # a method or property is called where it is read as an attribute (or
+    # named in a string), not where a local variable shares its name
+    trees = {p: ast.parse(p.read_text()) for p in _pipeline_files()}
+    names = {p: _references(tree) for p, tree in trees.items()}
+    attributes = {p: _references(tree, names=False) for p, tree in trees.items()}
     uncalled = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for qualname, node in _public_definitions(trees[path]):
+            member = "." in qualname
+            refs = attributes if member else names
             if not (any(node.name in r for p, r in refs.items() if p != path)
-                    or node.name in _references(trees[path], node)):
+                    or node.name in _references(trees[path], node, not member)):
                 uncalled.append(f"{path.name}:{qualname}")
     assert not uncalled, f"public names with no caller: {uncalled}"
 
@@ -128,25 +143,53 @@ def _passes(call, name, position):
     return False
 
 
-def test_every_defaulted_parameter_is_set():
-    # a default that no call overrides is a constant with a parameter's name
-    trees = [ast.parse(p.read_text())
-             for tree in ("src", "scripts", "perfbench", "tests")
-             for p in sorted((ROOT / tree).rglob("*.py"))]
+def _calls(paths):
+    """The calls made in the files `paths`, keyed by the name called."""
     calls = {}
-    for tree in trees:
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _is_dataclass(node):
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted_fields(cls):
+    """(name, position) of each defaulted field of a dataclass definition,
+    the position counting every field."""
+    fields = [item for item in cls.body if isinstance(item, ast.AnnAssign)
+              and isinstance(item.target, ast.Name)]
+    for i, item in enumerate(fields):
+        if item.value is not None:
+            yield item.target.id, i
+
+
+def test_every_defaulted_parameter_is_set():
+    # a default that no call overrides is a constant with a parameter's name;
+    # for a public function or dataclass field only the pipeline's calls
+    # count, while a private helper may have its unit test as its referee
+    pipeline = _calls(_pipeline_files())
+    everywhere = _calls(p for tree in ("src", "scripts", "perfbench", "tests")
+                        for p in sorted((ROOT / tree).rglob("*.py")))
     unset = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        tree = ast.parse(path.read_text())
+        public = {node for _, node in _public_definitions(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defaulted = _defaulted(node)
+            elif node in public and _is_dataclass(node):
+                defaulted = _defaulted_fields(node)
+            else:
                 continue
-            for name, position in _defaulted(node):
-                if not any(_passes(c, name, position)
-                           for c in calls.get(node.name, ())):
-                    unset.append(f"{path.name}:{node.name}({name})")
-    assert not unset, f"defaulted parameters that no call sets: {unset}"
+            calls = (pipeline if node in public else everywhere).get(node.name, ())
+            unset += [f"{path.name}:{node.name}({name})"
+                      for name, position in defaulted
+                      if not any(_passes(c, name, position) for c in calls)]
+    assert not unset, f"defaulted parameters and fields that no call sets: {unset}"

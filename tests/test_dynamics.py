@@ -50,7 +50,7 @@ class TestIntegrateFlow:
         # the flow preserves every level set of p, not only p = 0
         pt = PhasePoint(0.8, 1.1, 0.0, 0.9, 0.4, -0.6)
         tol = 1e-10
-        bc = integrate_flow(KDS, pt, 8.0, tol=tol, chart="affine")
+        bc = integrate_flow(KDS, pt, 8.0, tol=tol)
         assert abs(bc.conserved_ledger["p"][0]) > 1e-3
         assert bc.drift("p") <= 10 * tol
         assert bc.drift("zeta") <= 10 * tol
@@ -61,7 +61,7 @@ class TestIntegrateFlow:
         # seed with |mu~| ~ 1e-4, nu = eta^ = zeta^ = 1e-3 just outside L_+
         r0 = hd.r_plus - 1e-4 / hd.gamma_plus
         cpt = CompactPhasePoint((r0, 1.3, 0.0), 1e-3, 1e-3, 1e-3, -1)
-        bc = integrate_flow(DSS, cpt, 12.0, tol=1e-11, chart="compact")
+        bc = integrate_flow(DSS, cpt, 12.0, tol=1e-11)
         last = points(bc.samples)[-1]
         assert last.nu < 1e-8
         assert abs(last.eta_hat) < 1e-8
@@ -70,11 +70,10 @@ class TestIntegrateFlow:
     def test_time_reversal(self):
         pt = PhasePoint(0.7, 1.4, 0.2, 0.6, -0.3, 0.5)
         tol = 1e-11
-        bc = integrate_flow(KDS, pt, 1.5, tol=tol, chart="affine")
+        bc = integrate_flow(KDS, pt, 1.5, tol=tol)
         s_end, end = bc.samples.s[-1], points(bc.samples)[-1]
         endpt = end.affine() if isinstance(end, CompactPhasePoint) else end
-        back = integrate_flow(KDS, endpt, abs(s_end), tol=tol, chart="affine",
-                              direction=-1.0)
+        back = integrate_flow(KDS, endpt, abs(s_end), tol=tol, direction=-1.0)
         back_end = points(back.samples)[-1]
         bp = back_end.affine() if isinstance(back_end, CompactPhasePoint) else back_end
         got = np.array([bp.r, bp.theta, bp.phi, bp.xi, bp.eta, bp.zeta])
@@ -83,8 +82,26 @@ class TestIntegrateFlow:
 
     def test_domain_exit_recorded(self):
         pt = PhasePoint(0.9, 1.2, 0.0, 1.5, 0.0, 0.0)
-        bc = integrate_flow(KDS, pt, 100.0, tol=1e-9, chart="affine")
+        bc = integrate_flow(KDS, pt, 100.0, tol=1e-9)
         assert bc.exit_reason == "domain"
+
+    @pytest.mark.parametrize("start, sign_xi", [
+        (PhasePoint(0.8, 1.1, 0.0, 2.0, 0.4, -0.6), None),
+        (PhasePoint(0.8, 1.1, 0.0, -2.2, 0.4, -0.6), -1),
+        (CompactPhasePoint((0.8, 1.1, 0.0), 0.45, 0.2, -0.3, +1), +1),
+        (CompactPhasePoint((0.8, 1.1, 0.0), 0.5, 0.2, -0.3, -1), None),
+    ], ids=["affine-xi-2", "compact-xi-2.2", "compact-nu-0.45", "affine-nu-0.5"])
+    def test_chart_follows_the_start(self, monkeypatch, start, sign_xi):
+        # the first segment runs the compact chart (its kernel takes the sign
+        # of xi) from |xi| > 2 or nu < 0.5, else the affine one (None)
+        seen = []
+
+        def spied(params, horizon_sign, sxi=None, _f=dynamics.hamilton_kernel):
+            seen.append(sxi)
+            return _f(params, horizon_sign, sxi)
+        monkeypatch.setattr(dynamics, "hamilton_kernel", spied)
+        integrate_flow(KDS, start, 0.1, tol=1e-10)
+        assert seen[0] == sign_xi
 
     @pytest.mark.parametrize("params, start, T, n_calls", [
         (KDS, PhasePoint(0.8, 1.1, 0.0, 0.9, 0.4, -0.6), 8.0, 2),
@@ -405,7 +422,7 @@ class TestSegmentLedger:
         for pointwise, states, vals in seen:
             compact = bool(np.all(np.abs(states[:, 3]) == 1.0))
             charts.append(compact)
-            want = [pointwise(PhasePoint(*y)) for y in states.tolist()]
+            want = [pointwise(y) for y in states]
             np.testing.assert_array_equal(vals, want)
         assert set(charts) == {True, False}
         # the ledger holds these values: the scaled symbol in the compact
@@ -447,9 +464,9 @@ class TestClassifyRadial:
     @pytest.mark.parametrize("params, horizon_sign, start, kw", [
         (DS, +1, (4e-4, 8e-4, -5e-4, 1), {"n_samples": 400}),
         (DSS, +1, CompactPhasePoint((horizon_roots(DSS).r_plus + 5e-4, 1.1, 0.0),
-                                    8e-4, -6e-4, 3e-4, -1), {"chart": "compact"}),
+                                    8e-4, -6e-4, 3e-4, -1), {}),
         (KDS, -1, CompactPhasePoint((horizon_roots(KDS).r_minus - 5e-4, 1.9, 0.0),
-                                    8e-4, 6e-4, -3e-4, +1), {"chart": "compact"}),
+                                    8e-4, 6e-4, -3e-4, +1), {}),
     ], ids=["ds", "dss", "kds-inner"])
     def test_ledger_rho0_matches_closed_form(self, params, horizon_sign, start, kw):
         # classify_radial reads rho_0 from the ledger; the formulas it used to
@@ -488,12 +505,6 @@ class TestClassifyRadial:
             rep = classify_radial(KDS, sign, n_traj=20, tol=1e-11)
             assert rep.is_sink_or_source == "sink"
             assert abs(rep.beta0_measured - gam) / gam < 0.05
-
-    def test_branch_swap_gives_source(self):
-        rep = classify_radial(DSS, +1, n_traj=8, T=2.0, reversed_branch=True)
-        assert rep.is_sink_or_source == "source"
-        # growth at the source matches the same rate
-        assert abs(rep.beta0_measured - rep.beta0_expected) / rep.beta0_expected < 0.10
 
 
 class TestTrappedSet:
@@ -646,7 +657,7 @@ class TestConservationSuite:
                             rng.uniform(0.5, math.pi - 0.5),
                             rng.uniform(0, 2 * math.pi),
                             rng.uniform(-1, 1), rng.uniform(-1, 1), zeta)
-            bc = integrate_flow(KDS, pt, 50.0, tol=1e-10, chart="auto")
+            bc = integrate_flow(KDS, pt, 50.0, tol=1e-10)
             count += 1
             worst = max(worst, bc.drift("p"), bc.drift("zeta"),
                         bc.drift("ptilde"))
@@ -658,7 +669,7 @@ class TestHorizonGrowthRates:
         # |xi|^-2 ptilde decays at 2 Gamma_+ along the flow into the sink
         hd = horizon_roots(KDS)
         cpt = CompactPhasePoint((hd.r_plus - 1e-4, 1.2, 0.0), 1e-3, 1e-3, 1e-3, -1)
-        bc = integrate_flow(KDS, cpt, 3.0, tol=1e-11, chart="compact")
+        bc = integrate_flow(KDS, cpt, 3.0, tol=1e-11)
         s = bc.samples.s
         vals = np.array([kv for kv in bc.conserved_ledger["ptilde_scaled"]])
         keep = vals > 1e-280
@@ -670,7 +681,7 @@ class TestHorizonGrowthRates:
     def test_monotone_approach_to_sink(self):
         hd = horizon_roots(DSS)
         cpt = CompactPhasePoint((hd.r_plus - 5e-4, 1.0, 0.0), 2e-3, 2e-3, 2e-3, -1)
-        bc = integrate_flow(DSS, cpt, 8.0, tol=1e-11, chart="compact")
+        bc = integrate_flow(DSS, cpt, 8.0, tol=1e-11)
         q = []
         for p in points(bc.samples):
             rho_t2 = p.nu ** 2

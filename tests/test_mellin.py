@@ -23,19 +23,25 @@ def bump_samples(x0=-7.0, w=0.5):
 
 class TestTransformPair:
     def test_power_law_closed_form(self):
-        a = 0.8
-        u = TemporalSamples(TAU, TAU ** a)
+        # u = tau^a (1 - tau) on (0, 1] vanishes at the tau = 1 cutoff, so it
+        # passes the tail test
+        a = 2.5
+        u = TemporalSamples(TAU, TAU ** a * (1.0 - TAU))
         sig = np.linspace(-3, 3, 11)
-        got = mellin_transform(u, alpha=0.2, sigma_re=sig, tail_tol=1.0)
-        want = 1.0 / (a - 1j * (sig - 0.2j))
+        got = mellin_transform(u, alpha=0.2, sigma_re=sig)
+        s = sig - 0.2j
+        want = 1.0 / (a - 1j * s) - 1.0 / (a + 1.0 - 1j * s)
         # trapezoid endpoint error at the tau = 1 cutoff is O(h^2)
-        np.testing.assert_allclose(got, want, atol=1e-3)
+        np.testing.assert_allclose(got, want, atol=1e-4)
 
     def test_closed_form_pulse_hat(self):
         u = bump_samples()
         sig = np.linspace(-10, 10, 41)
         got = mellin_transform(u, alpha=0.0, sigma_re=sig)
-        want = log_gaussian_pulse_hat(x0=-7.0)(sig.astype(complex))
+        # the default pulse sits at x0 = -3; a shift by -4 in log tau
+        # multiplies the transform by e^(4 i sigma)
+        s = sig.astype(complex)
+        want = log_gaussian_pulse_hat()(s) * np.exp(4j * s)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_plancherel(self):

@@ -938,16 +938,6 @@ class TestResolvent:
             calls.clear()
 
 class TestGluing:
-    def test_qprime_zero_reduces_to_identity(self):
-        op = build_operator(DS, 0, 48, AbsorbingSpec())
-        res = gluing_check(op, 2.0 + 1.0j, qprime_strength=0.0)
-        assert res < 1e-12
-
-    def test_probe_reseeding_stable(self):
-        op = build_operator(DS, 0, 48, AbsorbingSpec())
-        vals = [gluing_check(op, 2.0 + 1.0j, seed=s) for s in (0, 1, 2)]
-        assert np.var(vals) < 1e-10
-
     def test_gated_at_every_converged_root(self):
         op = build_operator(DS, 0, 48)
         roots = solve_resonances(op, region=(-6, 6, -3.6, 0.4)).converged(1e-6)

@@ -46,20 +46,18 @@ def compact_field(params, cpt, horizon_sign=+1):
 
 class TestClassicalSymbol:
     def test_alpha_zero_radial_point(self):
-        pt = PhasePoint(1.2, math.pi / 2, 0.0, 1.0, 0.0, 0.0)
-        p = kds_classical_symbol(DSS, pt)
+        p = kds_classical_symbol(DSS, [1.2, math.pi / 2, 0.0, 1.0, 0.0, 0.0])
         assert p == pytest.approx(-mu_tilde(DSS, 1.2)[0], rel=1e-15)
 
     def test_zero_section(self):
-        pt = PhasePoint(0.8, 1.0, 0.3, 0.0, 0.0, 0.0)
-        assert kds_classical_symbol(KDS, pt) == 0.0
+        assert kds_classical_symbol(KDS, [0.8, 1.0, 0.3, 0.0, 0.0, 0.0]) == 0.0
 
     @given(st.floats(0.3, 1.0), st.floats(0.3, 2.8), st.floats(-2, 2),
            st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=100, deadline=None)
     def test_reflection_symmetry(self, r, theta, xi, eta, zeta):
-        a = kds_classical_symbol(KDS, PhasePoint(r, theta, 0, xi, eta, zeta))
-        b = kds_classical_symbol(KDS, PhasePoint(r, math.pi - theta, 0, xi, -eta, zeta))
+        a = kds_classical_symbol(KDS, [r, theta, 0, xi, eta, zeta])
+        b = kds_classical_symbol(KDS, [r, math.pi - theta, 0, xi, -eta, zeta])
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -84,7 +82,7 @@ class TestHamiltonField:
         for pt in rand_points(KDS, rng, 100):
             H = affine_field(KDS, pt)
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
-            f = lambda y: kds_classical_symbol(KDS, PhasePoint(*y))
+            f = lambda y: kds_classical_symbol(KDS, y)
             dp = fd_gradient(f, x)
             drift = abs(dp @ H)
             scale = max(1.0, np.linalg.norm(dp) * np.linalg.norm(H))
@@ -94,7 +92,7 @@ class TestHamiltonField:
         rng = np.random.default_rng(5)
         for pt in rand_points(KDS, rng, 25):
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
-            f = lambda y: kds_classical_symbol(KDS, PhasePoint(*y))
+            f = lambda y: kds_classical_symbol(KDS, y)
             dp = fd_gradient(f, x)
             h = affine_field(KDS, pt)
             g = np.array([-h[3], -h[4], -h[5], h[0], h[1], h[2]])
@@ -107,7 +105,7 @@ class TestHamiltonField:
             H = affine_field(KDS, pt)
             assert H[5] == 0.0
             x = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
-            f = lambda y: kds_angular_part(KDS, PhasePoint(*y))
+            f = lambda y: kds_angular_part(KDS, y)
             dptil = fd_gradient(f, x)
             scale = max(1.0, np.linalg.norm(dptil) * np.linalg.norm(H))
             assert abs(dptil @ H) / scale < 1e-8
@@ -286,14 +284,15 @@ class TestDeSitterCharts:
 
     def test_reduced_field_matches_polar_symbol(self):
         # nu H_p p = 0 for the compactified reduced (mu, nu, eta_hat) system:
-        # p at xi = sign_xi / nu, |eta| = eta_hat / nu is conserved
+        # the classical p (sigma = 0) at xi = sign_xi / nu, |eta| = eta_hat / nu
+        # is conserved
         rng = np.random.default_rng(11)
         for _ in range(30):
             mu = rng.uniform(-0.3, 0.9)
-            nu, eh, z = rng.uniform(0.3, 2), rng.uniform(0, 1.5), rng.uniform(-1, 1)
+            nu, eh = rng.uniform(0.3, 2), rng.uniform(0, 1.5)
             sxi = int(rng.choice([-1, 1]))
-            d = ds_reduced_compact_field(mu, nu, eh, sxi, z)
-            p = lambda y: ds_symbol_polar(4, y[0], sxi / y[1], (y[2] / y[1]) ** 2, z)
+            d = ds_reduced_compact_field(mu, nu, eh, sxi)
+            p = lambda y: ds_symbol_polar(4, y[0], sxi / y[1], (y[2] / y[1]) ** 2)
             eps = 1e-7
             y = np.array([mu, nu, eh])
             assert abs(p(y + eps * d) - p(y - eps * d)) / (2 * eps) \
