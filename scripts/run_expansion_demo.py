@@ -26,8 +26,7 @@ def main():
     for t in terms:
         print(f"term: sigma = {t.sigma_j:.6f}, kappa = {t.kappa}, "
               f"|a| = {np.linalg.norm(np.atleast_1d(t.a)):.4e}")
-    rate, power, res = fit_decay(TemporalSamples(rem.tau_grid, rem.values),
-                                 window=(1e-4, 3e-2))
+    rate, power, res = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
     print(f"remainder rate {rate:.4f} (target {ns.ell_target}), "
           f"log power {power}, fit residual {res:.2e}")
     save_time_series(TemporalSamples(rem.tau_grid, rem.values), ns.out)

@@ -3,7 +3,6 @@ of the semiclassical symbol beyond the physical region."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -64,31 +63,29 @@ class AbsorbingSpec:
         return 1.0 - self.chi1(mu)
 
 
-# the absorbing symbol's root f_z is the 2j-th root of
-# |varpi|^2j + z^2j + C^2j with j = _ROOT_J and C = _ROOT_C
-_ROOT_J = 1
+# the constant C of the absorbing symbol's root f_z
 _ROOT_C = 5.0
 
 
-def f_z(varpi_norm, z, j: int = 1, C: float = 0.0):
-    """Principal 2j-th root of |varpi|^2j + z^2j + C^2j with Re f_z >= 0.
+def f_z(varpi_norm, z):
+    """Principal square root of |varpi|^2 + z^2 + C^2 (C = _ROOT_C), with
+    Re f_z >= 0.
 
     Raises BranchCut when the argument lands on (-inf, 0], signalling z outside
-    the slit holomorphy domain for this (j, C).
+    the slit holomorphy domain.
     """
-    w = np.asarray(varpi_norm, dtype=float) ** (2 * j) + np.asarray(z) ** (2 * j) \
-        + C ** (2 * j)
+    w = np.asarray(varpi_norm, dtype=float) ** 2 + np.asarray(z) ** 2 + _ROOT_C ** 2
     w = np.asarray(w, dtype=complex)
     on_cut = (w.real <= 0) & (np.abs(w.imag) <= 1e-300 * np.maximum(1, np.abs(w.real)))
     if np.any(on_cut):
-        raise BranchCut("argument of the 2j-th root hit (-inf, 0]")
-    out = w ** (1.0 / (2 * j))
+        raise BranchCut("argument of the square root hit (-inf, 0]")
+    out = w ** 0.5
     return complex(out) if out.ndim == 0 else out
 
 
-def p_hat(varpi_norm, z, j: int = 1):
-    """The elliptic stand-in (|varpi|^2j + z^2j)^(1/j) = f_z^2 (C = 0)."""
-    return f_z(varpi_norm, z, j, 0.0) ** 2
+def p_hat(varpi_norm, z):
+    """The elliptic stand-in |varpi|^2 + z^2."""
+    return np.asarray(varpi_norm, dtype=float) ** 2 + np.asarray(z) ** 2
 
 
 # --- metric pairings --------------------------------------------------------
@@ -112,7 +109,7 @@ def q_semiclassical(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
         raise ValueError("absorbing symbol is implemented for the radial "
                          f"models, not {params.model}")
     norm = np.sqrt(np.asarray(xi, dtype=float) ** 2 + np.asarray(eta_sq))
-    f = f_z(norm, z, _ROOT_J, _ROOT_C)
+    f = f_z(norm, z)
     return -spec.chi(mu) * f * pairing_ds(mu, xi, z)
 
 
@@ -124,9 +121,9 @@ def extend_p(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
     """
     if params.model not in ("deSitter", "MinkowskiBoundary"):
         raise ValueError("extension is implemented for the radial models")
-    p = ds_symbol_polar(params.n, float(mu), float(xi), float(eta_sq), z)
-    norm = math.sqrt(float(xi) ** 2 + float(eta_sq))
-    return spec.chi1(mu) * p - spec.chi2(mu) * p_hat(norm, z, _ROOT_J)
+    p = ds_symbol_polar(params.n, mu, xi, eta_sq, z)
+    norm = np.sqrt(np.asarray(xi, dtype=float) ** 2 + eta_sq)
+    return spec.chi1(mu) * p - spec.chi2(mu) * p_hat(norm, z)
 
 
 @dataclass
@@ -137,41 +134,35 @@ class EllipticityReport:
 
 
 def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
-                     z_set: Iterable[complex],
-                     n_mu: int = 64, n_xi: int = 64,
-                     n_eta: int = 8) -> EllipticityReport:
+                     z_set: Iterable[complex]) -> EllipticityReport:
     """Scan |p~ - i q| over the collar/extension region and the q sign contract.
 
-    The grid spans mu in [-0.6, 1), xi in [-6, 6] and |eta| in [0, 6].
+    The grid spans mu in [-0.6, 1), xi in [-6, 6] and |eta| in [0, 6] at
+    48 x 48 x 6 points, evaluated as arrays, one pass per z.
 
     For each real z the sign of q must be constant on each half of the
     characteristic set (determined by the pairing sign); for Im z > 0 the
     interior symbol must obey min |p_{h,z}| > (Im z)^2.
     """
-    mus = np.linspace(-0.6, 1.0 - 1e-9, n_mu)
-    xis = np.linspace(-6.0, 6.0, n_xi)
-    etas = np.linspace(0.0, 6.0, n_eta) ** 2
+    mu, xi, e2 = np.meshgrid(np.linspace(-0.6, 1.0 - 1e-9, 48),
+                             np.linspace(-6.0, 6.0, 48),
+                             np.linspace(0.0, 6.0, 6) ** 2, indexing="ij")
+    collar = (spec.chi(mu) > 1e-12) | (spec.chi2(mu) > 1e-12)
+    interior = mu > spec.mu0 / 2
     min_abs_collar = np.inf
     min_int = np.inf
     viol = 0
     for z in np.atleast_1d(z_set):
-        for mu in mus:
-            ch, c2 = spec.chi(mu), spec.chi2(mu)
-            in_collar = (ch > 1e-12) or (c2 > 1e-12)
-            for xi in xis:
-                for e2 in etas:
-                    q = q_semiclassical(params, mu, xi, z, spec, e2)
-                    pt = extend_p(params, mu, xi, z, spec, e2)
-                    if in_collar:
-                        min_abs_collar = min(min_abs_collar, abs(pt - 1j * q))
-                    if z.imag == 0 and z.real != 0:
-                        pair = pairing_ds(mu, xi, z.real)
-                        # contract: -+ q >= 0 on Sigma_+-, i.e. q * pair <= 0
-                        if q.real * pair > 1e-12:
-                            viol += 1
-                    if z.imag >= 0.5 and mu > spec.mu0 / 2:
-                        pval = ds_symbol_polar(params.n, float(mu), float(xi),
-                                               float(e2), z)
-                        min_int = min(min_int, abs(pval))
+        q = q_semiclassical(params, mu, xi, z, spec, e2)
+        pt = extend_p(params, mu, xi, z, spec, e2)
+        min_abs_collar = min(min_abs_collar,
+                             np.min(np.abs(pt - 1j * q)[collar], initial=np.inf))
+        if z.imag == 0 and z.real != 0:
+            # contract: -+ q >= 0 on Sigma_+-, i.e. q * pair <= 0
+            viol += np.count_nonzero(q.real * pairing_ds(mu, xi, z.real) > 1e-12)
+        if z.imag >= 0.5:
+            pval = ds_symbol_polar(params.n, mu[interior], xi[interior],
+                                   e2[interior], z)
+            min_int = min(min_int, np.min(np.abs(pval), initial=np.inf))
     det = [("interior_min_abs", float(min_int))]
     return EllipticityReport(float(min_abs_collar), viol, det)

@@ -19,7 +19,7 @@ from . import __version__
 from .spacetime import NoHorizons, load_params, \
     read_key_values, admissibility, domain
 from .symbols import PhasePoint
-from .dynamics import integrate_flow, classify_radial, StepFailure
+from .dynamics import integrate_flow, classify_radial, StepFailure, _CLASSIFY_T
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel
 from .mellin import resonance_expand, driven_solve, evaluate_terms, \
@@ -149,28 +149,23 @@ def cmd_admissible(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FLAGS
 
 
-def _flow_with_retries(params, start, k, **kw):
+def _flow_with_retries(params, start, k):
     """integrate_flow at the configured tol, loosened tenfold (to at most
     1e-4) after each StepFailure; the failure of the last retry propagates."""
     tol = k["tol"]
     for _ in range(k["retry_budget"]):
         try:
-            return integrate_flow(params, start, k["T"], tol=tol, **kw)
+            return integrate_flow(params, start, k["T"], tol=tol,
+                                  horizon_sign=k["horizon_sign"])
         except StepFailure:
             tol = min(tol * 10, 1e-4)
-    return integrate_flow(params, start, k["T"], tol=tol, **kw)
+    return integrate_flow(params, start, k["T"], tol=tol,
+                          horizon_sign=k["horizon_sign"])
 
 
 # one trajectories.csv row (csv.writer's excel dialect: comma, CRLF)
 _FLOW_ROW = "%d,%s," + ",".join(["%.17g"] * 10) + "\r\n"
 _DS_FLOW_ROW = "%d,ds_reduced," + ",".join(["%.17g"] * 4) + ",,,,,,\r\n"
-
-
-# flow parameter the radial-rate fit integrates to, whatever the knob T (which
-# sets trajectories.csv only): the fit is accurate there on every model
-# (rel_err 5.5e-6 ds, 7.5e-7 dss, 1.0e-6 kds) and not far from it (0.33 on
-# ds at T = 8, 2.0e-4 on dss at T = 0.5)
-_CLASSIFY_T = 4.0
 
 
 def cmd_flow(cfg: RunConfig) -> int:
@@ -194,7 +189,7 @@ def cmd_flow(cfg: RunConfig) -> int:
                             rng.uniform(0.5, math.pi - 0.5),
                             rng.uniform(0, 2 * math.pi),
                             rng.uniform(-1, 1), rng.uniform(-1, 1), zeta)
-            bc = _flow_with_retries(params, pt, k, horizon_sign=k["horizon_sign"])
+            bc = _flow_with_retries(params, pt, k)
             led = bc.conserved_ledger
             cols = np.column_stack([bc.samples.s, bc.samples.y, led["p"],
                                     led["zeta"], led["ptilde"]])
@@ -204,13 +199,14 @@ def cmd_flow(cfg: RunConfig) -> int:
     with open(os.path.join(cfg.out_dir, "trajectories.csv"), "w", newline="") as fh:
         fh.write("".join(lines))
     if k["include_classify"]:
+        # the fit runs to dynamics._CLASSIFY_T, whatever the knob T (which
+        # sets trajectories.csv only)
         rep = classify_radial(params, k["horizon_sign"], n_traj=k["n_traj"],
-                              eps=k["eps"], T=_CLASSIFY_T,
-                              tol=min(k["tol"], 1e-10), seed=cfg.seed)
+                              eps=k["eps"], tol=min(k["tol"], 1e-10),
+                              seed=cfg.seed)
         with open(os.path.join(cfg.out_dir, "radial_report.json"), "w") as fh:
             json.dump({"classify_T": _CLASSIFY_T,
                        "horizon_sign": rep.horizon_sign,
-                       "kind": rep.is_sink_or_source,
                        "beta0_measured": rep.beta0_measured,
                        "beta0_expected": rep.beta0_expected,
                        "rho0_rate": rep.rho0_rate,
@@ -292,8 +288,7 @@ def cmd_expand(cfg: RunConfig) -> int:
         synth = synth + tv
     resid = float(np.max(np.abs(direct.values - synth))
                   / max(np.max(np.abs(direct.values)), 1e-300))
-    rate, logpow, fitres = fit_decay(TemporalSamples(tau, rem.values),
-                                     window=(1e-4, 3e-2))
+    rate, logpow, fitres = fit_decay(TemporalSamples(tau, rem.values))
     out = {
         "terms": [{"sigma_re": t.sigma_j.real, "sigma_im": t.sigma_j.imag,
                    "kappa": t.kappa,

@@ -68,7 +68,6 @@ class Bicharacteristic:
 @dataclass
 class RadialSetReport:
     horizon_sign: int
-    is_sink_or_source: str
     beta0_measured: float
     rho0_rate: float
     beta0_expected: float
@@ -82,8 +81,6 @@ class RadialSetReport:
 @dataclass(frozen=True)
 class TrappedSetPoint:
     r_c: float
-    zeta: float
-    z: float
     xi_c: float
     f_residual: float
 
@@ -394,16 +391,6 @@ def _interpolant(F, t_old, h, y_old):
 _AXIS_MARGIN = 1e-3
 
 
-def _kds_rhs(params, horizon_sign, sign_xi, direction):
-    """The `_dop853` right-hand side: one Hamilton kernel on float lists
-    (affine chart for sign_xi None, else the compact chart), negated for
-    direction < 0."""
-    field = hamilton_kernel(params, horizon_sign, sign_xi)
-    if direction > 0:
-        return field
-    return lambda y: [-v for v in field(y)]
-
-
 # how far beyond a domain bound a start may lie: a run's domain-exit end
 # point, whose flow parameter `_brentq` places to 4 eps, must stay a valid
 # start, and the state there can overshoot the bound (by up to 1.3e-11 in nu
@@ -426,7 +413,9 @@ _NU_TO_AFFINE = 0.55     # overlap band for the reverse handoff
 
 def _events_kds(r_lo, r_hi, chart):
     """Terminal events of a segment: leaving the r-domain below or above,
-    nearing the axis, and the chart handoff."""
+    nearing the axis, and the chart handoff.  The first three fire only as
+    their function falls through 0, so a run that starts on a bound and
+    moves inward runs on."""
     def exit_lo(y):
         return y[0] - r_lo
     def exit_hi(y):
@@ -441,12 +430,11 @@ def _events_kds(r_lo, r_hi, chart):
         def handoff(y):
             return y[3] - _NU_TO_AFFINE
         direction = +1.0
-    return [(exit_lo, 0.0), (exit_hi, 0.0), (axis, 0.0), (handoff, direction)]
+    return [(exit_lo, -1.0), (exit_hi, -1.0), (axis, -1.0), (handoff, direction)]
 
 
 def integrate_flow(params: SpacetimeParams, start, T: float,
                    tol: float = 1e-10, horizon_sign: int = +1,
-                   direction: float = +1.0,
                    n_samples: int = 200) -> Bicharacteristic:
     """Adaptive embedded Runge-Kutta integration of the (rescaled) Hamilton flow.
 
@@ -456,8 +444,10 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     the compact chart, which integrates the rescaled field nu^(k-1) H_p, for
     a PhasePoint with |xi| > 2 or a CompactPhasePoint with nu < 0.5, and in
     the affine chart otherwise.  MinkowskiBoundary has no
-    flow here and raises ValueError.  `direction=-1` integrates the
-    time-reversed field.  Leaving the r-domain terminates the trajectory
+    flow here and raises ValueError.  The symbol is even in the fiber, so
+    the time-reversed flow is the flow from the fiber-reflected start
+    (xi, eta, zeta) -> (-xi, -eta, -zeta), on deSitter sign_xi -> -sign_xi.
+    Leaving the r-domain terminates the trajectory
     normally with exit_reason="domain"; a start outside it raises
     ValueError (see `_check_start`).  The samples are arrays
     (`FlowSamples`), n_samples over [0, T] split between the chart segments.
@@ -470,7 +460,7 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     if params.model == "MinkowskiBoundary":
         raise ValueError("MinkowskiBoundary has no Hamilton flow")
     if params.model == "deSitter":
-        return _integrate_ds_reduced(start, T, tol, direction, n_samples)
+        return _integrate_ds_reduced(start, T, tol, n_samples)
 
     if isinstance(start, CompactPhasePoint):
         chart = "compact" if start.nu < 0.5 else "affine"
@@ -494,8 +484,8 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     _check_start("r", state[0], r_lo, r_hi)
 
     for _segment in range(64):
-        rhs = _kds_rhs(params, horizon_sign,
-                       sign_xi if chart == "compact" else None, direction)
+        rhs = hamilton_kernel(params, horizon_sign,
+                              sign_xi if chart == "compact" else None)
         run = _dop853(rhs, T - s_done, state, tol, tol * 1e-2,
                       _events_kds(r_lo, r_hi, chart))
         seg_len = run.t
@@ -506,7 +496,7 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
         if np.any(np.minimum(theta, math.pi - theta) < THETA_AXIS_TOL):
             raise PolarSingularity("phase point on the axis")
         segments.append(_segment_samples(params, horizon_sign, chart, sign_xi,
-                                         direction * (s_done + ss), Y))
+                                         s_done + ss, Y))
         nsteps += run.steps
         rejected += run.rejected
         s_done += seg_len
@@ -579,27 +569,25 @@ def _segment_samples(params, horizon_sign, chart, sign_xi, s, Y):
             p, zeta, ptil, p / xi2, ptil / xi2)
 
 
-def _integrate_ds_reduced(start, T, tol, direction, n_samples):
+def _integrate_ds_reduced(start, T, tol, n_samples):
     """Reduced static-patch flow from start = (mu, nu, eta_hat, sign_xi); it
-    leaves the domain below mu = -0.68, above mu = 0.99 or above nu = 10."""
+    leaves the domain below mu = -0.68, above mu = 0.99 or above nu = 10,
+    and a start on a bound that moves inward runs on."""
     mu0, nu0, ehat0, sxi = start
     # the chart ends at the centre mu = 1, where the field has 1/(1 - mu)^2,
     # and at xi = 0 (nu = infinity), where a ray with eta != 0 turns; with
     # these bounds no run failed a step over 151 starts, tol 1e-12 to 1e-4,
-    # both directions and T = 10 (a mu bound alone fails from 0.9 on)
+    # both signs of xi and T = 10 (a mu bound alone fails from 0.9 on)
     mu_lo, mu_hi, nu_hi = -0.68, 0.99, 10.0
     _check_start("mu", mu0, mu_lo, mu_hi)
     _check_start("nu", nu0, -math.inf, nu_hi)
-    if direction > 0:
-        rhs = lambda y: ds_reduced_compact_field(*y, sxi)
-    else:
-        rhs = lambda y: -ds_reduced_compact_field(*y, sxi)
-    events = [(lambda y: y[0] - mu_lo, 0.0), (lambda y: mu_hi - y[0], 0.0),
-              (lambda y: nu_hi - y[1], 0.0)]
-    run = _dop853(rhs, T, [mu0, nu0, ehat0], tol, tol * 1e-2, events)
+    events = [(lambda y: y[0] - mu_lo, -1.0), (lambda y: mu_hi - y[0], -1.0),
+              (lambda y: nu_hi - y[1], -1.0)]
+    run = _dop853(lambda y: ds_reduced_compact_field(*y, sxi), T,
+                  [mu0, nu0, ehat0], tol, tol * 1e-2, events)
     ss = np.linspace(0.0, run.t, n_samples)
     Y = run.sample(ss)
-    samples = FlowSamples(ss * direction, Y, np.ones(n_samples, bool),
+    samples = FlowSamples(ss, Y, np.ones(n_samples, bool),
                           np.full(n_samples, sxi))
     mu, ehat2 = Y[:, 0], Y[:, 2] ** 2
     p = -4.0 * (1 - mu) * mu - ehat2 / (1 - mu)
@@ -622,22 +610,30 @@ def _fit_log_rate(s, vals):
     return slope
 
 
+# flow parameter the radial-rate fit integrates to: the fit is accurate there
+# at the outer horizon (rel_err 5.5e-6 ds, 7.5e-7 dss, 1.0e-6 kds) and not
+# far from it (0.33 on ds at T = 8, 2.0e-4 on dss at T = 0.5); at the inner
+# horizon it is looser (2.1e-4 dss, 4.2e-4 kds, 20 trajectories, seed 0)
+_CLASSIFY_T = 4.0
+
+
 def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
-                    n_traj: int = 20, eps: float = 1e-3, T: float = 4.0,
+                    n_traj: int = 20, eps: float = 1e-3,
                     tol: float = 1e-11, seed: int = 0) -> RadialSetReport:
     """Measure the attraction rate at the radial set from a bundle of trajectories.
 
     Launches max(n_traj, 20) trajectories, the count it reports, from an
-    eps-shell around the sink L_+ of the requested horizon, fits the decay of
-    rho~ = nu and of the quadratic defining function rho_0, and compares with
-    the surface-gravity constant (or 4 in the static-patch normalization).
+    eps-shell around the sink L_+ of the requested horizon, runs each to
+    s = _CLASSIFY_T, fits the decay of rho~ = nu and of the quadratic
+    defining function rho_0, and compares with the surface-gravity constant
+    (or 4 in the static-patch normalization).
     """
     rng = np.random.default_rng(seed)
     ds = params.model == "deSitter"
     if ds:
         expected = 4.0
         sxi = +1
-        kw = {"n_samples": 400}
+        n_samples = 400
     else:
         hd = horizon_roots(params)
         r_h = hd.r_plus if horizon_sign > 0 else hd.r_minus
@@ -645,7 +641,7 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
             raise NoHorizons("requested horizon does not exist")
         expected = hd.gamma_plus if horizon_sign > 0 else hd.gamma_minus
         sxi = -horizon_sign
-        kw = {"horizon_sign": horizon_sign}
+        n_samples = 200
     rates, rho0_rates = [], []
     for _ in range(max(n_traj, 20)):
         if ds:
@@ -657,14 +653,15 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
                 (r_h + eps * rng.uniform(-1, 1), theta, 0.0),
                 eps * rng.uniform(0.5, 1.0),
                 eps * rng.uniform(-1, 1), eps * rng.uniform(-1, 1), sxi)
-        bc = integrate_flow(params, start, T, tol=tol, **kw)
+        bc = integrate_flow(params, start, _CLASSIFY_T, tol=tol,
+                            horizon_sign=horizon_sign, n_samples=n_samples)
         s = np.abs(bc.samples.s)
         nu = np.abs(bc.samples.y[:, 1]) if ds else bc.samples.y[:, 3]
         led = bc.conserved_ledger
         rates.append(-_fit_log_rate(s, nu))
         rho0_rates.append(-_fit_log_rate(s, led["ptilde_scaled"]
                                          + led["p_scaled"] ** 2))
-    return RadialSetReport(horizon_sign, "sink", float(np.mean(rates)),
+    return RadialSetReport(horizon_sign, float(np.mean(rates)),
                            float(np.mean(rho0_rates)), expected, len(rates))
 
 
@@ -672,52 +669,45 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
 # trapped set
 # ---------------------------------------------------------------------------
 
-def trapping_function(params: SpacetimeParams, r, zeta: float, z: float):
-    """f(r) = W mu~' - 4 r mu~ z with W = (r^2+alpha^2) z - alpha zeta."""
+def trapping_function(params: SpacetimeParams, r):
+    """f(r) = W mu~' - 4 r mu~ with W = r^2 + alpha^2."""
     mt, dmt, _ = mu_tilde(params, r)
-    W = (np.asarray(r) ** 2 + params.alpha ** 2) * z - params.alpha * zeta
-    return W * dmt - 4.0 * np.asarray(r) * mt * z
+    W = np.asarray(r) ** 2 + params.alpha ** 2
+    return W * dmt - 4.0 * np.asarray(r) * mt
 
 
-def find_trapped_set(params: SpacetimeParams, zeta: float = 0.0,
-                     z: float = 1.0) -> TrappedSetPoint:
+def find_trapped_set(params: SpacetimeParams) -> TrappedSetPoint:
     """Solve f(r) = 0 on (r_-, r_+) by bracketed root-finding.
 
     Uniqueness is asserted by counting sign changes on a fine grid; a missing
     root raises NoRoot and several raise MultipleRoots.
     """
-    if z == 0:
-        raise ValueError("z must be nonzero")
     hd = horizon_roots(params)
     if hd.r_minus is None:
         raise NoRoot("no inner horizon; the static patch has no trapping")
     a, b = hd.r_minus * (1 + 1e-9), hd.r_plus * (1 - 1e-9)
     rr = np.linspace(a, b, 2048)
-    W = (rr ** 2 + params.alpha ** 2) * z - params.alpha * zeta
-    if np.any(W == 0) or (W[0] < 0) != (W[-1] < 0):
-        raise ValueError("(r^2+alpha^2) z - alpha zeta changes sign on the bracket")
-    fv = trapping_function(params, rr, zeta, z)
+    fv = trapping_function(params, rr)
     flips = np.nonzero(np.sign(fv[:-1]) * np.sign(fv[1:]) < 0)[0]
     if len(flips) == 0:
         raise NoRoot("no sign change of the trapping function in (r_-, r_+)")
     if len(flips) > 1:
         raise MultipleRoots(f"{len(flips)} sign changes found")
     i = flips[0]
-    r_c = _brentq(lambda r: trapping_function(params, r, zeta, z),
+    r_c = _brentq(lambda r: trapping_function(params, r),
                   rr[i], rr[i + 1], 1e-15, 8.9e-16)
     mt = mu_tilde(params, r_c)[0]
-    Wc = (r_c ** 2 + params.alpha ** 2) * z - params.alpha * zeta
-    xi_c = -(1.0 + params.gamma) * Wc / mt
-    return TrappedSetPoint(float(r_c), zeta, z, float(xi_c),
-                           abs(float(trapping_function(params, r_c, zeta, z))))
+    xi_c = -(1.0 + params.gamma) * (r_c ** 2 + params.alpha ** 2) / mt
+    return TrappedSetPoint(float(r_c), float(xi_c),
+                           abs(float(trapping_function(params, r_c))))
 
 
 def _Fpp(params: SpacetimeParams, tsp: TrappedSetPoint) -> float:
     """Second derivative of F = W^2/mu~ at the critical radius."""
-    r, z, zeta = tsp.r_c, tsp.z, tsp.zeta
+    r = tsp.r_c
     mt, dmt, d2mt = mu_tilde(params, r)
-    W = (r * r + params.alpha ** 2) * z - params.alpha * zeta
-    fprime = W * d2mt - 4.0 * mt * z - 2.0 * r * z * dmt
+    W = r * r + params.alpha ** 2
+    fprime = W * d2mt - 4.0 * mt - 2.0 * r * dmt
     return -W * fprime / mt ** 2
 
 
@@ -725,7 +715,8 @@ def trapping_linearization(params: SpacetimeParams,
                            tsp: TrappedSetPoint) -> LinearizationSpectrum:
     """2x2 linearization of the reduced flow at the trapped radius.
 
-    In the variables (r - r_c, mu~ xi + (1+gamma) W) the matrix is
+    In the variables (r - r_c, mu~ xi + (1+gamma) W), W = r^2 + alpha^2 (the
+    slice zeta = 0, z = 1 of the semiclassical flow), the matrix is
     [[0, -mu~ (1+gamma)^2 F''], [-2, 0]] with eigenvalues
     +-sqrt(2 mu~ (1+gamma)^2 F''); hyperbolic saddle when F'' > 0.
     """

@@ -64,9 +64,9 @@ class TemporalSamples:
         return np.log(self.tau_grid)
 
 
-def default_tau_grid(n: int = 1024) -> np.ndarray:
-    """n points from tau = 1 down to 1e-6, equally spaced in log tau."""
-    return np.geomspace(1.0, 1e-6, n)
+def default_tau_grid() -> np.ndarray:
+    """1024 points from tau = 1 down to 1e-6, equally spaced in log tau."""
+    return np.geomspace(1.0, 1e-6, 1024)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ _POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
 # _PULSE_FLOOR: |Re sigma| <= 18.2 at w = _PULSE_WIDTH
 SIGMA_MAX = 60.0
 _PULSE_CENTER = -3.0        # centre x0 in log tau of the default log-Gaussian pulse
-_PULSE_WIDTH = 0.5          # width w in log tau of the default log-Gaussian pulse
+_PULSE_WIDTH = 0.5          # width w in log tau of every log-Gaussian pulse
 _PULSE_FLOOR = 1e-18
 
 
@@ -289,8 +289,8 @@ def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
 
 
 def log_gaussian_pulse_hat() -> Callable:
-    """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2)), the
-    default `log_gaussian_pulse`: x0 = _PULSE_CENTER, w = _PULSE_WIDTH."""
+    """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2)),
+    `log_gaussian_pulse` at x0 = _PULSE_CENTER, w = _PULSE_WIDTH."""
     x0, width = _PULSE_CENTER, _PULSE_WIDTH
 
     def hat(sigma):
@@ -299,23 +299,25 @@ def log_gaussian_pulse_hat() -> Callable:
     return hat
 
 
-def log_gaussian_pulse(tau, x0: float = _PULSE_CENTER, width: float = _PULSE_WIDTH):
+def log_gaussian_pulse(tau, x0: float):
+    """exp(-(log tau - x0)^2 / (2 w^2)) with w = _PULSE_WIDTH."""
     x = np.log(np.asarray(tau, dtype=float))
-    return np.exp(-(x - x0) ** 2 / (2.0 * width * width))
+    return np.exp(-(x - x0) ** 2 / (2.0 * _PULSE_WIDTH * _PULSE_WIDTH))
 
 
 # ---------------------------------------------------------------------------
 # decay fitting and thresholds
 # ---------------------------------------------------------------------------
 
-def fit_decay(u: TemporalSamples, window=(1e-5, 1e-1)):
-    """(rate, log_power, residual) from a least-squares fit of log ||u||.
+def fit_decay(u: TemporalSamples):
+    """(rate, log_power, residual) from a least-squares fit of log ||u|| on
+    the window 1e-4 <= tau <= 3e-2.
 
     Model: log||u|| = rate * log(tau) + kappa * log(-log tau) + const; the
     log-log regressor is kept only when it clearly improves the fit.
     """
     tau = u.tau_grid
-    mask = (tau >= window[0]) & (tau <= window[1])
+    mask = (tau >= 1e-4) & (tau <= 3e-2)
     if np.count_nonzero(mask) < 8:
         raise DegenerateFit("need at least 8 samples in the window")
     x = np.log(tau[mask])

@@ -175,7 +175,7 @@ class Resonance:
 class ResonanceList:
     entries: list = field(default_factory=list)
 
-    def converged(self, tol: float = 1e-6) -> list:
+    def converged(self, tol: float) -> list:
         return [e for e in self.entries if e.convergence_delta < tol]
 
 

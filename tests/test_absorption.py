@@ -72,30 +72,25 @@ class TestChi:
 
 class TestFz:
     def test_real_limit(self):
-        assert f_z(0.0, 2.0, 1, 0.0) == pytest.approx(2.0)
+        assert f_z(0.0, 2.0) == pytest.approx(math.sqrt(29.0))   # C = 5
 
     def test_positive_real_part_grid(self):
         xs = np.linspace(0, 4, 100)
         zs = [complex(a, b) for a in np.linspace(-2, 2, 10)
               for b in np.linspace(-1, 1, 10)]
         for z in zs:
-            vals = f_z(xs, z, 1, 2.0)
+            vals = f_z(xs, z)
             assert np.all(np.real(vals) > 0)
-
-    def test_square_positive_real_part_for_j2(self):
-        xs = np.linspace(0, 4, 50)
-        for b in np.linspace(-1, 1, 9):
-            for a in np.linspace(-2, 2, 9):
-                v = f_z(xs, complex(a, b), 2, 2.0) ** 2
-                assert np.all(np.real(v) > 0)
 
     def test_branch_cut_raises(self):
         with pytest.raises(BranchCut):
-            f_z(0.0, 3.0j, 1, 2.0)   # 0 - 9 + 4 = -5 on the cut
+            f_z(0.0, 6.0j)   # 0 - 36 + 25 = -11 on the cut
 
     def test_phat_is_fz_squared(self):
-        v = f_z(1.3, 0.7 + 0.2j, 2, 0.0)
-        assert p_hat(1.3, 0.7 + 0.2j, 2) == pytest.approx(v * v, rel=1e-13)
+        # f_z^2 = |varpi|^2 + z^2 + C^2 = p_hat + 25
+        z = 0.7 + 0.2j
+        assert p_hat(1.3, z) == 1.3 ** 2 + z ** 2
+        assert f_z(1.3, z) ** 2 == pytest.approx(p_hat(1.3, z) + 25.0, rel=1e-13)
 
 
 class TestQ:
@@ -108,10 +103,10 @@ class TestQ:
             assert abs(complex(q).imag) < 1e-14
 
     def test_ds_display_form(self):
-        # q = -(2 r^2 xi + z) f_z chi(mu), with the root f_z at j = 1, C = 5
+        # q = -(2 r^2 xi + z) f_z chi(mu), with the square root f_z at C = 5
         mu, xi, z = -0.3, 0.8, 1.1
         got = q_semiclassical(SpacetimeParams(), mu, xi, z, SPEC, 0.0)
-        want = -(2 * (1 - mu) * xi + z) * f_z(abs(xi), z, 1, 5.0) \
+        want = -(2 * (1 - mu) * xi + z) * f_z(abs(xi), z) \
             * SPEC.chi(mu)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -161,7 +156,7 @@ class TestExtension:
             got = extend_p(SpacetimeParams(), mu, xi, z, SPEC, e2)
             c1 = SPEC.chi1(mu)
             want = c1 * ds_symbol_polar(4, mu, xi, e2, z) \
-                - (1 - c1) * (complex(xi ** 2 + e2 + z ** 2))  # j=1 oracle
+                - (1 - c1) * (complex(xi ** 2 + e2 + z ** 2))
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_reads_dimension_from_params(self):
@@ -169,20 +164,19 @@ class TestExtension:
         mu, xi, e2, z = -0.3, 0.7, 0.4, 1.2 + 0.3j
         got = extend_p(SpacetimeParams(n=5), mu, xi, z, SPEC, e2)
         want = SPEC.chi1(mu) * ds_symbol_polar(5, mu, xi, e2, z) \
-            - SPEC.chi2(mu) * p_hat(math.sqrt(xi ** 2 + e2), z, 1)
+            - SPEC.chi2(mu) * p_hat(math.sqrt(xi ** 2 + e2), z)
         assert got == want
         with pytest.raises(ValueError):     # the symbol needs n >= 3
             extend_p(SpacetimeParams(n=2), mu, xi, z, SPEC, e2)
 
 
 class TestFzProperties:
-    @given(st.floats(0.0, 5.0), st.floats(-2.0, 2.0), st.floats(-0.9, 0.9),
-           st.integers(1, 3))
+    @given(st.floats(0.0, 5.0), st.floats(-2.0, 2.0), st.floats(-0.9, 0.9))
     @settings(max_examples=150, deadline=None)
-    def test_fz_right_half_plane(self, norm, zre, zim, j):
-        # principal 2j-th root with C = 2 stays in the open right half plane
+    def test_fz_right_half_plane(self, norm, zre, zim):
+        # principal square root with C = 5 stays in the open right half plane
         try:
-            v = f_z(norm, complex(zre, zim), j, 2.0)
+            v = f_z(norm, complex(zre, zim))
         except BranchCut:
             return
         assert complex(v).real > 0

@@ -72,12 +72,12 @@ class TestAcceptance:
                f"({n_conv} converged, worst bracket {worst:.1e}, {took:.0f}s)")
 
     def test_03_trapping_eigenvalues(self):
-        tsp = find_trapped_set(DSS, zeta=0.0, z=1.0)
+        tsp = find_trapped_set(DSS)
         spec = trapping_linearization(DSS, tsp)
         lam = 3.0 * math.sqrt(3.0) * 0.2 / math.sqrt(1.0 - 2.25 * 3.0 * 0.04)
         got = max(spec.eigenvalues)
         ok = abs(got - lam) / lam < 1e-8
-        tsp2 = find_trapped_set(KDS, zeta=0.0, z=1.0)
+        tsp2 = find_trapped_set(KDS)
         spec2 = trapping_linearization(KDS, tsp2)
         l1, l2 = spec2.eigenvalues
         ok = ok and abs(l1 + l2) < 1e-12 * abs(l1) and abs(l1) > 0 \
@@ -86,22 +86,22 @@ class TestAcceptance:
                f"(closed-form rel err {abs(got - lam) / lam:.1e})")
 
     def test_04_trapped_set_location(self):
-        tsp = find_trapped_set(DSS, zeta=0.0, z=1.0)
+        tsp = find_trapped_set(DSS)
         err0 = abs(tsp.r_c - 1.5 * DSS.r_s)
         # independent bisection oracle for the rotating case
         from qnmkit.dynamics import trapping_function
         hd = horizon_roots(KDS)
         lo, hi = hd.r_minus + 1e-6, hd.r_plus - 1e-6
-        flo = trapping_function(KDS, lo, 0.0, 1.0)
+        flo = trapping_function(KDS, lo)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            fm = trapping_function(KDS, mid, 0.0, 1.0)
+            fm = trapping_function(KDS, mid)
             if flo * fm <= 0:
                 hi = mid
             else:
                 lo, flo = mid, fm
         r_oracle = 0.5 * (lo + hi)
-        tsp2 = find_trapped_set(KDS, zeta=0.0, z=1.0)
+        tsp2 = find_trapped_set(KDS)
         err1 = abs(tsp2.r_c - r_oracle)
         ok = err0 <= 1e-12 and err1 <= 1e-10
         report(4, "trapped-set location", ok,
@@ -168,8 +168,7 @@ class TestAcceptance:
     def test_08_absorption_ellipticity(self):
         spec = AbsorbingSpec()
         rep = ellipticity_scan(SpacetimeParams(), spec,
-                               [2.0 + 0.0j, -1.5 + 0.0j, 1.0 + 0.5j],
-                               n_mu=48, n_xi=48, n_eta=6)
+                               [2.0 + 0.0j, -1.5 + 0.0j, 1.0 + 0.5j])
         interior = dict(rep.details)["interior_min_abs"]
         ok = rep.min_abs > 0 and rep.sign_violations == 0 and interior > 0.25
         report(8, "absorption ellipticity", ok,
@@ -202,8 +201,8 @@ class TestAcceptance:
                f"(restricted difference {diff:.1e})")
 
     def test_11_mellin_pipeline(self):
-        tau = default_tau_grid(1024)
-        u = TemporalSamples(tau, log_gaussian_pulse(tau, -7.0, 0.5))
+        tau = default_tau_grid()
+        u = TemporalSamples(tau, log_gaussian_pulse(tau, -7.0))
         sig = np.linspace(-80, 80, 8000)
         v = mellin_transform(u, 0.1, sig)
         back = inverse_mellin(v, 0.1, sig, tau)
@@ -220,8 +219,7 @@ class TestAcceptance:
         t1 = [t for t in terms if t.kappa == 1][0]
         want = -1j * 1j * (-fv[1]) * fhat(pole)
         cerr = abs(t1.a[0] - want)
-        rate, _, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values),
-                               window=(1e-4, 3e-2))
+        rate, _, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
         ok = rt < 1e-6 and cerr < 1e-8 and rate >= 2.5 * 0.98
         report(11, "Mellin pipeline", ok,
                f"(roundtrip {rt:.1e}, Jordan coeff err {cerr:.1e}, "

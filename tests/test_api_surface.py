@@ -1,9 +1,9 @@
 """Every public name in qnmkit has a caller outside its own unit tests, every
 private top-level function and class has a caller in qnmkit itself, every
 module-level import of a qnmkit module is read, and every defaulted parameter
-of a qnmkit function, and every defaulted field of a public dataclass, is set
-by some call: for a public function or dataclass, a call outside the unit
-tests."""
+of a qnmkit function, and every defaulted field of a public dataclass, is
+given two values by its calls (or one that is not a literal): for a public
+function or dataclass, by calls outside the unit tests."""
 
 import ast
 from pathlib import Path
@@ -115,43 +115,79 @@ def test_every_module_import_is_read():
 
 
 def _defaulted(func):
-    """(name, position) of each defaulted parameter of a function definition;
-    position is None for a keyword-only one, and a method's counts from the
-    first parameter after self or cls."""
+    """(name, position, default) of each defaulted parameter of a function
+    definition; position is None for a keyword-only one, and a method's
+    counts from the first parameter after self or cls."""
     a = func.args
     positional = a.posonlyargs + a.args
     skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
     first = len(positional) - len(a.defaults)
-    for i, arg in enumerate(positional[first:], start=first):
-        yield arg.arg, i - skip
+    for i, (arg, dft) in enumerate(zip(positional[first:], a.defaults),
+                                   start=first):
+        yield arg.arg, i - skip, dft
     for arg, dft in zip(a.kwonlyargs, a.kw_defaults):
         if dft is not None:
-            yield arg.arg, None
+            yield arg.arg, None, dft
 
 
-def _passes(call, name, position):
-    """Whether `call` sets the parameter `name` at `position`: by keyword, by
-    position, or through *args or **kwargs."""
+_EXPRESSION = ("expression", None)
+
+
+def _value(node, constants):
+    """A key for the value an expression passes: ("literal", v) for a literal,
+    or for a module-level name bound to one in its file (`constants`, name to
+    value), else _EXPRESSION."""
+    if isinstance(node, ast.Name) and node.id in constants:
+        return ("literal", constants[node.id])
+    try:
+        v = ast.literal_eval(node)
+    except ValueError:
+        return _EXPRESSION
+    return ("literal", v if isinstance(v, (int, float, complex, str, tuple))
+            else repr(v))
+
+
+def _literal_names(tree):
+    """Module-level names of a file bound to a literal, with the literal."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            kind, v = _value(node.value, {})
+            if kind == "literal":
+                out[node.targets[0].id] = v
+    return out
+
+
+def _passed(call, name, position):
+    """The expression `call` passes for the parameter `name` at `position`,
+    by keyword or by position, else None; *args and **kwargs pass nothing,
+    nor does a positional argument after *args."""
     for kw in call.keywords:
-        if kw.arg is None or kw.arg == name:
-            return True
+        if kw.arg == name:
+            return kw.value
     if position is None:
-        return False
+        return None
     for i, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred) or i == position:
-            return True
-    return False
+        if isinstance(arg, ast.Starred):
+            return None
+        if i == position:
+            return arg
+    return None
 
 
 def _calls(paths):
-    """The calls made in the files `paths`, keyed by the name called."""
+    """The calls made in the files `paths`, keyed by the name called, each
+    with its file's literal names."""
     calls = {}
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        constants = _literal_names(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(name, []).append((node, constants))
     return calls
 
 
@@ -161,25 +197,42 @@ def _is_dataclass(node):
 
 
 def _defaulted_fields(cls):
-    """(name, position) of each defaulted field of a dataclass definition,
-    the position counting every field."""
+    """(name, position, default) of each defaulted field of a dataclass
+    definition, the position counting every field."""
     fields = [item for item in cls.body if isinstance(item, ast.AnnAssign)
               and isinstance(item.target, ast.Name)]
     for i, item in enumerate(fields):
         if item.value is not None:
-            yield item.target.id, i
+            yield item.target.id, i, item.value
+
+
+def _is_set(calls, name, position, default, constants):
+    """Whether the calls give the parameter two values, or one that is a
+    variable or an expression; a call that omits it passes the default, one
+    fixed value even where it is an expression (`constants` are the literal
+    names of the defining file)."""
+    fixed = _value(default, constants)
+    if fixed == _EXPRESSION:
+        fixed = ("default", None)
+    values = set()
+    for call, caller_constants in calls:
+        arg = _passed(call, name, position)
+        values.add(fixed if arg is None else _value(arg, caller_constants))
+    return len(values) > 1 or _EXPRESSION in values
 
 
 def test_every_defaulted_parameter_is_set():
-    # a default that no call overrides is a constant with a parameter's name;
-    # for a public function or dataclass field only the pipeline's calls
-    # count, while a private helper may have its unit test as its referee
+    # a default that no call overrides is a constant with a parameter's name,
+    # and so is a parameter that every call sets to the same literal; for a
+    # public function or dataclass field only the pipeline's calls count,
+    # while a private helper may have its unit test as its referee
     pipeline = _calls(_pipeline_files())
     everywhere = _calls(p for tree in ("src", "scripts", "perfbench", "tests")
                         for p in sorted((ROOT / tree).rglob("*.py")))
     unset = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
+        constants = _literal_names(tree)
         public = {node for _, node in _public_definitions(tree)}
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
@@ -190,6 +243,7 @@ def test_every_defaulted_parameter_is_set():
                 continue
             calls = (pipeline if node in public else everywhere).get(node.name, ())
             unset += [f"{path.name}:{node.name}({name})"
-                      for name, position in defaulted
-                      if not any(_passes(c, name, position) for c in calls)]
-    assert not unset, f"defaulted parameters and fields that no call sets: {unset}"
+                      for name, position, default in defaulted
+                      if not _is_set(calls, name, position, default, constants)]
+    assert not unset, ("defaulted parameters and fields that no call sets to "
+                       f"a second value: {unset}")

@@ -518,7 +518,7 @@ for params in ("dss.params", "kds.params", "ds.params"):
     assert run("flow", params, "n_traj = 1\nT = 0.1\n") == 0
 from qnmkit.dynamics import find_trapped_set
 from qnmkit.spacetime import SpacetimeParams
-find_trapped_set(SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter"), zeta=0.4)
+find_trapped_set(SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter"))
 assert not loaded(), loaded()
 """
 

@@ -34,6 +34,19 @@ def points(samples):
     return out
 
 
+def reflected(point):
+    """The fiber reflection (x, xi) -> (x, -xi) of a point: the symbol is
+    even in the fiber, so the flow from the reflected point runs the
+    reflected trajectory backwards.  On deSitter it flips sign_xi."""
+    if isinstance(point, tuple):
+        return (*point[:3], -point[3])
+    if isinstance(point, CompactPhasePoint):
+        return CompactPhasePoint(point.base, point.nu, -point.eta_hat,
+                                 -point.zeta_hat, -point.sign_xi)
+    return PhasePoint(point.r, point.theta, point.phi, -point.xi, -point.eta,
+                      -point.zeta)
+
+
 def bisect(f, a, b, iters=200):
     fa = f(a)
     for _ in range(iters):
@@ -68,16 +81,17 @@ class TestIntegrateFlow:
         assert abs(mu_tilde(DSS, last.base[0])[0]) < 1e-7
 
     def test_time_reversal(self):
+        # the run from the reflected end point lands on the reflected start
         pt = PhasePoint(0.7, 1.4, 0.2, 0.6, -0.3, 0.5)
         tol = 1e-11
         bc = integrate_flow(KDS, pt, 1.5, tol=tol)
         s_end, end = bc.samples.s[-1], points(bc.samples)[-1]
         endpt = end.affine() if isinstance(end, CompactPhasePoint) else end
-        back = integrate_flow(KDS, endpt, abs(s_end), tol=tol, direction=-1.0)
+        back = integrate_flow(KDS, reflected(endpt), s_end, tol=tol)
         back_end = points(back.samples)[-1]
         bp = back_end.affine() if isinstance(back_end, CompactPhasePoint) else back_end
         got = np.array([bp.r, bp.theta, bp.phi, bp.xi, bp.eta, bp.zeta])
-        want = np.array([pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta])
+        want = np.array([pt.r, pt.theta, pt.phi, -pt.xi, -pt.eta, -pt.zeta])
         assert np.max(np.abs(got - want)) <= 100 * tol
 
     def test_domain_exit_recorded(self):
@@ -233,15 +247,26 @@ class TestIntegrateFlow:
     ], ids=["dss-domain-exit", "ds-domain-exit", "ds-chart-exit"])
     def test_domain_exit_end_point_is_a_valid_start(self, params, start, T):
         # the exit root lies to 4 eps in the flow parameter, so the end point
-        # can overshoot its bound (nu = 10 + 4.2e-13 on ds-chart-exit); the
-        # reversed run still starts there
-        bc = integrate_flow(params, start, T, tol=1e-10)
+        # can lie on its bound (r = r_hi exactly on dss-domain-exit) or
+        # overshoot it (nu = 10 + 4.2e-13 on ds-chart-exit); the reversed run
+        # starts there, moves inward without firing the exit it sits on, and
+        # runs back its full length to the start
+        tol = 1e-10
+        ds = params.model == "deSitter"
+        bc = integrate_flow(params, start, T, tol=tol)
         assert bc.exit_reason == "domain"
-        end = points(bc.samples)[-1]
-        if params.model == "deSitter":
-            end = (*end, start[3])
-        back = integrate_flow(params, end, T, tol=1e-10, direction=-1.0)
-        assert np.array_equal(back.samples.y[0], bc.samples.y[-1])
+        last = points(bc.samples)[-1]
+        back = integrate_flow(params, reflected((*last, start[3]) if ds else last),
+                              bc.samples.s[-1], tol=tol)
+        assert back.exit_reason == "time"
+        first = points(back.samples)[0]
+        assert first == (last if ds else reflected(last))
+        got = points(back.samples)[-1]
+        if not ds:
+            got = dataclasses.astuple(reflected(
+                got.affine() if isinstance(got, CompactPhasePoint) else got))
+        want = start[:3] if ds else dataclasses.astuple(start)
+        assert np.max(np.abs(np.subtract(got, want))) <= 100 * tol
 
     def test_minkowski_boundary_rejected(self):
         mink = SpacetimeParams(0.0, model="MinkowskiBoundary", n=4)
@@ -290,19 +315,19 @@ def assert_run_matches_referee(args, run):
 
 
 class TestDop853Referee:
-    @pytest.mark.parametrize("params, start, T, kw, n_runs, reason", [
-        (KDS, PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6), 4.0, {}, 3, "time"),
-        (DSS, PhasePoint(0.9, 1.2, 0.0, 1.5, 0.0, 0.0), 100.0, {}, 1,
-         "domain"),
-        (DS, (1e-4, 8e-4, -5e-4, 1), 4.0, {}, 1, "time"),
-        (DS, (-0.05, 0.3, 0.2, -1), 10.0, {}, 1, "domain"),
+    @pytest.mark.parametrize("params, start, T, n_runs, reason", [
+        (KDS, PhasePoint(0.8, 1.1, 0.0, 2.2, 0.4, -0.6), 4.0, 3, "time"),
+        (DSS, PhasePoint(0.9, 1.2, 0.0, 1.5, 0.0, 0.0), 100.0, 1, "domain"),
+        (DS, (1e-4, 8e-4, -5e-4, 1), 4.0, 1, "time"),
+        (DS, (-0.05, 0.3, 0.2, -1), 10.0, 1, "domain"),
         # toward the centre mu = 1 the ray turns at xi = 0 (nu -> infinity)
-        (DS, (0.05, 0.3, 0.2, -1), 10.0, {}, 1, "domain"),
-        (KDS, PhasePoint(0.7, 1.4, 0.2, 0.6, -0.3, 0.5), 6.0,
-         {"direction": -1.0}, 2, "time"),
+        (DS, (0.05, 0.3, 0.2, -1), 10.0, 1, "domain"),
+        # the time reversal of the run from (0.7, 1.4, 0.2, 0.6, -0.3, 0.5)
+        (KDS, reflected(PhasePoint(0.7, 1.4, 0.2, 0.6, -0.3, 0.5)), 6.0, 2,
+         "time"),
     ], ids=["kds-two-handoffs", "dss-domain-exit", "ds", "ds-domain-exit",
             "ds-chart-exit", "kds-reversed"])
-    def test_runs_match_solve_ivp(self, monkeypatch, params, start, T, kw,
+    def test_runs_match_solve_ivp(self, monkeypatch, params, start, T,
                                   n_runs, reason):
         # every run of a flow is bit for bit solve_ivp's
         runs = []
@@ -311,7 +336,7 @@ class TestDop853Referee:
             runs.append((a, _f(*a)))
             return runs[-1][1]
         monkeypatch.setattr(dynamics, "_dop853", recorded)
-        bc = integrate_flow(params, start, T, tol=1e-10, **kw)
+        bc = integrate_flow(params, start, T, tol=1e-10)
         assert bc.exit_reason == reason
         assert len(runs) == n_runs
         for args, run in runs:
@@ -356,7 +381,7 @@ def _brentq_cases():
                         run.t_old[k] + run.h[k], eps4, eps4),
         "root-at-a": (lambda x: x - 1.0, 1.0, 2.0, eps4, eps4),
         "root-at-b": (lambda x: x - 1.0, 0.0, 1.0, eps4, eps4),
-        "trapping": (lambda r: trapping_function(KDS, r, 0.4, 1.0),
+        "trapping": (lambda r: trapping_function(KDS, r),
                      hd.r_minus * (1 + 1e-9), hd.r_plus * (1 - 1e-9),
                      1e-15, 8.9e-16),
     }
@@ -489,7 +514,7 @@ class TestClassifyRadial:
             seen.append(k.get("n_samples"))
             return _f(*a, **k)
         monkeypatch.setattr(dynamics, "integrate_flow", counted)
-        rep = classify_radial(DS, +1, n_traj=n_traj, T=1.0)
+        rep = classify_radial(DS, +1, n_traj=n_traj)
         assert seen == [400] * calls
         assert rep.n_trajectories == calls
 
@@ -503,51 +528,39 @@ class TestClassifyRadial:
         hd = horizon_roots(KDS)
         for sign, gam in ((+1, hd.gamma_plus), (-1, hd.gamma_minus)):
             rep = classify_radial(KDS, sign, n_traj=20, tol=1e-11)
-            assert rep.is_sink_or_source == "sink"
             assert abs(rep.beta0_measured - gam) / gam < 0.05
 
 
 class TestTrappedSet:
     def test_alpha_zero_closed_form(self):
-        tsp = find_trapped_set(DSS, zeta=0.0, z=1.0)
+        tsp = find_trapped_set(DSS)
         assert tsp.r_c == pytest.approx(1.5 * DSS.r_s, abs=1e-12)
         assert tsp.f_residual <= 1e-10
 
-    def test_alpha_zero_any_z(self):
-        for z in (0.5, -2.0, 7.0):
-            tsp = find_trapped_set(DSS, zeta=0.0, z=z)
-            assert tsp.r_c == pytest.approx(0.3, abs=1e-12)
-
     def test_rotating_vs_bisection_oracle(self):
-        f = lambda r: trapping_function(KDS, r, 0.0, 1.0)
+        f = lambda r: trapping_function(KDS, r)
         hd = horizon_roots(KDS)
         r_or = bisect(f, hd.r_minus + 1e-6, hd.r_plus - 1e-6)
-        tsp = find_trapped_set(KDS, zeta=0.0, z=1.0)
+        tsp = find_trapped_set(KDS)
         assert tsp.r_c == pytest.approx(r_or, abs=1e-10)
-
-    def test_sign_flip_invariance(self):
-        a = find_trapped_set(KDS, zeta=0.4, z=1.0)
-        b = find_trapped_set(KDS, zeta=-0.4, z=-1.0)
-        assert a.r_c == pytest.approx(b.r_c, abs=1e-13)
 
     def test_no_root_for_static_patch(self):
         with pytest.raises(NoRoot):
-            find_trapped_set(DS, zeta=0.0, z=1.0)
+            find_trapped_set(DS)
 
     def test_second_derivative_positive(self):
         from qnmkit.dynamics import _Fpp
-        for zeta in (-0.5, 0.0, 0.5):
-            tsp = find_trapped_set(KDS, zeta=zeta, z=1.0)
-            assert _Fpp(KDS, tsp) > 0
+        assert _Fpp(KDS, find_trapped_set(KDS)) > 0
 
 
-def kds_reduced_semiclassical_field(params, r, xi, zeta, z):
-    """Autonomous (r, xi) subsystem of the semiclassical flow at fixed (zeta, z)."""
+def kds_reduced_semiclassical_field(params, r, xi):
+    """Autonomous (r, xi) subsystem of the semiclassical flow at zeta = 0,
+    z = 1."""
     mt, dmt, _ = mu_tilde(params, r)
     gp1 = 1.0 + params.gamma
-    W = (r * r + params.alpha ** 2) * z - params.alpha * zeta
+    W = r * r + params.alpha ** 2
     dr = -2.0 * (mt * xi + gp1 * W)
-    dxi = dmt * xi ** 2 + 4.0 * r * gp1 * z * xi
+    dxi = dmt * xi ** 2 + 4.0 * r * gp1 * xi
     return np.array([dr, dxi])
 
 
@@ -558,24 +571,24 @@ def trapping_linearization_fd(params, tsp, h=1e-6):
     for j in range(2):
         dx = np.zeros(2)
         dx[j] = h * max(1.0, abs(x0[j]))
-        fp = kds_reduced_semiclassical_field(params, *(x0 + dx), tsp.zeta, tsp.z)
-        fm = kds_reduced_semiclassical_field(params, *(x0 - dx), tsp.zeta, tsp.z)
+        fp = kds_reduced_semiclassical_field(params, *(x0 + dx))
+        fm = kds_reduced_semiclassical_field(params, *(x0 - dx))
         J[:, j] = (fp - fm) / (2 * dx[j])
     return np.linalg.eigvals(J)
 
 
 class TestTrappingLinearization:
     def test_alpha_zero_closed_form(self):
-        # eigenvalues +-3 sqrt(3) r_s z (1 - 9/4 lam r_s^2)^(-1/2)
-        tsp = find_trapped_set(DSS, zeta=0.0, z=1.0)
+        # eigenvalues +-3 sqrt(3) r_s (1 - 9/4 lam r_s^2)^(-1/2)
+        tsp = find_trapped_set(DSS)
         spec = trapping_linearization(DSS, tsp)
-        lam = 3.0 * math.sqrt(3.0) * DSS.r_s * 1.0 / math.sqrt(1.0 - 2.25 * 3.0 * DSS.r_s ** 2)
+        lam = 3.0 * math.sqrt(3.0) * DSS.r_s / math.sqrt(1.0 - 2.25 * 3.0 * DSS.r_s ** 2)
         got = sorted(spec.eigenvalues)
         assert got[1] == pytest.approx(lam, rel=1e-8)
         assert got[0] == pytest.approx(-lam, rel=1e-8)
 
     def test_trace_det_consistency(self):
-        tsp = find_trapped_set(KDS, zeta=0.3, z=1.0)
+        tsp = find_trapped_set(KDS)
         spec = trapping_linearization(KDS, tsp)
         tr = spec.matrix[0, 0] + spec.matrix[1, 1]
         det = np.linalg.det(spec.matrix)
@@ -585,29 +598,26 @@ class TestTrappingLinearization:
         assert det < 0  # saddle
 
     def test_matches_fd_linearization_of_flow(self):
-        for zeta in (0.0, 0.4):
-            tsp = find_trapped_set(KDS, zeta=zeta, z=1.0)
-            spec = trapping_linearization(KDS, tsp)
-            fd = sorted(trapping_linearization_fd(KDS, tsp).real)
-            got = sorted(spec.eigenvalues)
-            assert fd[1] == pytest.approx(got[1], rel=0.05)
-            assert fd[0] == pytest.approx(got[0], rel=0.05)
+        tsp = find_trapped_set(KDS)
+        spec = trapping_linearization(KDS, tsp)
+        fd = sorted(trapping_linearization_fd(KDS, tsp).real)
+        got = sorted(spec.eigenvalues)
+        assert fd[1] == pytest.approx(got[1], rel=0.05)
+        assert fd[0] == pytest.approx(got[0], rel=0.05)
 
     def test_hyperbolic_across_parameters(self):
         for alpha in (0.0, 0.02, 0.05, 0.08):
             p = SpacetimeParams(3.0, 0.2, alpha,
                                 "KerrDeSitter" if alpha else "dSSchwarzschild")
-            for zeta in (-0.3, 0.0, 0.3):
-                for z in (1.0, -1.0, 2.5):
-                    tsp = find_trapped_set(p, zeta=zeta, z=z)
-                    spec = trapping_linearization(p, tsp)
-                    lams = spec.eigenvalues
-                    assert lams[0] == pytest.approx(-lams[1], rel=1e-12)
-                    assert abs(lams[0]) > 0
+            tsp = find_trapped_set(p)
+            spec = trapping_linearization(p, tsp)
+            lams = spec.eigenvalues
+            assert lams[0] == pytest.approx(-lams[1], rel=1e-12)
+            assert abs(lams[0]) > 0
 
     def test_trapped_point_is_equilibrium(self):
-        tsp = find_trapped_set(KDS, zeta=0.2, z=1.0)
-        v = kds_reduced_semiclassical_field(KDS, tsp.r_c, tsp.xi_c, 0.2, 1.0)
+        tsp = find_trapped_set(KDS)
+        v = kds_reduced_semiclassical_field(KDS, tsp.r_c, tsp.xi_c)
         assert np.max(np.abs(v)) < 1e-9
 
 
