@@ -19,7 +19,8 @@ from . import __version__
 from .spacetime import NoHorizons, load_params, \
     read_key_values, admissibility, domain
 from .symbols import PhasePoint
-from .dynamics import integrate_flow, classify_radial, StepFailure, _CLASSIFY_T
+from .dynamics import integrate_flow, classify_radial, StepFailure, \
+    _CLASSIFY_T, _SHELL_EPS
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel
 from .mellin import resonance_expand, driven_solve, evaluate_terms, \
@@ -33,27 +34,17 @@ EXIT_SOLVER = 4
 EXIT_CONTOUR = 5
 
 _SCHEMAS = {
-    "admissible": {
-        "grid_size": (int, 64, 1_000_000, 2048),
-        "require": (str, None, None, "horizons_exist,classical_nontrapping"),
-    },
+    "admissible": {},
     "flow": {
         "n_traj": (int, 1, 500, 20),
         "T": (float, 0.1, 500.0, 4.0),
-        "tol": (float, 1e-12, 1e-4, 1e-10),
-        "eps": (float, 1e-6, 0.1, 1e-3),
         "horizon_sign": (int, -1, 1, 1),
         "include_classify": (int, 0, 1, 1),
-        "retry_budget": (int, 0, 5, 2),
     },
     "resonances": {
         "N": (int, 16, 400, 80),
         "ell_min": (int, 0, 16, 0),
         "ell_max": (int, 0, 16, 2),
-        "re_min": (float, -100.0, 100.0, -6.0),
-        "re_max": (float, -100.0, 100.0, 6.0),
-        "im_min": (float, -100.0, 100.0, -3.6),
-        "im_max": (float, -100.0, 100.0, 0.4),
         "oracle": (int, 0, 1, 1),
     },
     "expand": {
@@ -61,9 +52,16 @@ _SCHEMAS = {
         "ell": (int, 0, 16, 0),
         "ell_target": (float, 0.1, 10.0, 1.5),
         "n_sigma": (int, 128, 100_000, 4000),
-        "recon_bound": (float, 1e-12, 1.0, 1e-6),
     },
 }
+
+# resonance search box (re_min, re_max, im_min, im_max); the dSS oracle's
+# series (resonances._SERIES_TERMS) are sized for it, and a wider region is
+# a solve_resonances argument
+_BOX = (-6.0, 6.0, -3.6, 0.4)
+
+# reconstruction residual below which expand exits 0
+_RECON_BOUND = 1e-6
 
 
 class ConfigError(Exception):
@@ -87,7 +85,7 @@ class RunConfig:
 
 def parse_config(path, command, out_dir, seed) -> RunConfig:
     """key=value config; unknown keys, out-of-range knobs and an empty
-    resonance ell range or search box are rejected."""
+    resonance ell range are rejected."""
     schema = _SCHEMAS[command]
     try:
         kv = read_key_values(path)
@@ -115,14 +113,10 @@ def parse_config(path, command, out_dir, seed) -> RunConfig:
         knobs.setdefault(k, dft)
     if command == "flow" and knobs["horizon_sign"] == 0:
         raise ConfigError("horizon_sign must be +1 or -1")
-    if command == "resonances":
-        # an empty ell range or search box would write a header-only table
-        if knobs["ell_min"] > knobs["ell_max"]:
-            raise ConfigError(f"ell_min = {knobs['ell_min']} above "
-                              f"ell_max = {knobs['ell_max']}")
-        for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
-            if knobs[lo] >= knobs[hi]:
-                raise ConfigError(f"{lo} = {knobs[lo]} not below {hi} = {knobs[hi]}")
+    # an empty ell range would write a header-only table
+    if command == "resonances" and knobs["ell_min"] > knobs["ell_max"]:
+        raise ConfigError(f"ell_min = {knobs['ell_min']} above "
+                          f"ell_max = {knobs['ell_max']}")
     return RunConfig(command, params_file, out_dir, seed, knobs)
 
 
@@ -140,26 +134,24 @@ def _fmt(x) -> str:
 
 def cmd_admissible(cfg: RunConfig) -> int:
     params = load_params(cfg.params_file)
-    rep = admissibility(params, grid_size=cfg.knobs["grid_size"])
+    rep = admissibility(params)
     _write_manifest(cfg)
     with open(os.path.join(cfg.out_dir, "admissibility.json"), "w") as fh:
         fh.write(rep.to_json())
-    wanted = [t.strip() for t in cfg.knobs["require"].split(",") if t.strip()]
-    ok = all(getattr(rep, name) for name in wanted)
+    ok = rep.horizons_exist and rep.classical_nontrapping
     return EXIT_OK if ok else EXIT_FLAGS
 
 
 def _flow_with_retries(params, start, k):
-    """integrate_flow at the configured tol, loosened tenfold (to at most
-    1e-4) after each StepFailure; the failure of the last retry propagates."""
-    tol = k["tol"]
-    for _ in range(k["retry_budget"]):
+    """integrate_flow at tol 1e-10, retried at 1e-9 and then 1e-8 after a
+    StepFailure; the failure of the last retry propagates."""
+    for tol in (1e-10, 1e-9):
         try:
             return integrate_flow(params, start, k["T"], tol=tol,
                                   horizon_sign=k["horizon_sign"])
         except StepFailure:
-            tol = min(tol * 10, 1e-4)
-    return integrate_flow(params, start, k["T"], tol=tol,
+            pass
+    return integrate_flow(params, start, k["T"], tol=1e-8,
                           horizon_sign=k["horizon_sign"])
 
 
@@ -177,8 +169,9 @@ def cmd_flow(cfg: RunConfig) -> int:
     r_lo, r_hi = domain(params)
     for traj_id in range(k["n_traj"]):
         if params.model == "deSitter":
-            start = (k["eps"] * rng.uniform(-1, 1), k["eps"] * rng.uniform(0.5, 1),
-                     k["eps"] * rng.uniform(-1, 1), 1)
+            start = (_SHELL_EPS * rng.uniform(-1, 1),
+                     _SHELL_EPS * rng.uniform(0.5, 1),
+                     _SHELL_EPS * rng.uniform(-1, 1), 1)
             bc = _flow_with_retries(params, start, k)
             # c4-c6 and the ledger columns stay blank
             cols = np.column_stack([bc.samples.s, bc.samples.y])
@@ -202,8 +195,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         # the fit runs to dynamics._CLASSIFY_T, whatever the knob T (which
         # sets trajectories.csv only)
         rep = classify_radial(params, k["horizon_sign"], n_traj=k["n_traj"],
-                              eps=k["eps"], tol=min(k["tol"], 1e-10),
-                              seed=cfg.seed)
+                              tol=1e-10, seed=cfg.seed)
         with open(os.path.join(cfg.out_dir, "radial_report.json"), "w") as fh:
             json.dump({"classify_T": _CLASSIFY_T,
                        "horizon_sign": rep.horizon_sign,
@@ -228,13 +220,12 @@ def cmd_resonances(cfg: RunConfig) -> int:
     params = load_params(cfg.params_file)
     k = cfg.knobs
     _write_manifest(cfg)
-    region = (k["re_min"], k["re_max"], k["im_min"], k["im_max"])
     rows = []
     appendix = []
     refuted = []
     for ell in range(k["ell_min"], k["ell_max"] + 1):
         op = build_operator(params, ell, k["N"])
-        rl = solve_resonances(op, region=region)
+        rl = solve_resonances(op, region=_BOX)
         for e in rl.entries:
             row = [params.model, ell, k["N"], _fmt(e.sigma.real),
                    _fmt(e.sigma.imag), e.multiplicity, _fmt(e.convergence_delta)]
@@ -298,12 +289,12 @@ def cmd_expand(cfg: RunConfig) -> int:
         "remainder_log_power": logpow,
         "remainder_fit_residual": fitres,
         "reconstruction_residual": resid,
-        "bound": k["recon_bound"],
+        "bound": _RECON_BOUND,
     }
     with open(os.path.join(cfg.out_dir, "expansion.json"), "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
     print(f"reconstruction residual: {resid:.3e}")
-    return EXIT_OK if resid < k["recon_bound"] else EXIT_FLAGS
+    return EXIT_OK if resid < _RECON_BOUND else EXIT_FLAGS
 
 
 def main(argv=None) -> int:

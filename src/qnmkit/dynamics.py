@@ -616,15 +616,19 @@ def _fit_log_rate(s, vals):
 # horizon it is looser (2.1e-4 dss, 4.2e-4 kds, 20 trajectories, seed 0)
 _CLASSIFY_T = 4.0
 
+# radius of the shell around the sink that the radial-rate fit, and the
+# reduced de Sitter flow study, start from
+_SHELL_EPS = 1e-3
+
 
 def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
-                    n_traj: int = 20, eps: float = 1e-3,
-                    tol: float = 1e-11, seed: int = 0) -> RadialSetReport:
+                    n_traj: int = 20, tol: float = 1e-11,
+                    seed: int = 0) -> RadialSetReport:
     """Measure the attraction rate at the radial set from a bundle of trajectories.
 
-    Launches max(n_traj, 20) trajectories, the count it reports, from an
-    eps-shell around the sink L_+ of the requested horizon, runs each to
-    s = _CLASSIFY_T, fits the decay of rho~ = nu and of the quadratic
+    Launches max(n_traj, 20) trajectories, the count it reports, from the
+    _SHELL_EPS-shell around the sink L_+ of the requested horizon, runs each
+    to s = _CLASSIFY_T, fits the decay of rho~ = nu and of the quadratic
     defining function rho_0, and compares with the surface-gravity constant
     (or 4 in the static-patch normalization).
     """
@@ -645,14 +649,16 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
     rates, rho0_rates = [], []
     for _ in range(max(n_traj, 20)):
         if ds:
-            start = (eps * rng.uniform(-1, 1), eps * rng.uniform(0.5, 1),
-                     eps * rng.uniform(-1, 1), sxi)
+            start = (_SHELL_EPS * rng.uniform(-1, 1),
+                     _SHELL_EPS * rng.uniform(0.5, 1),
+                     _SHELL_EPS * rng.uniform(-1, 1), sxi)
         else:
             theta = rng.uniform(0.6, math.pi - 0.6)
             start = CompactPhasePoint(
-                (r_h + eps * rng.uniform(-1, 1), theta, 0.0),
-                eps * rng.uniform(0.5, 1.0),
-                eps * rng.uniform(-1, 1), eps * rng.uniform(-1, 1), sxi)
+                (r_h + _SHELL_EPS * rng.uniform(-1, 1), theta, 0.0),
+                _SHELL_EPS * rng.uniform(0.5, 1.0),
+                _SHELL_EPS * rng.uniform(-1, 1),
+                _SHELL_EPS * rng.uniform(-1, 1), sxi)
         bc = integrate_flow(params, start, _CLASSIFY_T, tol=tol,
                             horizon_sign=horizon_sign, n_samples=n_samples)
         s = np.abs(bc.samples.s)

@@ -303,9 +303,9 @@ def _locate(op: DiscretizedOperator, region):
     return roots
 
 
-def solve_resonances(op: DiscretizedOperator,
-                     region=(-6.0, 6.0, -4.0, 0.5)) -> ResonanceList:
-    """Locate pencil singularities in a rectangle and tag their convergence.
+def solve_resonances(op: DiscretizedOperator, region) -> ResonanceList:
+    """Locate pencil singularities in the rectangle `region` = (re_min,
+    re_max, im_min, im_max) and tag their convergence.
 
     Works on the pencil as `build_operator` made it.  Build it without an
     absorbing spec to find resonances: the horizon-crossing smooth basis

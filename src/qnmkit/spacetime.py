@@ -40,7 +40,6 @@ class SpacetimeParams:
     alpha: float = 0.0
     model: str = "deSitter"
     n: int = 4                      # spacetime dimension; 4 unless deSitter or MinkowskiBoundary
-    delta: Optional[float] = None   # domain margin beyond the horizons; None = 0.1*(r_+ - r_-)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -155,12 +154,12 @@ def horizon_roots(params: SpacetimeParams) -> HorizonData:
 
 
 def domain(params: SpacetimeParams):
-    """(r_lo, r_hi) with the configured margin delta beyond the horizons."""
+    """(r_lo, r_hi) with the margin delta beyond the horizons: 0.1 r_+ with
+    one horizon, 0.1 (r_+ - r_-) with two."""
     hd = horizon_roots(params)
     if hd.r_minus is None:
-        delta = params.delta if params.delta is not None else 0.1 * hd.r_plus
-        return 1e-6 * hd.r_plus, hd.r_plus + delta
-    delta = params.delta if params.delta is not None else 0.1 * (hd.r_plus - hd.r_minus)
+        return 1e-6 * hd.r_plus, hd.r_plus + 0.1 * hd.r_plus
+    delta = 0.1 * (hd.r_plus - hd.r_minus)
     return hd.r_minus - delta, hd.r_plus + delta
 
 
@@ -171,13 +170,12 @@ def _critical_points(params: SpacetimeParams, r_lo, r_hi):
     return np.sort(crit[(crit > r_lo) & (crit < r_hi)])
 
 
-def admissibility(params: SpacetimeParams,
-                  grid_size: int = 2048) -> AdmissibilityReport:
+def admissibility(params: SpacetimeParams) -> AdmissibilityReport:
     """Evaluate horizon existence, the no-classical-trapping bound, the
     rotation bound for hyperbolic trapping, and ergoregion disjointness.
 
-    Inequalities are checked on a grid of `grid_size` points with a safety
-    margin; all conditions here are open, so grid checking suffices.
+    Inequalities are checked on a grid of 2048 points with a safety margin;
+    all conditions here are open, so grid checking suffices.
     """
     diags = []
     try:
@@ -209,7 +207,7 @@ def admissibility(params: SpacetimeParams,
 
     # (d) components of {mu_tilde <= alpha^2} over the extended domain
     r_lo, r_hi = domain(params)
-    rr = np.linspace(r_lo, r_hi, grid_size)
+    rr = np.linspace(r_lo, r_hi, 2048)
     inside = mu_tilde(params, rr)[0] > a2
     runs = int(np.count_nonzero(np.diff(inside.astype(int)) == 1) + (1 if inside[0] else 0))
     disjoint = runs == 1 and inside.any()
@@ -243,9 +241,9 @@ def read_key_values(path) -> dict:
 
 
 def load_params(path) -> SpacetimeParams:
-    """Read a flat key=value parameter file (keys: lambda, r_s, alpha, model, n, delta)."""
+    """Read a flat key=value parameter file (keys: lambda, r_s, alpha, model, n)."""
     kv = read_key_values(path)
-    known = {"lambda", "r_s", "alpha", "model", "n", "delta"}
+    known = {"lambda", "r_s", "alpha", "model", "n"}
     unknown = set(kv) - known
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
@@ -255,5 +253,4 @@ def load_params(path) -> SpacetimeParams:
         alpha=float(kv.get("alpha", 0.0)),
         model=kv.get("model", "deSitter"),
         n=int(kv.get("n", 4)),
-        delta=float(kv["delta"]) if "delta" in kv else None,
     )

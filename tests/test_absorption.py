@@ -174,9 +174,8 @@ class TestFzProperties:
     @given(st.floats(0.0, 5.0), st.floats(-2.0, 2.0), st.floats(-0.9, 0.9))
     @settings(max_examples=150, deadline=None)
     def test_fz_right_half_plane(self, norm, zre, zim):
-        # principal square root with C = 5 stays in the open right half plane
-        try:
-            v = f_z(norm, complex(zre, zim))
-        except BranchCut:
-            return
+        # principal square root with C = 5 stays in the open right half plane;
+        # the argument's real part is at least 25 - 0.81 here, so a branch
+        # cut reached inside these strategies fails the test
+        v = f_z(norm, complex(zre, zim))
         assert complex(v).real > 0

@@ -1,12 +1,18 @@
 """Every public name in qnmkit has a caller outside its own unit tests, every
 private top-level function and class has a caller in qnmkit itself, every
-module-level import of a qnmkit module is read, and every defaulted parameter
+module-level import of a qnmkit module is read, every defaulted parameter
 of a qnmkit function, and every defaulted field of a public dataclass, is
 given two values by its calls (or one that is not a literal): for a public
-function or dataclass, by calls outside the unit tests."""
+function or dataclass, by calls outside the unit tests; and every CLI knob is
+given two values by the configs the pipeline writes."""
 
 import ast
+import importlib.util
+import re
+import sys
 from pathlib import Path
+
+from qnmkit.cli import _SCHEMAS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qnmkit"
@@ -247,3 +253,53 @@ def test_every_defaulted_parameter_is_set():
                       if not _is_set(calls, name, position, default, constants)]
     assert not unset, ("defaulted parameters and fields that no call sets to "
                        f"a second value: {unset}")
+
+
+_VARIABLE = object()
+
+
+def _workflow_configs():
+    """(command, text) of each config the CI workflow writes with printf,
+    matched to the next `qnmkit <command>` that reads it."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    out = []
+    for m in re.finditer(r"printf '([^']*)'[^>\n]*> (\"[^\"]+\")", text):
+        reader = re.compile(rf"qnmkit (\w+) --config {re.escape(m[2])}")
+        command = reader.search(text, m.end())
+        assert command, f"no qnmkit command reads {m[2]}"
+        out.append((command[1], m[1].replace("\\n", "\n")))
+    return out
+
+
+def _pipeline_configs():
+    """(command, {key: value}) of each config the pipeline writes: perfbench's
+    operations and warm-ups, scripts/configs/<command>.cfg and the CI
+    workflow's printf configs; a `%s` value reads _VARIABLE."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules.setdefault(spec.name,
+                                       importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    ops = [op for w in workloads.WORKLOADS
+           for op in workloads.operations(w) + [workloads.warmup_op(w)]]
+    texts = [(op.command, op.config_text("configs")) for op in ops]
+    texts += [(p.stem, p.read_text())
+              for p in sorted((ROOT / "scripts" / "configs").glob("*.cfg"))]
+    texts += _workflow_configs()
+    for command, text in texts:
+        kv = dict((k.strip(), v.strip()) for k, v in
+                  (line.split("=", 1) for line in text.splitlines() if "=" in line))
+        yield command, {k: _VARIABLE if v == "%s" else v for k, v in kv.items()}
+
+
+def test_every_cli_knob_is_set():
+    # a knob that every config leaves at, or sets to, one value is a constant
+    # with a config key's name
+    values = {(c, k): set() for c, schema in _SCHEMAS.items() for k in schema}
+    for command, kv in _pipeline_configs():
+        for k, (typ, _, _, default) in _SCHEMAS[command].items():
+            v = kv.get(k, default)
+            values[command, k].add(v if v is _VARIABLE else typ(v))
+    unset = [f"{c}:{k}" for (c, k), vs in values.items()
+             if len(vs) < 2 and _VARIABLE not in vs]
+    assert not unset, f"CLI knobs the pipeline's configs give one value: {unset}"

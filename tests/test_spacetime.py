@@ -170,7 +170,8 @@ class TestParamFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "p.txt"
-        for line in ("bogus = 1", "mu_tilde_1 = 0.3"):
+        # delta, the domain margin, is no longer a model key
+        for line in ("bogus = 1", "mu_tilde_1 = 0.3", "delta = 0.1"):
             f.write_text(f"lambda = 3.0\n{line}\n")
             with pytest.raises(ValueError):
                 load_params(f)
