@@ -8,8 +8,7 @@ import numpy as np
 
 from qnmkit.spacetime import SpacetimeParams
 from qnmkit.resonances import build_operator
-from qnmkit.mellin import (resonance_expand, fit_decay, TemporalSamples,
-                           save_time_series)
+from qnmkit.mellin import resonance_expand, fit_decay, save_time_series
 
 
 def main():
@@ -26,10 +25,10 @@ def main():
     for t in terms:
         print(f"term: sigma = {t.sigma_j:.6f}, kappa = {t.kappa}, "
               f"|a| = {np.linalg.norm(np.atleast_1d(t.a)):.4e}")
-    rate, power, res = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
+    rate, power, res = fit_decay(rem)
     print(f"remainder rate {rate:.4f} (target {ns.ell_target}), "
           f"log power {power}, fit residual {res:.2e}")
-    save_time_series(TemporalSamples(rem.tau_grid, rem.values), ns.out)
+    save_time_series(rem, ns.out)
     print(f"wrote {ns.out}")
 
 

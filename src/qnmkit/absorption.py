@@ -117,11 +117,11 @@ def extend_p(params: SpacetimeParams, mu, xi, z, spec: AbsorbingSpec,
              eta_sq=0.0):
     """chi1 p - chi2 p_hat: the symbol continued ellipticly below the physical region.
 
-    p is the static-patch symbol in dimension params.n.
+    p is the reduced static-patch symbol `ds_symbol_polar`.
     """
     if params.model not in ("deSitter", "MinkowskiBoundary"):
         raise ValueError("extension is implemented for the radial models")
-    p = ds_symbol_polar(params.n, mu, xi, eta_sq, z)
+    p = ds_symbol_polar(mu, xi, eta_sq, z)
     norm = np.sqrt(np.asarray(xi, dtype=float) ** 2 + eta_sq)
     return spec.chi1(mu) * p - spec.chi2(mu) * p_hat(norm, z)
 
@@ -161,8 +161,7 @@ def ellipticity_scan(params: SpacetimeParams, spec: AbsorbingSpec,
             # contract: -+ q >= 0 on Sigma_+-, i.e. q * pair <= 0
             viol += np.count_nonzero(q.real * pairing_ds(mu, xi, z.real) > 1e-12)
         if z.imag >= 0.5:
-            pval = ds_symbol_polar(params.n, mu[interior], xi[interior],
-                                   e2[interior], z)
+            pval = ds_symbol_polar(mu[interior], xi[interior], e2[interior], z)
             min_int = min(min_int, np.min(np.abs(pval), initial=np.inf))
     det = [("interior_min_abs", float(min_int))]
     return EllipticityReport(float(min_abs_collar), viol, det)

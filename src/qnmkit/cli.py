@@ -24,7 +24,7 @@ from .dynamics import integrate_flow, classify_radial, StepFailure, \
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel
 from .mellin import resonance_expand, driven_solve, evaluate_terms, \
-    fit_decay, TemporalSamples, PoleOnContour, inverse_mellin, SIGMA_MAX
+    fit_decay, PoleOnContour, inverse_mellin, SIGMA_MAX
 
 EXIT_OK = 0
 EXIT_FLAGS = 1
@@ -279,7 +279,7 @@ def cmd_expand(cfg: RunConfig) -> int:
         synth = synth + tv
     resid = float(np.max(np.abs(direct.values - synth))
                   / max(np.max(np.abs(direct.values)), 1e-300))
-    rate, logpow, fitres = fit_decay(TemporalSamples(tau, rem.values))
+    rate, logpow, fitres = fit_decay(rem)
     out = {
         "terms": [{"sigma_re": t.sigma_j.real, "sigma_im": t.sigma_j.imag,
                    "kappa": t.kappa,

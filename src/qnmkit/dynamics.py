@@ -15,7 +15,7 @@ from .spacetime import (SpacetimeParams, NoHorizons, PolarSingularity,
                         THETA_AXIS_TOL, mu_tilde, horizon_roots, domain)
 from .symbols import (PhasePoint, CompactPhasePoint, kds_classical_symbol,
                       kds_angular_part, hamilton_kernel,
-                      ds_reduced_compact_field)
+                      ds_reduced_compact_field, ds_symbol_polar)
 
 
 class StepFailure(Exception):
@@ -590,7 +590,7 @@ def _integrate_ds_reduced(start, T, tol, n_samples):
     samples = FlowSamples(ss, Y, np.ones(n_samples, bool),
                           np.full(n_samples, sxi))
     mu, ehat2 = Y[:, 0], Y[:, 2] ** 2
-    p = -4.0 * (1 - mu) * mu - ehat2 / (1 - mu)
+    p = ds_symbol_polar(mu, 1.0, ehat2)
     ledger = {"p": p, "zeta": np.zeros(len(ss)), "ptilde": p, "p_scaled": p,
               "ptilde_scaled": ehat2}
     return Bicharacteristic(samples, ledger, (run.steps, run.rejected, tol),

@@ -258,13 +258,12 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     rounding of the kept ones.  The residue circles (|Re sigma| <= 8) are
     never cut.
     """
-    phi_hat = log_gaussian_pulse_hat()
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
         keep = np.exp(-0.5 * (_PULSE_WIDTH * sigma.real) ** 2) > _PULSE_FLOOR
         s = sigma[keep]
         out = np.zeros(sigma.shape + f0.shape, dtype=complex)
-        out[keep] = resolvent_apply(op, s, phi_hat(s)[:, None] * f0)
+        out[keep] = resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0)
         return out
     return solve
 
@@ -288,15 +287,12 @@ def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
     return expand_family(driven_solve(op, f0), poles, ell_target, n_sigma)
 
 
-def log_gaussian_pulse_hat() -> Callable:
-    """Closed-form Mellin transform of exp(-(log tau - x0)^2 / (2 w^2)),
-    `log_gaussian_pulse` at x0 = _PULSE_CENTER, w = _PULSE_WIDTH."""
+def log_gaussian_pulse_hat(sigma):
+    """Closed-form Mellin transform at sigma of exp(-(log tau - x0)^2 /
+    (2 w^2)), `log_gaussian_pulse` at x0 = _PULSE_CENTER, w = _PULSE_WIDTH."""
     x0, width = _PULSE_CENTER, _PULSE_WIDTH
-
-    def hat(sigma):
-        return width * math.sqrt(2.0 * math.pi) \
-            * np.exp(-1j * sigma * x0) * np.exp(-sigma * sigma * width * width / 2.0)
-    return hat
+    return width * math.sqrt(2.0 * math.pi) \
+        * np.exp(-1j * sigma * x0) * np.exp(-sigma * sigma * width * width / 2.0)
 
 
 def log_gaussian_pulse(tau, x0: float):

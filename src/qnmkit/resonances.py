@@ -36,7 +36,7 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eig, matrix_balance, qz, schur
+from scipy.linalg import eig, matrix_balance, schur
 from scipy.linalg.lapack import ztbtrs
 
 from .collocation import cheb_grid
@@ -46,7 +46,8 @@ from .absorption import AbsorbingSpec, smooth_step
 
 
 class UnsupportedModel(Exception):
-    """The eigen-solver only covers the spherically symmetric (alpha = 0) models."""
+    """The eigensolve covers only the spherically symmetric (alpha = 0) models,
+    and the resolvent only their monic (A2 = I) pencils."""
 
 
 class SolverFailure(Exception):
@@ -103,7 +104,8 @@ class DiscretizedOperator:
     absorbing spec, P_sigma - iQ with one (A0 then holds -iQ).  `pencil` is
     the one place that forms L(sigma); the eigensolve and the resolvent
     probe solve it.  `resolvent_apply` solves the same matrices through
-    `triangular_form`, computed on first use and kept.
+    `triangular_form`, computed on first use and kept; a pencil with A2 = 0
+    has none.
     """
 
     params: SpacetimeParams
@@ -180,12 +182,12 @@ class ResonanceList:
 
 
 def _linearization(A0, A1, A2):
-    """(P, Q, S): a linear pencil P - s Q with the finite eigenvalues of
+    """(P, Q): a linear pencil P - s Q with the finite eigenvalues of
     A0 + s A1 + s^2 A2, read from the structure of A2.
 
     `build_operator` makes A2 exactly I (deSitter, MinkowskiBoundary: the sigma^2
     coefficient of c0 is 1) or exactly 0 (dSSchwarzschild, gauge c = 0).
-    A2 = I: P is the monic companion [[0, I], [-A0, -A1]], Q and S are None.
+    A2 = I: P is the monic companion [[0, I], [-A0, -A1]] and Q is None.
     A2 = 0: the (N+1) pencil P = -S A0, Q = S A1, each row scaled by S, the
     inverse of its largest entries in A0 and A1, since ggev does not
     balance; unscaled, the N^4 spread of the collocation rows puts spurious
@@ -195,10 +197,10 @@ def _linearization(A0, A1, A2):
     if not A2.any():
         S = 1.0 / np.maximum(np.max(np.abs(A0), axis=1)
                              + np.max(np.abs(A1), axis=1), 1e-300)
-        return -S[:, None] * A0, S[:, None] * A1, S
+        return -S[:, None] * A0, S[:, None] * A1
     if np.array_equal(A2, np.eye(Nn)):
         Z = np.zeros((Nn, Nn), dtype=complex)
-        return np.block([[Z, np.eye(Nn)], [-A0, -A1]]), None, None
+        return np.block([[Z, np.eye(Nn)], [-A0, -A1]]), None
     raise UnsupportedModel("the eigensolve and the resolvent need a pencil "
                            "with A2 = I or A2 = 0")
 
@@ -206,7 +208,7 @@ def _linearization(A0, A1, A2):
 def _linearized_eigs(A0, A1, A2):
     """Finite eigenvalues of A0 + s A1 + s^2 A2: geev on the companion of
     `_linearization`, which balances it itself, or QZ on its scaled pair."""
-    P, Q, _ = _linearization(A0, A1, A2)
+    P, Q = _linearization(A0, A1, A2)
     try:
         return np.linalg.eigvals(P) if Q is None else eig(P, Q, right=False)
     except np.linalg.LinAlgError as exc:   # pragma: no cover
@@ -599,50 +601,45 @@ _SIGMA_BLOCK = 512      # sigma per back-substitution; bounds its K x block arra
 
 @dataclass(frozen=True)
 class _TriangularForm:
-    """L(sigma)^-1 = right (T - sigma B)^-1 left for every sigma at once.
+    """L(sigma)^-1 = right (T - sigma)^-1 left for every sigma at once.
 
-    A2 = I: (C - sigma) [u; sigma u] = [0; -f] for the monic companion
-    C = [[0, I], [-A0, -A1]], which is balanced by a diagonal D (no
-    permutation) and reduced to complex Schur form, D^-1 C D = Z T Z^H, so
-    B = I.  A2 = 0: the row-scaled pair of `_linearization` in complex QZ
-    form, -S A0 = Q T Z^H and S A1 = Q B Z^H.  One reduction per pencil
-    makes each shifted solve a triangular back-substitution, O(K^2) per
-    sigma (Laub, IEEE TAC 26 (1981) 407).  A2 = a2 I, a2 = 1 or 0.
+    (C - sigma) [u; sigma u] = [0; -f] for the monic companion C = [[0, I],
+    [-A0, -A1]], which is balanced by a diagonal D (no permutation) and
+    reduced to complex Schur form, D^-1 C D = Z T Z^H.  One reduction per
+    pencil makes each shifted solve a triangular back-substitution, O(K^2)
+    per sigma (Laub, IEEE TAC 26 (1981) 407).
     """
 
     left: np.ndarray                # K x n
     T: np.ndarray                   # K x K, upper triangular
-    B: Optional[np.ndarray]         # K x K, upper triangular; None for I
     right: np.ndarray               # n x K
-    a2: float
 
     @classmethod
     def of(cls, A0, A1, A2) -> "_TriangularForm":
+        """The form of a monic pencil (A2 = I).  UnsupportedModel for A2 = 0:
+        the dSSchwarzschild pencil of `build_operator` is linear in sigma,
+        and smooth across the past horizon at r_-, so its resolvent would
+        solve the white-hole problem."""
         n = A0.shape[0]
-        P, Q, S = _linearization(A0, A1, A2)
+        P, Q = _linearization(A0, A1, A2)
+        if Q is not None:
+            raise UnsupportedModel("the resolvent needs a monic pencil (sigma^2 "
+                                   "coefficient A2 = I); this one has A2 = 0")
         try:
-            if Q is not None:
-                T, B, QL, Z = qz(P, Q, output="complex")
-                return cls(-QL.conj().T * S, T, B, Z, 0.0)
             Cb, (d, _) = matrix_balance(P, permute=False, separate=True)
             T, Z = schur(Cb, output="complex")
-            return cls(-Z.conj().T[:, n:] / d[n:], T, None,
-                       d[:n, None] * Z[:n], 1.0)
         except np.linalg.LinAlgError as exc:   # pragma: no cover
             raise SolverFailure(str(exc)) from exc
+        return cls(-Z.conj().T[:, n:] / d[n:], T, d[:n, None] * Z[:n])
 
     def solve(self, sig: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Columns L(sig[m])^-1 X[:, m], by one back-substitution for all m."""
-        T, B = self.T, self.B
+        T = self.T
         Y = self.left @ X
-        shift = sig if B is None else sig * np.diag(B)[:, None]
-        D = np.diag(T)[:, None] - shift
+        D = np.diag(T)[:, None] - sig
         W = np.empty_like(Y)
         for i in range(len(Y) - 1, -1, -1):
-            y = Y[i] - T[i, i + 1:] @ W[i + 1:]
-            if B is not None:
-                y += sig * (B[i, i + 1:] @ W[i + 1:])
-            W[i] = y / D[i]
+            W[i] = (Y[i] - T[i, i + 1:] @ W[i + 1:]) / D[i]
         return self.right @ W
 
 
@@ -652,7 +649,7 @@ def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     Each block of _SIGMA_BLOCK sigma values is solved through
     `op.triangular_form` and refined twice on the residual F - L(sig) U of
     the pencil itself.  err[m] estimates ||u_m - L^-1 f_m|| by one more
-    solve, of g = eps (|A0||u| + |s||A1||u| + |s|^2 |A2||u| + |f|) times
+    solve, of g = eps (|A0||u| + |s||A1||u| + |s|^2 |u| + |f|) times
     fixed unit-modulus signs: the componentwise bound || |L^-1| g || behind
     LAPACK's xGERFS FERR (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 12).  It is nan where the solve is not finite.
@@ -671,10 +668,9 @@ def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
             s, X = sig[j:j + _SIGMA_BLOCK], F[j:j + _SIGMA_BLOCK].T
             V = tf.solve(s, X)
             for _ in range(2):
-                V = V + tf.solve(s, X - (A0 @ V + s * (A1 @ V) + tf.a2 * s * s * V))
+                V = V + tf.solve(s, X - (A0 @ V + s * (A1 @ V) + s * s * V))
             aV, a_s = np.abs(V), np.abs(s)
-            g = eps * (abs0 @ aV + a_s * (abs1 @ aV) + tf.a2 * a_s * a_s * aV
-                       + np.abs(X))
+            g = eps * (abs0 @ aV + a_s * (abs1 @ aV) + a_s * a_s * aV + np.abs(X))
             e = np.linalg.norm(tf.solve(s, signs[:, None] * g), axis=0)
             err[j:j + _SIGMA_BLOCK] = np.where(np.isfinite(V).all(axis=0), e, np.nan)
             U[j:j + _SIGMA_BLOCK] = V.T
@@ -726,9 +722,8 @@ def gluing_check(op: DiscretizedOperator, sigma: complex) -> float:
     region with a cutoff chi == 1 on its support, so the identity
     R = R' - R'(iQ' + Q' chi R chi Q') R' is algebraically exact.  The norm
     is the largest ratio over _GLUING_PROBES random probe vectors.  R = A^-1
-    is one `_solve` of the n unit vectors at sigma, and takes
-    resolvent_apply's gate in the Frobenius norm: NearPole when the
-    forward-error estimates exceed _FORWARD_ERROR_MAX ||R||_F.
+    is one `resolvent_apply` of the n unit vectors at sigma, whose gate
+    raises NearPole.
     """
     x = op.grid
     c, w = _QPRIME_CENTER, _QPRIME_WIDTH
@@ -740,10 +735,7 @@ def gluing_check(op: DiscretizedOperator, sigma: complex) -> float:
     Qp = np.diag(qp).astype(complex)
     CHI = np.diag(chi).astype(complex)
     n = len(x)
-    U, err = _solve(op, np.full(n, sigma, dtype=complex), np.eye(n, dtype=complex))
-    if not np.linalg.norm(err) <= _FORWARD_ERROR_MAX * np.linalg.norm(U):
-        raise NearPole(f"pencil nearly singular at sigma = {sigma}")
-    R = U.T
+    R = resolvent_apply(op, np.full(n, sigma), np.eye(n)).T
     Rp = np.linalg.inv(op.pencil(sigma) - 1j * Qp)
     rhs = Rp - Rp @ (1j * Qp + Qp @ (CHI @ R @ CHI) @ Qp) @ Rp
     rng = np.random.default_rng(0)

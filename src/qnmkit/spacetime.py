@@ -67,7 +67,6 @@ class HorizonData:
     r_plus: float
     gamma_minus: Optional[float]
     gamma_plus: float
-    gamma: float
 
 
 @dataclass
@@ -125,12 +124,12 @@ def horizon_roots(params: SpacetimeParams) -> HorizonData:
     """
     if params.model == "MinkowskiBoundary":
         # light cone at |Z| = 1 plays the role of r_plus; mu = 1 - |Z|^2
-        return HorizonData(None, 1.0, None, 2.0, 0.0)
+        return HorizonData(None, 1.0, None, 2.0)
     if params.r_s == 0.0 and params.alpha == 0.0:
         if params.lam <= 0:
             raise NoHorizons("need lam > 0 for a cosmological horizon")
         rp = math.sqrt(3.0 / params.lam)
-        return HorizonData(None, rp, None, -mu_tilde(params, rp)[1], 0.0)
+        return HorizonData(None, rp, None, -mu_tilde(params, rp)[1])
 
     roots = np.roots(_mu_coeffs(params))
     real = roots[np.abs(roots.imag) < 1e-9 * np.maximum(1.0, np.abs(roots.real))].real
@@ -150,7 +149,7 @@ def horizon_roots(params: SpacetimeParams) -> HorizonData:
     dp = mu_tilde(params, rp)[1]
     if not (dm > 0 and dp < 0 and rm < rp):
         raise NoHorizons("sign conditions on the quartic slopes fail")
-    return HorizonData(rm, rp, dm, -dp, params.gamma)
+    return HorizonData(rm, rp, dm, -dp)
 
 
 def domain(params: SpacetimeParams):

@@ -165,11 +165,9 @@ def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
 # static-patch (de Sitter) model in the horizon chart mu = 1 - r^2
 # ---------------------------------------------------------------------------
 
-def ds_symbol_polar(n: int, mu, xi, eta_sq, sigma: complex = 0.0):
+def ds_symbol_polar(mu, xi, eta_sq, sigma: complex = 0.0):
     """-4 r^2 mu xi^2 + 4 r^2 sigma xi + sigma^2 - r^-2 |eta|^2 with r^2 = 1 - mu,
     for floats or arrays alike."""
-    if n < 3:
-        raise ValueError("need spacetime dimension n >= 3")
     r2 = 1.0 - mu
     if np.any(r2 <= 0):
         raise ValueError("polar chart needs r > 0; use the Y chart at the origin")

@@ -138,7 +138,7 @@ class TestExtension:
         from qnmkit.symbols import ds_symbol_polar
         mu, xi, z = 0.4, 1.2, 1.0 + 0.2j
         got = extend_p(SpacetimeParams(), mu, xi, z, SPEC, 0.3)
-        assert got == pytest.approx(ds_symbol_polar(4, mu, xi, 0.3, z), rel=1e-13)
+        assert got == pytest.approx(ds_symbol_polar(mu, xi, 0.3, z), rel=1e-13)
 
     def test_deep_collar_negative(self):
         v = extend_p(SpacetimeParams(), -0.55, 1.5, 2.0, SPEC, 0.2)
@@ -155,18 +155,18 @@ class TestExtension:
             z = complex(rng.uniform(0.5, 2), rng.uniform(0, 0.5))
             got = extend_p(SpacetimeParams(), mu, xi, z, SPEC, e2)
             c1 = SPEC.chi1(mu)
-            want = c1 * ds_symbol_polar(4, mu, xi, e2, z) \
+            want = c1 * ds_symbol_polar(mu, xi, e2, z) \
                 - (1 - c1) * (complex(xi ** 2 + e2 + z ** 2))
             assert got == pytest.approx(want, rel=1e-10)
 
-    def test_reads_dimension_from_params(self):
+    def test_symbol_does_not_depend_on_dimension(self):
         from qnmkit.symbols import ds_symbol_polar
         mu, xi, e2, z = -0.3, 0.7, 0.4, 1.2 + 0.3j
         got = extend_p(SpacetimeParams(n=5), mu, xi, z, SPEC, e2)
-        want = SPEC.chi1(mu) * ds_symbol_polar(5, mu, xi, e2, z) \
+        want = SPEC.chi1(mu) * ds_symbol_polar(mu, xi, e2, z) \
             - SPEC.chi2(mu) * p_hat(math.sqrt(xi ** 2 + e2), z)
         assert got == want
-        with pytest.raises(ValueError):     # the symbol needs n >= 3
+        with pytest.raises(ValueError):     # the params need n >= 3
             extend_p(SpacetimeParams(n=2), mu, xi, z, SPEC, e2)
 
 

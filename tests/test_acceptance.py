@@ -209,15 +209,14 @@ class TestAcceptance:
         rt = float(np.max(np.abs(back.values - u.values)))
         # synthetic Jordan block: kappa = 1 log term with analytic coefficient
         pole = -1.0j
-        fhat = log_gaussian_pulse_hat()
         fv = np.array([0.3, 0.9])
         def solve(s):
             d = s - pole
-            return fhat(s)[:, None] * np.stack([fv[0] / d - fv[1] / d ** 2,
-                                                fv[1] / d], axis=-1)
+            return log_gaussian_pulse_hat(s)[:, None] * np.stack(
+                [fv[0] / d - fv[1] / d ** 2, fv[1] / d], axis=-1)
         terms, rem = expand_family(solve, [pole], 2.5, n_sigma=6000)
         t1 = [t for t in terms if t.kappa == 1][0]
-        want = -1j * 1j * (-fv[1]) * fhat(pole)
+        want = -1j * 1j * (-fv[1]) * log_gaussian_pulse_hat(pole)
         cerr = abs(t1.a[0] - want)
         rate, _, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
         ok = rt < 1e-6 and cerr < 1e-8 and rate >= 2.5 * 0.98

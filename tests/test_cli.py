@@ -403,6 +403,16 @@ class TestExpand:
                      "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_linear_pencil_exit_two(self, tmp_path, capsys):
+        # the dSS pencil is linear in sigma (A2 = 0) and has no resolvent:
+        # expand refuses it with exit 2 and says why
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'dss.params')}\n")
+        assert main(["expand", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "sigma^2" in err and "A2 = 0" in err
+
     def test_de_sitter_pipeline(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg",
                     f"params = {ds_params}\nN = 48\nell_target = 1.5\n"

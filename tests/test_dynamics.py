@@ -643,12 +643,12 @@ class TestEscapeScan:
 
     def test_ah_convexity(self):
         # static patch: H mu = 0, p = 0 and 0 < mu < 1 imply H^2 mu < 0
-        z, n = 1.0, 4
+        z = 1.0
         for mu in np.linspace(0.02, 0.98, 60):
             r2 = 1.0 - mu
             xi = z / (2.0 * mu)           # H mu = 4 r^2 (-2 mu xi + z) = 0
             eta_sq = r2 * (r2 * z * z / mu + z * z)
-            p = ds_symbol_polar(n, mu, xi, eta_sq, z)
+            p = ds_symbol_polar(mu, xi, eta_sq, z)
             assert abs(p) < 1e-9 * max(1.0, xi * xi)
             dp_dmu = -4.0 * (1 - 2 * mu) * xi ** 2 - 4.0 * z * xi - eta_sq / r2 ** 2
             assert 8.0 * r2 * mu * dp_dmu < 0

@@ -41,7 +41,7 @@ class TestTransformPair:
         # the default pulse sits at x0 = -3; a shift by -4 in log tau
         # multiplies the transform by e^(4 i sigma)
         s = sig.astype(complex)
-        want = log_gaussian_pulse_hat()(s) * np.exp(4j * s)
+        want = log_gaussian_pulse_hat(s) * np.exp(4j * s)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_plancherel(self):
@@ -159,12 +159,11 @@ class TestLaurent:
 class TestExpandFamily:
     def test_single_simple_pole_reconstruction(self):
         pole = -0.8j
-        fhat = log_gaussian_pulse_hat()
-        solve = lambda s: (fhat(s) / (s - pole))[:, None]
+        solve = lambda s: (log_gaussian_pulse_hat(s) / (s - pole))[:, None]
         terms, rem = expand_family(solve, [pole], ell_target=2.0, n_sigma=6000)
         assert len(terms) == 1 and terms[0].kappa == 0
         # -i times the residue of the scalar family
-        want = -1j * fhat(pole)
+        want = -1j * log_gaussian_pulse_hat(pole)
         assert complex(terms[0].a) == pytest.approx(want, rel=1e-10)
         # reconstruction: terms + remainder = unshifted inverse transform
         sig = np.linspace(-60, 60, 6000)
@@ -174,24 +173,23 @@ class TestExpandFamily:
 
     def test_jordan_block_log_term(self):
         pole = -1.0j
-        fhat = log_gaussian_pulse_hat()
         f = np.array([0.3, 0.9])
         def solve(s):
             d = s - pole
-            return fhat(s)[:, None] * np.stack([f[0] / d - f[1] / d ** 2,
-                                                f[1] / d], axis=-1)
+            return log_gaussian_pulse_hat(s)[:, None] * np.stack(
+                [f[0] / d - f[1] / d ** 2, f[1] / d], axis=-1)
         terms, rem = expand_family(solve, [pole], 2.5, n_sigma=6000)
         kappas = sorted(t.kappa for t in terms)
         assert kappas == [0, 1]
         t1 = [t for t in terms if t.kappa == 1][0]
-        want = -1j * 1j * (-f[1]) * fhat(pole)   # -i * i^1/1! * c_-2, first entry
+        # -i * i^1/1! * c_-2, first entry
+        want = -1j * 1j * (-f[1]) * log_gaussian_pulse_hat(pole)
         assert t1.a[0] == pytest.approx(want, rel=1e-8)
         assert abs(t1.a[1]) < 1e-10
 
     def test_remainder_decay_rate(self):
         pole = -0.5j
-        fhat = log_gaussian_pulse_hat()
-        solve = lambda s: (fhat(s) / (s - pole))[:, None]
+        solve = lambda s: (log_gaussian_pulse_hat(s) / (s - pole))[:, None]
         ell = 2.0
         terms, rem = expand_family(solve, [pole], ell, n_sigma=6750)
         rate, power, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
@@ -205,9 +203,8 @@ class TestExpandFamily:
 
     def test_contour_shift_consistency(self):
         poles = [-0.5j, -1.5j]
-        fhat = log_gaussian_pulse_hat()
-        solve = lambda s: (fhat(s) * (1.0 / (s - poles[0])
-                                      + 1.0 / (s - poles[1])))[:, None]
+        solve = lambda s: (log_gaussian_pulse_hat(s) * (
+            1.0 / (s - poles[0]) + 1.0 / (s - poles[1])))[:, None]
         t1, _ = expand_family(solve, poles, 1.0, n_sigma=5000)
         t2, _ = expand_family(solve, poles, 2.0, n_sigma=5000)
         assert len(t1) == 1 and len(t2) == 2
@@ -221,7 +218,7 @@ class TestPipeline:
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         terms, rem = expand_family(
             lambda s: __import__("qnmkit.resonances", fromlist=["resolvent_apply"])
-            .resolvent_apply(op, s, log_gaussian_pulse_hat()(s)[:, None] * f0),
+            .resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0),
             [0.0 + 0.0j], ell_target=1.5, n_sigma=4000)
         # the leading term is the constant mode: spatially flat coefficient
         lead = terms[0]
@@ -247,7 +244,7 @@ class TestDrivenSolve:
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         sig = np.linspace(-60.0, 60.0, 4000) + 1j * im
         got = driven_solve(op, f0)(sig)
-        full = resolvent_apply(op, sig, log_gaussian_pulse_hat()(sig)[:, None] * f0)
+        full = resolvent_apply(op, sig, log_gaussian_pulse_hat(sig)[:, None] * f0)
         assert np.count_nonzero(np.any(got != 0, axis=1)) == 1214
         assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
 

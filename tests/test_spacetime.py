@@ -107,7 +107,7 @@ class TestHorizonRoots:
 
     def test_gamma_range(self):
         for p in (KDS, DSS, DS):
-            assert 0.0 <= horizon_roots(p).gamma < 1.0
+            assert 0.0 <= p.gamma < 1.0
 
     def test_monotone_dependence_on_r_s(self):
         rs = np.linspace(0.05, 0.35, 12)

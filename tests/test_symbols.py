@@ -272,7 +272,7 @@ class TestDeSitterCharts:
             zeta = rng.uniform(-2, 2, size=3)
             sigma = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             mu, xi, eta_sq = ds_flat_to_polar(Y, zeta)
-            a = ds_symbol_polar(4, mu, xi, eta_sq, sigma)
+            a = ds_symbol_polar(mu, xi, eta_sq, sigma)
             b = ds_symbol_flat(Y, zeta, sigma)
             assert a == pytest.approx(b, rel=1e-10)
 
@@ -292,7 +292,7 @@ class TestDeSitterCharts:
             nu, eh = rng.uniform(0.3, 2), rng.uniform(0, 1.5)
             sxi = int(rng.choice([-1, 1]))
             d = ds_reduced_compact_field(mu, nu, eh, sxi)
-            p = lambda y: ds_symbol_polar(4, y[0], sxi / y[1], (y[2] / y[1]) ** 2)
+            p = lambda y: ds_symbol_polar(y[0], sxi / y[1], (y[2] / y[1]) ** 2)
             eps = 1e-7
             y = np.array([mu, nu, eh])
             assert abs(p(y + eps * d) - p(y - eps * d)) / (2 * eps) \
