@@ -382,6 +382,81 @@ class TestResonances:
         assert any(float(r["convergence_delta"]) < 1e-6 for r in rows)
         assert all(r["oracle_verdict"] == verdict for r in rows)
 
+    @pytest.mark.parametrize("model", ["ds", "minkowski"])
+    def test_ladder_finds_the_lattice_at_every_cap(self, tmp_path, model):
+        # the ladder stops below each cap here, so every cap writes the same
+        # table; every lattice point in the box is a converged row within
+        # 1e-7 of the lattice, and the oracle agrees with it
+        params = os.path.join(CONFIGS, model + ".params")
+        tables = []
+        for N in (64, 96, 128, 192, 256, 320):
+            cfg = write(tmp_path / f"c{N}.cfg",
+                        f"params = {params}\nN = {N}\nell_min = 0\nell_max = 2\n")
+            out = tmp_path / f"out{N}"
+            assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
+            tables.append((out / "resonances.csv").read_text())
+        assert all(t == tables[0] for t in tables)
+        rows = list(csv.DictReader(tables[0].splitlines()))
+        for ell in range(3):
+            if model == "ds":
+                rates = {ell + 2 * k for k in range(3)} | {ell + 3 + 2 * k
+                                                          for k in range(3)}
+            else:
+                rates = {1 + ell + j for j in range(4)}
+            lattice = [-1j * r for r in sorted(rates) if r <= 3.6]
+            conv = [r for r in rows if int(r["ell"]) == ell
+                    and float(r["convergence_delta"]) < 1e-6]
+            assert all(r["oracle_verdict"] == "agree" for r in conv)
+            conv = [complex(float(r["re_sigma"]), float(r["im_sigma"]))
+                    for r in conv]
+            assert len(conv) == len(lattice)
+            for z in lattice:
+                assert min(abs(s - z) for s in conv) < 1e-7
+
+    def test_ladder_on_dss(self, tmp_path):
+        # every converged row of the sample dSS table lies within 1e-8 of
+        # the oracle, and the unconverged rows near -3.206i (ell = 0) and
+        # -3.043i (ell = 1) of the last rung are still reported
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'dss.params')}\n"
+                    "N = 80\nell_min = 0\nell_max = 2\n")
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "resonances.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        conv = [r for r in rows if float(r["convergence_delta"]) < 1e-6]
+        assert len(conv) == 4
+        assert all(float(r["oracle_dist"]) < 1e-8 for r in conv)
+        loose = {(int(r["ell"]), round(float(r["im_sigma"]), 3))
+                 for r in rows if float(r["convergence_delta"]) >= 1e-6}
+        assert {(0, -3.206), (1, -3.043)} <= loose
+        appendix = json.loads((out / "convergence.json").read_text())
+        assert [a["N"] for a in appendix] == [int(r["N"]) for r in rows]
+
+    @pytest.mark.parametrize("model", ["ds", "dss"])
+    def test_ladder_cap_below_first_rung(self, tmp_path, model):
+        # a cap of 16 lies below the ladder's first rung: the table is
+        # solve_resonances at N = 16, row for row
+        from qnmkit.cli import _BOX, _fmt
+        from qnmkit.resonances import build_operator, solve_resonances
+        from qnmkit.spacetime import load_params
+        params = os.path.join(CONFIGS, model + ".params")
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {params}\nN = 16\nell_min = 0\nell_max = 2\n"
+                    "oracle = 0\n")
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "resonances.csv", newline="") as fh:
+            rows = [list(r.values()) for r in csv.DictReader(fh)]
+        p = load_params(params)
+        expected = [[p.model, str(ell), "16", _fmt(e.sigma.real),
+                     _fmt(e.sigma.imag), str(e.multiplicity),
+                     _fmt(e.convergence_delta)]
+                    for ell in range(3)
+                    for e in solve_resonances(build_operator(p, ell, 16),
+                                              region=_BOX).entries]
+        assert rows == expected
+
     def test_solver_failure_exit_four(self, tmp_path, ds_params, monkeypatch):
         import qnmkit.cli
         from qnmkit.resonances import SolverFailure
@@ -427,6 +502,23 @@ class TestExpand:
         assert rep["remainder_rate"] >= 1.5 - 0.05
         assert math.isfinite(rep["remainder_fit_residual"])
         assert rep["remainder_fit_residual"] >= 0
+
+    def test_coeff_norm_is_grid_independent(self, tmp_path):
+        # coeff_norm is the root mean square over the grid nodes: the dS
+        # constant term reads 0.1171145729 at N = 48 and at N = 96
+        norms = []
+        for N in (48, 96):
+            cfg = write(tmp_path / f"c{N}.cfg",
+                        f"params = {os.path.join(CONFIGS, 'ds.params')}\n"
+                        f"N = {N}\nell_target = 1.5\nn_sigma = 4000\n")
+            out = tmp_path / f"out{N}"
+            main(["expand", "--config", cfg, "--out", str(out)])
+            rep = json.loads((out / "expansion.json").read_text())
+            norms += [t["coeff_norm"] for t in rep["terms"]
+                      if abs(complex(t["sigma_re"], t["sigma_im"])) < 1e-7]
+        assert len(norms) == 2
+        assert norms[0] == pytest.approx(0.1171145729, rel=1e-9)
+        assert norms[1] == pytest.approx(norms[0], rel=1e-8)
 
     @pytest.mark.parametrize("params, ell, ell_target, lu_residual", [
         ("ds", 0, 1.5, 1.40e-9), ("ds", 1, 2.5, 1.48e-5),
