@@ -24,7 +24,7 @@ def main():
     terms, rem = resonance_expand(f0, op, ns.ell_target, n_sigma=4000)
     for t in terms:
         print(f"term: sigma = {t.sigma_j:.6f}, kappa = {t.kappa}, "
-              f"|a| = {np.linalg.norm(np.atleast_1d(t.a)):.4e}")
+              f"|a| = {np.linalg.norm(t.a):.4e}")
     rate, power, res = fit_decay(rem)
     print(f"remainder rate {rate:.4f} (target {ns.ell_target}), "
           f"log power {power}, fit residual {res:.2e}")

@@ -305,10 +305,7 @@ def cmd_expand(cfg: RunConfig) -> int:
     vals = driven_solve(op, f0)(sig + 0.3j)
     tau = rem.tau_grid
     direct = inverse_mellin(vals, -0.3, sig, tau)
-    synth = rem.values.copy()
-    tv = evaluate_terms(terms, tau)
-    if tv is not None:
-        synth = synth + tv
+    synth = rem.values + evaluate_terms(terms, tau)
     resid = float(np.max(np.abs(direct.values - synth))
                   / max(np.max(np.abs(direct.values)), 1e-300))
     rate, logpow, fitres = fit_decay(rem)

@@ -49,19 +49,24 @@ def _log_tau(tau_grid: np.ndarray) -> np.ndarray:
     return x
 
 
+def _require_columns(a: np.ndarray, rows: int, message: str) -> None:
+    """ValueError(message) unless `a` has shape (rows, n): a (rows,) array
+    would broadcast against the (rows, 1) weights into (rows, rows)."""
+    if a.ndim != 2 or len(a) != rows:
+        raise ValueError(message)
+
+
 @dataclass
 class TemporalSamples:
     tau_grid: np.ndarray
-    values: np.ndarray          # shape (n_tau,) or (n_tau, n_space)
+    values: np.ndarray          # shape (n_tau, n)
 
     def __post_init__(self):
         self.tau_grid = np.asarray(self.tau_grid, dtype=float)
         self.values = np.asarray(self.values)
         _log_tau(self.tau_grid)
-
-    @property
-    def logtau(self):
-        return np.log(self.tau_grid)
+        _require_columns(self.values, len(self.tau_grid),
+                         "values must have shape (n_tau, n)")
 
 
 def default_tau_grid() -> np.ndarray:
@@ -73,24 +78,15 @@ def default_tau_grid() -> np.ndarray:
 class ExpansionTerm:
     sigma_j: complex
     kappa: int
-    a: np.ndarray               # coefficient; scalar stored as shape ()
-
-    def evaluate(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        x = np.log(tau)
-        profile = np.exp(1j * self.sigma_j * x) * x ** self.kappa
-        if np.ndim(self.a) == 0:
-            return profile * complex(self.a)
-        return np.outer(profile, self.a)
+    a: np.ndarray               # coefficient, shape (n,)
 
 
-def evaluate_terms(terms: Iterable[ExpansionTerm], tau) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    out = None
-    for t in terms:
-        v = t.evaluate(tau)
-        out = v if out is None else out + v
-    return out
+def evaluate_terms(terms: Iterable[ExpansionTerm], tau):
+    """Sum of tau^(i sigma_j) log(tau)^kappa a over `terms`, shape
+    (len(tau), n); 0 for no terms."""
+    x = np.log(np.asarray(tau, dtype=float))
+    return sum((np.outer(np.exp(1j * t.sigma_j * x) * x ** t.kappa, t.a)
+                for t in terms), 0)
 
 
 # the weighted samples at the grid ends may reach this fraction of their
@@ -100,15 +96,15 @@ _TAIL_TOL = 1e-6
 
 def mellin_transform(u: TemporalSamples, alpha: float,
                      sigma_re: np.ndarray) -> np.ndarray:
-    """Quadrature of int tau^(-i sigma) u dtau/tau on the contour Im sigma = -alpha.
+    """Quadrature of int tau^(-i sigma) u dtau/tau on the contour Im sigma = -alpha,
+    shape (len(sigma_re), n).
 
     Trapezoid in x = log tau; raises ContourDivergence when the weighted
     integrand has not decayed at the grid ends (to _TAIL_TOL).
     """
-    x = u.logtau
+    x = np.log(u.tau_grid)
     w = np.exp(-alpha * x)      # |tau^(-i sigma)| on the contour, tail test only
-    vals = u.values if u.values.ndim > 1 else u.values[:, None]
-    weighted = w[:, None] * vals
+    weighted = w[:, None] * u.values
     scale = np.max(np.abs(weighted))
     if scale > 0:
         ends = max(np.max(np.abs(weighted[0])), np.max(np.abs(weighted[-1])))
@@ -119,12 +115,11 @@ def mellin_transform(u: TemporalSamples, alpha: float,
     order = np.argsort(x)
     xs = x[order]
     ph = np.exp(-1j * np.outer(sig, xs))
-    f = vals[order]
+    f = u.values[order]
     dx = xs[1] - xs[0]
     wts = np.full(len(xs), dx)
     wts[0] = wts[-1] = dx / 2
-    out = ph @ (f * wts[:, None])
-    return out[:, 0] if u.values.ndim == 1 else out
+    return ph @ (f * wts[:, None])
 
 
 def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
@@ -136,8 +131,8 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     Bluestein's t m = (t^2 + m^2 - (t - m)^2) / 2 splits tau_t^(i sigma_m) into
     two chirps and one convolution, done by FFT for all columns at once.
     Both grids must therefore be uniform: a sigma grid with fewer than 2
-    points or uneven steps, or a tau grid that TemporalSamples refuses,
-    raises ValueError before any work.
+    points or uneven steps, a tau grid that TemporalSamples refuses, or a
+    `v` not of shape (len(sigma_re), n) raises ValueError before any work.
     """
     sig = np.asarray(sigma_re, dtype=float)
     if sig.size < 2:
@@ -145,7 +140,7 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     _require_uniform(sig, "sigma grid must be uniform")
     x = _log_tau(np.asarray(tau_grid, dtype=float))
     v = np.asarray(v)
-    vv = v if v.ndim > 1 else v[:, None]
+    _require_columns(v, len(sig), "v must have shape (n_sigma, n)")
     M, T = len(sig), len(x)
     ds = (sig[-1] - sig[0]) / (M - 1)
     dx = (x[-1] - x[0]) / (T - 1) if T > 1 else 0.0
@@ -158,14 +153,13 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     kernel = np.zeros(n_fft, dtype=complex)
     kernel[k] = np.exp(-0.5j * a * k * k)      # k < 0 wraps to the tail
     pre = wts * np.exp(1j * (x[0] * ds * m + 0.5 * a * m * m))
-    b = np.zeros((vv.shape[1], n_fft), dtype=complex)
-    b[:, :M] = (vv * pre[:, None]).T
+    b = np.zeros((v.shape[1], n_fft), dtype=complex)
+    b[:, :M] = (v * pre[:, None]).T
     np.fft.fft(b, out=b)
     b *= np.fft.fft(kernel)
     np.fft.ifft(b, out=b)
     post = np.exp(1j * x * (sig[0] - 1j * alpha) + 0.5j * a * t * t) / (2.0 * math.pi)
-    out = b[:, :T].T * post[:, None]
-    return TemporalSamples(tau_grid, out[:, 0] if v.ndim == 1 else out)
+    return TemporalSamples(tau_grid, b[:, :T].T * post[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +229,10 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
         for kappa in range(order):
             # contour shift picks up -i times the residue of tau^{i sigma} u^
             coef = -1j * cs[kappa] * (1j) ** kappa / math.factorial(kappa)
-            a = coef[0] if coef.size == 1 else coef
-            terms.append(ExpansionTerm(pj, kappa, np.asarray(a)))
+            terms.append(ExpansionTerm(pj, kappa, coef))
     sig_re = np.linspace(-SIGMA_MAX, SIGMA_MAX, n_sigma)
-    vals = solve(sig_re - 1j * ell_target)
-    remainder = inverse_mellin(vals if vals.shape[1] > 1 else vals[:, 0],
-                               ell_target, sig_re, tau_grid)
+    remainder = inverse_mellin(solve(sig_re - 1j * ell_target), ell_target,
+                               sig_re, tau_grid)
     return terms, remainder
 
 
@@ -317,8 +309,7 @@ def fit_decay(u: TemporalSamples):
     if np.count_nonzero(mask) < 8:
         raise DegenerateFit("need at least 8 samples in the window")
     x = np.log(tau[mask])
-    vals = u.values[mask]
-    mag = np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=1)
+    mag = np.linalg.norm(u.values[mask], axis=1)
     good = mag > 0
     if np.count_nonzero(good) < 8:
         raise DegenerateFit("window is dominated by exact zeros")
@@ -337,15 +328,10 @@ def fit_decay(u: TemporalSamples):
 def save_time_series(u: TemporalSamples, path) -> None:
     """CSV dump: tau, Re u, Im u (one block of columns per spatial index)."""
     import csv
-    vals = u.values if u.values.ndim > 1 else u.values[:, None]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        head = ["tau"]
-        for j in range(vals.shape[1]):
-            head += [f"re_u{j}", f"im_u{j}"]
-        w.writerow(head)
-        for i, tau in enumerate(u.tau_grid):
-            row = [f"{tau:.17g}"]
-            for j in range(vals.shape[1]):
-                row += [f"{vals[i, j].real:.17g}", f"{vals[i, j].imag:.17g}"]
-            w.writerow(row)
+        w.writerow(["tau"] + [f"{part}_u{j}" for j in range(u.values.shape[1])
+                              for part in ("re", "im")])
+        for tau, row in zip(u.tau_grid, u.values):
+            w.writerow([f"{tau:.17g}"]
+                       + [f"{f:.17g}" for v in row for f in (v.real, v.imag)])

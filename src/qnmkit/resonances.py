@@ -75,9 +75,11 @@ def _radial_polys(params: SpacetimeParams, ell: int):
     the s^ell ansatz factored out.  MinkowskiBoundary: forward-problem
     family of the flat boundary model (adjoint orientation), deSitter's but
     for 1/4 - ((n - 1)/2)^2 added to c0a.  dSSchwarzschild: two-horizon
-    model on r, horizon-regular classical gauge c = 0, which keeps the
-    coefficients polynomial and so preserves spectral convergence (a blended
-    c is only finitely smooth).
+    model on r, classical gauge c = 0, which keeps the coefficients
+    polynomial and so preserves spectral convergence (a blended c is only
+    finitely smooth).  That gauge is smooth across the future cosmological
+    horizon and the past black-hole horizon, so at r_- it selects waves that
+    leave the white-hole horizon, not waves that fall into the black hole.
     """
     model, n = params.model, params.n
     if model in ("deSitter", "MinkowskiBoundary"):

@@ -18,7 +18,7 @@ DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
 
 
 def bump_samples():
-    return TemporalSamples(TAU, log_gaussian_pulse(TAU, -7.0))
+    return TemporalSamples(TAU, log_gaussian_pulse(TAU, -7.0)[:, None])
 
 
 class TestTransformPair:
@@ -26,9 +26,9 @@ class TestTransformPair:
         # u = tau^a (1 - tau) on (0, 1] vanishes at the tau = 1 cutoff, so it
         # passes the tail test
         a = 2.5
-        u = TemporalSamples(TAU, TAU ** a * (1.0 - TAU))
+        u = TemporalSamples(TAU, (TAU ** a * (1.0 - TAU))[:, None])
         sig = np.linspace(-3, 3, 11)
-        got = mellin_transform(u, alpha=0.2, sigma_re=sig)
+        got = mellin_transform(u, alpha=0.2, sigma_re=sig)[:, 0]
         s = sig - 0.2j
         want = 1.0 / (a - 1j * s) - 1.0 / (a + 1.0 - 1j * s)
         # trapezoid endpoint error at the tau = 1 cutoff is O(h^2)
@@ -37,7 +37,7 @@ class TestTransformPair:
     def test_closed_form_pulse_hat(self):
         u = bump_samples()
         sig = np.linspace(-10, 10, 41)
-        got = mellin_transform(u, alpha=0.0, sigma_re=sig)
+        got = mellin_transform(u, alpha=0.0, sigma_re=sig)[:, 0]
         # the default pulse sits at x0 = -3; a shift by -4 in log tau
         # multiplies the transform by e^(4 i sigma)
         s = sig.astype(complex)
@@ -49,9 +49,9 @@ class TestTransformPair:
         alpha = 0.4
         sig = np.linspace(-60, 60, 6000)
         v = mellin_transform(u, alpha, sig)
-        x = u.logtau
+        x = np.log(u.tau_grid)
         dx = abs(x[1] - x[0])
-        lhs = np.sum(np.abs(u.values) ** 2 * np.exp(-2 * alpha * x)) * dx
+        lhs = np.sum(np.abs(u.values[:, 0]) ** 2 * np.exp(-2 * alpha * x)) * dx
         rhs = np.sum(np.abs(v) ** 2) * (sig[1] - sig[0]) / (2 * math.pi)
         assert rhs == pytest.approx(lhs, rel=1e-8)
 
@@ -64,37 +64,34 @@ class TestTransformPair:
         assert np.max(np.abs(back.values - u.values)) < 1e-6
 
     @pytest.mark.parametrize("n_tau, n_sigma, sigma_max, n_col, alpha", [
-        (300, 1000, 40, 0, 1.5),        # 1-d v
         (300, 1000, 40, 3, 1.5),
         (1024, 4000, 60, 49, 1.5),      # the expand shape
         (1024, 4000, 60, 49, -0.3),     # the CLI's direct line
         (301, 725, 40, 5, 1.5),         # odd, M + T - 1 one past a power of 2
-    ], ids=["vector", "columns", "expand-shape", "direct-line", "odd-lengths"])
+    ], ids=["columns", "expand-shape", "direct-line", "odd-lengths"])
     def test_chirp_inverse_matches_dense(self, n_tau, n_sigma, sigma_max, n_col,
                                          alpha):
         rng = np.random.default_rng(5)
         tau = np.geomspace(1.0, 1e-6, n_tau)
         sig = np.linspace(-sigma_max, sigma_max, n_sigma)
-        shape = (n_sigma, n_col) if n_col else (n_sigma,)
+        shape = (n_sigma, n_col)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        vv = v if v.ndim > 1 else v[:, None]
         ds = sig[1] - sig[0]
         wts = np.full(len(sig), ds)
         wts[0] = wts[-1] = ds / 2
         x = np.log(tau)
-        dense = np.empty((n_tau, vv.shape[1]), dtype=complex)
+        dense = np.empty((n_tau, n_col), dtype=complex)
         for i in range(0, n_tau, 128):      # the dense trapezoid sum, in row blocks
             ph = np.exp(1j * np.outer(x[i:i + 128], sig - 1j * alpha))
-            dense[i:i + 128] = ph @ (vv * wts[:, None]) / (2.0 * math.pi)
+            dense[i:i + 128] = ph @ (v * wts[:, None]) / (2.0 * math.pi)
         # each of the pre-chirp, the kernel chirp, the post-chirp and the
         # dense phases is rounded to eps of the largest chirp phase a k^2 / 2
         a = abs((x[-1] - x[0]) / (n_tau - 1) * ds)
         tol = 4 * np.finfo(float).eps * a * max(n_sigma - 1, n_tau - 1) ** 2 / 2
         assert tol <= 1e-11
         back = inverse_mellin(v, alpha, sig, tau)
-        got = back.values if v.ndim > 1 else back.values[:, None]
-        assert back.values.shape == (n_tau,) + shape[1:]
-        assert np.max(np.abs(got - dense)) <= tol * np.max(np.abs(dense))
+        assert back.values.shape == (n_tau, n_col)
+        assert np.max(np.abs(back.values - dense)) <= tol * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("sig", [
         np.linspace(-5, 5, 64) + np.where(np.arange(64) == 30, 1e-6, 0.0),
@@ -102,15 +99,15 @@ class TestTransformPair:
     ], ids=["perturbed", "single-point"])
     def test_inverse_refuses_bad_sigma_grid(self, sig):
         with pytest.raises(ValueError, match="sigma grid"):
-            inverse_mellin(np.ones(len(sig)), 0.0, sig, TAU)
+            inverse_mellin(np.ones((len(sig), 1)), 0.0, sig, TAU)
 
     def test_inverse_refuses_tau_grid_not_log_uniform(self):
         with pytest.raises(ValueError, match="log-uniform"):
-            inverse_mellin(np.ones(64), 0.0, np.linspace(-5, 5, 64),
+            inverse_mellin(np.ones((64, 1)), 0.0, np.linspace(-5, 5, 64),
                            np.linspace(1.0, 1e-3, 64))
 
     def test_zero_maps_to_zero(self):
-        v = np.zeros(64)
+        v = np.zeros((64, 1))
         back = inverse_mellin(v, 0.0, np.linspace(-5, 5, 64), TAU)
         assert np.all(back.values == 0)
 
@@ -121,18 +118,29 @@ class TestTransformPair:
         sig = np.linspace(-80, 80, 8000)
         v = mellin_transform(u, alpha, sig)
         tau0 = math.exp(0.7)
-        back = inverse_mellin(v * tau0 ** (1j * sig), alpha, sig, TAU)
+        back = inverse_mellin(v * tau0 ** (1j * sig[:, None]), alpha, sig, TAU)
         shifted = log_gaussian_pulse(TAU * tau0, x0=-7.0)
-        assert np.max(np.abs(back.values - shifted)) < 1e-6
+        assert np.max(np.abs(back.values[:, 0] - shifted)) < 1e-6
 
     def test_divergence_detected(self):
-        u = TemporalSamples(TAU, TAU ** (-0.5))
+        u = TemporalSamples(TAU, TAU[:, None] ** (-0.5))
         with pytest.raises(ContourDivergence):
             mellin_transform(u, alpha=1.0, sigma_re=np.array([0.0]))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            TemporalSamples(np.linspace(1.0, 1e-3, 64), np.zeros(64))
+            TemporalSamples(np.linspace(1.0, 1e-3, 64), np.zeros((64, 1)))
+
+    @pytest.mark.parametrize("shape", [(64,), (64, 1, 1), (63, 1)],
+                             ids=["vector", "3-d", "short"])
+    def test_refuses_values_not_of_shape_rows_by_columns(self, shape):
+        # a (T,) array would broadcast against the (T, 1) weights into (T, T)
+        tau = np.geomspace(1.0, 1e-3, 64)
+        with pytest.raises(ValueError, match=r"shape \(n_tau, n\)"):
+            TemporalSamples(tau, np.zeros(shape))
+        sig = np.linspace(-5, 5, 64)
+        with pytest.raises(ValueError, match=r"shape \(n_sigma, n\)"):
+            inverse_mellin(np.zeros(shape), 0.0, sig, tau)
 
 
 class TestLaurent:
@@ -164,10 +172,11 @@ class TestExpandFamily:
         assert len(terms) == 1 and terms[0].kappa == 0
         # -i times the residue of the scalar family
         want = -1j * log_gaussian_pulse_hat(pole)
-        assert complex(terms[0].a) == pytest.approx(want, rel=1e-10)
+        assert terms[0].a.shape == (1,)
+        assert complex(terms[0].a[0]) == pytest.approx(want, rel=1e-10)
         # reconstruction: terms + remainder = unshifted inverse transform
         sig = np.linspace(-60, 60, 6000)
-        direct = inverse_mellin(solve(sig)[:, 0], 0.0, sig, rem.tau_grid)
+        direct = inverse_mellin(solve(sig), 0.0, sig, rem.tau_grid)
         synth = evaluate_terms(terms, rem.tau_grid) + rem.values
         assert np.max(np.abs(direct.values - synth)) < 1e-6
 
@@ -209,7 +218,7 @@ class TestExpandFamily:
         t2, _ = expand_family(solve, poles, 2.0, n_sigma=5000)
         assert len(t1) == 1 and len(t2) == 2
         lead1 = [t for t in t2 if abs(t.sigma_j - t1[0].sigma_j) < 1e-12]
-        assert complex(lead1[0].a) == pytest.approx(complex(t1[0].a), rel=1e-8)
+        assert complex(lead1[0].a[0]) == pytest.approx(complex(t1[0].a[0]), rel=1e-8)
 
 
 class TestPipeline:
@@ -251,13 +260,13 @@ class TestDrivenSolve:
 
 class TestFitDecay:
     def test_pure_power(self):
-        u = TemporalSamples(TAU, TAU ** 0.7)
+        u = TemporalSamples(TAU, TAU[:, None] ** 0.7)
         rate, power, _ = fit_decay(u)
         assert rate == pytest.approx(0.7, abs=1e-6)
         assert power == 0
 
     def test_power_with_log(self):
-        u = TemporalSamples(TAU, TAU ** 0.7 * np.log(TAU))
+        u = TemporalSamples(TAU, (TAU ** 0.7 * np.log(TAU))[:, None])
         rate, power, _ = fit_decay(u)
         assert rate == pytest.approx(0.7, abs=1e-2)
         assert power == 1
@@ -266,4 +275,4 @@ class TestFitDecay:
         # 12 points over six decades leave 5 in the window 1e-4..3e-2
         tau = np.geomspace(1.0, 1e-6, 12)
         with pytest.raises(DegenerateFit, match="at least 8"):
-            fit_decay(TemporalSamples(tau, tau))
+            fit_decay(TemporalSamples(tau, tau[:, None]))
