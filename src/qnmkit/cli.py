@@ -24,7 +24,7 @@ from .dynamics import integrate_flow, classify_radial, StepFailure, \
 from .resonances import build_operator, solve_resonances, oracle_refine, \
     resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel
 from .mellin import resonance_expand, driven_solve, evaluate_terms, \
-    fit_decay, PoleOnContour, inverse_mellin, SIGMA_MAX
+    fit_decay, PoleOnContour, inverse_mellin, sigma_line
 
 EXIT_OK = 0
 EXIT_FLAGS = 1
@@ -301,7 +301,7 @@ def cmd_expand(cfg: RunConfig) -> int:
     terms, rem = resonance_expand(f0, op, k["ell_target"], n_sigma=k["n_sigma"])
     # reconstruction residual against the inverse transform along a contour
     # above every pole (Im sigma = +0.3)
-    sig = np.linspace(-SIGMA_MAX, SIGMA_MAX, k["n_sigma"])
+    sig = sigma_line(k["n_sigma"])
     vals = driven_solve(op, f0)(sig + 0.3j)
     tau = rem.tau_grid
     direct = inverse_mellin(vals, -0.3, sig, tau)

@@ -130,7 +130,11 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     sigma_m = sigma_0 + m ds and x_t = x_0 + t dx on the log-uniform tau grid,
     Bluestein's t m = (t^2 + m^2 - (t - m)^2) / 2 splits tau_t^(i sigma_m) into
     two chirps and one convolution, done by FFT for all columns at once.
-    Both grids must therefore be uniform: a sigma grid with fewer than 2
+    Rows of `v` that are exactly zero at either end of the grid add nothing:
+    they are dropped first, so the chirp starts at the first row kept and the
+    FFT length follows the rows kept plus the tau grid.  The rows kept keep
+    their weights on the whole grid (half only at an end of it).
+    Both grids must be uniform: a sigma grid with fewer than 2
     points or uneven steps, a tau grid that TemporalSamples refuses, or a
     `v` not of shape (len(sigma_re), n) raises ValueError before any work.
     """
@@ -145,9 +149,12 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     ds = (sig[-1] - sig[0]) / (M - 1)
     dx = (x[-1] - x[0]) / (T - 1) if T > 1 else 0.0
     a = dx * ds
-    m, t = np.arange(M), np.arange(T)
     wts = np.full(M, ds)
     wts[0] = wts[-1] = ds / 2
+    rows = np.flatnonzero(np.any(v != 0, axis=1))
+    lo, hi = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 1)
+    v, wts, M = v[lo:hi], wts[lo:hi], hi - lo
+    m, t = np.arange(M), np.arange(T)
     n_fft = 1 << (M + T - 2).bit_length()      # a power of two >= M + T - 1
     k = np.arange(1 - M, T)
     kernel = np.zeros(n_fft, dtype=complex)
@@ -158,7 +165,7 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     np.fft.fft(b, out=b)
     b *= np.fft.fft(kernel)
     np.fft.ifft(b, out=b)
-    post = np.exp(1j * x * (sig[0] - 1j * alpha) + 0.5j * a * t * t) / (2.0 * math.pi)
+    post = np.exp(1j * x * (sig[lo] - 1j * alpha) + 0.5j * a * t * t) / (2.0 * math.pi)
     return TemporalSamples(tau_grid, b[:, :T].T * post[:, None])
 
 
@@ -178,6 +185,13 @@ SIGMA_MAX = 60.0
 _PULSE_CENTER = -3.0        # centre x0 in log tau of the default log-Gaussian pulse
 _PULSE_WIDTH = 0.5          # width w in log tau of every log-Gaussian pulse
 _PULSE_FLOOR = 1e-18
+
+
+def sigma_line(n_sigma: int) -> np.ndarray:
+    """n_sigma uniform points from -SIGMA_MAX to SIGMA_MAX; point k is minus
+    point n_sigma - 1 - k bit for bit (np.linspace's are not), so a line
+    sigma_line(n) - i ell is its own mirror image under sigma -> -conj(sigma)."""
+    return SIGMA_MAX * (2 * np.arange(n_sigma) - (n_sigma - 1)) / (n_sigma - 1)
 
 
 def laurent_coefficients(solve: Callable, pole: complex) -> list:
@@ -207,11 +221,13 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     Im sigma > -ell_target contribute tau^(i sigma_j) log(tau)^kappa terms
     whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1});
     the remainder is the inverse transform along the shifted contour, n_sigma
-    points with |Re sigma| <= SIGMA_MAX, sampled on `default_tau_grid()`.
-    The line spans +-SIGMA_MAX on the uniform grid the chirp-z sum needs,
-    but `driven_solve` solves it only where the pulse is above 1e-18 of its
-    peak (|Re sigma| <= 18.2) and returns exact zeros beyond, which assumes
-    the resolvent grows more slowly than e^(w^2 (Re sigma)^2 / 2) there.
+    points of `sigma_line` (|Re sigma| <= SIGMA_MAX), sampled on
+    `default_tau_grid()`.  The line spans +-SIGMA_MAX on the uniform grid the
+    chirp-z sum needs, but `driven_solve` solves it only where the pulse is
+    above 1e-18 of its peak (|Re sigma| <= 18.2), once per mirror pair on a
+    real pencil, and returns exact zeros beyond, which assumes the resolvent
+    grows more slowly than e^(w^2 (Re sigma)^2 / 2) there; `inverse_mellin`
+    transforms only the rows between the first and last nonzero one.
     """
     tau_grid = default_tau_grid()
     terms = []
@@ -230,7 +246,7 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
             # contour shift picks up -i times the residue of tau^{i sigma} u^
             coef = -1j * cs[kappa] * (1j) ** kappa / math.factorial(kappa)
             terms.append(ExpansionTerm(pj, kappa, coef))
-    sig_re = np.linspace(-SIGMA_MAX, SIGMA_MAX, n_sigma)
+    sig_re = sigma_line(n_sigma)
     remainder = inverse_mellin(solve(sig_re - 1j * ell_target), ell_target,
                                sig_re, tau_grid)
     return terms, remainder
@@ -249,13 +265,29 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     0.02 and 5 up to Re sigma = 60), so the dropped vectors lie below the
     rounding of the kept ones.  The residue circles (|Re sigma| <= 8) are
     never cut.
+
+    When the pencil is real in tau = -i sigma (A0 and A2 real, A1 imaginary,
+    checked exactly: every pencil `build_operator` makes without an
+    absorber) and f0 is real, L(-conj sigma) = conj L(sigma) and
+    phi_hat(-conj sigma) = conj phi_hat(sigma), so the solution at -conj sigma
+    is the conjugate of the one at sigma.  A windowed array that equals -conj
+    of its own reverse (a `sigma_line` line) is then solved on its upper half
+    only (Re sigma >= 0 on an ascending line), and each partner gets its
+    twin's conjugate, with the twin's near-pole verdict.  Any other array,
+    the residue circles among them, is solved at every sigma.
     """
+    A0, A1, A2 = op.matrices
+    mirror = not (A0.imag.any() or A1.real.any() or A2.imag.any()
+                  or np.imag(f0).any())
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
         keep = np.exp(-0.5 * (_PULSE_WIDTH * sigma.real) ** 2) > _PULSE_FLOOR
         s = sigma[keep]
         out = np.zeros(sigma.shape + f0.shape, dtype=complex)
-        out[keep] = resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0)
+        lo = len(s) // 2 if mirror and np.array_equal(s, -s[::-1].conj()) else 0
+        u = resolvent_apply(op, s[lo:], log_gaussian_pulse_hat(s[lo:])[:, None] * f0)
+        # the partner of s[k], k < lo, is s[len(s) - 1 - k]
+        out[keep] = np.concatenate([u[len(s) - 2 * lo:][::-1].conj(), u])
         return out
     return solve
 

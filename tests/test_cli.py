@@ -571,8 +571,10 @@ class TestExpand:
 
     def test_lines_solved_only_in_the_pulse_window(self, tmp_path, monkeypatch):
         # the remainder line (Im -1.5) and the direct line (Im +0.3) each
-        # reach the resolvent with the 1,214 of their 4,000 sigma where the
-        # pulse is above 1e-18 of its peak (|Re sigma| <= 18.2)
+        # keep the 1,214 of their 4,000 sigma where the pulse is above 1e-18
+        # of its peak (|Re sigma| <= 18.2); the dS pencil is real in
+        # tau = -i sigma and f0 is real, so those form 607 mirror pairs
+        # sigma, -conj(sigma), and only one of each reaches the resolvent
         import qnmkit.mellin
         from qnmkit.resonances import resolvent_apply
         lines = {}
@@ -588,7 +590,26 @@ class TestExpand:
                     "n_sigma = 4000\n")
         assert main(["expand", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
-        assert lines == {-1.5: [1214], 0.3: [1214]}
+        assert lines == {-1.5: [607], 0.3: [607]}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ds_l1_meets_its_bound_at_either_thread_count(self, tmp_path,
+                                                          threads):
+        # dS l=1 at the benchmark's size passes its 1e-6 reconstruction bound
+        # in a fresh process at 1 and at 2 BLAS threads (4.97e-7 and 4.04e-7
+        # when mirror pairs were introduced; 6.26e-7 and 1.19e-6, exit 1,
+        # when every sigma was solved)
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'ds.params')}\n"
+                    "N = 48\nell = 1\nell_target = 2.5\nn_sigma = 4000\n")
+        out = tmp_path / "out"
+        run = subprocess.run([sys.executable, "-m", "qnmkit.cli", "expand",
+                              "--config", cfg, "--out", str(out)],
+                             env=src_env(OPENBLAS_NUM_THREADS=threads),
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
+        rep = json.loads((out / "expansion.json").read_text())
+        assert rep["reconstruction_residual"] < 1e-6
 
     def test_pole_on_contour_exit_five(self, tmp_path, ds_params, monkeypatch):
         import qnmkit.cli

@@ -7,18 +7,35 @@ from qnmkit.mellin import (
     TemporalSamples, ExpansionTerm, default_tau_grid, mellin_transform,
     inverse_mellin, laurent_coefficients, expand_family, resonance_expand,
     driven_solve, log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
-    fit_decay,
+    fit_decay, sigma_line, _PULSE_FLOOR, _PULSE_WIDTH,
     ContourDivergence, PoleOnContour, DegenerateFit,
 )
+from qnmkit.absorption import AbsorbingSpec
 from qnmkit.spacetime import SpacetimeParams
 from qnmkit.resonances import build_operator, resolvent_apply
 
+from test_resonances import _referee_solve
+
 TAU = default_tau_grid()
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
+MK = SpacetimeParams(model="MinkowskiBoundary", lam=0.0, n=4)
 
 
 def bump_samples():
     return TemporalSamples(TAU, log_gaussian_pulse(TAU, -7.0)[:, None])
+
+
+def _dense_inverse(v, alpha, sig, tau):
+    """The O(M T) trapezoid sum that inverse_mellin computes, in row blocks."""
+    ds = (sig[-1] - sig[0]) / (len(sig) - 1)
+    wts = np.full(len(sig), ds)
+    wts[0] = wts[-1] = ds / 2
+    x = np.log(tau)
+    dense = np.empty((len(tau), v.shape[1]), dtype=complex)
+    for i in range(0, len(tau), 128):
+        ph = np.exp(1j * np.outer(x[i:i + 128], sig - 1j * alpha))
+        dense[i:i + 128] = ph @ (v * wts[:, None]) / (2.0 * math.pi)
+    return dense
 
 
 class TestTransformPair:
@@ -76,22 +93,59 @@ class TestTransformPair:
         sig = np.linspace(-sigma_max, sigma_max, n_sigma)
         shape = (n_sigma, n_col)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ds = sig[1] - sig[0]
-        wts = np.full(len(sig), ds)
-        wts[0] = wts[-1] = ds / 2
-        x = np.log(tau)
-        dense = np.empty((n_tau, n_col), dtype=complex)
-        for i in range(0, n_tau, 128):      # the dense trapezoid sum, in row blocks
-            ph = np.exp(1j * np.outer(x[i:i + 128], sig - 1j * alpha))
-            dense[i:i + 128] = ph @ (v * wts[:, None]) / (2.0 * math.pi)
+        dense = _dense_inverse(v, alpha, sig, tau)
         # each of the pre-chirp, the kernel chirp, the post-chirp and the
         # dense phases is rounded to eps of the largest chirp phase a k^2 / 2
-        a = abs((x[-1] - x[0]) / (n_tau - 1) * ds)
+        x = np.log(tau)
+        a = abs((x[-1] - x[0]) / (n_tau - 1) * (sig[1] - sig[0]))
         tol = 4 * np.finfo(float).eps * a * max(n_sigma - 1, n_tau - 1) ** 2 / 2
         assert tol <= 1e-11
         back = inverse_mellin(v, alpha, sig, tau)
         assert back.values.shape == (n_tau, n_col)
         assert np.max(np.abs(back.values - dense)) <= tol * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("lo, hi, alpha", [
+        (1393, 2607, 1.5), (1393, 2607, -0.3), (0, 600, 1.5), (3400, 4000, 1.5)],
+        ids=["window", "window-direct", "first-row", "last-row"])
+    def test_zero_end_rows_are_trimmed(self, lo, hi, alpha):
+        # v zero outside rows lo..hi-1 of the 4000-point line, as
+        # driven_solve leaves it: the chirp runs over the kept rows only,
+        # with their weights on the whole grid (half only at row 0 or 3999),
+        # and matches the dense trapezoid sum over every row
+        rng = np.random.default_rng(11)
+        sig = sigma_line(4000)
+        v = np.zeros((4000, 5), dtype=complex)
+        v[lo:hi] = rng.standard_normal((hi - lo, 5)) \
+            + 1j * rng.standard_normal((hi - lo, 5))
+        dense = _dense_inverse(v, alpha, sig, TAU)
+        back = inverse_mellin(v, alpha, sig, TAU)
+        assert np.max(np.abs(back.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_nonzero_end_rows_keep_the_full_chirp(self):
+        # with nonzero rows at both ends nothing is trimmed: the transform is
+        # bit for bit the chirp-z sum over the whole grid, FFT length 8192
+        rng = np.random.default_rng(12)
+        sig = np.linspace(-60.0, 60.0, 4000)
+        v = rng.standard_normal((4000, 3)) + 1j * rng.standard_normal((4000, 3))
+        alpha, x = 1.5, np.log(TAU)
+        M, T = v.shape[0], len(x)
+        ds = (sig[-1] - sig[0]) / (M - 1)
+        a = (x[-1] - x[0]) / (T - 1) * ds
+        m, t, k = np.arange(M), np.arange(T), np.arange(1 - M, T)
+        wts = np.full(M, ds)
+        wts[0] = wts[-1] = ds / 2
+        kernel = np.zeros(8192, dtype=complex)
+        kernel[k] = np.exp(-0.5j * a * k * k)
+        pre = wts * np.exp(1j * (x[0] * ds * m + 0.5 * a * m * m))
+        b = np.zeros((3, 8192), dtype=complex)
+        b[:, :M] = (v * pre[:, None]).T
+        np.fft.fft(b, out=b)
+        b *= np.fft.fft(kernel)
+        np.fft.ifft(b, out=b)
+        post = np.exp(1j * x * (sig[0] - 1j * alpha) + 0.5j * a * t * t) \
+            / (2.0 * math.pi)
+        want = b[:, :T].T * post[:, None]
+        assert np.array_equal(inverse_mellin(v, alpha, sig, TAU).values, want)
 
     @pytest.mark.parametrize("sig", [
         np.linspace(-5, 5, 64) + np.where(np.arange(64) == 30, 1e-6, 0.0),
@@ -256,6 +310,84 @@ class TestDrivenSolve:
         full = resolvent_apply(op, sig, log_gaussian_pulse_hat(sig)[:, None] * f0)
         assert np.count_nonzero(np.any(got != 0, axis=1)) == 1214
         assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+
+    def test_sigma_line_is_its_own_mirror(self):
+        # entry k is minus entry n - 1 - k bit for bit, for even and odd n,
+        # on a grid uniform enough for inverse_mellin
+        for n in (128, 1001, 4000):
+            sig = sigma_line(n)
+            assert sig[0] == -60.0 and sig[-1] == 60.0
+            assert np.array_equal(sig, -sig[::-1])
+            d = np.diff(sig)
+            assert d.max() - d.min() <= 1e-12
+        assert np.max(np.abs(sigma_line(4000) - np.linspace(-60, 60, 4000))) < 1e-13
+
+    @pytest.mark.parametrize("im", [-1.5, 0.3], ids=["remainder", "direct"])
+    def test_mirror_pairs_solved_once(self, im, monkeypatch):
+        # the dS pencil is real in tau = -i sigma and f0 is real: of the
+        # 1,214 windowed sigma of the shared line only the 607 with
+        # Re sigma > 0 reach the resolvent, and each of the others carries
+        # the exact conjugate of its twin's solution
+        op = build_operator(DS, 0, 24)
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+        sizes = _spy_resolvent(monkeypatch)
+        sig = sigma_line(4000) + 1j * im
+        out = driven_solve(op, f0)(sig)
+        assert sizes == [607]
+        assert np.count_nonzero(np.any(out != 0, axis=1)) == 1214
+        assert np.array_equal(out, out[::-1].conj())
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="the referee needs an extended-precision long double")
+    @pytest.mark.parametrize("params, ell, ell_target, bound", [
+        (DS, 0, 1.5, 1e-10), (DS, 1, 2.5, 2e-8), (MK, 0, 1.5, 1e-9)],
+        ids=["ds-l0", "ds-l1", "minkowski-l0"])
+    def test_mirrored_half_matches_referee(self, params, ell, ell_target, bound):
+        # the conjugated half of the remainder line against extended-precision
+        # solves at its own sigma, within test_resonances' per-case bounds
+        op = build_operator(params, ell, 48)
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+        sig = sigma_line(4000) - 1j * ell_target
+        out = driven_solve(op, f0)(sig)
+        mirrored = np.flatnonzero(np.any(out != 0, axis=1) & (sig.real < 0))
+        assert len(mirrored) == 607
+        for m in mirrored:
+            ref = _referee_solve(op, sig[m], log_gaussian_pulse_hat(sig[m]) * f0)
+            err = np.linalg.norm(out[m] - ref) / np.linalg.norm(ref)
+            assert float(err) < bound
+
+    @pytest.mark.parametrize("case", ["absorber", "complex-f0", "linspace"])
+    def test_every_sigma_solved_off_the_mirror(self, case, monkeypatch):
+        # an absorbing spec (A0 holds -iQ), a complex f0, or the linspace
+        # line (off mirror symmetry by rounding) sends all 1,214 windowed
+        # sigma to the resolvent in one call, as before mirror pairs
+        op = build_operator(DS, 0, 24, AbsorbingSpec() if case == "absorber"
+                            else None)
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2) \
+            * (1.0 + 0.5j if case == "complex-f0" else 1.0)
+        line = np.linspace(-60.0, 60.0, 4000) if case == "linspace" \
+            else sigma_line(4000)
+        sig = line - 1.5j
+        sizes = _spy_resolvent(monkeypatch)
+        got = driven_solve(op, f0)(sig)
+        assert sizes == [1214]
+        keep = np.exp(-0.5 * (_PULSE_WIDTH * sig.real) ** 2) > _PULSE_FLOOR
+        s = sig[keep]
+        want = resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0)
+        assert np.array_equal(got[keep], want)
+        assert not got[~keep].any()
+
+
+def _spy_resolvent(monkeypatch):
+    """The sizes of the sigma arrays that driven_solve passes to the resolvent."""
+    import qnmkit.mellin
+    sizes = []
+
+    def spy(op, sigma, f):
+        sizes.append(np.size(sigma))
+        return resolvent_apply(op, sigma, f)
+    monkeypatch.setattr(qnmkit.mellin, "resolvent_apply", spy)
+    return sizes
 
 
 class TestFitDecay:
