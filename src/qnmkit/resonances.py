@@ -36,8 +36,8 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eig, matrix_balance, schur
-from scipy.linalg.lapack import ztbtrs
+# scipy.linalg is imported by its three callers (QZ, the Schur form and the
+# oracle's banded solve), so that importing qnmkit loads no scipy module
 
 from .collocation import cheb_grid
 # mu_tilde is not called here; perfbench/tracing.py wraps it by this attribute
@@ -212,7 +212,10 @@ def _linearized_eigs(A0, A1, A2):
     `_linearization`, which balances it itself, or QZ on its scaled pair."""
     P, Q = _linearization(A0, A1, A2)
     try:
-        return np.linalg.eigvals(P) if Q is None else eig(P, Q, right=False)
+        if Q is None:
+            return np.linalg.eigvals(P)
+        from scipy.linalg import eig
+        return eig(P, Q, right=False)
     except np.linalg.LinAlgError as exc:   # pragma: no cover
         raise SolverFailure(str(exc)) from exc
 
@@ -507,6 +510,7 @@ def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
     centre falls below _FROBENIUS_MIN for some term n: the other exponent
     is the integer n there.
     """
+    from scipy.linalg.lapack import ztbtrs
     S, K = len(plan.h), _SERIES_TERMS
     while True:
         A, B, C, basis = plan.band(K)
@@ -627,6 +631,7 @@ class _TriangularForm:
         if Q is not None:
             raise UnsupportedModel("the resolvent needs a monic pencil (sigma^2 "
                                    "coefficient A2 = I); this one has A2 = 0")
+        from scipy.linalg import matrix_balance, schur
         try:
             Cb, (d, _) = matrix_balance(P, permute=False, separate=True)
             T, Z = schur(Cb, output="complex")

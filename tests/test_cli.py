@@ -652,9 +652,40 @@ assert not loaded(), loaded()
 
 
 def test_no_command_loads_the_ode_stack(tmp_path):
-    # resonances and expand need scipy.linalg only; the flow reads the DOP853
+    # of scipy, resonances and expand load scipy.linalg only, at their first
+    # eigensolve, oracle call or resolvent call; the flow reads the DOP853
     # tableau from scipy's coefficient module by path and finds its roots
     # with its own Brent loop, so scipy.integrate (and the scipy.optimize and
     # scipy.special it would pull in) never load
     subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path),
+                    CONFIGS], env=src_env(), check=True)
+
+
+# run in a fresh interpreter, with the arguments of _STARTUP_SCRIPT
+_SCIPY_SCRIPT = r"""
+import os, sys
+import qnmkit.cli as cli
+work, configs = sys.argv[1:3]
+def scipy_loaded():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+def run(command, params, knobs=""):
+    cfg = os.path.join(work, command + ".cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"params = {os.path.join(configs, params)}\n{knobs}")
+    return cli.main([command, "--config", cfg, "--out", os.path.join(work, command)])
+assert not scipy_loaded(), scipy_loaded()
+for params in ("ds.params", "dss.params", "kds.params", "minkowski.params"):
+    assert run("admissible", params) == 0
+for params in ("dss.params", "kds.params", "ds.params"):
+    assert run("flow", params, "n_traj = 1\nT = 0.1\n") == 0
+assert not scipy_loaded(), scipy_loaded()
+assert run("resonances", "dss.params", "N = 16\nell_min = 0\nell_max = 0\noracle = 1\n") == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_geometry_commands_load_no_scipy(tmp_path):
+    # importing the CLI, admissible and flow load no scipy module at all;
+    # the first eigensolve or oracle call of resonances loads scipy.linalg
+    subprocess.run([sys.executable, "-c", _SCIPY_SCRIPT, str(tmp_path),
                     CONFIGS], env=src_env(), check=True)

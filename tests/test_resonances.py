@@ -415,12 +415,12 @@ class TestSolveResonances:
         # A2 = I is solved by the companion QR, with no QZ at all; A2 = 0 by
         # QZ on the (N+1) linear pencil, never on a 2(N+1) block pencil
         shapes = []
-        real_eig = resonances.eig
+        real_eig = scipy.linalg.eig
 
         def recording_eig(a, b=None, **kw):
             shapes.append((np.shape(a), np.shape(b)))
             return real_eig(a, b, **kw)
-        monkeypatch.setattr(resonances, "eig", recording_eig)
+        monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
         N = 48
         solve_resonances(build_operator(DS, 0, N),
                          region=(-6, 6, -3.6, 0.4))
@@ -909,7 +909,7 @@ class TestResolvent:
         # resolvent and the gluing check refuse it before any reduction
         calls = []
         for mod, name in ((np.linalg, "svd"), (np.linalg, "cond"),
-                          (scipy.linalg, "svd"), (resonances, "schur")):
+                          (scipy.linalg, "svd"), (scipy.linalg, "schur")):
             def counted(*a, _f=getattr(mod, name), _name=name, **k):
                 calls.append(_name)
                 return _f(*a, **k)
