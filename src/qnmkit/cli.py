@@ -245,10 +245,23 @@ def _climb(params, ell: int, N: int) -> list:
     return rows
 
 
+def _oracle_verdict(params, ell: int, sigma: complex) -> tuple:
+    """(oracle root, verdict) of one row; the root is None when the oracle
+    fails."""
+    try:
+        z = oracle_refine(params, ell, sigma)
+    except StiffFailure:
+        return None, "failed"
+    return z, "agree" if abs(z - sigma) < _TRUST_TOL else "disagree"
+
+
 def cmd_resonances(cfg: RunConfig) -> int:
     """Resonance table, one row per root of the ladder, with the oracle's
     verdict; the `N` column is the rung a row was solved at.
 
+    The oracle runs once per mirror pair sigma, -conj(sigma) of a sector:
+    the detector of a pencil real in tau has the same symmetry, so the
+    second row gets -conj of its twin's oracle root, and its verdict.
     Exits 1 when the oracle disagrees with a converged row.
     """
     params = load_params(cfg.params_file)
@@ -258,18 +271,23 @@ def cmd_resonances(cfg: RunConfig) -> int:
     appendix = []
     refuted = []
     for ell in range(k["ell_min"], k["ell_max"] + 1):
+        checked = {}                # sigma -> (oracle root, verdict)
         for n, e in _climb(params, ell, k["N"]):
             row = [params.model, ell, n, _fmt(e.sigma.real),
                    _fmt(e.sigma.imag), e.multiplicity, _fmt(e.convergence_delta)]
             if k["oracle"]:
-                try:
-                    z = oracle_refine(params, ell, e.sigma)
-                    dist = abs(z - e.sigma)
-                    verdict = "agree" if dist < _TRUST_TOL else "disagree"
-                    row += [_fmt(z.real), _fmt(z.imag), _fmt(dist), verdict]
-                except StiffFailure:
-                    verdict = "failed"
+                twin = checked.get(-e.sigma.conjugate())
+                if twin is None:
+                    z, verdict = checked[e.sigma] = _oracle_verdict(params, ell,
+                                                                    e.sigma)
+                else:
+                    z, verdict = twin
+                    z = None if z is None else -z.conjugate()
+                if z is None:
                     row += ["", "", "", verdict]
+                else:
+                    row += [_fmt(z.real), _fmt(z.imag), _fmt(abs(z - e.sigma)),
+                            verdict]
                 if verdict == "disagree" and e.convergence_delta < _TRUST_TOL:
                     refuted.append(f"ell = {ell}, sigma = {e.sigma:.9g}")
             rows.append(row)

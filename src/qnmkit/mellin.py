@@ -266,19 +266,17 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     rounding of the kept ones.  The residue circles (|Re sigma| <= 8) are
     never cut.
 
-    When the pencil is real in tau = -i sigma (A0 and A2 real, A1 imaginary,
-    checked exactly: every pencil `build_operator` makes without an
-    absorber) and f0 is real, L(-conj sigma) = conj L(sigma) and
-    phi_hat(-conj sigma) = conj phi_hat(sigma), so the solution at -conj sigma
-    is the conjugate of the one at sigma.  A windowed array that equals -conj
+    When the pencil is real in tau = -i sigma (`op.real_in_tau`: every
+    pencil `build_operator` makes without an absorber) and f0 is real,
+    L(-conj sigma) = conj L(sigma) and phi_hat(-conj sigma) = conj
+    phi_hat(sigma), so the solution at -conj sigma is the conjugate of the
+    one at sigma.  A windowed array that equals -conj
     of its own reverse (a `sigma_line` line) is then solved on its upper half
     only (Re sigma >= 0 on an ascending line), and each partner gets its
     twin's conjugate, with the twin's near-pole verdict.  Any other array,
     the residue circles among them, is solved at every sigma.
     """
-    A0, A1, A2 = op.matrices
-    mirror = not (A0.imag.any() or A1.real.any() or A2.imag.any()
-                  or np.imag(f0).any())
+    mirror = op.real_in_tau and not np.imag(f0).any()
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
         keep = np.exp(-0.5 * (_PULSE_WIDTH * sigma.real) ** 2) > _PULSE_FLOOR

@@ -5,11 +5,13 @@ crosses the event horizon(s); no boundary row is imposed at a horizon, so the
 polynomial basis itself selects the solutions that extend smoothly across --
 the defining feature of the continuation.  Resonances are the values of the
 spectral parameter where the sigma-quadratic pencil becomes singular, and the
-poles of the resolvent.  The pencil's sigma^2 coefficient is exactly I or
-exactly 0, so they are the eigenvalues of its monic companion matrix or of
-its linear (N+1) pencil; they are located by that eigensolve, refined by a
-secant iteration on the zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>,
-and validated against an independent monodromy oracle.
+poles of the resolvent.  Each row is divided by its sigma^2 coefficient, so
+the pencil is monic and its resonances are the eigenvalues of its companion
+matrix.  Without an absorber the pencil is real in tau = -i sigma: its
+eigenvalues come from one real eigensolve, in exact pairs sigma, -conj sigma,
+and only one member of each pair is refined, by a secant iteration on the
+zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>, and validated
+against an independent monodromy oracle.
 
 Each radial family has polynomial coefficients, whose only singular points are
 regular ones at the roots of the principal coefficient c2.  `_radial_polys`
@@ -36,18 +38,19 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-# scipy.linalg is imported by its three callers (QZ, the Schur form and the
-# oracle's banded solve), so that importing qnmkit loads no scipy module
+# scipy.linalg is imported by its two callers (the Schur form and the oracle's
+# banded solve), so that importing qnmkit loads no scipy module
 
 from .collocation import cheb_grid
 # mu_tilde is not called here; perfbench/tracing.py wraps it by this attribute
-from .spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain, _mu_coeffs
+from .spacetime import SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, domain, \
+    _mu_coeffs
 from .absorption import AbsorbingSpec, smooth_step
 
 
 class UnsupportedModel(Exception):
-    """The eigensolve covers only the spherically symmetric (alpha = 0) models,
-    and the resolvent only their monic (A2 = I) pencils."""
+    """The solver covers only the spherically symmetric (alpha = 0) models,
+    whose pencils `build_operator` makes monic (A2 = I)."""
 
 
 class SolverFailure(Exception):
@@ -66,6 +69,7 @@ class StiffFailure(Exception):
 # radial coefficient polynomials, shared by the pencil and the oracle
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _radial_polys(params: SpacetimeParams, ell: int):
     """The sigma-split coefficients of c2 u'' + c1 u' + c0 u, highest power first.
 
@@ -74,28 +78,51 @@ def _radial_polys(params: SpacetimeParams, ell: int):
     dimension params.n.  deSitter: static-patch model on mu = 1 - r^2 with
     the s^ell ansatz factored out.  MinkowskiBoundary: forward-problem
     family of the flat boundary model (adjoint orientation), deSitter's but
-    for 1/4 - ((n - 1)/2)^2 added to c0a.  dSSchwarzschild: two-horizon
-    model on r, classical gauge c = 0, which keeps the coefficients
-    polynomial and so preserves spectral convergence (a blended c is only
-    finitely smooth).  That gauge is smooth across the future cosmological
-    horizon and the past black-hole horizon, so at r_- it selects waves that
-    leave the white-hole horizon, not waves that fall into the black hole.
+    for 1/4 - ((n - 1)/2)^2 added to c0a.  In both, c0c = 1.
+
+    dSSchwarzschild: two-horizon model on r in the gauge t* = t + h(r), h'
+    = s / mu, with s = 1 - 2t linear in t = (r - r_-) / (r_+ - r_-), so s =
+    1 at r_- and -1 at r_+.  Then t* is smooth across the future black-hole
+    horizon and the future cosmological horizon, and smoothness at both
+    selects the quasinormal condition: waves that fall into the black hole
+    and leave through the cosmological horizon (Vasy, section 6).  The
+    coefficients are c2 = mu~, c1 = mu~' - 2i sigma s r^2 and c0 =
+    -i sigma (r^2 s)' - l(l + 1) + sigma^2 r^4 (1 - s^2) / mu~, with mu~ =
+    r^2 mu = (lam / 3) r (r - r_-) (r_+ - r) P and P = r + r_- + r_+.  Each
+    is multiplied by P, which leaves c0c = 4 r^3 / ((lam / 3) (r_+ - r_-)^2),
+    positive on the grid: every coefficient is a polynomial, which keeps
+    spectral convergence.
+
+    The result is cached per (params, ell) and its arrays are shared, so
+    they are read-only.
     """
     model, n = params.model, params.n
     if model in ("deSitter", "MinkowskiBoundary"):
         c0a = -ell * (ell + n - 1.0)
         if model == "MinkowskiBoundary":
             c0a += 0.25 - ((n - 1) / 2.0) ** 2
-        return (np.array([-4.0, 4.0, 0.0]),
-                np.array([-(2.0 * n + 2 + 4 * ell), 4.0]), np.array([4j, -4j]),
-                np.array([c0a]), np.array([(n - 1.0 + 2 * ell) * 1j]),
-                np.array([1.0]))
-    if model == "dSSchwarzschild":
-        c2 = _mu_coeffs(params)                                 # mu~
-        return (c2, np.polyder(c2), np.array([2j, 0.0, 0.0]),   # 2i r^2
-                np.array([-ell * (ell + 1.0)]), np.array([2j, 0.0]),
-                np.array([0.0]))
-    raise UnsupportedModel(f"no radial family for {model!r}")
+        polys = (np.array([-4.0, 4.0, 0.0]),
+                 np.array([-(2.0 * n + 2 + 4 * ell), 4.0]), np.array([4j, -4j]),
+                 np.array([c0a]), np.array([(n - 1.0 + 2 * ell) * 1j]),
+                 np.array([1.0]))
+    elif model == "dSSchwarzschild":
+        hd = horizon_roots(params)
+        if hd.r_minus is None:
+            raise NoHorizons("dSSchwarzschild needs a black-hole horizon (r_s > 0)")
+        rm, rp = hd.r_minus, hd.r_plus
+        P = np.array([1.0, rm + rp])
+        r2s = np.polymul([1.0, 0.0, 0.0], np.array([-2.0, rp + rm]) / (rp - rm))
+        mt = _mu_coeffs(params)                                 # mu~
+        polys = (np.polymul(mt, P), np.polymul(np.polyder(mt), P),
+                 -2j * np.polymul(r2s, P), -ell * (ell + 1.0) * P,
+                 -1j * np.polymul(np.polyder(r2s), P),
+                 np.array([4.0 / (params.lam / 3.0 * (rp - rm) ** 2),
+                           0.0, 0.0, 0.0]))
+    else:
+        raise UnsupportedModel(f"no radial family for {model!r}")
+    for p in polys:
+        p.flags.writeable = False
+    return polys
 
 
 @dataclass
@@ -103,11 +130,12 @@ class DiscretizedOperator:
     """Quadratic pencil L(sigma) = A0 + sigma A1 + sigma^2 A2 of one sector.
 
     `build_operator` fixes the pencil once: P_sigma itself without an
-    absorbing spec, P_sigma - iQ with one (A0 then holds -iQ).  `pencil` is
-    the one place that forms L(sigma); the eigensolve and the resolvent
-    probe solve it.  `resolvent_apply` solves the same matrices through
-    `triangular_form`, computed on first use and kept; a pencil with A2 = 0
-    has none.
+    absorbing spec, P_sigma - iQ with one (A0 then holds -iQ), each row
+    divided by its sigma^2 coefficient.  So the pencil is monic, A2 = I
+    exactly, which construction checks (UnsupportedModel otherwise).
+    `pencil` is the one place that forms L(sigma); the eigensolve and the
+    resolvent probe solve it.  `resolvent_apply` solves the same matrices
+    through `triangular_form`, computed on first use and kept.
     """
 
     params: SpacetimeParams
@@ -117,13 +145,30 @@ class DiscretizedOperator:
     absorption_spec: Optional[AbsorbingSpec]
     N: int
 
+    def __post_init__(self):
+        A2 = self.matrices[2]
+        if not np.array_equal(A2, np.eye(len(A2))):
+            raise UnsupportedModel("the eigensolve and the resolvent need a monic "
+                                   "pencil (sigma^2 coefficient A2 = I)")
+
     def pencil(self, sigma):
-        A0, A1, A2 = self.matrices
-        return A0 + sigma * A1 + sigma * sigma * A2
+        """A0 + sigma A1 + sigma^2 I, with sigma^2 added on the diagonal."""
+        A0, A1, _ = self.matrices
+        L = A0 + sigma * A1
+        L.flat[::len(L) + 1] += sigma * sigma
+        return L
 
     @cached_property
     def triangular_form(self) -> "_TriangularForm":
-        return _TriangularForm.of(*self.matrices)
+        return _TriangularForm.of(*self.matrices[:2])
+
+    @property
+    def real_in_tau(self) -> bool:
+        """Whether A0 is real and A1 imaginary, bit for bit, as in every
+        pencil built without an absorber.  The pencil is then real in tau =
+        -i sigma, and L(-conj sigma) = conj L(sigma)."""
+        A0, A1, _ = self.matrices
+        return not (A0.imag.any() or A1.real.any())
 
 
 def build_operator(params: SpacetimeParams, ell: int, N: int,
@@ -133,10 +178,13 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
     The grid spans the horizon: [-0.6, 1] in mu = 1 - r^2 for the one-horizon
     models (the center r = 0 is the other endpoint), and [r_- - delta, r_+ +
     delta] for the two-horizon model.  Every row is a collocation row of the
-    operator.  Without `spec` the pencil has no absorber: the horizon-crossing
-    basis needs none.  With it, A0 carries -iQ, Q = q (1 + scaled
-    second-derivative stencil), with q = spec.chi(mu) (mu < mu0 < 0); the
-    one-horizon models only, ValueError on the two-horizon one.
+    operator, divided by the real part of its sigma^2 coefficient c0c (1 on
+    the one-horizon models, positive on the grid on the two-horizon one),
+    so the pencil is monic: A2 = I.  Without `spec` the pencil has no
+    absorber: the horizon-crossing basis needs none.  With it, A0 carries
+    -iQ, Q = q (1 + scaled second-derivative stencil), with q =
+    spec.chi(mu) (mu < mu0 < 0); the one-horizon models only, ValueError on
+    the two-horizon one.
     """
     if N < 16:
         raise ValueError("need N >= 16")
@@ -150,9 +198,10 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
     C2, C1a, C1b, C0a, C0b, C0c = (np.polyval(p, x).astype(complex)
                                    for p in _radial_polys(params, ell))
     D2 = D @ D
-    A0 = np.diag(C2) @ D2 + np.diag(C1a) @ D + np.diag(C0a)
-    A1 = np.diag(C1b) @ D + np.diag(C0b)
-    A2 = np.diag(C0c)
+    scale = C0c.real[:, None]
+    A0 = (np.diag(C2) @ D2 + np.diag(C1a) @ D + np.diag(C0a)) / scale
+    A1 = (np.diag(C1b) @ D + np.diag(C0b)) / scale
+    A2 = np.eye(N + 1, dtype=complex)
 
     if spec is not None:
         # multiplication plus a second-derivative stencil whose scale matches
@@ -183,39 +232,28 @@ class ResonanceList:
         return [e for e in self.entries if e.convergence_delta < tol]
 
 
-def _linearization(A0, A1, A2):
-    """(P, Q): a linear pencil P - s Q with the finite eigenvalues of
-    A0 + s A1 + s^2 A2, read from the structure of A2.
+def _companion(A0, A1):
+    """The companion [[0, I], [-A0, -A1]] of A0 + s A1 + s^2 I, whose
+    eigenvalues are the pencil's."""
+    return np.block([[np.zeros_like(A0), np.eye(len(A0))], [-A0, -A1]])
 
-    `build_operator` makes A2 exactly I (deSitter, MinkowskiBoundary: the sigma^2
-    coefficient of c0 is 1) or exactly 0 (dSSchwarzschild, gauge c = 0).
-    A2 = I: P is the monic companion [[0, I], [-A0, -A1]] and Q is None.
-    A2 = 0: the (N+1) pencil P = -S A0, Q = S A1, each row scaled by S, the
-    inverse of its largest entries in A0 and A1, since ggev does not
-    balance; unscaled, the N^4 spread of the collocation rows puts spurious
-    eigenvalues in the box.
+
+def _linearized_eigs(op: DiscretizedOperator):
+    """Eigenvalues of the monic pencil A0 + s A1 + s^2 A2 of `op`, by geev,
+    which balances the companion itself.
+
+    A pencil real in tau = -i s (`op.real_in_tau`) is, times -1, the real
+    pencil -A0 + tau B + tau^2 I with B = A1.imag: so s = i tau, with tau
+    the eigenvalues of its real companion [[0, I], [A0, -B]].  A real tau
+    gives Re s = 0 exactly, and the complex tau come in exact conjugate
+    pairs, so the s come in exact pairs s, -conj(s).  Any other pencil (one
+    with an absorber) goes through the complex companion.
     """
-    Nn = A0.shape[0]
-    if not A2.any():
-        S = 1.0 / np.maximum(np.max(np.abs(A0), axis=1)
-                             + np.max(np.abs(A1), axis=1), 1e-300)
-        return -S[:, None] * A0, S[:, None] * A1
-    if np.array_equal(A2, np.eye(Nn)):
-        Z = np.zeros((Nn, Nn), dtype=complex)
-        return np.block([[Z, np.eye(Nn)], [-A0, -A1]]), None
-    raise UnsupportedModel("the eigensolve and the resolvent need a pencil "
-                           "with A2 = I or A2 = 0")
-
-
-def _linearized_eigs(A0, A1, A2):
-    """Finite eigenvalues of A0 + s A1 + s^2 A2: geev on the companion of
-    `_linearization`, which balances it itself, or QZ on its scaled pair."""
-    P, Q = _linearization(A0, A1, A2)
+    A0, A1, _ = op.matrices
     try:
-        if Q is None:
-            return np.linalg.eigvals(P)
-        from scipy.linalg import eig
-        return eig(P, Q, right=False)
+        if op.real_in_tau:
+            return 1j * np.linalg.eigvals(_companion(-A0.real, A1.imag))
+        return np.linalg.eigvals(_companion(A0, A1))
     except np.linalg.LinAlgError as exc:   # pragma: no cover
         raise SolverFailure(str(exc)) from exc
 
@@ -225,12 +263,13 @@ def _probe_g(op: DiscretizedOperator):
     rng = np.random.default_rng(7)
     u = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     v = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
+    uc = u.conj()
     def g(s):
         try:
             x = np.linalg.solve(op.pencil(s), v)
         except np.linalg.LinAlgError:
             return 0.0 + 0.0j
-        denom = u.conj() @ x
+        denom = uc @ x
         if denom == 0:
             return np.inf
         return 1.0 / denom
@@ -274,39 +313,31 @@ def _secant(f, s1, s2):
     return s2
 
 
-def _kernel_dim(A):
-    """Numerical kernel dimension against the median singular value.
-
-    The collocation pencil's largest singular values scale like N^4, so the
-    meaningful smallness scale is the bulk level, not sv[0].
-    """
-    sv = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(sv < 1e-8 * np.median(sv)))
-
-
 def _locate(op: DiscretizedOperator, region):
-    """Roots in `region`: pencil eigenvalues, refined and kernel-gated.
+    """Roots in `region`, as (s, paired): refined pencil eigenvalues.
 
-    The eigensolve, the resolvent probe and the SVD gate all run on the
-    pencil as `build_operator` makes it.  Each eigenvalue s is refined by
-    the secant on the resolvent probe, started from (s, s + 1e-4).
+    The eigensolve and the resolvent probe run on the pencil as
+    `build_operator` makes it.  Each eigenvalue c in the padded region is
+    refined by the secant on the resolvent probe, started from (c, c +
+    1e-4).  On a pencil real in tau, in a region symmetric in Re s, the
+    eigenvalues come in exact pairs c, -conj(c), and only those with
+    Re c >= 0 are refined: `paired` says that c was off the axis, so that
+    -conj(s) is a root as well.
     """
     x0, x1, y0, y1 = region
     pad = 0.35
-    cands = [complex(z) for z in _linearized_eigs(*op.matrices)
+    half = op.real_in_tau and x0 == -x1
+    cands = [complex(z) for z in _linearized_eigs(op)
              if np.isfinite(z) and x0 - pad <= z.real <= x1 + pad
-             and y0 - pad <= z.imag <= y1 + pad]
+             and y0 - pad <= z.imag <= y1 + pad and not (half and z.real < 0)]
     g = _probe_g(op)
     roots = []
     for c in sorted(cands, key=abs):
         s = _secant(g, c, c + 1e-4)
-        kdim = _kernel_dim(op.pencil(s))
-        if kdim == 0:
-            continue
         if not (x0 - 1e-8 <= s.real <= x1 + 1e-8 and y0 - 1e-8 <= s.imag <= y1 + 1e-8):
             continue
-        if all(abs(s - r[0]) > 1e-6 for r in roots):
-            roots.append((s, kdim))
+        if all(abs(s - r) > 1e-6 for r, _ in roots):
+            roots.append((s, half and c.real > 0))
     return roots
 
 
@@ -319,14 +350,15 @@ def solve_resonances(op: DiscretizedOperator, region) -> ResonanceList:
     needs none, and the multiplication-type discrete absorber shifts pole
     locations at its coupling strength, far above the convergence
     tolerances.  Each pencil eigenvalue is refined once, by the secant on
-    the resolvent probe, and kept when the pencil there has a numerical
-    kernel, whose dimension is the reported multiplicity.
-    `convergence_delta` is |s_ref - s|, where s_ref is the secant on the
-    pencil rebuilt at N + dN points, dN = max(8, N // 4), started from
-    (s, s + 1e-4), or inf when the pencil has no numerical kernel at s_ref.
-    Both secants stop once their steps stop shrinking inside the rounding
-    band of the probe and return the last iterate a shrinking step reached,
-    so s_ref is never the start point s picked for its small probe value.
+    the resolvent probe (`_locate`).  `convergence_delta` is |s_ref - s|,
+    where s_ref is the secant on the pencil rebuilt at N + dN points, dN =
+    max(8, N // 4), started from (s, s + 1e-4).  Both secants stop once
+    their steps stop shrinking inside the rounding band of the probe and
+    return the last iterate a shrinking step reached, so s_ref is never the
+    start point s picked for its small probe value.  A root refined from an
+    off-axis eigenvalue of a pencil real in tau brings its mirror -conj(s),
+    with the same delta, unless another root lies within 1e-6 of it.
+    `multiplicity` is 1 on every row: nothing counts it yet.
     """
     roots = _locate(op, region)
 
@@ -334,12 +366,11 @@ def solve_resonances(op: DiscretizedOperator, region) -> ResonanceList:
     op2 = build_operator(op.params, op.ell, op.N + dN, op.absorption_spec)
     g2 = _probe_g(op2)
     entries = []
-    for s, kdim in roots:
-        s_ref = _secant(g2, s, s + 1e-4)
-        A = op2.pencil(s_ref)
-        delta = abs(s_ref - s) if _kernel_dim(A) > 0 else np.inf
-        entries.append(Resonance(s, kdim, float(delta),
-                                 suspect=bool(delta > 1e-4)))
+    for s, paired in roots:
+        delta = float(abs(_secant(g2, s, s + 1e-4) - s))
+        for z in (s, -s.conjugate()) if paired else (s,):
+            if all(abs(z - e.sigma) > 1e-6 for e in entries):
+                entries.append(Resonance(z, 1, delta, suspect=delta > 1e-4))
     entries.sort(key=lambda e: (-e.sigma.imag, abs(e.sigma.real)))
     return ResonanceList(entries)
 
@@ -602,7 +633,7 @@ def oracle_refine(params: SpacetimeParams, ell: int, sigma0: complex) -> complex
 # the near-pole gate: a solve whose forward-error estimate exceeds this
 # fraction of the solution is refused (resolvent_apply gives the measured gap)
 _FORWARD_ERROR_MAX = 1e-6
-_SIGMA_BLOCK = 512      # sigma per back-substitution; bounds its K x block arrays
+_SIGMA_BLOCK = 1024     # sigma per back-substitution; bounds its K x block arrays
 
 
 @dataclass(frozen=True)
@@ -621,16 +652,10 @@ class _TriangularForm:
     right: np.ndarray               # n x K
 
     @classmethod
-    def of(cls, A0, A1, A2) -> "_TriangularForm":
-        """The form of a monic pencil (A2 = I).  UnsupportedModel for A2 = 0:
-        the dSSchwarzschild pencil of `build_operator` is linear in sigma,
-        and smooth across the past horizon at r_-, so its resolvent would
-        solve the white-hole problem."""
+    def of(cls, A0, A1) -> "_TriangularForm":
+        """The form of the monic pencil A0 + sigma A1 + sigma^2 I."""
         n = A0.shape[0]
-        P, Q = _linearization(A0, A1, A2)
-        if Q is not None:
-            raise UnsupportedModel("the resolvent needs a monic pencil (sigma^2 "
-                                   "coefficient A2 = I); this one has A2 = 0")
+        P = _companion(A0, A1)
         from scipy.linalg import matrix_balance, schur
         try:
             Cb, (d, _) = matrix_balance(P, permute=False, separate=True)
