@@ -122,6 +122,18 @@ def mellin_transform(u: TemporalSamples, alpha: float,
     return ph @ (f * wts[:, None])
 
 
+def _five_smooth(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
                    tau_grid: np.ndarray) -> TemporalSamples:
     """(2 pi)^-1 int tau^(i sigma) v dsigma along Im sigma = -alpha.
@@ -131,9 +143,12 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     Bluestein's t m = (t^2 + m^2 - (t - m)^2) / 2 splits tau_t^(i sigma_m) into
     two chirps and one convolution, done by FFT for all columns at once.
     Rows of `v` that are exactly zero at either end of the grid add nothing:
-    they are dropped first, so the chirp starts at the first row kept and the
-    FFT length follows the rows kept plus the tau grid.  The rows kept keep
-    their weights on the whole grid (half only at an end of it).
+    they are dropped first, so the chirp starts at the first row kept.  The
+    FFT length is the smallest 5-smooth integer (no prime factor above 5)
+    that holds the linear convolution, M + T - 1 for M rows kept and T tau
+    points: 2250 for the 1,214 rows of an expand line, not the power of two
+    4096.  The rows kept keep their weights on the whole grid (half only at
+    an end of it).
     Both grids must be uniform: a sigma grid with fewer than 2
     points or uneven steps, a tau grid that TemporalSamples refuses, or a
     `v` not of shape (len(sigma_re), n) raises ValueError before any work.
@@ -155,7 +170,7 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
     lo, hi = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 1)
     v, wts, M = v[lo:hi], wts[lo:hi], hi - lo
     m, t = np.arange(M), np.arange(T)
-    n_fft = 1 << (M + T - 2).bit_length()      # a power of two >= M + T - 1
+    n_fft = _five_smooth(M + T - 1)
     k = np.arange(1 - M, T)
     kernel = np.zeros(n_fft, dtype=complex)
     kernel[k] = np.exp(-0.5j * a * k * k)      # k < 0 wraps to the tail
@@ -212,7 +227,7 @@ def laurent_coefficients(solve: Callable, pole: complex) -> list:
 
 
 def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
-                  n_sigma: int):
+                  n_sigma: int, mirrored: bool):
     """Terms and remainder of the inverse transform shifted to Im sigma = -ell.
 
     `solve` maps an array of sigma, shape (M,), to the spatial vectors of the
@@ -228,13 +243,23 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     real pencil, and returns exact zeros beyond, which assumes the resolvent
     grows more slowly than e^(w^2 (Re sigma)^2 / 2) there; `inverse_mellin`
     transforms only the rows between the first and last nonzero one.
+
+    `mirrored` says that solve(-conj sigma) = conj solve(sigma) (`_mirrored`).
+    The Laurent coefficients at -conj p are then c_-m(p) conjugated times
+    (-1)^m, so each term at -conj p is the conjugate of the term at p, kappa
+    by kappa: a pole whose mirror image came earlier in `poles` takes its
+    twin's terms conjugated, and its circle is not solved.
     """
     tau_grid = default_tau_grid()
-    terms = []
+    terms, solved = [], {}
     for pj in poles:
         if abs(pj.imag + ell_target) < _POLE_MARGIN:
             raise PoleOnContour(f"pole {pj} sits on Im sigma = {-ell_target}")
         if pj.imag <= -ell_target:
+            continue
+        twin = solved.get(-pj.conjugate()) if mirrored else None
+        if twin is not None:
+            terms += [ExpansionTerm(pj, t.kappa, t.a.conj()) for t in twin]
             continue
         cs = laurent_coefficients(solve, pj)
         scale = max(np.max(np.abs(c)) for c in cs)
@@ -242,14 +267,25 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
             continue
         order = max((m for m in range(1, _LAURENT_ORDERS + 1)
                      if np.max(np.abs(cs[m - 1])) > _JORDAN_TOL * scale), default=0)
+        solved[pj] = []
         for kappa in range(order):
             # contour shift picks up -i times the residue of tau^{i sigma} u^
             coef = -1j * cs[kappa] * (1j) ** kappa / math.factorial(kappa)
-            terms.append(ExpansionTerm(pj, kappa, coef))
+            solved[pj].append(ExpansionTerm(pj, kappa, coef))
+        terms += solved[pj]
     sig_re = sigma_line(n_sigma)
     remainder = inverse_mellin(solve(sig_re - 1j * ell_target), ell_target,
                                sig_re, tau_grid)
     return terms, remainder
+
+
+def _mirrored(op: DiscretizedOperator, f0: np.ndarray) -> bool:
+    """Whether the driven solution at -conj sigma is the conjugate of the one
+    at sigma: the pencil is real in tau = -i sigma (`op.real_in_tau`: every
+    pencil `build_operator` makes without an absorber), so L(-conj sigma) =
+    conj L(sigma), and f0 is real; phi_hat(-conj sigma) = conj
+    phi_hat(sigma) holds for every log-Gaussian pulse."""
+    return op.real_in_tau and not np.imag(f0).any()
 
 
 def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
@@ -266,17 +302,14 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     rounding of the kept ones.  The residue circles (|Re sigma| <= 8) are
     never cut.
 
-    When the pencil is real in tau = -i sigma (`op.real_in_tau`: every
-    pencil `build_operator` makes without an absorber) and f0 is real,
-    L(-conj sigma) = conj L(sigma) and phi_hat(-conj sigma) = conj
-    phi_hat(sigma), so the solution at -conj sigma is the conjugate of the
-    one at sigma.  A windowed array that equals -conj
-    of its own reverse (a `sigma_line` line) is then solved on its upper half
-    only (Re sigma >= 0 on an ascending line), and each partner gets its
-    twin's conjugate, with the twin's near-pole verdict.  Any other array,
-    the residue circles among them, is solved at every sigma.
+    When the solution at -conj sigma is the conjugate of the one at sigma
+    (`_mirrored`), a windowed array that equals -conj of its own reverse (a
+    `sigma_line` line) is solved on its upper half only (Re sigma >= 0 on an
+    ascending line), and each partner gets its twin's conjugate, with the
+    twin's near-pole verdict.  Any other array, the residue circles among
+    them, is solved at every sigma; `expand_family` pairs the circles.
     """
-    mirror = op.real_in_tau and not np.imag(f0).any()
+    mirror = _mirrored(op, f0)
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
         keep = np.exp(-0.5 * (_PULSE_WIDTH * sigma.real) ** 2) > _PULSE_FLOOR
@@ -303,10 +336,12 @@ def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
     f0 is the spatial forcing profile of the default log-Gaussian pulse.
     Pole locations come from the resonance solver, down to 0.8 below the
     contour; the transformed solution is sigma -> R(sigma)(phi_hat(sigma) f0).
-    `n_sigma` goes to `expand_family`.
+    `n_sigma` goes to `expand_family`, which solves one residue circle per
+    mirror pair when `_mirrored` holds.
     """
     poles = _converged_poles(op, -ell_target - 0.8)
-    return expand_family(driven_solve(op, f0), poles, ell_target, n_sigma)
+    return expand_family(driven_solve(op, f0), poles, ell_target, n_sigma,
+                         _mirrored(op, f0))
 
 
 def log_gaussian_pulse_hat(sigma):

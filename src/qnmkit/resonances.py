@@ -160,7 +160,7 @@ class DiscretizedOperator:
 
     @cached_property
     def triangular_form(self) -> "_TriangularForm":
-        return _TriangularForm.of(*self.matrices[:2])
+        return _TriangularForm.of(self)
 
     @property
     def real_in_tau(self) -> bool:
@@ -199,8 +199,8 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
                                    for p in _radial_polys(params, ell))
     D2 = D @ D
     scale = C0c.real[:, None]
-    A0 = (np.diag(C2) @ D2 + np.diag(C1a) @ D + np.diag(C0a)) / scale
-    A1 = (np.diag(C1b) @ D + np.diag(C0b)) / scale
+    A0 = (C2[:, None] * D2 + C1a[:, None] * D + np.diag(C0a)) / scale
+    A1 = (C1b[:, None] * D + np.diag(C0b)) / scale
     A2 = np.eye(N + 1, dtype=complex)
 
     if spec is not None:
@@ -209,7 +209,7 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
         w = spec.chi(x)
         active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
         lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
-        A0 = A0 - 1j * (np.diag(w) @ (np.eye(N + 1) - lsc2 * D2))
+        A0 = A0 - 1j * (w[:, None] * (np.eye(N + 1) - lsc2 * D2))
     return DiscretizedOperator(params, ell, x, (A0, A1, A2), spec, N)
 
 # ---------------------------------------------------------------------------
@@ -638,53 +638,94 @@ _SIGMA_BLOCK = 1024     # sigma per back-substitution; bounds its K x block arra
 
 @dataclass(frozen=True)
 class _TriangularForm:
-    """L(sigma)^-1 = right (T - sigma)^-1 left for every sigma at once.
+    """L(sigma)^-1 = right (T - z)^-1 left for every sigma at once.
 
-    (C - sigma) [u; sigma u] = [0; -f] for the monic companion C = [[0, I],
-    [-A0, -A1]], which is balanced by a diagonal D (no permutation) and
-    reduced to complex Schur form, D^-1 C D = Z T Z^H.  One reduction per
-    pencil makes each shifted solve a triangular back-substitution, O(K^2)
-    per sigma (Laub, IEEE TAC 26 (1981) 407).
+    The monic companion C of the pencil is balanced by a diagonal D (no
+    permutation) and reduced to Schur form, D^-1 C D = Z T Z^H.  One
+    reduction per pencil makes each shifted solve a back-substitution,
+    O(K^2) per sigma (Laub, IEEE TAC 26 (1981) 407).
+
+    On a pencil real in tau = -i sigma (`real_in_tau`), C is the real
+    companion [[0, I], [A0, -B]], B = A1.imag, that `_linearized_eigs`
+    solves: (C - tau) [u; tau u] = [0; L(sigma) u].  Its real Schur form
+    has a quasi-triangular T, with 1 x 1 blocks for the real tau and 2 x 2
+    blocks for the conjugate pairs; z = tau, and left, T and right are real,
+    so each product runs on the real (K, 2M) view of a complex K x M block.
+    Any other pencil (one with an absorber) uses the complex companion
+    [[0, I], [-A0, -A1]], (C - sigma) [u; sigma u] = [0; -L(sigma) u], its
+    complex Schur form and z = sigma.
     """
 
     left: np.ndarray                # K x n
-    T: np.ndarray                   # K x K, upper triangular
+    T: np.ndarray                   # K x K, upper (quasi-)triangular
     right: np.ndarray               # n x K
+    blocks: tuple                   # (start, size) of T's diagonal blocks, last first
+    in_tau: bool                    # real form, solved at z = tau
 
     @classmethod
-    def of(cls, A0, A1) -> "_TriangularForm":
-        """The form of the monic pencil A0 + sigma A1 + sigma^2 I."""
-        n = A0.shape[0]
-        P = _companion(A0, A1)
+    def of(cls, op: DiscretizedOperator) -> "_TriangularForm":
+        """The form of the monic pencil of `op`."""
+        A0, A1, _ = op.matrices
+        n, in_tau = len(A0), op.real_in_tau
+        P = _companion(-A0.real, A1.imag) if in_tau else _companion(A0, A1)
         from scipy.linalg import matrix_balance, schur
         try:
             Cb, (d, _) = matrix_balance(P, permute=False, separate=True)
-            T, Z = schur(Cb, output="complex")
+            T, Z = schur(Cb, output="real" if in_tau else "complex")
         except np.linalg.LinAlgError as exc:   # pragma: no cover
             raise SolverFailure(str(exc)) from exc
-        return cls(-Z.conj().T[:, n:] / d[n:], T, d[:n, None] * Z[:n])
+        left = Z.T[:, n:] / d[n:] if in_tau else -Z.conj().T[:, n:] / d[n:]
+        # a 2 x 2 block of the real form starts at each nonzero subdiagonal entry
+        pair = np.diagonal(T, -1) != 0 if in_tau else np.zeros(len(T) - 1, bool)
+        blocks, i = [], 0
+        while i < len(T):
+            size = 2 if i < len(pair) and pair[i] else 1
+            blocks.append((i, size))
+            i += size
+        return cls(left, T, d[:n, None] * Z[:n], tuple(blocks[::-1]), in_tau)
 
     def solve(self, sig: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Columns L(sig[m])^-1 X[:, m], by one back-substitution for all m."""
-        T = self.T
-        Y = self.left @ X
-        D = np.diag(T)[:, None] - sig
+        """Columns L(sig[m])^-1 X[:, m], by one back-substitution for all m.
+
+        Each 2 x 2 block is solved by Cramer's rule for all m at once.
+        """
+        T, mul = self.T, _real_matmul if self.in_tau else np.matmul
+        D = np.diag(T)[:, None] - (-1j * sig if self.in_tau else sig)
+        Y = mul(self.left, X)
         W = np.empty_like(Y)
-        for i in range(len(Y) - 1, -1, -1):
-            W[i] = (Y[i] - T[i, i + 1:] @ W[i + 1:]) / D[i]
-        return self.right @ W
+        for i, size in self.blocks:
+            if size == 1:
+                W[i] = (Y[i] - mul(T[i, i + 1:], W[i + 1:])) / D[i]
+            else:
+                r0, r1 = Y[i:i + 2] - mul(T[i:i + 2, i + 2:], W[i + 2:])
+                b, c = T[i, i + 1], T[i + 1, i]
+                det = D[i] * D[i + 1] - b * c
+                W[i] = (D[i + 1] * r0 - b * r1) / det
+                W[i + 1] = (D[i] * r1 - c * r0) / det
+        return mul(self.right, W)
+
+
+def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X for a real A and a complex X, as one real product on X's real
+    view: X of shape (k, M) is read as (k, 2M)."""
+    X = np.ascontiguousarray(X)
+    return (A @ X.view(float)).view(complex)
 
 
 def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     """(U, err): rows U[m] = L(sig[m])^-1 F[m] and forward-error estimates.
 
     Each block of _SIGMA_BLOCK sigma values is solved through
-    `op.triangular_form` and refined twice on the residual F - L(sig) U of
-    the pencil itself.  err[m] estimates ||u_m - L^-1 f_m|| by one more
-    solve, of g = eps (|A0||u| + |s||A1||u| + |s|^2 |u| + |f|) times
-    fixed unit-modulus signs: the componentwise bound || |L^-1| g || behind
+    `op.triangular_form` (the real Schur form in tau on an absorber-free
+    pencil, the complex one in sigma otherwise) and refined twice on the
+    residual F - L(sig) U of the pencil itself, in complex arithmetic on
+    either form.  err[m] estimates ||u_m - L^-1 f_m|| by one more solve, of
+    g = eps (|A0||u| + |s||A1||u| + |s|^2 |u| + |f|) times fixed
+    unit-modulus signs: the componentwise bound || |L^-1| g || behind
     LAPACK's xGERFS FERR (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 12).  It is nan where the solve is not finite.
+    Algorithms, ch. 12).  It is nan where the solve is not finite.  On the
+    expand lines and circles the real and the complex form differ by at
+    most 0.17 of the sum of their two estimates.
     """
     sig = np.asarray_chkfinite(sig)
     F = np.asarray_chkfinite(F)
@@ -716,16 +757,19 @@ def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray
     broadcasts to it) gives u of shape (M, n); a scalar sigma with f of
     shape (n,) gives u of shape (n,).  A non-finite sigma or f raises
     ValueError.  The pencil is reduced once per operator
-    (`op.triangular_form`), and each block of sigma values is solved by one
-    triangular back-substitution and refined twice on the pencil's own
-    residual.  The near-pole gate reads the forward-error estimate of
-    `_solve`: NearPole is raised when it exceeds _FORWARD_ERROR_MAX ||u|| at
-    any sigma, or when the solve there is not finite (sigma on an
-    eigenvalue).  u = f = 0 passes.  Measured estimate / ||u|| at N=48:
-    at most 1.5e-8 on the lines and 1.7e-9 on the residue circles of
-    `qnmkit expand`, at least 0.5 at the solver's converged roots (N=48
-    and 80); near the dS l=0 pole -2i it grows as about 1.25e-9 / distance,
-    so the gate passes at distance 1e-2 and fires from 1e-4.
+    (`op.triangular_form`: the real Schur form of its companion in tau =
+    -i sigma when the pencil is real in tau, every pencil without an
+    absorber, and the complex Schur form otherwise), and each block of sigma
+    values is solved by one back-substitution and refined twice on the
+    pencil's own residual.  The near-pole gate reads the forward-error
+    estimate of `_solve`: NearPole is raised when it exceeds
+    _FORWARD_ERROR_MAX ||u|| at any sigma, or when the solve there is not
+    finite (sigma on an eigenvalue).  u = f = 0 passes.  Measured estimate /
+    ||u|| at N=48 on the real form: at most 1.5e-8 on the lines and 2.9e-9
+    on the residue circles of `qnmkit expand` (dS l=0 and l=1, Minkowski
+    l=0, dSS l=0), at least 0.28 at the solver's converged roots (N=48 and
+    80); near the dS l=0 pole -2i it grows as about 1.25e-9 / distance, so
+    the gate passes at distance 1e-2 and fires from 1e-4.
     """
     sig = np.asarray(sigma, dtype=complex)
     n = op.N + 1

@@ -526,7 +526,42 @@ class TestResonances:
                      "--out", str(tmp_path / "out")]) == 4
 
 
+# run in a fresh interpreter: argv[1] is an output directory, argv[2] the
+# sample configs; expands dS l=0 and l=1, Minkowski l=0 and dSS l=0 at
+# N=48 with 4000 sigma
+_EXPANSIONS_SCRIPT = r"""
+import os, sys
+import qnmkit.cli as cli
+out, configs = sys.argv[1:3]
+for p, ell, ell_target in (("ds", 0, 1.5), ("ds", 1, 2.5), ("minkowski", 0, 1.5),
+                           ("dss", 0, 1.5)):
+    name = f"{p}-l{ell}"
+    cfg = os.path.join(out, name + ".cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"params = {os.path.join(configs, p + '.params')}\nN = 48\n"
+                 f"ell = {ell}\nell_target = {ell_target}\nn_sigma = 4000\n")
+    assert cli.main(["expand", "--config", cfg,
+                     "--out", os.path.join(out, name)]) == 0
+"""
+
+
 class TestExpand:
+    def test_expansions_independent_of_blas_threads(self, tmp_path):
+        # the three expand ops of the benchmark and dSS l=0, each written in
+        # one fresh process at 1 and one at 2 BLAS threads, exit 0 and write
+        # byte-identical expansion.json: the real Schur form and its real
+        # products leave no rounding digit to the thread count
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            subprocess.run([sys.executable, "-c", _EXPANSIONS_SCRIPT,
+                            str(tmp_path / threads), CONFIGS],
+                           env=src_env(OPENBLAS_NUM_THREADS=threads), check=True)
+        names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.is_dir())
+        assert names == ["ds-l0", "ds-l1", "dss-l0", "minkowski-l0"]
+        for name in names:
+            assert ((tmp_path / "1" / name / "expansion.json").read_bytes()
+                    == (tmp_path / "2" / name / "expansion.json").read_bytes()), name
+
     def test_unsupported_model_exit_two(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg",
                     f"params = {KDS_PARAMS}\nN = 16\nn_sigma = 128\n")
@@ -558,6 +593,8 @@ class TestExpand:
                          for want in (0.0, pair, -pair.conjugate()))
             assert len(terms) == 3 and len(c + p + q) == 3
             assert terms[q[0]] == -terms[p[0]].conjugate()
+            assert (rep["terms"][q[0]]["coeff_norm"]
+                    == rep["terms"][p[0]]["coeff_norm"])
             norms.append(rep["terms"][c[0]]["coeff_norm"])
         assert norms[0] == pytest.approx(0.3138899329, rel=1e-9)
         assert norms[1] == pytest.approx(norms[0], rel=1e-10)

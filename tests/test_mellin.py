@@ -19,6 +19,7 @@ from test_resonances import _referee_solve
 TAU = default_tau_grid()
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
 MK = SpacetimeParams(model="MinkowskiBoundary", lam=0.0, n=4)
+DSS = SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
 
 
 def bump_samples():
@@ -123,7 +124,8 @@ class TestTransformPair:
 
     def test_nonzero_end_rows_keep_the_full_chirp(self):
         # with nonzero rows at both ends nothing is trimmed: the transform is
-        # bit for bit the chirp-z sum over the whole grid, FFT length 8192
+        # bit for bit the chirp-z sum over the whole grid, FFT length 5120,
+        # the smallest 5-smooth length >= 4000 + 1024 - 1 (2^10 * 5)
         rng = np.random.default_rng(12)
         sig = np.linspace(-60.0, 60.0, 4000)
         v = rng.standard_normal((4000, 3)) + 1j * rng.standard_normal((4000, 3))
@@ -134,10 +136,10 @@ class TestTransformPair:
         m, t, k = np.arange(M), np.arange(T), np.arange(1 - M, T)
         wts = np.full(M, ds)
         wts[0] = wts[-1] = ds / 2
-        kernel = np.zeros(8192, dtype=complex)
+        kernel = np.zeros(5120, dtype=complex)
         kernel[k] = np.exp(-0.5j * a * k * k)
         pre = wts * np.exp(1j * (x[0] * ds * m + 0.5 * a * m * m))
-        b = np.zeros((3, 8192), dtype=complex)
+        b = np.zeros((3, 5120), dtype=complex)
         b[:, :M] = (v * pre[:, None]).T
         np.fft.fft(b, out=b)
         b *= np.fft.fft(kernel)
@@ -222,7 +224,8 @@ class TestExpandFamily:
     def test_single_simple_pole_reconstruction(self):
         pole = -0.8j
         solve = lambda s: (log_gaussian_pulse_hat(s) / (s - pole))[:, None]
-        terms, rem = expand_family(solve, [pole], ell_target=2.0, n_sigma=6000)
+        terms, rem = expand_family(solve, [pole], ell_target=2.0, n_sigma=6000,
+                                   mirrored=False)
         assert len(terms) == 1 and terms[0].kappa == 0
         # -i times the residue of the scalar family
         want = -1j * log_gaussian_pulse_hat(pole)
@@ -241,7 +244,8 @@ class TestExpandFamily:
             d = s - pole
             return log_gaussian_pulse_hat(s)[:, None] * np.stack(
                 [f[0] / d - f[1] / d ** 2, f[1] / d], axis=-1)
-        terms, rem = expand_family(solve, [pole], 2.5, n_sigma=6000)
+        terms, rem = expand_family(solve, [pole], 2.5, n_sigma=6000,
+                                   mirrored=False)
         kappas = sorted(t.kappa for t in terms)
         assert kappas == [0, 1]
         t1 = [t for t in terms if t.kappa == 1][0]
@@ -254,7 +258,8 @@ class TestExpandFamily:
         pole = -0.5j
         solve = lambda s: (log_gaussian_pulse_hat(s) / (s - pole))[:, None]
         ell = 2.0
-        terms, rem = expand_family(solve, [pole], ell, n_sigma=6750)
+        terms, rem = expand_family(solve, [pole], ell, n_sigma=6750,
+                                   mirrored=False)
         rate, power, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
         assert rate >= ell - 0.02 * ell
 
@@ -262,14 +267,14 @@ class TestExpandFamily:
         pole = -2.0j
         solve = lambda s: (1.0 / (s - pole))[:, None]
         with pytest.raises(PoleOnContour):
-            expand_family(solve, [pole], 2.0, n_sigma=4000)
+            expand_family(solve, [pole], 2.0, n_sigma=4000, mirrored=False)
 
     def test_contour_shift_consistency(self):
         poles = [-0.5j, -1.5j]
         solve = lambda s: (log_gaussian_pulse_hat(s) * (
             1.0 / (s - poles[0]) + 1.0 / (s - poles[1])))[:, None]
-        t1, _ = expand_family(solve, poles, 1.0, n_sigma=5000)
-        t2, _ = expand_family(solve, poles, 2.0, n_sigma=5000)
+        t1, _ = expand_family(solve, poles, 1.0, n_sigma=5000, mirrored=False)
+        t2, _ = expand_family(solve, poles, 2.0, n_sigma=5000, mirrored=False)
         assert len(t1) == 1 and len(t2) == 2
         lead1 = [t for t in t2 if abs(t.sigma_j - t1[0].sigma_j) < 1e-12]
         assert complex(lead1[0].a[0]) == pytest.approx(complex(t1[0].a[0]), rel=1e-8)
@@ -282,13 +287,33 @@ class TestPipeline:
         terms, rem = expand_family(
             lambda s: __import__("qnmkit.resonances", fromlist=["resolvent_apply"])
             .resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0),
-            [0.0 + 0.0j], ell_target=1.5, n_sigma=4000)
+            [0.0 + 0.0j], ell_target=1.5, n_sigma=4000, mirrored=False)
         # the leading term is the constant mode: spatially flat coefficient
         lead = terms[0]
         spread = np.max(np.abs(lead.a - lead.a[len(lead.a) // 2]))
         assert spread < 1e-6 * max(1.0, np.max(np.abs(lead.a)))
         rate, _, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
         assert rate >= 1.5 - 0.03
+
+    @pytest.mark.parametrize("phase, circles", [(1.0, 2), (1.0 + 0.5j, 3)],
+                             ids=["real-f0", "complex-f0"])
+    def test_mirror_pair_shares_one_circle(self, phase, circles, monkeypatch):
+        # dSS l=0 at N=48 has three poles above Im sigma = -1.5: 0 and the
+        # pair +-0.9023073005 - 1.0299536917i.  The pencil is real in tau, so
+        # with a real f0 only one circle of the pair is solved, and the
+        # twin's coefficient is its partner's conjugate bit for bit; a
+        # complex f0 solves all three circles
+        op = build_operator(DSS, 0, 48)
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2) * phase
+        sizes = _spy_resolvent(monkeypatch)
+        terms, _ = resonance_expand(f0, op, ell_target=1.5, n_sigma=4000)
+        assert sizes.count(64) == circles
+        assert len(terms) == 3 and all(t.kappa == 0 for t in terms)
+        p, q = (t for t in terms if abs(t.sigma_j) > 0.5)
+        assert q.sigma_j == -p.sigma_j.conjugate()
+        assert abs(p.sigma_j - (0.9023073005 - 1.0299536917j)) < 1e-8
+        if circles == 2:
+            assert np.array_equal(q.a, p.a.conj())
 
     def test_resonance_expand_wrapper(self):
         op = build_operator(DS, 0, 48)
