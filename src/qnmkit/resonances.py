@@ -38,8 +38,9 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-# scipy.linalg is imported by its two callers (the Schur form and the oracle's
-# banded solve), so that importing qnmkit loads no scipy module
+# scipy.linalg is imported by its three callers (the resolvent probe, the
+# Schur form and the oracle's banded solve), so that importing qnmkit loads no
+# scipy module
 
 from .collocation import cheb_grid
 # mu_tilde is not called here; perfbench/tracing.py wraps it by this attribute
@@ -259,15 +260,24 @@ def _linearized_eigs(op: DiscretizedOperator):
 
 
 def _probe_g(op: DiscretizedOperator):
+    """The resolvent probe g(s) = 1 / <u, L(s)^-1 v> of `op`, with u and v
+    drawn from a generator seeded with 7: a zero of g is a pole of the
+    resolvent.
+
+    Each probe is one LAPACK zgesv on a fresh pencil, which it overwrites:
+    numpy's `solve` would add its wrapper's cost to a 10-45 us call at the
+    table's N.  g is 0 where the LU factor is exactly singular (info > 0),
+    and infinite where <u, x> = 0.
+    """
+    from scipy.linalg.lapack import zgesv
     Nn = op.N + 1
     rng = np.random.default_rng(7)
     u = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     v = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     uc = u.conj()
     def g(s):
-        try:
-            x = np.linalg.solve(op.pencil(s), v)
-        except np.linalg.LinAlgError:
+        _, _, x, info = zgesv(op.pencil(s), v, overwrite_a=1)
+        if info > 0:
             return 0.0 + 0.0j
         denom = uc @ x
         if denom == 0:
@@ -285,15 +295,17 @@ def _secant(f, s1, s2):
     below 1e-6 max(1, |s|) only shrinking steps are taken: the iteration
     stops at the first proposed step there that is no shorter than the one
     before it, and returns the iterate it stands on, the last one a
-    shrinking step reached.  It also stops after a step below
-    1e-13 max(1, |s|), when f repeats, or after 80 steps.  A point where f
-    is not finite (a zero of the resolvent probe's denominator) is never
-    returned: the iteration stops at the iterate before it.
+    shrinking step reached.  The first proposed step is always taken, so a
+    start pair closer than that band is still refined.  It also stops after
+    a step below 1e-13 max(1, |s|), when f repeats, or after 80 steps.  A
+    point where f is not finite (a zero of the resolvent probe's
+    denominator) is never returned: the iteration stops at the iterate
+    before it.
     """
     f1, f2 = f(s1), f(s2)
     if not np.isfinite(f2):
         return s1
-    step = abs(s2 - s1)
+    step = np.inf
     for _ in range(80):
         if f2 == f1:
             break
@@ -621,9 +633,16 @@ def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> comple
 
 
 def oracle_refine(params: SpacetimeParams, ell: int, sigma0: complex) -> complex:
-    """Secant refinement of a zero of the shooting determinant near sigma0."""
+    """Secant refinement of a zero of the shooting detector near sigma0.
+
+    The secant starts at the row itself, from (sigma0 + 1e-5 max(1,
+    |sigma0|), sigma0): the solver holds a row to about 1e-8, so a start
+    1e-4 away would spend its first steps coming back.  The spacing is ten
+    times the secant's 1e-6 max(1, |s|) band, so the first step is taken
+    outside it.
+    """
     f = lambda s: oracle_shooting(params, ell, s)
-    return _secant(f, sigma0 + 1e-4 + 1e-4j, sigma0 + 2e-4)
+    return _secant(f, sigma0 + 1e-5 * max(1.0, abs(sigma0)), sigma0)
 
 
 # ---------------------------------------------------------------------------

@@ -764,7 +764,7 @@ assert not loaded(), loaded()
 
 def test_no_command_loads_the_ode_stack(tmp_path):
     # of scipy, resonances and expand load scipy.linalg only, at their first
-    # eigensolve, oracle call or resolvent call; the flow reads the DOP853
+    # resolvent probe or resolvent call; the flow reads the DOP853
     # tableau from scipy's coefficient module by path and finds its roots
     # with its own Brent loop, so scipy.integrate (and the scipy.optimize and
     # scipy.special it would pull in) never load
@@ -790,13 +790,14 @@ for params in ("ds.params", "dss.params", "kds.params", "minkowski.params"):
 for params in ("dss.params", "kds.params", "ds.params"):
     assert run("flow", params, "n_traj = 1\nT = 0.1\n") == 0
 assert not scipy_loaded(), scipy_loaded()
-assert run("resonances", "dss.params", "N = 16\nell_min = 0\nell_max = 0\noracle = 1\n") == 0
+assert run("resonances", "dss.params", "N = 16\nell_min = 0\nell_max = 0\noracle = 0\n") == 0
 assert "scipy.linalg" in sys.modules
 """
 
 
 def test_geometry_commands_load_no_scipy(tmp_path):
     # importing the CLI, admissible and flow load no scipy module at all;
-    # the first eigensolve or oracle call of resonances loads scipy.linalg
+    # the first resolvent probe of resonances loads scipy.linalg, so a run
+    # with the oracle off loads it too
     subprocess.run([sys.executable, "-c", _SCIPY_SCRIPT, str(tmp_path),
                     CONFIGS], env=src_env(), check=True)

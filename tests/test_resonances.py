@@ -13,6 +13,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+import qnmkit.cli as cli
 import qnmkit.resonances as resonances
 import qnmkit.spacetime as spacetime
 from qnmkit.spacetime import SpacetimeParams, mu_tilde
@@ -686,6 +687,36 @@ class TestSeriesOracle:
         assert abs(z + 1.9993491155321927j) < 1e-6
         assert len(calls) <= 10
 
+    def test_refinement_starts_at_the_row(self, monkeypatch):
+        # one refinement per mirror pair of the dSS table (cap 80, l 0-2),
+        # as `qnmkit resonances` runs it: started at the row, the secant
+        # averaged 4.67 shootings a row, 6.25 from (sigma + 1e-4 + 1e-4i,
+        # sigma + 2e-4), and its roots lie within 9.8e-14 of that start's
+        real = resonances.oracle_shooting
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+        monkeypatch.setattr(resonances, "oracle_shooting", counted)
+        refined = 0
+        for ell in (0, 1, 2):
+            checked = set()
+            for _, e in cli._climb(DSS, ell, 80):
+                s = e.sigma
+                if -s.conjugate() in checked:
+                    continue
+                checked.add(s)
+                z = oracle_refine(DSS, ell, s)
+                old = resonances._secant(lambda t: real(DSS, ell, t),
+                                         s + 1e-4 + 1e-4j, s + 2e-4)
+                assert abs(z - old) <= 1e-12 * max(1.0, abs(old))
+                tol = cli._TRUST_TOL
+                assert (abs(z - s) < tol) == (abs(old - s) < tol)
+                refined += 1
+        assert refined == 12
+        assert len(calls) <= 5 * refined
+
     def test_no_ode_integration(self, monkeypatch):
         calls = []
 
@@ -840,6 +871,13 @@ class TestSecant:
             assert len(calls) == bad
             assert s == calls[bad - 2]
 
+    def test_start_pair_inside_the_band_is_refined(self):
+        # a start pair 5e-7 apart lies inside the 1e-6 band: seeding the
+        # shrink test with that spacing returned the second start, 5e-7 off
+        z = self.Z0
+        s = resonances._secant(lambda t: (t - z) * (t - z - 3.0), z, z + 5e-7)
+        assert abs(s - z) < 1e-12
+
     def test_returns_last_iterate_not_least_residual(self):
         # the N+dN pass starts 1e-9 from the root, where the probe happens to
         # be smaller than anywhere the iteration goes: the start point must
@@ -857,6 +895,19 @@ class TestSecant:
 
 
 class TestResolvent:
+    def test_probe_is_zero_on_a_singular_pencil(self):
+        # A0 = -s0^2 I and A1 = 0 make L(s0) exactly zero: the LU factor is
+        # singular (LAPACK info > 0) and the probe reads 0 there
+        s0, n = 1.5 - 0.5j, 17
+        op = resonances.DiscretizedOperator(
+            DS, 0, np.linspace(-1.0, 1.0, n),
+            (-(s0 * s0) * np.eye(n, dtype=complex), np.zeros((n, n), complex),
+             np.eye(n, dtype=complex)), None, n - 1)
+        assert not op.pencil(s0).any()
+        g = resonances._probe_g(op)
+        assert g(s0) == 0
+        assert g(s0 + 0.1) != 0
+
     def test_round_trip(self):
         op = build_operator(DS, 0, 60, TINY)
         rng = np.random.default_rng(3)
