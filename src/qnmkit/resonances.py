@@ -264,10 +264,10 @@ def _probe_g(op: DiscretizedOperator):
     drawn from a generator seeded with 7: a zero of g is a pole of the
     resolvent.
 
-    Each probe is one LAPACK zgesv on a fresh pencil, which it overwrites:
-    numpy's `solve` would add its wrapper's cost to a 10-45 us call at the
-    table's N.  g is 0 where the LU factor is exactly singular (info > 0),
-    and infinite where <u, x> = 0.
+    Each probe is one LAPACK zgesv on the pencil at s: numpy's `solve`
+    would add its wrapper's cost to a 10-45 us call at the table's N.  g is
+    0 where the LU factor is exactly singular (info > 0), and infinite
+    where <u, x> = 0.
     """
     from scipy.linalg.lapack import zgesv
     Nn = op.N + 1
@@ -276,7 +276,7 @@ def _probe_g(op: DiscretizedOperator):
     v = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
     uc = u.conj()
     def g(s):
-        _, _, x, info = zgesv(op.pencil(s), v, overwrite_a=1)
+        _, _, x, info = zgesv(op.pencil(s), v)
         if info > 0:
             return 0.0 + 0.0j
         denom = uc @ x
