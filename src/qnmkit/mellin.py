@@ -1,5 +1,5 @@
-"""Numerical Mellin transform pair, resonance-expansion synthesis, and
-decay-rate fitting.
+"""Numerical Mellin transform pair, resonance-expansion synthesis,
+decay-rate fitting, and the time-domain solve that referees an expansion.
 
 The transform is the Fourier transform in x = log(tau), so all quadrature runs
 on a log-uniform grid where the trapezoid rule is spectrally accurate for
@@ -321,6 +321,92 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
         out[keep] = np.concatenate([u[len(s) - 2 * lo:][::-1].conj(), u])
         return out
     return solve
+
+
+def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSamples:
+    """The causal solution of A0 u - i A1 u' - u'' = phi(x) f0 on
+    `default_tau_grid()`, x = log tau and phi the default log-Gaussian
+    pulse: the u that vanishes as x -> +inf.  It touches no resolvent,
+    contour or transform, so it referees the expansion.
+
+    On a pencil real in tau with a real f0 (`_mirrored`; ValueError
+    otherwise), A1 is imaginary and y = (u, u') solves the real
+    y' = M y - phi [0; f0], M = [[0, I], [A0.real, A1.imag]].  y = 0 at the
+    first point of the grid, extended upward, where phi has fallen below
+    _PULSE_FLOOR, and it is stepped down the grid by the grid's own log
+    spacing h with exact exponentials (Van Loan, IEEE TAC 23 (1978) 395):
+    y(x - h) = E y(x) + G c(x), E = e^(-Mh).  c_j = (-h)^j phi^(j)(x) are the
+    pulse's Taylor jets, kept up to the first whose bound (h/w)^j / sqrt(j!)
+    is below _PULSE_FLOOR (j = 10 on the default grid), and column j of G is
+    h int_0^1 e^(-Mh(1 - r)) r^j / j! dr [0; f0], the top right block of the
+    exponential of -Mh augmented by a nilpotent shift.  Each step is one
+    real K x K matvec, K = 2 (N + 1), 1,138 of them on the default grid;
+    they stay bounded only while no eigenvalue of the pencil has
+    Im sigma > 0.
+
+    -Mh is balanced first (no permutation).  G is a Taylor series at
+    h / 2^s, s the fewest halvings that bring the balanced norm to 1 or
+    less, doubled s times as the augmented exponential is squared.  E comes
+    straight from expm: its error enters every step, and the squared E cost
+    a decade of accuracy against the direct line (7.8e-11 against 4.3e-12 on
+    dS l=0 at N = 48); G's error enters once.  At N = 48 the result has the
+    same bits at 1 and 2 OpenBLAS threads (0.3.31, 2 cores), which the
+    exponential of the whole augmented matrix did not; at N = 96 `expm`'s
+    own products do not keep them.
+    """
+    if not _mirrored(op, f0):
+        raise ValueError("the time-domain solve needs a pencil real in "
+                         "tau = -i sigma and a real forcing profile")
+    from scipy.linalg import expm, matrix_balance
+    A0, A1, _ = op.matrices
+    n = len(A0)
+    tau_grid = default_tau_grid()
+    x = _log_tau(tau_grid)
+    h = (x[0] - x[-1]) / (len(x) - 1)
+    M = np.block([[np.zeros((n, n)), np.eye(n)], [A0.real, A1.imag]])
+    A, (d, _) = matrix_balance(-h * M, permute=False, separate=True)
+    r = h / _PULSE_WIDTH
+    p = 1
+    while r ** p / math.sqrt(math.factorial(p)) >= _PULSE_FLOOR:
+        p += 1
+    # G at theta = 2^-s: column j is h theta^(j+1) sum_i (theta A)^i b / (i+j+1)!;
+    # ||theta A||_1 <= 1, so term i is below ||b|| / (i + 1)!, and the first
+    # term below eps ||b|| ends the sum
+    s = max(0, math.ceil(math.log2(np.abs(A).sum(axis=0).max())))
+    theta = 2.0 ** -s
+    V = [h * np.concatenate([np.zeros(n), np.real(f0)]) / d]
+    while math.factorial(len(V) + 1) * np.finfo(float).eps < 1.0:
+        V.append(theta * (A @ V[-1]))
+    fact = np.cumprod(np.r_[1.0, np.arange(1.0, len(V) + p + 1)])
+    i, j = np.arange(len(V)), np.arange(p + 1)
+    G = np.array(V).T @ (theta ** (j + 1) / fact[i[:, None] + j + 1])
+    Et = expm(theta * A)
+    lag = j - j[:, None]                      # lag[a, b] = b - a
+    for _ in range(s):
+        # [[Et, G], [0, P]]^2, with P = e^(theta J) upper Toeplitz
+        G = Et @ G + G @ np.triu(theta ** lag / fact[np.abs(lag)])
+        Et = Et @ Et
+        theta *= 2.0
+    E = d[:, None] * expm(A) / d
+    G = d[:, None] * G
+    reach = _PULSE_WIDTH * math.sqrt(-2.0 * math.log(_PULSE_FLOOR))
+    top = math.ceil((_PULSE_CENTER + reach - x[0]) / h)
+    xs = x[0] + h * np.arange(top, -len(x), -1)
+    t = (xs - _PULSE_CENTER) / _PULSE_WIDTH
+    phi = np.exp(-0.5 * t * t)
+    live = np.flatnonzero(phi[:-1] > _PULSE_FLOOR)
+    # c_j = (h/w)^j He_j(t) phi, He the probabilists' Hermite polynomials
+    C = np.empty((p + 1, len(live)))
+    he_prev, he, tl = np.zeros(len(live)), np.ones(len(live)), t[live]
+    for k in range(p + 1):
+        C[k] = r ** k * he * phi[live]
+        he_prev, he = he, tl * he - k * he_prev
+    # Y[m + 1] holds first the forcing of step m, then y after it
+    Y = np.zeros((len(xs), 2 * n))
+    Y[live + 1] = (G @ C).T
+    for m in range(len(xs) - 1):
+        Y[m + 1] += E @ Y[m]
+    return TemporalSamples(tau_grid, Y[top:, :n])
 
 
 def _converged_poles(op: DiscretizedOperator, im_min: float) -> list:

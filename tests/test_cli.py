@@ -550,7 +550,8 @@ class TestExpand:
         # the three expand ops of the benchmark and dSS l=0, each written in
         # one fresh process at 1 and one at 2 BLAS threads, exit 0 and write
         # byte-identical expansion.json: the real Schur form and its real
-        # products leave no rounding digit to the thread count
+        # products, and the time-domain solve's, leave no rounding digit to
+        # the thread count
         for threads in ("1", "2"):
             (tmp_path / threads).mkdir()
             subprocess.run([sys.executable, "-c", _EXPANSIONS_SCRIPT,
@@ -681,11 +682,12 @@ class TestExpand:
         assert "sigma = " in capsys.readouterr().err
 
     def test_lines_solved_only_in_the_pulse_window(self, tmp_path, monkeypatch):
-        # the remainder line (Im -1.5) and the direct line (Im +0.3) each
-        # keep the 1,214 of their 4,000 sigma where the pulse is above 1e-18
-        # of its peak (|Re sigma| <= 18.2); the dS pencil is real in
-        # tau = -i sigma and f0 is real, so those form 607 mirror pairs
-        # sigma, -conj(sigma), and only one of each reaches the resolvent
+        # the remainder line (Im -1.5) is the only line solved: it keeps the
+        # 1,214 of its 4,000 sigma where the pulse is above 1e-18 of its
+        # peak (|Re sigma| <= 18.2); the dS pencil is real in tau = -i sigma
+        # and f0 is real, so those form 607 mirror pairs sigma, -conj(sigma),
+        # and only one of each reaches the resolvent; the residual's
+        # reference is stepped in time and solves no line
         import qnmkit.mellin
         from qnmkit.resonances import resolvent_apply
         lines = {}
@@ -701,7 +703,28 @@ class TestExpand:
                     "n_sigma = 4000\n")
         assert main(["expand", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
-        assert lines == {-1.5: [607], 0.3: [607]}
+        assert lines == {-1.5: [607]}
+
+    def test_residual_sees_an_error_of_the_resolvent(self, tmp_path, monkeypatch):
+        # every resolvent solve off by 2e-6 relative biases the terms and the
+        # remainder alike; the time-domain reference solves no resolvent, so
+        # the residual reads the bias (2.0000e-6 when this was written) and
+        # dS l=0 misses its 1e-6 bound, where it reads 8.4e-11 unbiased; a
+        # reference solved by the same resolvent would cancel the bias; a
+        # bias of 1e-6 would land on the bound itself, 9.99999936e-7 here
+        import qnmkit.mellin
+        from qnmkit.resonances import resolvent_apply
+
+        def biased(op, sigma, f):
+            return resolvent_apply(op, sigma, f) * (1.0 + 2e-6)
+        monkeypatch.setattr(qnmkit.mellin, "resolvent_apply", biased)
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'ds.params')}\n"
+                    "N = 48\nn_sigma = 4000\n")
+        out = tmp_path / "out"
+        assert main(["expand", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "expansion.json").read_text())
+        assert rep["reconstruction_residual"] >= 1e-6
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_ds_l1_meets_its_bound_at_either_thread_count(self, tmp_path,

@@ -93,8 +93,9 @@ def _oracle_roots_at_threads(threads: int) -> list:
 
 
 def _expand_sigmas(ell_target):
-    """Six sigma on the remainder (Im -1.5) and direct (Im +0.3) lines of the
-    dS l=0 expand case, and 40 on the remainder line Im = -ell_target."""
+    """Six sigma on the remainder line (Im -1.5) of the dS l=0 expand case
+    and on the direct line above every pole (Im +0.3) that referees the
+    time-domain solve, and 40 on the remainder line Im = -ell_target."""
     return np.concatenate([
         [-37.3 - 1.5j, 0.4 - 1.5j, 52.0 - 1.5j, -8.1 + 0.3j, 0.0 + 0.3j,
          59.7 + 0.3j],
@@ -959,11 +960,13 @@ class TestResolvent:
         ("minkowski", MK, 0, 1.5)], ids=["ds-l0", "ds-l1", "minkowski-l0"])
     def test_no_near_pole_on_expand_contours(self, model, params, ell,
                                              ell_target):
-        # the remainder contour Im sigma = -ell_target and the reconstruction
-        # contour Im sigma = +0.3 of `qnmkit expand` at its defaults, each
-        # solved as one array over the whole 4000-point line to |Re sigma| =
-        # 60 with f = 1: the CLI solves only the pulse window |Re sigma| <=
-        # 18.2 of these lines, so this checks the gate well beyond it
+        # the remainder contour Im sigma = -ell_target of `qnmkit expand` at
+        # its defaults, and, as a gate check only, the line Im sigma = +0.3
+        # above every pole (expand's residual reference is stepped in time
+        # and solves no line), each solved as one array over the whole
+        # 4000-point line to |Re sigma| = 60 with f = 1; the CLI solves only
+        # the pulse window |Re sigma| <= 18.2 of its line, so this checks the
+        # gate well beyond it
         op = build_operator(params, ell, 48)
         f = np.ones(49, dtype=complex)
         sig = np.linspace(-60.0, 60.0, 4000)
@@ -1073,9 +1076,9 @@ class TestResolvent:
         # an absorber-free pencil is solved on the real Schur form of its
         # tau-companion, with 2 x 2 blocks for the conjugate pairs of tau;
         # the same pencil forced through the complex Schur form of its
-        # sigma-companion gives the same refined solves of expand's windowed
-        # lines and residue circles: within 1e-12 relative on the direct line
-        # Im sigma = +0.3 (measured at most 1.4e-13), and within the sum of
+        # sigma-companion gives the same refined solves of the windowed lines
+        # and expand's residue circles: within 1e-12 relative on the direct
+        # line Im sigma = +0.3 (measured at most 1.4e-13), and within the sum of
         # the two forward-error estimates on the remainder line and the
         # circles, where the estimates reach 1.5e-8 of ||u|| and the forms
         # differed by at most 0.17 of that sum
