@@ -204,7 +204,7 @@ class _Run:
     t_old: np.ndarray        # (steps,) step starts
     h: np.ndarray            # (steps,) step lengths
     y_old: np.ndarray        # (steps, n)
-    F: np.ndarray            # (steps, 7, n)
+    F: np.ndarray            # (steps, 7, n), formed at the run's end
 
     @property
     def steps(self) -> int:
@@ -240,6 +240,11 @@ def _dop853(fun, T, y0, rtol, atol, events=()):
     that fire ends the run.  Returns a `_Run`; raises StepFailure when the
     step falls below ten float spacings.
 
+    The loop keeps each accepted step's start, length, end and stage matrix,
+    and forms the interpolants' coefficients F of all steps once, when the
+    run ends (`_dense_coefficients`); a step on which an event fires also
+    gets its own F for the root search.
+
     The kernels square with Python's `**`, which raises OverflowError where
     numpy gives inf.  An overflow in a trial step rejects the step as scipy's
     controller rejects an infinite error norm, by the factor 0.2; an
@@ -253,7 +258,7 @@ def _dop853(fun, T, y0, rtol, atol, events=()):
 
 def _dop853_steps(fun, T, y0, rtol, atol, events):
     """`_dop853`, which lets an OverflowError outside a trial step escape."""
-    A, B, E3, E5, D, A_EXTRA, n_st = _tableau()
+    A, B, E3, E5, _, A_EXTRA, n_st = _tableau()
     y = np.array(y0, dtype=float)
     n = len(y)
     f = np.array(fun(y.tolist()), dtype=float)
@@ -276,7 +281,9 @@ def _dop853_steps(fun, T, y0, rtol, atol, events):
     t = 0.0
     ylist = y.tolist()
     g = [ev(ylist) for ev, _ in events]
-    t_olds, hs, y_olds, Fs = [], [], [], []
+    # per accepted step its start, length and stage matrix; ys holds the
+    # run's start and every step's end
+    t_olds, hs, ys, Ks = [], [], [y], []
     rejected = 0
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -301,7 +308,9 @@ def _dop853_steps(fun, T, y0, rtol, atol, events):
                 for s in range(1, n_st):
                     dy = Kt[s].dot(a_rows[s]).tolist()
                     K[s] = fun([v + d * h for v, d in zip(yl, dy)])
-                y_new = y + h * Kt[n_st].dot(B)
+                y_new = Kt[n_st].dot(B)
+                y_new *= h
+                y_new += y
                 ylist = y_new.tolist()
                 K[n_st] = fun(ylist)
             except OverflowError:
@@ -311,9 +320,13 @@ def _dop853_steps(fun, T, y0, rtol, atol, events):
                 rejected += 1
                 continue
             # DOP853._estimate_error_norm, with norm(e) ** 2 as sqrt(e.e) ** 2
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = Kt[n_st + 1].dot(E5) / scale
-            err3 = Kt[n_st + 1].dot(E3) / scale
+            scale = np.maximum(np.abs(y), np.abs(y_new))
+            scale *= rtol
+            scale += atol
+            err5 = Kt[n_st + 1].dot(E5)
+            err5 /= scale
+            err3 = Kt[n_st + 1].dot(E3)
+            err3 /= scale
             err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -333,22 +346,16 @@ def _dop853_steps(fun, T, y0, rtol, atol, events):
             step_rejected = True
             rejected += 1
 
-        # the step's interpolant: three more stages, then F (scipy's
-        # DOP853._dense_output_impl)
+        # the three more stages of the step's interpolant (scipy's
+        # DOP853._dense_output_impl); its F is formed when the run ends
         for s, a in enumerate(A_EXTRA, start=n_st + 1):
             dy = Kt[s].dot(a[:s]).tolist()
             K[s] = fun([v + d * h for v, d in zip(yl, dy)])
-        f_new = K[n_st].copy()
-        F = np.empty((3 + len(D), n))
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (f_new + K[0])
-        F[3:] = h * np.dot(D, K)
+        K_step = K.copy()
         t_olds.append(t)
         hs.append(h)
-        y_olds.append(y)
-        Fs.append(F)
+        ys.append(y_new)
+        Ks.append(K_step)
         done = t_new - T >= 0
         event = -1
         if events:
@@ -357,16 +364,37 @@ def _dop853_steps(fun, T, y0, rtol, atol, events):
             fired = [i for i, ((_, d), g0, g1) in enumerate(zip(events, g, g_new))
                      if (g0 <= 0 <= g1 and d >= 0) or (g0 >= 0 >= g1 and d <= 0)]
             if fired:
+                F = _dense_coefficients(np.array([h]), K_step[None],
+                                        y[None], y_new[None])[0]
                 point = _interpolant(F, t, h, yl)
                 t_new, event = min(
                     (_brentq(lambda u, g=events[i][0]: g(point(u)), t, t_new,
                              _BRENT_RTOL, _BRENT_RTOL), i) for i in fired)
                 ylist = point(t_new)
             g = g_new
-        t, y, f = t_new, y_new, f_new
+        t, y, f = t_new, y_new, K_step[n_st]
         if done or event >= 0:
-            return _Run(event, t, ylist, rejected, np.array(t_olds),
-                        np.array(hs), np.array(y_olds), np.array(Fs))
+            h_all, Y = np.array(hs), np.array(ys)
+            return _Run(event, t, ylist, rejected, np.array(t_olds), h_all,
+                        Y[:-1], _dense_coefficients(h_all, np.array(Ks),
+                                                    Y[:-1], Y[1:]))
+
+
+def _dense_coefficients(h, K, y_old, y_new):
+    """The coefficients F (m, 7, n) of m steps' 7th-order interpolants from
+    their lengths h (m,), stage matrices K (m, 16, n), starts and ends (m, n):
+    scipy's DOP853._dense_output_impl on a stack of steps.  Its first three
+    rows are the same elementwise operations, and the stacked matmul makes
+    per step the dgemm call of np.dot(D, K), so F is bit for bit scipy's."""
+    _, _, _, _, D, _, n_st = _tableau()
+    h = h[:, None]
+    delta_y = y_new - y_old
+    F = np.empty((len(K), 3 + len(D), K.shape[2]))
+    F[:, 0] = delta_y
+    F[:, 1] = h * K[:, 0] - delta_y
+    F[:, 2] = 2 * delta_y - h * (K[:, n_st] + K[:, 0])
+    F[:, 3:] = h[:, None] * np.matmul(D, K)
+    return F
 
 
 def _interpolant(F, t_old, h, y_old):

@@ -124,7 +124,7 @@ def hamilton_kernel(params: SpacetimeParams, horizon_sign: int = +1,
 
     def gradient(r, theta, xi, eta, zeta):
         """Partials of p in (r, theta, xi, eta, zeta); p does not depend on phi."""
-        if min(theta, pi - theta) < THETA_AXIS_TOL:
+        if theta < THETA_AXIS_TOL or pi - theta < THETA_AXIS_TOL:
             raise PolarSingularity("phase point on the axis")
         mt, dmt, _ = quartic(r)
         sth, cth = sin(theta), cos(theta)
@@ -180,7 +180,8 @@ def ds_reduced_compact_field(mu: float, nu: float, eta_hat: float, sign_xi: int)
     for the classical symbol (sigma = 0).
 
     At the radial set (mu = nu = eta_hat = 0) the nu-rate is -4 sign_xi, the
-    normalization in which the horizon decay rate equals 4.
+    normalization in which the horizon decay rate equals 4.  The result is a
+    list [dmu, dnu, deta_hat], as `hamilton_kernel`'s fields return.
     """
     r2 = 1.0 - mu
     s = float(sign_xi)
@@ -189,4 +190,4 @@ def ds_reduced_compact_field(mu: float, nu: float, eta_hat: float, sign_xi: int)
     dmu = 4.0 * r2 * (-2.0 * mu * s)
     dnu = nu * s * G
     deta = eta_hat * s * G
-    return np.array([dmu, dnu, deta])
+    return [dmu, dnu, deta]

@@ -300,8 +300,9 @@ def solve_ivp_referee(fun, T, y0, rtol, atol, events):
 
 def assert_run_matches_referee(args, run):
     """A `_dop853` run is bit for bit solve_ivp's: steps, rejections, the
-    event and its parameter, the end state and the dense output, also at the
-    step ends, where the step that closes wins."""
+    event and its parameter, the end state, every step's interpolant
+    coefficients F and the dense output, also at the step ends, where the
+    step that closes wins."""
     sol, steps, rejected = solve_ivp_referee(*args)
     assert (run.steps, run.rejected) == (steps, rejected)
     assert sol.status == (1 if run.event >= 0 else 0)
@@ -310,6 +311,8 @@ def assert_run_matches_referee(args, run):
     assert run.t == sol.t[-1]
     assert run.y == sol.y[:, -1].tolist()
     assert np.array_equal(run.t_old, sol.t[:-1])
+    for k, dense in enumerate(sol.sol.interpolants):
+        assert np.array_equal(run.F[k], dense.F)
     s = np.union1d(np.linspace(0.0, run.t, 301), sol.t)
     assert np.array_equal(run.sample(s), sol.sol(s).T)
 

@@ -291,7 +291,7 @@ class TestDeSitterCharts:
             mu = rng.uniform(-0.3, 0.9)
             nu, eh = rng.uniform(0.3, 2), rng.uniform(0, 1.5)
             sxi = int(rng.choice([-1, 1]))
-            d = ds_reduced_compact_field(mu, nu, eh, sxi)
+            d = np.array(ds_reduced_compact_field(mu, nu, eh, sxi))
             p = lambda y: ds_symbol_polar(y[0], sxi / y[1], (y[2] / y[1]) ** 2)
             eps = 1e-7
             y = np.array([mu, nu, eh])
