@@ -24,7 +24,8 @@ from .dynamics import integrate_flow, classify_radial, StepFailure, \
 # resolvent_apply and inverse_mellin are not called here; perfbench/tracing.py
 # wraps them by these attributes
 from .resonances import build_operator, solve_resonances, oracle_refine, \
-    resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel
+    resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel, \
+    _TRUST_TOL
 from .mellin import resonance_expand, time_domain_solve, evaluate_terms, \
     fit_decay, PoleOnContour, inverse_mellin
 
@@ -209,44 +210,6 @@ def cmd_flow(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# convergence_delta below which a row is converged, and oracle distance
-# below which the oracle agrees with it
-_TRUST_TOL = 1e-6
-
-# grid sizes of the resolution ladder: a table solves each ell-sector at the
-# members below its N, then at N itself
-_LADDER = (24, 32, 48, 64, 96, 128, 192, 256, 384)
-
-
-def _climb(params, ell: int, N: int) -> list:
-    """The rows of one ell-sector, as (rung, Resonance), from the ladder.
-
-    Each rung's pencil goes through `solve_resonances`.  A converged root
-    (convergence_delta below _TRUST_TOL) that matches no root of a lower
-    rung within _TRUST_TOL is new, and the ladder stops after the first
-    rung past the first that adds none.  Each converged root is reported
-    from the highest rung where it converged; the last rung's unconverged
-    roots follow, but for those within their own delta of a converged one.
-    """
-    found = []                      # (rung, Resonance) per converged root
-    for i, n in enumerate([m for m in _LADDER if m < N] + [N]):
-        rl = solve_resonances(build_operator(params, ell, n), region=_BOX)
-        conv = rl.converged(_TRUST_TOL)
-        new = any(all(abs(e.sigma - f.sigma) >= _TRUST_TOL for _, f in found)
-                  for e in conv)
-        found = [(m, f) for m, f in found
-                 if all(abs(f.sigma - e.sigma) >= _TRUST_TOL for e in conv)]
-        found += [(n, e) for e in conv]
-        if i and not new:
-            break
-    rows = found + [(n, e) for e in rl.entries
-                    if e.convergence_delta >= _TRUST_TOL
-                    and all(abs(e.sigma - f.sigma) >= e.convergence_delta
-                            for _, f in found)]
-    rows.sort(key=lambda r: (-r[1].sigma.imag, abs(r[1].sigma.real)))
-    return rows
-
-
 def _oracle_verdict(params, ell: int, sigma: complex) -> tuple:
     """(oracle root, verdict) of one row; the root is None when the oracle
     fails."""
@@ -258,8 +221,8 @@ def _oracle_verdict(params, ell: int, sigma: complex) -> tuple:
 
 
 def cmd_resonances(cfg: RunConfig) -> int:
-    """Resonance table, one row per root of the ladder, with the oracle's
-    verdict; the `N` column is the rung a row was solved at.
+    """Resonance table, one row per root of the ladder capped at N, with the
+    oracle's verdict; the `N` column is the rung a row was solved at.
 
     The oracle runs once per mirror pair sigma, -conj(sigma) of a sector:
     the detector of a pencil real in tau has the same symmetry, so the
@@ -274,8 +237,8 @@ def cmd_resonances(cfg: RunConfig) -> int:
     refuted = []
     for ell in range(k["ell_min"], k["ell_max"] + 1):
         checked = {}                # sigma -> (oracle root, verdict)
-        for n, e in _climb(params, ell, k["N"]):
-            row = [params.model, ell, n, _fmt(e.sigma.real),
+        for e in solve_resonances(params, ell, k["N"], _BOX).entries:
+            row = [params.model, ell, e.N, _fmt(e.sigma.real),
                    _fmt(e.sigma.imag), e.multiplicity, _fmt(e.convergence_delta)]
             if k["oracle"]:
                 twin = checked.get(-e.sigma.conjugate())
@@ -293,7 +256,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
                 if verdict == "disagree" and e.convergence_delta < _TRUST_TOL:
                     refuted.append(f"ell = {ell}, sigma = {e.sigma:.9g}")
             rows.append(row)
-            appendix.append({"N": n, "ell": ell, "sigma_re": e.sigma.real,
+            appendix.append({"N": e.N, "ell": ell, "sigma_re": e.sigma.real,
                              "sigma_im": e.sigma.imag,
                              "convergence_delta": e.convergence_delta,
                              "suspect": e.suspect})

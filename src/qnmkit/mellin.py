@@ -16,7 +16,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .resonances import DiscretizedOperator, resolvent_apply, solve_resonances
+from .resonances import DiscretizedOperator, resolvent_apply, solve_resonances, \
+    refine_roots, _TRUST_TOL, _SAME_ROOT
 
 
 class ContourDivergence(Exception):
@@ -410,21 +411,28 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
 
 
 def _converged_poles(op: DiscretizedOperator, im_min: float) -> list:
-    """Converged resonances in Re sigma in [-8, 8], Im sigma in [im_min, 0.5]."""
-    rl = solve_resonances(op, region=(-8.0, 8.0, im_min, 0.5))
-    return [e.sigma for e in rl.converged(1e-6)]
+    """Converged rows of the ladder capped at op.N in Re sigma in [-8, 8], Im
+    sigma in [im_min, 0.5], refined on `op` to centre the residue circles on
+    its poles; a row the refinement moves by _SAME_ROOT or more is left to
+    the remainder."""
+    rl = solve_resonances(op.params, op.ell, op.N, (-8.0, 8.0, im_min, 0.5))
+    poles = refine_roots(op, [e.sigma for e in rl.converged(_TRUST_TOL)])
+    return [z for s, z in poles.items() if abs(z - s) < _SAME_ROOT]
 
 
 def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
                      n_sigma: int):
     """Expansion of the driven solution of the discretized family.
 
-    f0 is the spatial forcing profile of the default log-Gaussian pulse.
-    Pole locations come from the resonance solver, down to 0.8 below the
-    contour; the transformed solution is sigma -> R(sigma)(phi_hat(sigma) f0).
-    `n_sigma` goes to `expand_family`, which solves one residue circle per
-    mirror pair when `_mirrored` holds.
+    f0 is the spatial forcing profile of the default log-Gaussian pulse,
+    and `op` is absorber-free (`op.real_in_tau`; ValueError otherwise).
+    Pole locations come from `_converged_poles`, down to 0.8 below the
+    contour; the transformed solution is sigma -> R(sigma)(phi_hat(sigma)
+    f0).  `n_sigma` goes to `expand_family`, which solves one residue
+    circle per mirror pair when `_mirrored` holds.
     """
+    if not op.real_in_tau:
+        raise ValueError("the expansion needs a pencil real in tau = -i sigma")
     poles = _converged_poles(op, -ell_target - 0.8)
     return expand_family(driven_solve(op, f0), poles, ell_target, n_sigma,
                          _mirrored(op, f0))

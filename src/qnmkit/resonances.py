@@ -143,7 +143,6 @@ class DiscretizedOperator:
     ell: int
     grid: np.ndarray
     matrices: tuple                 # (A0, A1, A2), with -iQ in A0 if absorbed
-    absorption_spec: Optional[AbsorbingSpec]
     N: int
 
     def __post_init__(self):
@@ -211,18 +210,30 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
         active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
         lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
         A0 = A0 - 1j * (w[:, None] * (np.eye(N + 1) - lsc2 * D2))
-    return DiscretizedOperator(params, ell, x, (A0, A1, A2), spec, N)
+    return DiscretizedOperator(params, ell, x, (A0, A1, A2), N)
 
 # ---------------------------------------------------------------------------
 # resonance extraction
 # ---------------------------------------------------------------------------
+
+# convergence_delta below which a row is converged, and oracle distance
+# below which the oracle agrees with it
+_TRUST_TOL = 1e-6
+# two rungs' roots closer than this are one root; a delta above it is suspect
+_SAME_ROOT = 1e-4
+# roots closer than this are one row; a higher rung's replaces a lower's within it
+_SAME_ROW = 1e-6
+# grid sizes of the resolution ladder; 512 only judges the rung below it
+_LADDER = (24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+
 
 @dataclass(frozen=True)
 class Resonance:
     sigma: complex
     multiplicity: int
     convergence_delta: float
-    suspect: bool = False
+    N: int                          # the rung the row was solved at
+    suspect: bool                   # convergence_delta above _SAME_ROOT
 
 
 @dataclass
@@ -240,21 +251,18 @@ def _companion(A0, A1):
 
 
 def _linearized_eigs(op: DiscretizedOperator):
-    """Eigenvalues of the monic pencil A0 + s A1 + s^2 A2 of `op`, by geev,
-    which balances the companion itself.
+    """Eigenvalues of the absorber-free pencil A0 + s A1 + s^2 I of `op`,
+    by geev, which balances the companion itself.
 
-    A pencil real in tau = -i s (`op.real_in_tau`) is, times -1, the real
-    pencil -A0 + tau B + tau^2 I with B = A1.imag: so s = i tau, with tau
-    the eigenvalues of its real companion [[0, I], [A0, -B]].  A real tau
-    gives Re s = 0 exactly, and the complex tau come in exact conjugate
-    pairs, so the s come in exact pairs s, -conj(s).  Any other pencil (one
-    with an absorber) goes through the complex companion.
+    Times -1, the pencil is the real pencil -A0 + tau B + tau^2 I in tau =
+    -i s, with B = A1.imag: so s = i tau, with tau the eigenvalues of its
+    real companion [[0, I], [A0, -B]].  A real tau gives Re s = 0 exactly,
+    and the complex tau come in exact conjugate pairs, so the s come in
+    exact pairs s, -conj(s).
     """
     A0, A1, _ = op.matrices
     try:
-        if op.real_in_tau:
-            return 1j * np.linalg.eigvals(_companion(-A0.real, A1.imag))
-        return np.linalg.eigvals(_companion(A0, A1))
+        return 1j * np.linalg.eigvals(_companion(-A0.real, A1.imag))
     except np.linalg.LinAlgError as exc:   # pragma: no cover
         raise SolverFailure(str(exc)) from exc
 
@@ -326,19 +334,17 @@ def _secant(f, s1, s2):
 
 
 def _locate(op: DiscretizedOperator, region):
-    """Roots in `region`, as (s, paired): refined pencil eigenvalues.
+    """Roots in `region`: refined pencil eigenvalues.
 
-    The eigensolve and the resolvent probe run on the pencil as
-    `build_operator` makes it.  Each eigenvalue c in the padded region is
-    refined by the secant on the resolvent probe, started from (c, c +
-    1e-4).  On a pencil real in tau, in a region symmetric in Re s, the
-    eigenvalues come in exact pairs c, -conj(c), and only those with
-    Re c >= 0 are refined: `paired` says that c was off the axis, so that
-    -conj(s) is a root as well.
+    Each eigenvalue c of `op` in the padded region is refined by the secant
+    on the resolvent probe, started from (c, c + 1e-4).  In a region
+    symmetric in Re s, the eigenvalues come in exact pairs c, -conj(c), and
+    only those with Re c >= 0 are refined: a root s refined from an
+    off-axis c is followed by its mirror -conj(s).
     """
     x0, x1, y0, y1 = region
     pad = 0.35
-    half = op.real_in_tau and x0 == -x1
+    half = x0 == -x1
     cands = [complex(z) for z in _linearized_eigs(op)
              if np.isfinite(z) and x0 - pad <= z.real <= x1 + pad
              and y0 - pad <= z.imag <= y1 + pad and not (half and z.real < 0)]
@@ -348,43 +354,66 @@ def _locate(op: DiscretizedOperator, region):
         s = _secant(g, c, c + 1e-4)
         if not (x0 - 1e-8 <= s.real <= x1 + 1e-8 and y0 - 1e-8 <= s.imag <= y1 + 1e-8):
             continue
-        if all(abs(s - r) > 1e-6 for r, _ in roots):
+        if all(abs(s - r) > _SAME_ROW for r, _ in roots):
             roots.append((s, half and c.real > 0))
-    return roots
+    return [z for s, paired in roots for z in ((s, -s.conjugate()) if paired else (s,))]
 
 
-def solve_resonances(op: DiscretizedOperator, region) -> ResonanceList:
-    """Locate pencil singularities in the rectangle `region` = (re_min,
-    re_max, im_min, im_max) and tag their convergence.
+def refine_roots(op: DiscretizedOperator, sigmas) -> dict:
+    """Each s of `sigmas` -> the secant on `op`'s resolvent probe from (s, s +
+    1e-4); once per mirror pair, so that s after -conj(s) gets the mirror."""
+    g = _probe_g(op)
+    out = {}
+    for s in sigmas:
+        if s not in out:
+            twin = out.get(-s.conjugate())
+            out[s] = _secant(g, s, s + 1e-4) if twin is None else -twin.conjugate()
+    return out
 
-    Works on the pencil as `build_operator` made it.  Build it without an
-    absorbing spec to find resonances: the horizon-crossing smooth basis
-    needs none, and the multiplication-type discrete absorber shifts pole
-    locations at its coupling strength, far above the convergence
-    tolerances.  Each pencil eigenvalue is refined once, by the secant on
-    the resolvent probe (`_locate`).  `convergence_delta` is |s_ref - s|,
-    where s_ref is the secant on the pencil rebuilt at N + dN points, dN =
-    max(8, N // 4), started from (s, s + 1e-4).  Both secants stop once
-    their steps stop shrinking inside the rounding band of the probe and
-    return the last iterate a shrinking step reached, so s_ref is never the
-    start point s picked for its small probe value.  A root refined from an
-    off-axis eigenvalue of a pencil real in tau brings its mirror -conj(s),
-    with the same delta, unless another root lies within 1e-6 of it.
-    `multiplicity` is 1 on every row: nothing counts it yet.
+
+def solve_resonances(params: SpacetimeParams, ell: int, N: int,
+                     region) -> ResonanceList:
+    """Resonances of one ell-sector in the rectangle `region` = (re_min,
+    re_max, im_min, im_max), from the resolution ladder capped at N.
+
+    The rungs are the members of _LADDER below N, then N, each pencil built
+    once, without an absorber.  The next rung's pencil (the next ladder
+    member's, for N) judges a rung's roots (`_locate`, mirrors included),
+    `convergence_delta` being |s' - s| with s' = `refine_roots` on it, and
+    is located next.  Converged is a delta below _TRUST_TOL; roots of two
+    rungs within _SAME_ROOT are one root, and a converged root replaces a
+    lower rung's row only within _SAME_ROW.  The ladder stops after the
+    first rung past the first that converges no new root, or at N; its
+    unconverged roots follow, but for those within _SAME_ROOT of a
+    converged row.  `Resonance.N` is the rung of the row; `multiplicity` is
+    1 on every row: nothing counts it yet.
     """
-    roots = _locate(op, region)
-
-    dN = max(8, op.N // 4)
-    op2 = build_operator(op.params, op.ell, op.N + dN, op.absorption_spec)
-    g2 = _probe_g(op2)
-    entries = []
-    for s, paired in roots:
-        delta = float(abs(_secant(g2, s, s + 1e-4) - s))
-        for z in (s, -s.conjugate()) if paired else (s,):
-            if all(abs(z - e.sigma) > 1e-6 for e in entries):
-                entries.append(Resonance(z, 1, delta, suspect=delta > 1e-4))
-    entries.sort(key=lambda e: (-e.sigma.imag, abs(e.sigma.real)))
-    return ResonanceList(entries)
+    if N >= _LADDER[-1]:
+        raise ValueError(f"N = {N}: the ladder judges caps below {_LADDER[-1]}")
+    rungs = [m for m in _LADDER if m < N] + [N]
+    judges = rungs[1:] + [next(m for m in _LADDER if m > N)]
+    op = build_operator(params, ell, rungs[0])
+    found = []                      # converged rows, one per root
+    for i, (n, m) in enumerate(zip(rungs, judges)):
+        zs = _locate(op, region)
+        op = build_operator(params, ell, m)
+        judged = refine_roots(op, zs)
+        rows = []
+        for z in zs:
+            if all(abs(z - e.sigma) > _SAME_ROW for e in rows):
+                delta = float(abs(judged[z] - z))
+                rows.append(Resonance(z, 1, delta, n, delta > _SAME_ROOT))
+        conv = [e for e in rows if e.convergence_delta < _TRUST_TOL]
+        new = [e for e in conv
+               if all(abs(e.sigma - f.sigma) >= _SAME_ROOT for f in found)]
+        found = [next((e for e in conv if abs(e.sigma - f.sigma) < _SAME_ROW), f)
+                 for f in found] + new
+        if i and not new:
+            break
+    found += [e for e in rows if e.convergence_delta >= _TRUST_TOL
+              and all(abs(e.sigma - f.sigma) >= _SAME_ROOT for f in found)]
+    found.sort(key=lambda e: (-e.sigma.imag, abs(e.sigma.real)))
+    return ResonanceList(found)
 
 
 # ---------------------------------------------------------------------------

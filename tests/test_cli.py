@@ -494,7 +494,7 @@ class TestResonances:
         # a cap of 16 lies below the ladder's first rung: the table is
         # solve_resonances at N = 16, row for row
         from qnmkit.cli import _BOX, _fmt
-        from qnmkit.resonances import build_operator, solve_resonances
+        from qnmkit.resonances import solve_resonances
         from qnmkit.spacetime import load_params
         params = os.path.join(CONFIGS, model + ".params")
         cfg = write(tmp_path / "c.cfg",
@@ -509,15 +509,14 @@ class TestResonances:
                      _fmt(e.sigma.imag), str(e.multiplicity),
                      _fmt(e.convergence_delta)]
                     for ell in range(3)
-                    for e in solve_resonances(build_operator(p, ell, 16),
-                                              region=_BOX).entries]
+                    for e in solve_resonances(p, ell, 16, _BOX).entries]
         assert rows == expected
 
     def test_solver_failure_exit_four(self, tmp_path, ds_params, monkeypatch):
         import qnmkit.cli
         from qnmkit.resonances import SolverFailure
 
-        def failing(op, **kw):
+        def failing(params, ell, N, region):
             raise SolverFailure("eigenvalue routine did not converge")
         monkeypatch.setattr(qnmkit.cli, "solve_resonances", failing)
         cfg = write(tmp_path / "c.cfg",

@@ -7,8 +7,8 @@ from qnmkit.mellin import (
     TemporalSamples, ExpansionTerm, default_tau_grid, mellin_transform,
     inverse_mellin, laurent_coefficients, expand_family, resonance_expand,
     driven_solve, log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
-    fit_decay, sigma_line, time_domain_solve, _PULSE_FLOOR, _PULSE_WIDTH,
-    ContourDivergence, PoleOnContour, DegenerateFit,
+    fit_decay, sigma_line, time_domain_solve, _converged_poles, _PULSE_FLOOR,
+    _PULSE_WIDTH, ContourDivergence, PoleOnContour, DegenerateFit,
 )
 from qnmkit.absorption import AbsorbingSpec
 from qnmkit.spacetime import SpacetimeParams
@@ -321,6 +321,42 @@ class TestPipeline:
         terms, rem = resonance_expand(f0, op, ell_target=1.5, n_sigma=4000)
         assert any(abs(t.sigma_j) < 1e-8 for t in terms)
 
+
+    @pytest.mark.parametrize("params, ell, ell_target, frozen", [
+        (DS, 0, 1.5, [0j, -1.99999999977j]),
+        (DS, 1, 2.5, [-1.00000000000j, -3.00000000505j]),
+        (MK, 0, 1.5, [-1.00000000000j, -1.99999999907j]),
+        (DSS, 0, 1.5, [0j, 0.90230730049 - 1.02995369169j,
+                       -0.90230730049 - 1.02995369169j, -2.08362366840j])],
+        ids=["ds-l0", "ds-l1", "minkowski-l0", "dss-l0"])
+    def test_converged_poles(self, params, ell, ell_target, frozen):
+        # expand's poles at N=48 are the converged rows of the ladder capped
+        # at 48, each refined on the N=48 pencil: frozen from a solve of that
+        # pencil alone, and a mirror pair is exact bit for bit
+        op = build_operator(params, ell, 48)
+        poles = _converged_poles(op, -ell_target - 0.8)
+        assert len(poles) == len(frozen)
+        for z, w in zip(poles, frozen):
+            assert abs(z - w) < 1e-8
+        assert all(-z.conjugate() in poles for z in poles if abs(z.real) > 1e-6)
+
+    def test_poles_stay_at_their_ladder_rows(self):
+        # dS l=0 at N=160 down to Im sigma = -5.3: the ladder certifies 0,
+        # -2i, -3i and -4i, but on the N=160 pencil the secant from -4i ends
+        # near 0.001 - 3.993i, further than the same-root distance 1e-4 from
+        # the row, so that pole is left to the remainder; the others stay
+        # within 1e-4 of the lattice
+        op = build_operator(DS, 0, 160)
+        poles = _converged_poles(op, -5.3)
+        assert len(poles) == 3
+        for z, w in zip(sorted(poles, key=lambda z: -z.imag), (0, -2j, -3j)):
+            assert abs(z - w) < 1e-4
+
+    def test_refuses_an_absorbed_pencil(self):
+        op = build_operator(DS, 0, 24, AbsorbingSpec())
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+        with pytest.raises(ValueError, match="real in tau"):
+            resonance_expand(f0, op, ell_target=1.5, n_sigma=128)
 
 class TestDrivenSolve:
     @pytest.mark.parametrize("im", [-1.5, 0.3], ids=["remainder", "direct"])
