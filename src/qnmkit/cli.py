@@ -24,8 +24,8 @@ from .dynamics import integrate_flow, classify_radial, StepFailure, \
 # resolvent_apply and inverse_mellin are not called here; perfbench/tracing.py
 # wraps them by these attributes
 from .resonances import build_operator, solve_resonances, oracle_refine, \
-    resolvent_apply, SolverFailure, NearPole, StiffFailure, UnsupportedModel, \
-    _TRUST_TOL
+    mirror_map, resolvent_apply, SolverFailure, NearPole, StiffFailure, \
+    UnsupportedModel, _TRUST_TOL
 from .mellin import resonance_expand, time_domain_solve, evaluate_terms, \
     fit_decay, PoleOnContour, inverse_mellin
 
@@ -224,9 +224,9 @@ def cmd_resonances(cfg: RunConfig) -> int:
     """Resonance table, one row per root of the ladder capped at N, with the
     oracle's verdict; the `N` column is the rung a row was solved at.
 
-    The oracle runs once per mirror pair sigma, -conj(sigma) of a sector:
-    the detector of a pencil real in tau has the same symmetry, so the
-    second row gets -conj of its twin's oracle root, and its verdict.
+    The oracle runs once per mirror pair of a sector (`mirror_map`): the
+    detector of a pencil real in tau has the same symmetry, so the second
+    row gets -conj of its twin's oracle root, and its verdict.
     Exits 1 when the oracle disagrees with a converged row.
     """
     params = load_params(cfg.params_file)
@@ -236,18 +236,17 @@ def cmd_resonances(cfg: RunConfig) -> int:
     appendix = []
     refuted = []
     for ell in range(k["ell_min"], k["ell_max"] + 1):
-        checked = {}                # sigma -> (oracle root, verdict)
-        for e in solve_resonances(params, ell, k["N"], _BOX).entries:
+        entries = solve_resonances(params, ell, k["N"], _BOX).entries
+        if k["oracle"]:
+            verdicts = mirror_map(lambda s: _oracle_verdict(params, ell, s),
+                                  [e.sigma for e in entries],
+                                  lambda zv: (None if zv[0] is None
+                                              else -zv[0].conjugate(), zv[1]))
+        for e in entries:
             row = [params.model, ell, e.N, _fmt(e.sigma.real),
                    _fmt(e.sigma.imag), e.multiplicity, _fmt(e.convergence_delta)]
             if k["oracle"]:
-                twin = checked.get(-e.sigma.conjugate())
-                if twin is None:
-                    z, verdict = checked[e.sigma] = _oracle_verdict(params, ell,
-                                                                    e.sigma)
-                else:
-                    z, verdict = twin
-                    z = None if z is None else -z.conjugate()
+                z, verdict = verdicts[e.sigma]
                 if z is None:
                     row += ["", "", "", verdict]
                 else:

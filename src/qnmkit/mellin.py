@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .resonances import DiscretizedOperator, resolvent_apply, solve_resonances, \
-    refine_roots, _TRUST_TOL, _SAME_ROOT
+    refine_roots, mirror_map, _TRUST_TOL, _SAME_ROOT
 
 
 class ContourDivergence(Exception):
@@ -227,6 +227,18 @@ def laurent_coefficients(solve: Callable, pole: complex) -> list:
     return out
 
 
+def _circle_terms(solve: Callable, pole: complex) -> list:
+    """The terms of `pole` from the Laurent data on its residue circle, one
+    per order of its Jordan chain; none when that data is all zero."""
+    cs = laurent_coefficients(solve, pole)
+    scale = max(np.max(np.abs(c)) for c in cs)
+    order = max((m for m in range(1, _LAURENT_ORDERS + 1)
+                 if np.max(np.abs(cs[m - 1])) > _JORDAN_TOL * scale), default=0)
+    # contour shift picks up -i times the residue of tau^{i sigma} u^
+    return [ExpansionTerm(pole, k, -1j * cs[k] * (1j) ** k / math.factorial(k))
+            for k in range(order)]
+
+
 def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
                   n_sigma: int, mirrored: bool):
     """Terms and remainder of the inverse transform shifted to Im sigma = -ell.
@@ -237,46 +249,30 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     Im sigma > -ell_target contribute tau^(i sigma_j) log(tau)^kappa terms
     whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1});
     the remainder is the inverse transform along the shifted contour, n_sigma
-    points of `sigma_line` (|Re sigma| <= SIGMA_MAX), sampled on
-    `default_tau_grid()`.  The line spans +-SIGMA_MAX on the uniform grid the
-    chirp-z sum needs, but `driven_solve` solves it only where the pulse is
-    above 1e-18 of its peak (|Re sigma| <= 18.2), once per mirror pair on a
-    real pencil, and returns exact zeros beyond, which assumes the resolvent
-    grows more slowly than e^(w^2 (Re sigma)^2 / 2) there; `inverse_mellin`
-    transforms only the rows between the first and last nonzero one.
+    points of `sigma_line` (|Re sigma| <= SIGMA_MAX; `driven_solve` solves
+    only its pulse window), sampled on `default_tau_grid()`.  A pole on the
+    contour raises PoleOnContour before any circle is solved.
 
     `mirrored` says that solve(-conj sigma) = conj solve(sigma) (`_mirrored`).
     The Laurent coefficients at -conj p are then c_-m(p) conjugated times
     (-1)^m, so each term at -conj p is the conjugate of the term at p, kappa
-    by kappa: a pole whose mirror image came earlier in `poles` takes its
-    twin's terms conjugated, and its circle is not solved.
+    by kappa, and the circles are solved once per mirror pair (`mirror_map`);
+    otherwise once per pole.
     """
-    tau_grid = default_tau_grid()
-    terms, solved = [], {}
+    poles = list(poles)
     for pj in poles:
         if abs(pj.imag + ell_target) < _POLE_MARGIN:
             raise PoleOnContour(f"pole {pj} sits on Im sigma = {-ell_target}")
-        if pj.imag <= -ell_target:
-            continue
-        twin = solved.get(-pj.conjugate()) if mirrored else None
-        if twin is not None:
-            terms += [ExpansionTerm(pj, t.kappa, t.a.conj()) for t in twin]
-            continue
-        cs = laurent_coefficients(solve, pj)
-        scale = max(np.max(np.abs(c)) for c in cs)
-        if scale == 0:
-            continue
-        order = max((m for m in range(1, _LAURENT_ORDERS + 1)
-                     if np.max(np.abs(cs[m - 1])) > _JORDAN_TOL * scale), default=0)
-        solved[pj] = []
-        for kappa in range(order):
-            # contour shift picks up -i times the residue of tau^{i sigma} u^
-            coef = -1j * cs[kappa] * (1j) ** kappa / math.factorial(kappa)
-            solved[pj].append(ExpansionTerm(pj, kappa, coef))
-        terms += solved[pj]
+    above = [pj for pj in poles if pj.imag > -ell_target]
+    circle = lambda pj: _circle_terms(solve, pj)
+    flip = lambda ts: [ExpansionTerm(-t.sigma_j.conjugate(), t.kappa, t.a.conj())
+                       for t in ts]
+    by_pole = mirror_map(circle, above, flip).values() if mirrored \
+        else map(circle, above)
+    terms = [t for ts in by_pole for t in ts]
     sig_re = sigma_line(n_sigma)
     remainder = inverse_mellin(solve(sig_re - 1j * ell_target), ell_target,
-                               sig_re, tau_grid)
+                               sig_re, default_tau_grid())
     return terms, remainder
 
 
@@ -343,7 +339,8 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
     exponential of -Mh augmented by a nilpotent shift.  Each step is one
     real K x K matvec, K = 2 (N + 1), 1,138 of them on the default grid;
     they stay bounded only while no eigenvalue of the pencil has
-    Im sigma > 0.
+    Im sigma > 0, so one above 1e-8 raises ValueError: Im sigma = Re tau,
+    on the diagonal of `op.triangular_form` (both entries of a 2 x 2 block).
 
     -Mh is balanced first (no permutation).  G is a Taylor series at
     h / 2^s, s the fewest halvings that bring the balanced norm to 1 or
@@ -358,6 +355,10 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
     if not _mirrored(op, f0):
         raise ValueError("the time-domain solve needs a pencil real in "
                          "tau = -i sigma and a real forcing profile")
+    grow = np.diag(op.triangular_form.T).max()      # the largest Im sigma
+    if grow > 1e-8:
+        raise ValueError(f"the time-domain solve needs a pencil without growing "
+                         f"modes, and one has Im sigma = {grow:.6g}")
     from scipy.linalg import expm, matrix_balance
     A0, A1, _ = op.matrices
     n = len(A0)

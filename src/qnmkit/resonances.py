@@ -9,7 +9,7 @@ poles of the resolvent.  Each row is divided by its sigma^2 coefficient, so
 the pencil is monic and its resonances are the eigenvalues of its companion
 matrix.  Without an absorber the pencil is real in tau = -i sigma: its
 eigenvalues come from one real eigensolve, in exact pairs sigma, -conj sigma,
-and only one member of each pair is refined, by a secant iteration on the
+and one member of each pair is refined (`mirror_map`), by a secant on the
 zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>, and validated
 against an independent monodromy oracle.
 
@@ -333,42 +333,43 @@ def _secant(f, s1, s2):
     return s2
 
 
-def _locate(op: DiscretizedOperator, region):
-    """Roots in `region`: refined pencil eigenvalues.
+def mirror_map(f, sigmas, reflect) -> dict:
+    """{s: f(s)} over `sigmas`, in their order, with f called once per mirror
+    pair: an s whose mirror -conj(s) came earlier gets reflect(its value).
+    This is the symmetry L(-conj s) = conj L(s) of a pencil real in tau."""
+    out = {}
+    for s in sigmas:
+        if s not in out:
+            m = -s.conjugate()
+            out[s] = reflect(out[m]) if m in out else f(s)
+    return out
 
-    Each eigenvalue c of `op` in the padded region is refined by the secant
-    on the resolvent probe, started from (c, c + 1e-4).  In a region
-    symmetric in Re s, the eigenvalues come in exact pairs c, -conj(c), and
-    only those with Re c >= 0 are refined: a root s refined from an
-    off-axis c is followed by its mirror -conj(s).
-    """
+
+def _locate(op: DiscretizedOperator, region):
+    """Roots in `region`, one per _SAME_ROW: the eigenvalues of `op` in the
+    padded region, refined (`refine_roots`) nearest 0 first and, of an exact
+    pair c, -conj(c), the one with Re c > 0 first, whose root the twin gets
+    mirrored."""
     x0, x1, y0, y1 = region
     pad = 0.35
-    half = x0 == -x1
-    cands = [complex(z) for z in _linearized_eigs(op)
-             if np.isfinite(z) and x0 - pad <= z.real <= x1 + pad
-             and y0 - pad <= z.imag <= y1 + pad and not (half and z.real < 0)]
-    g = _probe_g(op)
+    cands = sorted((complex(z) for z in _linearized_eigs(op)
+                    if np.isfinite(z) and x0 - pad <= z.real <= x1 + pad
+                    and y0 - pad <= z.imag <= y1 + pad),
+                   key=lambda c: (abs(c), -c.real))
     roots = []
-    for c in sorted(cands, key=abs):
-        s = _secant(g, c, c + 1e-4)
-        if not (x0 - 1e-8 <= s.real <= x1 + 1e-8 and y0 - 1e-8 <= s.imag <= y1 + 1e-8):
-            continue
-        if all(abs(s - r) > _SAME_ROW for r, _ in roots):
-            roots.append((s, half and c.real > 0))
-    return [z for s, paired in roots for z in ((s, -s.conjugate()) if paired else (s,))]
+    for s in refine_roots(op, cands).values():
+        if (x0 - 1e-8 <= s.real <= x1 + 1e-8 and y0 - 1e-8 <= s.imag <= y1 + 1e-8
+                and all(abs(s - r) > _SAME_ROW for r in roots)):
+            roots.append(s)
+    return roots
 
 
 def refine_roots(op: DiscretizedOperator, sigmas) -> dict:
     """Each s of `sigmas` -> the secant on `op`'s resolvent probe from (s, s +
-    1e-4); once per mirror pair, so that s after -conj(s) gets the mirror."""
+    1e-4), once per mirror pair (`mirror_map`)."""
     g = _probe_g(op)
-    out = {}
-    for s in sigmas:
-        if s not in out:
-            twin = out.get(-s.conjugate())
-            out[s] = _secant(g, s, s + 1e-4) if twin is None else -twin.conjugate()
-    return out
+    return mirror_map(lambda s: _secant(g, s, s + 1e-4), sigmas,
+                      lambda z: -z.conjugate())
 
 
 def solve_resonances(params: SpacetimeParams, ell: int, N: int,
@@ -378,7 +379,7 @@ def solve_resonances(params: SpacetimeParams, ell: int, N: int,
 
     The rungs are the members of _LADDER below N, then N, each pencil built
     once, without an absorber.  The next rung's pencil (the next ladder
-    member's, for N) judges a rung's roots (`_locate`, mirrors included),
+    member's, for N) judges a rung's roots (`_locate`, one per row),
     `convergence_delta` being |s' - s| with s' = `refine_roots` on it, and
     is located next.  Converged is a delta below _TRUST_TOL; roots of two
     rungs within _SAME_ROOT are one root, and a converged root replaces a
@@ -400,9 +401,8 @@ def solve_resonances(params: SpacetimeParams, ell: int, N: int,
         judged = refine_roots(op, zs)
         rows = []
         for z in zs:
-            if all(abs(z - e.sigma) > _SAME_ROW for e in rows):
-                delta = float(abs(judged[z] - z))
-                rows.append(Resonance(z, 1, delta, n, delta > _SAME_ROOT))
+            delta = float(abs(judged[z] - z))
+            rows.append(Resonance(z, 1, delta, n, delta > _SAME_ROOT))
         conv = [e for e in rows if e.convergence_delta < _TRUST_TOL]
         new = [e for e in conv
                if all(abs(e.sigma - f.sigma) >= _SAME_ROOT for f in found)]

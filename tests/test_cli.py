@@ -433,11 +433,13 @@ class TestResonances:
             for z in lattice:
                 assert min(abs(s - z) for s in conv) < 1e-7
 
-    def test_ladder_on_dss(self, tmp_path):
+    def test_ladder_on_dss(self, tmp_path, monkeypatch):
         # the sample dSS table in the two-horizon gauge: 17 converged rows,
         # each certified by the oracle, and one unconverged row, l=0
         # -3.269i.  Off-axis rows come in pairs sigma, -conj(sigma), bit for
-        # bit, oracle columns included.  Rows with delta < 1e-10 lie within
+        # bit, oracle columns included: the oracle runs once per pair, 12
+        # times for the 18 rows, and the second row of a pair gets -conj of
+        # its twin's oracle root.  Rows with delta < 1e-10 lie within
         # 1e-10 of the oracle (5.5e-12 at most when this was written).  The
         # axis rows l=0 -2.0836237i and l=1 -0.9985161i replace the
         # retarded gauge's -2.0839287i and -0.9984168i, which were 3.1e-4
@@ -445,10 +447,18 @@ class TestResonances:
         cfg = write(tmp_path / "c.cfg",
                     f"params = {os.path.join(CONFIGS, 'dss.params')}\n"
                     "N = 80\nell_min = 0\nell_max = 2\n")
+        import qnmkit.cli
+        real, calls = qnmkit.cli.oracle_refine, []
+
+        def counted(*a):
+            calls.append(a)
+            return real(*a)
+        monkeypatch.setattr(qnmkit.cli, "oracle_refine", counted)
         out = tmp_path / "out"
         assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "resonances.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert len(rows) == 18 and len(calls) == 12
         conv = [r for r in rows if float(r["convergence_delta"]) < 1e-6]
         assert len(conv) == 17
         assert all(r["oracle_verdict"] == "agree" for r in conv)

@@ -12,7 +12,7 @@ from qnmkit.mellin import (
 )
 from qnmkit.absorption import AbsorbingSpec
 from qnmkit.spacetime import SpacetimeParams
-from qnmkit.resonances import build_operator, resolvent_apply
+from qnmkit.resonances import DiscretizedOperator, build_operator, resolvent_apply
 
 from test_resonances import _referee_solve
 
@@ -264,10 +264,17 @@ class TestExpandFamily:
         assert rate >= ell - 0.02 * ell
 
     def test_pole_on_contour(self):
-        pole = -2.0j
-        solve = lambda s: (1.0 / (s - pole))[:, None]
+        # refused before any residue circle is solved, that of a pole ahead
+        # of it in the (one-pass) iterable included
+        pole, calls = -2.0j, []
+
+        def solve(s):
+            calls.append(s)
+            return (1.0 / (s - pole))[:, None]
         with pytest.raises(PoleOnContour):
-            expand_family(solve, [pole], 2.0, n_sigma=4000, mirrored=False)
+            expand_family(solve, iter([-0.5j, pole]), 2.0, n_sigma=4000,
+                          mirrored=False)
+        assert calls == []
 
     def test_contour_shift_consistency(self):
         poles = [-0.5j, -1.5j]
@@ -467,6 +474,18 @@ class TestTimeDomainSolve:
         with pytest.raises(ValueError, match="real in tau"):
             time_domain_solve(op, f0)
 
+
+    def test_refuses_a_growing_pencil(self):
+        # A0 = 0.25 I and A1 = 0 give the modes sigma = +-0.5i: the one with
+        # Im sigma = 0.5 grows, and the steps would return values up to 288
+        # for f0 = 1 instead of the causal solution
+        n = 25
+        op = DiscretizedOperator(DS, 0, np.linspace(-1.0, 1.0, n),
+                                 (0.25 * np.eye(n, dtype=complex),
+                                  np.zeros((n, n), complex),
+                                  np.eye(n, dtype=complex)), n - 1)
+        with pytest.raises(ValueError, match="growing.*Im sigma = 0.5"):
+            time_domain_solve(op, np.ones(n))
 
 def _spy_resolvent(monkeypatch):
     """The sizes of the sigma arrays that driven_solve passes to the resolvent."""

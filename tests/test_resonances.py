@@ -515,6 +515,29 @@ class TestSolveResonances:
                   & (-3.6 - pad <= z.imag) & (z.imag <= 0.4 + pad))
         assert inside.sum() == 7
 
+    def test_mirror_map_calls_f_once_per_pair(self):
+        # f runs on the first member of each mirror pair s, -conj(s) and on
+        # each axis value (its own mirror); the second member gets reflect
+        # of its twin's value, even a None one, and the keys keep the order
+        # of `sigmas`
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return None if s == 2 - 1j else 2 * s
+        reflect = lambda v: ("mirror", v)
+        sigmas = [1 - 2j, 0.5j, -1 - 2j, -3j, 2 - 1j, -2 - 1j, 1 - 2j]
+        got = resonances.mirror_map(f, sigmas, reflect)
+        assert calls == [1 - 2j, 0.5j, -3j, 2 - 1j]
+        assert list(got.items()) == [
+            (1 - 2j, 2 - 4j), (0.5j, 1j), (-1 - 2j, ("mirror", 2 - 4j)),
+            (-3j, -6j), (2 - 1j, None), (-2 - 1j, ("mirror", None))]
+        # with no mirror in the list, every s is computed, in order
+        calls.clear()
+        plain = [1 + 1j, -3 + 0.5j, 2 - 4j]
+        assert resonances.mirror_map(f, plain, reflect) == {s: 2 * s for s in plain}
+        assert calls == plain
+
     def test_other_sigma_squared_coefficient_rejected(self):
         op = build_operator(DS, 0, 16)
         A0, A1, A2 = op.matrices
@@ -735,23 +758,20 @@ class TestSeriesOracle:
             calls.append(1)
             return real(*a, **k)
         monkeypatch.setattr(resonances, "oracle_shooting", counted)
-        refined = 0
+        refined = []
         for ell in (0, 1, 2):
-            checked = set()
-            for e in solve_resonances(DSS, ell, 80, cli._BOX).entries:
-                s = e.sigma
-                if -s.conjugate() in checked:
-                    continue
-                checked.add(s)
+            def refine(s, ell=ell):
                 z = oracle_refine(DSS, ell, s)
                 old = resonances._secant(lambda t: real(DSS, ell, t),
                                          s + 1e-4 + 1e-4j, s + 2e-4)
                 assert abs(z - old) <= 1e-12 * max(1.0, abs(old))
                 tol = resonances._TRUST_TOL
                 assert (abs(z - s) < tol) == (abs(old - s) < tol)
-                refined += 1
-        assert refined == 12
-        assert len(calls) <= 5 * refined
+                refined.append(s)
+            rows = solve_resonances(DSS, ell, 80, cli._BOX).entries
+            resonances.mirror_map(refine, [e.sigma for e in rows], lambda _: None)
+        assert len(refined) == 12
+        assert len(calls) <= 5 * len(refined)
 
     def test_no_ode_integration(self, monkeypatch):
         calls = []
@@ -1007,8 +1027,9 @@ class TestResolvent:
             resolvent_apply(op, sig + 1j * im, f)
 
     def test_gate_fires_with_distance_to_pole(self):
-        # the first correction grows as about 5e-10 / distance from the dS
-        # l=0 pole at -2i: below the gate at 1e-2, above it from 1e-4 on
+        # the forward-error estimate grows as about 1.25e-9 ||u|| / distance
+        # from the dS l=0 pole at -2i (1.27e-7 ||u|| at 1e-2, 1.25e-5 at
+        # 1e-4): below the gate at 1e-2, above it from 1e-4 on
         op = build_operator(DS, 0, 48)
         roots = solve_resonances(DS, 0, 48, (-6, 6, -3.6, 0.4)).converged(1e-6)
         pole = min((e.sigma for e in roots), key=lambda s: abs(s + 2j))
