@@ -91,7 +91,7 @@ def evaluate_terms(terms: Iterable[ExpansionTerm], tau):
 
 
 # the weighted samples at the grid ends may reach this fraction of their
-# largest value (and this absolute value) before a transform is refused
+# largest value before a transform is refused, whatever that value's scale
 _TAIL_TOL = 1e-6
 
 
@@ -101,7 +101,8 @@ def mellin_transform(u: TemporalSamples, alpha: float,
     shape (len(sigma_re), n).
 
     Trapezoid in x = log tau; raises ContourDivergence when the weighted
-    integrand has not decayed at the grid ends (to _TAIL_TOL).
+    integrand has not decayed at the grid ends to _TAIL_TOL of its largest
+    value, at any scale (an all-zero u passes).
     """
     x = np.log(u.tau_grid)
     w = np.exp(-alpha * x)      # |tau^(-i sigma)| on the contour, tail test only
@@ -109,7 +110,7 @@ def mellin_transform(u: TemporalSamples, alpha: float,
     scale = np.max(np.abs(weighted))
     if scale > 0:
         ends = max(np.max(np.abs(weighted[0])), np.max(np.abs(weighted[-1])))
-        if ends > _TAIL_TOL * scale and ends > _TAIL_TOL:
+        if ends > _TAIL_TOL * scale:
             raise ContourDivergence("weighted samples do not decay at the grid ends")
     sig = np.asarray(sigma_re, dtype=float) - 1j * alpha
     # integrate along increasing x; the complex sigma carries the weight
@@ -191,6 +192,9 @@ def inverse_mellin(v: np.ndarray, alpha: float, sigma_re: np.ndarray,
 
 _RESIDUE_RADIUS = 1e-2      # circle about each pole for its Laurent data
 _RESIDUE_NODES = 64         # trapezoid nodes on that circle
+# those nodes less the pole, the first on the positive real axis
+_RESIDUE_OFFSETS = _RESIDUE_RADIUS * np.exp(
+    1j * (2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES))
 _LAURENT_ORDERS = 3         # c_-1 .. c_-3: Jordan chains up to length 3
 _JORDAN_TOL = 1e-8          # c_-m below this fraction of the largest is zero
 _POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
@@ -210,27 +214,22 @@ def sigma_line(n_sigma: int) -> np.ndarray:
     return SIGMA_MAX * (2 * np.arange(n_sigma) - (n_sigma - 1)) / (n_sigma - 1)
 
 
-def laurent_coefficients(solve: Callable, pole: complex) -> list:
-    """c_{-m}, m = 1.._LAURENT_ORDERS, of sigma -> solve(sigma) at an isolated pole.
+def laurent_coefficients(vals: np.ndarray) -> list:
+    """c_{-m}, m = 1.._LAURENT_ORDERS, at an isolated pole p of a family,
+    from its vectors `vals`, shape (_RESIDUE_NODES, n), at the nodes
+    p + _RESIDUE_OFFSETS.
 
-    Trapezoid on a circle of _RESIDUE_NODES nodes (spectrally accurate).
-    `solve` takes all the nodes at once, an array of shape (M,), and returns
-    the family's vectors there, of shape (M, n).
+    Trapezoid on the circle (spectrally accurate).
     """
-    th = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
-    zs = pole + _RESIDUE_RADIUS * np.exp(1j * th)
-    vals = solve(zs)
-    out = []
-    for m in range(1, _LAURENT_ORDERS + 1):
-        fac = (_RESIDUE_RADIUS * np.exp(1j * th)) ** m
-        out.append((fac[:, None] * vals).mean(axis=0))
-    return out
+    return [((_RESIDUE_OFFSETS ** m)[:, None] * vals).mean(axis=0)
+            for m in range(1, _LAURENT_ORDERS + 1)]
 
 
-def _circle_terms(solve: Callable, pole: complex) -> list:
-    """The terms of `pole` from the Laurent data on its residue circle, one
-    per order of its Jordan chain; none when that data is all zero."""
-    cs = laurent_coefficients(solve, pole)
+def _circle_terms(pole: complex, vals: np.ndarray) -> list:
+    """The terms of `pole` from the family's vectors `vals` on its residue
+    circle, one per order of its Jordan chain; none when that data is all
+    zero."""
+    cs = laurent_coefficients(vals)
     scale = max(np.max(np.abs(c)) for c in cs)
     order = max((m for m in range(1, _LAURENT_ORDERS + 1)
                  if np.max(np.abs(cs[m - 1])) > _JORDAN_TOL * scale), default=0)
@@ -244,35 +243,58 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     """Terms and remainder of the inverse transform shifted to Im sigma = -ell.
 
     `solve` maps an array of sigma, shape (M,), to the spatial vectors of the
-    transformed solution there, shape (M, n); it is called once per residue
-    circle and once for the whole shifted contour.  Poles with
+    transformed solution there, shape (M, n).  Poles with
     Im sigma > -ell_target contribute tau^(i sigma_j) log(tau)^kappa terms
-    whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1});
-    the remainder is the inverse transform along the shifted contour, n_sigma
-    points of `sigma_line` (|Re sigma| <= SIGMA_MAX; `driven_solve` solves
-    only its pulse window), sampled on `default_tau_grid()`.  A pole on the
-    contour raises PoleOnContour before any circle is solved.
+    whose coefficients are Laurent data (a_{j,kappa} = i^kappa/kappa! c_{-kappa-1})
+    read off a residue circle about the pole; the remainder is the inverse
+    transform along the shifted contour, n_sigma points of `sigma_line`
+    (|Re sigma| <= SIGMA_MAX; `driven_solve` solves only its pulse window),
+    sampled on `default_tau_grid()`.  A pole on the contour raises
+    PoleOnContour before anything is solved.
+
+    `solve` is called once, on one array: first the _RESIDUE_NODES = 64
+    nodes of each residue circle, in pole order, then the contour line.
+    The circles go first because they fill whole multiples of 64 columns,
+    so the line keeps the column alignment, and the bits, of a call of its
+    own in the BLAS matrix-vector kernels of the back-substitution; with
+    the line first, its tail and the circles moved off that alignment and
+    the bits of every N = 48 expansion changed.
 
     `mirrored` says that solve(-conj sigma) = conj solve(sigma) (`_mirrored`).
     The Laurent coefficients at -conj p are then c_-m(p) conjugated times
     (-1)^m, so each term at -conj p is the conjugate of the term at p, kappa
-    by kappa, and the circles are solved once per mirror pair (`mirror_map`);
-    otherwise once per pole.
+    by kappa, and one circle per mirror pair is solved (`mirror_map`).  The
+    line is its own mirror image bit for bit, so only its Re sigma >= 0 half
+    is solved, and each point of the other half gets the conjugate of its
+    twin's vector.  Otherwise every circle and every point is solved.
     """
     poles = list(poles)
     for pj in poles:
         if abs(pj.imag + ell_target) < _POLE_MARGIN:
             raise PoleOnContour(f"pole {pj} sits on Im sigma = {-ell_target}")
     above = [pj for pj in poles if pj.imag > -ell_target]
-    circle = lambda pj: _circle_terms(solve, pj)
-    flip = lambda ts: [ExpansionTerm(-t.sigma_j.conjugate(), t.kappa, t.a.conj())
-                       for t in ts]
-    by_pole = mirror_map(circle, above, flip).values() if mirrored \
-        else map(circle, above)
-    terms = [t for ts in by_pole for t in ts]
+    circles = []
+
+    def circle(pj):
+        """Queue the circle of pj; return the reader of its terms."""
+        k = len(circles) * _RESIDUE_NODES
+        circles.append(pj + _RESIDUE_OFFSETS)
+        return lambda vals: _circle_terms(pj, vals[k:k + _RESIDUE_NODES])
+    flip = lambda read: lambda vals: [
+        ExpansionTerm(-t.sigma_j.conjugate(), t.kappa, t.a.conj()) for t in read(vals)]
+    readers = list(mirror_map(circle, above, flip).values() if mirrored
+                   else map(circle, above))
     sig_re = sigma_line(n_sigma)
-    remainder = inverse_mellin(solve(sig_re - 1j * ell_target), ell_target,
-                               sig_re, default_tau_grid())
+    half = n_sigma // 2 if mirrored else 0
+    vals = solve(np.concatenate(circles + [sig_re[half:] - 1j * ell_target]))
+    terms = [t for read in readers for t in read(vals)]
+    # the line is filled in place, with no temporary of its size; the twin
+    # of point k < half is point n_sigma - 1 - k
+    v = vals[len(circles) * _RESIDUE_NODES:]
+    line = np.empty((n_sigma,) + v.shape[1:], dtype=v.dtype)
+    line[half:] = v
+    np.conjugate(v[n_sigma - 2 * half:][::-1], out=line[:half])
+    remainder = inverse_mellin(line, ell_target, sig_re, default_tau_grid())
     return terms, remainder
 
 
@@ -297,25 +319,20 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     as measured on dS and Minkowski (|sigma| ||R(sigma) f|| / ||f|| between
     0.02 and 5 up to Re sigma = 60), so the dropped vectors lie below the
     rounding of the kept ones.  The residue circles (|Re sigma| <= 8) are
-    never cut.
-
-    When the solution at -conj sigma is the conjugate of the one at sigma
-    (`_mirrored`), a windowed array that equals -conj of its own reverse (a
-    `sigma_line` line) is solved on its upper half only (Re sigma >= 0 on an
-    ascending line), and each partner gets its twin's conjugate, with the
-    twin's near-pole verdict.  Any other array, the residue circles among
-    them, is solved at every sigma; `expand_family` pairs the circles.
+    never cut.  Every sigma kept is solved: `expand_family` pairs the mirror
+    twins of its circles and its line before it calls this.
     """
-    mirror = _mirrored(op, f0)
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
         keep = np.exp(-0.5 * (_PULSE_WIDTH * sigma.real) ** 2) > _PULSE_FLOOR
         s = sigma[keep]
+        u = resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0)
+        # allocated after the solve, whose temporaries are then freed first
+        # and their pages reused: a warm pass of the three perfbench expand
+        # ops takes 4,700 minor page faults so, and 11,000 with `out`
+        # allocated before the solve (glibc malloc, numpy 2.4)
         out = np.zeros(sigma.shape + f0.shape, dtype=complex)
-        lo = len(s) // 2 if mirror and np.array_equal(s, -s[::-1].conj()) else 0
-        u = resolvent_apply(op, s[lo:], log_gaussian_pulse_hat(s[lo:])[:, None] * f0)
-        # the partner of s[k], k < lo, is s[len(s) - 1 - k]
-        out[keep] = np.concatenate([u[len(s) - 2 * lo:][::-1].conj(), u])
+        out[keep] = u
         return out
     return solve
 
@@ -429,8 +446,9 @@ def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
     and `op` is absorber-free (`op.real_in_tau`; ValueError otherwise).
     Pole locations come from `_converged_poles`, down to 0.8 below the
     contour; the transformed solution is sigma -> R(sigma)(phi_hat(sigma)
-    f0).  `n_sigma` goes to `expand_family`, which solves one residue
-    circle per mirror pair when `_mirrored` holds.
+    f0).  `n_sigma` goes to `expand_family`, which makes one `driven_solve`
+    call, so one `resolvent_apply` call, and solves one residue circle per
+    mirror pair and half the line when `_mirrored` holds.
     """
     if not op.real_in_tau:
         raise ValueError("the expansion needs a pencil real in tau = -i sigma")

@@ -7,8 +7,9 @@ from qnmkit.mellin import (
     TemporalSamples, ExpansionTerm, default_tau_grid, mellin_transform,
     inverse_mellin, laurent_coefficients, expand_family, resonance_expand,
     driven_solve, log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
-    fit_decay, sigma_line, time_domain_solve, _converged_poles, _PULSE_FLOOR,
-    _PULSE_WIDTH, ContourDivergence, PoleOnContour, DegenerateFit,
+    fit_decay, sigma_line, time_domain_solve, _converged_poles, _mirrored,
+    _RESIDUE_OFFSETS, _PULSE_FLOOR, _PULSE_WIDTH, ContourDivergence,
+    PoleOnContour, DegenerateFit,
 )
 from qnmkit.absorption import AbsorbingSpec
 from qnmkit.spacetime import SpacetimeParams
@@ -183,6 +184,14 @@ class TestTransformPair:
         with pytest.raises(ContourDivergence):
             mellin_transform(u, alpha=1.0, sigma_re=np.array([0.0]))
 
+    @pytest.mark.parametrize("level", [1.0, 1e-7])
+    def test_divergence_detected_at_any_scale(self, level):
+        # a constant never decays at alpha = 0, however small it is: the
+        # tail test is relative to the largest weighted sample only
+        u = TemporalSamples(TAU, np.full((len(TAU), 1), level))
+        with pytest.raises(ContourDivergence):
+            mellin_transform(u, alpha=0.0, sigma_re=np.array([0.0]))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TemporalSamples(np.linspace(1.0, 1e-3, 64), np.zeros((64, 1)))
@@ -204,7 +213,7 @@ class TestLaurent:
         f0 = np.array([2.0 - 1.0j])
         pole = 0.3 - 0.7j
         solve = lambda s: np.outer(1.0 / (s - pole), f0)
-        cs = laurent_coefficients(solve, pole)
+        cs = laurent_coefficients(solve(pole + _RESIDUE_OFFSETS))
         np.testing.assert_allclose(cs[0], f0, rtol=1e-12)
         assert np.max(np.abs(cs[1])) < 1e-12
 
@@ -215,7 +224,7 @@ class TestLaurent:
         def solve(s):
             d = s - pole
             return np.stack([f[0] / d - f[1] / d ** 2, f[1] / d], axis=-1)
-        cs = laurent_coefficients(solve, pole)
+        cs = laurent_coefficients(solve(pole + _RESIDUE_OFFSETS))
         np.testing.assert_allclose(cs[0], [f[0], f[1]], rtol=1e-11, atol=1e-13)
         np.testing.assert_allclose(cs[1], [-f[1], 0.0], rtol=1e-11, atol=1e-13)
 
@@ -302,25 +311,50 @@ class TestPipeline:
         rate, _, _ = fit_decay(TemporalSamples(rem.tau_grid, rem.values))
         assert rate >= 1.5 - 0.03
 
-    @pytest.mark.parametrize("phase, circles", [(1.0, 2), (1.0 + 0.5j, 3)],
+    @pytest.mark.parametrize("phase, circles, line",
+                             [(1.0, 2, 607), (1.0 + 0.5j, 3, 1214)],
                              ids=["real-f0", "complex-f0"])
-    def test_mirror_pair_shares_one_circle(self, phase, circles, monkeypatch):
+    def test_mirror_pair_shares_one_circle(self, phase, circles, line,
+                                           monkeypatch):
         # dSS l=0 at N=48 has three poles above Im sigma = -1.5: 0 and the
         # pair +-0.9023073005 - 1.0299536917i.  The pencil is real in tau, so
         # with a real f0 only one circle of the pair is solved, and the
         # twin's coefficient is its partner's conjugate bit for bit; a
-        # complex f0 solves all three circles
+        # complex f0 solves all three circles, and the whole window of the
+        # line, in the same one call
         op = build_operator(DSS, 0, 48)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2) * phase
         sizes = _spy_resolvent(monkeypatch)
         terms, _ = resonance_expand(f0, op, ell_target=1.5, n_sigma=4000)
-        assert sizes.count(64) == circles
+        assert sizes == [64 * circles + line]
         assert len(terms) == 3 and all(t.kappa == 0 for t in terms)
         p, q = (t for t in terms if abs(t.sigma_j) > 0.5)
         assert q.sigma_j == -p.sigma_j.conjugate()
         assert abs(p.sigma_j - (0.9023073005 - 1.0299536917j)) < 1e-8
         if circles == 2:
             assert np.array_equal(q.a, p.a.conj())
+
+    @pytest.mark.parametrize("params, circles", [(DS, 1), (DSS, 2)],
+                             ids=["ds-l0", "dss-l0"])
+    def test_one_resolvent_call_per_expansion(self, params, circles,
+                                              monkeypatch):
+        # the residue circles (one per mirror pair: the pole 0 on dS, and
+        # on dSS 0 and one of +-0.9023 - 1.0300i) come first, then the 607
+        # windowed sigma of the line's Re sigma > 0 half, all in one call
+        op = build_operator(params, 0, 48)
+        f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+        import qnmkit.mellin
+        calls = []
+
+        def spy(op, sigma, f):
+            calls.append(np.asarray(sigma))
+            return resolvent_apply(op, sigma, f)
+        monkeypatch.setattr(qnmkit.mellin, "resolvent_apply", spy)
+        resonance_expand(f0, op, ell_target=1.5, n_sigma=4000)
+        assert [len(s) for s in calls] == [64 * circles + 607]
+        on_line = calls[0].imag == -1.5
+        assert not on_line[:64 * circles].any() and on_line[64 * circles:].all()
+        assert np.all(calls[0][on_line].real > 0)
 
     def test_resonance_expand_wrapper(self):
         op = build_operator(DS, 0, 48)
@@ -390,17 +424,19 @@ class TestDrivenSolve:
             assert d.max() - d.min() <= 1e-12
         assert np.max(np.abs(sigma_line(4000) - np.linspace(-60, 60, 4000))) < 1e-13
 
-    @pytest.mark.parametrize("im", [-1.5, 0.3], ids=["remainder", "direct"])
-    def test_mirror_pairs_solved_once(self, im, monkeypatch):
+    @pytest.mark.parametrize("ell_target", [1.5, -0.3],
+                             ids=["remainder", "direct"])
+    def test_mirror_pairs_solved_once(self, ell_target, monkeypatch):
         # the dS pencil is real in tau = -i sigma and f0 is real: of the
-        # 1,214 windowed sigma of the shared line only the 607 with
+        # 1,214 windowed sigma of expand_family's line only the 607 with
         # Re sigma > 0 reach the resolvent, and each of the others carries
         # the exact conjugate of its twin's solution
         op = build_operator(DS, 0, 24)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         sizes = _spy_resolvent(monkeypatch)
-        sig = sigma_line(4000) + 1j * im
-        out = driven_solve(op, f0)(sig)
+        lines = _spy_line(monkeypatch)
+        expand_family(driven_solve(op, f0), [], ell_target, 4000, mirrored=True)
+        out, = lines
         assert sizes == [607]
         assert np.count_nonzero(np.any(out != 0, axis=1)) == 1214
         assert np.array_equal(out, out[::-1].conj())
@@ -410,13 +446,17 @@ class TestDrivenSolve:
     @pytest.mark.parametrize("params, ell, ell_target, bound", [
         (DS, 0, 1.5, 1e-10), (DS, 1, 2.5, 2e-8), (MK, 0, 1.5, 1e-9)],
         ids=["ds-l0", "ds-l1", "minkowski-l0"])
-    def test_mirrored_half_matches_referee(self, params, ell, ell_target, bound):
-        # the conjugated half of the remainder line against extended-precision
-        # solves at its own sigma, within test_resonances' per-case bounds
+    def test_mirrored_half_matches_referee(self, params, ell, ell_target, bound,
+                                           monkeypatch):
+        # the conjugated half of expand's remainder line against
+        # extended-precision solves at its own sigma, within test_resonances'
+        # per-case bounds
         op = build_operator(params, ell, 48)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
         sig = sigma_line(4000) - 1j * ell_target
-        out = driven_solve(op, f0)(sig)
+        lines = _spy_line(monkeypatch)
+        resonance_expand(f0, op, ell_target, n_sigma=4000)
+        out, = lines
         mirrored = np.flatnonzero(np.any(out != 0, axis=1) & (sig.real < 0))
         assert len(mirrored) == 607
         for m in mirrored:
@@ -426,9 +466,10 @@ class TestDrivenSolve:
 
     @pytest.mark.parametrize("case", ["absorber", "complex-f0", "linspace"])
     def test_every_sigma_solved_off_the_mirror(self, case, monkeypatch):
-        # an absorbing spec (A0 holds -iQ), a complex f0, or the linspace
-        # line (off mirror symmetry by rounding) sends all 1,214 windowed
-        # sigma to the resolvent in one call, as before mirror pairs
+        # an absorbing spec (A0 holds -iQ) or a complex f0 is not mirrored,
+        # so expand_family sends all 1,214 windowed sigma of its line to the
+        # resolvent in one call; so does driven_solve, given the linspace
+        # line (off mirror symmetry by rounding) or any other array
         op = build_operator(DS, 0, 24, AbsorbingSpec() if case == "absorber"
                             else None)
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2) \
@@ -437,7 +478,13 @@ class TestDrivenSolve:
             else sigma_line(4000)
         sig = line - 1.5j
         sizes = _spy_resolvent(monkeypatch)
-        got = driven_solve(op, f0)(sig)
+        if case == "linspace":
+            got = driven_solve(op, f0)(sig)
+        else:
+            assert not _mirrored(op, f0)
+            lines = _spy_line(monkeypatch)
+            expand_family(driven_solve(op, f0), [], 1.5, 4000, mirrored=False)
+            got, = lines
         assert sizes == [1214]
         keep = np.exp(-0.5 * (_PULSE_WIDTH * sig.real) ** 2) > _PULSE_FLOOR
         s = sig[keep]
@@ -486,6 +533,19 @@ class TestTimeDomainSolve:
                                   np.eye(n, dtype=complex)), n - 1)
         with pytest.raises(ValueError, match="growing.*Im sigma = 0.5"):
             time_domain_solve(op, np.ones(n))
+
+def _spy_line(monkeypatch):
+    """The contour lines, of shape (n_sigma, n), that expand_family passes to
+    the inverse transform."""
+    import qnmkit.mellin
+    lines = []
+
+    def spy(v, alpha, sigma_re, tau_grid):
+        lines.append(np.array(v))
+        return inverse_mellin(v, alpha, sigma_re, tau_grid)
+    monkeypatch.setattr(qnmkit.mellin, "inverse_mellin", spy)
+    return lines
+
 
 def _spy_resolvent(monkeypatch):
     """The sizes of the sigma arrays that driven_solve passes to the resolvent."""

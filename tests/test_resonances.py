@@ -1064,16 +1064,17 @@ class TestResolvent:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
                         reason="the referee needs an extended-precision long double")
     def test_laurent_coefficient_matches_referee(self):
-        # the residue of the Minkowski l=0 expand pole -i, read from the 64
-        # circle solves of `laurent_coefficients`, against the same trapezoid
-        # sum over referee solves
+        # the residue of the Minkowski l=0 expand pole -i, read by
+        # `laurent_coefficients` from the 64 circle solves, against the same
+        # trapezoid sum over referee solves
         from qnmkit.mellin import _RESIDUE_NODES, _RESIDUE_RADIUS, \
-            driven_solve, laurent_coefficients, log_gaussian_pulse_hat
+            _RESIDUE_OFFSETS, driven_solve, laurent_coefficients, \
+            log_gaussian_pulse_hat
         op = build_operator(MK, 0, 48)
         roots = solve_resonances(MK, 0, 48, (-8, 8, -2.3, 0.5)).converged(1e-6)
         pole = min((e.sigma for e in roots), key=lambda s: abs(s + 1j))
         f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
-        c1 = laurent_coefficients(driven_solve(op, f0), pole)[0]
+        c1 = laurent_coefficients(driven_solve(op, f0)(pole + _RESIDUE_OFFSETS))[0]
         r = _RESIDUE_RADIUS * np.exp(2j * np.pi * np.arange(_RESIDUE_NODES)
                                      / _RESIDUE_NODES)
         ref = sum(rk * _referee_solve(op, pole + rk, log_gaussian_pulse_hat(pole + rk) * f0)
