@@ -328,13 +328,13 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, NoHorizons, UnsupportedModel) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StepFailure:
+    except StepFailure as exc:
+        print(f"step failure in flow integration: {exc}", file=sys.stderr)
         return EXIT_STEP
-    except SolverFailure:
+    except SolverFailure as exc:
+        print(f"eigensolver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except PoleOnContour:
-        return EXIT_CONTOUR
-    except NearPole as exc:
+    except (PoleOnContour, NearPole) as exc:
         print(f"pole on or near the expansion contour: {exc}", file=sys.stderr)
         return EXIT_CONTOUR
 

@@ -681,7 +681,7 @@ def oracle_refine(params: SpacetimeParams, ell: int, sigma0: complex) -> complex
 # the near-pole gate: a solve whose forward-error estimate exceeds this
 # fraction of the solution is refused (resolvent_apply gives the measured gap)
 _FORWARD_ERROR_MAX = 1e-6
-_SIGMA_BLOCK = 1024     # sigma per back-substitution; bounds its K x block arrays
+_SIGMA_BLOCK = 1024     # sigma per shifted factor; bounds its K x block arrays
 
 
 @dataclass(frozen=True)
@@ -701,7 +701,8 @@ class _TriangularForm:
     so each product runs on the real (K, 2M) view of a complex K x M block.
     Any other pencil (one with an absorber) uses the complex companion
     [[0, I], [-A0, -A1]], (C - sigma) [u; sigma u] = [0; -L(sigma) u], its
-    complex Schur form and z = sigma.
+    complex Schur form and z = sigma.  `at` gives the factor T - z of one
+    block of sigma values, which serves all of the block's solves.
     """
 
     left: np.ndarray                # K x n
@@ -732,48 +733,88 @@ class _TriangularForm:
             i += size
         return cls(left, T, d[:n, None] * Z[:n], tuple(blocks[::-1]), in_tau)
 
-    def solve(self, sig: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Columns L(sig[m])^-1 X[:, m], by one back-substitution for all m.
+    def at(self, sig: np.ndarray) -> "_ShiftedFactor":
+        """The factor T - z of one block of sigma values."""
+        return _ShiftedFactor(self, sig)
+
+
+class _ShiftedFactor:
+    """T - z of a `_TriangularForm` for one block of M sigma values.
+
+    z = tau = -i sigma on the real form and z = sigma on the complex one.
+    The shifted diagonal D = diag(T) - z and the determinant D[i] D[i+1] -
+    b c of each 2 x 2 block are formed once, and every back-substitution of
+    the block runs through them in place: `solve` writes Y = left X into
+    the one K x M work array and turns it into W row by row, with two (M,)
+    scratch rows.  Each product on the real form runs on the real (k, 2M)
+    views of its complex operands.
+    """
+
+    def __init__(self, tf: _TriangularForm, sig: np.ndarray):
+        T = tf.T
+        self.tf = tf
+        self.D = D = np.diag(T)[:, None] - (-1j * sig if tf.in_tau else sig)
+        self.det = {i: D[i] * D[i + 1] - T[i, i + 1] * T[i + 1, i]
+                    for i, size in tf.blocks if size == 2}
+        self.W = np.empty(D.shape, dtype=complex)
+        self.r = np.empty((2, len(sig)), dtype=complex)
+
+    def _mul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.tf.in_tau:      # a real A: one real product on X's real view
+            np.matmul(A, np.ascontiguousarray(X).view(float), out=out.view(float))
+        else:
+            np.matmul(A, X, out=out)
+        return out
+
+    def solve(self, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Columns L(sig[m])^-1 X[:, m], by one back-substitution for all m,
+        written to `out` (a new n x M array if None).
 
         Each 2 x 2 block is solved by Cramer's rule for all m at once.
         """
-        T, mul = self.T, _real_matmul if self.in_tau else np.matmul
-        D = np.diag(T)[:, None] - (-1j * sig if self.in_tau else sig)
-        Y = mul(self.left, X)
-        W = np.empty_like(Y)
-        for i, size in self.blocks:
+        tf, D, W, r, mul = self.tf, self.D, self.W, self.r, self._mul
+        T = tf.T
+        mul(tf.left, X, W)                  # Y, overwritten by W row by row
+        for i, size in tf.blocks:
             if size == 1:
-                W[i] = (Y[i] - mul(T[i, i + 1:], W[i + 1:])) / D[i]
+                w = W[i]
+                np.subtract(w, mul(T[i, i + 1:], W[i + 1:], r[0]), out=w)
+                np.divide(w, D[i], out=w)
             else:
-                r0, r1 = Y[i:i + 2] - mul(T[i:i + 2, i + 2:], W[i + 2:])
-                b, c = T[i, i + 1], T[i + 1, i]
-                det = D[i] * D[i + 1] - b * c
-                W[i] = (D[i + 1] * r0 - b * r1) / det
-                W[i + 1] = (D[i] * r1 - c * r0) / det
-        return mul(self.right, W)
-
-
-def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ X for a real A and a complex X, as one real product on X's real
-    view: X of shape (k, M) is read as (k, 2M)."""
-    X = np.ascontiguousarray(X)
-    return (A @ X.view(float)).view(complex)
+                p = mul(T[i:i + 2, i + 2:], W[i + 2:], r)
+                r0, r1 = np.subtract(W[i:i + 2], p, out=r)
+                b, c, det = T[i, i + 1], T[i + 1, i], self.det[i]
+                w0, w1 = W[i], W[i + 1]
+                # W[i] = (D[i+1] r0 - b r1) / det, with b r1 held in W[i+1]
+                np.subtract(np.multiply(D[i + 1], r0, out=w0),
+                            np.multiply(b, r1, out=w1), out=w0)
+                np.divide(w0, det, out=w0)
+                # W[i+1] = (D[i] r1 - c r0) / det, with c r0 held in r0
+                np.subtract(np.multiply(D[i], r1, out=w1),
+                            np.multiply(c, r0, out=r0), out=w1)
+                np.divide(w1, det, out=w1)
+        if out is None:
+            out = np.empty((len(tf.right), W.shape[1]), dtype=complex)
+        return mul(tf.right, W, out)
 
 
 def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     """(U, err): rows U[m] = L(sig[m])^-1 F[m] and forward-error estimates.
 
-    Each block of _SIGMA_BLOCK sigma values is solved through
-    `op.triangular_form` (the real Schur form in tau on an absorber-free
-    pencil, the complex one in sigma otherwise) and refined twice on the
-    residual F - L(sig) U of the pencil itself, in complex arithmetic on
-    either form.  err[m] estimates ||u_m - L^-1 f_m|| by one more solve, of
-    g = eps (|A0||u| + |s||A1||u| + |s|^2 |u| + |f|) times fixed
-    unit-modulus signs: the componentwise bound || |L^-1| g || behind
-    LAPACK's xGERFS FERR (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 12).  It is nan where the solve is not finite.  On the
-    expand lines and circles the real and the complex form differ by at
-    most 0.17 of the sum of their two estimates.
+    Each block of _SIGMA_BLOCK sigma values is solved through one factor
+    `op.triangular_form.at(s)` (the real Schur form in tau on an
+    absorber-free pencil, the complex one in sigma otherwise), whose shifts
+    are formed once for the block's four back-substitutions, and refined
+    twice on the residual F - L(sig) U of the pencil itself, in complex
+    arithmetic on either form; the residual and the correction live in two
+    n x M arrays reused by both steps and by the error estimate.  err[m]
+    estimates ||u_m - L^-1 f_m|| by one more solve, of g = eps (|A0||u| +
+    |s||A1||u| + |s|^2 |u| + |f|) times fixed unit-modulus signs: the
+    componentwise bound || |L^-1| g || behind LAPACK's xGERFS FERR (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 12).  It is nan
+    where the solve is not finite.  On the expand lines and circles the
+    real and the complex form differ by at most 0.17 of the sum of their
+    two estimates.
     """
     sig = np.asarray_chkfinite(sig)
     F = np.asarray_chkfinite(F)
@@ -787,12 +828,28 @@ def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(0, len(sig), _SIGMA_BLOCK):
             s, X = sig[j:j + _SIGMA_BLOCK], F[j:j + _SIGMA_BLOCK].T
-            V = tf.solve(s, X)
+            fac = tf.at(s)
+            V = fac.solve(X)
+            R, C = np.empty_like(V), np.empty_like(V)
+            ss = s * s
             for _ in range(2):
-                V = V + tf.solve(s, X - (A0 @ V + s * (A1 @ V) + s * s * V))
+                # R = X - (A0 V + s (A1 V) + s^2 V), then V = V + L^-1 R
+                np.add(np.matmul(A0, V, out=R),
+                       np.multiply(s, np.matmul(A1, V, out=C), out=C), out=R)
+                np.add(R, np.multiply(ss, V, out=C), out=R)
+                np.subtract(X, R, out=R)
+                np.add(V, fac.solve(R, C), out=V)
+            # g = eps (|A0||V| + |s| (|A1||V|) + |s|^2 |V| + |X|) in g, with
+            # h and then R reused
             aV, a_s = np.abs(V), np.abs(s)
-            g = eps * (abs0 @ aV + a_s * (abs1 @ aV) + a_s * a_s * aV + np.abs(X))
-            e = np.linalg.norm(tf.solve(s, signs[:, None] * g), axis=0)
+            g, h = np.empty_like(aV), np.empty_like(aV)
+            np.add(np.matmul(abs0, aV, out=g),
+                   np.multiply(a_s, np.matmul(abs1, aV, out=h), out=h), out=g)
+            np.add(g, np.multiply(a_s * a_s, aV, out=h), out=g)
+            np.add(g, np.abs(X, out=h), out=g)
+            np.multiply(eps, g, out=g)
+            np.multiply(signs[:, None], g, out=R)
+            e = np.linalg.norm(fac.solve(R, C), axis=0)
             err[j:j + _SIGMA_BLOCK] = np.where(np.isfinite(V).all(axis=0), e, np.nan)
             U[j:j + _SIGMA_BLOCK] = V.T
     return U, err
@@ -807,17 +864,18 @@ def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray
     ValueError.  The pencil is reduced once per operator
     (`op.triangular_form`: the real Schur form of its companion in tau =
     -i sigma when the pencil is real in tau, every pencil without an
-    absorber, and the complex Schur form otherwise), and each block of sigma
-    values is solved by one back-substitution and refined twice on the
-    pencil's own residual.  The near-pole gate reads the forward-error
-    estimate of `_solve`: NearPole is raised when it exceeds
-    _FORWARD_ERROR_MAX ||u|| at any sigma, or when the solve there is not
-    finite (sigma on an eigenvalue).  u = f = 0 passes.  Measured estimate /
-    ||u|| at N=48 on the real form: at most 1.5e-8 on the lines and 2.9e-9
-    on the residue circles of `qnmkit expand` (dS l=0 and l=1, Minkowski
-    l=0, dSS l=0), at least 0.28 at the solver's converged roots (N=48 and
-    80); near the dS l=0 pole -2i it grows as about 1.25e-9 / distance, so
-    the gate passes at distance 1e-2 and fires from 1e-4.
+    absorber, and the complex Schur form otherwise).  Each block of sigma
+    values gets one shifted factor, whose shifts serve its four
+    back-substitutions in place: the solve, two refinement steps on the
+    pencil's own residual and the forward-error solve.  The near-pole gate
+    reads the forward-error estimate of `_solve`: NearPole is raised when it
+    exceeds _FORWARD_ERROR_MAX ||u|| at any sigma, or when the solve there
+    is not finite (sigma on an eigenvalue).  u = f = 0 passes.  Measured
+    estimate / ||u|| at N=48 on the real form: at most 1.5e-8 on the lines
+    and 2.9e-9 on the residue circles of `qnmkit expand` (dS l=0 and l=1,
+    Minkowski l=0, dSS l=0), at least 0.28 at the solver's converged roots
+    (N=48 and 80); near the dS l=0 pole -2i it grows as about 1.25e-9 /
+    distance, so the gate passes at distance 1e-2 and fires from 1e-4.
     """
     sig = np.asarray(sigma, dtype=complex)
     n = op.N + 1

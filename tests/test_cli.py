@@ -221,11 +221,16 @@ class TestFlow:
         code = main(["flow", "--config", cfg, "--out", str(tmp_path / "o")])
         return code, tols
 
-    def test_step_failure_exits_3(self, tmp_path, monkeypatch, dss_params):
+    def test_step_failure_exits_3(self, tmp_path, monkeypatch, dss_params,
+                                  capsys):
         # the two retries at looser tolerance fail alike, and flow exits 3
+        # with one stderr line that names the stage
         code, tols = self._fail_every_step(tmp_path, monkeypatch, dss_params)
         assert code == 3
         assert tols == pytest.approx([1e-10, 1e-9, 1e-8], rel=1e-12)
+        assert capsys.readouterr().err == (
+            "step failure in flow integration: required step size is less "
+            "than the spacing between numbers\n")
 
     def test_overflowing_field_exits_3(self, tmp_path, monkeypatch,
                                        dss_params):
@@ -522,7 +527,8 @@ class TestResonances:
                     for e in solve_resonances(p, ell, 16, _BOX).entries]
         assert rows == expected
 
-    def test_solver_failure_exit_four(self, tmp_path, ds_params, monkeypatch):
+    def test_solver_failure_exit_four(self, tmp_path, ds_params, monkeypatch,
+                                      capsys):
         import qnmkit.cli
         from qnmkit.resonances import SolverFailure
 
@@ -533,6 +539,8 @@ class TestResonances:
                     f"params = {ds_params}\nN = 16\nell_max = 0\noracle = 0\n")
         assert main(["resonances", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "eigensolver failure: eigenvalue routine did not converge\n")
 
 
 # run in a fresh interpreter: argv[1] is an output directory, argv[2] the
@@ -755,7 +763,8 @@ class TestExpand:
         rep = json.loads((out / "expansion.json").read_text())
         assert rep["reconstruction_residual"] < 1e-6
 
-    def test_pole_on_contour_exit_five(self, tmp_path, ds_params, monkeypatch):
+    def test_pole_on_contour_exit_five(self, tmp_path, ds_params, monkeypatch,
+                                       capsys):
         import qnmkit.cli
         from qnmkit.mellin import PoleOnContour
 
@@ -766,6 +775,9 @@ class TestExpand:
                     f"params = {ds_params}\nN = 16\nn_sigma = 128\n")
         assert main(["expand", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err == (
+            "pole on or near the expansion contour: a resonance sits on the "
+            "shifted contour\n")
 
 
 # run in a fresh interpreter: argv[1] is a scratch directory, argv[2] the

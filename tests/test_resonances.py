@@ -56,6 +56,47 @@ def _converged_at_threads(threads: int) -> list:
     return [complex(re, im) for re, im in json.loads(out)]
 
 
+def _fresh_shift_solve(op, sigma, f):
+    """resolvent_apply's U with its shifts formed anew for each
+    back-substitution: D = diag(T) - z and, on each 2 x 2 block, Cramer's
+    rule dividing by det = D[i] D[i+1] - b c; one solve and two refinement
+    steps on the pencil's residual, per block of _SIGMA_BLOCK sigma."""
+    tf = op.triangular_form
+    A0, A1, _ = op.matrices
+    sig = np.asarray(sigma, dtype=complex)
+    F = np.broadcast_to(np.asarray(f, dtype=complex), sig.shape + (len(A0),))
+
+    def mul(A, X):
+        if not tf.in_tau:
+            return A @ X
+        return (A @ np.ascontiguousarray(X).view(float)).view(complex)
+
+    def solve(s, X):
+        T = tf.T
+        D = np.diag(T)[:, None] - (-1j * s if tf.in_tau else s)
+        Y = mul(tf.left, X)
+        W = np.empty_like(Y)
+        for i, size in tf.blocks:
+            if size == 1:
+                W[i] = (Y[i] - mul(T[i, i + 1:], W[i + 1:])) / D[i]
+            else:
+                r0, r1 = Y[i:i + 2] - mul(T[i:i + 2, i + 2:], W[i + 2:])
+                b, c = T[i, i + 1], T[i + 1, i]
+                det = D[i] * D[i + 1] - b * c
+                W[i] = (D[i + 1] * r0 - b * r1) / det
+                W[i + 1] = (D[i] * r1 - c * r0) / det
+        return mul(tf.right, W)
+    U = np.empty(F.shape, dtype=complex)
+    B = resonances._SIGMA_BLOCK
+    for j in range(0, len(sig), B):
+        s, X = sig[j:j + B], F[j:j + B].T
+        V = solve(s, X)
+        for _ in range(2):
+            V = V + solve(s, X - (A0 @ V + s * (A1 @ V) + s * s * V))
+        U[j:j + B] = V.T
+    return U
+
+
 def _referee_solve(op, sigma, f):
     """L(sigma)^-1 f from one LU, corrected 6 times on a clongdouble residual."""
     A0, A1, A2 = (A.astype(np.clongdouble) for A in op.matrices)
@@ -1114,14 +1155,69 @@ class TestResolvent:
         sigma = 1j * T[k, k]
         assert abs(T[k, k] + 2.0) < 1e-6
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = op.triangular_form.solve(np.array([sigma]),
-                                           np.ones((49, 1), dtype=complex))
+            raw = op.triangular_form.at(np.array([sigma])).solve(
+                np.ones((49, 1), dtype=complex))
         assert not np.isfinite(raw).any()
         with pytest.raises(NearPole):
             resolvent_apply(op, sigma, np.ones(49, dtype=complex))
         with pytest.raises(NearPole):
             resolvent_apply(op, np.array([1.0 + 0.5j, sigma]),
                             np.ones(49, dtype=complex))
+
+    def test_shared_shifts_keep_every_bit(self, monkeypatch):
+        # one factor per sigma block forms the shifts once and runs its four
+        # back-substitutions in place; the solves keep every bit of a fresh
+        # D per back-substitution with Cramer's rule dividing by det, on the
+        # real form (the 64 circle nodes and 607 line points of the dS l=1
+        # N=48 expand call) and on the complex one (an absorber, two
+        # blocks).  The bits matter: multiplying by a precomputed 1/D on the
+        # 1 x 1 blocks and adjugate / det on the 2 x 2 ones instead moves
+        # that expand's reconstruction residual from 1.78e-7 to 1.30e-6,
+        # above its 1e-6 bound (1/D and 1/det: 6.9e-7)
+        import qnmkit.mellin
+        from qnmkit.mellin import resonance_expand
+        calls = []
+
+        def spy(op, sigma, f):
+            calls.append((sigma, f, resolvent_apply(op, sigma, f)))
+            return calls[-1][2]
+        monkeypatch.setattr(qnmkit.mellin, "resolvent_apply", spy)
+        op = build_operator(DS, 1, 48)
+        resonance_expand(np.exp(-((op.grid - 0.5) / 0.15) ** 2), op,
+                         ell_target=2.5, n_sigma=4000)
+        [(sig, f, U)] = calls
+        assert U.shape == (64 + 607, 49)
+        assert np.array_equal(U, _fresh_shift_solve(op, sig, f))
+        absorbed = build_operator(DS, 0, 48, AbsorbingSpec())
+        assert not absorbed.triangular_form.in_tau
+        rng = np.random.default_rng(7)
+        M = resonances._SIGMA_BLOCK + 188
+        sig = rng.uniform(-3, 3, M) + 1j * rng.uniform(-1.0, 1.0, M)
+        F = rng.standard_normal((M, 49)) + 1j * rng.standard_normal((M, 49))
+        assert np.array_equal(resolvent_apply(absorbed, sig, F),
+                              _fresh_shift_solve(absorbed, sig, F))
+
+    def test_one_shifted_factor_per_sigma_block(self, monkeypatch):
+        # two blocks of sigma: two factors, each serving the solve, the two
+        # refinement steps and the forward-error solve
+        built, solves = [], []
+        at, solve = resonances._TriangularForm.at, resonances._ShiftedFactor.solve
+
+        def counted_at(self, sig):
+            built.append(len(sig))
+            return at(self, sig)
+
+        def counted_solve(self, *a, **k):
+            solves.append(1)
+            return solve(self, *a, **k)
+        monkeypatch.setattr(resonances._TriangularForm, "at", counted_at)
+        monkeypatch.setattr(resonances._ShiftedFactor, "solve", counted_solve)
+        op = build_operator(DS, 0, 48)
+        M = resonances._SIGMA_BLOCK + 188
+        sig = np.linspace(-3.0, 3.0, M) + 0.5j
+        resolvent_apply(op, sig, np.ones(49, dtype=complex))
+        assert built == [resonances._SIGMA_BLOCK, 188]
+        assert len(solves) == 8
 
     @pytest.mark.parametrize("params, ell, ell_target", [
         (DS, 0, 1.5), (DS, 1, 2.5), (MK, 0, 1.5), (DSS, 0, 1.5)],
