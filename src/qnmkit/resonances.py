@@ -134,9 +134,10 @@ class DiscretizedOperator:
     absorbing spec, P_sigma - iQ with one (A0 then holds -iQ), each row
     divided by its sigma^2 coefficient.  So the pencil is monic, A2 = I
     exactly, which construction checks (UnsupportedModel otherwise).
-    `pencil` is the one place that forms L(sigma); the eigensolve and the
-    resolvent probe solve it.  `resolvent_apply` solves the same matrices
-    through `triangular_form`, computed on first use and kept.
+    `pencil` is the one place that forms L(sigma), which the resolvent
+    probe solves.  The eigensolve and `resolvent_apply` read the pencil's
+    one companion in tau = -i sigma (`_companion`), the latter through
+    `triangular_form`, its Schur form, computed on first use and kept.
     """
 
     params: SpacetimeParams
@@ -244,25 +245,30 @@ class ResonanceList:
         return [e for e in self.entries if e.convergence_delta < tol]
 
 
-def _companion(A0, A1):
-    """The companion [[0, I], [-A0, -A1]] of A0 + s A1 + s^2 I, whose
-    eigenvalues are the pencil's."""
-    return np.block([[np.zeros_like(A0), np.eye(len(A0))], [-A0, -A1]])
+def _companion(op: DiscretizedOperator):
+    """The companion C = [[0, I], [A0, i A1]] of the pencil of `op` in tau =
+    -i sigma: (C - tau) [u; tau u] = [0; L(sigma) u] for every pencil, so
+    its eigenvalues are the tau = -i sigma of the pencil's.
+
+    On a pencil real in tau (`real_in_tau`), C is assembled in real
+    arithmetic, [[0, I], [A0.real, -A1.imag]]; otherwise it is complex.
+    """
+    A0, A1, _ = op.matrices
+    A0, A1 = (A0.real, -A1.imag) if op.real_in_tau else (A0, 1j * A1)
+    return np.block([[np.zeros_like(A0), np.eye(len(A0))], [A0, A1]])
 
 
 def _linearized_eigs(op: DiscretizedOperator):
-    """Eigenvalues of the absorber-free pencil A0 + s A1 + s^2 I of `op`,
-    by geev, which balances the companion itself.
+    """Eigenvalues s = i tau of the pencil A0 + s A1 + s^2 I of `op`, with
+    tau the eigenvalues of its companion in tau (`_companion`), by geev,
+    which balances the companion itself.
 
-    Times -1, the pencil is the real pencil -A0 + tau B + tau^2 I in tau =
-    -i s, with B = A1.imag: so s = i tau, with tau the eigenvalues of its
-    real companion [[0, I], [A0, -B]].  A real tau gives Re s = 0 exactly,
-    and the complex tau come in exact conjugate pairs, so the s come in
-    exact pairs s, -conj(s).
+    On a pencil real in tau the companion is real: a real tau gives Re s =
+    0 exactly, and the complex tau come in exact conjugate pairs, so the s
+    come in exact pairs s, -conj(s).
     """
-    A0, A1, _ = op.matrices
     try:
-        return 1j * np.linalg.eigvals(_companion(-A0.real, A1.imag))
+        return 1j * np.linalg.eigvals(_companion(op))
     except np.linalg.LinAlgError as exc:   # pragma: no cover
         raise SolverFailure(str(exc)) from exc
 
@@ -686,81 +692,70 @@ _SIGMA_BLOCK = 1024     # sigma per shifted factor; bounds its K x block arrays
 
 @dataclass(frozen=True)
 class _TriangularForm:
-    """L(sigma)^-1 = right (T - z)^-1 left for every sigma at once.
+    """L(sigma)^-1 = right (T - tau)^-1 left for every sigma at once, tau =
+    -i sigma.
 
-    The monic companion C of the pencil is balanced by a diagonal D (no
-    permutation) and reduced to Schur form, D^-1 C D = Z T Z^H.  One
-    reduction per pencil makes each shifted solve a back-substitution,
-    O(K^2) per sigma (Laub, IEEE TAC 26 (1981) 407).
-
-    On a pencil real in tau = -i sigma (`real_in_tau`), C is the real
-    companion [[0, I], [A0, -B]], B = A1.imag, that `_linearized_eigs`
-    solves: (C - tau) [u; tau u] = [0; L(sigma) u].  Its real Schur form
-    has a quasi-triangular T, with 1 x 1 blocks for the real tau and 2 x 2
-    blocks for the conjugate pairs; z = tau, and left, T and right are real,
-    so each product runs on the real (K, 2M) view of a complex K x M block.
-    Any other pencil (one with an absorber) uses the complex companion
-    [[0, I], [-A0, -A1]], (C - sigma) [u; sigma u] = [0; -L(sigma) u], its
-    complex Schur form and z = sigma.  `at` gives the factor T - z of one
-    block of sigma values, which serves all of the block's solves.
+    The companion C of the pencil in tau (`_companion`), (C - tau) [u; tau
+    u] = [0; L(sigma) u], is balanced by a diagonal D (no permutation) and
+    reduced to Schur form, D^-1 C D = Z T Z^H; so left = Z^H[:, n:] / d[n:]
+    and right = d[:n] Z[:n].  One reduction per pencil makes each shifted
+    solve a back-substitution, O(K^2) per sigma (Laub, IEEE TAC 26 (1981)
+    407).  The Schur form follows C's dtype: on a pencil real in tau
+    (`real_in_tau`) it is the real one, whose quasi-triangular T has 1 x 1
+    blocks for the real tau and 2 x 2 blocks for the conjugate pairs, and
+    left, T and right are real; otherwise it is the complex one, with a
+    triangular T.  A 2 x 2 block starts at each nonzero subdiagonal entry
+    of T, so the complex form has none.
     """
 
     left: np.ndarray                # K x n
     T: np.ndarray                   # K x K, upper (quasi-)triangular
     right: np.ndarray               # n x K
     blocks: tuple                   # (start, size) of T's diagonal blocks, last first
-    in_tau: bool                    # real form, solved at z = tau
 
     @classmethod
     def of(cls, op: DiscretizedOperator) -> "_TriangularForm":
         """The form of the monic pencil of `op`."""
-        A0, A1, _ = op.matrices
-        n, in_tau = len(A0), op.real_in_tau
-        P = _companion(-A0.real, A1.imag) if in_tau else _companion(A0, A1)
+        C, n = _companion(op), op.N + 1
         from scipy.linalg import matrix_balance, schur
         try:
-            Cb, (d, _) = matrix_balance(P, permute=False, separate=True)
-            T, Z = schur(Cb, output="real" if in_tau else "complex")
+            Cb, (d, _) = matrix_balance(C, permute=False, separate=True)
+            T, Z = schur(Cb, output="real" if np.isrealobj(C) else "complex")
         except np.linalg.LinAlgError as exc:   # pragma: no cover
             raise SolverFailure(str(exc)) from exc
-        left = Z.T[:, n:] / d[n:] if in_tau else -Z.conj().T[:, n:] / d[n:]
-        # a 2 x 2 block of the real form starts at each nonzero subdiagonal entry
-        pair = np.diagonal(T, -1) != 0 if in_tau else np.zeros(len(T) - 1, bool)
+        pair = np.diagonal(T, -1) != 0
         blocks, i = [], 0
         while i < len(T):
             size = 2 if i < len(pair) and pair[i] else 1
             blocks.append((i, size))
             i += size
-        return cls(left, T, d[:n, None] * Z[:n], tuple(blocks[::-1]), in_tau)
-
-    def at(self, sig: np.ndarray) -> "_ShiftedFactor":
-        """The factor T - z of one block of sigma values."""
-        return _ShiftedFactor(self, sig)
+        return cls(Z.conj().T[:, n:] / d[n:], T, d[:n, None] * Z[:n],
+                   tuple(blocks[::-1]))
 
 
 class _ShiftedFactor:
-    """T - z of a `_TriangularForm` for one block of M sigma values.
+    """T - tau of a `_TriangularForm` for one block of M sigma values, tau =
+    -i sigma.
 
-    z = tau = -i sigma on the real form and z = sigma on the complex one.
-    The shifted diagonal D = diag(T) - z and the determinant D[i] D[i+1] -
-    b c of each 2 x 2 block are formed once, and every back-substitution of
-    the block runs through them in place: `solve` writes Y = left X into
+    The shifted diagonal D = diag(T) - tau and the determinant D[i] D[i+1]
+    - b c of each 2 x 2 block are formed once, and every back-substitution
+    of the block runs through them in place: `solve` writes Y = left X into
     the one K x M work array and turns it into W row by row, with two (M,)
-    scratch rows.  Each product on the real form runs on the real (k, 2M)
-    views of its complex operands.
+    scratch rows.  On a real T each product runs on the real (k, 2M) views
+    of its complex operands.
     """
 
     def __init__(self, tf: _TriangularForm, sig: np.ndarray):
         T = tf.T
         self.tf = tf
-        self.D = D = np.diag(T)[:, None] - (-1j * sig if tf.in_tau else sig)
+        self.D = D = np.diag(T)[:, None] - (-1j * sig)
         self.det = {i: D[i] * D[i + 1] - T[i, i + 1] * T[i + 1, i]
                     for i, size in tf.blocks if size == 2}
         self.W = np.empty(D.shape, dtype=complex)
         self.r = np.empty((2, len(sig)), dtype=complex)
 
     def _mul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.tf.in_tau:      # a real A: one real product on X's real view
+        if A.dtype == float:    # a real T: one real product on X's real view
             np.matmul(A, np.ascontiguousarray(X).view(float), out=out.view(float))
         else:
             np.matmul(A, X, out=out)
@@ -801,20 +796,20 @@ class _ShiftedFactor:
 def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     """(U, err): rows U[m] = L(sig[m])^-1 F[m] and forward-error estimates.
 
-    Each block of _SIGMA_BLOCK sigma values is solved through one factor
-    `op.triangular_form.at(s)` (the real Schur form in tau on an
-    absorber-free pencil, the complex one in sigma otherwise), whose shifts
-    are formed once for the block's four back-substitutions, and refined
-    twice on the residual F - L(sig) U of the pencil itself, in complex
-    arithmetic on either form; the residual and the correction live in two
-    n x M arrays reused by both steps and by the error estimate.  err[m]
-    estimates ||u_m - L^-1 f_m|| by one more solve, of g = eps (|A0||u| +
-    |s||A1||u| + |s|^2 |u| + |f|) times fixed unit-modulus signs: the
-    componentwise bound || |L^-1| g || behind LAPACK's xGERFS FERR (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 12).  It is nan
-    where the solve is not finite.  On the expand lines and circles the
-    real and the complex form differ by at most 0.17 of the sum of their
-    two estimates.
+    Each block of _SIGMA_BLOCK sigma values is solved through one
+    `_ShiftedFactor` of `op.triangular_form` (real on an absorber-free
+    pencil, complex otherwise), whose shifts tau = -i sigma are formed once
+    for the block's four back-substitutions, and refined twice on the
+    residual F - L(sig) U of the pencil itself, in complex arithmetic on
+    either form; the residual and the correction live in two n x M arrays
+    reused by both steps and by the error estimate.  err[m] estimates ||u_m
+    - L^-1 f_m|| by one more solve, of g = eps (|A0||u| + |s||A1||u| +
+    |s|^2 |u| + |f|) times fixed unit-modulus signs: the componentwise
+    bound || |L^-1| g || behind LAPACK's xGERFS FERR (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 12).  It is nan where the solve
+    is not finite.  On the expand lines and circles at N=48, the real form
+    and the complex form of the same companion differ by at most 0.105 of
+    the sum of their two estimates.
     """
     sig = np.asarray_chkfinite(sig)
     F = np.asarray_chkfinite(F)
@@ -828,7 +823,7 @@ def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(0, len(sig), _SIGMA_BLOCK):
             s, X = sig[j:j + _SIGMA_BLOCK], F[j:j + _SIGMA_BLOCK].T
-            fac = tf.at(s)
+            fac = _ShiftedFactor(tf, s)
             V = fac.solve(X)
             R, C = np.empty_like(V), np.empty_like(V)
             ss = s * s
@@ -862,9 +857,9 @@ def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray
     broadcasts to it) gives u of shape (M, n); a scalar sigma with f of
     shape (n,) gives u of shape (n,).  A non-finite sigma or f raises
     ValueError.  The pencil is reduced once per operator
-    (`op.triangular_form`: the real Schur form of its companion in tau =
-    -i sigma when the pencil is real in tau, every pencil without an
-    absorber, and the complex Schur form otherwise).  Each block of sigma
+    (`op.triangular_form`: the Schur form of its companion in tau = -i
+    sigma, real when the pencil is real in tau, as every pencil without an
+    absorber is, and complex otherwise).  Each block of sigma
     values gets one shifted factor, whose shifts serve its four
     back-substitutions in place: the solve, two refinement steps on the
     pencil's own residual and the forward-error solve.  The near-pole gate

@@ -44,6 +44,10 @@ class SpacetimeParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        for key, value in (("lambda", self.lam), ("r_s", self.r_s),
+                           ("alpha", self.alpha)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite; got {value}")
         if self.lam < 0 or self.r_s < 0:
             raise ValueError("lam and r_s must be nonnegative")
         if self.model == "deSitter" and (self.r_s != 0 or self.alpha != 0):

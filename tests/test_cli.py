@@ -137,6 +137,18 @@ class TestAdmissible:
                      str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_exit_two(self, tmp_path, capsys, value):
+        # nan and inf pass the sign test on lambda; only the finiteness check
+        # refuses them, before any output is written
+        p = write(tmp_path / "bad.params", f"lambda = {value}\nmodel = deSitter\n")
+        cfg = write(tmp_path / "c.cfg", f"params = {p}\n")
+        out = tmp_path / "out"
+        assert main(["admissible", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "lambda" in err
+        assert not (out / "admissibility.json").exists()
+
     def test_semiclassical_regime_leaves_the_exit_code(self, tmp_path):
         # de Sitter has no black hole, so its semiclassical margin
         # sqrt(3)/4 r_s - |alpha| is 0: the flag fails, yet the exit code

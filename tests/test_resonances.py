@@ -58,7 +58,7 @@ def _converged_at_threads(threads: int) -> list:
 
 def _fresh_shift_solve(op, sigma, f):
     """resolvent_apply's U with its shifts formed anew for each
-    back-substitution: D = diag(T) - z and, on each 2 x 2 block, Cramer's
+    back-substitution: D = diag(T) - tau and, on each 2 x 2 block, Cramer's
     rule dividing by det = D[i] D[i+1] - b c; one solve and two refinement
     steps on the pencil's residual, per block of _SIGMA_BLOCK sigma."""
     tf = op.triangular_form
@@ -67,13 +67,13 @@ def _fresh_shift_solve(op, sigma, f):
     F = np.broadcast_to(np.asarray(f, dtype=complex), sig.shape + (len(A0),))
 
     def mul(A, X):
-        if not tf.in_tau:
+        if not np.isrealobj(tf.T):
             return A @ X
         return (A @ np.ascontiguousarray(X).view(float)).view(complex)
 
     def solve(s, X):
         T = tf.T
-        D = np.diag(T)[:, None] - (-1j * s if tf.in_tau else s)
+        D = np.diag(T)[:, None] - (-1j * s)
         Y = mul(tf.left, X)
         W = np.empty_like(Y)
         for i, size in tf.blocks:
@@ -555,6 +555,25 @@ class TestSolveResonances:
         inside = ((-6 - pad <= z.real) & (z.real <= 6 + pad)
                   & (-3.6 - pad <= z.imag) & (z.imag <= 0.4 + pad))
         assert inside.sum() == 7
+
+    def test_one_companion_is_exact_on_an_absorbed_pencil(self):
+        # the tau-companion [[0, I], [A0, i A1]] keeps A0's -iQ: every
+        # eigenvalue of the sigma-companion [[0, I], [-A0, -A1]] of the
+        # absorbed dS l=0 pencil at N=24 in the CLI box has an eigenvalue of
+        # `_linearized_eigs` within 1e-8 max(1, |s|) (measured 1.6e-10; 0.94
+        # when the eigensolve dropped -iQ and read A0.real)
+        op = build_operator(DS, 0, 24, AbsorbingSpec())
+        A0, A1, _ = op.matrices
+        n = len(A0)
+        ref = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)],
+                                          [-A0, -A1]]))
+        x0, x1, y0, y1 = cli._BOX
+        ref = ref[(x0 <= ref.real) & (ref.real <= x1)
+                  & (y0 <= ref.imag) & (ref.imag <= y1)]
+        assert len(ref) > 0
+        z = resonances._linearized_eigs(op)
+        for w in ref:
+            assert np.abs(z - w).min() <= 1e-8 * max(1.0, abs(w)), w
 
     def test_mirror_map_calls_f_once_per_pair(self):
         # f runs on the first member of each mirror pair s, -conj(s) and on
@@ -1155,7 +1174,8 @@ class TestResolvent:
         sigma = 1j * T[k, k]
         assert abs(T[k, k] + 2.0) < 1e-6
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = op.triangular_form.at(np.array([sigma])).solve(
+            raw = resonances._ShiftedFactor(
+                op.triangular_form, np.array([sigma])).solve(
                 np.ones((49, 1), dtype=complex))
         assert not np.isfinite(raw).any()
         with pytest.raises(NearPole):
@@ -1189,7 +1209,7 @@ class TestResolvent:
         assert U.shape == (64 + 607, 49)
         assert np.array_equal(U, _fresh_shift_solve(op, sig, f))
         absorbed = build_operator(DS, 0, 48, AbsorbingSpec())
-        assert not absorbed.triangular_form.in_tau
+        assert absorbed.triangular_form.T.dtype == complex
         rng = np.random.default_rng(7)
         M = resonances._SIGMA_BLOCK + 188
         sig = rng.uniform(-3, 3, M) + 1j * rng.uniform(-1.0, 1.0, M)
@@ -1201,16 +1221,16 @@ class TestResolvent:
         # two blocks of sigma: two factors, each serving the solve, the two
         # refinement steps and the forward-error solve
         built, solves = [], []
-        at, solve = resonances._TriangularForm.at, resonances._ShiftedFactor.solve
+        init, solve = resonances._ShiftedFactor.__init__, resonances._ShiftedFactor.solve
 
-        def counted_at(self, sig):
+        def counted_init(self, tf, sig):
             built.append(len(sig))
-            return at(self, sig)
+            init(self, tf, sig)
 
         def counted_solve(self, *a, **k):
             solves.append(1)
             return solve(self, *a, **k)
-        monkeypatch.setattr(resonances._TriangularForm, "at", counted_at)
+        monkeypatch.setattr(resonances._ShiftedFactor, "__init__", counted_init)
         monkeypatch.setattr(resonances._ShiftedFactor, "solve", counted_solve)
         op = build_operator(DS, 0, 48)
         M = resonances._SIGMA_BLOCK + 188
@@ -1226,17 +1246,18 @@ class TestResolvent:
                                                 monkeypatch):
         # an absorber-free pencil is solved on the real Schur form of its
         # tau-companion, with 2 x 2 blocks for the conjugate pairs of tau;
-        # the same pencil forced through the complex Schur form of its
-        # sigma-companion gives the same refined solves of the windowed lines
-        # and expand's residue circles: within 1e-12 relative on the direct
-        # line Im sigma = +0.3 (measured at most 1.4e-13), and within the sum of
-        # the two forward-error estimates on the remainder line and the
-        # circles, where the estimates reach 1.5e-8 of ||u|| and the forms
-        # differed by at most 0.17 of that sum
+        # the same companion, assembled in complex arithmetic as on an
+        # absorbed pencil, and so reduced to its complex Schur form, gives
+        # the same refined solves of the windowed lines and expand's residue
+        # circles: within 1e-12 relative on the direct line Im sigma = +0.3
+        # (measured at most 1.2e-13), and within the sum of the two
+        # forward-error estimates on the remainder line and the circles,
+        # where the estimates reach 1.5e-8 of ||u|| and the forms differ by
+        # at most 0.105 of that sum
         from qnmkit.mellin import sigma_line
         op = build_operator(params, ell, 48)
         tf = op.triangular_form
-        assert tf.in_tau and tf.T.dtype == float
+        assert tf.T.dtype == float
         assert any(size == 2 for _, size in tf.blocks)
         poles = [e.sigma for e in solve_resonances(
             params, ell, 48, (-8, 8, -ell_target - 0.8, 0.5)).converged(1e-6)
@@ -1245,7 +1266,7 @@ class TestResolvent:
         monkeypatch.setattr(resonances.DiscretizedOperator, "real_in_tau",
                             property(lambda self: False))
         twin = build_operator(params, ell, 48)
-        assert not twin.triangular_form.in_tau
+        assert twin.triangular_form.T.dtype == complex
         line = sigma_line(4000)
         line = line[np.abs(line) <= 18.2]
         circle = 1e-2 * np.exp(2j * np.pi * np.arange(64) / 64)

@@ -188,3 +188,11 @@ class TestParamsValidation:
     def test_de_sitter_dimension_below_three_rejected(self, n):
         with pytest.raises(ValueError):
             SpacetimeParams(model="deSitter", n=n)
+
+    @pytest.mark.parametrize("field", ["lam", "r_s", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        # a nan passes every sign test, so it must be refused on its own
+        key = "lambda" if field == "lam" else field
+        with pytest.raises(ValueError, match=key):
+            SpacetimeParams(model="KerrDeSitter", **{field: value})
