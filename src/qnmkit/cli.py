@@ -334,7 +334,10 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (PoleOnContour, NearPole) as exc:
+    except NearPole as exc:
+        print(f"near-pole gate of the resolvent: {exc}", file=sys.stderr)
+        return EXIT_CONTOUR
+    except PoleOnContour as exc:
         print(f"pole on or near the expansion contour: {exc}", file=sys.stderr)
         return EXIT_CONTOUR
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .resonances import DiscretizedOperator, resolvent_apply, solve_resonances, \
-    refine_roots, mirror_map, _TRUST_TOL, _SAME_ROOT
+    refine_roots, mirror_map, NearPole, _TRUST_TOL, _SAME_ROOT
 
 
 class ContourDivergence(Exception):
@@ -250,7 +250,9 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     transform along the shifted contour, n_sigma points of `sigma_line`
     (|Re sigma| <= SIGMA_MAX; `driven_solve` solves only its pulse window),
     sampled on `default_tau_grid()`.  A pole on the contour raises
-    PoleOnContour before anything is solved.
+    PoleOnContour before anything is solved.  A NearPole from `solve` is
+    raised again with the residue circle or the contour line of the sigma
+    its gate refused named first.
 
     `solve` is called once, on one array: first the _RESIDUE_NODES = 64
     nodes of each residue circle, in pole order, then the contour line.
@@ -273,12 +275,12 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
         if abs(pj.imag + ell_target) < _POLE_MARGIN:
             raise PoleOnContour(f"pole {pj} sits on Im sigma = {-ell_target}")
     above = [pj for pj in poles if pj.imag > -ell_target]
-    circles = []
+    centres = []
 
     def circle(pj):
         """Queue the circle of pj; return the reader of its terms."""
-        k = len(circles) * _RESIDUE_NODES
-        circles.append(pj + _RESIDUE_OFFSETS)
+        k = len(centres) * _RESIDUE_NODES
+        centres.append(pj)
         return lambda vals: _circle_terms(pj, vals[k:k + _RESIDUE_NODES])
     flip = lambda read: lambda vals: [
         ExpansionTerm(-t.sigma_j.conjugate(), t.kappa, t.a.conj()) for t in read(vals)]
@@ -286,11 +288,24 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
                    else map(circle, above))
     sig_re = sigma_line(n_sigma)
     half = n_sigma // 2 if mirrored else 0
-    vals = solve(np.concatenate(circles + [sig_re[half:] - 1j * ell_target]))
+    sig = np.concatenate([pj + _RESIDUE_OFFSETS for pj in centres]
+                         + [sig_re[half:] - 1j * ell_target])
+    try:
+        vals = solve(sig)
+    except NearPole as exc:
+        hit = np.flatnonzero(sig == exc.sigma)
+        if not hit.size:
+            raise
+        k = hit[0] // _RESIDUE_NODES
+        where = (f"residue circle of the pole {complex(centres[k])}"
+                 if k < len(centres) else f"contour line Im sigma = {-ell_target}")
+        named = NearPole(f"{where}: {exc}")
+        named.sigma = exc.sigma
+        raise named from exc
     terms = [t for read in readers for t in read(vals)]
     # the line is filled in place, with no temporary of its size; the twin
     # of point k < half is point n_sigma - 1 - k
-    v = vals[len(circles) * _RESIDUE_NODES:]
+    v = vals[len(centres) * _RESIDUE_NODES:]
     line = np.empty((n_sigma,) + v.shape[1:], dtype=v.dtype)
     line[half:] = v
     np.conjugate(v[n_sigma - 2 * half:][::-1], out=line[:half])
@@ -377,7 +392,7 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
         raise ValueError(f"the time-domain solve needs a pencil without growing "
                          f"modes, and one has Im sigma = {grow:.6g}")
     from scipy.linalg import expm, matrix_balance
-    A0, A1, _ = op.matrices
+    A0, A1 = op.matrices
     n = len(A0)
     tau_grid = default_tau_grid()
     x = _log_tau(tau_grid)

@@ -13,11 +13,9 @@ and one member of each pair is refined (`mirror_map`), by a secant on the
 zeros of a scalar resolvent probe 1/<u, A(sigma)^-1 v>, and validated
 against an independent monodromy oracle.
 
-Each radial family has polynomial coefficients, whose only singular points are
-regular ones at the roots of the principal coefficient c2.  `_radial_polys`
-states them once, in closed form and split by powers of sigma: c2, c1 = c1a
-+ sigma c1b and c0 = c0a + sigma c0b + sigma^2 c0c, six sigma-free
-polynomials.  The pencil assembles its three matrices from their grid values.
+Each radial family (`_RadialFamily`, one record per model) has polynomial
+coefficients, whose only singular points are regular ones at the roots of the
+principal coefficient c2; the pencil assembles A0 and A1 from their values.
 The oracle continues the branch analytic at the regular end, normalized there
 to u = 1, around the horizon by power series: a Frobenius recurrence at the
 regular end and Taylor recurrences at a chain of centres, each step at most
@@ -44,14 +42,14 @@ import numpy as np
 
 from .collocation import cheb_grid
 # mu_tilde is not called here; perfbench/tracing.py wraps it by this attribute
-from .spacetime import SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, domain, \
-    _mu_coeffs
+from .spacetime import SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, \
+    _domain_of, _mu_coeffs
 from .absorption import AbsorbingSpec, smooth_step
 
 
 class UnsupportedModel(Exception):
-    """The solver covers only the spherically symmetric (alpha = 0) models,
-    whose pencils `build_operator` makes monic (A2 = I)."""
+    """The model has no radial family: the solver covers only the spherically
+    symmetric (alpha = 0) ones."""
 
 
 class SolverFailure(Exception):
@@ -59,7 +57,10 @@ class SolverFailure(Exception):
 
 
 class NearPole(Exception):
-    """The requested spectral parameter is too close to a resonance."""
+    """The requested spectral parameter is too close to a resonance; `sigma`
+    is the first one the near-pole gate refused, where it is known."""
+
+    sigma = None
 
 
 class StiffFailure(Exception):
@@ -67,19 +68,26 @@ class StiffFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# radial coefficient polynomials, shared by the pencil and the oracle
+# radial families, shared by the pencil and the oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _radial_polys(params: SpacetimeParams, ell: int):
-    """The sigma-split coefficients of c2 u'' + c1 u' + c0 u, highest power first.
+@dataclass(frozen=True)
+class _RadialFamily:
+    """All the pencil and the oracle read of one radial family c2 u'' + c1
+    u' + c0 u, for one (params, ell).
 
-    Returns (c2, c1a, c1b, c0a, c0b, c0c), with c1 = c1a + sigma c1b and
-    c0 = c0a + sigma c0b + sigma^2 c0c.  The family is params.model, in
-    dimension params.n.  deSitter: static-patch model on mu = 1 - r^2 with
-    the s^ell ansatz factored out.  MinkowskiBoundary: forward-problem
-    family of the flat boundary model (adjoint orientation), deSitter's but
-    for 1/4 - ((n - 1)/2)^2 added to c0a.  In both, c0c = 1.
+    `polys` = (c2, c1a, c1b, c0a, c0b, c0c), read-only, highest power
+    first: c1 = c1a + sigma c1b and c0 = c0a + sigma c0b + sigma^2 c0c.
+    `interval`: the ends of the grid, which crosses the horizon(s).  `loop`
+    = (regular end, horizon, far end, radius) of the oracle's path [regular
+    end, horizon + radius, horizon +- i radius, far end], which winds once
+    around the horizon and around no other root of c2.
+
+    deSitter: static-patch model on mu = 1 - r^2 with the s^ell ansatz
+    factored out.  MinkowskiBoundary: forward-problem family of the flat
+    boundary model (adjoint orientation), deSitter's but for 1/4 - ((n -
+    1)/2)^2 added to c0a.  In both, c0c = 1, the grid is [-0.6, 1] in mu
+    (the centre r = 0 is the end mu = 1) and the loop (1, 0, -0.35, 0.35).
 
     dSSchwarzschild: two-horizon model on r in the gauge t* = t + h(r), h'
     = s / mu, with s = 1 - 2t linear in t = (r - r_-) / (r_+ - r_-), so s =
@@ -92,11 +100,20 @@ def _radial_polys(params: SpacetimeParams, ell: int):
     r^2 mu = (lam / 3) r (r - r_-) (r_+ - r) P and P = r + r_- + r_+.  Each
     is multiplied by P, which leaves c0c = 4 r^3 / ((lam / 3) (r_+ - r_-)^2),
     positive on the grid: every coefficient is a polynomial, which keeps
-    spectral convergence.
-
-    The result is cached per (params, ell) and its arrays are shared, so
-    they are read-only.
+    spectral convergence.  The grid is `spacetime.domain`, and the loop
+    (r_+, r_-, r_- - 0.6 rad, rad) with rad = min(0.3 (r_+ - r_-), r_-):
+    both stay right of the root r = 0 of c2 on a small black hole.
     """
+
+    polys: tuple
+    interval: tuple
+    loop: tuple
+
+
+@lru_cache(maxsize=64)
+def _radial_family(params: SpacetimeParams, ell: int) -> _RadialFamily:
+    """The `_RadialFamily` of params.model in dimension params.n, cached and
+    shared; UnsupportedModel for a model with none."""
     model, n = params.model, params.n
     if model in ("deSitter", "MinkowskiBoundary"):
         c0a = -ell * (ell + n - 1.0)
@@ -106,6 +123,7 @@ def _radial_polys(params: SpacetimeParams, ell: int):
                  np.array([-(2.0 * n + 2 + 4 * ell), 4.0]), np.array([4j, -4j]),
                  np.array([c0a]), np.array([(n - 1.0 + 2 * ell) * 1j]),
                  np.array([1.0]))
+        interval, loop = (-0.6, 1.0), (1.0, 0.0, -0.35, 0.35)
     elif model == "dSSchwarzschild":
         hd = horizon_roots(params)
         if hd.r_minus is None:
@@ -119,21 +137,22 @@ def _radial_polys(params: SpacetimeParams, ell: int):
                  -1j * np.polymul(np.polyder(r2s), P),
                  np.array([4.0 / (params.lam / 3.0 * (rp - rm) ** 2),
                            0.0, 0.0, 0.0]))
+        rad = min(0.3 * (rp - rm), rm)
+        interval, loop = _domain_of(hd), (rp, rm, rm - 0.6 * rad, rad)
     else:
         raise UnsupportedModel(f"no radial family for {model!r}")
     for p in polys:
         p.flags.writeable = False
-    return polys
+    return _RadialFamily(polys, interval, loop)
 
 
 @dataclass
 class DiscretizedOperator:
-    """Quadratic pencil L(sigma) = A0 + sigma A1 + sigma^2 A2 of one sector.
+    """Monic pencil L(sigma) = A0 + sigma A1 + sigma^2 I of one sector.
 
     `build_operator` fixes the pencil once: P_sigma itself without an
     absorbing spec, P_sigma - iQ with one (A0 then holds -iQ), each row
-    divided by its sigma^2 coefficient.  So the pencil is monic, A2 = I
-    exactly, which construction checks (UnsupportedModel otherwise).
+    divided by its sigma^2 coefficient, which is so I by construction.
     `pencil` is the one place that forms L(sigma), which the resolvent
     probe solves.  The eigensolve and `resolvent_apply` read the pencil's
     one companion in tau = -i sigma (`_companion`), the latter through
@@ -143,18 +162,16 @@ class DiscretizedOperator:
     params: SpacetimeParams
     ell: int
     grid: np.ndarray
-    matrices: tuple                 # (A0, A1, A2), with -iQ in A0 if absorbed
-    N: int
+    matrices: tuple                 # (A0, A1), with -iQ in A0 if absorbed
 
-    def __post_init__(self):
-        A2 = self.matrices[2]
-        if not np.array_equal(A2, np.eye(len(A2))):
-            raise UnsupportedModel("the eigensolve and the resolvent need a monic "
-                                   "pencil (sigma^2 coefficient A2 = I)")
+    @property
+    def N(self) -> int:
+        """len(grid) - 1."""
+        return len(self.grid) - 1
 
     def pencil(self, sigma):
         """A0 + sigma A1 + sigma^2 I, with sigma^2 added on the diagonal."""
-        A0, A1, _ = self.matrices
+        A0, A1 = self.matrices
         L = A0 + sigma * A1
         L.flat[::len(L) + 1] += sigma * sigma
         return L
@@ -168,41 +185,34 @@ class DiscretizedOperator:
         """Whether A0 is real and A1 imaginary, bit for bit, as in every
         pencil built without an absorber.  The pencil is then real in tau =
         -i sigma, and L(-conj sigma) = conj L(sigma)."""
-        A0, A1, _ = self.matrices
+        A0, A1 = self.matrices
         return not (A0.imag.any() or A1.real.any())
 
 
 def build_operator(params: SpacetimeParams, ell: int, N: int,
                    spec: Optional[AbsorbingSpec] = None) -> DiscretizedOperator:
-    """Assemble the collocation pencil of params.model for one angular sector.
+    """Assemble the collocation pencil of one angular sector on the N + 1
+    Chebyshev points of its family's interval (`_radial_family`).
 
-    The grid spans the horizon: [-0.6, 1] in mu = 1 - r^2 for the one-horizon
-    models (the center r = 0 is the other endpoint), and [r_- - delta, r_+ +
-    delta] for the two-horizon model.  Every row is a collocation row of the
-    operator, divided by the real part of its sigma^2 coefficient c0c (1 on
-    the one-horizon models, positive on the grid on the two-horizon one),
-    so the pencil is monic: A2 = I.  Without `spec` the pencil has no
-    absorber: the horizon-crossing basis needs none.  With it, A0 carries
-    -iQ, Q = q (1 + scaled second-derivative stencil), with q =
-    spec.chi(mu) (mu < mu0 < 0); the one-horizon models only, ValueError on
-    the two-horizon one.
+    Every row is a collocation row of the operator, divided by the real part
+    of its sigma^2 coefficient c0c (positive on the grid), so the pencil is
+    monic.  Without `spec` the pencil has no absorber: the horizon-crossing
+    basis needs none.  With it, A0 carries -iQ, Q = q (1 + scaled
+    second-derivative stencil), with q = spec.chi(mu) (mu < mu0 < 0); the
+    one-horizon models only, ValueError on the two-horizon one.
     """
     if N < 16:
         raise ValueError("need N >= 16")
-    if params.model == "dSSchwarzschild":
-        if spec is not None:
-            raise ValueError("no absorbing window on the two-horizon model")
-        x, D = cheb_grid(N, *domain(params))
-    else:
-        x, D = cheb_grid(N, -0.6, 1.0)
-
+    if spec is not None and params.model == "dSSchwarzschild":
+        raise ValueError("no absorbing window on the two-horizon model")
+    fam = _radial_family(params, ell)
+    x, D = cheb_grid(N, *fam.interval)
     C2, C1a, C1b, C0a, C0b, C0c = (np.polyval(p, x).astype(complex)
-                                   for p in _radial_polys(params, ell))
+                                   for p in fam.polys)
     D2 = D @ D
     scale = C0c.real[:, None]
     A0 = (C2[:, None] * D2 + C1a[:, None] * D + np.diag(C0a)) / scale
     A1 = (C1b[:, None] * D + np.diag(C0b)) / scale
-    A2 = np.eye(N + 1, dtype=complex)
 
     if spec is not None:
         # multiplication plus a second-derivative stencil whose scale matches
@@ -211,7 +221,7 @@ def build_operator(params: SpacetimeParams, ell: int, N: int,
         active = w > 1e-12 * max(spec.digamma_scale, 1e-30)
         lsc2 = float(np.mean(np.abs(C2)[active])) if active.any() else 1.0
         A0 = A0 - 1j * (w[:, None] * (np.eye(N + 1) - lsc2 * D2))
-    return DiscretizedOperator(params, ell, x, (A0, A1, A2), N)
+    return DiscretizedOperator(params, ell, x, (A0, A1))
 
 # ---------------------------------------------------------------------------
 # resonance extraction
@@ -253,7 +263,7 @@ def _companion(op: DiscretizedOperator):
     On a pencil real in tau (`real_in_tau`), C is assembled in real
     arithmetic, [[0, I], [A0.real, -A1.imag]]; otherwise it is complex.
     """
-    A0, A1, _ = op.matrices
+    A0, A1 = op.matrices
     A0, A1 = (A0.real, -A1.imag) if op.real_in_tau else (A0, 1j * A1)
     return np.block([[np.zeros_like(A0), np.eye(len(A0))], [A0, A1]])
 
@@ -624,30 +634,19 @@ def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
         K = min(2 * K, _SERIES_MAX)
 
 
-def _oracle_geometry(params):
-    """(regular end, horizon, far end, detour radius) of the shooting path
-    [entry, horizon +- i radius, far end]; the far end lies inside the detour
-    circle, so the two halves loop once around the horizon and no other root."""
-    if params.model == "dSSchwarzschild":
-        hd = horizon_roots(params)
-        rad = 0.3 * (hd.r_plus - hd.r_minus)
-        return hd.r_plus, hd.r_minus, hd.r_minus - 0.6 * rad, rad
-    return 1.0, 0.0, -0.35, 0.35
-
-
 @lru_cache(maxsize=32)
 def _oracle_plan(params: SpacetimeParams, ell: int) -> _SeriesPlan:
-    """The shooting's plan, legs [start, entry] and [entry, horizon +- i
-    radius, far end] (above, then below), with entry = horizon + radius;
-    start, the regular end, is a root of c2."""
-    start, sing, end, rad = _oracle_geometry(params)
+    """The shooting's plan on the loop of `_radial_family`: legs [start,
+    entry] and [entry, horizon +- i radius, far end] (above, then below),
+    with entry = horizon + radius; start, the regular end, is a root of c2."""
+    fam = _radial_family(params, ell)
+    start, sing, end, rad = fam.loop
     entry = sing + rad
     paths = [(start, entry)] + [(entry, sing + 1j * half * rad, end)
                                 for half in (+1.0, -1.0)]
-    split = _radial_polys(params, ell)
-    roots = np.roots(split[0]).tolist()
+    roots = np.roots(fam.polys[0]).tolist()
     legs = [_walk(roots, path, k == 0) for k, path in enumerate(paths)]
-    return _SeriesPlan.of(split, legs)
+    return _SeriesPlan.of(fam.polys, legs)
 
 
 def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> complex:
@@ -814,7 +813,7 @@ def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     sig = np.asarray_chkfinite(sig)
     F = np.asarray_chkfinite(F)
     tf = op.triangular_form
-    A0, A1, _ = op.matrices
+    A0, A1 = op.matrices
     abs0, abs1 = np.abs(A0), np.abs(A1)
     signs = np.exp(2j * np.pi * np.random.default_rng(0).random(F.shape[1]))
     eps = np.finfo(float).eps
@@ -865,7 +864,8 @@ def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray
     pencil's own residual and the forward-error solve.  The near-pole gate
     reads the forward-error estimate of `_solve`: NearPole is raised when it
     exceeds _FORWARD_ERROR_MAX ||u|| at any sigma, or when the solve there
-    is not finite (sigma on an eigenvalue).  u = f = 0 passes.  Measured
+    is not finite (sigma on an eigenvalue); its `sigma` is the first such
+    sigma.  u = f = 0 passes.  Measured
     estimate / ||u|| at N=48 on the real form: at most 1.5e-8 on the lines
     and 2.9e-9 on the residue circles of `qnmkit expand` (dS l=0 and l=1,
     Minkowski l=0, dSS l=0), at least 0.28 at the solver's converged roots
@@ -879,7 +879,9 @@ def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray
     U, err = _solve(op, sig, F.reshape(-1, n))
     bad = ~(err <= _FORWARD_ERROR_MAX * np.linalg.norm(U, axis=1))
     if bad.any():
-        raise NearPole(f"pencil nearly singular at sigma = {sig[np.argmax(bad)]}")
+        exc = NearPole(f"pencil nearly singular at sigma = {sig[np.argmax(bad)]}")
+        exc.sigma = sig[np.argmax(bad)]
+        raise exc
     return U.reshape(F.shape)
 
 

@@ -158,12 +158,18 @@ def horizon_roots(params: SpacetimeParams) -> HorizonData:
 
 def domain(params: SpacetimeParams):
     """(r_lo, r_hi) with the margin delta beyond the horizons: 0.1 r_+ with
-    one horizon, 0.1 (r_+ - r_-) with two."""
-    hd = horizon_roots(params)
+    one horizon, 0.1 (r_+ - r_-) with two.  With two, r_lo = max(r_- -
+    delta, r_- / 2): r = 0 is a singular point of the radial operator, and
+    r_- - delta alone would cross it once r_- < r_+ / 11."""
+    return _domain_of(horizon_roots(params))
+
+
+def _domain_of(hd: HorizonData):
+    """`domain` of the horizons `hd`."""
     if hd.r_minus is None:
         return 1e-6 * hd.r_plus, hd.r_plus + 0.1 * hd.r_plus
     delta = 0.1 * (hd.r_plus - hd.r_minus)
-    return hd.r_minus - delta, hd.r_plus + delta
+    return max(hd.r_minus - delta, 0.5 * hd.r_minus), hd.r_plus + delta
 
 
 def _critical_points(params: SpacetimeParams, r_lo, r_hi):

@@ -710,6 +710,21 @@ class TestExpand:
         assert code == 5
         assert "sigma = " in capsys.readouterr().err
 
+    def test_near_pole_names_the_residue_circle(self, tmp_path, capsys):
+        # dS l=0 at ell_target 2.5 and N=96: the gate refuses the first node
+        # of the residue circle of the pole -2i, not a point of the contour
+        # Im sigma = -2.5, and the stderr line names that circle
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'ds.params')}\n"
+                    "N = 96\nell_target = 2.5\n")
+        assert main(["expand", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        head = "near-pole gate of the resolvent: residue circle of the pole "
+        assert err.startswith(head) and "sigma = " in err
+        pole = complex(err[len(head):].split(":")[0].strip("()"))
+        assert abs(pole + 2j) < 1e-6
+
     def test_lines_solved_only_in_the_pulse_window(self, tmp_path, monkeypatch):
         # the remainder line (Im -1.5) is the only line solved: it keeps the
         # 1,214 of its 4,000 sigma where the pulse is above 1e-18 of its

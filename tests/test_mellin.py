@@ -529,8 +529,7 @@ class TestTimeDomainSolve:
         n = 25
         op = DiscretizedOperator(DS, 0, np.linspace(-1.0, 1.0, n),
                                  (0.25 * np.eye(n, dtype=complex),
-                                  np.zeros((n, n), complex),
-                                  np.eye(n, dtype=complex)), n - 1)
+                                  np.zeros((n, n), complex)))
         with pytest.raises(ValueError, match="growing.*Im sigma = 0.5"):
             time_domain_solve(op, np.ones(n))
 

@@ -21,7 +21,7 @@ from qnmkit.absorption import AbsorbingSpec
 from qnmkit.resonances import (
     build_operator, solve_resonances, oracle_shooting, oracle_refine,
     resolvent_apply, gluing_check,
-    UnsupportedModel, NearPole, _radial_polys,
+    UnsupportedModel, NearPole, _radial_family,
 )
 
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
@@ -30,6 +30,13 @@ MK = SpacetimeParams(model="MinkowskiBoundary", lam=0.0, n=4)
 TINY = AbsorbingSpec(digamma_scale=1e-12)
 MODELS = [("deSitter", DS), ("minkowski", MK), ("dSSchwarzschild", DSS)]
 MODEL_IDS = [m for m, _ in MODELS]
+# the sample small black hole, r_s = 0.05, whose r_- - delta lies left of the
+# root r = 0 of c2, and r_s = 0.1, where the far end r_- - 0.18 (r_+ - r_-)
+# of a loop of radius 0.3 (r_+ - r_-) does
+DSS_SMALL = spacetime.load_params(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts", "configs",
+    "dss-small.params"))
+DSS_RS01 = SpacetimeParams(3.0, 0.1, 0.0, "dSSchwarzschild")
 
 # converged rows of Minkowski l=0 at N=160 in the CLI box, printed as JSON
 _MK160_CONVERGED = """
@@ -62,7 +69,7 @@ def _fresh_shift_solve(op, sigma, f):
     rule dividing by det = D[i] D[i+1] - b c; one solve and two refinement
     steps on the pencil's residual, per block of _SIGMA_BLOCK sigma."""
     tf = op.triangular_form
-    A0, A1, _ = op.matrices
+    A0, A1 = op.matrices
     sig = np.asarray(sigma, dtype=complex)
     F = np.broadcast_to(np.asarray(f, dtype=complex), sig.shape + (len(A0),))
 
@@ -99,9 +106,9 @@ def _fresh_shift_solve(op, sigma, f):
 
 def _referee_solve(op, sigma, f):
     """L(sigma)^-1 f from one LU, corrected 6 times on a clongdouble residual."""
-    A0, A1, A2 = (A.astype(np.clongdouble) for A in op.matrices)
+    A0, A1 = (A.astype(np.clongdouble) for A in op.matrices)
     s = np.clongdouble(sigma)
-    A = A0 + s * A1 + s * s * A2
+    A = A0 + s * A1 + s * s * np.eye(len(A0), dtype=np.clongdouble)
     lu = lu_factor(op.pencil(sigma))
     u = lu_solve(lu, f).astype(np.clongdouble)
     for _ in range(6):
@@ -204,7 +211,7 @@ def _referee_step(polys, z, y, h, frobenius):
 def _referee_ends(params, ell, sigma):
     """End values (u, u') of the shooting's upper and lower halves, one
     referee step at a time along the oracle's own plan."""
-    polys = _at_sigma(_radial_polys(params, ell), sigma)
+    polys = _at_sigma(_radial_family(params, ell).polys, sigma)
     ends = []
     for leg in resonances._oracle_plan(params, ell).legs:
         y = ends[0] if ends else None
@@ -222,7 +229,7 @@ def _dss_sigma2(params, x):
 
 
 def _gauge_polys(params, ell, b):
-    """The six polynomials of `_radial_polys` for dSSchwarzschild in the gauge
+    """The six polynomials of `_radial_family` for dSSchwarzschild in the gauge
     s = 1 - 2t + b t (1 - t) (1 - 2t), built here from the unsimplified
     sigma^2 coefficient r^4 (1 - s^2) P / mu~, which must divide exactly."""
     hd = spacetime.horizon_roots(params)
@@ -330,7 +337,7 @@ class TestRadialPolys:
         if real_x:
             x = x.real
         want = reference_coeffs(model, params, ell, params.n, x, sigma)
-        split = _radial_polys(params, ell)
+        split = _radial_family(params, ell).polys
         # per coefficient, the summed magnitudes of the parts _at_sigma adds
         # to form it (c2 is not formed); the dSSchwarzschild reference is
         # itself a float sum of such parts
@@ -347,17 +354,18 @@ class TestRadialPolys:
     def test_dss_polynomials_are_the_gauge_at_b_zero(self):
         # the shipped polynomials are those of the gauge family at b = 0,
         # whose sigma^2 coefficient is derived by polynomial division; they
-        # are cached per (params, ell) and read-only
+        # are cached per (params, ell), with their record, and read-only
         for ell in range(3):
-            split = _radial_polys(DSS, ell)
-            assert _radial_polys(DSS, ell) is split
+            fam = _radial_family(DSS, ell)
+            assert _radial_family(DSS, ell) is fam
+            split = fam.polys
             for p, q in zip(split, _gauge_polys(DSS, ell, 0.0)):
                 assert not p.flags.writeable
                 np.testing.assert_allclose(np.trim_zeros(p, "f"),
                                            np.trim_zeros(q, "f"), rtol=0,
                                            atol=1e-15 * np.abs(q).max())
         with pytest.raises(spacetime.NoHorizons):
-            _radial_polys(SpacetimeParams(3.0, 0.0, 0.0, "dSSchwarzschild"), 0)
+            _radial_family(SpacetimeParams(3.0, 0.0, 0.0, "dSSchwarzschild"), 0)
 
     def test_dss_shooting_makes_no_mu_tilde_calls(self, monkeypatch):
         # the horizon radii come from spacetime, which evaluates mu~ itself;
@@ -377,17 +385,19 @@ class TestRadialPolys:
 class TestBuildOperator:
     def test_shapes_and_quadratic_structure(self):
         op = build_operator(DS, 0, 40)
-        A0, A1, A2 = op.matrices
-        assert A0.shape == (41, 41)
-        # sigma^2 block is the identity coefficient for the static-patch model
-        np.testing.assert_allclose(np.diag(A2), 1.0)
-        assert np.count_nonzero(A2 - np.diag(np.diag(A2))) == 0
+        A0, A1 = op.matrices
+        assert A0.shape == A1.shape == (41, 41) and op.N == 40
+        # the sigma^2 coefficient is the identity, added by `pencil` alone
+        s = 0.7 - 0.3j
+        np.testing.assert_allclose(op.pencil(s) - (A0 + s * A1),
+                                   s * s * np.eye(41),
+                                   rtol=0, atol=1e-13 * np.abs(A0).max())
 
     def test_no_boundary_row_at_horizon(self):
         # the horizon mu = 0 is an interior grid region; every row is a
         # collocation row of the operator (no unit row anywhere)
         op = build_operator(MK, 0, 40)
-        A0, _, _ = op.matrices
+        A0, _ = op.matrices
         for i in range(41):
             row = A0[i]
             assert np.count_nonzero(np.abs(row) > 1e-14) > 3
@@ -414,19 +424,19 @@ class TestBuildOperator:
 
     @pytest.mark.parametrize("model, params", MODELS[:2], ids=MODEL_IDS[:2])
     def test_absorber_enters_a0_only_where_its_window_lives(self, model, params):
-        # a spec adds -iQ to A0 and nothing else: A1 and A2 are the spec-free
-        # ones byte for byte, and A0 moves by a purely imaginary matrix whose
-        # rows vanish wherever the absorbing window does
+        # a spec adds -iQ to A0 and nothing else: A1 is the spec-free one
+        # byte for byte, and A0 moves by a purely imaginary matrix whose rows
+        # vanish wherever the absorbing window does
         spec = AbsorbingSpec(digamma_scale=4.0)
         free = build_operator(params, 1, 32)
         op = build_operator(params, 1, 32, spec)
-        (F0, F1, F2), (A0, A1, A2) = free.matrices, op.matrices
-        assert np.array_equal(A1, F1) and np.array_equal(A2, F2)
+        (F0, F1), (A0, A1) = free.matrices, op.matrices
+        assert np.array_equal(A1, F1)
         diff = A0 - F0
         assert not diff.real.any() and diff.imag.any()
         assert not diff[spec.chi(op.grid) == 0].any()
         s = 0.7 - 0.3j
-        assert np.array_equal(op.pencil(s), A0 + s * A1 + s * s * A2)
+        assert np.array_equal(op.pencil(s), A0 + s * A1 + s * s * np.eye(33))
 
     def test_no_absorbing_window_on_the_two_horizon_model(self):
         with pytest.raises(ValueError, match="two-horizon"):
@@ -530,7 +540,7 @@ class TestSolveResonances:
         N = 48
         for _, params in MODELS:
             op = build_operator(params, 0, N)
-            assert np.array_equal(op.matrices[2], np.eye(N + 1))
+            assert len(op.matrices) == 2 and op.N == N
             assert op.real_in_tau
             rl = solve_resonances(params, 0, N, (-6, 6, -3.6, 0.4))
             rungs = (24, 32, 48)[:len(eigs)]
@@ -563,7 +573,7 @@ class TestSolveResonances:
         # `_linearized_eigs` within 1e-8 max(1, |s|) (measured 1.6e-10; 0.94
         # when the eigensolve dropped -iQ and read A0.real)
         op = build_operator(DS, 0, 24, AbsorbingSpec())
-        A0, A1, _ = op.matrices
+        A0, A1 = op.matrices
         n = len(A0)
         ref = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)],
                                           [-A0, -A1]]))
@@ -597,12 +607,6 @@ class TestSolveResonances:
         plain = [1 + 1j, -3 + 0.5j, 2 - 4j]
         assert resonances.mirror_map(f, plain, reflect) == {s: 2 * s for s in plain}
         assert calls == plain
-
-    def test_other_sigma_squared_coefficient_rejected(self):
-        op = build_operator(DS, 0, 16)
-        A0, A1, A2 = op.matrices
-        with pytest.raises(UnsupportedModel):
-            dataclasses.replace(op, matrices=(A0, A1, 2.0 * A2))
 
     def test_refinement_makes_few_probe_solves(self, monkeypatch):
         # each secant stops once its steps stop shrinking: the Minkowski l=0
@@ -686,10 +690,14 @@ class TestTwoHorizonGauge:
         # at cap N=48 and l = 0 to 2: within the sum of their deltas (1.1e-7
         # on the l=1 pair near 2.295 - 2.632i, where both deltas are 1.7e-7),
         # and within 1e-8 where both deltas are below 1e-8
+        real = resonances._radial_family
+
         def converged(b):
             if b:
-                monkeypatch.setattr(resonances, "_radial_polys",
-                                    lambda params, ell: _gauge_polys(params, ell, b))
+                monkeypatch.setattr(resonances, "_radial_family",
+                                    lambda params, ell: dataclasses.replace(
+                                        real(params, ell),
+                                        polys=_gauge_polys(params, ell, b)))
             else:
                 monkeypatch.undo()
             return [solve_resonances(DSS, ell, 48, (-6, 6, -3.6, 0.4)).converged(1e-6)
@@ -711,11 +719,37 @@ class TestTwoHorizonGauge:
         # that agree on it to less than the same-root distance 1e-4 but more
         # than 1e-6: it is one root, so the cap-80 ladder reports one row
         # (matching rungs at 1e-6 reported it twice)
-        monkeypatch.setattr(resonances, "_radial_polys",
-                            lambda params, ell: _gauge_polys(params, ell, 0.6))
+        real = resonances._radial_family
+        monkeypatch.setattr(resonances, "_radial_family",
+                            lambda params, ell: dataclasses.replace(
+                                real(params, ell),
+                                polys=_gauge_polys(params, ell, 0.6)))
         rl = solve_resonances(DSS, 1, 80, (-6, 6, -3.6, 0.4))
         near = [e for e in rl.entries if abs(e.sigma + 3.0428j) < 1e-4]
         assert len(near) == 1
+
+
+class TestSmallBlackHole:
+    def test_grid_right_of_the_centre_converges(self):
+        # on [r_- - delta, r_+ + delta], which crossed r = 0, the l=1 root
+        # near -i moved 1.3e-3 from N=96 to N=128 (-1.0017085i at N=96);
+        # from r_- / 2 it moves 1.4e-11
+        roots = [resonances.refine_roots(build_operator(DSS_SMALL, 1, N),
+                                         [-0.9999j])[-0.9999j] for N in (96, 128)]
+        assert abs(roots[0] + 0.99990j) < 1e-5
+        assert abs(roots[1] - roots[0]) < 1e-8
+
+    @pytest.mark.parametrize("ell, row", [
+        (0, -2.0492042314041425j), (0, 2.117285848367905 - 2.0924061827072773j),
+        (1, -0.9995932444951134j), (1, 5.620145637113351 - 1.9078221167573366j)],
+        ids=["l0-axis", "l0-pair", "l1-axis", "l1-pair"])
+    def test_oracle_agrees_with_pencil_rows(self, ell, row):
+        # rows of the N=128 pencil at r_s = 0.1; the oracle lands within
+        # 6.2e-8 of each (on the l0 pair).  With the loop radius 0.3 (r_+ -
+        # r_-), whose far end lies left of r = 0, it went from the l0 axis row
+        # to -2.0815i and from the l1 pair row to 4.9789 - 4.4619i
+        assert abs(oracle_refine(DSS_RS01, ell, row) - row) < 1e-7
+
 
 class TestOracle:
     def test_nonzero_at_generic_sigma(self):
@@ -844,15 +878,19 @@ class TestSeriesOracle:
         oracle_refine(DSS, 1, -0.9984168260900195j)
         assert calls == []
 
-    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("model, params", MODELS + [
+        ("dSS-rs0.05", DSS_SMALL), ("dSS-rs0.1", DSS_RS01)],
+        ids=MODEL_IDS + ["dSS-rs0.05", "dSS-rs0.1"])
     def test_loop_winds_once_around_the_horizon_only(self, model, params):
         # the upper half followed by the lower half reversed must enclose the
         # horizon and no other root of c2, or the two end values would not
-        # differ by the monodromy about the horizon alone
-        _, horizon, end, rad = resonances._oracle_geometry(params)
+        # differ by the monodromy about the horizon alone; on a small black
+        # hole the root r = 0 lies within 0.3 (r_+ - r_-) of the horizon
+        fam = _radial_family(params, 0)
+        _, horizon, end, rad = fam.loop
         paths = [(horizon + rad, horizon + 1j * half * rad, end)
                  for half in (+1.0, -1.0)]
-        roots = np.roots(_radial_polys(params, 0)[0])
+        roots = np.roots(fam.polys[0])
         # the plan's halves are the steps of these two paths, and _walk
         # lands each path exactly on its far end
         legs = tuple(tuple(resonances._walk(roots.tolist(), path, False))
@@ -1018,8 +1056,7 @@ class TestResolvent:
         s0, n = 1.5 - 0.5j, 17
         op = resonances.DiscretizedOperator(
             DS, 0, np.linspace(-1.0, 1.0, n),
-            (-(s0 * s0) * np.eye(n, dtype=complex), np.zeros((n, n), complex),
-             np.eye(n, dtype=complex)), n - 1)
+            (-(s0 * s0) * np.eye(n, dtype=complex), np.zeros((n, n), complex)))
         assert not op.pencil(s0).any()
         g = resonances._probe_g(op)
         assert g(s0) == 0

@@ -1,6 +1,7 @@
 """Geometry/admissibility tests; oracle values are frozen from independent routes."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnmkit.spacetime import (
     SpacetimeParams, NoHorizons, mu_tilde, horizon_roots, admissibility,
-    load_params,
+    load_params, domain,
 )
 
 
@@ -38,6 +39,9 @@ def bisect_oracle(f, a, b, tol=1e-14):
 KDS = SpacetimeParams(3.0, 0.2, 0.05, "KerrDeSitter")
 DSS = SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
 DS = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
+# the sample small black hole, r_s = 0.05, whose r_- - delta is negative
+DSS_SMALL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "scripts", "configs", "dss-small.params")
 
 
 def rescaled(p):
@@ -149,6 +153,26 @@ class TestAdmissibility:
     def test_de_sitter(self):
         rep = admissibility(DS)
         assert rep.horizons_exist and rep.classical_nontrapping
+
+    def test_small_black_hole_has_one_interior_component(self):
+        # the scan covers domain(params); with r_lo = r_- - delta < 0 it
+        # counted the region r < 0 as a second component
+        rep = admissibility(load_params(DSS_SMALL))
+        assert rep.ergoregions_disjoint
+        assert ("interior_components", 1.0, 1.0) in rep.diagnostics
+
+    @pytest.mark.parametrize("r_s", [0.02, 0.05, 0.1])
+    def test_two_horizon_domain_stays_right_of_the_centre(self, r_s):
+        # r = 0 is a singular point of the radial operator: the domain ends
+        # no further left than r_- / 2, and keeps r_- - delta where that is
+        # larger (the sample dss.params, 0.14218 against r_- / 2 = 0.10457)
+        params = SpacetimeParams(3.0, r_s, 0.0, "dSSchwarzschild")
+        hd = horizon_roots(params)
+        r_lo, r_hi = domain(params)
+        assert r_lo == 0.5 * hd.r_minus > 0
+        assert r_hi == hd.r_plus + 0.1 * (hd.r_plus - hd.r_minus)
+        delta = 0.1 * (horizon_roots(DSS).r_plus - horizon_roots(DSS).r_minus)
+        assert domain(DSS)[0] == horizon_roots(DSS).r_minus - delta
 
     def test_no_horizons_reported(self):
         rep = admissibility(SpacetimeParams(3.0, 1.0, 0.0, "dSSchwarzschild"))
