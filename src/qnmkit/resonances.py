@@ -25,7 +25,9 @@ polynomials form a plan built once per (params, ell); for each sigma one
 lower-banded triangular solve runs every step's recurrence, and the steps'
 2 x 2 transfers are chained along the path.  Its detector is the raw
 difference of the branch's end values along the two sides of the horizon,
-which is holomorphic in sigma.
+which is holomorphic in sigma.  On the imaginary axis every family is real,
+so the two sides are conjugate: rows born there are written there, and the
+oracle continues one side and refines them in real tau.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class _RadialFamily:
     around the horizon and around no other root of c2.
 
     deSitter: static-patch model on mu = 1 - r^2 with the s^ell ansatz
-    factored out.  MinkowskiBoundary: forward-problem family of the flat
+    factored out, r in units of the horizon radius sqrt(3 / lam), so sigma
+    is in units of sqrt(lam / 3); lam <= 0 has no horizon and raises
+    NoHorizons.  MinkowskiBoundary: forward-problem family of the flat
     boundary model (adjoint orientation), deSitter's but for 1/4 - ((n -
     1)/2)^2 added to c0a.  In both, c0c = 1, the grid is [-0.6, 1] in mu
     (the centre r = 0 is the end mu = 1) and the loop (1, 0, -0.35, 0.35).
@@ -115,6 +119,8 @@ def _radial_family(params: SpacetimeParams, ell: int) -> _RadialFamily:
     """The `_RadialFamily` of params.model in dimension params.n, cached and
     shared; UnsupportedModel for a model with none."""
     model, n = params.model, params.n
+    if model == "deSitter":
+        horizon_roots(params)       # NoHorizons at lam <= 0
     if model in ("deSitter", "MinkowskiBoundary"):
         c0a = -ell * (ell + n - 1.0)
         if model == "MinkowskiBoundary":
@@ -361,22 +367,24 @@ def mirror_map(f, sigmas, reflect) -> dict:
     return out
 
 
-def _locate(op: DiscretizedOperator, region):
-    """Roots in `region`, one per _SAME_ROW: the eigenvalues of `op` in the
-    padded region, refined (`refine_roots`) nearest 0 first and, of an exact
-    pair c, -conj(c), the one with Re c > 0 first, whose root the twin gets
-    mirrored."""
+def _locate(op: DiscretizedOperator, region) -> dict:
+    """{root: born on the axis} in `region`, one root per _SAME_ROW: the
+    eigenvalues c of `op` in the padded region, refined (`refine_roots`)
+    nearest 0 first and, of an exact pair c, -conj(c), the one with Re c > 0
+    first, whose root the twin gets mirrored.  A root is born on the axis
+    when its c has Re c == 0, as a real eigenvalue tau of a pencil real in
+    tau has; the root itself is the secant's iterate, whose Re is rounding."""
     x0, x1, y0, y1 = region
     pad = 0.35
     cands = sorted((complex(z) for z in _linearized_eigs(op)
                     if np.isfinite(z) and x0 - pad <= z.real <= x1 + pad
                     and y0 - pad <= z.imag <= y1 + pad),
                    key=lambda c: (abs(c), -c.real))
-    roots = []
-    for s in refine_roots(op, cands).values():
+    roots = {}
+    for c, s in refine_roots(op, cands).items():
         if (x0 - 1e-8 <= s.real <= x1 + 1e-8 and y0 - 1e-8 <= s.imag <= y1 + 1e-8
                 and all(abs(s - r) > _SAME_ROW for r in roots)):
-            roots.append(s)
+            roots[s] = c.real == 0
     return roots
 
 
@@ -396,14 +404,17 @@ def solve_resonances(params: SpacetimeParams, ell: int, N: int,
     The rungs are the members of _LADDER below N, then N, each pencil built
     once, without an absorber.  The next rung's pencil (the next ladder
     member's, for N) judges a rung's roots (`_locate`, one per row),
-    `convergence_delta` being |s' - s| with s' = `refine_roots` on it, and
-    is located next.  Converged is a delta below _TRUST_TOL; roots of two
-    rungs within _SAME_ROOT are one root, and a converged root replaces a
-    lower rung's row only within _SAME_ROW.  The ladder stops after the
-    first rung past the first that converges no new root, or at N; its
-    unconverged roots follow, but for those within _SAME_ROOT of a
-    converged row.  `Resonance.N` is the rung of the row; `multiplicity` is
-    1 on every row: nothing counts it yet.
+    `convergence_delta` being |s' - s| with s' = `refine_roots` on it from
+    the root s, and is located next.  A row whose root was born on the axis
+    is written there, with Re sigma = +0.0; its delta and Im sigma are its
+    root's, since a judge started on the axis would restart in its
+    secant's rounding band.  Converged is a delta below _TRUST_TOL; roots
+    of two rungs within _SAME_ROOT are one root, and a converged root
+    replaces a lower rung's row only within _SAME_ROW.  The ladder stops
+    after the first rung past the first that converges no new root, or at
+    N; its unconverged roots follow, but for those within _SAME_ROOT of a
+    converged row.  `Resonance.N` is the rung of the row; `multiplicity`
+    is 1 on every row: nothing counts it yet.
     """
     if N >= _LADDER[-1]:
         raise ValueError(f"N = {N}: the ladder judges caps below {_LADDER[-1]}")
@@ -416,9 +427,10 @@ def solve_resonances(params: SpacetimeParams, ell: int, N: int,
         op = build_operator(params, ell, m)
         judged = refine_roots(op, zs)
         rows = []
-        for z in zs:
+        for z, axis in zs.items():
             delta = float(abs(judged[z] - z))
-            rows.append(Resonance(z, 1, delta, n, delta > _SAME_ROOT))
+            s = complex(0.0, z.imag) if axis else z
+            rows.append(Resonance(s, 1, delta, n, delta > _SAME_ROOT))
         conv = [e for e in rows if e.convergence_delta < _TRUST_TOL]
         new = [e for e in conv
                if all(abs(e.sigma - f.sigma) >= _SAME_ROOT for f in found)]
@@ -555,8 +567,9 @@ class _SeriesPlan:
         return self._bands[K]
 
 
-def _chain(plan: _SeriesPlan, y, transfer, base) -> tuple:
-    """Starts (v_0, v_1) = (u, h u') of every step and ends (u, u') of every leg.
+def _chain(legs, y, transfer, base) -> tuple:
+    """Starts (v_0, v_1) = (u, h u') of every step and ends (u, u') of every
+    leg of `legs`.
 
     Step i maps the start w_i = base[i][:2] to (c_0, c_1 / h), c = base[i][2:],
     and any other start v to that plus transfer[i] = (S_0, S_1, N_0, N_1)
@@ -565,7 +578,7 @@ def _chain(plan: _SeriesPlan, y, transfer, base) -> tuple:
     """
     starts, ends = [], []
     steps = zip(transfer, base)
-    for leg in plan.legs:
+    for leg in legs:
         u, du = ends[0] if ends else y
         for (_, h, frobenius), ((s0, s1, n0, n1), (w0, w1, c0, c1)) in zip(leg, steps):
             v0, v1 = (1.0, 0.0) if frobenius else (u, h * du)
@@ -576,19 +589,25 @@ def _chain(plan: _SeriesPlan, y, transfer, base) -> tuple:
     return starts, ends
 
 
-def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
-    """(u, u') at the end of each leg of `plan`, for the spectral parameter sigma.
+def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0),
+              legs=None) -> list:
+    """(u, u') at the end of each leg of `plan`, for the spectral parameter
+    sigma; of its first `legs` legs only, if given.
 
     The coefficients are polynomial in the radius, so the solutions continue
     analytically off the real axis.  Leg 0 starts from y = (u, u'), or, if
     it starts at a root of c2, on the branch analytic there with u = 1;
-    every later leg starts from the end of leg 0.  One banded triangular
-    solve gives every step's two basis sequences, and so its 2 x 2 transfer
-    of (u, h u'); chained along the legs, they give every step's start.  A
-    second solve from those starts gives each step's own terms, and a
-    second chain carries through the transfers only the (rounding-sized)
-    differences from those starts: a start that is a small combination of
-    the basis sequences would otherwise lose digits to the cancellation.
+    every later leg starts from the end of leg 0.  With `legs`, only the
+    steps of those legs are solved, on views of the first rows of the
+    plan's bands: the steps' blocks do not couple, so their ends are the
+    whole plan's wherever the stop rule below settles on the same term
+    count.  One banded triangular solve gives every step's two basis
+    sequences, and so its 2 x 2 transfer of (u, h u'); chained along the
+    legs, they give every step's start.  A second solve from those starts
+    gives each step's own terms, and a second chain carries through the
+    transfers only the (rounding-sized) differences from those starts: a
+    start that is a small combination of the basis sequences would
+    otherwise lose digits to the cancellation.
 
     Every step must meet the stop rule on its own terms: each of the last
     _SERIES_RUN n |v_n| is below _SERIES_EPS of the larger of the sums of
@@ -599,11 +618,14 @@ def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
     is the integer n there.
     """
     from scipy.linalg.lapack import ztbtrs
-    S, K = len(plan.h), _SERIES_TERMS
+    legs = plan.legs[:legs]
+    S, K = sum(map(len, legs)), _SERIES_TERMS
+    h, frobenius = plan.h[:S], plan.frobenius[:S]
     while True:
         A, B, C, basis = plan.band(K)
-        band = A + sigma * (B + sigma * C)
-        divisor = band[plan.frobenius, 1:, 0] / plan.h[plan.frobenius, None]
+        band = A[:S] + sigma * (B[:S] + sigma * C[:S])
+        basis = basis[:S * K]
+        divisor = band[frobenius, 1:, 0] / h[frobenius, None]
         if (np.abs(divisor) < _FROBENIUS_MIN).any():
             raise StiffFailure("indicial coincidence at the horizon; perturb sigma")
         band = band.reshape(S * K, -1).T
@@ -618,7 +640,7 @@ def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
 
         _, sums = solve(basis)                          # sum, basis, step
         transfer = sums.transpose(2, 0, 1).reshape(S, 4).tolist()
-        starts, _ = _chain(plan, y, transfer, repeat((0.0, 0.0, 0.0, 0.0)))
+        starts, _ = _chain(legs, y, transfer, repeat((0.0, 0.0, 0.0, 0.0)))
         rhs = np.zeros((S, K), complex)
         rhs[:, :2] = starts
         terms, own = solve(rhs.reshape(S * K, 1))
@@ -628,7 +650,7 @@ def _continue(plan: _SeriesPlan, sigma: complex, y=(1.0, 0.0)) -> list:
         tail = n[-_SERIES_RUN:] * np.abs(terms[:, -_SERIES_RUN:])
         if (tail <= _SERIES_EPS * np.abs(own).max(axis=0)[:, None]).all():
             base = np.column_stack([starts, own.T]).tolist()
-            return _chain(plan, y, transfer, base)[1]
+            return _chain(legs, y, transfer, base)[1]
         if K == _SERIES_MAX:
             raise StiffFailure("the series continuation did not converge")
         K = min(2 * K, _SERIES_MAX)
@@ -660,9 +682,19 @@ def oracle_shooting(params: SpacetimeParams, ell: int, sigma: complex) -> comple
     functional (1, 0.37).  It is holomorphic in sigma and vanishes exactly
     when the branch extends analytically across the horizon, which is the
     defining property of a resonance; this holds at indicial coincidences too.
+
+    On the axis, Re sigma == 0, every family is real (c2, c1a, c0a and c0c
+    are real, c1b and c0b imaginary), so the continuation below is the
+    conjugate of the one above, bit for bit, and the detector is 2i Im(u +
+    0.37 u') of the upper end alone: leg 0 and the upper half, the plan's
+    first two legs.
     """
-    _, (u_up, du_up), (u_dn, du_dn) = _continue(_oracle_plan(params, ell),
-                                                complex(sigma))
+    sigma = complex(sigma)
+    plan = _oracle_plan(params, ell)
+    if sigma.real == 0:
+        _, (u, du) = _continue(plan, sigma, legs=2)
+        return complex(0.0, 2.0 * (u + 0.37 * du).imag)
+    _, (u_up, du_up), (u_dn, du_dn) = _continue(plan, sigma)
     return complex((u_up - u_dn) + 0.37 * (du_up - du_dn))
 
 
@@ -673,8 +705,15 @@ def oracle_refine(params: SpacetimeParams, ell: int, sigma0: complex) -> complex
     |sigma0|), sigma0): the solver holds a row to about 1e-8, so a start
     1e-4 away would spend its first steps coming back.  The spacing is ten
     times the secant's 1e-6 max(1, |s|) band, so the first step is taken
-    outside it.
+    outside it.  A row on the axis, Re sigma0 == 0, is refined there, in
+    real tau = -i sigma: the same secant runs on Im of the detector at
+    sigma = i tau from (tau0 + 1e-5 max(1, |tau0|), tau0), every shooting
+    stays on the axis, and the root has Re = +0.0.
     """
+    if sigma0.real == 0:
+        t0 = sigma0.imag
+        f = lambda t: oracle_shooting(params, ell, complex(0.0, t)).imag
+        return complex(0.0, _secant(f, t0 + 1e-5 * max(1.0, abs(t0)), t0))
     f = lambda s: oracle_shooting(params, ell, s)
     return _secant(f, sigma0 + 1e-5 * max(1.0, abs(sigma0)), sigma0)
 

@@ -377,6 +377,16 @@ class TestResonances:
                      "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_de_sitter_without_horizon_exit_two(self, tmp_path, capsys):
+        # at lambda = 0 de Sitter has no cosmological horizon: the family
+        # is lambda-free, and it wrote the lambda = 3 rows with exit 0
+        p = write(tmp_path / "ds0.params", "lambda = 0\nmodel = deSitter\n")
+        cfg = write(tmp_path / "c.cfg", f"params = {p}\nN = 48\nell_max = 0\n")
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == 2
+        assert "need lam > 0" in capsys.readouterr().err
+        assert os.listdir(out) == ["manifest.json"]
+
     def test_oracle_failure_blanks_only_stiff_rows(self, tmp_path, ds_params,
                                                     monkeypatch):
         # a StiffFailure leaves the oracle columns blank, with the verdict
@@ -598,6 +608,15 @@ class TestExpand:
         assert main(["expand", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_de_sitter_without_horizon_exit_two(self, tmp_path, capsys):
+        # as for resonances: lambda = 0 has no cosmological horizon
+        p = write(tmp_path / "ds0.params", "lambda = 0\nmodel = deSitter\n")
+        cfg = write(tmp_path / "c.cfg", f"params = {p}\nN = 16\nn_sigma = 128\n")
+        out = tmp_path / "out"
+        assert main(["expand", "--config", cfg, "--out", str(out)]) == 2
+        assert "need lam > 0" in capsys.readouterr().err
+        assert os.listdir(out) == ["manifest.json"]
 
     def test_dss_decays_to_a_constant(self, tmp_path):
         # de Sitter-Schwarzschild end to end (Melrose, Sa Barreto and Vasy):

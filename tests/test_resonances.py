@@ -993,6 +993,99 @@ class TestSeriesOracle:
         assert one == two
 
 
+class TestAxis:
+    """Rows born on the imaginary axis, and the oracle there."""
+
+    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_families_are_real_on_the_axis(self, model, params, ell):
+        # c2, c1a, c0a and c0c real, c1b and c0b imaginary, bit for bit: at
+        # sigma = i tau every coefficient is real
+        c2, c1a, c1b, c0a, c0b, c0c = _radial_family(params, ell).polys
+        for p in (c2, c1a, c0a, c0c):
+            assert not p.imag.any()
+        for p in (c1b, c0b):
+            assert not p.real.any()
+
+    @pytest.mark.parametrize("model, params", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_axis_shooting_is_the_whole_loop(self, model, params, ell):
+        # at 41 tau across the CLI box, the half loop's detector is the
+        # whole loop's bit for bit: the lower half is the conjugate of the
+        # upper, and the whole loop's Re is exactly +0.0
+        plan = resonances._oracle_plan(params, ell)
+        for tau in np.linspace(-3.6, 0.4, 41):
+            sigma = complex(0.0, tau)
+            _, (u_up, du_up), (u_dn, du_dn) = resonances._continue(plan, sigma)
+            assert (u_dn, du_dn) == (u_up.conjugate(), du_up.conjugate())
+            whole = complex((u_up - u_dn) + 0.37 * (du_up - du_dn))
+            got = oracle_shooting(params, ell, sigma)
+            assert got == whole and whole.real == 0.0
+            assert math.copysign(1.0, whole.real) == math.copysign(1.0, got.real) == 1.0
+
+    @pytest.mark.parametrize("params, paired", [(DSS, 12), (MK, 0)],
+                             ids=["dSS", "minkowski"])
+    def test_axis_born_rows_are_written_on_the_axis(self, params, paired,
+                                                    monkeypatch):
+        # cap 80, l 0-2: each of the 6 axis-born rows reads Re sigma = +0.0,
+        # and its Im sigma, delta and rung are those of its secant iterate,
+        # which the ladder gives with the projection taken away; every
+        # other row, a member of a mirror pair, is its iterate
+        got = [solve_resonances(params, ell, 80, cli._BOX).entries
+               for ell in range(3)]
+        born = set()
+        real = resonances._locate
+
+        def unprojected(op, region):
+            roots = real(op, region)
+            born.update(z for z, axis in roots.items() if axis)
+            return dict.fromkeys(roots, False)
+        monkeypatch.setattr(resonances, "_locate", unprojected)
+        want = [solve_resonances(params, ell, 80, cli._BOX).entries
+                for ell in range(3)]
+        axis = off = 0
+        for g_ell, w_ell in zip(got, want):
+            assert len(g_ell) == len(w_ell)
+            for g, w in zip(g_ell, w_ell):
+                assert (g.convergence_delta, g.N) == (w.convergence_delta, w.N)
+                if w.sigma in born:
+                    axis += 1
+                    assert g.sigma.real == 0.0
+                    assert math.copysign(1.0, g.sigma.real) == 1.0
+                    assert g.sigma.imag == w.sigma.imag
+                else:
+                    off += 1
+                    assert g.sigma == w.sigma and abs(g.sigma.real) > 1e-6
+        assert (axis, off) == (6, paired)
+
+    def test_oracle_refines_axis_rows_on_the_half_loop(self, monkeypatch):
+        # an axis row is refined in real tau: every shooting continues over
+        # the 10 steps of leg 0 and the upper half, and the root has Re
+        # +0.0; a row of a dSS mirror pair takes the whole 18-step loop
+        steps = []
+        real = resonances._continue
+
+        def counted(plan, sigma, *a, legs=None, **k):
+            steps.append(sum(map(len, plan.legs[:legs])))
+            return real(plan, sigma, *a, legs=legs, **k)
+        monkeypatch.setattr(resonances, "_continue", counted)
+        rows = solve_resonances(DSS, 1, 80, cli._BOX).entries
+        on = [e.sigma for e in rows if e.sigma.real == 0.0
+              and e.convergence_delta < 1e-6]
+        pair = [e.sigma for e in rows if e.sigma.real > 1e-6
+                and e.convergence_delta < 1e-6]
+        assert on and pair
+        steps.clear()
+        z = oracle_refine(DSS, 1, on[0])
+        assert steps and set(steps) == {10}
+        assert z.real == 0.0 and math.copysign(1.0, z.real) == 1.0
+        assert abs(z - on[0]) < 1e-6
+        steps.clear()
+        z = oracle_refine(DSS, 1, pair[0])
+        assert steps and set(steps) == {18}
+        assert abs(z - pair[0]) < 1e-6
+
+
 class TestSecant:
     Z0 = 0.3 - 2.0j
 
