@@ -20,7 +20,7 @@ from .spacetime import NoHorizons, load_params, \
     read_key_values, admissibility, domain
 from .symbols import PhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure, \
-    _CLASSIFY_T, _SHELL_EPS
+    _CLASSIFY_T, _ds_shell_start
 # resolvent_apply and inverse_mellin are not called here; perfbench/tracing.py
 # wraps them by these attributes
 from .resonances import build_operator, solve_resonances, oracle_refine, \
@@ -172,10 +172,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     r_lo, r_hi = domain(params)
     for traj_id in range(k["n_traj"]):
         if params.model == "deSitter":
-            start = (_SHELL_EPS * rng.uniform(-1, 1),
-                     _SHELL_EPS * rng.uniform(0.5, 1),
-                     _SHELL_EPS * rng.uniform(-1, 1), 1)
-            bc = _flow_with_retries(params, start, k)
+            bc = _flow_with_retries(params, _ds_shell_start(rng), k)
             # c4-c6 and the ledger columns stay blank
             cols = np.column_stack([bc.samples.s, bc.samples.y])
             lines += [_DS_FLOW_ROW % (traj_id, *row) for row in cols.tolist()]

@@ -461,18 +461,32 @@ def _events_kds(r_lo, r_hi, chart):
     return [(exit_lo, -1.0), (exit_hi, -1.0), (axis, -1.0), (handoff, direction)]
 
 
+def _enter_chart(point, chart):
+    """(state, sign_xi) of a PhasePoint or CompactPhasePoint in `chart`: the
+    compact (r, theta, phi, nu, eta_hat, zeta_hat) with its sign of xi, or
+    the affine (r, theta, phi, xi, eta, zeta) with the sign of xi (+1 at xi
+    = 0), which the affine chart does not read."""
+    if chart == "compact":
+        c = point if isinstance(point, CompactPhasePoint) else point.compactify()
+        return [*c.base, c.nu, c.eta_hat, c.zeta_hat], c.sign_xi
+    pt = point.affine() if isinstance(point, CompactPhasePoint) else point
+    return [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta], 1 if pt.xi >= 0 else -1
+
+
 def integrate_flow(params: SpacetimeParams, start, T: float,
                    tol: float = 1e-10, horizon_sign: int = +1,
                    n_samples: int = 200) -> Bicharacteristic:
     """Adaptive embedded Runge-Kutta integration of the (rescaled) Hamilton flow.
 
     deSitter runs the compactified reduced static-patch flow from start =
-    (mu, nu, eta_hat, sign_xi).  dSSchwarzschild and KerrDeSitter run the
-    classical flow from a PhasePoint or CompactPhasePoint.  The run starts in
-    the compact chart, which integrates the rescaled field nu^(k-1) H_p, for
-    a PhasePoint with |xi| > 2 or a CompactPhasePoint with nu < 0.5, and in
-    the affine chart otherwise.  MinkowskiBoundary has no
-    flow here and raises ValueError.  The symbol is even in the fiber, so
+    (mu, nu, eta_hat, sign_xi); its one horizon is the cosmological one, so
+    horizon_sign = -1 raises NoHorizons.  dSSchwarzschild and KerrDeSitter
+    run the classical flow from a PhasePoint or CompactPhasePoint.  The run
+    starts in the compact chart, which integrates the rescaled field
+    nu^(k-1) H_p, for a PhasePoint with |xi| > 2 or a CompactPhasePoint with
+    nu < 0.5, and in the affine chart otherwise; the start and every chart
+    handoff enter their chart through `_enter_chart`.  MinkowskiBoundary has
+    no flow here and raises ValueError.  The symbol is even in the fiber, so
     the time-reversed flow is the flow from the fiber-reflected start
     (xi, eta, zeta) -> (-xi, -eta, -zeta), on deSitter sign_xi -> -sign_xi.
     Leaving the r-domain terminates the trajectory
@@ -488,6 +502,9 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     if params.model == "MinkowskiBoundary":
         raise ValueError("MinkowskiBoundary has no Hamilton flow")
     if params.model == "deSitter":
+        if horizon_sign < 0:
+            raise NoHorizons("deSitter has no inner horizon; horizon_sign "
+                             "must be +1")
         return _integrate_ds_reduced(start, T, tol, n_samples)
 
     if isinstance(start, CompactPhasePoint):
@@ -500,15 +517,7 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
     nsteps = rejected = 0
     reason = "time"
     s_done = 0.0
-    if chart == "compact":
-        cpt = start if isinstance(start, CompactPhasePoint) else start.compactify()
-        state = [cpt.base[0], cpt.base[1], cpt.base[2], cpt.nu, cpt.eta_hat,
-                 cpt.zeta_hat]
-        sign_xi = cpt.sign_xi
-    else:
-        pt = start.affine() if isinstance(start, CompactPhasePoint) else start
-        state = [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]
-        sign_xi = 1 if pt.xi >= 0 else -1
+    state, sign_xi = _enter_chart(start, chart)
     _check_start("r", state[0], r_lo, r_hi)
 
     for _segment in range(64):
@@ -540,16 +549,11 @@ def integrate_flow(params: SpacetimeParams, start, T: float,
         # chart handoff in the overlap band
         y = run.y
         if chart == "affine":
-            pt = PhasePoint(*y)
-            c = pt.compactify()
-            state = [c.base[0], c.base[1], c.base[2], c.nu, c.eta_hat, c.zeta_hat]
-            sign_xi = c.sign_xi
-            chart = "compact"
+            point, chart = PhasePoint(*y), "compact"
         else:
-            c = CompactPhasePoint((y[0], y[1], y[2]), y[3], y[4], y[5], sign_xi)
-            pt = c.affine()
-            state = [pt.r, pt.theta, pt.phi, pt.xi, pt.eta, pt.zeta]
+            point = CompactPhasePoint((y[0], y[1], y[2]), y[3], y[4], y[5], sign_xi)
             chart = "affine"
+        state, sign_xi = _enter_chart(point, chart)
     parts = [np.concatenate(cols) for cols in zip(*segments)]
     samples = FlowSamples(*parts[:4])
     ledger = dict(zip(("p", "zeta", "ptilde", "p_scaled", "ptilde_scaled"),
@@ -649,6 +653,13 @@ _CLASSIFY_T = 4.0
 _SHELL_EPS = 1e-3
 
 
+def _ds_shell_start(rng):
+    """A start (mu, nu, eta_hat, +1) of the reduced de Sitter flow on the
+    _SHELL_EPS-shell around the sink, from three uniforms of `rng`."""
+    return (_SHELL_EPS * rng.uniform(-1, 1), _SHELL_EPS * rng.uniform(0.5, 1),
+            _SHELL_EPS * rng.uniform(-1, 1), 1)
+
+
 def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
                     n_traj: int = 20, tol: float = 1e-11,
                     seed: int = 0) -> RadialSetReport:
@@ -664,7 +675,6 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
     ds = params.model == "deSitter"
     if ds:
         expected = 4.0
-        sxi = +1
         n_samples = 400
     else:
         hd = horizon_roots(params)
@@ -677,9 +687,7 @@ def classify_radial(params: SpacetimeParams, horizon_sign: int = +1,
     rates, rho0_rates = [], []
     for _ in range(max(n_traj, 20)):
         if ds:
-            start = (_SHELL_EPS * rng.uniform(-1, 1),
-                     _SHELL_EPS * rng.uniform(0.5, 1),
-                     _SHELL_EPS * rng.uniform(-1, 1), sxi)
+            start = _ds_shell_start(rng)
         else:
             theta = rng.uniform(0.6, math.pi - 0.6)
             start = CompactPhasePoint(

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .resonances import DiscretizedOperator, resolvent_apply, solve_resonances, \
-    refine_roots, mirror_map, NearPole, _TRUST_TOL, _SAME_ROOT
+    refine_roots, mirror_map, NearPole, _TRUST_TOL, _SAME_ROOT, _companion
 
 
 class ContourDivergence(Exception):
@@ -258,9 +258,7 @@ def expand_family(solve: Callable, poles: Iterable[complex], ell_target: float,
     nodes of each residue circle, in pole order, then the contour line.
     The circles go first because they fill whole multiples of 64 columns,
     so the line keeps the column alignment, and the bits, of a call of its
-    own in the BLAS matrix-vector kernels of the back-substitution; with
-    the line first, its tail and the circles moved off that alignment and
-    the bits of every N = 48 expansion changed.
+    own in the BLAS matrix-vector kernels of the back-substitution.
 
     `mirrored` says that solve(-conj sigma) = conj solve(sigma) (`_mirrored`).
     The Laurent coefficients at -conj p are then c_-m(p) conjugated times
@@ -343,9 +341,7 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
         s = sigma[keep]
         u = resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0)
         # allocated after the solve, whose temporaries are then freed first
-        # and their pages reused: a warm pass of the three perfbench expand
-        # ops takes 4,700 minor page faults so, and 11,000 with `out`
-        # allocated before the solve (glibc malloc, numpy 2.4)
+        # and their pages reused, for fewer minor page faults
         out = np.zeros(sigma.shape + f0.shape, dtype=complex)
         out[keep] = u
         return out
@@ -359,30 +355,30 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
     contour or transform, so it referees the expansion.
 
     On a pencil real in tau with a real f0 (`_mirrored`; ValueError
-    otherwise), A1 is imaginary and y = (u, u') solves the real
-    y' = M y - phi [0; f0], M = [[0, I], [A0.real, A1.imag]].  y = 0 at the
-    first point of the grid, extended upward, where phi has fallen below
-    _PULSE_FLOOR, and it is stepped down the grid by the grid's own log
-    spacing h with exact exponentials (Van Loan, IEEE TAC 23 (1978) 395):
-    y(x - h) = E y(x) + G c(x), E = e^(-Mh).  c_j = (-h)^j phi^(j)(x) are the
-    pulse's Taylor jets, kept up to the first whose bound (h/w)^j / sqrt(j!)
-    is below _PULSE_FLOOR (j = 10 on the default grid), and column j of G is
-    h int_0^1 e^(-Mh(1 - r)) r^j / j! dr [0; f0], the top right block of the
-    exponential of -Mh augmented by a nilpotent shift.  Each step is one
-    real K x K matvec, K = 2 (N + 1), 1,138 of them on the default grid;
-    they stay bounded only while no eigenvalue of the pencil has
-    Im sigma > 0, so one above 1e-8 raises ValueError: Im sigma = Re tau,
-    on the diagonal of `op.triangular_form` (both entries of a 2 x 2 block).
+    otherwise), the pencil's own tau-companion C = [[0, I], [A0.real,
+    -A1.imag]] (`resonances._companion`) is real, and z = (u, -u') solves
+    z' = -C z + phi [0; f0]: z is the x = log tau image of the companion's
+    state [u; tau u].  z = 0 at the first point of the grid, extended
+    upward, where phi has fallen below _PULSE_FLOOR, and it is stepped down
+    the grid by the grid's own log spacing h with exact exponentials (Van
+    Loan, IEEE TAC 23 (1978) 395): z(x - h) = E z(x) + G c(x), E = e^(Ch).
+    c_j = (-h)^j phi^(j)(x) are the pulse's Taylor jets, kept up to the
+    first whose bound (h/w)^j / sqrt(j!) is below _PULSE_FLOOR, and column j
+    of G is h int_0^1 e^(Ch(1 - r)) r^j / j! dr [0; -f0], the top right
+    block of the exponential of hC augmented by a nilpotent shift.  Each
+    step is one real K x K matvec, K = 2 (N + 1); the steps stay bounded
+    only while no eigenvalue of the pencil has Im sigma > 0, so one above
+    1e-8 raises ValueError: Im sigma = Re tau, on the diagonal of
+    `op.triangular_form` (both entries of a 2 x 2 block).
 
-    -Mh is balanced first (no permutation).  G is a Taylor series at
-    h / 2^s, s the fewest halvings that bring the balanced norm to 1 or
-    less, doubled s times as the augmented exponential is squared.  E comes
-    straight from expm: its error enters every step, and the squared E cost
-    a decade of accuracy against the direct line (7.8e-11 against 4.3e-12 on
-    dS l=0 at N = 48); G's error enters once.  At N = 48 the result has the
-    same bits at 1 and 2 OpenBLAS threads (0.3.31, 2 cores), which the
-    exponential of the whole augmented matrix did not; at N = 96 `expm`'s
-    own products do not keep them.
+    hC is balanced first (no permutation).  G is a Taylor series at h / 2^s,
+    s the fewest halvings that bring the balanced norm to 1 or less, doubled
+    s times as the augmented exponential is squared.  E comes straight from
+    expm: its error enters every step, and an E squared up from h / 2^s
+    costs accuracy against the direct line; G's error enters once.  Forming
+    G and E apart, and not as the exponential of the whole augmented matrix,
+    keeps the result's bits at 1 and 2 BLAS threads where expm's own
+    products keep them.
     """
     if not _mirrored(op, f0):
         raise ValueError("the time-domain solve needs a pencil real in "
@@ -392,13 +388,11 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
         raise ValueError(f"the time-domain solve needs a pencil without growing "
                          f"modes, and one has Im sigma = {grow:.6g}")
     from scipy.linalg import expm, matrix_balance
-    A0, A1 = op.matrices
-    n = len(A0)
+    n = op.N + 1
     tau_grid = default_tau_grid()
     x = _log_tau(tau_grid)
     h = (x[0] - x[-1]) / (len(x) - 1)
-    M = np.block([[np.zeros((n, n)), np.eye(n)], [A0.real, A1.imag]])
-    A, (d, _) = matrix_balance(-h * M, permute=False, separate=True)
+    A, (d, _) = matrix_balance(h * _companion(op), permute=False, separate=True)
     r = h / _PULSE_WIDTH
     p = 1
     while r ** p / math.sqrt(math.factorial(p)) >= _PULSE_FLOOR:
@@ -408,7 +402,7 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
     # term below eps ||b|| ends the sum
     s = max(0, math.ceil(math.log2(np.abs(A).sum(axis=0).max())))
     theta = 2.0 ** -s
-    V = [h * np.concatenate([np.zeros(n), np.real(f0)]) / d]
+    V = [h * np.concatenate([np.zeros(n), -np.real(f0)]) / d]
     while math.factorial(len(V) + 1) * np.finfo(float).eps < 1.0:
         V.append(theta * (A @ V[-1]))
     fact = np.cumprod(np.r_[1.0, np.arange(1.0, len(V) + p + 1)])
@@ -435,7 +429,7 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
     for k in range(p + 1):
         C[k] = r ** k * he * phi[live]
         he_prev, he = he, tl * he - k * he_prev
-    # Y[m + 1] holds first the forcing of step m, then y after it
+    # Y[m + 1] holds first the forcing of step m, then z after it
     Y = np.zeros((len(xs), 2 * n))
     Y[live + 1] = (G @ C).T
     for m in range(len(xs) - 1):

@@ -27,7 +27,8 @@ lower-banded triangular solve runs every step's recurrence, and the steps'
 difference of the branch's end values along the two sides of the horizon,
 which is holomorphic in sigma.  On the imaginary axis every family is real,
 so the two sides are conjugate: rows born there are written there, and the
-oracle continues one side and refines them in real tau.
+oracle continues one side and refines them by its one complex secant,
+started along the axis, which then never leaves it.
 """
 
 from __future__ import annotations
@@ -705,17 +706,14 @@ def oracle_refine(params: SpacetimeParams, ell: int, sigma0: complex) -> complex
     |sigma0|), sigma0): the solver holds a row to about 1e-8, so a start
     1e-4 away would spend its first steps coming back.  The spacing is ten
     times the secant's 1e-6 max(1, |s|) band, so the first step is taken
-    outside it.  A row on the axis, Re sigma0 == 0, is refined there, in
-    real tau = -i sigma: the same secant runs on Im of the detector at
-    sigma = i tau from (tau0 + 1e-5 max(1, |tau0|), tau0), every shooting
-    stays on the axis, and the root has Re = +0.0.
+    outside it.  A row on the axis, Re sigma0 == 0, starts along the axis,
+    from sigma0 + 1e-5 max(1, |sigma0|) i: there the detector is 2i Im(u +
+    0.37 u'), Re = +0.0, so every secant quotient is imaginary, each iterate
+    keeps Re = +0.0, and every shooting runs on the half loop.
     """
-    if sigma0.real == 0:
-        t0 = sigma0.imag
-        f = lambda t: oracle_shooting(params, ell, complex(0.0, t)).imag
-        return complex(0.0, _secant(f, t0 + 1e-5 * max(1.0, abs(t0)), t0))
-    f = lambda s: oracle_shooting(params, ell, s)
-    return _secant(f, sigma0 + 1e-5 * max(1.0, abs(sigma0)), sigma0)
+    step = 1e-5 * max(1.0, abs(sigma0)) * (1j if sigma0.real == 0 else 1.0)
+    return _secant(lambda s: oracle_shooting(params, ell, s), sigma0 + step,
+                   sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -845,9 +843,8 @@ def _solve(op: DiscretizedOperator, sig: np.ndarray, F: np.ndarray):
     |s|^2 |u| + |f|) times fixed unit-modulus signs: the componentwise
     bound || |L^-1| g || behind LAPACK's xGERFS FERR (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 12).  It is nan where the solve
-    is not finite.  On the expand lines and circles at N=48, the real form
-    and the complex form of the same companion differ by at most 0.105 of
-    the sum of their two estimates.
+    is not finite.  The real form and the complex form of the same
+    companion agree within the sum of their two estimates.
     """
     sig = np.asarray_chkfinite(sig)
     F = np.asarray_chkfinite(F)
@@ -904,12 +901,10 @@ def resolvent_apply(op: DiscretizedOperator, sigma, f: np.ndarray) -> np.ndarray
     reads the forward-error estimate of `_solve`: NearPole is raised when it
     exceeds _FORWARD_ERROR_MAX ||u|| at any sigma, or when the solve there
     is not finite (sigma on an eigenvalue); its `sigma` is the first such
-    sigma.  u = f = 0 passes.  Measured
-    estimate / ||u|| at N=48 on the real form: at most 1.5e-8 on the lines
-    and 2.9e-9 on the residue circles of `qnmkit expand` (dS l=0 and l=1,
-    Minkowski l=0, dSS l=0), at least 0.28 at the solver's converged roots
-    (N=48 and 80); near the dS l=0 pole -2i it grows as about 1.25e-9 /
-    distance, so the gate passes at distance 1e-2 and fires from 1e-4.
+    sigma.  u = f = 0 passes.  The bound lies between the estimates on the
+    lines and residue circles of `qnmkit expand`, far below it, and those
+    at the solver's converged roots, far above it; near a pole the estimate
+    grows as 1 / distance (`TestResolvent` pins both sides).
     """
     sig = np.asarray(sigma, dtype=complex)
     n = op.N + 1

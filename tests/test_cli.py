@@ -202,6 +202,21 @@ class TestFlow:
         assert rep["beta0_expected"] == 4.0
         assert abs(rep["beta0_measured"] - 4.0) / 4.0 < 0.05
 
+    @pytest.mark.parametrize("classify", [0, 1])
+    def test_de_sitter_inner_horizon_exit_two(self, tmp_path, ds_params,
+                                              capsys, classify):
+        # de Sitter has no inner horizon: horizon_sign = -1 is a config
+        # error, with or without the classify report, and writes no output
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {ds_params}\nn_traj = 3\nhorizon_sign = -1\n"
+                    f"include_classify = {classify}\n")
+        out = tmp_path / "out"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: deSitter has no "
+                                           "inner horizon; horizon_sign must "
+                                           "be +1\n")
+        assert os.listdir(out) == ["manifest.json"]
+
     @staticmethod
     def _fail_every_step(tmp_path, monkeypatch, dss_params, lines="",
                          failure=lambda v: math.nan):

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import qnmkit.dynamics as dynamics
-from qnmkit.spacetime import SpacetimeParams, mu_tilde, horizon_roots, domain
+from qnmkit.spacetime import SpacetimeParams, NoHorizons, mu_tilde, \
+    horizon_roots, domain
 from qnmkit.symbols import PhasePoint, CompactPhasePoint, ds_symbol_polar
 from qnmkit.dynamics import (
     integrate_flow, classify_radial, find_trapped_set, trapping_function,
@@ -274,6 +275,16 @@ class TestIntegrateFlow:
                       (1e-4, 8e-4, -5e-4, 1)):
             with pytest.raises(ValueError, match="MinkowskiBoundary"):
                 integrate_flow(mink, start, 1.0)
+
+    def test_de_sitter_has_no_inner_horizon(self):
+        # the static patch has one horizon, the cosmological one: a run at
+        # horizon_sign = -1 names none and raises, as classify_radial does
+        # for a missing horizon of a two-horizon model
+        start = (1e-4, 8e-4, -5e-4, 1)
+        with pytest.raises(NoHorizons, match="no inner horizon"):
+            integrate_flow(DS, start, 4.0, horizon_sign=-1)
+        with pytest.raises(NoHorizons, match="no inner horizon"):
+            classify_radial(DS, -1, n_traj=1)
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):

@@ -1059,9 +1059,10 @@ class TestAxis:
         assert (axis, off) == (6, paired)
 
     def test_oracle_refines_axis_rows_on_the_half_loop(self, monkeypatch):
-        # an axis row is refined in real tau: every shooting continues over
-        # the 10 steps of leg 0 and the upper half, and the root has Re
-        # +0.0; a row of a dSS mirror pair takes the whole 18-step loop
+        # an axis row is refined by the complex secant started along the
+        # axis: every shooting continues over the 10 steps of leg 0 and the
+        # upper half, and the root has Re +0.0; a row of a dSS mirror pair
+        # takes the whole 18-step loop
         steps = []
         real = resonances._continue
 
@@ -1084,6 +1085,27 @@ class TestAxis:
         z = oracle_refine(DSS, 1, pair[0])
         assert steps and set(steps) == {18}
         assert abs(z - pair[0]) < 1e-6
+
+    @pytest.mark.parametrize("params", [DSS, MK], ids=["dSS", "minkowski"])
+    def test_axis_refinement_is_the_real_tau_secant(self, params):
+        # started along the axis, the complex secant takes the real-tau
+        # secant's steps on Im of the detector: over the axis rows of the
+        # cap-80 tables, l 0-2, the roots agree bit for bit, Re +0.0
+        def real_tau(ell, s0):
+            t0 = s0.imag
+            f = lambda t: oracle_shooting(params, ell, complex(0.0, t)).imag
+            return complex(0.0, resonances._secant(
+                f, t0 + 1e-5 * max(1.0, abs(t0)), t0))
+        seen = 0
+        for ell in range(3):
+            for e in solve_resonances(params, ell, 80, cli._BOX).entries:
+                if e.sigma.real != 0.0:
+                    continue
+                seen += 1
+                z, want = oracle_refine(params, ell, e.sigma), real_tau(ell, e.sigma)
+                assert (z.real, z.imag) == (want.real, want.imag)
+                assert math.copysign(1.0, z.real) == 1.0
+        assert seen == 6
 
 
 class TestSecant:
