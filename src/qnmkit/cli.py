@@ -11,12 +11,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .spacetime import NoHorizons, load_params, \
+from .spacetime import NoHorizons, SpacetimeParams, load_params, \
     read_key_values, admissibility, domain
 from .symbols import PhasePoint
 from .dynamics import integrate_flow, classify_radial, StepFailure, \
@@ -74,10 +74,10 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     command: str
-    params_file: str
+    params: SpacetimeParams
     out_dir: str
-    seed: int = 0
-    knobs: dict = field(default_factory=dict)
+    seed: int
+    knobs: dict
 
     @property
     def digest(self) -> str:
@@ -87,40 +87,29 @@ class RunConfig:
 
 
 def parse_config(path, command, out_dir, seed) -> RunConfig:
-    """key=value config; unknown keys, out-of-range knobs and an empty
-    resonance ell range are rejected."""
-    schema = _SCHEMAS[command]
+    """The run config at `path` for `command`, read by `read_key_values`
+    with the rows of `_SCHEMAS[command]`, and the SpacetimeParams of the
+    params file it names (`load_params`, relative to the config's folder).
+    A bad entry in either file, a missing params key, horizon_sign = 0 and
+    an empty resonance ell range raise ConfigError."""
+    schema = {"params": (str, None, None),
+              **{k: row[:3] for k, row in _SCHEMAS[command].items()}}
     try:
-        kv = read_key_values(path)
+        kv = read_key_values(path, schema)
+        if "params" not in kv:
+            raise ValueError("config must name a params file (params = PATH)")
+        params = load_params(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                          kv["params"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if "params" not in kv:
-        raise ConfigError("config must name a params file (params = PATH)")
-    params_file = kv.pop("params")
-    if not os.path.isabs(params_file):
-        params_file = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                   params_file)
-    knobs = {}
-    for k, v in kv.items():
-        if k not in schema:
-            raise ConfigError(f"unknown config key {k!r} for {command}")
-        typ, lo, hi, _ = schema[k]
-        try:
-            val = typ(v)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {k}: {v!r}") from exc
-        if lo is not None and not (lo <= val <= hi):
-            raise ConfigError(f"{k} = {val} outside [{lo}, {hi}]")
-        knobs[k] = val
-    for k, (typ, lo, hi, dft) in schema.items():
-        knobs.setdefault(k, dft)
+    knobs = {k: kv.get(k, row[3]) for k, row in _SCHEMAS[command].items()}
     if command == "flow" and knobs["horizon_sign"] == 0:
         raise ConfigError("horizon_sign must be +1 or -1")
     # an empty ell range would write a header-only table
     if command == "resonances" and knobs["ell_min"] > knobs["ell_max"]:
         raise ConfigError(f"ell_min = {knobs['ell_min']} above "
                           f"ell_max = {knobs['ell_max']}")
-    return RunConfig(command, params_file, out_dir, seed, knobs)
+    return RunConfig(command, params, out_dir, seed, knobs)
 
 
 def _write_manifest(cfg: RunConfig):
@@ -136,9 +125,7 @@ def _fmt(x) -> str:
 
 
 def cmd_admissible(cfg: RunConfig) -> int:
-    params = load_params(cfg.params_file)
-    rep = admissibility(params)
-    _write_manifest(cfg)
+    rep = admissibility(cfg.params)
     with open(os.path.join(cfg.out_dir, "admissibility.json"), "w") as fh:
         fh.write(rep.to_json())
     ok = rep.horizons_exist and rep.classical_nontrapping
@@ -164,9 +151,8 @@ _DS_FLOW_ROW = "%d,ds_reduced," + ",".join(["%.17g"] * 4) + ",,,,,,\r\n"
 
 
 def cmd_flow(cfg: RunConfig) -> int:
-    params = load_params(cfg.params_file)
+    params = cfg.params
     rng = np.random.default_rng(cfg.seed)
-    _write_manifest(cfg)
     k = cfg.knobs
     lines = ["trajectory,chart,parameter,c1,c2,c3,c4,c5,c6,p,zeta,ptilde\r\n"]
     r_lo, r_hi = domain(params)
@@ -226,9 +212,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
     row gets -conj of its twin's oracle root, and its verdict.
     Exits 1 when the oracle disagrees with a converged row.
     """
-    params = load_params(cfg.params_file)
-    k = cfg.knobs
-    _write_manifest(cfg)
+    params, k = cfg.params, cfg.knobs
     rows = []
     appendix = []
     refuted = []
@@ -272,10 +256,8 @@ def cmd_resonances(cfg: RunConfig) -> int:
 
 
 def cmd_expand(cfg: RunConfig) -> int:
-    params = load_params(cfg.params_file)
     k = cfg.knobs
-    _write_manifest(cfg)
-    op = build_operator(params, k["ell"], k["N"])
+    op = build_operator(cfg.params, k["ell"], k["N"])
     f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
     terms, rem = resonance_expand(f0, op, k["ell_target"], n_sigma=k["n_sigma"])
     # reconstruction residual against the causal solution stepped in time,
@@ -315,14 +297,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(ns.config, ns.command, ns.out, ns.seed)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    _write_manifest(cfg)
     try:
         handler = {"admissible": cmd_admissible, "flow": cmd_flow,
                    "resonances": cmd_resonances, "expand": cmd_expand}[cfg.command]
         return handler(cfg)
-    except (ConfigError, ValueError, NoHorizons, UnsupportedModel) as exc:
+    except (ValueError, NoHorizons, UnsupportedModel) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StepFailure as exc:

@@ -200,11 +200,12 @@ _JORDAN_TOL = 1e-8          # c_-m below this fraction of the largest is zero
 _POLE_MARGIN = 1e-6         # closest a pole may sit to the shifted contour
 # the expansion lines span |Re sigma| <= SIGMA_MAX, but `driven_solve` solves
 # them only where the pulse factor e^(-w^2 (Re sigma)^2 / 2) is above
-# _PULSE_FLOOR: |Re sigma| <= 18.2 at w = _PULSE_WIDTH
+# _PULSE_FLOOR: |Re sigma| < _PULSE_REACH (18.209 at w = _PULSE_WIDTH)
 SIGMA_MAX = 60.0
 _PULSE_CENTER = -3.0        # centre x0 in log tau of the default log-Gaussian pulse
 _PULSE_WIDTH = 0.5          # width w in log tau of every log-Gaussian pulse
 _PULSE_FLOOR = 1e-18
+_PULSE_REACH = math.sqrt(-2.0 * math.log(_PULSE_FLOOR)) / _PULSE_WIDTH
 
 
 def sigma_line(n_sigma: int) -> np.ndarray:
@@ -326,18 +327,18 @@ def driven_solve(op: DiscretizedOperator, f0: np.ndarray) -> Callable:
     phi_hat is the Mellin transform of the default log-Gaussian pulse,
     centred at tau = e^-3; along a line |phi_hat| falls like
     e^(-w^2 (Re sigma)^2 / 2).  Only the sigma where that factor exceeds
-    _PULSE_FLOOR = 1e-18 (|Re sigma| <= 18.2 at w = 0.5) are solved, in one
+    _PULSE_FLOOR = 1e-18, |Re sigma| < _PULSE_REACH, are solved, in one
     `resolvent_apply` call; the others get exact zeros.  This assumes the
     resolvent grows more slowly than e^(w^2 (Re sigma)^2 / 2) along the line,
     as measured on dS and Minkowski (|sigma| ||R(sigma) f|| / ||f|| between
     0.02 and 5 up to Re sigma = 60), so the dropped vectors lie below the
-    rounding of the kept ones.  The residue circles (|Re sigma| <= 8) are
-    never cut.  Every sigma kept is solved: `expand_family` pairs the mirror
-    twins of its circles and its line before it calls this.
+    rounding of the kept ones.  `_converged_poles` keeps every residue
+    circle inside that window.  Every sigma kept is solved: `expand_family`
+    pairs the mirror twins of its circles and its line before it calls this.
     """
     f0 = np.asarray(f0, dtype=complex)
     def solve(sigma):
-        keep = np.exp(-0.5 * (_PULSE_WIDTH * sigma.real) ** 2) > _PULSE_FLOOR
+        keep = np.abs(sigma.real) < _PULSE_REACH
         s = sigma[keep]
         u = resolvent_apply(op, s, log_gaussian_pulse_hat(s)[:, None] * f0)
         # allocated after the solve, whose temporaries are then freed first
@@ -438,11 +439,13 @@ def time_domain_solve(op: DiscretizedOperator, f0: np.ndarray) -> TemporalSample
 
 
 def _converged_poles(op: DiscretizedOperator, im_min: float) -> list:
-    """Converged rows of the ladder capped at op.N in Re sigma in [-8, 8], Im
-    sigma in [im_min, 0.5], refined on `op` to centre the residue circles on
-    its poles; a row the refinement moves by _SAME_ROOT or more is left to
-    the remainder."""
-    rl = solve_resonances(op.params, op.ell, op.N, (-8.0, 8.0, im_min, 0.5))
+    """Converged rows of the ladder capped at op.N, with Im sigma in
+    [im_min, 0.5] and every node of their residue circles inside
+    `driven_solve`'s window (past it the pulse weights a residue below
+    _PULSE_FLOOR), refined on `op` to centre the circles on its poles; a row
+    the refinement moves by _SAME_ROOT or more is left to the remainder."""
+    half = _PULSE_REACH - _RESIDUE_RADIUS
+    rl = solve_resonances(op.params, op.ell, op.N, (-half, half, im_min, 0.5))
     poles = refine_roots(op, [e.sigma for e in rl.converged(_TRUST_TOL)])
     return [z for s, z in poles.items() if abs(z - s) < _SAME_ROOT]
 

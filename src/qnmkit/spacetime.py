@@ -52,6 +52,8 @@ class SpacetimeParams:
             raise ValueError("lam and r_s must be nonnegative")
         if self.model == "deSitter" and (self.r_s != 0 or self.alpha != 0):
             raise ValueError("deSitter requires r_s = 0 and alpha = 0")
+        if self.model == "MinkowskiBoundary" and (self.lam or self.r_s or self.alpha):
+            raise ValueError("MinkowskiBoundary requires lambda = r_s = alpha = 0")
         if self.model == "dSSchwarzschild" and self.alpha != 0:
             raise ValueError("dSSchwarzschild requires alpha = 0")
         if self.model in ("deSitter", "MinkowskiBoundary") and self.n < 3:
@@ -226,11 +228,13 @@ def admissibility(params: SpacetimeParams) -> AdmissibilityReport:
                                bool(disjoint), diags)
 
 
-def read_key_values(path) -> dict:
-    """Entries of a flat `key = value` file; `#` starts a comment.
+def read_key_values(path, schema) -> dict:
+    """Typed entries of a flat `key = value` file; `#` starts a comment.
 
-    A later line overrides an earlier one with the same key.  An unreadable
-    file or a line without `=` raises ValueError.
+    `schema` maps each allowed key to (type, lo, hi); a later line overrides
+    an earlier one with the same key.  An unreadable file, a line without
+    `=`, an unknown key, a value its type cannot read or, when lo is not
+    None, one outside [lo, hi] raises ValueError, which names the key.
     """
     kv = {}
     try:
@@ -245,21 +249,30 @@ def read_key_values(path) -> dict:
         if "=" not in line:
             raise ValueError(f"malformed line in {path}: {line!r}")
         k, v = (t.strip() for t in line.split("=", 1))
-        kv[k] = v
+        if k not in schema:
+            raise ValueError(f"unknown key {k!r} in {path}")
+        typ, lo, hi = schema[k]
+        try:
+            kv[k] = typ(v)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {k}: {v!r}") from exc
+        if lo is not None and not (lo <= kv[k] <= hi):
+            raise ValueError(f"{k} = {kv[k]} outside [{lo}, {hi}]")
     return kv
 
 
+# the keys of a params file; SpacetimeParams checks their values
+_PARAMS_SCHEMA = {"lambda": (float, None, None), "r_s": (float, None, None),
+                  "alpha": (float, None, None), "model": (str, None, None),
+                  "n": (int, None, None)}
+
+
 def load_params(path) -> SpacetimeParams:
-    """Read a flat key=value parameter file (keys: lambda, r_s, alpha, model, n)."""
-    kv = read_key_values(path)
-    known = {"lambda", "r_s", "alpha", "model", "n"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    return SpacetimeParams(
-        lam=float(kv.get("lambda", 3.0)),
-        r_s=float(kv.get("r_s", 0.0)),
-        alpha=float(kv.get("alpha", 0.0)),
-        model=kv.get("model", "deSitter"),
-        n=int(kv.get("n", 4)),
-    )
+    """SpacetimeParams of a params file (`read_key_values`, keys lambda,
+    r_s, alpha, model, n); a key the file leaves out keeps its default."""
+    kv = read_key_values(path, _PARAMS_SCHEMA)
+    return SpacetimeParams(lam=kv.get("lambda", SpacetimeParams.lam),
+                           r_s=kv.get("r_s", SpacetimeParams.r_s),
+                           alpha=kv.get("alpha", SpacetimeParams.alpha),
+                           model=kv.get("model", SpacetimeParams.model),
+                           n=kv.get("n", SpacetimeParams.n))

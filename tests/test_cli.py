@@ -78,6 +78,35 @@ class TestConfigParsing:
                      str(tmp_path / "o")]) == 2
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [("lambda = abc", "lambda"),
+                                           ("n = 4.5", "n")], ids=["lambda", "n"])
+    def test_bad_params_value_names_its_key(self, tmp_path, capsys, line, key):
+        # the params file is typed by the config's reader, so a value its
+        # type cannot read names its key and exits 2 before any output
+        p = write(tmp_path / "bad.params", f"model = deSitter\n{line}\n")
+        cfg = write(tmp_path / "c.cfg", f"params = {p}\n")
+        out = tmp_path / "out"
+        assert main(["admissible", "--config", cfg, "--out", str(out)]) == 2
+        assert f"bad value for {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_minkowski_with_r_s_exit_two(self, tmp_path, capsys):
+        p = write(tmp_path / "mk.params",
+                  "lambda = 0\nr_s = 0.2\nmodel = MinkowskiBoundary\n")
+        cfg = write(tmp_path / "c.cfg", f"params = {p}\nN = 16\nell_max = 0\n")
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == 2
+        assert "MinkowskiBoundary requires" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_params_parsed_with_the_config(self, tmp_path, dss_params):
+        # a relative params path is read from the config's folder
+        from qnmkit.spacetime import load_params
+        cfg = write(tmp_path / "c.cfg", "params = dss.params\n")
+        rc = parse_config(cfg, "flow", str(tmp_path / "out"), 0)
+        assert rc.params == load_params(dss_params)
+        assert rc.params == SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
+
     def test_out_of_range_rejected(self, tmp_path, ds_params):
         # a knob outside its schema range and an empty ell range
         for lines in ("N = 4", "ell_min = 2\nell_max = 0"):
@@ -616,6 +645,26 @@ class TestExpand:
         for name in names:
             assert ((tmp_path / "1" / name / "expansion.json").read_bytes()
                     == (tmp_path / "2" / name / "expansion.json").read_bytes()), name
+
+    @pytest.mark.parametrize("ell, pair", [
+        (5, 9.0306938719 - 0.8256131482j), (8, 13.968069308 - 0.823597272j)],
+        ids=["l5", "l8"])
+    def test_dss_fundamentals_past_re_eight_are_terms(self, tmp_path, ell, pair):
+        # dSS fundamentals sit near Omega_c (l + 1/2) - 0.82i, past |Re sigma|
+        # = 8 from l = 5; expand takes its poles from the pulse window, so
+        # both become kappa = 0 terms (with poles up to |Re sigma| = 8 only,
+        # l=5 read residual 3.8e-3, exit 1, and l=8 exit 0 with no term);
+        # the l=8 pair is ROADMAP item 22's table entry
+        cfg = write(tmp_path / "c.cfg",
+                    f"params = {os.path.join(CONFIGS, 'dss.params')}\n"
+                    f"N = 48\nell = {ell}\nell_target = 1.5\nn_sigma = 4000\n")
+        out = tmp_path / "out"
+        assert main(["expand", "--config", cfg, "--out", str(out)]) == 0
+        terms = json.loads((out / "expansion.json").read_text())["terms"]
+        assert len(terms) == 2 and all(t["kappa"] == 0 for t in terms)
+        sig = [complex(t["sigma_re"], t["sigma_im"]) for t in terms]
+        assert all(min(abs(z - w) for z in sig) < 1e-8
+                   for w in (pair, -pair.conjugate()))
 
     def test_unsupported_model_exit_two(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg",

@@ -8,7 +8,8 @@ from qnmkit.mellin import (
     inverse_mellin, laurent_coefficients, expand_family, resonance_expand,
     driven_solve, log_gaussian_pulse, log_gaussian_pulse_hat, evaluate_terms,
     fit_decay, sigma_line, time_domain_solve, _converged_poles, _mirrored,
-    _RESIDUE_OFFSETS, _PULSE_FLOOR, _PULSE_WIDTH, ContourDivergence,
+    _RESIDUE_OFFSETS, _PULSE_FLOOR, _PULSE_WIDTH, _PULSE_REACH,
+    ContourDivergence,
     PoleOnContour, DegenerateFit,
 )
 from qnmkit.absorption import AbsorbingSpec
@@ -380,6 +381,19 @@ class TestPipeline:
         for z, w in zip(poles, frozen):
             assert abs(z - w) < 1e-8
         assert all(-z.conjugate() in poles for z in poles if abs(z.real) > 1e-6)
+
+    def test_converged_poles_fill_the_pulse_window(self):
+        # dSS l=5's fundamentals lie past |Re sigma| = 8 and inside the
+        # window `driven_solve` solves, so they are expand's poles, and every
+        # node of their residue circles lies in that window too
+        op = build_operator(DSS, 5, 48)
+        poles = _converged_poles(op, -2.3)
+        pair = 9.0306938719 - 0.8256131482j
+        assert len(poles) == 2
+        assert all(min(abs(z - w) for z in poles) < 1e-8
+                   for w in (pair, -pair.conjugate()))
+        assert all(np.abs((z + _RESIDUE_OFFSETS).real).max() < _PULSE_REACH
+                   for z in poles)
 
     def test_poles_stay_at_their_ladder_rows(self):
         # dS l=0 at N=160 down to Im sigma = -5.3: the ladder certifies 0,

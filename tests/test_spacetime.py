@@ -220,3 +220,11 @@ class TestParamsValidation:
         key = "lambda" if field == "lam" else field
         with pytest.raises(ValueError, match=key):
             SpacetimeParams(model="KerrDeSitter", **{field: value})
+
+    @pytest.mark.parametrize("given", [{"r_s": 0.2}, {"alpha": 0.05},
+                                       {"lam": 3.0}], ids=["r_s", "alpha", "lam"])
+    def test_minkowski_refuses_curved_parameters(self, given):
+        # no stage of the flat boundary model reads lambda, r_s or alpha, so
+        # a nonzero one would be a setting with no effect
+        with pytest.raises(ValueError, match="MinkowskiBoundary"):
+            SpacetimeParams(**{"model": "MinkowskiBoundary", "lam": 0.0, **given})
