@@ -8,7 +8,8 @@ import numpy as np
 
 from qnmkit.spacetime import SpacetimeParams
 from qnmkit.resonances import build_operator
-from qnmkit.mellin import resonance_expand, fit_decay, save_time_series
+from qnmkit.mellin import resonance_expand, fit_decay, forcing_profile, \
+    save_time_series
 
 
 def main():
@@ -20,7 +21,7 @@ def main():
 
     params = SpacetimeParams(3.0, 0.0, 0.0, "deSitter")
     op = build_operator(params, 0, ns.N)
-    f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+    f0 = forcing_profile(op.grid)
     terms, rem = resonance_expand(f0, op, ns.ell_target, n_sigma=4000)
     for t in terms:
         print(f"term: sigma = {t.sigma_j:.6f}, kappa = {t.kappa}, "

@@ -1,6 +1,7 @@
 """Batch front-end: admissibility sweeps, flow studies, resonance tables,
-expansion fits.  One subcommand per study; all randomness is seeded from the
-command line and outputs are deterministic byte-for-byte."""
+expansion fits.  One subcommand per study, every setting read from its run
+config (the flow's randomness from the config's `seed`), and outputs
+deterministic byte-for-byte."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .resonances import build_operator, solve_resonances, oracle_refine, \
     mirror_map, resolvent_apply, SolverFailure, NearPole, StiffFailure, \
     UnsupportedModel, _TRUST_TOL
 from .mellin import resonance_expand, time_domain_solve, evaluate_terms, \
-    fit_decay, PoleOnContour, inverse_mellin
+    fit_decay, forcing_profile, PoleOnContour, inverse_mellin
 
 EXIT_OK = 0
 EXIT_FLAGS = 1
@@ -43,6 +44,7 @@ _SCHEMAS = {
         "T": (float, 0.1, 500.0, 4.0),
         "horizon_sign": (int, -1, 1, 1),
         "include_classify": (int, 0, 1, 1),
+        "seed": (int, 0, 2 ** 63 - 1, 0),
     },
     "resonances": {
         "N": (int, 16, 400, 80),
@@ -66,6 +68,10 @@ _BOX = (-6.0, 6.0, -3.6, 0.4)
 # reconstruction residual below which expand exits 0
 _RECON_BOUND = 1e-6
 
+# integrate_flow's tolerance, then its retries after a StepFailure; the
+# radial fit runs at the first
+_FLOW_TOLS = (1e-10, 1e-9, 1e-8)
+
 
 class ConfigError(Exception):
     pass
@@ -73,25 +79,33 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """All a run reads: its subcommand, the spacetime of its params file, its
+    output folder and each knob of `_SCHEMAS[command]`, defaults filled in."""
     command: str
     params: SpacetimeParams
     out_dir: str
-    seed: int
     knobs: dict
 
     @property
+    def params_entries(self) -> dict:
+        """The spacetime keyed as in a params file."""
+        return {"lambda" if k == "lam" else k: v
+                for k, v in asdict(self.params).items()}
+
+    @property
     def digest(self) -> str:
-        payload = json.dumps({"command": self.command, "seed": self.seed,
-                              "knobs": self.knobs}, sort_keys=True)
+        payload = json.dumps({"command": self.command, "knobs": self.knobs,
+                              "params": self.params_entries}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def parse_config(path, command, out_dir, seed) -> RunConfig:
+def parse_config(path, command, out_dir) -> RunConfig:
     """The run config at `path` for `command`, read by `read_key_values`
     with the rows of `_SCHEMAS[command]`, and the SpacetimeParams of the
     params file it names (`load_params`, relative to the config's folder).
-    A bad entry in either file, a missing params key, horizon_sign = 0 and
-    an empty resonance ell range raise ConfigError."""
+    The flow's `seed` is one of these rows.  A bad entry in either file, a
+    missing params key, horizon_sign = 0 and an empty resonance ell range
+    raise ConfigError."""
     schema = {"params": (str, None, None),
               **{k: row[:3] for k, row in _SCHEMAS[command].items()}}
     try:
@@ -109,15 +123,13 @@ def parse_config(path, command, out_dir, seed) -> RunConfig:
     if command == "resonances" and knobs["ell_min"] > knobs["ell_max"]:
         raise ConfigError(f"ell_min = {knobs['ell_min']} above "
                           f"ell_max = {knobs['ell_max']}")
-    return RunConfig(command, params, out_dir, seed, knobs)
+    return RunConfig(command, params, out_dir, knobs)
 
 
-def _write_manifest(cfg: RunConfig):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = {"command": cfg.command, "config_hash": cfg.digest,
-                "seed": cfg.seed, "version": __version__, "knobs": cfg.knobs}
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(cfg: RunConfig, name: str, obj):
+    """`obj` as the JSON output `name` of the run: indent 2, sorted keys."""
+    with open(os.path.join(cfg.out_dir, name), "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def _fmt(x) -> str:
@@ -126,23 +138,21 @@ def _fmt(x) -> str:
 
 def cmd_admissible(cfg: RunConfig) -> int:
     rep = admissibility(cfg.params)
-    with open(os.path.join(cfg.out_dir, "admissibility.json"), "w") as fh:
-        fh.write(rep.to_json())
+    _write_json(cfg, "admissibility.json", asdict(rep))
     ok = rep.horizons_exist and rep.classical_nontrapping
     return EXIT_OK if ok else EXIT_FLAGS
 
 
 def _flow_with_retries(params, start, k):
-    """integrate_flow at tol 1e-10, retried at 1e-9 and then 1e-8 after a
-    StepFailure; the failure of the last retry propagates."""
-    for tol in (1e-10, 1e-9):
+    """integrate_flow at each tolerance of `_FLOW_TOLS` in turn, the next
+    after a StepFailure; the failure at the last propagates."""
+    for tol in _FLOW_TOLS:
         try:
             return integrate_flow(params, start, k["T"], tol=tol,
                                   horizon_sign=k["horizon_sign"])
         except StepFailure:
-            pass
-    return integrate_flow(params, start, k["T"], tol=1e-8,
-                          horizon_sign=k["horizon_sign"])
+            if tol == _FLOW_TOLS[-1]:
+                raise
 
 
 # one trajectories.csv row (csv.writer's excel dialect: comma, CRLF)
@@ -152,8 +162,8 @@ _DS_FLOW_ROW = "%d,ds_reduced," + ",".join(["%.17g"] * 4) + ",,,,,,\r\n"
 
 def cmd_flow(cfg: RunConfig) -> int:
     params = cfg.params
-    rng = np.random.default_rng(cfg.seed)
     k = cfg.knobs
+    rng = np.random.default_rng(k["seed"])
     lines = ["trajectory,chart,parameter,c1,c2,c3,c4,c5,c6,p,zeta,ptilde\r\n"]
     r_lo, r_hi = domain(params)
     for traj_id in range(k["n_traj"]):
@@ -181,15 +191,12 @@ def cmd_flow(cfg: RunConfig) -> int:
         # the fit runs to dynamics._CLASSIFY_T, whatever the knob T (which
         # sets trajectories.csv only)
         rep = classify_radial(params, k["horizon_sign"], n_traj=k["n_traj"],
-                              tol=1e-10, seed=cfg.seed)
-        with open(os.path.join(cfg.out_dir, "radial_report.json"), "w") as fh:
-            json.dump({"classify_T": _CLASSIFY_T,
-                       "horizon_sign": rep.horizon_sign,
-                       "beta0_measured": rep.beta0_measured,
-                       "beta0_expected": rep.beta0_expected,
-                       "rho0_rate": rep.rho0_rate,
-                       "rel_err": rep.beta0_rel_err}, fh, indent=2,
-                      sort_keys=True)
+                              tol=_FLOW_TOLS[0], seed=k["seed"])
+        _write_json(cfg, "radial_report.json", {
+            "classify_T": _CLASSIFY_T, "horizon_sign": rep.horizon_sign,
+            "beta0_measured": rep.beta0_measured,
+            "beta0_expected": rep.beta0_expected,
+            "rho0_rate": rep.rho0_rate, "rel_err": rep.beta0_rel_err})
     return EXIT_OK
 
 
@@ -248,8 +255,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    with open(os.path.join(cfg.out_dir, "convergence.json"), "w") as fh:
-        json.dump(appendix, fh, indent=2, sort_keys=True)
+    _write_json(cfg, "convergence.json", appendix)
     for r in refuted:
         print(f"oracle disagrees with the converged row {r}", file=sys.stderr)
     return EXIT_FLAGS if refuted else EXIT_OK
@@ -258,7 +264,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
 def cmd_expand(cfg: RunConfig) -> int:
     k = cfg.knobs
     op = build_operator(cfg.params, k["ell"], k["N"])
-    f0 = np.exp(-((op.grid - 0.5) / 0.15) ** 2)
+    f0 = forcing_profile(op.grid)
     terms, rem = resonance_expand(f0, op, k["ell_target"], n_sigma=k["n_sigma"])
     # reconstruction residual against the causal solution stepped in time,
     # which shares no resolvent, contour or transform with the expansion
@@ -267,7 +273,7 @@ def cmd_expand(cfg: RunConfig) -> int:
     resid = float(np.max(np.abs(ref - synth))
                   / max(np.max(np.abs(ref)), 1e-300))
     rate, logpow, fitres = fit_decay(rem)
-    out = {
+    _write_json(cfg, "expansion.json", {
         "terms": [{"sigma_re": t.sigma_j.real, "sigma_im": t.sigma_j.imag,
                    "kappa": t.kappa,
                    "coeff_norm": float(np.linalg.norm(t.a)
@@ -278,9 +284,7 @@ def cmd_expand(cfg: RunConfig) -> int:
         "remainder_fit_residual": fitres,
         "reconstruction_residual": resid,
         "bound": _RECON_BOUND,
-    }
-    with open(os.path.join(cfg.out_dir, "expansion.json"), "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
+    })
     print(f"reconstruction residual: {resid:.3e}")
     return EXIT_OK if resid < _RECON_BOUND else EXIT_FLAGS
 
@@ -290,17 +294,20 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=sorted(_SCHEMAS))
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--seed", type=int, default=0)
     try:
         ns = ap.parse_args(argv)
     except SystemExit:
         return EXIT_CONFIG
     try:
-        cfg = parse_config(ns.config, ns.command, ns.out, ns.seed)
+        cfg = parse_config(ns.config, ns.command, ns.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_manifest(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_json(cfg, "manifest.json", {
+        "command": cfg.command, "config_hash": cfg.digest,
+        "version": __version__, "knobs": cfg.knobs,
+        "params": cfg.params_entries})
     try:
         handler = {"admissible": cmd_admissible, "flow": cmd_flow,
                    "resonances": cmd_resonances, "expand": cmd_expand}[cfg.command]

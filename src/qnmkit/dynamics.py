@@ -246,9 +246,11 @@ def _dop853(fun, T, y0, rtol, atol, events=()):
     gets its own F for the root search.
 
     The kernels square with Python's `**`, which raises OverflowError where
-    numpy gives inf.  An overflow in a trial step rejects the step as scipy's
-    controller rejects an infinite error norm, by the factor 0.2; an
-    overflow anywhere else raises StepFailure.
+    numpy gives inf, and raise PolarSingularity on a stage state within
+    THETA_AXIS_TOL of the axis.  Either in a trial step rejects the step as
+    scipy's controller rejects a non-finite error norm, by the factor 0.2, so
+    a step that jumps past theta = 0 shrinks until the axis event ends the
+    run; an overflow anywhere else raises StepFailure.
     """
     try:
         return _dop853_steps(fun, T, y0, rtol, atol, events)
@@ -313,8 +315,8 @@ def _dop853_steps(fun, T, y0, rtol, atol, events):
                 y_new += y
                 ylist = y_new.tolist()
                 K[n_st] = fun(ylist)
-            except OverflowError:
-                # scipy's controller on an infinite error norm
+            except (OverflowError, PolarSingularity):
+                # scipy's controller on a non-finite error norm
                 h_abs *= 0.2
                 step_rejected = True
                 rejected += 1

@@ -450,6 +450,11 @@ def _converged_poles(op: DiscretizedOperator, im_min: float) -> list:
     return [z for s, z in poles.items() if abs(z - s) < _SAME_ROOT]
 
 
+def forcing_profile(grid: np.ndarray) -> np.ndarray:
+    """The forcing f0 of `qnmkit expand` and the expansion demo on `grid`."""
+    return np.exp(-((grid - 0.5) / 0.15) ** 2)
+
+
 def resonance_expand(f0: np.ndarray, op: DiscretizedOperator, ell_target: float,
                      n_sigma: int):
     """Expansion of the driven solution of the discretized family.

@@ -9,9 +9,8 @@ r' = sqrt(lam) r, whose covariance the tests check.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -82,9 +81,6 @@ class AdmissibilityReport:
     semiclassical_regime: bool
     ergoregions_disjoint: bool
     diagnostics: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def mu_tilde(params: SpacetimeParams, r):

@@ -67,7 +67,7 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path, ds_params, command, line):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n{line}\n")
         with pytest.raises(ConfigError):
-            parse_config(cfg, command, str(tmp_path), 0)
+            parse_config(cfg, command, str(tmp_path))
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2
 
@@ -103,7 +103,7 @@ class TestConfigParsing:
         # a relative params path is read from the config's folder
         from qnmkit.spacetime import load_params
         cfg = write(tmp_path / "c.cfg", "params = dss.params\n")
-        rc = parse_config(cfg, "flow", str(tmp_path / "out"), 0)
+        rc = parse_config(cfg, "flow", str(tmp_path / "out"))
         assert rc.params == load_params(dss_params)
         assert rc.params == SpacetimeParams(3.0, 0.2, 0.0, "dSSchwarzschild")
 
@@ -112,7 +112,7 @@ class TestConfigParsing:
         for lines in ("N = 4", "ell_min = 2\nell_max = 0"):
             cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n{lines}\n")
             with pytest.raises(ConfigError):
-                parse_config(cfg, "resonances", str(tmp_path), 0)
+                parse_config(cfg, "resonances", str(tmp_path))
 
     @pytest.mark.parametrize("classify", [0, 1])
     def test_zero_horizon_sign_rejected(self, tmp_path, capsys, classify):
@@ -121,7 +121,7 @@ class TestConfigParsing:
                     f"params = {KDS_PARAMS}\nhorizon_sign = 0\n"
                     f"include_classify = {classify}\n")
         with pytest.raises(ConfigError):
-            parse_config(cfg, "flow", str(tmp_path), 0)
+            parse_config(cfg, "flow", str(tmp_path))
         out = tmp_path / "out"
         assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
         assert "horizon_sign" in capsys.readouterr().err
@@ -129,8 +129,93 @@ class TestConfigParsing:
 
     def test_defaults_filled(self, tmp_path, ds_params):
         cfg = write(tmp_path / "c.cfg", f"params = {ds_params}\n")
-        rc = parse_config(cfg, "resonances", str(tmp_path), 0)
+        rc = parse_config(cfg, "resonances", str(tmp_path))
         assert rc.knobs["N"] == 80 and rc.knobs["oracle"] == 1
+
+
+class TestManifest:
+    # a small run of each subcommand: (command, params file, knobs)
+    RUNS = [("admissible", "kds.params", ""),
+            ("flow", "dss.params", "n_traj = 2\nT = 1.0\nseed = 3\n"),
+            ("resonances", "ds.params", "N = 32\nell_max = 1\n"),
+            ("expand", "ds.params", "N = 16\nn_sigma = 128\n")]
+
+    def run(self, tmp_path, name, command, params, knobs=""):
+        cfg = write(tmp_path / f"{name}.cfg", f"params = {params}\n{knobs}")
+        out = tmp_path / name
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        return rc, out, json.loads((out / "manifest.json").read_text())
+
+    def test_config_without_params_names_the_key(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", "N = 16\n")
+        out = tmp_path / "out"
+        assert main(["resonances", "--config", cfg, "--out", str(out)]) == 2
+        assert "params = PATH" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_is_a_flow_knob(self, tmp_path, dss_params, capsys):
+        # the flow's seed comes from its config; the command line has no
+        # --seed, so a run that passes one is refused before any output
+        cfg = write(tmp_path / "c.cfg", f"params = {dss_params}\n")
+        for command in ("resonances", "flow"):
+            assert main([command, "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--seed", "3"]) == 2
+        assert not (tmp_path / "o").exists()
+        rows = []
+        for seed in (0, 1):
+            rc, out, manifest = self.run(
+                tmp_path, f"s{seed}", "flow", dss_params,
+                f"n_traj = 1\nT = 0.5\ninclude_classify = 0\nseed = {seed}\n")
+            assert rc == 0 and manifest["knobs"]["seed"] == seed
+            rows.append((out / "trajectories.csv").read_bytes())
+        assert rows[0] != rows[1]
+        cfg = write(tmp_path / "neg.cfg", f"params = {dss_params}\nseed = -1\n")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "n")]) == 2
+        assert "seed = -1 outside" in capsys.readouterr().err
+
+    def test_manifest_names_its_params(self, tmp_path):
+        # every sample model gets its own hash: the manifest keys its
+        # spacetime as a params file does, and the hash covers it
+        from qnmkit.spacetime import load_params
+        hashes = set()
+        for model in ("ds", "dss", "kds", "minkowski", "dss-small"):
+            path = os.path.join(CONFIGS, model + ".params")
+            _, _, manifest = self.run(tmp_path, model, "admissible", path)
+            p = manifest["params"]
+            assert sorted(p) == ["alpha", "lambda", "model", "n", "r_s"]
+            assert SpacetimeParams(p["lambda"], p["r_s"], p["alpha"],
+                                   p["model"], p["n"]) == load_params(path)
+            hashes.add(manifest["config_hash"])
+        assert len(hashes) == 5
+
+    def test_spacetimes_hash_apart(self, tmp_path):
+        # dS and Minkowski with the same knobs wrote one manifest
+        manifests = [self.run(tmp_path, m, "resonances",
+                              os.path.join(CONFIGS, m + ".params"),
+                              "N = 48\nell_max = 0\n")[2]
+                     for m in ("ds", "minkowski")]
+        assert manifests[0]["knobs"] == manifests[1]["knobs"]
+        assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+
+    @pytest.mark.parametrize("command, params, knobs", RUNS,
+                             ids=[r[0] for r in RUNS])
+    def test_manifest_reproduces_the_run(self, tmp_path, command, params,
+                                         knobs):
+        # a params file and a config written from the manifest alone rerun
+        # the same study: every output, the manifest included, byte for byte
+        rc, out, manifest = self.run(tmp_path, "a", command,
+                                     os.path.join(CONFIGS, params), knobs)
+        rebuilt = tmp_path / "rebuilt"
+        rebuilt.mkdir()
+        write(rebuilt / "p.params", "".join(
+            f"{k} = {v}\n" for k, v in manifest["params"].items()))
+        rc2, out2, _ = self.run(rebuilt, "b", manifest["command"], "p.params",
+                                "".join(f"{k} = {v}\n" for k, v in
+                                        manifest["knobs"].items()))
+        assert rc2 == rc
+        assert sorted(os.listdir(out)) == sorted(os.listdir(out2))
+        for name in os.listdir(out):
+            assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestAdmissible:
@@ -200,12 +285,11 @@ class TestFlow:
     def test_deterministic_rerun(self, tmp_path, dss_params):
         cfg = write(tmp_path / "c.cfg",
                     f"params = {dss_params}\nn_traj = 3\nT = 2.0\n"
-                    "include_classify = 0\n")
+                    "include_classify = 0\nseed = 7\n")
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert main(["flow", "--config", cfg, "--out", str(out),
-                         "--seed", "7"]) == 0
+            assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
             outs.append((out / "trajectories.csv").read_bytes())
         assert outs[0] == outs[1]
 

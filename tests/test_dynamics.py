@@ -100,6 +100,22 @@ class TestIntegrateFlow:
         bc = integrate_flow(KDS, pt, 100.0, tol=1e-9)
         assert bc.exit_reason == "domain"
 
+    @pytest.mark.parametrize("params", [KDS, DSS], ids=["kds", "dss"])
+    @pytest.mark.parametrize("start", [
+        PhasePoint(0.6, 0.3, 0.0, 0.5, 2.0, 0.0),
+        PhasePoint(0.6, 1.2, 0.0, 2.5, 1.0, 0.0),
+    ], ids=["theta-0.3", "theta-1.2"])
+    def test_flow_aimed_at_the_axis_ends_there(self, params, start):
+        # with zeta = 0 the ray runs into theta = 0; a trial stage that jumps
+        # past it raises PolarSingularity in the kernel, which rejects the
+        # step as an overflow does, so the run ends at the axis event
+        bc = integrate_flow(params, start, 4.0, tol=1e-10)
+        assert bc.exit_reason == "axis"
+        assert bc.samples.y[-1, 1] == pytest.approx(dynamics._AXIS_MARGIN,
+                                                    rel=1e-9)
+        steps, rejected, _ = bc.integrator_stats
+        assert rejected > 0 and steps < 20
+
     @pytest.mark.parametrize("start, sign_xi", [
         (PhasePoint(0.8, 1.1, 0.0, 2.0, 0.4, -0.6), None),
         (PhasePoint(0.8, 1.1, 0.0, -2.2, 0.4, -0.6), -1),

@@ -197,6 +197,15 @@ class TestTransformPair:
         with pytest.raises(ValueError):
             TemporalSamples(np.linspace(1.0, 1e-3, 64), np.zeros((64, 1)))
 
+    @pytest.mark.parametrize("tau, message", [
+        (np.append(np.geomspace(1.0, 1e-3, 63), 0.0), "positive"),
+        (-np.geomspace(1.0, 1e-3, 64), "positive"),
+        (np.geomspace(1e-3, 1.0, 64), "decreasing"),
+    ], ids=["zero", "negative", "increasing"])
+    def test_refuses_tau_not_positive_and_decreasing(self, tau, message):
+        with pytest.raises(ValueError, match=message):
+            TemporalSamples(tau, np.zeros((64, 1)))
+
     @pytest.mark.parametrize("shape", [(64,), (64, 1, 1), (63, 1)],
                              ids=["vector", "3-d", "short"])
     def test_refuses_values_not_of_shape_rows_by_columns(self, shape):

@@ -1140,6 +1140,29 @@ class TestSecant:
             assert len(calls) == bad
             assert s == calls[bad - 2]
 
+    def test_long_steps_are_clamped_to_unit_length(self):
+        # the first secant step from (0, 1e-4) on s - 10 would land on the
+        # root, 10 away: the clamp walks there in steps of length 1 instead
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return s - 10.0
+        assert resonances._secant(f, 0.0, 1e-4) == 10.0
+        steps = np.diff(calls)
+        assert len(calls) == 13
+        assert np.count_nonzero(np.abs(steps - 1.0) < 1e-12) == 9
+        assert steps.max() <= 1.0
+
+    def test_repeated_f_stops_at_the_second_start(self):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return 2.0
+        assert resonances._secant(f, self.Z0, self.Z0 + 1e-4) == self.Z0 + 1e-4
+        assert len(calls) == 2
+
     def test_start_pair_inside_the_band_is_refined(self):
         # a start pair 5e-7 apart lies inside the 1e-6 band: seeding the
         # shrink test with that spacing returned the second start, 5e-7 off

@@ -180,8 +180,9 @@ class TestAdmissibility:
 
     def test_json_roundtrip(self):
         import json
+        from dataclasses import asdict
         rep = admissibility(DSS)
-        back = json.loads(rep.to_json())
+        back = json.loads(json.dumps(asdict(rep)))
         assert back["horizons_exist"] is True
 
 
@@ -212,6 +213,20 @@ class TestParamsValidation:
     def test_de_sitter_dimension_below_three_rejected(self, n):
         with pytest.raises(ValueError):
             SpacetimeParams(model="deSitter", n=n)
+
+    @pytest.mark.parametrize("given, message", [
+        ({"model": "AntiDeSitter"}, "unknown model"),
+        ({"model": "dSSchwarzschild", "lam": -3.0}, "nonnegative"),
+        ({"model": "dSSchwarzschild", "r_s": -0.2}, "nonnegative"),
+        ({"model": "deSitter", "r_s": 0.2}, "deSitter requires"),
+        ({"model": "deSitter", "alpha": 0.05}, "deSitter requires"),
+        ({"model": "dSSchwarzschild", "r_s": 0.2, "alpha": 0.05},
+         "dSSchwarzschild requires"),
+    ], ids=["unknown-model", "negative-lambda", "negative-r_s", "ds-r_s",
+            "ds-alpha", "dss-alpha"])
+    def test_parameters_outside_the_model_rejected(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            SpacetimeParams(**given)
 
     @pytest.mark.parametrize("field", ["lam", "r_s", "alpha"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -44,6 +44,29 @@ def compact_field(params, cpt, horizon_sign=+1):
         [*cpt.base, cpt.nu, cpt.eta_hat, cpt.zeta_hat]))
 
 
+class TestPhasePoints:
+    @pytest.mark.parametrize("theta", [0.0, 0.5 * THETA_AXIS_TOL,
+                                       math.pi - 0.5 * THETA_AXIS_TOL])
+    def test_point_on_the_axis_refused(self, theta):
+        with pytest.raises(PolarSingularity):
+            PhasePoint(0.8, theta, 0.0, 0.3, 0.1, 0.2)
+
+    def test_zero_xi_has_no_compact_image(self):
+        with pytest.raises(ValueError, match="xi = 0"):
+            PhasePoint(0.8, 1.1, 0.0, 0.0, 0.1, 0.2).compactify()
+
+    @pytest.mark.parametrize("nu, sign_xi, message", [
+        (-1e-3, 1, "nu must be"), (0.5, 0, "sign_xi"), (0.5, 2, "sign_xi")],
+        ids=["negative-nu", "sign-0", "sign-2"])
+    def test_compact_point_refusals(self, nu, sign_xi, message):
+        with pytest.raises(ValueError, match=message):
+            CompactPhasePoint((0.8, 1.1, 0.0), nu, 0.2, -0.3, sign_xi)
+
+    def test_fiber_infinity_has_no_affine_image(self):
+        with pytest.raises(ValueError, match="fiber infinity"):
+            CompactPhasePoint((0.8, 1.1, 0.0), 0.0, 0.2, -0.3, 1).affine()
+
+
 class TestClassicalSymbol:
     def test_alpha_zero_radial_point(self):
         p = kds_classical_symbol(DSS, [1.2, math.pi / 2, 0.0, 1.0, 0.0, 0.0])
